@@ -150,7 +150,8 @@ class CPU:
             cache[key] = hit
             return hit
         if isinstance(hit, InvalidInstruction):
-            raise hit
+            # drop the frames earlier raises appended to the cached instance
+            raise hit.with_traceback(None)
         return hit
 
     def step(self) -> Instruction:

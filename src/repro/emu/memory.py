@@ -141,6 +141,10 @@ class Memory:
         # dataclass.  Values: (region, {page_index: original page bytes}).
         self._snapshot: Optional[MemorySnapshot] = None
         self._journal: dict[int, tuple[MemoryRegion, dict[int, bytes]]] = {}
+        #: When a list, every write through :meth:`write` appends
+        #: ``(region, offset, bytes before the write)``: the glitcher's
+        #: settled-loop exit rebuilds earlier memory contents from it.
+        self.write_log: Optional[list] = None
 
     def map_region(self, region: MemoryRegion) -> MemoryRegion:
         for existing in self.regions:
@@ -180,6 +184,9 @@ class Memory:
             raise BadWrite(f"write of {len(payload)} bytes at unmapped address {address:#010x}", address)
         if not region.writable:
             raise BadWrite(f"write to read-only region {region.name!r} at {address:#010x}", address)
+        if self.write_log is not None:
+            offset = address - region.base
+            self.write_log.append((region, offset, bytes(region.data[offset:offset + len(payload)])))
         if self._snapshot is not None:
             self._journal_pages(region, address, len(payload))
         region.write(address, payload)

@@ -51,6 +51,9 @@ EFFECT_KINDS = (
     "reset",       # the glitch crashed the core (brown-out / lockup)
 )
 
+#: memo marker for a (width, offset) point not yet decided
+_UNSEEN = object()
+
 _LOAD_SUBSTITUTES = ("zero", "bus_residue", "sp_leak", "pattern", "mask", "wrong_reg")
 
 
@@ -102,6 +105,14 @@ class FaultModel:
         #: "there are numerous physical limitations to generating multiple
         #: glitches in rapid succession" (§V-C)
         self.follow_up_attenuation = follow_up_attenuation
+        #: (width, offset) -> :meth:`_point_decision`, filled on first use
+        self._points: dict = {}
+
+    def __getstate__(self) -> dict:
+        # the point memo is derived data: ship models to workers without it
+        state = self.__dict__.copy()
+        state["_points"] = {}
+        return state
 
     def begin_run(self) -> None:
         """Reset per-run state before an attempt starts.
@@ -217,20 +228,61 @@ class FaultModel:
         cycle), while fault occurrence is additionally per-cycle — the
         vulnerable latch window of each cycle's logic differs.
         """
-        crash_roll = self._uniform("crashpt", params.width, params.offset)
-        if crash_roll < self.crash_probability(params.width, params.offset):
-            return "crash"
+        point = self._point(params)
+        if not isinstance(point, tuple):
+            return point  # "crash", or None: no cycle of this point faults
         # Fault occurrence is strongly correlated within a parameter point:
         # the same timing margin is violated every cycle, so a point either
         # faults on most glitched cycles or on none — per-cycle variation is
         # secondary. (This is what makes long glitches "irrecoverable" in
         # the sweet band rather than conveniently sparse.)
-        point_roll = self._uniform("occurpt", params.width, params.offset)
+        point_term, probability = point
         cycle_roll = self._uniform("occur", params.width, params.offset, rel_cycle)
-        blended = 0.75 * point_roll + 0.25 * cycle_roll
-        if blended < self.fault_probability(params.width, params.offset):
+        if point_term + 0.25 * cycle_roll < probability:
             return "fault"
         return None
+
+    def first_occurrence(self, params: GlitchParams) -> Optional[tuple[int, str]]:
+        """``(rel_cycle, decision)`` for the first glitched cycle whose
+        :meth:`occurrence_decision` is not ``None``, or ``None``."""
+        if self._point(params) is None:
+            return None  # no cycle of this point faults
+        for rel_cycle in params.glitched_cycles():
+            decision = self.occurrence_decision(params, rel_cycle)
+            if decision is not None:
+                return rel_cycle, decision
+        return None
+
+    def _point(self, params: GlitchParams):
+        """The memoized :meth:`_point_decision` of ``params``' grid point.
+
+        Computed once per ``(width, offset)`` and kept on the model, so the
+        model's parameters must not change after its first decision.
+        """
+        key = (params.width, params.offset)
+        point = self._points.get(key, _UNSEEN)
+        if point is _UNSEEN:
+            point = self._points[key] = self._point_decision(*key)
+        return point
+
+    def _point_decision(self, width: int, offset: int):
+        """The per-point part of :meth:`occurrence_decision`.
+
+        ``"crash"``; ``None`` when no cycle of the point can fault; else
+        ``(0.75 * point_roll, fault_probability)`` for the per-cycle blend.
+        The ``None`` test is exact: the blend adds ``0.25 * cycle_roll >= 0``
+        to ``0.75 * point_roll``, and adding a non-negative float never
+        lowers a sum, so a point term at or above the probability stays
+        there for every cycle roll.
+        """
+        crash_roll = self._uniform("crashpt", width, offset)
+        if crash_roll < self.crash_probability(width, offset):
+            return "crash"
+        point_term = 0.75 * self._uniform("occurpt", width, offset)
+        probability = self.fault_probability(width, offset)
+        if point_term >= probability:
+            return None
+        return point_term, probability
 
     # ------------------------------------------------------------------
 

@@ -26,6 +26,12 @@ and firmware that persists new nonvolatile seed-page state (the
 random-delay defense) changes ``board._seed_page``, both of which the
 replay gate checks before every restore.  Pass ``replay=False`` to force
 the from-reset path (the differential tests do).
+
+Most simulated attempts end ``no_effect`` with the firmware spinning in
+a guard loop until the settle budget runs out.  The *settled-loop exit*
+(:meth:`ClockGlitcher._skip_settled_periods`) notices when that loop can
+no longer change and jumps whole loop periods to the deadline; the
+attempt's result is exactly the full settle's.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.emu.memory import MemorySnapshot
+from repro.emu.memory import MemoryRegion, MemorySnapshot
 from repro.errors import EmulationFault
 from repro.hw.clock import GlitchParams
 from repro.hw.faults import FaultEffect, FaultModel, PipelineView
@@ -45,6 +51,15 @@ from repro.isa.assembler import AssembledProgram
 BOOT_BUDGET = 50_000
 #: cycles allowed after the last glitched cycle for consequences to land
 SETTLE_CYCLES = 400
+
+#: per-glitcher attempt counters (see :attr:`ClockGlitcher.counters`):
+#: attempts decided by the fault-model fast path, attempts simulated,
+#: simulated attempts cut short by the settled-loop exit, and pipeline
+#: cycles stepped after the first trigger
+HW_COUNTERS = ("hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles")
+
+#: machine states the settled-loop exit remembers per attempt
+_HISTORY_LIMIT = 4096
 
 
 @dataclass
@@ -142,18 +157,24 @@ class ClockGlitcher:
             raise ValueError(f"firmware does not define the {detect_symbol!r} symbol")
         self.replay = replay
         self._baseline: Optional[_Baseline] = None
+        #: running totals of :data:`HW_COUNTERS`; scans report per-unit deltas
+        self.counters = dict.fromkeys(HW_COUNTERS, 0)
 
     # ------------------------------------------------------------------
 
     def run_attempt(self, params: GlitchParams, force_simulation: bool = False) -> AttemptResult:
         """Run one glitched attempt and classify it."""
-        occurrences = self._occurrence_plan(params)
+        first = self._occurrence_plan(params)
+        counters = self.counters
         if not force_simulation:
-            if not occurrences:
+            if first is None:
+                counters["hw.fastpath"] += 1
                 return AttemptResult(category="no_effect", params=params, simulated=False)
-            if occurrences[0][1] == "crash":
+            if first[1] == "crash":
                 # The first thing this parameter point does is crash the core.
+                counters["hw.fastpath"] += 1
                 return AttemptResult(category="reset", params=params, simulated=False)
+        counters["hw.simulated"] += 1
         return self._simulate(params)
 
     def run_unglitched(self, max_cycles: int = BOOT_BUDGET) -> AttemptResult:
@@ -162,16 +183,14 @@ class ClockGlitcher:
 
     # ------------------------------------------------------------------
 
-    def _occurrence_plan(self, params: GlitchParams) -> list[tuple[int, str]]:
-        """Parameter-deterministic (rel_cycle, 'fault'|'crash') decisions."""
-        plan: list[tuple[int, str]] = []
-        for rel in params.glitched_cycles():
-            decision = self.fault_model.occurrence_decision(params, rel)
-            if decision is not None:
-                plan.append((rel, decision))
-                if decision == "crash":
-                    break  # the core resets at the first crashing cycle
-        return plan
+    def _occurrence_plan(self, params: GlitchParams) -> Optional[tuple[int, str]]:
+        """The first parameter-deterministic ``(rel_cycle, 'fault'|'crash')``
+        decision of the glitch, or ``None`` when no glitched cycle faults.
+
+        Only the first decision matters: a crash resets the core there,
+        and a fault sends the attempt to full simulation.
+        """
+        return self.fault_model.first_occurrence(params)
 
     def _usable_baseline(self) -> Optional[_Baseline]:
         """The captured baseline, or ``None`` when a replay could diverge."""
@@ -196,6 +215,82 @@ class ClockGlitcher:
             seed_page=bytes(board._seed_page),
             gpio_state=board._gpio_state,
         )
+
+    def _loop_bounds(
+        self, params: Optional[GlitchParams], windows: list[int], max_cycles: int
+    ) -> tuple[int, int]:
+        """``(deadline, quiet_from)`` for the simulation loop.
+
+        The run stops at the first top-of-loop at or past ``deadline``:
+        the settle budget after the last window once every expected
+        trigger fired, a longer wait for a later trigger that may never
+        come, or ``max_cycles``.  From cycle ``quiet_from`` on no glitch
+        can land until another trigger opens a window; before the first
+        trigger it is ``max_cycles``, so the settled-loop exit never runs
+        during boot.
+        """
+        if not windows:
+            return max_cycles, max_cycles
+        if params is None:
+            return max_cycles, windows[-1]
+        glitch_end = params.ext_offset + params.repeat
+        if len(windows) >= self.expected_triggers:
+            limit = windows[-1] + glitch_end + SETTLE_CYCLES + 1
+        else:
+            limit = windows[0] + glitch_end + 4 * SETTLE_CYCLES + 1
+        return min(max_cycles, limit), windows[-1] + glitch_end
+
+    def _skip_settled_periods(self, history: dict, deadline: int) -> int:
+        """Settled-loop exit: jump whole periods of a loop that can no
+        longer change; returns the cycles skipped (0 when none).
+
+        Called at every top-of-loop with a free execute stage once no
+        glitch can land.  ``history`` maps each machine state seen there
+        to the counters and the memory write-log position at that point.
+        The state covers the registers, flags and halt bit, both latches,
+        the fetch address, the last retired instruction, the bus-residue
+        hint and the GPIO pin, plus the counts of MMIO reads and of
+        milestones, so a repeat implies neither happened in between.  The
+        repeat counts only if memory is also unchanged: no write in
+        between hit MMIO (a GPIO write can open a window), and every byte
+        written holds its earlier value again.  Then nothing read the
+        cycle counter, no trigger can fire and the run from the repeated
+        state replays the run from its first sighting, so every later
+        period is identical: skipping whole periods up to the deadline
+        leaves the final state, cycle count and outcome exactly those of
+        the full settle.
+        """
+        board = self.board
+        pipeline = board.pipeline
+        cpu = pipeline.cpu
+        log = cpu.memory.write_log
+        if log is None:
+            log = cpu.memory.write_log = []
+        state = (
+            tuple(cpu.regs), cpu.flags, cpu.halted,
+            pipeline.fetch_latch, pipeline.decode_latch, pipeline.fetch_address,
+            pipeline._last_retired_raw, getattr(cpu, "last_bus_address", None),
+            board._gpio_state, board.mmio_reads, len(pipeline.milestones),
+        )
+        seen = history.get(state)
+        if seen is None or not _memory_unchanged(log, seen[3]):
+            if len(history) >= _HISTORY_LIMIT:
+                # a long non-repeating run: bound the memory
+                history.clear()
+                log.clear()
+            history[state] = (pipeline.cycles, pipeline.retired, cpu.instruction_count, len(log))
+            return 0
+        cycles, retired, instructions, _ = seen
+        period = pipeline.cycles - cycles
+        periods = (deadline - pipeline.cycles) // period
+        if periods == 0:
+            return 0
+        history.clear()
+        log.clear()
+        pipeline.cycles += periods * period
+        pipeline.retired += periods * (pipeline.retired - retired)
+        cpu.instruction_count += periods * (cpu.instruction_count - instructions)
+        return periods * period
 
     def _simulate(
         self, params: Optional[GlitchParams], max_cycles: int = BOOT_BUDGET
@@ -230,22 +325,29 @@ class ClockGlitcher:
         if exit1 is not None:
             pipeline.milestone_addresses = frozenset({exit1})
 
-        # windows: rel-cycle-0 anchors (trigger cycle + 1)
-        board.trigger_callback = lambda value: windows.append(pipeline.cycles + 1)
+        # The loop ends at the first top-of-loop whose cycle count reaches
+        # ``deadline``; no glitch lands at or after cycle ``quiet_from``.
+        # Both move only when a trigger opens a window.
+        deadline, quiet_from = self._loop_bounds(params, windows, max_cycles)
+
+        def on_trigger(value: int) -> None:
+            nonlocal deadline, quiet_from
+            windows.append(pipeline.cycles + 1)  # rel-cycle-0 anchor
+            deadline, quiet_from = self._loop_bounds(params, windows, max_cycles)
+
+        board.trigger_callback = on_trigger
 
         effects: list[FaultEffect] = []
-        occurrence_counter = [0]
+        occurrence_counter = 0
 
         def resolver(cycle: int, view: PipelineView) -> Optional[FaultEffect]:
-            if params is None:
-                return None
+            nonlocal occurrence_counter
             for window_index, base in enumerate(windows):
-                rel = cycle - base
-                if rel in params.glitched_cycles():
-                    index = occurrence_counter[0]
-                    occurrence_counter[0] += 1
+                if first_rel <= cycle - base < end_rel:
+                    index = occurrence_counter
+                    occurrence_counter += 1
                     effect = self.fault_model.effect_at(
-                        params, rel, view, index,
+                        params, cycle - base, view, index,
                         window_index=window_index, absolute_cycle=cycle,
                     )
                     if effect is not None:
@@ -253,8 +355,20 @@ class ClockGlitcher:
                     return effect
             return None
 
-        pipeline.glitch_resolver = resolver
+        if params is None:
+            pipeline.glitch_resolver = None
+        else:
+            glitched = params.glitched_cycles()
+            first_rel, end_rel = glitched.start, glitched.stop
+            pipeline.glitch_resolver = resolver
 
+        cpu = board.cpu
+        step = pipeline.step_cycle
+        # the settled-loop exit assumes nothing outside the board observes
+        # individual cycles
+        watch = pipeline.trace_hook is None and cpu.svc_handler is None
+        history: dict = {}
+        skipped = 0
         category = "no_effect"
         stop_symbol: Optional[str] = None
         try:
@@ -267,31 +381,32 @@ class ClockGlitcher:
                         category = "detected"
                         stop_symbol = "detected"
                     break
-                if board.cpu.halted:
+                if cpu.halted:
                     category = "no_effect"
                     stop_symbol = "halted"
                     break
-                if pipeline.cycles >= max_cycles:
+                if pipeline.cycles >= deadline:
                     break
-                if params is not None and len(windows) >= self.expected_triggers:
-                    last_end = windows[-1] + params.ext_offset + params.repeat
-                    if pipeline.cycles > last_end + SETTLE_CYCLES:
-                        break
-                elif params is not None and windows:
-                    first_end = windows[0] + params.ext_offset + params.repeat
-                    # waiting for a later trigger that may never come
-                    if pipeline.cycles > first_end + 4 * SETTLE_CYCLES:
-                        break
                 if capture and windows:
                     # First top-of-loop after the trigger fired: no glitch
                     # has landed yet (rel cycle 0 executes in the upcoming
                     # step), so this state is attempt-independent.
                     self._capture_baseline(windows[0])
                     capture = False
-                pipeline.step_cycle()
+                if watch and pipeline.execute_slot is None and pipeline.cycles >= quiet_from:
+                    jumped = self._skip_settled_periods(history, deadline)
+                    if jumped:
+                        skipped += jumped
+                        self.counters["hw.settled_exits"] += 1
+                        continue
+                step()
         except EmulationFault:
             category = "reset"
+        finally:
+            cpu.memory.write_log = None  # only the settled-loop exit reads it
 
+        if windows:
+            self.counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped
         if self.expected_triggers > 1 and category in ("no_effect", "reset"):
             # "Partial" = the first glitch broke out of loop 1 (observable:
             # the second trigger fired / the exit1 milestone issued) but the
@@ -309,6 +424,18 @@ class ClockGlitcher:
             effects=tuple(effects),
             stop_symbol=stop_symbol,
         )
+
+
+def _memory_unchanged(log: list, position: int) -> bool:
+    """Whether the writes in ``log[position:]`` left memory as it was."""
+    earlier: dict = {}  # (id(data), offset) -> (data, byte at ``position``)
+    for region, offset, before in reversed(log[position:]):
+        if type(region) is not MemoryRegion:
+            return False  # MMIO: the write had a side effect
+        data = region.data
+        for index, value in enumerate(before, offset):
+            earlier[id(data), index] = (data, value)
+    return all(data[index] == value for (_, index), (data, value) in earlier.items())
 
 
 __all__ = ["ClockGlitcher", "AttemptResult", "GlitchStatistics", "BOOT_BUDGET", "SETTLE_CYCLES"]

@@ -67,6 +67,9 @@ class Board:
         self.cpu: CPU = None  # type: ignore[assignment]
         self.pipeline: PipelinedCPU = None  # type: ignore[assignment]
         self._gpio_state = 0
+        #: MMIO reads served so far; the glitcher's settled-loop exit sees
+        #: writes, MMIO ones included, through ``Memory.write_log``
+        self.mmio_reads = 0
         self.reset()
 
     # ------------------------------------------------------------------
@@ -123,6 +126,7 @@ class Board:
     # ------------------------------------------------------------------
 
     def _gpio_read(self, offset: int, length: int) -> int:
+        self.mmio_reads += 1
         if offset == GPIO_ODR_OFFSET:
             return self._gpio_state
         return 0
@@ -136,6 +140,7 @@ class Board:
                 self.trigger_callback(value)
 
     def _dwt_read(self, offset: int, length: int) -> int:
+        self.mmio_reads += 1
         if offset == DWT_CYCCNT_OFFSET:
             return self.pipeline.cycles & 0xFFFFFFFF
         return 0

@@ -30,6 +30,7 @@ reset — see ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.emu.cpu import CPU, CPUSnapshot
@@ -262,19 +263,12 @@ class PipelinedCPU:
         return self.glitch_resolver(self.cycles, self._view())
 
     def _view(self) -> PipelineView:
-        executing = "none"
         slot = self.execute_slot
-        if slot is not None:
-            executing = _classify_raw(slot.raw)
-        return PipelineView(
-            executing_class=executing,
-            has_fetch=self._front_end_free(),
-            has_decode=self.decode_latch is not None,
-        )
-
-    def _front_end_free(self) -> bool:
-        slot = self.execute_slot
-        return slot is None or slot.cycles_left <= 1
+        has_decode = self.decode_latch is not None
+        if slot is None:
+            return _VIEWS["none", True, has_decode]
+        # the front end is free while the slot is in its last cycle
+        return _VIEWS[_classify_raw(slot.raw), slot.cycles_left <= 1, has_decode]
 
     def _execute_stage(self, effect: Optional[FaultEffect]) -> bool:
         """Run the execute stage for this cycle; True if the slot completed."""
@@ -314,8 +308,11 @@ class PipelinedCPU:
 
     def _complete(self, slot: _Slot) -> None:
         """Architecturally execute the slot, applying any pending corruptions."""
-        skip = any(effect.kind == "skip" for effect in slot.pending_effects)
-        replay = any(effect.kind == "replay" for effect in slot.pending_effects)
+        effects = slot.pending_effects
+        skip = replay = False
+        if effects:
+            skip = any(effect.kind == "skip" for effect in effects)
+            replay = any(effect.kind == "replay" for effect in effects)
         victim_raw = slot.raw
         if replay and not skip and self._last_retired_raw is not None:
             # Re-issue the previously retired instruction in place of this
@@ -329,24 +326,24 @@ class PipelinedCPU:
             self.retired += 1
             return
         instr = self._decode_raw(victim_raw)
-        instr = self._apply_pre_effects(slot, instr)
+        if effects:
+            instr = self._apply_pre_effects(slot, instr)
         address = slot.address
         # A replayed victim may differ in size from the displaced slot, so
         # fall through past the *displaced* instruction, not the victim.
         fallthrough = address + (2 * len(slot.raw) if replay else instr.size)
-        self._pre_regs = list(self.cpu.regs) if slot.pending_effects else None
+        self._pre_regs = list(self.cpu.regs) if effects else None
         self.cpu.pc = fallthrough
         self.cpu.execute(instr, address)
         self.retired += 1
         self._last_retired_raw = victim_raw
-        self._apply_post_effects(slot, instr)
+        if effects:
+            self._apply_post_effects(slot, instr)
         if self.cpu.pc != fallthrough:
             self._flush(self.cpu.pc)
 
     def _decode_raw(self, raw: tuple[int, ...]) -> Instruction:
-        if len(raw) == 2:
-            return decode(raw[0], raw[1], zero_is_invalid=self.cpu.zero_is_invalid)
-        return decode(raw[0], zero_is_invalid=self.cpu.zero_is_invalid)
+        return _decode_halfwords(raw, self.cpu.zero_is_invalid)
 
     def _apply_pre_effects(self, slot: _Slot, instr: Instruction) -> Instruction:
         from dataclasses import replace
@@ -458,6 +455,20 @@ class PipelinedCPU:
         self.fetch_address = new_pc
 
 
+# Decoding is a pure function of the raw halfwords, so the three helpers
+# below are memoized process-wide by raw tuple: unmemoized, a Table VI
+# regeneration made ~284k decode calls on a few hundred distinct encodings.
+# Invalid encodings raise out of ``_decode_halfwords`` and are not cached (a
+# cached exception would pin every frame it is re-raised through).
+
+@lru_cache(maxsize=None)
+def _decode_halfwords(raw: tuple[int, ...], zero_is_invalid: bool) -> Instruction:
+    if len(raw) == 2:
+        return decode(raw[0], raw[1], zero_is_invalid=zero_is_invalid)
+    return decode(raw[0], zero_is_invalid=zero_is_invalid)
+
+
+@lru_cache(maxsize=None)
 def _classify_raw(raw: tuple[int, ...]) -> str:
     try:
         instr = decode(raw[0], raw[1] if len(raw) == 2 else 0xF800)
@@ -474,6 +485,7 @@ def _classify_raw(raw: tuple[int, ...]) -> str:
     return "alu"
 
 
+@lru_cache(maxsize=None)
 def _issue_cost(raw: tuple[int, ...]) -> int:
     """Cortex-M0-flavoured execute-stage cycle costs."""
     try:
@@ -487,6 +499,15 @@ def _issue_cost(raw: tuple[int, ...]) -> int:
     if instr.mnemonic == "bl":
         return 2
     return 1
+
+
+#: the interned views: (executing class, has_fetch, has_decode) -> view
+_VIEWS = {
+    (executing, has_fetch, has_decode): PipelineView(executing, has_fetch, has_decode)
+    for executing in ("none", "load", "store", "compare", "branch", "alu")
+    for has_fetch in (False, True)
+    for has_decode in (False, True)
+}
 
 
 def _apply_mask(value: int, mask: int, mode: str) -> int:

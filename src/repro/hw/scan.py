@@ -32,7 +32,7 @@ from repro.hw.faults import FaultModel
 from repro.hw.glitcher import AttemptResult, ClockGlitcher
 from repro.hw.models import model_label, resolve_fault_model
 from repro.isa.disassembler import disassemble_one
-from repro.obs import Observer, coerce_observer
+from repro.obs import Observer, activate, coerce_observer, current
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +221,29 @@ def map_cycles_to_instructions(glitcher: ClockGlitcher, n_cycles: int) -> dict[i
 # which is what lets the in-process (``workers=1``) path keep one shared
 # glitcher while the multiprocessing path stays bit-identical.
 
+def _report_hw(glitcher: ClockGlitcher, before: dict) -> None:
+    """Count a unit's ``hw.*`` attempt counters on the ambient observer."""
+    obs = current()
+    for name, total in glitcher.counters.items():
+        obs.count(name, total - before[name])
+
+
+def _observed(obs: Observer, unit):
+    """``unit`` run with ``obs`` as the ambient observer.
+
+    The in-process path of a scan, so units report their ``hw.*``
+    counters exactly as the worker-envelope path does.
+    """
+    def run(spec):
+        with activate(obs):
+            return unit(spec)
+    return run
+
+
 def _single_row(
     glitcher: ClockGlitcher, comparator_register: int, cycle: int, stride: int
 ) -> CycleRow:
+    before = dict(glitcher.counters)
     row = CycleRow(cycle=cycle, instruction="-")
     for width, offset in _grid(stride):
         result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
@@ -234,10 +254,12 @@ def _single_row(
             row.register_values[value] += 1
         elif result.category == "reset":
             row.resets += 1
+    _report_hw(glitcher, before)
     return row
 
 
 def _multi_row(glitcher: ClockGlitcher, cycle: int, stride: int) -> MultiCycleRow:
+    before = dict(glitcher.counters)
     row = MultiCycleRow(cycle=cycle)
     for width, offset in _grid(stride):
         result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
@@ -246,10 +268,12 @@ def _multi_row(glitcher: ClockGlitcher, cycle: int, stride: int) -> MultiCycleRo
             row.full += 1
         elif result.category == "partial":
             row.partial += 1
+    _report_hw(glitcher, before)
     return row
 
 
 def _long_row(glitcher: ClockGlitcher, last: int, stride: int) -> LongRangeRow:
+    before = dict(glitcher.counters)
     row = LongRangeRow(last_cycle=last)
     for width, offset in _grid(stride):
         result = glitcher.run_attempt(
@@ -258,6 +282,7 @@ def _long_row(glitcher: ClockGlitcher, last: int, stride: int) -> LongRangeRow:
         row.attempts += 1
         if result.category == "success":
             row.successes += 1
+    _report_hw(glitcher, before)
     return row
 
 
@@ -421,9 +446,9 @@ def run_single_glitch_scan(
             rows = executor.map(
                 _guard_row_unit,
                 [_GuardRowSpec("single", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=lambda spec: _single_row(
+                serial_fn=_observed(obs, lambda spec: _single_row(
                     shared, descriptor.comparator_register, spec.cycle, spec.stride
-                ),
+                )),
                 attempts_of=lambda row: row.attempts,
                 categories_of=lambda row: {"success": row.successes, "reset": row.resets},
                 checkpoint=checkpoint,
@@ -484,7 +509,9 @@ def run_multi_glitch_scan(
             rows = executor.map(
                 _guard_row_unit,
                 [_GuardRowSpec("multi", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=lambda spec: _multi_row(glitcher, spec.cycle, spec.stride),
+                serial_fn=_observed(
+                    obs, lambda spec: _multi_row(glitcher, spec.cycle, spec.stride)
+                ),
                 attempts_of=lambda row: row.attempts,
                 categories_of=lambda row: {"full": row.full, "partial": row.partial},
                 checkpoint=checkpoint,
@@ -545,7 +572,9 @@ def run_long_glitch_scan(
             rows = executor.map(
                 _guard_row_unit,
                 [_GuardRowSpec("long", guard, last, stride, fault_model) for last in last_cycles],
-                serial_fn=lambda spec: _long_row(glitcher, spec.cycle, spec.stride),
+                serial_fn=_observed(
+                    obs, lambda spec: _long_row(glitcher, spec.cycle, spec.stride)
+                ),
                 attempts_of=lambda row: row.attempts,
                 categories_of=lambda row: {"success": row.successes},
                 checkpoint=checkpoint,
@@ -637,6 +666,7 @@ def _defense_shape_unit(spec: _DefenseShapeSpec) -> DefenseScanResult:
     glitcher = ClockGlitcher(
         spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect
     )
+    before = dict(glitcher.counters)
     tally = DefenseScanResult(scenario="", defense="", attack="")
     for width, offset in _grid(spec.stride):
         outcome = glitcher.run_attempt(
@@ -653,6 +683,7 @@ def _defense_shape_unit(spec: _DefenseShapeSpec) -> DefenseScanResult:
             tally.resets += 1
         else:
             tally.no_effect += 1
+    _report_hw(glitcher, before)
     return tally
 
 
@@ -723,6 +754,7 @@ def run_defense_scan(
                     _DefenseShapeSpec(image, ext_offset, repeat, stride, fault_model, detect)
                     for ext_offset, repeat in shape
                 ],
+                serial_fn=_observed(obs, _defense_shape_unit),
                 attempts_of=lambda tally: tally.attempts,
                 categories_of=lambda tally: {
                     "success": tally.successes,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import AlignmentFault, BadFetch, BadRead, BadWrite, EmulationFault
+from repro.errors import (
+    AlignmentFault, BadFetch, BadRead, BadWrite, EmulationFault, InvalidInstruction,
+)
 from repro.isa import assemble
 from repro.emu import CPU, Memory
 
@@ -316,6 +318,26 @@ class TestControlFaults:
         cpu.svc_handler = lambda c, imm: calls.append(imm)
         cpu.run(10)
         assert calls == [7]
+
+    def test_cached_invalid_decode_does_not_grow_its_traceback(self):
+        # fetch_and_decode caches the InvalidInstruction for a bad
+        # encoding; re-raising the cached instance must not keep the
+        # frames of every earlier raise alive on its __traceback__
+        cpu = make_cpu(".hword 0x0000", zero_is_invalid=True)
+        cpu.decode_cache = {}
+
+        def raised_in_decoder(tb) -> int:
+            depth = 0
+            while tb is not None:
+                depth += tb.tb_frame.f_code is CPU.fetch_and_decode.__code__
+                tb = tb.tb_next
+            return depth
+
+        for _ in range(3):
+            with pytest.raises(InvalidInstruction) as info:
+                cpu.fetch_and_decode(FLASH_BASE)
+            assert raised_in_decoder(info.value.__traceback__) == 1
+        assert len(cpu.decode_cache) == 1
 
     def test_run_limit(self):
         cpu = make_cpu("loop: b loop")

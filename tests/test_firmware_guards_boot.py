@@ -1,5 +1,7 @@
 """Tests for the MiniC evaluation firmware (guards + boot)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.firmware.boot import BOOT_SOURCE, SENSITIVE_VARIABLES, build_boot_firmware
@@ -96,14 +98,66 @@ class TestBootFirmware:
         assert hardened.report.integrity_loads > 0
 
     def test_boot_under_glitch_can_be_detected(self):
-        """At least one glitch parameter point triggers detection during the
-        defended boot's tick loop."""
-        hardened = build_boot_firmware(ResistorConfig.all_but_delay(sensitive=SENSITIVE_VARIABLES))
-        glitcher = ClockGlitcher(hardened.image, detect_symbol="gr_detected")
-        categories = set()
-        for ext in range(0, 60, 6):
-            for width in range(12, 30, 4):
-                for offset in range(-20, 0, 4):
-                    result = glitcher.run_attempt(GlitchParams(ext, width, offset))
-                    categories.add(result.category)
-        assert "detected" in categories or "reset" in categories
+        """Real fault-model glitches landed in the defended boot's tick loop
+        are detected, and none of them reaches ``win``.
+
+        The boot firmware never raises the trigger pin, so the glitcher's
+        trigger-anchored windows cannot reach it.  Instead the board boots
+        once to the ``boot_complete`` milestone, is snapshotted there, and
+        each run replays from the snapshot with a resolver that realizes
+        ``FaultModel.effect_at`` on its glitched cycles after the milestone.
+        """
+        from repro.errors import EmulationFault
+        from repro.hw.faults import FaultModel
+
+        hardened = build_boot_firmware(ResistorConfig.all(sensitive=SENSITIVE_VARIABLES))
+        symbols = hardened.image.symbols
+        board = Board(hardened.image)
+        pipe = board.pipeline
+        pipe.milestone_addresses = frozenset({symbols["boot_complete"]})
+        while not pipe.milestones:
+            pipe.step_cycle()
+        memory_snapshot = board.cpu.memory.snapshot()
+        booted = pipe.snapshot_state()
+        pipe.stop_addresses = frozenset({symbols["win"], symbols["gr_detected"]})
+
+        model = FaultModel()
+        # grid points whose glitches fault (rather than crash or do nothing)
+        faulting = [
+            (width, offset)
+            for width in range(-49, 50, 3)
+            for offset in range(-49, 50, 3)
+            if model.occurrence_decision(GlitchParams(0, width, offset), 0) == "fault"
+        ]
+        outcomes = Counter()
+        effects = []
+        for ext in range(0, 200, 10):
+            for width, offset in faulting[::2]:
+                params = GlitchParams(ext, width, offset)
+                board.cpu.memory.restore(memory_snapshot)
+                pipe.restore_state(booted)
+                anchor = pipe.cycles
+                occurrences = iter(range(params.repeat))
+
+                def resolver(cycle, view, params=params, anchor=anchor,
+                             occurrences=occurrences):
+                    rel = cycle - anchor
+                    if rel not in params.glitched_cycles():
+                        return None
+                    effect = model.effect_at(params, rel, view, next(occurrences))
+                    if effect is not None:
+                        effects.append(effect)
+                    return effect
+
+                pipe.glitch_resolver = resolver
+                try:
+                    reason = pipe.run(anchor + 600)
+                except EmulationFault:
+                    reason = "reset"
+                if reason == "stop_addr":
+                    reason = "win" if pipe.stopped_at == symbols["win"] else "detected"
+                outcomes[reason] += 1
+        assert len(effects) > 100
+        assert {effect.kind for effect in effects} - {"reset"}
+        assert outcomes["detected"] > 0
+        assert outcomes["win"] == 0
