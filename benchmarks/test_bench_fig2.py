@@ -57,7 +57,8 @@ def test_fig2_snapshot_engine_speedup():
     """The snapshot engine is ≥3× faster than per-word rebuild, tallies identical.
 
     A single-mnemonic sweep over every corrupted 16-bit word (the unit the
-    Figure 2 campaign repeats 14 × 4 times) runs once per engine,
+    Figure 2 campaign repeats 14 × 4 times) runs once on the rebuild
+    oracle (tests/oracles.py) and once on the snapshot engine,
     back-to-back in the same process so the ratio is insulated from
     machine-load drift. ``bvs`` is used because its 4-instruction setup
     prefix is the longest of the 14 branches — the pre-glitch work the
@@ -65,12 +66,14 @@ def test_fig2_snapshot_engine_speedup():
     """
     from repro.glitchsim.harness import SnippetHarness
     from repro.glitchsim.snippets import branch_snippet
+    from tests.oracles import RebuildSnippetHarness
 
     snippet = branch_snippet("vs")
     timings = {}
     tallies = {}
-    for engine in ("rebuild", "snapshot"):
-        harness = SnippetHarness(snippet, engine=engine)
+    for engine, harness_class in (("rebuild", RebuildSnippetHarness),
+                                  ("snapshot", SnippetHarness)):
+        harness = harness_class(snippet)
         start = time.perf_counter()
         tallies[engine] = Counter(
             harness.run(word).category for word in range(0x10000)

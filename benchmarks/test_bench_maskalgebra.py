@@ -1,10 +1,12 @@
 """Mask-algebra benchmark: closed-form tallying vs full mask enumeration.
 
 Runs a Figure 2 slice — the three paper panels (AND, OR, AND with 0x0000
-invalid) over a subset of branches, full ``k`` range — once per tally
-mode, each repetition against its own cold outcome cache, and asserts
+invalid) over a subset of branches, full ``k`` range — once through the
+campaign's closed-form tallies and once through the mask-enumeration
+oracle (tests/oracles.py), each repetition against its own cold outcome
+cache, and asserts
 
-- the ``by_k`` Counters are bit-identical between the two modes, and
+- the ``by_k`` Counters are bit-identical between the two, and
 - the algebra path is at least 3× faster end to end.
 
 The speedup comes from two places: the 65,536-iteration Python mask loop
@@ -15,9 +17,10 @@ supersets under OR) instead of touching the memo once per mask.
 
 import time
 
-import pytest
-
+from repro.exec import OutcomeCache
+from repro.glitchsim import SnippetHarness, branch_snippet
 from repro.glitchsim.campaign import run_branch_campaign
+from tests.oracles import enumerate_by_k
 
 #: (panel, model, zero_is_invalid) — Figure 2's three paper panels
 _PANELS = (
@@ -31,20 +34,32 @@ _CONDITIONS = ["eq", "ne", "vs"]
 
 def _fig2_slice(tally: str, cache_root: str) -> dict:
     panels = {}
+    if tally == "algebra":
+        for name, model, zero_is_invalid in _PANELS:
+            result = run_branch_campaign(
+                model,
+                zero_is_invalid=zero_is_invalid,
+                conditions=_CONDITIONS,
+                cache=cache_root,
+            )
+            panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
+        return panels
+    cache = OutcomeCache(cache_root)
     for name, model, zero_is_invalid in _PANELS:
-        result = run_branch_campaign(
-            model,
-            zero_is_invalid=zero_is_invalid,
-            conditions=_CONDITIONS,
-            cache=cache_root,
-            tally=tally,
-        )
-        panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
+        panels[name] = {}
+        for condition in _CONDITIONS:
+            snippet = branch_snippet(condition)
+            harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
+                                     disk_cache=cache)
+            panels[name][snippet.mnemonic] = enumerate_by_k(
+                harness, snippet.target_word, model
+            )
+    cache.flush()
     return panels
 
 
 def test_maskalgebra_speedup(tmp_path):
-    """``tally="algebra"`` is ≥3× faster than ``tally="enumerate"``, bit-identical.
+    """The closed-form tallies are ≥3× faster than mask enumeration, bit-identical.
 
     Each repetition gets a fresh cache directory so both modes always do
     their cold-path work; the fastest of three repetitions per mode is

@@ -1,9 +1,9 @@
 """Vector-engine benchmark: NumPy lock-step batches vs per-word snapshot replay.
 
 Runs a Figure 2 slice — all four corruption panels (AND, OR, XOR, AND
-with 0x0000 invalid) over three branch conditions, full ``k`` range,
-``tally="algebra"`` — once per engine, each repetition against its own
-cold outcome cache, and asserts
+with 0x0000 invalid) over three branch conditions, full ``k`` range —
+once per engine, each repetition against its own cold outcome cache, and
+asserts
 
 - the ``by_k`` Counters are bit-identical between the two engines, and
 - the vector engine is at least 5× faster end to end.
@@ -43,7 +43,6 @@ def _fig2_slice(engine: str) -> dict:
             conditions=_CONDITIONS,
             cache=None,  # no disk cache: every repetition is fully cold
             engine=engine,
-            tally="algebra",
         )
         panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
     return panels

@@ -17,9 +17,9 @@ classification is positional rather than marker-based:
 
 Both edges are registered as stop addresses, mirroring the snippet
 harness's marker-stop semantics (a stop only classifies with ≥ 2 budget
-steps remaining) so the snapshot, rebuild, and vector engines stay
-bit-identical — the differential sweep in tests/test_image_campaign.py
-pins this.
+steps remaining) so the snapshot and vector engines stay bit-identical
+with each other and with a per-word world rebuild — the differential
+sweep in tests/test_image_campaign.py pins this.
 
 The disk-cache panel is ``site-<image digest>-<address>``: one shard per
 site, shared by all three flip models and every re-run of the image.
@@ -86,14 +86,12 @@ class SiteHarness(WordHarness):
         zero_is_invalid: bool = False,
         disk_cache=None,
         engine: str = "snapshot",
-        vector_fallback_mnemonics=(),
     ):
         super().__init__(
             panel=f"site-{image.digest}-{site.address:08x}",
             zero_is_invalid=zero_is_invalid,
             disk_cache=disk_cache,
             engine=engine,
-            vector_fallback_mnemonics=vector_fallback_mnemonics,
         )
         self.image = image
         self.site = site
@@ -117,7 +115,7 @@ class SiteHarness(WordHarness):
         cpu.flags = flags_where_taken(self.site.cond)
         return memory, cpu
 
-    def _snapshot_world(self) -> Optional[_SnapshotWorld]:
+    def _snapshot_world(self) -> _SnapshotWorld:
         """Build (once) the machine parked at the site — no setup prefix."""
         if self._world is not None:
             return self._world
@@ -143,20 +141,12 @@ class SiteHarness(WordHarness):
     def _classify_replay(self, world: _SnapshotWorld, cpu: CPU) -> Outcome:
         return self._classify_site(cpu, world.budget)
 
-    def _execute_rebuild(self, corrupted_word: int) -> Outcome:
-        memory, cpu = self._build_world()
-        flash_region = memory.region_at(self.image.base)
-        offset = self.site.address - self.image.base
-        flash_region.data[offset] = corrupted_word & 0xFF
-        flash_region.data[offset + 1] = corrupted_word >> 8
-        return self._classify_site(cpu, _STEP_LIMIT)
-
     def _classify_site(self, cpu: CPU, budget: int) -> Outcome:
         """Positional classification against the site's two outgoing edges.
 
         Mirrors :meth:`SnippetHarness._classify_replay` step accounting: a
         stop with fewer than two budget steps left resumes (without stops)
-        instead of classifying, keeping all engines bit-identical.  When
+        instead of classifying, keeping both engines bit-identical.  When
         both edges coincide (a branch to its own fall-through) the
         fall-through check wins, exactly as the vector path orders it.
         """
@@ -182,7 +172,7 @@ class SiteHarness(WordHarness):
         return _OUTCOME_NO_EDGE
 
     def _vector_codes(self, batch, world: _SnapshotWorld) -> np.ndarray:
-        """Per-lane positional category codes (``0`` = scalar fallback).
+        """Per-lane positional category codes.
 
         Mirrors :meth:`_classify_site`: a stopped lane is a success iff it
         stopped at the fall-through edge, otherwise it reached the taken
@@ -209,7 +199,6 @@ class SiteHarness(WordHarness):
                 CATEGORY_CODES["bad_read"],
                 CATEGORY_CODES["failed"],
             ],
-            default=0,
         ).astype(np.uint8)
 
 

@@ -8,7 +8,7 @@ is ``success`` (the guarded branch was suppressed).
 The machinery is the Figure 2 campaign's, re-aimed: one work unit is one
 ``(site, flip model)`` sweep executed by a
 :class:`repro.campaign.harness.SiteHarness` (mask algebra over unique
-reachable words by default, full enumeration as the differential oracle),
+reachable words, :func:`repro.glitchsim.campaign.tally_reachable`),
 fanned out by :class:`repro.exec.ParallelExecutor`, cached in per-site
 :class:`repro.exec.OutcomeCache` shards shared across models and re-runs,
 and checkpointed per flip model in a subdirectory of ``checkpoint_dir``
@@ -34,12 +34,9 @@ from repro.exec import (
     coerce_cache,
     open_campaign_checkpoint,
 )
-from repro.exec.cache import CODE_CATEGORIES
 from repro.firmware.image import FirmwareImage
-from repro.glitchsim.campaign import INSTRUCTION_BITS, TALLY_MODES
+from repro.glitchsim.campaign import check_campaign_args, tally_reachable
 from repro.glitchsim.harness import OUTCOME_CATEGORIES
-from repro.glitchsim.maskalgebra import reachable_words, tally_from_word_codes
-from repro.bits import apply_flip, iter_masks
 from repro.experiments.render import render_table
 from repro.obs import Observer, activate, coerce_observer, current
 
@@ -164,45 +161,21 @@ def sweep_site(
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
     engine: str = "snapshot",
-    tally: str = "algebra",
 ) -> SiteSweep:
     """Sweep every mask of every flip count ``k`` for one branch site.
 
     The exact analogue of :func:`repro.glitchsim.campaign.sweep_instruction`
     with a :class:`SiteHarness` in place of the snippet harness; emits the
     same ambient ``algebra.words_emulated``/``algebra.masks_derived``
-    counters on the algebra path.
+    counters.
     """
-    if tally not in TALLY_MODES:
-        raise ValueError(f"unknown tally mode {tally!r}; expected one of {TALLY_MODES}")
     harness = SiteHarness(
         image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
     )
-    sweep = SiteSweep(site=site, model=model, zero_is_invalid=zero_is_invalid)
-    ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
-    if tally == "algebra":
-        words = reachable_words(site.word, model, INSTRUCTION_BITS, ks)
-        executed_before = harness.words_executed
-        unique, codes = harness.run_many_codes(words)
-        sweep.by_k = tally_from_word_codes(
-            site.word, model, unique, codes,
-            CODE_CATEGORIES, ks, INSTRUCTION_BITS,
-        )
-        obs = current()
-        obs.count("algebra.words_emulated", harness.words_executed - executed_before)
-        obs.count(
-            "algebra.masks_derived",
-            sum(sum(counter.values()) for counter in sweep.by_k.values()),
-        )
-        return sweep
-    for k in ks:
-        counter: Counter = Counter()
-        for mask in iter_masks(INSTRUCTION_BITS, k):
-            corrupted = apply_flip(site.word, mask, INSTRUCTION_BITS, model)
-            outcome = harness.run(corrupted)
-            counter[outcome.category] += 1
-        sweep.by_k[k] = counter
-    return sweep
+    return SiteSweep(
+        site=site, model=model, zero_is_invalid=zero_is_invalid,
+        by_k=tally_reachable(harness, site.word, model, k_values),
+    )
 
 
 @dataclass(frozen=True)
@@ -218,7 +191,6 @@ class _SiteSpec:
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
     engine: str = "snapshot"
-    tally: str = "algebra"
 
 
 def _site_unit(spec: _SiteSpec) -> SiteSweep:
@@ -235,7 +207,6 @@ def _site_unit(spec: _SiteSpec) -> SiteSweep:
             k_values=spec.k_values,
             cache=cache,
             engine=spec.engine,
-            tally=spec.tally,
         )
     finally:
         # per-word outcomes already computed survive even if the sweep raised
@@ -295,7 +266,6 @@ def run_image_campaign(
     unit_timeout: float | None = None,
     obs: Observer | None = None,
     engine: str = "snapshot",
-    tally: str = "algebra",
     chunk_size: int | None = None,
 ) -> ImageCampaignResult:
     """Sweep every branch site of ``image`` under every flip model.
@@ -309,10 +279,13 @@ def run_image_campaign(
     keyed by site, with the image digest, model, and site list in the
     fingerprint, so resuming a differently-shaped campaign is a typed
     :class:`repro.exec.CheckpointMismatch` instead of silent corruption.
-    ``engine``/``tally`` are deliberately absent from the fingerprint:
-    tallies are bit-identical across engines and tally modes, so a resumed
-    campaign may switch either freely.
+    ``engine`` is deliberately absent from the fingerprint: tallies are
+    bit-identical across engines, so a resumed campaign may switch freely.
+
+    An unknown flip model or ``engine`` raises ``ValueError`` before
+    discovery or any work starts.
     """
+    check_campaign_args(models, engine)
     obs = coerce_observer(obs)
     if sites is None:
         with activate(obs):
@@ -344,7 +317,7 @@ def run_image_campaign(
             return sweep_site(
                 image, by_id[spec.site.site_id], spec.model,
                 zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values,
-                cache=cache, engine=spec.engine, tally=spec.tally,
+                cache=cache, engine=spec.engine,
             )
 
     cache_hits0 = cache.hits if cache is not None else 0
@@ -359,7 +332,7 @@ def run_image_campaign(
             for model in models:
                 specs = [
                     _SiteSpec(image.base, image.data, image.entry, site, model,
-                              zero_is_invalid, ks, cache_root, engine, tally)
+                              zero_is_invalid, ks, cache_root, engine)
                     for site in sites
                 ]
                 checkpoint = None

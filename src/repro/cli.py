@@ -114,7 +114,7 @@ def cmd_campaign(args) -> int:
             progress=_progress_reporter(args),
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
             retries=args.retries, unit_timeout=args.unit_timeout,
-            obs=obs, engine=args.engine, tally=args.tally,
+            obs=obs, engine=args.engine,
         )
     finally:
         _finish_observer(obs, args)
@@ -239,7 +239,7 @@ def cmd_experiment(args) -> int:
         if name == "fig2":
             result = experiments.run_figure2(
                 workers=workers, cache=args.cache_dir, progress=progress,
-                engine=args.engine, tally=args.tally, **robust
+                engine=args.engine, **robust
             )
         elif name == "table1":
             result = experiments.run_table1(stride=args.stride, workers=workers,
@@ -324,7 +324,7 @@ def cmd_serve(args) -> int:
 
 def _spec_from_args(args) -> dict:
     """Build a submission spec dict from ``repro submit`` flags."""
-    spec: dict = {"kind": args.kind, "engine": args.engine, "tally": args.tally}
+    spec: dict = {"kind": args.kind, "engine": args.engine}
     if args.kind == "branch":
         spec["model"] = args.model
         if args.conditions:
@@ -504,12 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(subset of and,or,xor; default: all three)")
     p_camp.add_argument("--top", type=int, default=None, metavar="N",
                         help="print only the N most exploitable sites")
-    p_camp.add_argument("--engine", choices=["snapshot", "rebuild", "vector"],
+    p_camp.add_argument("--engine", choices=["snapshot", "vector"],
                         default="snapshot",
                         help="per-site execution engine (as for experiment fig2)")
-    p_camp.add_argument("--tally", choices=["algebra", "enumerate"],
-                        default="algebra",
-                        help="per-site tallying strategy (as for experiment fig2)")
     p_camp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent outcome-cache directory; per-site "
                              "shards are shared across models and re-runs")
@@ -537,16 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent outcome-cache directory for fig2 "
                             "(default: no disk cache)")
-    p_exp.add_argument("--engine", choices=["snapshot", "rebuild", "vector"],
+    p_exp.add_argument("--engine", choices=["snapshot", "vector"],
                        default="snapshot",
                        help="fig2 execution engine: scalar snapshot replay "
-                            "(default), per-word world rebuild (oracle), or "
-                            "the NumPy lock-step vector backend")
-    p_exp.add_argument("--tally", choices=["algebra", "enumerate"],
-                       default="algebra",
-                       help="fig2 tallying strategy: closed-form mask algebra "
-                            "over unique corrupted words (default) or the full "
-                            "per-mask enumeration oracle")
+                            "(default) or the NumPy lock-step vector backend")
     _add_robustness_flags(p_exp)
     _add_observability_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
@@ -633,14 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--zero-invalid", action="store_true",
                        help="treat the all-zero word as an invalid encoding "
                             "(the Figure 2c panel decode mode)")
-    p_sub.add_argument("--engine", choices=["snapshot", "rebuild", "vector"],
+    p_sub.add_argument("--engine", choices=["snapshot", "vector"],
                        default="snapshot",
                        help="execution engine (excluded from the dedup "
                             "fingerprint — engines are bit-identical)")
-    p_sub.add_argument("--tally", choices=["algebra", "enumerate"],
-                       default="algebra",
-                       help="tallying strategy (excluded from the dedup "
-                            "fingerprint)")
     p_sub.add_argument("--client", default="cli", metavar="NAME",
                        help="client identity for per-client concurrency "
                             "slots (default: cli)")

@@ -32,11 +32,8 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
 
 The engine is *deliberately* a re-implementation of the scalar semantics:
 ``engine="snapshot"`` remains the differential oracle (the test suite
-sweeps the full 2^16 word space against it), the same way
-``tally="enumerate"`` backs ``tally="algebra"``.  Lanes whose fetched
-halfword decodes to a mnemonic listed in ``fallback_mnemonics`` (or, in a
-defensive future case, one with no vector handler) retire with
-``ST_FALLBACK`` and are re-executed by the caller on the scalar engine.
+sweeps the full 2^16 word space against it).  Every decoded opcode has a
+vector handler, so every lane ends with a terminal status.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ ST_INVALID = 4    # fetched word decoded as InvalidInstruction
 ST_BAD_FETCH = 5  # unfetchable PC, or bx/blx into ARM state
 ST_BAD_READ = 6   # load/store fault (unmapped / unaligned / read-only)
 ST_FAILED = 7     # unhandled svc (EmulationFault in the scalar engine)
-ST_FALLBACK = 8   # lane touched an op the caller wants scalar-executed
 
 #: scalar Outcome category per terminal status (STOPPED/HALTED need registers)
 STATUS_CATEGORIES = {
@@ -165,7 +161,7 @@ class _OperandTable:
         self.imm = np.zeros(n, dtype=np.int64)
         self.cond = np.full(n, -1, dtype=np.int8)
         self.reg_list = np.zeros(n, dtype=np.uint16)
-        #: decoded mnemonic per row (None = invalid) — drives fallback sets
+        #: decoded mnemonic per row (None = invalid)
         self.mnemonic: list = [None] * n
 
     def ensure(self, halfwords: Iterable[int], decode_cache: Optional[dict] = None) -> None:
@@ -358,10 +354,7 @@ class _OperandTable:
         elif m in _REV_AUX:
             self._set_row(hw, m, OP_REV, aux=_REV_AUX[m], rd=instr.rd, rs=instr.rs)
         else:  # pragma: no cover - decoder emits only the mnemonics above
-            # unknown mnemonic: flag the lane back to the scalar engine
-            self._set_row(hw, m, OP_INVALID)
-            self.mnemonic[hw] = m
-            self.op[hw] = OP_INVALID
+            raise ValueError(f"no vector handler for mnemonic {m!r} ({hw:#06x})")
 
 
 _TABLES: dict[bool, _OperandTable] = {}
@@ -589,7 +582,7 @@ class VectorRun:
         normal_register: int,
         normal_marker: int,
     ) -> np.ndarray:
-        """Per-lane Figure 2 outcome category codes (``0`` = scalar fallback).
+        """Per-lane Figure 2 outcome category codes.
 
         Mirrors :meth:`SnippetHarness._classify_replay`: a marker-stop lane
         is a success iff it stopped at the fall-through block (or already
@@ -625,7 +618,6 @@ class VectorRun:
                 CATEGORY_CODES["bad_read"],
                 CATEGORY_CODES["failed"],
             ],
-            default=0,
         ).astype(np.uint8)
 
 
@@ -655,7 +647,6 @@ class VectorEngine:
         zero_is_invalid: bool,
         marker_stops: Sequence[int] = (),
         decode_cache: Optional[dict] = None,
-        fallback_mnemonics: Iterable[str] = (),
         table_root: Union[str, os.PathLike, None] = None,
     ):
         if len(flash_bytes) % 2:
@@ -675,10 +666,6 @@ class VectorEngine:
         self.init_flags = init_flags
         self.budget = budget
         self.stops = tuple(int(s) for s in marker_stops)
-        self.fallback_mnemonics = frozenset(fallback_mnemonics)
-        # per-halfword fallback verdicts, resolved lazily as rows fill in
-        self._fb_mask = np.zeros(1 << 16, dtype=bool)
-        self._fb_known = np.zeros(1 << 16, dtype=bool)
 
     # ------------------------------------------------------------------
 
@@ -914,26 +901,11 @@ class VectorEngine:
             # 4. decode via the shared operand table (scalar decoder inside);
             #    a complete (memmapped or pre-filled) table skips the
             #    missing-row scan entirely
-            unique_hw = None
             if not tbl.complete:
                 unique_hw = np.unique(hw)
                 missing = unique_hw[~tbl.filled[unique_hw]]
                 if missing.size:
                     tbl.ensure(missing.tolist(), self.decode_cache)
-            if self.fallback_mnemonics:
-                if unique_hw is None:
-                    unique_hw = np.unique(hw)
-                unknown = unique_hw[~self._fb_known[unique_hw]]
-                for value in unknown.tolist():
-                    self._fb_mask[value] = tbl.mnemonic[value] in self.fallback_mnemonics
-                    self._fb_known[value] = True
-                is_fb = self._fb_mask[hw]
-                if is_fb.any():
-                    status[active[is_fb]] = ST_FALLBACK
-                    keep = ~is_fb
-                    active, addr, hw = active[keep], addr[keep], hw[keep]
-                    if active.size == 0:
-                        break
             ops = tbl.op[hw]
             is_invalid = ops == OP_INVALID
             if is_invalid.any():
@@ -1252,7 +1224,7 @@ class VectorEngine:
                     )
                     rwrite(rd, l, result)
                 else:  # pragma: no cover - every table opcode is handled above
-                    status[l] = ST_FALLBACK
+                    raise ValueError(f"unhandled vector opcode {op}")
             active = active[status[active] == ST_RUNNING]
 
         # budget exhausted: halted lanes classify, the rest hit the limit
@@ -1293,5 +1265,4 @@ __all__ = [
     "ST_BAD_FETCH",
     "ST_BAD_READ",
     "ST_FAILED",
-    "ST_FALLBACK",
 ]

@@ -19,12 +19,6 @@ Shards are written atomically (temp file + rename), and each campaign
 work unit owns exactly one shard, so parallel workers never contend on a
 file.
 
-Migration: shards written by older versions as JSON
-(``{"<word>": "<category>"}`` in ``<mnemonic>[-0invalid].json``) are
-still read — when no ``.npy`` shard exists the legacy file is decoded
-into a code array transparently, and the next flush persists it in the
-binary format.
-
 The root defaults to ``$REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/repro-glitching``, else ``~/.cache/repro-glitching``.
 
@@ -39,7 +33,6 @@ historical unbounded behavior, which is right for one-shot campaigns.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from collections.abc import Mapping as _MappingABC
@@ -269,10 +262,6 @@ class OutcomeCache:
         suffix = "-0invalid" if zero_is_invalid else ""
         return self.root / f"{mnemonic}{suffix}.npy"
 
-    def _legacy_shard_path(self, mnemonic: str, zero_is_invalid: bool) -> Path:
-        suffix = "-0invalid" if zero_is_invalid else ""
-        return self.root / f"{mnemonic}{suffix}.json"
-
     def _shard(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
         key = (mnemonic, zero_is_invalid)
         shard = self._shards.get(key)
@@ -301,19 +290,7 @@ class OutcomeCache:
                 and int(stored.max(initial=0)) <= len(CATEGORIES)
             ):
                 return np.ascontiguousarray(stored)
-            return np.zeros(WORD_SPACE, dtype=np.uint8)
-        legacy = self._legacy_shard_path(mnemonic, zero_is_invalid)
-        shard = np.zeros(WORD_SPACE, dtype=np.uint8)
-        if legacy.exists():
-            try:
-                raw = json.loads(legacy.read_text())
-            except (OSError, ValueError):
-                raw = {}  # same contract as a torn binary shard
-            for word, category in raw.items():
-                code = CATEGORY_CODES.get(category)
-                if code is not None:
-                    shard[int(word) & 0xFFFF] = code
-        return shard
+        return np.zeros(WORD_SPACE, dtype=np.uint8)
 
     def _evict(self, keep: tuple[str, bool]) -> None:
         """Drop least-recently-used shards until within ``max_shards``.

@@ -61,7 +61,6 @@ def run_figure2(
     unit_timeout=None,
     obs=None,
     engine: str = "snapshot",
-    tally: str = "algebra",
     chunk_size: int | None = None,
 ) -> Figure2Result:
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
@@ -76,15 +75,10 @@ def run_figure2(
     sweeps instead of aborting the figure.
 
     ``engine`` selects the harness execution engine for every panel
-    (``"snapshot"``, ``"rebuild"``, or the NumPy lock-step ``"vector"``
-    backend — see :class:`repro.glitchsim.SnippetHarness`); the tallies
-    are identical for any engine. ``tally`` selects the tallying strategy
-    for every panel (``"algebra"``, the closed-form default, or
-    ``"enumerate"``, the mask loop — see
-    :func:`repro.glitchsim.sweep_instruction`); the panels are
-    bit-identical either way. With the algebra path and a shared cache the
-    AND/OR/XOR panels together emulate at most 2^16 unique words per
-    (branch, panel). ``chunk_size`` tunes executor dispatch batching
+    (``"snapshot"`` or the NumPy lock-step ``"vector"`` backend — see
+    :class:`repro.glitchsim.SnippetHarness`); the tallies are identical
+    for either engine. With a shared cache the AND/OR/XOR panels together
+    emulate at most 2^16 unique words per (branch, panel). ``chunk_size`` tunes executor dispatch batching
     (``None`` = auto).
     """
     from repro.obs import coerce_observer
@@ -95,7 +89,7 @@ def run_figure2(
                   workers=workers, cache=cache, progress=progress,
                   checkpoint_dir=checkpoint_dir, resume=resume,
                   retries=retries, unit_timeout=unit_timeout, obs=obs,
-                  engine=engine, tally=tally, chunk_size=chunk_size)
+                  engine=engine, chunk_size=chunk_size)
     with obs.trace("fig2"):
         result.panels["and"] = _figure2_data(
             run_branch_campaign("and", **common),

@@ -12,7 +12,6 @@ the paper does: *Success*, *Bad Read*, *Invalid Instruction*, *Bad Fetch*,
 from repro.glitchsim.snippets import BranchSnippet, branch_snippet, all_branch_snippets
 from repro.glitchsim.harness import Outcome, SnippetHarness, OUTCOME_CATEGORIES
 from repro.glitchsim.campaign import (
-    TALLY_MODES,
     CampaignResult,
     InstructionSweep,
     run_branch_campaign,
@@ -39,7 +38,6 @@ __all__ = [
     "OUTCOME_CATEGORIES",
     "CampaignResult",
     "InstructionSweep",
-    "TALLY_MODES",
     "run_branch_campaign",
     "sweep_instruction",
     "reachable_words",

@@ -1,17 +1,15 @@
 """Exhaustive bit-flip campaigns over instruction encodings (Section IV).
 
-For an instruction of ``n`` bits the campaign enumerates every
+For an instruction of ``n`` bits the campaign covers every
 :math:`\\binom{n}{k}` mask for every ``k``, applies it under a flip model
 (AND / OR / XOR), executes the corrupted snippet, and tallies outcomes.
 
 The executed outcome depends only on the *resulting* corrupted word, so the
-campaign never needs to enumerate masks at all: the default
-``tally="algebra"`` path (``repro.glitchsim.maskalgebra``) classifies only
-the *unique reachable corrupted words* — at most 2^16 per (mnemonic,
-panel), shared across all three flip models — and derives the per-``k``
-mask tallies in closed form. ``tally="enumerate"`` keeps the original
-65,536-iteration mask loop as the differential-testing oracle; the two
-produce bit-identical ``by_k`` Counters.
+campaign never needs to enumerate masks at all: it classifies only the
+*unique reachable corrupted words* (``repro.glitchsim.maskalgebra``) — at
+most 2^16 per (mnemonic, panel), shared across all three flip models — and
+derives the per-``k`` mask tallies in closed form, bit-identical to
+walking every mask (the test suite keeps that mask loop as its oracle).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bits import apply_flip, iter_masks
 from repro.exec import (
     FailedUnit,
     OutcomeCache,
@@ -30,16 +27,12 @@ from repro.exec import (
     open_campaign_checkpoint,
 )
 from repro.exec.cache import CODE_CATEGORIES
-from repro.glitchsim.harness import OUTCOME_CATEGORIES, SnippetHarness
-from repro.glitchsim.maskalgebra import reachable_words, tally_from_word_codes
+from repro.glitchsim.harness import ENGINES, OUTCOME_CATEGORIES, SnippetHarness, WordHarness
+from repro.glitchsim.maskalgebra import MODELS, reachable_words, tally_from_word_codes
 from repro.glitchsim.snippets import BranchSnippet, all_branch_snippets
 from repro.obs import Observer, activate, coerce_observer, current
 
 INSTRUCTION_BITS = 16
-
-#: how per-k tallies are produced: closed-form algebra over unique words,
-#: or the original full mask enumeration (the differential oracle)
-TALLY_MODES = ("algebra", "enumerate")
 
 
 @dataclass
@@ -97,6 +90,48 @@ class CampaignResult:
         return sorted(self.sweeps, key=lambda s: s.success_rate(), reverse=True)
 
 
+def check_campaign_args(models, engine: str) -> None:
+    """Raise ``ValueError`` for an unknown flip model or engine.
+
+    Campaign entry points call this before their executor starts: inside a
+    work unit the error would be quarantined as a unit failure and the
+    campaign would return a hollow result instead of raising.
+    """
+    unknown = [model for model in models if model not in MODELS]
+    if unknown:
+        raise ValueError(f"unknown flip model(s) {unknown}; expected one of {MODELS}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+
+
+def tally_reachable(
+    harness: WordHarness, target_word: int, model: str, k_values: tuple[int, ...] | None
+) -> dict[int, Counter]:
+    """Per-``k`` outcome Counters for every mask over ``target_word``.
+
+    Classifies only the unique reachable corrupted words
+    (:func:`repro.glitchsim.maskalgebra.reachable_words`) in one batched
+    :meth:`WordHarness.run_many_codes` pass and derives each mask tally in
+    closed form — bit-identical to enumerating every mask. Emits the
+    ambient counters ``algebra.words_emulated`` (fresh emulations) and
+    ``algebra.masks_derived`` (masks accounted for arithmetically).
+    ``k_values=None`` means the full ``0..16`` range.
+    """
+    ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
+    words = reachable_words(target_word, model, INSTRUCTION_BITS, ks)
+    executed_before = harness.words_executed
+    unique, codes = harness.run_many_codes(words)
+    by_k = tally_from_word_codes(
+        target_word, model, unique, codes, CODE_CATEGORIES, ks, INSTRUCTION_BITS,
+    )
+    obs = current()
+    obs.count("algebra.words_emulated", harness.words_executed - executed_before)
+    obs.count(
+        "algebra.masks_derived", sum(sum(counter.values()) for counter in by_k.values())
+    )
+    return by_k
+
+
 def sweep_instruction(
     snippet: BranchSnippet,
     model: str,
@@ -104,7 +139,6 @@ def sweep_instruction(
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
     engine: str = "snapshot",
-    tally: str = "algebra",
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
 
@@ -112,56 +146,19 @@ def sweep_instruction(
     the full ``0..16`` range the paper used. ``cache`` adds a persistent
     outcome store shared across models and runs (words the AND sweep already
     executed are free for XOR). ``engine`` picks the harness execution
-    engine (``"snapshot"``/``"rebuild"``/``"vector"``); all tally
-    identically.
-
-    ``tally`` selects how the per-``k`` Counters are produced:
-
-    - ``"algebra"`` (default) classifies only the unique reachable
-      corrupted words (:func:`repro.glitchsim.maskalgebra.reachable_words`)
-      in one batched :meth:`SnippetHarness.run_many` pass and derives each
-      mask tally in closed form — bit-identical to enumeration, without
-      the :math:`\\binom{16}{k}` Python loop. Emits the ambient counters
-      ``algebra.words_emulated`` (fresh emulations this sweep) and
-      ``algebra.masks_derived`` (masks accounted for arithmetically).
-    - ``"enumerate"`` applies every mask and tallies outcomes one by one —
-      the differential-testing oracle.
+    engine (``"snapshot"``/``"vector"``); both tally identically. The
+    tallies come from :func:`tally_reachable`.
     """
-    if tally not in TALLY_MODES:
-        raise ValueError(f"unknown tally mode {tally!r}; expected one of {TALLY_MODES}")
     harness = SnippetHarness(
         snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
     )
-    sweep = InstructionSweep(
+    return InstructionSweep(
         mnemonic=snippet.mnemonic,
         model=model,
         target_word=snippet.target_word,
         zero_is_invalid=zero_is_invalid,
+        by_k=tally_reachable(harness, snippet.target_word, model, k_values),
     )
-    ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
-    if tally == "algebra":
-        words = reachable_words(snippet.target_word, model, INSTRUCTION_BITS, ks)
-        executed_before = harness.words_executed
-        unique, codes = harness.run_many_codes(words)
-        sweep.by_k = tally_from_word_codes(
-            snippet.target_word, model, unique, codes,
-            CODE_CATEGORIES, ks, INSTRUCTION_BITS,
-        )
-        obs = current()
-        obs.count("algebra.words_emulated", harness.words_executed - executed_before)
-        obs.count(
-            "algebra.masks_derived",
-            sum(sum(counter.values()) for counter in sweep.by_k.values()),
-        )
-        return sweep
-    for k in ks:
-        counter: Counter = Counter()
-        for mask in iter_masks(INSTRUCTION_BITS, k):
-            corrupted = apply_flip(snippet.target_word, mask, INSTRUCTION_BITS, model)
-            outcome = harness.run(corrupted)
-            counter[outcome.category] += 1
-        sweep.by_k[k] = counter
-    return sweep
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,6 @@ class _SweepSpec:
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
     engine: str = "snapshot"
-    tally: str = "algebra"
 
 
 def _sweep_unit(spec: _SweepSpec) -> InstructionSweep:
@@ -191,7 +187,6 @@ def _sweep_unit(spec: _SweepSpec) -> InstructionSweep:
             k_values=spec.k_values,
             cache=cache,
             engine=spec.engine,
-            tally=spec.tally,
         )
     finally:
         # per-word outcomes already computed survive even if the sweep raised
@@ -240,7 +235,6 @@ def run_branch_campaign(
     unit_timeout: float | None = None,
     obs: Observer | None = None,
     engine: str = "snapshot",
-    tally: str = "algebra",
     chunk_size: int | None = None,
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
@@ -263,28 +257,33 @@ def run_branch_campaign(
     and quarantines — identically for any worker count.
 
     ``engine`` selects the harness execution engine (``"snapshot"``
-    replays one cached machine per branch, ``"rebuild"`` reconstructs it
-    per word, ``"vector"`` runs whole batches lock-step on the NumPy
-    backend). ``tally`` selects the tallying strategy (``"algebra"``
-    derives mask counts from unique-word outcomes, ``"enumerate"`` walks
-    every mask — see :func:`sweep_instruction`). Neither is part of the
-    checkpoint fingerprint: tallies are bit-identical across engines and
-    tally modes, so a resumed campaign may switch either freely.
+    replays one cached machine per branch, ``"vector"`` runs whole
+    batches lock-step on the NumPy backend). It is not part of the
+    checkpoint fingerprint: tallies are bit-identical across engines, so
+    a resumed campaign may switch freely.
+
+    An unknown ``model``, ``engine`` or condition raises ``ValueError``
+    before any work starts.
 
     ``chunk_size`` is handed to the :class:`ParallelExecutor` (``None`` =
     auto: about four chunks per worker).
     """
+    check_campaign_args((model,), engine)
     obs = coerce_observer(obs)
     snippets = all_branch_snippets()
     if conditions is not None:
-        wanted = {f"b{c}" if not c.startswith("b") else c for c in conditions}
-        snippets = [s for s in snippets if s.mnemonic in wanted]
+        wanted = {c: f"b{c}" if not c.startswith("b") else c for c in conditions}
+        known = {s.mnemonic for s in snippets}
+        unknown = [c for c, mnemonic in wanted.items() if mnemonic not in known]
+        if unknown:
+            raise ValueError(f"unknown branch condition(s) {unknown}")
+        snippets = [s for s in snippets if s.mnemonic in wanted.values()]
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
     by_mnemonic = {snippet.mnemonic: snippet for snippet in snippets}
     specs = [
-        _SweepSpec(snippet.mnemonic, model, zero_is_invalid, ks, cache_root, engine, tally)
+        _SweepSpec(snippet.mnemonic, model, zero_is_invalid, ks, cache_root, engine)
         for snippet in snippets
     ]
 
@@ -309,7 +308,7 @@ def run_branch_campaign(
             return sweep_instruction(
                 by_mnemonic[spec.mnemonic], spec.model,
                 zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values, cache=cache,
-                engine=spec.engine, tally=spec.tally,
+                engine=spec.engine,
             )
 
     # vector-engine workers memmap the persisted operand tables (when
@@ -367,7 +366,7 @@ def run_branch_campaign(
 __all__ = [
     "InstructionSweep",
     "CampaignResult",
-    "TALLY_MODES",
     "sweep_instruction",
+    "tally_reachable",
     "run_branch_campaign",
 ]

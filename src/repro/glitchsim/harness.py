@@ -13,7 +13,7 @@ Categories, matching Section IV verbatim:
 - ``failed`` — any unrecognised error (including non-terminating runs).
 - ``no_effect`` — the modification had no effect on the execution.
 
-Three execution engines produce identical outcome categories:
+Two execution engines produce identical outcome categories:
 
 - ``"snapshot"`` (default) builds the address space once, runs the
   flag-setup prefix up to (not including) the target instruction, takes a
@@ -21,16 +21,15 @@ Three execution engines produce identical outcome categories:
   corrupted word by restoring the pair, journaling the corrupted halfword
   into the target slot, and resuming with the remaining step budget.  A
   shared per-harness decode cache memoises ``decode()`` by halfword value.
-- ``"rebuild"`` reconstructs ``Memory``/``CPU`` from scratch per word —
-  the original slow path, kept as the differential-testing oracle.
 - ``"vector"`` executes whole :meth:`WordHarness.run_many` cache-miss
   batches lock-step on the NumPy backend (:mod:`repro.emu.vector`): one
   lane per corrupted word, sharing the snapshot engine's replay point and
-  decode cache.  Single-word :meth:`WordHarness.run` calls and lanes
-  the vector ISA subset can't model fall back to the snapshot replay, so
-  ``"snapshot"`` doubles as both the fallback and the differential oracle
-  for the vector engine.  Vector outcomes carry empty detail strings
-  (like disk-cache hits); the documented contract is category identity.
+  decode cache.  Single-word :meth:`WordHarness.run` calls execute on the
+  snapshot replay.  Vector outcomes carry empty detail strings (like
+  disk-cache hits); the documented contract is category identity.
+
+Both engines are checked against a per-word world rebuild kept in the
+test suite (``tests/oracles.py``).
 
 The engine/cache/memo machinery is shared between two harnesses via the
 :class:`WordHarness` base class: :class:`SnippetHarness` (this module)
@@ -91,7 +90,7 @@ assert _CACHE_CATEGORIES == OUTCOME_CATEGORIES, (
 
 _STEP_LIMIT = 64
 
-ENGINES = ("snapshot", "rebuild", "vector")
+ENGINES = ("snapshot", "vector")
 
 
 @dataclass
@@ -115,7 +114,7 @@ class _SnapshotWorld:
     # fall-through, normal = taken); for the site harness, the branch's two
     # outgoing edges.  A stop only classifies when at least two budget
     # steps remain — otherwise execution resumes to keep the step
-    # accounting bit-identical with the rebuild engine.
+    # accounting bit-identical with an uninterrupted run.
     marker_stops: frozenset
     success_address: Optional[int] = None  # snippet harness only
     normal_address: Optional[int] = None  # snippet harness only
@@ -166,21 +165,12 @@ class WordHarness:
     disk hit returns an :class:`Outcome` with an empty detail string.
 
     ``engine`` selects how cache misses execute: ``"snapshot"`` (default)
-    replays against a cached machine snapshot, ``"rebuild"`` reconstructs
-    the world per word, and ``"vector"`` runs whole :meth:`run_many`
-    batches lock-step on the NumPy backend with per-lane fallback to the
-    snapshot replay.  All three produce identical outcome categories by
-    construction; if no snapshot replay point exists the harness silently
-    falls back to ``"rebuild"``.
-
-    ``vector_fallback_mnemonics`` forces lanes whose corrupted word decodes
-    to one of the named mnemonics back onto the scalar snapshot engine —
-    the escape hatch for (hypothetical) vector-handler gaps, and the knob
-    the differential tests use to exercise the fallback path.
+    replays against a cached machine snapshot, and ``"vector"`` runs whole
+    :meth:`run_many` batches lock-step on the NumPy backend.  Both produce
+    identical outcome categories.
 
     Subclasses implement :meth:`_snapshot_world` (build the replay point),
-    :meth:`_classify_replay` (classify a finished replay),
-    :meth:`_execute_rebuild` (the from-scratch oracle), and
+    :meth:`_classify_replay` (classify a finished replay), and
     :meth:`_vector_codes` (per-lane category codes for a vector batch).
     """
 
@@ -190,7 +180,6 @@ class WordHarness:
         zero_is_invalid: bool = False,
         disk_cache=None,
         engine: str = "snapshot",
-        vector_fallback_mnemonics=(),
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -198,7 +187,6 @@ class WordHarness:
         self.zero_is_invalid = zero_is_invalid
         self.disk_cache = disk_cache
         self.engine = engine
-        self.vector_fallback_mnemonics = frozenset(vector_fallback_mnemonics)
         # The word memo is a dense code array (mirroring the binary cache
         # shards), so batch resolution is one gather; ``_cache`` keeps only
         # the detailed Outcome objects that scalar executions produced
@@ -211,9 +199,7 @@ class WordHarness:
         # Decode memo shared by every execution of this harness (pure by
         # value, so corrupted and pristine words coexist as distinct keys).
         self._decode_cache: dict = {}
-        # None = not built yet; False = no replay point exists, use rebuild.
-        self._world: Optional[_SnapshotWorld] = None
-        self._world_unavailable = False
+        self._world: Optional[_SnapshotWorld] = None  # built on first use
         self._vector = None  # lazily-built repro.emu.vector.VectorEngine
 
     def run(self, corrupted_word: int) -> Outcome:
@@ -296,12 +282,14 @@ class WordHarness:
             )
         to_flush = pending
         try:
-            if pending.size and self.engine == "vector":
-                pending = self._execute_vector_batch(pending)
-            for word in pending.tolist():
-                outcome = self._execute(word)
-                self._cache[word] = outcome
-                codes[word] = CATEGORY_CODES[outcome.category]
+            if self.engine == "vector":
+                if pending.size:
+                    self._execute_vector_batch(pending)
+            else:
+                for word in pending.tolist():
+                    outcome = self._execute(word)
+                    self._cache[word] = outcome
+                    codes[word] = CATEGORY_CODES[outcome.category]
         finally:
             if to_flush.size and self.disk_cache is not None:
                 done = to_flush[codes[to_flush] != 0]
@@ -336,14 +324,10 @@ class WordHarness:
     # ------------------------------------------------------------------
 
     def _execute(self, corrupted_word: int) -> Outcome:
-        # The vector engine only runs whole batches; single words (and
-        # fallback lanes) execute on the scalar snapshot replay.
+        # The vector engine only runs whole batches; single words execute
+        # on the scalar snapshot replay.
         self.words_executed += 1
-        if self.engine != "rebuild":
-            world = self._snapshot_world()
-            if world is not None:
-                return self._execute_replay(world, corrupted_word)
-        return self._execute_rebuild(corrupted_word)
+        return self._execute_replay(self._snapshot_world(), corrupted_word)
 
     def _vector_engine(self, world: _SnapshotWorld):
         """Build (once) the NumPy lock-step engine from the replay point."""
@@ -373,37 +357,24 @@ class WordHarness:
                 zero_is_invalid=self.zero_is_invalid,
                 marker_stops=sorted(world.marker_stops),
                 decode_cache=self._decode_cache,
-                fallback_mnemonics=self.vector_fallback_mnemonics,
             )
         return self._vector
 
-    def _execute_vector_batch(self, pending: np.ndarray) -> np.ndarray:
-        """Run a cache-miss batch lock-step; returns the scalar-fallback words.
+    def _execute_vector_batch(self, pending: np.ndarray) -> None:
+        """Run a cache-miss batch lock-step into the dense code memo.
 
-        Lanes the vector engine classifies scatter straight into the dense
-        code memo (one fancy-indexed assignment for the whole batch); lanes
-        it punts on (``vector_fallback_mnemonics``) are returned for the
-        caller's per-word scalar loop.
+        Every lane ends classified, so the whole batch scatters with one
+        fancy-indexed assignment.
         """
         world = self._snapshot_world()
-        if world is None:
-            return pending  # no replay point — the scalar loop handles it
-        engine = self._vector_engine(world)
-        batch = engine.run(pending)
-        lane_codes = self._vector_codes(batch, world)
-        classified = lane_codes != 0
-        resolved = int(np.count_nonzero(classified))
-        if resolved:
-            self._codes[pending[classified]] = lane_codes[classified]
-        fallback = pending[~classified] if resolved != pending.size else pending[:0]
-        self.words_executed += resolved
+        batch = self._vector_engine(world).run(pending)
+        self._codes[pending] = self._vector_codes(batch, world)
+        self.words_executed += int(pending.size)
         from repro.obs import current
 
         obs = current()
         obs.count("vector.batches", 1)
         obs.count("vector.lanes", int(pending.size))
-        obs.count("vector.fallbacks", int(fallback.size))
-        return fallback
 
     def _execute_replay(self, world: _SnapshotWorld, corrupted_word: int) -> Outcome:
         # First-step pre-classification: the replayed machine fetches the
@@ -451,13 +422,10 @@ class WordHarness:
     # subclass hooks
     # ------------------------------------------------------------------
 
-    def _snapshot_world(self) -> Optional[_SnapshotWorld]:  # pragma: no cover
+    def _snapshot_world(self) -> _SnapshotWorld:  # pragma: no cover
         raise NotImplementedError
 
     def _classify_replay(self, world: _SnapshotWorld, cpu: CPU) -> Outcome:  # pragma: no cover
-        raise NotImplementedError
-
-    def _execute_rebuild(self, corrupted_word: int) -> Outcome:  # pragma: no cover
         raise NotImplementedError
 
     def _vector_codes(self, batch, world: _SnapshotWorld) -> np.ndarray:  # pragma: no cover
@@ -479,14 +447,12 @@ class SnippetHarness(WordHarness):
         zero_is_invalid: bool = False,
         disk_cache=None,
         engine: str = "snapshot",
-        vector_fallback_mnemonics=(),
     ):
         super().__init__(
             panel=snippet.mnemonic,
             zero_is_invalid=zero_is_invalid,
             disk_cache=disk_cache,
             engine=engine,
-            vector_fallback_mnemonics=vector_fallback_mnemonics,
         )
         self.snippet = snippet
         self._halfwords = list(snippet.program.halfwords)
@@ -502,12 +468,10 @@ class SnippetHarness(WordHarness):
         cpu.sp = RAM_BASE + RAM_SIZE
         return memory, cpu
 
-    def _snapshot_world(self) -> Optional[_SnapshotWorld]:
+    def _snapshot_world(self) -> _SnapshotWorld:
         """Build (once) the machine paused right before the target slot."""
         if self._world is not None:
             return self._world
-        if self._world_unavailable:
-            return None
         memory, cpu = self._build_world(decode_cache=self._decode_cache)
         memory.load(FLASH_BASE, halfwords_to_bytes(self._halfwords))
         try:
@@ -515,10 +479,10 @@ class SnippetHarness(WordHarness):
         except EmulationFault:
             prefix = None
         if prefix is None or prefix.reason != "stop_addr":
-            # The pristine setup prefix never reached the target cleanly —
-            # no valid replay point exists, so fall back to rebuilding.
-            self._world_unavailable = True
-            return None
+            raise ValueError(
+                f"snippet {self.snippet.mnemonic}: the setup prefix never "
+                f"reaches the target slot, so there is no replay point"
+            )
         flash_region = memory.region_at(FLASH_BASE)
         success_address = self.snippet.target_address + 2
         normal_address = self.snippet.program.symbols.get("taken")
@@ -559,8 +523,8 @@ class SnippetHarness(WordHarness):
         Entering a marker block is deterministic (ldr-literal + bkpt), so
         stopping at the block head classifies without executing it —
         except with fewer than the block's two steps of budget left, where
-        execution resumes to keep step accounting identical to the rebuild
-        engine.
+        execution resumes to keep step accounting identical to an
+        uninterrupted run of the whole snippet.
         """
         budget = world.budget
         try:
@@ -574,33 +538,6 @@ class SnippetHarness(WordHarness):
                         return _OUTCOME_SUCCESS
                     return _OUTCOME_NO_EFFECT
                 result = cpu.run(budget - result.steps)
-        except InvalidInstruction as exc:
-            return Outcome("invalid_instruction", str(exc))
-        except BadFetch as exc:
-            return Outcome("bad_fetch", str(exc))
-        except (BadRead, BadWrite, AlignmentFault) as exc:
-            return Outcome("bad_read", str(exc))
-        except EmulationFault as exc:
-            return Outcome("failed", str(exc))
-
-        if result.reason != "halted":
-            return _OUTCOME_LIMIT
-        if cpu.regs[SUCCESS_REGISTER] == SUCCESS_MARKER:
-            return _OUTCOME_SUCCESS
-        if cpu.regs[NORMAL_REGISTER] == NORMAL_MARKER:
-            return _OUTCOME_NO_EFFECT
-        return _OUTCOME_NO_MARKER
-
-    def _execute_rebuild(self, corrupted_word: int) -> Outcome:
-        memory, cpu = self._build_world()
-        halfwords = list(self._halfwords)
-        halfwords[self.snippet.target_index] = corrupted_word
-        memory.load(FLASH_BASE, halfwords_to_bytes(halfwords))
-        return self._classify(cpu, _STEP_LIMIT)
-
-    def _classify(self, cpu: CPU, budget: int) -> Outcome:
-        try:
-            result = cpu.run(budget)
         except InvalidInstruction as exc:
             return Outcome("invalid_instruction", str(exc))
         except BadFetch as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bits import apply_flip, iter_masks
 from repro.emu import CPU, Memory
 from repro.errors import (
     AlignmentFault,
@@ -149,19 +148,16 @@ def sweep_instruction_class(
     model: str = "and",
     k_values: tuple[int, ...] | None = None,
     engine: str = "snapshot",
-    tally: str = "algebra",
 ) -> ClassSweepResult:
     """Sweep every bit-flip mask over one class's target instruction.
 
-    ``tally="algebra"`` (default) classifies each unique reachable
-    corrupted word once and derives the mask counts in closed form via
-    :mod:`repro.glitchsim.maskalgebra`; ``tally="enumerate"`` walks every
-    mask (the differential oracle). Both produce identical tallies.
+    Classifies each unique reachable corrupted word once and derives the
+    mask counts in closed form via :mod:`repro.glitchsim.maskalgebra`.
 
-    ``engine="vector"`` classifies the unique words of an algebra sweep as
-    one lock-step batch on the NumPy backend (:mod:`repro.emu.vector`);
-    the scalar engines (and any lane the vector path can't model) use the
-    per-word world rebuild. Tallies are identical for any engine.
+    ``engine="vector"`` classifies those words as one lock-step batch on
+    the NumPy backend (:mod:`repro.emu.vector`); ``"snapshot"`` runs each
+    word on a freshly built scalar machine. Tallies are identical for
+    either engine.
     """
     try:
         source, judge_kind = _CLASS_CASES[instruction_class]
@@ -170,9 +166,8 @@ def sweep_instruction_class(
             f"unknown instruction class {instruction_class!r}; "
             f"expected one of {sorted(_CLASS_CASES)}"
         ) from None
-    if tally not in ("algebra", "enumerate"):
-        raise ValueError(f"unknown tally mode {tally!r}; expected 'algebra' or 'enumerate'")
     from repro.glitchsim.harness import ENGINES
+    from repro.glitchsim.maskalgebra import reachable_words, tally_from_word_outcomes
 
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -183,60 +178,37 @@ def sweep_instruction_class(
 
     result = ClassSweepResult(instruction_class=instruction_class, model=model)
     ks = k_values if k_values is not None else tuple(range(17))
-    if tally == "algebra":
-        from repro.glitchsim.maskalgebra import reachable_words, tally_from_word_outcomes
-
-        words = list(reachable_words(original, model, 16, ks))
-        word_buckets = None
-        if engine == "vector":
-            word_buckets = _classify_vector(halfwords, target_index, words, judge_kind)
-        if word_buckets is None:
-            word_buckets = {
-                word: _classify(halfwords, target_index, word, judge_kind)
-                for word in words
-            }
-        for counter in tally_from_word_outcomes(original, model, word_buckets, ks, 16).values():
-            for bucket, count in counter.items():
-                result.attempts += count
-                if bucket == "effective":
-                    result.still_effective += count
-                elif bucket == "silent":
-                    result.silent_neutralizations += count
-                else:
-                    result.derailments += count
-        return result
-    cache: dict[int, str] = {}
-    for k in ks:
-        for mask in iter_masks(16, k):
-            corrupted = apply_flip(original, mask, 16, model)
-            bucket = cache.get(corrupted)
-            if bucket is None:
-                bucket = _classify(halfwords, target_index, corrupted, judge_kind)
-                cache[corrupted] = bucket
-            result.attempts += 1
+    words = list(reachable_words(original, model, 16, ks))
+    if engine == "vector":
+        word_buckets = _classify_vector(halfwords, target_index, words, judge_kind)
+    else:
+        word_buckets = {
+            word: _classify(halfwords, target_index, word, judge_kind) for word in words
+        }
+    for counter in tally_from_word_outcomes(original, model, word_buckets, ks, 16).values():
+        for bucket, count in counter.items():
+            result.attempts += count
             if bucket == "effective":
-                result.still_effective += 1
+                result.still_effective += count
             elif bucket == "silent":
-                result.silent_neutralizations += 1
+                result.silent_neutralizations += count
             else:
-                result.derailments += 1
+                result.derailments += count
     return result
 
 
 def _classify_vector(
     halfwords: list[int], index: int, words: list[int], judge_kind: str
-) -> dict[int, str] | None:
+) -> dict[int, str]:
     """Batch-classify every unique corrupted word as one lock-step run.
 
     The setup prefix never fetches or reads the target slot, so it runs
     once on the scalar CPU up to the target instruction; the NumPy engine
     resumes every lane from that state with the leftover step budget —
-    exactly the continuous ``cpu.run(64)`` the rebuild path performs.
-    Returns ``None`` when no valid replay point exists (prefix faulted or
-    never reached the target), which sends the sweep down the scalar path.
+    exactly the continuous ``cpu.run(64)`` of :func:`_classify`.
     """
     from repro.bits import halfwords_to_bytes
-    from repro.emu.vector import ST_FALLBACK, ST_HALTED, VectorEngine
+    from repro.emu.vector import ST_HALTED, VectorEngine
 
     target_address = FLASH_BASE + 2 * index
     memory = Memory()
@@ -246,12 +218,12 @@ def _classify_vector(
     cpu = CPU(memory)
     cpu.pc = FLASH_BASE
     cpu.sp = RAM_BASE + RAM_SIZE
-    try:
-        prefix = cpu.run(64, stop_addresses=(target_address,))
-    except EmulationFault:
-        return None
+    prefix = cpu.run(64, stop_addresses=(target_address,))
     if prefix.reason != "stop_addr":
-        return None
+        raise ValueError(
+            f"instruction class {judge_kind!r}: the setup prefix never "
+            f"reaches the target instruction"
+        )
     engine = VectorEngine(
         flash_base=FLASH_BASE,
         flash_bytes=bytes(memory.region_at(FLASH_BASE).data),
@@ -271,16 +243,11 @@ def _classify_vector(
     else:
         expected = {"load": 0xCAFE0042, "alu": 42, "move": 0x5A}[judge_kind]
         job_done = batch.regs[2] == expected
-    buckets: dict[int, str] = {}
-    status = batch.status
-    for i, word in enumerate(words):
-        if status[i] == ST_FALLBACK:
-            buckets[word] = _classify(halfwords, index, word, judge_kind)
-        elif status[i] == ST_HALTED:
-            buckets[word] = "effective" if job_done[i] else "silent"
-        else:
-            buckets[word] = "derailed"
-    return buckets
+    halted = batch.status == ST_HALTED
+    return {
+        word: ("effective" if job_done[i] else "silent") if halted[i] else "derailed"
+        for i, word in enumerate(words)
+    }
 
 
 def _classify(halfwords: list[int], index: int, corrupted: int, judge_kind: str) -> str:

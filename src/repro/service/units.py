@@ -15,10 +15,10 @@ are accepted:
 *digest* substituted for its path); :func:`spec_fingerprint` derives the
 dedup identity from the canonical spec via the same digest machinery the
 checkpoint layer uses (:func:`repro.exec.checkpoint.campaign_id`).
-Execution-only keys — ``path``, ``engine``, ``tally``, ``workers`` — are
-excluded from the fingerprint, exactly as engine/tally are excluded from
-checkpoint fingerprints: they cannot change tallies, so two submissions
-differing only there are the *same* campaign and dedupe onto one unit.
+Execution-only keys — ``path``, ``engine``, ``workers`` — are excluded
+from the fingerprint, exactly as the engine is excluded from checkpoint
+fingerprints: they cannot change tallies, so two submissions differing
+only there are the *same* campaign and dedupe onto one unit.
 
 :func:`execute_unit` runs one normalized spec to completion and returns
 its JSON-able tallies. Every execution checkpoints under
@@ -36,6 +36,7 @@ from typing import Any, Mapping, Optional
 
 from repro.exec import OutcomeCache, ProgressReporter
 from repro.exec.checkpoint import campaign_id
+from repro.glitchsim.harness import ENGINES
 from repro.obs import Observer
 
 #: accepted submission kinds
@@ -52,7 +53,7 @@ FLIP_MODELS = ("and", "or", "xor")
 #: keys that cannot change tallies and are excluded from the fingerprint
 #: (the image digest already covers base + content, so path/base/format
 #: are pure load instructions)
-EXECUTION_KEYS = ("path", "base", "format", "engine", "tally", "workers")
+EXECUTION_KEYS = ("path", "base", "format", "engine", "workers")
 
 
 class SpecError(ValueError):
@@ -82,11 +83,8 @@ def normalize_spec(spec: Mapping[str, Any]) -> dict:
     if kind not in KINDS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {KINDS}")
     engine = spec.get("engine", "snapshot")
-    if engine not in ("snapshot", "rebuild", "vector"):
+    if engine not in ENGINES:
         raise SpecError(f"unknown engine {engine!r}")
-    tally = spec.get("tally", "algebra")
-    if tally not in ("algebra", "enumerate"):
-        raise SpecError(f"unknown tally {tally!r}")
 
     if kind == "branch":
         model = spec.get("model")
@@ -102,7 +100,6 @@ def normalize_spec(spec: Mapping[str, Any]) -> dict:
             "k_values": _coerce_int_tuple(spec.get("k_values"), "k_values"),
             "conditions": conditions,
             "engine": engine,
-            "tally": tally,
         }
 
     if kind == "image":
@@ -130,7 +127,6 @@ def normalize_spec(spec: Mapping[str, Any]) -> dict:
             "zero_is_invalid": bool(spec.get("zero_is_invalid", False)),
             "k_values": _coerce_int_tuple(spec.get("k_values"), "k_values"),
             "engine": engine,
-            "tally": tally,
         }
 
     name = spec.get("name")
@@ -148,7 +144,6 @@ def normalize_spec(spec: Mapping[str, Any]) -> dict:
         "fault_model": spec.get("fault_model"),
         "profile": spec.get("profile"),
         "engine": engine,
-        "tally": tally,
     }
 
 
@@ -171,7 +166,7 @@ def spec_fingerprint(norm: Mapping[str, Any]) -> str:
 
     ``svc-<kind>-<sha1 digest>`` over every tally-determining field;
     execution-only keys (:data:`EXECUTION_KEYS`) are excluded, so two
-    submissions that differ only in engine, tally mode, worker count, or
+    submissions that differ only in engine, worker count, or
     the filesystem path of the same image dedupe onto one unit.
     """
     meta = {k: v for k, v in norm.items() if k not in EXECUTION_KEYS}
@@ -234,7 +229,6 @@ def _execute_branch(norm, checkpoints, cache, workers, progress, obs) -> dict:
         resume=True,
         obs=obs,
         engine=norm["engine"],
-        tally=norm["tally"],
     )
     return {
         "kind": "branch",
@@ -277,7 +271,6 @@ def _execute_image(norm, checkpoints, cache, workers, progress, obs) -> dict:
         resume=True,
         obs=obs,
         engine=norm["engine"],
-        tally=norm["tally"],
     )
     return {
         "kind": "image",
@@ -312,9 +305,7 @@ def _execute_experiment(norm, checkpoints, workers, progress, obs) -> dict:
         checkpoint_dir=str(checkpoints), resume=True,
     )
     if name == "fig2":
-        result = experiments.run_figure2(
-            engine=norm["engine"], tally=norm["tally"], **common
-        )
+        result = experiments.run_figure2(engine=norm["engine"], **common)
     else:
         driver = getattr(experiments, f"run_{name}")
         result = driver(

@@ -384,7 +384,8 @@ class TestOutcomeCache:
         assert OutcomeCache(tmp_path).get("beq", True, 0) == "invalid_instruction"
 
     def test_corrupt_legacy_shard_is_a_miss_not_an_error(self, tmp_path):
-        (tmp_path / "beq.json").write_text("{not json")
+        """A stray JSON file next to the binary shards is never read."""
+        (tmp_path / "beq.json").write_text(json.dumps({"7": "success"}))
         cache = OutcomeCache(tmp_path)
         assert cache.get("beq", False, 7) is None
 
@@ -392,24 +393,6 @@ class TestOutcomeCache:
         (tmp_path / "beq.npy").write_bytes(b"\x93NUMPY garbage")
         cache = OutcomeCache(tmp_path)
         assert cache.get("beq", False, 7) is None
-
-    def test_legacy_json_shard_migrates_to_binary(self, tmp_path):
-        (tmp_path / "bne.json").write_text(
-            json.dumps({"1": "no_effect", "65535": "success", "9": "bogus-category"})
-        )
-        cache = OutcomeCache(tmp_path)
-        # legacy entries are read back; unknown categories are dropped
-        assert cache.get("bne", False, 1) == "no_effect"
-        assert cache.get("bne", False, 0xFFFF) == "success"
-        assert cache.get("bne", False, 9) is None
-        # the next flush rewrites the shard in the binary format
-        cache.put("bne", False, 2, "failed")
-        cache.flush()
-        assert (tmp_path / "bne.npy").exists()
-        again = OutcomeCache(tmp_path)
-        assert dict(again.get_shard("bne", False)) == {
-            1: "no_effect", 2: "failed", 0xFFFF: "success",
-        }
 
     def test_context_manager_flushes(self, tmp_path):
         with OutcomeCache(tmp_path) as cache:

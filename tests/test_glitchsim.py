@@ -165,6 +165,29 @@ class TestCampaign:
         with pytest.raises(KeyError):
             result.sweep_for("bxx")
 
+    @pytest.mark.parametrize("model,kwargs", [
+        ("andd", {}),
+        ("and", {"engine": "rebuld"}),
+        ("and", {"conditions": ["nosuch"]}),
+        ("and", {"conditions": ["eq", "bnosuch"]}),
+    ])
+    def test_bad_argument_raises_before_any_unit(self, model, kwargs):
+        """Argument errors used to be quarantined per unit, returning a
+        hollow campaign (0 sweeps) instead of raising."""
+        from repro.obs import Observer
+
+        obs = Observer()
+        with pytest.raises(ValueError, match="unknown"):
+            run_branch_campaign(model, k_values=(1,), obs=obs, **kwargs)
+        assert not obs.counters
+
+    def test_figure2_bad_engine_raises(self):
+        """run_figure2 used to return all-zero panels for a typo'd engine."""
+        from repro.experiments import run_figure2
+
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_figure2(k_values=(1,), engine="rebuld")
+
 
 class TestResults:
     def _small_campaign(self):

@@ -165,9 +165,11 @@ class TestInstructionClassSweeps:
 
     @pytest.mark.parametrize("model", ["and", "or", "xor"])
     def test_algebra_equals_enumerate(self, model):
+        from tests.oracles import enumerate_class_sweep
+
         kwargs = dict(model=model, k_values=(0, 1, 2, 16))
-        algebra = sweep_instruction_class("compare", tally="algebra", **kwargs)
-        oracle = sweep_instruction_class("compare", tally="enumerate", **kwargs)
+        algebra = sweep_instruction_class("compare", **kwargs)
+        oracle = enumerate_class_sweep("compare", **kwargs)
         assert (
             algebra.attempts,
             algebra.still_effective,
@@ -181,8 +183,9 @@ class TestInstructionClassSweeps:
         )
 
     def test_unknown_tally_rejected(self):
-        with pytest.raises(ValueError, match="tally"):
-            sweep_instruction_class("alu", tally="magic")
+        """There is one tallying strategy; the ``tally`` option is gone."""
+        with pytest.raises(TypeError, match="tally"):
+            sweep_instruction_class("alu", tally="algebra")
 
     @given(st.sampled_from(["load", "compare", "alu"]))
     @settings(max_examples=3, deadline=None)

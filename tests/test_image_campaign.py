@@ -1,8 +1,9 @@
 """Whole-image campaigns: differential sweep, resume, caching, CLI.
 
-The ISSUE 8 differential contract: per-site tallies are **bit-identical**
-across ``engine=vector``/``snapshot``/``rebuild`` and
-``tally=algebra``/``enumerate``, and a campaign killed half-way resumes
+The differential contract: per-site tallies are **bit-identical** across
+``engine=vector``/``snapshot`` and the per-word rebuild oracle, the
+closed-form mask algebra equals the full mask enumeration oracle (both
+oracles live in tests/oracles.py), and a campaign killed half-way resumes
 from its checkpoint to the exact tallies of an uninterrupted run.
 """
 
@@ -21,6 +22,8 @@ from repro.exec import ProgressReporter
 from repro.firmware.image import load_image, write_image
 from repro.glitchsim.harness import ENGINES
 from repro.obs import Observer
+from repro.campaign.harness import SiteHarness
+from tests.oracles import enumerate_by_k, rebuild_engine
 
 DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
 
@@ -51,6 +54,9 @@ class TestDifferentialSweep:
                                    k_values=SMALL_KS, engine=engine).by_k
                 for engine in ENGINES
             }
+            with rebuild_engine():
+                by_engine["rebuild"] = sweep_site(demo_image, site, model,
+                                                  k_values=SMALL_KS).by_k
             reference = by_engine["snapshot"]
             for engine, by_k in by_engine.items():
                 assert by_k == reference, (site.site_id, model, engine)
@@ -59,11 +65,10 @@ class TestDifferentialSweep:
     def test_tally_modes_bit_identical(self, demo_image, demo_sites, model):
         """Mask algebra equals the brute-force enumeration oracle."""
         for site in (demo_sites[0], demo_sites[3]):
-            algebra = sweep_site(demo_image, site, model,
-                                 k_values=(0, 1, 2), tally="algebra")
-            enumerate_ = sweep_site(demo_image, site, model,
-                                    k_values=(0, 1, 2), tally="enumerate")
-            assert algebra.by_k == enumerate_.by_k, (site.site_id, model)
+            algebra = sweep_site(demo_image, site, model, k_values=(0, 1, 2))
+            enumerate_ = enumerate_by_k(SiteHarness(demo_image, site),
+                                        site.word, model, (0, 1, 2))
+            assert algebra.by_k == enumerate_, (site.site_id, model)
 
     def test_full_range_vector_matches_snapshot(self, demo_image, demo_sites):
         """All 2^16 xor masks, every k — the strongest single-site identity."""
@@ -80,8 +85,24 @@ class TestDifferentialSweep:
             assert dict(sweep.by_k[0]) == {"no_effect": 1}, site.site_id
 
     def test_unknown_tally_mode(self, demo_image, demo_sites):
-        with pytest.raises(ValueError, match="unknown tally mode"):
-            sweep_site(demo_image, demo_sites[0], "xor", tally="guess")
+        """There is one tallying strategy; the ``tally`` option is gone."""
+        with pytest.raises(TypeError, match="tally"):
+            sweep_site(demo_image, demo_sites[0], "xor", tally="algebra")
+
+
+class TestArgumentErrors:
+    """Bad arguments raise up front instead of quarantining every unit."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"models": ("andd",)},
+        {"engine": "vectr"},
+        {"engine": "rebuild"},
+    ])
+    def test_bad_argument_raises_before_any_unit(self, demo_image, kwargs):
+        obs = Observer()
+        with pytest.raises(ValueError, match="unknown"):
+            run_image_campaign(demo_image, k_values=(1,), obs=obs, **kwargs)
+        assert not obs.counters  # no discovery, no unit ran
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +176,8 @@ class TestCampaignResume:
     def test_resumed_campaign_may_switch_engine(
         self, demo_image, demo_sites, tmp_path
     ):
-        """engine/tally are absent from the fingerprint — tallies are
-        bit-identical, so a resume may switch them freely."""
+        """engine is absent from the fingerprint — tallies are
+        bit-identical, so a resume may switch it freely."""
         checkpoint_dir = str(tmp_path / "ck")
         run_image_campaign(demo_image, checkpoint_dir=checkpoint_dir,
                            **self.KWARGS)
@@ -164,7 +185,6 @@ class TestCampaignResume:
         resumed = run_image_campaign(
             demo_image, checkpoint_dir=checkpoint_dir, resume=True, obs=obs,
             models=("and",), k_values=(0, 1, 2, 3), engine="snapshot",
-            tally="enumerate",
         )
         assert obs.counters["units.replayed"] == len(demo_sites)
         assert self._by_site(resumed)

@@ -1,9 +1,9 @@
-"""Tests for repro.glitchsim.maskalgebra and the ``tally="algebra"`` path.
+"""Tests for repro.glitchsim.maskalgebra and the closed-form sweep tallies.
 
 The load-bearing property: deriving per-k mask tallies from unique-word
 outcomes is *bit-identical* to enumerating every mask — pinned here both
 against a synthetic classifier (hypothesis, random targets) and against
-the real snippet harness.
+the real snippet harness (the mask-enumeration oracle of tests/oracles.py).
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.bits import apply_flip, iter_masks, popcount
 from repro.exec import OutcomeCache
-from repro.glitchsim import branch_snippet, sweep_instruction
+from repro.glitchsim import SnippetHarness, branch_snippet, sweep_instruction
 from repro.glitchsim.maskalgebra import (
     MODELS,
     multiplicity,
@@ -23,6 +23,7 @@ from repro.glitchsim.maskalgebra import (
     tally_from_word_codes,
     tally_from_word_outcomes,
 )
+from tests.oracles import enumerate_by_k
 
 WIDTH = 16
 
@@ -231,22 +232,27 @@ class TestSweepTallyDifferential:
     @pytest.mark.parametrize("model", MODELS)
     def test_algebra_equals_enumerate_restricted_k(self, condition, zero_is_invalid, model):
         snippet = branch_snippet(condition)
-        kwargs = dict(zero_is_invalid=zero_is_invalid, k_values=(0, 1, 2, 15, 16))
-        algebra = sweep_instruction(snippet, model, tally="algebra", **kwargs)
-        enumerate_ = sweep_instruction(snippet, model, tally="enumerate", **kwargs)
-        assert algebra.by_k == enumerate_.by_k
+        ks = (0, 1, 2, 15, 16)
+        algebra = sweep_instruction(snippet, model, zero_is_invalid=zero_is_invalid,
+                                    k_values=ks)
+        enumerate_ = enumerate_by_k(
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
+            snippet.target_word, model, ks,
+        )
+        assert algebra.by_k == enumerate_
 
     @pytest.mark.parametrize("model", ["and", "or"])
     def test_algebra_equals_enumerate_full_k(self, model):
         snippet = branch_snippet("eq")
-        algebra = sweep_instruction(snippet, model, tally="algebra")
-        enumerate_ = sweep_instruction(snippet, model, tally="enumerate")
-        assert algebra.by_k == enumerate_.by_k
+        algebra = sweep_instruction(snippet, model)
+        enumerate_ = enumerate_by_k(SnippetHarness(snippet), snippet.target_word, model)
+        assert algebra.by_k == enumerate_
         assert sum(algebra.totals.values()) == 1 << WIDTH  # every mask accounted for
 
     def test_unknown_tally_rejected(self):
-        with pytest.raises(ValueError, match="tally"):
-            sweep_instruction(branch_snippet("eq"), "and", tally="magic")
+        """There is one tallying strategy; the ``tally`` option is gone."""
+        with pytest.raises(TypeError, match="tally"):
+            sweep_instruction(branch_snippet("eq"), "and", tally="algebra")
 
 
 class TestCrossModelSharing:

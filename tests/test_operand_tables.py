@@ -146,7 +146,7 @@ class TestZeroRedecode:
             pytest.skip(f"{start_method} unavailable on this platform")
         warm_tables()
         specs = [
-            _SweepSpec(f"b{cond}", "xor", False, SMALL_KS, None, "vector", "algebra")
+            _SweepSpec(f"b{cond}", "xor", False, SMALL_KS, None, "vector")
             for cond in ("eq", "ne", "cs")
         ]
         obs = Observer()

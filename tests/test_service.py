@@ -73,8 +73,7 @@ class TestSpecs:
 
     def test_execution_keys_do_not_change_fingerprint(self):
         base = spec_fingerprint(normalize_spec(SPEC))
-        for override in ({"engine": "vector"}, {"engine": "rebuild"},
-                         {"tally": "enumerate"}):
+        for override in ({"engine": "vector"}, {"engine": "snapshot"}):
             assert spec_fingerprint(normalize_spec(dict(SPEC, **override))) == base
 
     def test_parameter_changes_change_fingerprint(self):
@@ -106,7 +105,7 @@ class TestSpecs:
         {"kind": "nope"},
         {"kind": "branch", "model": "nand"},
         {"kind": "branch", "model": "and", "engine": "warp"},
-        {"kind": "branch", "model": "and", "tally": "guess"},
+        {"kind": "branch", "model": "and", "engine": "rebuild"},
         {"kind": "branch", "model": "and", "k_values": ["x"]},
         {"kind": "image"},
         {"kind": "experiment", "name": "table9"},

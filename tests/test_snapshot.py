@@ -10,7 +10,8 @@ Three layers of guarantees, mirroring ``docs/ARCHITECTURE.md``:
    state so a restored machine replays the exact same trajectory;
 3. the engines built on top — the harness ``snapshot`` engine and the
    glitcher baseline replay — produce tallies *and* observability counters
-   bit-identical to the from-scratch slow paths.
+   bit-identical to the from-scratch slow paths (for the harness, the
+   per-word rebuild oracle in tests/oracles.py).
 """
 
 import pytest
@@ -203,12 +204,12 @@ class TestHarnessEngineEquivalence:
     def test_engines_agree_per_word(self, condition, zero_is_invalid):
         from repro.glitchsim.harness import SnippetHarness
         from repro.glitchsim.snippets import branch_snippet
+        from tests.oracles import RebuildSnippetHarness
 
         snippet = branch_snippet(condition)
         fast = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
                               engine="snapshot")
-        slow = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
-                              engine="rebuild")
+        slow = RebuildSnippetHarness(snippet, zero_is_invalid=zero_is_invalid)
         for word in self._words(snippet):
             fast_outcome = fast.run(word)
             slow_outcome = slow.run(word)
@@ -221,19 +222,39 @@ class TestHarnessEngineEquivalence:
 
         with pytest.raises(ValueError, match="engine"):
             SnippetHarness(branch_snippet("eq"), engine="warp")
+        with pytest.raises(ValueError, match="engine"):
+            SnippetHarness(branch_snippet("eq"), engine="rebuild")
+
+    def test_missing_replay_point_raises(self):
+        """A snippet whose setup prefix never reaches the target has no
+        replay point; the harness says so instead of falling back."""
+        from dataclasses import replace
+
+        from repro.glitchsim.harness import SnippetHarness
+        from repro.glitchsim.snippets import branch_snippet
+
+        snippet = branch_snippet("eq")
+        # past both marker blocks: the prefix halts before reaching it
+        unreachable = replace(snippet, target_address=snippet.target_address + 0x100)
+        with pytest.raises(ValueError, match="beq.*replay point"):
+            SnippetHarness(unreachable).run(0)
 
     def test_fig2_slice_identical_tallies_and_counters(self):
         """Engine choice is invisible to tallies AND to the obs layer."""
+        from contextlib import nullcontext
+
         from repro.glitchsim.campaign import run_branch_campaign
         from repro.obs import Observer
+        from tests.oracles import rebuild_engine
 
         outcomes = {}
-        for engine in ("snapshot", "rebuild"):
+        for engine, harnesses in (("snapshot", nullcontext()),
+                                  ("rebuild", rebuild_engine())):
             obs = Observer()
-            result = run_branch_campaign(
-                "and", k_values=(0, 1, 2), conditions=["eq", "ge"],
-                engine=engine, obs=obs,
-            )
+            with harnesses:
+                result = run_branch_campaign(
+                    "and", k_values=(0, 1, 2), conditions=["eq", "ge"], obs=obs,
+                )
             outcomes[engine] = (result, dict(obs.counters))
         snap_result, snap_counters = outcomes["snapshot"]
         slow_result, slow_counters = outcomes["rebuild"]

@@ -2,7 +2,8 @@
 
 The vector engine re-implements the scalar Thumb-16 semantics, so its
 tests are overwhelmingly differential: ``engine="snapshot"`` (itself
-pinned against ``"rebuild"`` by tests/test_snapshot.py) is the oracle.
+pinned against the per-word rebuild oracle of tests/oracles.py by
+tests/test_snapshot.py) is the oracle.
 The beq full-space sweep runs every one of the 2^16 corrupted words
 through both engines; the hypothesis sweep samples word batches across
 all 14 branches and both decode modes three ways.
@@ -20,11 +21,12 @@ from repro.exec import OutcomeCache
 from repro.glitchsim.harness import ENGINES, SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
 from repro.obs import Observer, activate
+from tests.oracles import RebuildSnippetHarness, rebuild_engine
 
 ALL_MNEMONICS = [snippet.mnemonic for snippet in all_branch_snippets()]
 
 # Persistent harnesses so hypothesis examples don't rebuild worlds;
-# each entry is (snapshot, rebuild, vector) for one (mnemonic, mode).
+# each entry is (snapshot, rebuild oracle, vector) for one (mnemonic, mode).
 _HARNESS_CACHE: dict = {}
 
 
@@ -33,9 +35,10 @@ def _harness_trio(mnemonic, zero_is_invalid):
     trio = _HARNESS_CACHE.get(key)
     if trio is None:
         snippet = branch_snippet(mnemonic[1:])
-        trio = tuple(
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine=engine)
-            for engine in ("snapshot", "rebuild", "vector")
+        trio = (
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
+            RebuildSnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="vector"),
         )
         _HARNESS_CACHE[key] = trio
     return trio
@@ -75,22 +78,6 @@ class TestVectorDifferential:
                 rebuild.run(word).category == snap[word].category
             ), (mnemonic, word)
 
-    def test_fallback_mnemonics_route_lanes_to_scalar(self):
-        """Fallback lanes classify identically and are counted."""
-        snippet = branch_snippet("eq")
-        words = range(0xB000, 0xC000)  # covers the push/pop encoding block
-        base = SnippetHarness(snippet).run_many(words)
-        obs = Observer()
-        harness = SnippetHarness(
-            snippet, engine="vector", vector_fallback_mnemonics={"push", "pop"}
-        )
-        with activate(obs):
-            vec = harness.run_many(words)
-        assert obs.counters["vector.fallbacks"] > 0
-        assert {w: o.category for w, o in vec.items()} == {
-            w: o.category for w, o in base.items()
-        }
-
     def test_fig2_slice_tallies_identical_across_engines(self):
         from repro.glitchsim import run_branch_campaign
 
@@ -99,6 +86,8 @@ class TestVectorDifferential:
             engine: run_branch_campaign("and", engine=engine, **slice_kwargs)
             for engine in ENGINES
         }
+        with rebuild_engine():
+            by_engine["rebuild"] = run_branch_campaign("and", **slice_kwargs)
         reprs = {engine: repr(result.sweeps) for engine, result in by_engine.items()}
         assert reprs["vector"] == reprs["snapshot"] == reprs["rebuild"]
 
@@ -197,7 +186,6 @@ class TestVectorObservability:
             harness.run_many(words)
         assert obs.counters["vector.batches"] == 1
         assert obs.counters["vector.lanes"] == 256
-        assert obs.counters.get("vector.fallbacks", 0) == 0
         assert harness.words_executed == 256
 
     def test_memoised_rerun_spawns_no_batch(self):
