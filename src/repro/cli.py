@@ -17,12 +17,6 @@ Commands:
   (fig2 | table1 | ... | table7 | search) and print it.
 - ``warm-tables`` — decode and persist the shared vector-engine operand
   tables (one build; every later run and worker memmaps them).
-- ``serve`` — run the long-lived campaign service (asyncio scheduler
-  with dedup, per-client slots, and streaming JSONL feeds); ``serve
-  --stop`` asks a running server to drain and exit.
-- ``submit`` — submit one campaign to a running server and (by default)
-  wait for its tallies; ``--tail`` streams partial tallies as they land.
-- ``status`` — print a running server's queue, jobs, and counters.
 - ``report <events.jsonl>`` — render the timing/metrics summary of a run
   recorded with ``--trace``/``--metrics-out``.
 """
@@ -149,7 +143,7 @@ def cmd_harden(args) -> int:
 
 
 def _progress_reporter(args):
-    if getattr(args, "progress", False):
+    if args.progress:
         from repro.exec import console_progress
 
         return console_progress()
@@ -158,13 +152,11 @@ def _progress_reporter(args):
 
 def _observer_from_args(args, label: str):
     """Build an Observer when --trace/--metrics-out asked for one, else None."""
-    trace = getattr(args, "trace", False)
-    metrics_out = getattr(args, "metrics_out", None)
-    if not trace and metrics_out is None:
+    if not args.trace and args.metrics_out is None:
         return None
     from repro.obs import JsonlSink, Observer, default_events_path
 
-    path = metrics_out if metrics_out is not None else default_events_path(label)
+    path = args.metrics_out if args.metrics_out is not None else default_events_path(label)
     return Observer(sink=JsonlSink(path))
 
 
@@ -174,7 +166,7 @@ def _finish_observer(obs, args) -> None:
         return
     obs.close()
     print(f"event log: {obs.sink.path}", file=sys.stderr)
-    if getattr(args, "trace", False):
+    if args.trace:
         from repro.obs import render_report
 
         print(render_report(obs.events), file=sys.stderr)
@@ -225,49 +217,79 @@ def _report_failed_units(failed_units) -> None:
               file=sys.stderr)
 
 
+#: flags shared by every campaign-running artifact
+_EXECUTION_DESTS = ("workers", "progress", "checkpoint_dir", "resume", "retries",
+                    "unit_timeout", "trace", "metrics_out")
+_SCAN_DESTS = _EXECUTION_DESTS + ("stride", "fault_model", "profile")
+
+#: the ``experiment`` flags (argparse dests) each artifact consumes; any
+#: other flag set away from its default is an error, not silently ignored
+_EXPERIMENT_DESTS = {
+    "fig2": _EXECUTION_DESTS + ("cache_dir", "engine"),
+    "table1": _SCAN_DESTS,
+    "table2": _SCAN_DESTS,
+    "table3": _SCAN_DESTS,
+    "table4": (),
+    "table5": (),
+    "table6": _SCAN_DESTS,
+    "table7": (),
+    "search": ("fault_model", "profile", "checkpoint_dir", "resume", "trace",
+               "metrics_out"),
+}
+
+
+def _unused_experiment_flags(args) -> list[str]:
+    """Flags set away from their defaults that ``args.name`` does not use."""
+    defaults = vars(build_parser().parse_args(["experiment", args.name]))
+    used = _EXPERIMENT_DESTS[args.name]
+    return ["--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if dest not in used and value != defaults[dest]]
+
+
 def cmd_experiment(args) -> int:
     import repro.experiments as experiments
 
     name = args.name
+    unused = _unused_experiment_flags(args)
+    if unused:
+        print(f"error: experiment {name} does not use {', '.join(unused)}",
+              file=sys.stderr)
+        return 1
+    scans = {"table1": experiments.run_table1, "table2": experiments.run_table2,
+             "table3": experiments.run_table3, "table6": experiments.run_table6}
+    fixed = {"table4": experiments.run_table4, "table5": experiments.run_table5,
+             "table7": experiments.run_table7}
+    if name in fixed:
+        print(fixed[name]().render())
+        return 0
     progress = _progress_reporter(args)
-    workers = args.workers
     obs = _observer_from_args(args, f"experiment-{name}")
     robust = dict(checkpoint_dir=args.checkpoint_dir, resume=args.resume,
                   retries=args.retries, unit_timeout=args.unit_timeout, obs=obs)
     model = dict(fault_model=args.fault_model, profile=args.profile)
+    failed_units = ()
     try:
         if name == "fig2":
             result = experiments.run_figure2(
-                workers=workers, cache=args.cache_dir, progress=progress,
+                workers=args.workers, cache=args.cache_dir, progress=progress,
                 engine=args.engine, **robust
             )
-        elif name == "table1":
-            result = experiments.run_table1(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table2":
-            result = experiments.run_table2(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table3":
-            result = experiments.run_table3(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table4":
-            result = experiments.run_table4()
-        elif name == "table5":
-            result = experiments.run_table5()
-        elif name == "table6":
-            result = experiments.run_table6(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table7":
-            result = experiments.run_table7()
-        elif name == "search":
+            failed_units = result.failed_units
+        elif name in scans:
+            result = scans[name](stride=args.stride, workers=args.workers,
+                                 progress=progress, **model, **robust)
+            failed_units = [unit for by_key in result.by_model.values()
+                            for scan in by_key.values()
+                            for unit in scan.failed_units]
+        else:
             result = experiments.run_search(checkpoint_dir=args.checkpoint_dir,
                                             resume=args.resume, obs=obs,
                                             **model)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(name)
     finally:
         _finish_observer(obs, args)
     print(result.render())
+    _report_failed_units(failed_units)
     return 0
 
 
@@ -276,156 +298,6 @@ def cmd_warm_tables(args) -> int:
 
     for path in warm_tables(root=args.cache_dir):
         print(path)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service import serve
-    from repro.service.client import ServiceClient
-
-    if args.stop:
-        try:
-            with ServiceClient(host=args.host, port=args.port,
-                               connect_timeout=2.0) as client:
-                client.shutdown(drain=not args.no_drain)
-        except OSError as exc:
-            print(f"error: no server at {args.host}:{args.port} ({exc})",
-                  file=sys.stderr)
-            return 1
-        print(f"server at {args.host}:{args.port} shutting down "
-              f"({'dropping queue' if args.no_drain else 'draining'})")
-        return 0
-    obs = _observer_from_args(args, "serve")
-
-    def ready(host: str, port: int) -> None:
-        print(f"serving on {host}:{port} (root: {args.root or 'default'})",
-              file=sys.stderr)
-
-    try:
-        asyncio.run(serve(
-            root=args.root, host=args.host, port=args.port,
-            job_slots=args.job_slots, client_slots=args.client_slots,
-            unit_workers=args.unit_workers,
-            cache_max_shards=args.cache_max_shards,
-            obs=obs, ready=ready,
-        ))
-    except KeyboardInterrupt:
-        print("interrupted; checkpoints are preserved — restart to resume",
-              file=sys.stderr)
-    finally:
-        if obs is not None and getattr(args, "trace", False):
-            from repro.obs import render_report
-
-            print(render_report(obs.events), file=sys.stderr)
-    return 0
-
-
-def _spec_from_args(args) -> dict:
-    """Build a submission spec dict from ``repro submit`` flags."""
-    spec: dict = {"kind": args.kind, "engine": args.engine}
-    if args.kind == "branch":
-        spec["model"] = args.model
-        if args.conditions:
-            spec["conditions"] = [c.strip() for c in args.conditions.split(",")
-                                  if c.strip()]
-    elif args.kind == "image":
-        spec["path"] = args.image
-        spec["strategy"] = args.strategy
-        spec["format"] = args.format
-        if args.base is not None:
-            spec["base"] = args.base
-        if args.models:
-            spec["models"] = [m.strip() for m in args.models.split(",")
-                              if m.strip()]
-    else:  # experiment
-        spec["name"] = args.name
-        spec["stride"] = args.stride
-        spec["fault_model"] = args.fault_model
-        spec["profile"] = args.profile
-    if args.k_values:
-        spec["k_values"] = [int(k) for k in args.k_values.split(",") if k.strip()]
-    if args.zero_invalid:
-        spec["zero_is_invalid"] = True
-    return spec
-
-
-def cmd_submit(args) -> int:
-    import json
-
-    from repro.service.client import ServiceClient, ServiceError, tail
-
-    try:
-        spec = _spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        with ServiceClient(host=args.host, port=args.port) as client:
-            if args.no_wait or args.tail:
-                accepted = client.submit(spec, client=args.client,
-                                         priority=args.priority, wait=False)
-            else:
-                result = client.submit(spec, client=args.client,
-                                       priority=args.priority, wait=True)
-                accepted = result["accepted"]
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: no server at {args.host}:{args.port} ({exc})",
-              file=sys.stderr)
-        return 1
-    print(f"; job {accepted['job']} ({accepted['label']}) "
-          f"{'deduped onto in-flight unit' if accepted['deduped'] else accepted['state']}",
-          file=sys.stderr)
-    print(f"; feed: {accepted['feed']}", file=sys.stderr)
-    if args.tail:
-        for record in tail(accepted["feed"]):
-            print(json.dumps(record))
-            if record.get("type") == "error":
-                return 1
-        return 0
-    if args.no_wait:
-        return 0
-    print(json.dumps(result["tallies"], indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_status(args) -> int:
-    import json
-
-    from repro.service.client import ServiceClient
-
-    try:
-        with ServiceClient(host=args.host, port=args.port,
-                           connect_timeout=2.0) as client:
-            status = client.status()
-    except OSError as exc:
-        print(f"error: no server at {args.host}:{args.port} ({exc})",
-              file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    counters = status["metrics"]["counters"]
-    gauges = status["metrics"]["gauges"]
-    print(f"server {args.host}:{args.port} — root {status['root']}")
-    print(f"  queued:  {status['queued']}   running: {status['running']} "
-          f"(job slots: {status['job_slots']}, "
-          f"client slots: {status['client_slots']})")
-    print(f"  clients: {', '.join(status['active_clients']) or '-'}")
-    for name in sorted(n for n in counters if n.startswith("service.")):
-        print(f"  {name}: {counters[name]}")
-    for name in sorted(gauges):
-        print(f"  {name}: {gauges[name]}")
-    if status["jobs"]:
-        print("  jobs:")
-        for job in status["jobs"]:
-            print(f"    {job['fingerprint']}  {job['state']:<8} "
-                  f"p{job['priority']}  {job['label']} "
-                  f"[{', '.join(job['clients'])}]")
     return 0
 
 
@@ -477,12 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="single")
     p_attack.add_argument("--stride", type=int, default=4)
     _add_fault_model_flags(p_attack)
-    p_attack.add_argument("--workers", type=int, default=1,
-                          help="worker processes for the scan (0 = all cores)")
-    p_attack.add_argument("--progress", action="store_true",
-                          help="show attempts/sec, tallies, and ETA on stderr")
-    _add_robustness_flags(p_attack)
-    _add_observability_flags(p_attack)
+    _add_execution_flags(p_attack, "worker processes for the scan (0 = all cores)")
     p_attack.set_defaults(func=cmd_attack)
 
     p_disc = sub.add_parser("discover",
@@ -510,13 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent outcome-cache directory; per-site "
                              "shards are shared across models and re-runs")
-    p_camp.add_argument("--workers", type=int, default=1,
-                        help="worker processes, one site×model sweep per unit "
-                             "(0 = all cores)")
-    p_camp.add_argument("--progress", action="store_true",
-                        help="show attempts/sec, tallies, and ETA on stderr")
-    _add_robustness_flags(p_camp)
-    _add_observability_flags(p_camp)
+    _add_execution_flags(p_camp, "worker processes, one site×model sweep per "
+                                 "unit (0 = all cores)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_exp = sub.add_parser("experiment", help="run one paper artifact")
@@ -526,11 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     p_exp.add_argument("--stride", type=int, default=4)
     _add_fault_model_flags(p_exp)
-    p_exp.add_argument("--workers", type=int, default=1,
-                       help="worker processes for campaign/scan experiments "
-                            "(0 = all cores; table4/5/7 and search are serial)")
-    p_exp.add_argument("--progress", action="store_true",
-                       help="show attempts/sec, tallies, and ETA on stderr")
     p_exp.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent outcome-cache directory for fig2 "
                             "(default: no disk cache)")
@@ -538,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="snapshot",
                        help="fig2 execution engine: scalar snapshot replay "
                             "(default) or the NumPy lock-step vector backend")
-    _add_robustness_flags(p_exp)
-    _add_observability_flags(p_exp)
+    _add_execution_flags(p_exp, "worker processes for campaign/scan experiments "
+                                "(0 = all cores; table4/5/7 and search are serial)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_warm = sub.add_parser(
@@ -552,104 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "every vector run and worker loads from)")
     p_warm.set_defaults(func=cmd_warm_tables)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the long-lived campaign service (scheduler + socket server)",
-    )
-    _add_endpoint_flags(p_serve)
-    p_serve.add_argument("--root", default=None, metavar="DIR",
-                        help="service root for feeds, checkpoints, and the "
-                             "shared outcome cache (default: "
-                             "<cache root>/service)")
-    p_serve.add_argument("--job-slots", type=int, default=2, metavar="N",
-                        help="campaigns executing concurrently across all "
-                             "clients (default 2)")
-    p_serve.add_argument("--client-slots", type=int, default=2, metavar="N",
-                        help="queued-or-running jobs one client may own at a "
-                             "time; extra submissions wait behind the "
-                             "client's own jobs (default 2)")
-    p_serve.add_argument("--unit-workers", type=int, default=1, metavar="N",
-                        help="worker processes inside each campaign "
-                             "(0 = all cores)")
-    p_serve.add_argument("--cache-max-shards", type=int, default=64, metavar="N",
-                        help="LRU bound on in-memory outcome-cache shards per "
-                             "campaign execution (evicted shards flush to "
-                             "disk; default 64)")
-    p_serve.add_argument("--stop", action="store_true",
-                        help="ask the server at --host/--port to shut down "
-                             "gracefully (drain, flush feeds/caches) and exit")
-    p_serve.add_argument("--no-drain", action="store_true",
-                        help="with --stop: fail queued jobs instead of "
-                             "finishing them (running jobs still complete; "
-                             "checkpoints survive for resubmission)")
-    _add_observability_flags(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_sub = sub.add_parser(
-        "submit", help="submit one campaign to a running repro serve"
-    )
-    _add_endpoint_flags(p_sub)
-    p_sub.add_argument("--kind", choices=["branch", "image", "experiment"],
-                       default="branch",
-                       help="campaign kind: per-branch sweep, whole-image "
-                            "campaign, or a paper experiment")
-    p_sub.add_argument("--model", choices=["and", "or", "xor"], default="and",
-                       help="flip model for --kind branch")
-    p_sub.add_argument("--conditions", default=None, metavar="LIST",
-                       help="comma-separated branch conditions for --kind "
-                            "branch (eq,ne,...; default: all 14)")
-    p_sub.add_argument("--image", default=None, metavar="FILE",
-                       help="firmware image for --kind image")
-    p_sub.add_argument("--models", default=None, metavar="LIST",
-                       help="comma-separated flip models for --kind image "
-                            "(default: and,or,xor)")
-    p_sub.add_argument("--strategy", choices=["linear", "entry"],
-                       default="linear",
-                       help="site discovery strategy for --kind image")
-    p_sub.add_argument("--format", choices=["auto", "raw", "ihex"],
-                       default="auto",
-                       help="image format for --kind image")
-    p_sub.add_argument("--base", default=None, metavar="ADDR",
-                       help="load address for raw images (--kind image)")
-    p_sub.add_argument("--name", choices=["fig2", "table1", "table2",
-                                          "table3", "table6"],
-                       default="table1",
-                       help="artifact for --kind experiment")
-    p_sub.add_argument("--stride", type=int, default=4,
-                       help="scan stride for --kind experiment")
-    _add_fault_model_flags(p_sub)
-    p_sub.add_argument("--k-values", default=None, metavar="LIST",
-                       help="comma-separated flip counts k to sweep "
-                            "(branch/image kinds; default: 0..16)")
-    p_sub.add_argument("--zero-invalid", action="store_true",
-                       help="treat the all-zero word as an invalid encoding "
-                            "(the Figure 2c panel decode mode)")
-    p_sub.add_argument("--engine", choices=["snapshot", "vector"],
-                       default="snapshot",
-                       help="execution engine (excluded from the dedup "
-                            "fingerprint — engines are bit-identical)")
-    p_sub.add_argument("--client", default="cli", metavar="NAME",
-                       help="client identity for per-client concurrency "
-                            "slots (default: cli)")
-    p_sub.add_argument("--priority", type=int, default=0, metavar="N",
-                       help="scheduling priority; smaller runs earlier "
-                            "(default 0)")
-    p_sub.add_argument("--no-wait", action="store_true",
-                       help="return after the job is accepted instead of "
-                            "waiting for tallies (tail the feed instead)")
-    p_sub.add_argument("--tail", action="store_true",
-                       help="stream the job's JSONL feed (partial tallies "
-                            "per completed unit) until the final result")
-    p_sub.set_defaults(func=cmd_submit)
-
-    p_stat = sub.add_parser(
-        "status", help="print a running server's queue, jobs, and counters"
-    )
-    _add_endpoint_flags(p_stat)
-    p_stat.add_argument("--json", action="store_true",
-                        help="print the raw status record as JSON")
-    p_stat.set_defaults(func=cmd_status)
-
     p_report = sub.add_parser(
         "report", help="summarise a --trace/--metrics-out JSONL event log"
     )
@@ -657,17 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     return parser
-
-
-def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:
-    from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
-
-    parser.add_argument("--host", default=DEFAULT_HOST,
-                        help=f"service bind/connect address "
-                             f"(default {DEFAULT_HOST})")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"service TCP port (default {DEFAULT_PORT}; "
-                             f"0 = ephemeral for serve)")
 
 
 def _add_image_flags(parser: argparse.ArgumentParser) -> None:
@@ -698,7 +446,11 @@ def _add_fault_model_flags(parser: argparse.ArgumentParser) -> None:
                              "em-probe-4mm; implies its fault model")
 
 
-def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
+def _add_execution_flags(parser: argparse.ArgumentParser, workers_help: str) -> None:
+    """Parallelism, progress, checkpoint/retry, and tracing flags."""
+    parser.add_argument("--workers", type=int, default=1, help=workers_help)
+    parser.add_argument("--progress", action="store_true",
+                        help="show attempts/sec, tallies, and ETA on stderr")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="write per-unit JSONL checkpoints here "
                              "(default with --resume: <cache root>/checkpoints)")
@@ -711,9 +463,6 @@ def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--unit-timeout", type=float, default=None, metavar="SEC",
                         help="wall-clock bound per work unit on the "
                              "multiprocessing path (hung workers are rebuilt)")
-
-
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", action="store_true",
                         help="record spans/counters/events and print a timing "
                              "report to stderr when the run finishes")

@@ -18,10 +18,7 @@ those loops out of single-core Python *and* makes them survivable:
   same tallies an uninterrupted run produces;
 - :class:`ProgressReporter` tracks attempts/sec, per-category tallies,
   elapsed time, and ETA, surfaced through a callback (the CLI's
-  ``--progress`` flag);
-- :class:`SlotPool` hands out bounded per-key concurrency slots — the
-  backpressure primitive the campaign service (:mod:`repro.service`)
-  uses for fair multi-tenant scheduling.
+  ``--progress`` flag).
 """
 
 from repro.exec.cache import OutcomeCache, coerce_cache, default_cache_root
@@ -34,13 +31,11 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.executor import FailedUnit, ParallelExecutor, resolve_workers
 from repro.exec.progress import ProgressReporter, ProgressSnapshot, console_progress
-from repro.exec.slots import SlotPool
 
 __all__ = [
     "ParallelExecutor",
     "FailedUnit",
     "resolve_workers",
-    "SlotPool",
     "OutcomeCache",
     "coerce_cache",
     "default_cache_root",

@@ -21,14 +21,6 @@ file.
 
 The root defaults to ``$REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/repro-glitching``, else ``~/.cache/repro-glitching``.
-
-Long-lived multi-tenant holders (the campaign service) bound the
-in-memory footprint with ``max_shards``: shards are kept in LRU order
-and the least-recently-used one is written back to disk and dropped when
-the bound is exceeded. Eviction is invisible to correctness — a re-touch
-of an evicted shard reloads it from the freshly-flushed file — it only
-trades memory for a reload. The default (``max_shards=None``) keeps the
-historical unbounded behavior, which is right for one-shot campaigns.
 """
 
 from __future__ import annotations
@@ -109,22 +101,13 @@ class ShardView(_MappingABC):
 class OutcomeCache:
     """Disk-backed ``(mnemonic, zero_is_invalid, word) -> category`` store."""
 
-    def __init__(
-        self,
-        root: Union[str, os.PathLike, None] = None,
-        max_shards: Optional[int] = None,
-    ):
-        if max_shards is not None and max_shards < 1:
-            raise ValueError(f"max_shards must be >= 1, got {max_shards}")
+    def __init__(self, root: Union[str, os.PathLike, None] = None):
         self.root = Path(root) if root is not None else default_cache_root()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_shards = max_shards
-        # insertion order doubles as LRU order: _shard() re-inserts on touch
         self._shards: dict[tuple[str, bool], np.ndarray] = {}
         self._dirty: set[tuple[str, bool]] = set()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         # Words resolved from a harness's in-memory memo before any disk
         # lookup happened. Invisible to hits/misses by design (no shard was
         # consulted), but campaign accounting still wants the denominator:
@@ -265,15 +248,8 @@ class OutcomeCache:
     def _shard(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
         key = (mnemonic, zero_is_invalid)
         shard = self._shards.get(key)
-        if shard is not None:
-            if self.max_shards is not None:
-                # touch: move to the most-recently-used end
-                self._shards[key] = self._shards.pop(key)
-            return shard
-        shard = self._load_shard(*key)
-        self._shards[key] = shard
-        if self.max_shards is not None:
-            self._evict(keep=key)
+        if shard is None:
+            shard = self._shards[key] = self._load_shard(*key)
         return shard
 
     def _load_shard(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
@@ -291,21 +267,6 @@ class OutcomeCache:
             ):
                 return np.ascontiguousarray(stored)
         return np.zeros(WORD_SPACE, dtype=np.uint8)
-
-    def _evict(self, keep: tuple[str, bool]) -> None:
-        """Drop least-recently-used shards until within ``max_shards``.
-
-        A dirty victim is written back first, so eviction never loses
-        entries — an evicted shard re-touched later reloads bit-identical
-        from disk. ``keep`` (the shard just touched) is never the victim.
-        """
-        while len(self._shards) > self.max_shards:
-            victim = next(key for key in self._shards if key != keep)
-            if victim in self._dirty:
-                self._write_shard(victim)
-                self._dirty.discard(victim)
-            del self._shards[victim]
-            self.evictions += 1
 
 
 def coerce_cache(

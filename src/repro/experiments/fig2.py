@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import FailedUnit
 from repro.glitchsim import figure2 as _figure2_data
 from repro.glitchsim import run_branch_campaign
 from repro.glitchsim.results import (
@@ -27,6 +28,8 @@ PAPER_MEAN_SUCCESS = {"and": 0.60, "or": 0.30}
 @dataclass
 class Figure2Result:
     panels: dict[str, FigureData] = field(default_factory=dict)
+    #: quarantined per-branch sweeps of every panel (absent from the tallies)
+    failed_units: list[FailedUnit] = field(default_factory=list)
 
     def mean_success(self, panel: str) -> float:
         return summarize_mean_success(self.panels[panel])
@@ -90,24 +93,21 @@ def run_figure2(
                   checkpoint_dir=checkpoint_dir, resume=resume,
                   retries=retries, unit_timeout=unit_timeout, obs=obs,
                   engine=engine, chunk_size=chunk_size)
+    panels = [
+        ("and", "Figure 2a: AND model (1→0 flips)", "and", False),
+        ("or", "Figure 2b: OR model (0→1 flips)", "or", False),
+        ("and-0invalid", "Figure 2c: AND model, 0x0000 decoded as invalid", "and", True),
+    ]
+    if include_xor:
+        panels.append(
+            ("xor", "Figure 2 ablation: XOR model (bidirectional flips)", "xor", False)
+        )
     with obs.trace("fig2"):
-        result.panels["and"] = _figure2_data(
-            run_branch_campaign("and", **common),
-            title="Figure 2a: AND model (1→0 flips)",
-        )
-        result.panels["or"] = _figure2_data(
-            run_branch_campaign("or", **common),
-            title="Figure 2b: OR model (0→1 flips)",
-        )
-        result.panels["and-0invalid"] = _figure2_data(
-            run_branch_campaign("and", zero_is_invalid=True, **common),
-            title="Figure 2c: AND model, 0x0000 decoded as invalid",
-        )
-        if include_xor:
-            result.panels["xor"] = _figure2_data(
-                run_branch_campaign("xor", **common),
-                title="Figure 2 ablation: XOR model (bidirectional flips)",
-            )
+        for name, title, model, zero_is_invalid in panels:
+            campaign = run_branch_campaign(model, zero_is_invalid=zero_is_invalid,
+                                           **common)
+            result.panels[name] = _figure2_data(campaign, title=title)
+            result.failed_units.extend(campaign.failed_units)
     return result
 
 

@@ -4,9 +4,9 @@ An :class:`Observer` bundles the three signals a long campaign needs:
 
 - **spans** — ``with obs.trace("fig2.campaign"): ...`` context managers
   that nest, and record wall-clock and CPU time per region;
-- **counters/gauges** — monotonically-increasing named tallies
+- **counters** — monotonically-increasing named tallies
   (``attempts``, ``cache.hits``, ``exec.retries``, ``exec.quarantined``,
-  per-outcome-category counts) and last-value gauges;
+  per-outcome-category counts);
 - **events** — one structured dict per span/unit/scan, appended to an
   in-memory list and (optionally) streamed to a :class:`JsonlSink`.
 
@@ -103,7 +103,7 @@ _NULL_SPAN_HANDLE = _NullSpanHandle()
 
 
 class Observer:
-    """Collects spans, counters, gauges, and events for one run."""
+    """Collects spans, counters, and events for one run."""
 
     enabled = True
 
@@ -115,7 +115,6 @@ class Observer:
     ):
         self.sink = sink
         self.counters: Counter = Counter()
-        self.gauges: dict[str, float] = {}
         self.spans: list[Span] = []
         self.events: list[dict] = []
         self._clock = clock
@@ -152,14 +151,11 @@ class Observer:
             record["attrs"] = span.attrs
         self._emit(record)
 
-    # -- counters / gauges ---------------------------------------------
+    # -- counters -------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
         if n:
             self.counters[name] += n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def merge(self, counters: Mapping[str, int], events: tuple = ()) -> None:
         """Fold a worker's telemetry (counters + events) into this observer."""
@@ -180,10 +176,9 @@ class Observer:
     # -- lifecycle ------------------------------------------------------
 
     def metrics(self) -> dict:
-        """Counter/gauge totals as a plain JSON-able dict."""
+        """Counter totals as a plain JSON-able dict."""
         return {
             "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
         }
 
     def close(self) -> None:
@@ -207,9 +202,6 @@ class NullObserver(Observer):
     def count(self, name: str, n: int = 1) -> None:
         return None
 
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
     def merge(self, counters, events=()) -> None:
         return None
 
@@ -217,7 +209,7 @@ class NullObserver(Observer):
         return None
 
     def metrics(self) -> dict:
-        return {"counters": {}, "gauges": {}}
+        return {"counters": {}}
 
     def close(self) -> None:
         return None

@@ -71,12 +71,6 @@ def _counter_lines(events: Iterable[dict]) -> List[str]:
     lines = ["counters:"]
     for name in sorted(counters):
         lines.append(f"  {name:<{width}}  {counters[name]}")
-    gauges = dict(metrics.get("gauges", {})) if metrics else {}
-    if gauges:
-        width = max(len(name) for name in gauges)
-        lines.append("gauges:")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<{width}}  {gauges[name]}")
     return lines
 
 

@@ -102,3 +102,62 @@ class TestExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["fig2", "--fault-model", "voltage", "--stride", "2"],
+         "--stride, --fault-model"),
+        (["table1", "--engine", "vector", "--cache-dir", "x"],
+         "--cache-dir, --engine"),
+        (["table4", "--workers", "2", "--trace"], "--workers, --trace"),
+        (["search", "--workers", "2", "--retries", "1", "--unit-timeout", "5"],
+         "--workers, --retries, --unit-timeout"),
+    ])
+    def test_flags_the_artifact_does_not_use_are_rejected(self, argv, flags, capsys):
+        assert main(["experiment", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: experiment {argv[0]} does not use {flags}\n"
+
+    def test_flag_left_at_its_default_is_accepted(self, capsys):
+        assert main(["experiment", "table7", "--stride", "4", "--workers", "1"]) == 0
+        assert "GlitchResistor" in capsys.readouterr().out
+
+
+class TestExperimentQuarantineReport:
+    """Quarantined work units must be named on stderr, as for ``attack``."""
+
+    def test_table1_names_the_quarantined_row(self, monkeypatch, capsys):
+        import repro.hw.scan as scan_mod
+
+        real = scan_mod._single_row
+
+        def poisoned(glitcher, register, cycle, stride):
+            if cycle == 0:
+                raise RuntimeError("board wedged")
+            return real(glitcher, register, cycle, stride)
+
+        monkeypatch.setattr(scan_mod, "_single_row", poisoned)
+        assert main(["experiment", "table1", "--stride", "24"]) == 0
+        captured = capsys.readouterr()
+        assert "total 8/175" in captured.out
+        assert "3 work unit(s) quarantined" in captured.err
+        assert "cycle=0" in captured.err and "board wedged" in captured.err
+
+    def test_fig2_names_the_quarantined_sweep(self, monkeypatch, capsys):
+        import repro.glitchsim.campaign as campaign_mod
+
+        real = campaign_mod.sweep_instruction
+
+        def poisoned(snippet, model, zero_is_invalid=False, k_values=None, **kwargs):
+            if snippet.mnemonic == "bne":
+                raise RuntimeError("emulator crashed")
+            # one flip count keeps the fourteen-branch figure fast
+            return real(snippet, model, zero_is_invalid, k_values=(1,), **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "sweep_instruction", poisoned)
+        assert main(["experiment", "fig2"]) == 0
+        captured = capsys.readouterr()
+        assert "BNE" not in captured.out
+        assert "4 work unit(s) quarantined" in captured.err
+        assert captured.err.count("mnemonic='bne'") == 4
+        assert "emulator crashed" in captured.err

@@ -2,9 +2,10 @@
 
 Checks that every module path, benchmark file, and example script the
 documentation names actually exists, that the README quickstart code
-runs verbatim, that docs/ARCHITECTURE.md covers every public module,
-and that docs/EXPERIMENTS.md gives a runnable command for every
-``experiment`` subcommand choice.
+runs verbatim, that every documented ``python -m repro`` line parses,
+that docs/ARCHITECTURE.md covers every public module, and that
+docs/EXPERIMENTS.md gives a runnable command for every ``experiment``
+subcommand choice.
 """
 
 import re
@@ -130,6 +131,50 @@ class TestCliDocsCoverage:
             if flag not in text
         )
         assert not missing, f"{doc} does not mention CLI flag(s): {missing}"
+
+
+class TestDocumentedCommandsParse:
+    """Every documented ``python -m repro ...`` line must parse.
+
+    The reverse of :class:`TestCliDocsCoverage`: a command line in a
+    fenced block that names a removed subcommand or a renamed flag fails
+    here. Shell suffixes (`` &``, `` >``, `` |``, `` #``) are cut first.
+    """
+
+    DOCS = ["README.md", "docs/API.md", "docs/ARCHITECTURE.md", "docs/EXPERIMENTS.md"]
+
+    @staticmethod
+    def _fenced_commands(doc: str) -> list[tuple[int, str]]:
+        commands = []
+        fenced = False
+        for number, line in enumerate(_read(doc).splitlines(), start=1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+            elif fenced and "python -m repro " in line:
+                command = line.split("python -m repro ", 1)[1]
+                for suffix in (" &", " >", " |", " #"):
+                    command = command.split(suffix, 1)[0]
+                commands.append((number, command))
+        return commands
+
+    def test_docs_carry_command_lines(self):
+        # keeps the parse check below from passing on an extractor that finds nothing
+        for doc in ("README.md", "docs/API.md", "docs/EXPERIMENTS.md"):
+            assert self._fenced_commands(doc), f"{doc}: no fenced repro command lines"
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_every_command_line_parses(self, doc):
+        import shlex
+
+        from repro.cli import build_parser
+
+        unparsable = []
+        for number, command in self._fenced_commands(doc):
+            try:
+                build_parser().parse_args(shlex.split(command))
+            except SystemExit:
+                unparsable.append(f"{doc}:{number}: {command}")
+        assert not unparsable, f"documented command lines do not parse: {unparsable}"
 
 
 class TestArchitectureDocCoverage:

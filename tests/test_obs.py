@@ -39,15 +39,14 @@ def _counting_unit(x):
 # ----------------------------------------------------------------------
 
 class TestObserverCore:
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         obs = Observer()
         obs.count("a")
         obs.count("a", 2)
         obs.count("zero", 0)  # no-op, key never appears
-        obs.gauge("g", 1.5)
         assert obs.counters["a"] == 3
         assert "zero" not in obs.counters
-        assert obs.metrics() == {"counters": {"a": 3}, "gauges": {"g": 1.5}}
+        assert obs.metrics() == {"counters": {"a": 3}}
 
     def test_spans_nest_and_time(self):
         ticks = iter([0.0, 0.0, 1.0, 1.0, 3.0, 6.0, 10.0, 15.0])
@@ -87,7 +86,7 @@ class TestObserverCore:
         obs.count("x", 5)
         obs.event("unit", key="y")
         obs.close()
-        assert obs.metrics() == {"counters": {}, "gauges": {}}
+        assert obs.metrics() == {"counters": {}}
         # trace() hands back one shared handle — no allocation per span
         assert obs.trace("a") is obs.trace("b")
         assert coerce_observer(obs) is obs
@@ -126,7 +125,7 @@ class TestRenderReport:
              "wall": 1.0, "cpu": 0.9, "start": 0.0},
             {"type": "span", "name": "exec.map", "depth": 1, "seq": 1,
              "wall": 0.9, "cpu": 0.8, "start": 0.1},
-            {"type": "metrics", "counters": {"attempts": 20}, "gauges": {}},
+            {"type": "metrics", "counters": {"attempts": 20}},
         ]
         text = render_report(events)
         assert "campaign" in text and "exec.map" in text
