@@ -15,17 +15,18 @@ A parameter-deterministic fast path skips full simulation for grid points
 the fault model says produce neither a fault nor a crash — the
 overwhelming majority of the 9,801-point scans.
 
-Simulated attempts additionally use *baseline replay* (the hw-layer face
-of the snapshot engine, see ``docs/ARCHITECTURE.md``): the first full run
-snapshots the board at the trigger cycle — memory via the copy-on-write
-journal, pipeline latches via :class:`~repro.hw.pipeline.PipelineState` —
-and every later attempt rewinds to that point instead of re-simulating
-boot from reset.  The baseline is dropped whenever it could diverge from
-a fresh boot: an external ``board.reset()`` swaps the pipeline object out,
-and firmware that persists new nonvolatile seed-page state (the
-random-delay defense) changes ``board._seed_page``, both of which the
-replay gate checks before every restore.  Pass ``replay=False`` to force
-the from-reset path (the differential tests do).
+Simulated attempts additionally use *boot records* (the hw-layer face of
+the snapshot engine, see ``docs/ARCHITECTURE.md``).  Boot is unglitched
+and deterministic given the image and the power-on seed flash page, so
+the first full run from each power-on seed page records the machine at
+the trigger cycle — the writable memory, the pipeline latches via
+:class:`~repro.hw.pipeline.PipelineState`, the GPIO pin — and every later
+attempt that powers on with the same page restores that record into the
+board instead of re-simulating boot from reset.  Records belong to the
+glitcher, not to the board, so they survive an external ``board.reset()``;
+firmware that persists new seed-page state (the random-delay defense)
+just looks up a different record.  Pass ``replay=False`` to force the
+from-reset path (the differential tests do).
 
 Most simulated attempts end ``no_effect`` with the firmware spinning in
 a guard loop until the settle budget runs out.  The *settled-loop exit*
@@ -39,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.emu.memory import MemoryRegion, MemorySnapshot
+from repro.emu.memory import MemoryRegion
 from repro.errors import EmulationFault
 from repro.hw.clock import GlitchParams
 from repro.hw.faults import FaultEffect, FaultModel, PipelineView
 from repro.hw.mcu import Board
-from repro.hw.pipeline import PipelinedCPU, PipelineState
+from repro.hw.pipeline import PipelineState
 from repro.isa.assembler import AssembledProgram
 
 #: cycles allowed from power-on to the (first) trigger
@@ -60,6 +61,8 @@ HW_COUNTERS = ("hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles")
 
 #: machine states the settled-loop exit remembers per attempt
 _HISTORY_LIMIT = 4096
+#: a cycle count no run reaches
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -97,35 +100,28 @@ class GlitchStatistics:
         return self.by_category.get(category, 0) / self.attempts
 
 
-@dataclass
-class _Baseline:
-    """The trigger-cycle restore point for baseline replay.
+@dataclass(frozen=True)
+class _BootRecord:
+    """The machine at the trigger capture point, keyed by the power-on
+    seed page it booted from.
 
-    ``pipeline`` is kept for identity only: an external ``board.reset()``
-    builds a fresh pipeline, which is how the replay gate notices the
-    board was rebuilt behind the glitcher's back.  ``seed_page`` is the
-    nonvolatile page the captured boot started from; once an attempt
-    persists different seed bytes, a fresh boot would no longer reach
-    this state and the baseline is discarded.
+    Holds no reference to a board: :meth:`ClockGlitcher._simulate`
+    restores it into whatever board the glitcher drives now.
     """
 
-    pipeline: PipelinedCPU
-    memory_snapshot: MemorySnapshot
+    ram: tuple[bytes, ...]  # Board.ram_image(): SRAM and the seed page
     pipe_state: PipelineState
-    trigger_cycle: int
-    seed_page: bytes
     gpio_state: int
+    trigger_cycle: int
 
 
 class ClockGlitcher:
     """Arms and fires clock glitches against one firmware image.
 
-    ``replay=True`` (the default) enables baseline replay: simulated
-    attempts after the first restore the board to its captured
-    trigger-cycle state instead of re-simulating boot from reset.
-    Outcomes are bit-identical either way — the replay gate falls back to
-    a full run whenever nonvolatile state changed or the board was reset
-    externally.
+    ``replay=True`` (the default) enables boot records: a simulated
+    attempt whose power-on seed page was booted before restores the
+    recorded trigger-cycle state instead of re-simulating boot from
+    reset.  Outcomes are bit-identical either way.
     """
 
     def __init__(
@@ -156,7 +152,8 @@ class ClockGlitcher:
         if detect_symbol and self.detect_address is None:
             raise ValueError(f"firmware does not define the {detect_symbol!r} symbol")
         self.replay = replay
-        self._baseline: Optional[_Baseline] = None
+        #: power-on seed page -> the boot it leads to (see _BootRecord)
+        self._records: dict[bytes, _BootRecord] = {}
         #: running totals of :data:`HW_COUNTERS`; scans report per-unit deltas
         self.counters = dict.fromkeys(HW_COUNTERS, 0)
 
@@ -192,28 +189,22 @@ class ClockGlitcher:
         """
         return self.fault_model.first_occurrence(params)
 
-    def _usable_baseline(self) -> Optional[_Baseline]:
-        """The captured baseline, or ``None`` when a replay could diverge."""
-        baseline = self._baseline
-        if baseline is None or not self.replay:
+    def _usable_baseline(self) -> Optional[_BootRecord]:
+        """The boot record the next simulated attempt restores, or ``None``
+        when it boots from reset."""
+        if not self.replay:
             return None
-        board = self.board
-        if board.pipeline is not baseline.pipeline:
-            return None  # board.reset() was called externally; state is gone
-        if bytes(board._seed_page) != baseline.seed_page:
-            return None  # a fresh boot would read different nonvolatile state
-        return baseline
+        return self._records.get(bytes(self.board._seed_page))
 
     def _capture_baseline(self, trigger_cycle: int) -> None:
-        """Snapshot the board at the trigger cycle for later replays."""
+        """Record the board at the trigger cycle, keyed by the power-on
+        seed page (the live page is only persisted when the attempt ends)."""
         board = self.board
-        self._baseline = _Baseline(
-            pipeline=board.pipeline,
-            memory_snapshot=board.cpu.memory.snapshot(),
+        self._records[bytes(board._seed_page)] = _BootRecord(
+            ram=board.ram_image(),
             pipe_state=board.pipeline.snapshot_state(),
-            trigger_cycle=trigger_cycle,
-            seed_page=bytes(board._seed_page),
             gpio_state=board._gpio_state,
+            trigger_cycle=trigger_cycle,
         )
 
     def _loop_bounds(
@@ -299,41 +290,46 @@ class ClockGlitcher:
         # a no-op for stateless models; resets e.g. the voltage model's
         # recharge capacitor so every attempt starts a fresh run
         self.fault_model.begin_run()
-        baseline = self._usable_baseline()
-        if baseline is not None:
-            # Baseline replay: rewind memory (copy-on-write journal) and
-            # the pipeline to the captured trigger state.  A replayed
-            # attempt is still a power cycle as far as the firmware and
-            # the tallies are concerned.
-            board.cpu.memory.restore(baseline.memory_snapshot)
-            board.pipeline.restore_state(baseline.pipe_state)
-            board._gpio_state = baseline.gpio_state
+        record = self._usable_baseline()
+        if record is not None:
+            # Restore the boot this power-on seed page leads to.  A
+            # replayed attempt is still a power cycle as far as the
+            # firmware and the tallies are concerned.
+            board.load_ram_image(record.ram)
+            board.pipeline.restore_state(record.pipe_state)
+            board._gpio_state = record.gpio_state
             board.boot_count += 1
-            pipeline = board.pipeline
-            windows: list[int] = [baseline.trigger_cycle]
+            windows: list[int] = [record.trigger_cycle]
             capture = False
         else:
             board.reset()
-            pipeline = board.pipeline
             windows = []
             capture = self.replay
+        # The whole run configuration is installed here: a restored
+        # pipeline may carry another caller's (a trace hook, say).
+        pipeline = board.pipeline
         stops = {self.win_address}
         if self.detect_address is not None:
             stops.add(self.detect_address)
         pipeline.stop_addresses = frozenset(stops)
         exit1 = self.firmware.symbols.get("exit1")
-        if exit1 is not None:
-            pipeline.milestone_addresses = frozenset({exit1})
+        pipeline.milestone_addresses = frozenset() if exit1 is None else frozenset({exit1})
+        pipeline.glitch_resolver = None
+        pipeline.trace_hook = None
 
         # The loop ends at the first top-of-loop whose cycle count reaches
         # ``deadline``; no glitch lands at or after cycle ``quiet_from``.
         # Both move only when a trigger opens a window.
         deadline, quiet_from = self._loop_bounds(params, windows, max_cycles)
+        # The resolver is installed only on glitched cycles (it would
+        # return None everywhere else); it is re-armed at ``rearm_at``.
+        rearm_at = 0
 
         def on_trigger(value: int) -> None:
-            nonlocal deadline, quiet_from
+            nonlocal deadline, quiet_from, rearm_at
             windows.append(pipeline.cycles + 1)  # rel-cycle-0 anchor
             deadline, quiet_from = self._loop_bounds(params, windows, max_cycles)
+            rearm_at = 0
 
         board.trigger_callback = on_trigger
 
@@ -355,18 +351,29 @@ class ClockGlitcher:
                     return effect
             return None
 
-        if params is None:
-            pipeline.glitch_resolver = None
-        else:
-            glitched = params.glitched_cycles()
-            first_rel, end_rel = glitched.start, glitched.stop
-            pipeline.glitch_resolver = resolver
+        glitched = params.glitched_cycles() if params is not None else range(0)
+        first_rel, end_rel = glitched.start, glitched.stop
+
+        def arm(cycle: int) -> int:
+            """Install the resolver iff ``cycle`` is glitched; returns the
+            next cycle at which that can change (short of a new trigger)."""
+            active = False
+            edge = _NEVER
+            for base in windows:
+                start, stop = base + first_rel, base + end_rel
+                if start <= cycle < stop:
+                    active = True
+                    edge = min(edge, stop)
+                elif cycle < start:
+                    edge = min(edge, start)
+            pipeline.glitch_resolver = resolver if active else None
+            return edge
 
         cpu = board.cpu
         step = pipeline.step_cycle
         # the settled-loop exit assumes nothing outside the board observes
         # individual cycles
-        watch = pipeline.trace_hook is None and cpu.svc_handler is None
+        watch = cpu.svc_handler is None
         history: dict = {}
         skipped = 0
         category = "no_effect"
@@ -399,6 +406,8 @@ class ClockGlitcher:
                         skipped += jumped
                         self.counters["hw.settled_exits"] += 1
                         continue
+                if pipeline.cycles >= rearm_at:
+                    rearm_at = arm(pipeline.cycles)
                 step()
         except EmulationFault:
             category = "reset"

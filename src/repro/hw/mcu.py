@@ -111,6 +111,11 @@ class Board:
         self.cpu.sp = SRAM_BASE + SRAM_SIZE
         self.pipeline = PipelinedCPU(self.cpu)
         self._seed_region = memory.region_at(SEED_PAGE_BASE)
+        # SRAM and the seed page: everything firmware can change
+        self._ram_regions = tuple(
+            region for region in memory.regions
+            if type(region) is MemoryRegion and region.writable
+        )
         self._gpio_state = 0
         self.boot_count += 1
 
@@ -120,6 +125,23 @@ class Board:
     def persist_nonvolatile(self) -> None:
         """Commit the seed page back to 'silicon' so it survives the next reset."""
         self._seed_page = bytearray(self._seed_region.data)
+
+    def erase_seed_page(self) -> None:
+        """Put the factory (all-zero) seed page back, as on a new board."""
+        self._seed_page = bytearray(SEED_PAGE_SIZE)
+
+    def ram_image(self) -> tuple[bytes, ...]:
+        """The bytes of every writable region (SRAM and the live seed page).
+
+        Flash is read-only and MMIO holds no bytes, so this plus the
+        pipeline state and the GPIO pin is the whole machine state.
+        """
+        return tuple(bytes(region.data) for region in self._ram_regions)
+
+    def load_ram_image(self, image: tuple[bytes, ...]) -> None:
+        """Overwrite the writable regions with a :meth:`ram_image` capture."""
+        for region, data in zip(self._ram_regions, image):
+            region.data[:] = data
 
     # ------------------------------------------------------------------
     # devices

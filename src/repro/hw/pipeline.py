@@ -20,11 +20,11 @@ attribution in the paper's post-mortem analysis.
 
 :meth:`PipelinedCPU.snapshot_state` / :meth:`PipelinedCPU.restore_state`
 capture and rewind the pipeline mid-run (latches, execute slot, counters,
-plus the architectural CPU state).  Paired with
-:meth:`repro.emu.Memory.snapshot`, they power the glitcher's baseline
-replay: a scan boots the firmware to the trigger once and replays every
-(width, offset) attempt from that point instead of re-simulating from
-reset — see ``docs/ARCHITECTURE.md``.
+plus the architectural CPU state).  Paired with the board's writable
+memory (:meth:`repro.hw.mcu.Board.ram_image`), they power the glitcher's
+boot records: a scan boots the firmware to the trigger once per power-on
+seed page and restores every later (width, offset) attempt from that
+point instead of re-simulating from reset — see ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -34,18 +34,24 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.emu.cpu import CPU, CPUSnapshot
-from repro.errors import EmulationFault, HardFault, InvalidInstruction
+from repro.errors import BadFetch, HardFault, InvalidInstruction
 from repro.hw.faults import FaultEffect, PipelineView
 from repro.isa.decoder import decode
 from repro.isa.instruction import Instruction
 
 WORD_MASK = 0xFFFFFFFF
 
+#: effect kinds that attach to the executing slot (applied on completion)
+_SLOT_EFFECTS = frozenset({
+    "load_data", "store_data", "writeback", "branch_decision",
+    "cmp_transient", "skip", "replay",
+})
+
 #: resolver(cycle, view) -> FaultEffect | None
 GlitchResolver = Callable[[int, PipelineView], Optional[FaultEffect]]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     """An instruction occupying the execute stage."""
 
@@ -61,8 +67,8 @@ class PipelineState:
 
     Captures everything the pipeline needs to resume mid-run: the
     architectural CPU state plus the micro-architectural latches.  Memory
-    is *not* included — pair this with :meth:`repro.emu.Memory.snapshot`
-    (the glitcher's baseline replay does exactly that).
+    is *not* included — the glitcher's boot records pair this with
+    :meth:`repro.hw.mcu.Board.ram_image`.
 
     Attributes
     ----------
@@ -158,24 +164,91 @@ class PipelinedCPU:
            instruction runs architecturally and taken branches flush the
            (just-refilled) front end, which is what gives them their
            3-cycle cost.
+
+        The stages are written out in one method because this is the
+        per-cycle hot loop of every hw scan; the staged reference it is
+        checked against lives in ``tests/oracles.py``.
         """
-        if self.execute_slot is None:
-            self.execute_slot = self._issue()
+        slot = self.execute_slot
+        if slot is None:
+            # 1. issue
+            latch = self.decode_latch
+            if latch is not None:
+                address, raw = latch
+                # a lone BL prefix waits in decode for its suffix halfword
+                if len(raw) != 1 or (raw[0] >> 11) != 0b11110:
+                    self.decode_latch = None
+                    if address in self.milestone_addresses:
+                        self.milestones.append((self.cycles, address))
+                    if address in self.stop_addresses:
+                        self.stopped_at = address
+                    else:
+                        slot = self.execute_slot = _Slot(address, raw, _issue_cost(raw), [])
             if self.stopped_at is not None:
                 return
-        if self.execute_slot is not None and self.trace_hook is not None:
-            slot = self.execute_slot
+        if slot is not None and self.trace_hook is not None:
             self.trace_hook(self.cycles, slot.address, slot.raw)
 
-        self._advance_front_end()
+        # 2. front end: fetch -> decode, memory -> fetch
+        fetch = self.fetch_latch
+        latch = self.decode_latch
+        if latch is None:
+            if fetch is not None:
+                latch = self.decode_latch = (fetch[0], (fetch[1],))
+                fetch = self.fetch_latch = None
+        elif fetch is not None and len(latch[1]) == 1 and (latch[1][0] >> 11) == 0b11110:
+            latch = self.decode_latch = (latch[0], (latch[1][0], fetch[1]))
+            fetch = self.fetch_latch = None
+        if fetch is None:
+            halfword = self.cpu.memory.try_fetch_u16(self.fetch_address)
+            if halfword is not None:
+                self.fetch_latch = (self.fetch_address, halfword)
+                self.fetch_address += 2
+            elif latch is None and slot is None:
+                # Nothing older in flight: the corrupted PC has run the
+                # pipeline into unmapped memory.
+                raise BadFetch(
+                    f"pipeline ran into unmapped memory at {self.fetch_address:#010x}",
+                    self.fetch_address,
+                )
 
-        effect = self._resolve_glitch()
-        if effect is not None:
-            if effect.kind == "reset":
-                raise HardFault(f"glitch-induced reset at cycle {self.cycles}", None)
-            self._apply_latch_effect(effect)
+        # 3. glitch
+        resolver = self.glitch_resolver
+        effect = None
+        if resolver is not None:
+            if slot is None:
+                view = _VIEWS["none", True, latch is not None]
+            else:
+                # the front end is free while the slot is in its last cycle
+                view = _VIEWS[_classify_raw(slot.raw), slot.cycles_left <= 1, latch is not None]
+            effect = resolver(self.cycles, view)
+            if effect is not None:
+                if effect.kind == "reset":
+                    raise HardFault(f"glitch-induced reset at cycle {self.cycles}", None)
+                self._apply_latch_effect(effect)
 
-        self._execute_stage(effect)
+        # 4. execute
+        if slot is not None:
+            if effect is not None and effect.kind in _SLOT_EFFECTS:
+                slot.pending_effects.append(effect)
+            slot.cycles_left -= 1
+            if slot.cycles_left <= 0:
+                if slot.pending_effects:
+                    self._complete(slot)
+                else:
+                    # _complete without effects
+                    cpu = self.cpu
+                    raw = slot.raw
+                    instr = _decode_halfwords(raw, cpu.zero_is_invalid)
+                    address = slot.address
+                    fallthrough = address + instr.size
+                    cpu.pc = fallthrough
+                    cpu.execute(instr, address)
+                    self.retired += 1
+                    self._last_retired_raw = raw
+                    if cpu.pc != fallthrough:
+                        self._flush(cpu.pc)
+                self.execute_slot = None
         self.cycles += 1
 
     def _apply_latch_effect(self, effect: FaultEffect) -> None:
@@ -194,8 +267,9 @@ class PipelinedCPU:
     def snapshot_state(self) -> PipelineState:
         """Capture the pipeline (and architectural CPU) state for later replay.
 
-        Memory is deliberately *not* captured — callers pair this with
-        :meth:`repro.emu.Memory.snapshot` on ``self.cpu.memory``.  The
+        Memory is deliberately *not* captured — callers pair this with a
+        capture of ``self.cpu.memory`` (the glitcher uses
+        :meth:`repro.hw.mcu.Board.ram_image`).  The
         run configuration (``stop_addresses``, ``milestone_addresses``,
         ``glitch_resolver``, ``trace_hook``) is also left out: it belongs
         to the driver, which reinstalls it per run.
@@ -232,7 +306,8 @@ class PipelinedCPU:
         Parameters
         ----------
         state : PipelineState
-            Token from :meth:`snapshot_state` on this same pipeline.
+            Token from :meth:`snapshot_state` on any pipeline running the
+            same firmware (states hold no reference to their pipeline).
         """
         self.cpu.reset_from(state.cpu)
         self.cpu.last_bus_address = state.last_bus_address
@@ -254,57 +329,8 @@ class PipelinedCPU:
         self._last_retired_raw = state.last_retired_raw
 
     # ------------------------------------------------------------------
-    # stages
+    # execute-stage completion with pending corruptions
     # ------------------------------------------------------------------
-
-    def _resolve_glitch(self) -> Optional[FaultEffect]:
-        if self.glitch_resolver is None:
-            return None
-        return self.glitch_resolver(self.cycles, self._view())
-
-    def _view(self) -> PipelineView:
-        slot = self.execute_slot
-        has_decode = self.decode_latch is not None
-        if slot is None:
-            return _VIEWS["none", True, has_decode]
-        # the front end is free while the slot is in its last cycle
-        return _VIEWS[_classify_raw(slot.raw), slot.cycles_left <= 1, has_decode]
-
-    def _execute_stage(self, effect: Optional[FaultEffect]) -> bool:
-        """Run the execute stage for this cycle; True if the slot completed."""
-        slot = self.execute_slot
-        if slot is None:
-            return False
-        if effect is not None and effect.kind in (
-            "load_data", "store_data", "writeback", "branch_decision",
-            "cmp_transient", "skip", "replay",
-        ):
-            slot.pending_effects.append(effect)
-        slot.cycles_left -= 1
-        if slot.cycles_left > 0:
-            return False
-        self._complete(slot)
-        self.execute_slot = None
-        return True
-
-    def _issue(self) -> Optional[_Slot]:
-        if self.decode_latch is None:
-            return None
-        address, raw = self.decode_latch
-        if len(raw) == 1 and (raw[0] >> 11) == 0b11110:
-            return None  # lone BL prefix: wait for its suffix halfword
-        self.decode_latch = None
-        if address in self.milestone_addresses:
-            self.milestones.append((self.cycles, address))
-        if address in self.stop_addresses:
-            self.stopped_at = address
-            return None
-        return _Slot(
-            address=address,
-            raw=raw,
-            cycles_left=_issue_cost(raw),
-            pending_effects=[],
-        )
 
     def _complete(self, slot: _Slot) -> None:
         """Architecturally execute the slot, applying any pending corruptions."""
@@ -419,34 +445,6 @@ class PipelinedCPU:
         if board_hint:
             return board_hint
         return self.cpu.sp
-
-    def _advance_front_end(self) -> None:
-        """Move halfwords toward issue: fetch → decode, memory → fetch."""
-        if self.decode_latch is None and self.fetch_latch is not None:
-            address, halfword = self.fetch_latch
-            self.fetch_latch = None
-            self.decode_latch = (address, (halfword,))
-        elif self.decode_latch is not None and len(self.decode_latch[1]) == 1:
-            address, raw = self.decode_latch
-            if (raw[0] >> 11) == 0b11110 and self.fetch_latch is not None:
-                _, suffix = self.fetch_latch
-                self.fetch_latch = None
-                self.decode_latch = (address, (raw[0], suffix))
-
-        if self.fetch_latch is None:
-            halfword = self.cpu.memory.try_fetch_u16(self.fetch_address)
-            if halfword is not None:
-                self.fetch_latch = (self.fetch_address, halfword)
-                self.fetch_address += 2
-            elif self.decode_latch is None and self.execute_slot is None:
-                # Nothing older in flight: the corrupted PC has run the
-                # pipeline into unmapped memory.
-                from repro.errors import BadFetch
-
-                raise BadFetch(
-                    f"pipeline ran into unmapped memory at {self.fetch_address:#010x}",
-                    self.fetch_address,
-                )
 
     def _flush(self, new_pc: int) -> None:
         """Branch taken: squash younger stages and refetch (2 bubble cycles)."""

@@ -6,12 +6,13 @@ and tallies successes, crashes, and the post-mortem comparator register
 values the paper reports.
 
 The serial path shares one :class:`~repro.hw.glitcher.ClockGlitcher`
-across all rows of a scan, so the glitcher's baseline replay (see
-``docs/ARCHITECTURE.md``) kicks in automatically: the pre-glitch boot up
-to the trigger cycle is simulated once per firmware image and every
-subsequent simulated attempt rewinds to that snapshot. On the
-multiprocessing path each worker builds its own glitcher and gets its
-own baseline. Tallies are identical with replay on or off
+across all rows (Table VI: all shape units) of a scan, so the glitcher's
+boot records (see ``docs/ARCHITECTURE.md``) kick in automatically: the
+pre-glitch boot up to the trigger cycle is simulated once per power-on
+seed page and every later simulated attempt from that page restores the
+record, and all units share one fault model and its point memo. On the
+multiprocessing path each worker builds its own glitcher and records its
+own boots. Tallies are identical with replay on or off
 (``benchmarks/test_bench_table1.py`` runs the differential).
 """
 
@@ -662,10 +663,18 @@ class _DefenseShapeSpec:
     detect: Optional[str]
 
 
-def _defense_shape_unit(spec: _DefenseShapeSpec) -> DefenseScanResult:
-    glitcher = ClockGlitcher(
-        spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect
-    )
+def _defense_shape_unit(
+    spec: _DefenseShapeSpec, glitcher: Optional[ClockGlitcher] = None
+) -> DefenseScanResult:
+    """One shape element's grid, on a fresh glitcher or on the scan's
+    shared one (whose boot records and fault model then carry over)."""
+    if glitcher is None:
+        glitcher = ClockGlitcher(
+            spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect
+        )
+    else:
+        # start from the factory seed page, exactly as a fresh board does
+        glitcher.board.erase_seed_page()
     before = dict(glitcher.counters)
     tally = DefenseScanResult(scenario="", defense="", attack="")
     for width, offset in _grid(spec.stride):
@@ -708,12 +717,15 @@ def run_defense_scan(
     """Attack a (possibly defended) firmware image with one Table VI attack.
 
     Each attack-shape element (one ``(ext_offset, repeat)`` pair, i.e. one
-    9,801-point grid) runs against a freshly power-cycled board, so shape
-    elements are independent of execution order and the scan tallies are
-    identical for any ``workers`` count — including against firmware whose
-    nonvolatile seed page evolves across attempts (the random-delay
-    defense). Within a shape element the board's seed page still persists
-    attempt-to-attempt, exactly like a real bench session.
+    9,801-point grid) starts from the factory seed page, as on a fresh
+    board, so shape elements are independent of execution order and the
+    scan tallies are identical for any ``workers`` count — including
+    against firmware whose nonvolatile seed page evolves across attempts
+    (the random-delay defense). Within a shape element the board's seed
+    page persists attempt-to-attempt, exactly like real hardware.
+    In process, all elements share one glitcher: every element replays the
+    seed sequence of the first, so later elements restore boot records
+    instead of booting.
     """
     try:
         shape = ATTACK_SHAPES[attack]
@@ -743,6 +755,7 @@ def run_defense_scan(
         checkpoint = open_campaign_checkpoint(
             checkpoint_dir, f"defense-{attack}", meta, resume=resume
         )
+    shared = ClockGlitcher(image, fault_model=fault_model, detect_symbol=detect)
     try:
         with obs.trace(
             f"scan.defense[{attack}]", attack=attack,
@@ -754,7 +767,7 @@ def run_defense_scan(
                     _DefenseShapeSpec(image, ext_offset, repeat, stride, fault_model, detect)
                     for ext_offset, repeat in shape
                 ],
-                serial_fn=_observed(obs, _defense_shape_unit),
+                serial_fn=_observed(obs, lambda spec: _defense_shape_unit(spec, shared)),
                 attempts_of=lambda tally: tally.attempts,
                 categories_of=lambda tally: {
                     "success": tally.successes,

@@ -14,7 +14,11 @@ speedup benchmarks keep comparing against them on the same inputs:
   counters) can be compared;
 - :func:`enumerate_by_k` / :func:`enumerate_class_sweep` — the full mask
   enumeration that :func:`repro.glitchsim.campaign.tally_reachable` and
-  the instruction-class sweep replace.
+  the instruction-class sweep replace;
+- :func:`staged_step_cycle` — the hw pipeline's clock cycle as four
+  separate stages (issue, front end, glitch, execute), which
+  :meth:`repro.hw.pipeline.PipelinedCPU.step_cycle` runs as one flat
+  method.
 """
 
 from __future__ import annotations
@@ -172,3 +176,114 @@ def enumerate_class_sweep(instruction_class: str, model: str = "and", k_values=N
             else:
                 result.derailments += 1
     return result
+
+
+# ----------------------------------------------------------------------
+# the staged hw pipeline cycle
+# ----------------------------------------------------------------------
+
+#: effect kinds that attach to the executing slot
+_SLOT_KINDS = (
+    "load_data", "store_data", "writeback", "branch_decision",
+    "cmp_transient", "skip", "replay",
+)
+
+
+def staged_step_cycle(pipeline) -> None:
+    """One clock cycle of ``pipeline`` (a ``PipelinedCPU``), stage by stage.
+
+    Completion always goes through ``PipelinedCPU._complete``, with or
+    without pending effects; ``step_cycle`` inlines the no-effect case.
+    """
+    from repro.errors import HardFault
+
+    if pipeline.execute_slot is None:
+        pipeline.execute_slot = _issue(pipeline)
+        if pipeline.stopped_at is not None:
+            return
+    if pipeline.execute_slot is not None and pipeline.trace_hook is not None:
+        slot = pipeline.execute_slot
+        pipeline.trace_hook(pipeline.cycles, slot.address, slot.raw)
+
+    _advance_front_end(pipeline)
+
+    effect = _resolve_glitch(pipeline)
+    if effect is not None:
+        if effect.kind == "reset":
+            raise HardFault(f"glitch-induced reset at cycle {pipeline.cycles}", None)
+        pipeline._apply_latch_effect(effect)
+
+    _execute_stage(pipeline, effect)
+    pipeline.cycles += 1
+
+
+def _issue(pipeline):
+    from repro.hw.pipeline import _issue_cost, _Slot
+
+    if pipeline.decode_latch is None:
+        return None
+    address, raw = pipeline.decode_latch
+    if len(raw) == 1 and (raw[0] >> 11) == 0b11110:
+        return None  # lone BL prefix: wait for its suffix halfword
+    pipeline.decode_latch = None
+    if address in pipeline.milestone_addresses:
+        pipeline.milestones.append((pipeline.cycles, address))
+    if address in pipeline.stop_addresses:
+        pipeline.stopped_at = address
+        return None
+    return _Slot(address=address, raw=raw, cycles_left=_issue_cost(raw), pending_effects=[])
+
+
+def _advance_front_end(pipeline) -> None:
+    """Move halfwords toward issue: fetch -> decode, memory -> fetch."""
+    if pipeline.decode_latch is None and pipeline.fetch_latch is not None:
+        address, halfword = pipeline.fetch_latch
+        pipeline.fetch_latch = None
+        pipeline.decode_latch = (address, (halfword,))
+    elif pipeline.decode_latch is not None and len(pipeline.decode_latch[1]) == 1:
+        address, raw = pipeline.decode_latch
+        if (raw[0] >> 11) == 0b11110 and pipeline.fetch_latch is not None:
+            _, suffix = pipeline.fetch_latch
+            pipeline.fetch_latch = None
+            pipeline.decode_latch = (address, (raw[0], suffix))
+
+    if pipeline.fetch_latch is None:
+        halfword = pipeline.cpu.memory.try_fetch_u16(pipeline.fetch_address)
+        if halfword is not None:
+            pipeline.fetch_latch = (pipeline.fetch_address, halfword)
+            pipeline.fetch_address += 2
+        elif pipeline.decode_latch is None and pipeline.execute_slot is None:
+            raise BadFetch(
+                f"pipeline ran into unmapped memory at {pipeline.fetch_address:#010x}",
+                pipeline.fetch_address,
+            )
+
+
+def _resolve_glitch(pipeline):
+    if pipeline.glitch_resolver is None:
+        return None
+    return pipeline.glitch_resolver(pipeline.cycles, _view(pipeline))
+
+
+def _view(pipeline):
+    from repro.hw.pipeline import _VIEWS, _classify_raw
+
+    slot = pipeline.execute_slot
+    has_decode = pipeline.decode_latch is not None
+    if slot is None:
+        return _VIEWS["none", True, has_decode]
+    # the front end is free while the slot is in its last cycle
+    return _VIEWS[_classify_raw(slot.raw), slot.cycles_left <= 1, has_decode]
+
+
+def _execute_stage(pipeline, effect) -> None:
+    slot = pipeline.execute_slot
+    if slot is None:
+        return
+    if effect is not None and effect.kind in _SLOT_KINDS:
+        slot.pending_effects.append(effect)
+    slot.cycles_left -= 1
+    if slot.cycles_left > 0:
+        return
+    pipeline._complete(slot)
+    pipeline.execute_slot = None

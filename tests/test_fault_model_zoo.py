@@ -40,7 +40,7 @@ from repro.isa import assemble
 BASE = 0x0800_0000
 
 #: every pipeline view a model can be shown, including the stalled
-#: no-fetch/no-decode view Pipeline._view produces mid-multi-cycle-op and
+#: no-fetch/no-decode view PipelinedCPU.step_cycle builds mid-multi-cycle-op and
 #: executing classes outside the current classifier's vocabulary
 ALL_VIEWS = [
     PipelineView(executing_class=cls, has_fetch=fetch, has_decode=decode)

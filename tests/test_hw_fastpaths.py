@@ -7,7 +7,11 @@ Each fast path is checked against the slow computation it replaces:
 - the first-decision ``ClockGlitcher._occurrence_plan`` against the first
   entry of the full per-cycle plan;
 - the settled-loop exit against the full settle, field by field on
-  ``AttemptResult`` and on the persisted seed page.
+  ``AttemptResult`` and on the persisted seed page;
+- seed-keyed boot records, shared by a scan's units, against
+  ``replay=False`` glitchers booting every attempt from reset;
+- the flat ``PipelinedCPU.step_cycle`` against the staged cycle in
+  ``tests/oracles.py``, in lock-step under random glitch effects.
 
 Also pins the ``hw.*`` scan counters and the process-wide decode memo.
 """
@@ -18,16 +22,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EmulationFault
 from repro.experiments.table6 import DEFENSE_STACKS, SCENARIOS
 from repro.firmware import build_guard_firmware
 from repro.firmware.guards import build_defended_guard
 from repro.hw import FAULT_MODELS
 from repro.hw import pipeline as pipeline_module
 from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE, GlitchParams
-from repro.hw.faults import FaultModel
+from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel
 from repro.hw.glitcher import ClockGlitcher
-from repro.hw.scan import ATTACK_SHAPES, run_defense_scan, run_long_glitch_scan
+from repro.hw.mcu import Board
+from repro.hw.scan import (
+    ATTACK_SHAPES,
+    map_cycles_to_instructions,
+    run_defense_scan,
+    run_long_glitch_scan,
+)
 from repro.obs import Observer
+from tests.oracles import staged_step_cycle
 
 widths = st.integers(WIDTH_RANGE.start, WIDTH_RANGE.stop - 1)
 offsets = st.integers(OFFSET_RANGE.start, OFFSET_RANGE.stop - 1)
@@ -221,6 +233,182 @@ win:
 
 
 # ----------------------------------------------------------------------
+# boot records vs from-reset runs
+# ----------------------------------------------------------------------
+
+#: one attempt: what happens to the board first, the attack shape element
+#: and the grid point
+record_attempts = st.tuples(
+    st.sampled_from(("none", "reset", "map_cycles")),
+    st.sampled_from(sorted(ATTACK_SHAPES)), st.integers(0, 10), band_points,
+)
+
+
+def _from_reset(image, detect, seed: bytes) -> ClockGlitcher:
+    glitcher = ClockGlitcher(image, detect_symbol=detect, replay=False)
+    glitcher.board._seed_page = bytearray(seed)
+    return glitcher
+
+
+class TestBootRecords:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("defense", ["none", "all"])
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(units=st.lists(st.lists(record_attempts, min_size=1, max_size=3),
+                          min_size=2, max_size=3))
+    def test_shared_records_match_from_reset(self, scenario, defense, units):
+        """Units on one shared glitcher (as a serial defense scan runs
+        them) equal per-attempt from-reset glitchers that follow the same
+        seed-page sequence, including across an external ``board.reset()``
+        and a ``map_cycles_to_instructions`` trace that leaves its hook on
+        the board's pipeline."""
+        image = _defended_image(scenario, defense)
+        detect = "gr_detected" if "gr_detected" in image.symbols else None
+        shared = ClockGlitcher(image, detect_symbol=detect)
+        booted: set = set()  # power-on seed pages attempted so far
+        for attempts in units:
+            shared.board.erase_seed_page()  # what each defense-scan unit does
+            seed = bytes(shared.board._seed_page)
+            for before, shape, index, (width, offset) in attempts:
+                if before == "reset":
+                    shared.board.reset()
+                elif before == "map_cycles":
+                    reference = _from_reset(image, detect, seed)
+                    assert map_cycles_to_instructions(shared, 8) == (
+                        map_cycles_to_instructions(reference, 8)
+                    )
+                    seed = bytes(reference.board._seed_page)
+                    assert bytes(shared.board._seed_page) == seed
+                ext_offset, repeat = ATTACK_SHAPES[shape][index % len(ATTACK_SHAPES[shape])]
+                params = GlitchParams(ext_offset, width, offset, repeat=repeat)
+                control = _from_reset(image, detect, seed)
+                # a record is restored exactly when this page booted before
+                assert (shared._usable_baseline() is not None) == (seed in booted)
+                booted.add(seed)
+                counters = dict(shared.counters)
+                got = shared.run_attempt(params, force_simulation=True)
+                want = control.run_attempt(params, force_simulation=True)
+                assert got == want
+                for name in ("hw.settled_exits", "hw.cycles"):
+                    assert shared.counters[name] - counters[name] == control.counters[name]
+                seed = bytes(control.board._seed_page)
+                assert bytes(shared.board._seed_page) == seed
+
+    def test_replay_clears_a_stale_trace_hook(self):
+        image = _defended_image("while_not_a", "none")
+        params = GlitchParams(3, 40, 40)  # no fault lands: a pure settle tail
+        traced, plain = ClockGlitcher(image), ClockGlitcher(image)
+        traced.run_attempt(params, force_simulation=True)
+        plain.run_attempt(params, force_simulation=True)
+        map_cycles_to_instructions(traced, 8)
+        # the trace's hook stays on the pipeline the next attempt restores
+        # into; the glitcher must install its own run configuration
+        stale, calls = traced.board.pipeline.trace_hook, []
+        assert stale is not None
+        traced.board.pipeline.trace_hook = lambda *args: calls.append(args) or stale(*args)
+        assert traced._usable_baseline() is not None
+        counters = [dict(glitcher.counters) for glitcher in (traced, plain)]
+        assert traced.run_attempt(params, force_simulation=True) == (
+            plain.run_attempt(params, force_simulation=True)
+        )
+        deltas = [
+            {name: glitcher.counters[name] - before[name]
+             for name in ("hw.settled_exits", "hw.cycles")}
+            for glitcher, before in zip((traced, plain), counters)
+        ]
+        assert deltas[0] == deltas[1]
+        assert deltas[0]["hw.settled_exits"] == 1
+        assert not calls
+
+
+# ----------------------------------------------------------------------
+# flat step_cycle vs the staged oracle
+# ----------------------------------------------------------------------
+
+#: cycle -> (kind, mask, mode, load substitute) for the effects to inject
+effect_schedules = st.dictionaries(
+    keys=st.integers(0, 300),
+    values=st.tuples(
+        st.sampled_from(EFFECT_KINDS),
+        st.integers(0, 0xFFFF),
+        st.sampled_from(("and", "or", "xor")),
+        st.sampled_from(("zero", "bus_residue", "sp_leak", "pattern", "mask", "wrong_reg")),
+    ),
+    max_size=10,
+)
+
+
+@lru_cache(maxsize=None)
+def _lockstep_image(name: str):
+    if name == "double":
+        return build_guard_firmware("a", "double")
+    if name == "defended":
+        return _defended_image("if_success", "all_no_delay")
+    return build_guard_firmware("not_a", "single")
+
+
+class TestFlatStepCycle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        image=st.sampled_from(("single", "double", "defended")),
+        schedule=effect_schedules,
+        gated=st.booleans(),
+    )
+    def test_matches_staged_cycle(self, image, schedule, gated):
+        """Both step functions, one board each, under the same injected
+        effects: same state and memory after every cycle, same resolver
+        and trace-hook calls, same fault."""
+        image = _lockstep_image(image)
+        boards = (Board(image), Board(image))
+        steps = (boards[0].pipeline.step_cycle,
+                 lambda: staged_step_cycle(boards[1].pipeline))
+        calls = ([], [])
+
+        def resolver_for(log):
+            def resolver(cycle, view):
+                log.append((cycle, view))
+                draw = schedule.get(cycle)
+                if draw is None:
+                    return None
+                kind, mask, mode, substitute = draw
+                return FaultEffect(kind, cycle, mask, mode,
+                                   substitute if kind == "load_data" else None)
+            return resolver
+
+        for board, log in zip(boards, calls):
+            pipeline = board.pipeline
+            pipeline.stop_addresses = frozenset({image.symbols["win"]})
+            if "exit1" in image.symbols:
+                pipeline.milestone_addresses = frozenset({image.symbols["exit1"]})
+            pipeline.glitch_resolver = resolver_for(log)
+            pipeline.trace_hook = lambda *args, log=log: log.append(("trace",) + args)
+
+        for cycle in range(400):
+            if gated:
+                # as the glitcher does: a resolver only on glitched cycles
+                for board, log in zip(boards, calls):
+                    board.pipeline.glitch_resolver = (
+                        resolver_for(log) if cycle in schedule else None
+                    )
+            raised = []
+            for step in steps:
+                try:
+                    step()
+                except EmulationFault as exc:
+                    raised.append(type(exc))
+                else:
+                    raised.append(None)
+            assert raised[0] == raised[1]
+            assert boards[0].pipeline.snapshot_state() == boards[1].pipeline.snapshot_state()
+            assert boards[0].ram_image() == boards[1].ram_image()
+            assert calls[0] == calls[1]
+            pipeline = boards[0].pipeline
+            if raised[0] is not None or pipeline.stopped_at is not None or pipeline.cpu.halted:
+                break
+
+
+# ----------------------------------------------------------------------
 # hw counters
 # ----------------------------------------------------------------------
 
@@ -233,21 +421,26 @@ def _hw_counters(obs: Observer) -> dict:
 
 class TestHwCounters:
     def test_defense_scan_counters_serial_equals_parallel(self):
-        image = _defended_image("while_not_a", "all_no_delay")
-        counters = []
-        for workers in (1, 2):
-            obs = Observer()
-            result = run_defense_scan(image, "windowed", stride=24, workers=workers, obs=obs)
-            hw = _hw_counters(obs)
-            assert hw["hw.fastpath"] + hw["hw.simulated"] == result.attempts
-            assert obs.counters["attempts"] == result.attempts
-            counters.append(hw)
-        assert counters[0] == counters[1]
-        assert counters[0]["hw.simulated"] > 0
-        assert counters[0]["hw.settled_exits"] > 0
+        # "all" adds random delay, whose seed page evolves attempt by
+        # attempt: serial units share one glitcher's boot records and
+        # workers do not, yet every unit must start from the factory page
+        for scenario, defense in (("while_not_a", "all_no_delay"), ("if_success", "all")):
+            image = _defended_image(scenario, defense)
+            counters = []
+            for workers in (1, 2):
+                obs = Observer()
+                result = run_defense_scan(image, "windowed", stride=24, workers=workers,
+                                          obs=obs)
+                hw = _hw_counters(obs)
+                assert hw["hw.fastpath"] + hw["hw.simulated"] == result.attempts
+                assert obs.counters["attempts"] == result.attempts
+                counters.append(hw)
+            assert counters[0] == counters[1], defense
+            assert counters[0]["hw.simulated"] > 0
+            assert counters[0]["hw.settled_exits"] > 0
 
     def test_shared_glitcher_scan_counters_serial_equals_parallel(self):
-        # the serial path shares one glitcher (and its baseline) across
+        # the serial path shares one glitcher (and its boot records) across
         # rows; workers build one per row: the counters still agree
         counters = []
         for workers in (1, 2):

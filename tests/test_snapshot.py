@@ -9,7 +9,7 @@ Three layers of guarantees, mirroring ``docs/ARCHITECTURE.md``:
    ``restore_state`` round-trip the architectural and micro-architectural
    state so a restored machine replays the exact same trajectory;
 3. the engines built on top — the harness ``snapshot`` engine and the
-   glitcher baseline replay — produce tallies *and* observability counters
+   glitcher boot records — produce tallies *and* observability counters
    bit-identical to the from-scratch slow paths (for the harness, the
    per-word rebuild oracle in tests/oracles.py).
 """
@@ -305,16 +305,29 @@ class TestGlitcherBaselineReplay:
                  slow_row.resets, slow_row.register_values)
         assert dict(replay_obs.counters) == dict(control_obs.counters)
 
-    def test_baseline_invalidated_by_external_reset(self):
+    def test_record_survives_external_reset(self):
+        """Boot records are keyed by the power-on seed page and hold no
+        board: after an external reset the next attempt still restores
+        the record, and equals a run booted from reset."""
         from repro.firmware.loops import build_guard_firmware
         from repro.hw.clock import GlitchParams
         from repro.hw.glitcher import ClockGlitcher
 
-        glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))
-        glitcher.run_attempt(GlitchParams(0, 20, -10), force_simulation=True)
-        assert glitcher._usable_baseline() is not None
+        firmware = build_guard_firmware("not_a", "single")
+        glitcher = ClockGlitcher(firmware)
+        control = ClockGlitcher(firmware, replay=False)
+        params = GlitchParams(0, 20, -10)
+        glitcher.run_attempt(params, force_simulation=True)
+        control.run_attempt(params, force_simulation=True)
+        record = glitcher._usable_baseline()
+        assert record is not None
         glitcher.board.reset()
-        assert glitcher._usable_baseline() is None
+        assert glitcher._usable_baseline() is record
+        pipeline = glitcher.board.pipeline
+        replayed = glitcher.run_attempt(params, force_simulation=True)
+        assert glitcher.board.pipeline is pipeline  # restored, not rebooted
+        assert replayed == control.run_attempt(params, force_simulation=True)
+        assert glitcher.board._seed_page == control.board._seed_page
 
     def test_baseline_invalidated_by_seed_page_change(self):
         """Nonvolatile-state evolution (the random-delay defense) disables

@@ -3,9 +3,9 @@
 Every row is deterministic given the default fault-model seed, so the
 ``(attempts, successes, detections, resets, no_effect)`` tallies are
 exact.  They cover the cycle-accurate hw track end to end: the
-fault-model fast path, board boots and baseline replay, the settled-loop
+fault-model fast path, board boots and boot-record replay, the settled-loop
 exit, pipeline stepping and decode.  One undefended row is recomputed
-with baseline replay off, every attempt booted from reset.
+with replay off, every attempt booted from reset.
 """
 
 from collections import Counter
