@@ -21,7 +21,8 @@ steps remaining) so the snapshot and vector engines stay bit-identical
 with each other and with a per-word world rebuild — the differential
 sweep in tests/test_image_campaign.py pins this.
 
-The disk-cache panel is ``site-<image digest>-<address>``: one shard per
+The disk-cache shard is the harness's world digest (see
+:meth:`repro.glitchsim.harness.WordHarness.world_digest`): one shard per
 site, shared by all three flip models and every re-run of the image.
 """
 
@@ -88,7 +89,6 @@ class SiteHarness(WordHarness):
         engine: str = "snapshot",
     ):
         super().__init__(
-            panel=f"site-{image.digest}-{site.address:08x}",
             zero_is_invalid=zero_is_invalid,
             disk_cache=disk_cache,
             engine=engine,
@@ -135,6 +135,8 @@ class SiteHarness(WordHarness):
             pristine_word=self.site.word,
             next_after_target=memory.try_fetch_u16(self.site.address + 2),
             marker_stops=self._stops,
+            success_address=self.site.fallthrough,
+            normal_address=self.site.taken,
         )
         return self._world
 

@@ -34,6 +34,7 @@ from repro.exec import (
     coerce_cache,
     open_campaign_checkpoint,
 )
+from repro.exec.cache import count_cache_traffic
 from repro.firmware.image import FirmwareImage
 from repro.glitchsim.campaign import check_campaign_args, tally_reachable
 from repro.glitchsim.harness import OUTCOME_CATEGORIES
@@ -212,10 +213,7 @@ def _site_unit(spec: _SiteSpec) -> SiteSweep:
         # per-word outcomes already computed survive even if the sweep raised
         if cache is not None:
             cache.flush()
-            obs = current()
-            obs.count("cache.hits", cache.hits)
-            obs.count("cache.misses", cache.misses)
-            obs.count("cache.memo_hits", cache.memo_hits)
+            count_cache_traffic(current(), cache, {})
 
 
 def _encode_site_sweep(sweep: SiteSweep) -> dict:
@@ -320,9 +318,7 @@ def run_image_campaign(
                 cache=cache, engine=spec.engine,
             )
 
-    cache_hits0 = cache.hits if cache is not None else 0
-    cache_misses0 = cache.misses if cache is not None else 0
-    cache_memo0 = cache.memo_hits if cache is not None else 0
+    cache_before = cache.counters() if cache is not None else {}
     sweeps: dict[str, list[SiteSweep]] = {}
     failed_units: list[FailedUnit] = []
     try:
@@ -375,9 +371,7 @@ def run_image_campaign(
         # SIGINT / worker crash must not discard dirty shards
         if cache is not None:
             cache.flush()
-            obs.count("cache.hits", cache.hits - cache_hits0)
-            obs.count("cache.misses", cache.misses - cache_misses0)
-            obs.count("cache.memo_hits", cache.memo_hits - cache_memo0)
+            count_cache_traffic(obs, cache, cache_before)
     return ImageCampaignResult(
         source=image.source,
         digest=image.digest,

@@ -10,12 +10,14 @@ those loops out of single-core Python *and* makes them survivable:
   bit-identical). Failing units retry with exponential backoff, hung
   workers are bounded by ``unit_timeout``, and poisoned specs quarantine
   into ``failed_units`` instead of killing the campaign;
-- :class:`OutcomeCache` persists snippet-harness outcomes on disk keyed by
-  ``(mnemonic, zero_is_invalid, corrupted_word)`` so panels that share
-  corrupted words — and re-runs — skip emulation entirely;
+- :class:`OutcomeCache` persists harness outcomes on disk keyed by the
+  replay world's content digest and stamped with the code's semantics
+  fingerprint, so branches and panels that share a world — and re-runs
+  of unchanged code — skip emulation entirely;
 - :class:`CampaignCheckpoint` records completed work units as JSONL so an
   interrupted campaign resumes from where it stopped and merges to the
-  same tallies an uninterrupted run produces;
+  same tallies an uninterrupted run produces (a checkpoint written by
+  other code is never resumed);
 - :class:`ProgressReporter` tracks attempts/sec, per-category tallies,
   elapsed time, and ETA, surfaced through a callback (the CLI's
   ``--progress`` flag).

@@ -1,23 +1,30 @@
-"""Persistent on-disk outcome cache for the Section IV snippet harness.
+"""Persistent on-disk outcome cache for the corrupted-word harnesses.
 
-The outcome of executing a corrupted snippet is a pure function of
-``(mnemonic, zero_is_invalid, corrupted_word)``, so it can be memoised
-across processes and across runs. The Figure 2 panels share corrupted
-words heavily — AND and XOR produce overlapping word populations, and the
-0x0000-invalid panel re-executes the same words under a different decode
-mode — so a warm cache turns a repeat panel into pure array gathers.
+A corrupted word's outcome is a pure function of the *replay world* (the
+machine paused at the target slot, hashed by
+:meth:`repro.glitchsim.harness.WordHarness.world_digest`) and of the code
+that emulates and classifies it. So outcomes are memoised across
+processes and runs under the world digest alone: branches whose worlds
+coincide (Figure 2's 14 snippets have 5 distinct worlds) share one shard,
+and the AND/OR/XOR panels share it too.
 
-Layout: one **dense binary shard** per ``(mnemonic, zero_is_invalid)``
-pair under the cache root — a ``uint8`` array of 65,536 category codes
-(one slot per possible 16-bit corrupted word, ``0`` = not cached,
-``1 + CATEGORIES.index(category)`` otherwise), serialized as a ``.npy``
-file. The dense shape makes every cache operation an array op: a batch
-lookup is one fancy-indexed gather, a batch merge is one scatter, and the
-whole shard is 64 KiB regardless of entry count. Only categories are
-persisted (campaign tallies never consume the free-text outcome detail).
-Shards are written atomically (temp file + rename), and each campaign
-work unit owns exactly one shard, so parallel workers never contend on a
-file.
+Layout: one **dense binary shard** per world digest under the cache root,
+``<digest>.npz`` holding ``codes`` — a ``uint8`` array of 65,536
+category codes (one slot per possible 16-bit corrupted word, ``0`` = not
+cached, ``1 + CATEGORIES.index(category)`` otherwise) — and
+``semantics``, the :func:`semantics_fingerprint` of the code that wrote
+it. The dense shape makes every cache operation an array op: a batch
+lookup is one fancy-indexed gather, a batch merge is one scatter. Only
+categories are persisted (campaign tallies never consume the free-text
+outcome detail). Shards are written atomically (temp file + rename), and
+each campaign work unit owns exactly one world, so parallel workers never
+contend on a file.
+
+A shard written under another fingerprint is never served: loading it
+counts one ``semantic_misses``, warns once per cache handle, and starts
+the shard empty, so the next :meth:`OutcomeCache.flush` overwrites it.
+A fix to the decoder, the emulator or a classifier therefore re-emulates
+instead of serving stale outcomes.
 
 The root defaults to ``$REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/repro-glitching``, else ``~/.cache/repro-glitching``.
@@ -25,11 +32,13 @@ The root defaults to ``$REPRO_CACHE_DIR``, else
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
-from collections.abc import Mapping as _MappingABC
+import warnings
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -65,47 +74,46 @@ def default_cache_root() -> Path:
     return base / "repro-glitching"
 
 
-class ShardView(_MappingABC):
-    """Read-only ``word -> category`` mapping over a dense code array.
+def source_fingerprint(package_root: Union[str, os.PathLike]) -> str:
+    """SHA-256 over every ``*.py`` file under ``package_root``.
 
-    The dict-shaped counterpart of :meth:`OutcomeCache.get_shard_codes`:
-    iteration yields only the cached words (nonzero codes), lookups of
-    uncached words raise ``KeyError`` (so ``.get`` returns ``None``), and
-    the view rejects mutation like the ``MappingProxyType`` it replaced.
+    Each file contributes its relative path, its length and its bytes, in
+    sorted path order, so editing, adding, renaming or deleting any source
+    file changes the fingerprint.
     """
+    root = Path(package_root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
-    __slots__ = ("_codes",)
 
-    def __init__(self, codes: np.ndarray):
-        self._codes = codes
+@lru_cache(maxsize=None)
+def semantics_fingerprint() -> str:
+    """:func:`source_fingerprint` of the installed ``repro`` package.
 
-    def __getitem__(self, word) -> str:
-        try:
-            index = int(word)
-        except (TypeError, ValueError):
-            raise KeyError(word) from None
-        if not 0 <= index < WORD_SPACE:
-            raise KeyError(word)
-        code = int(self._codes[index])
-        if code == 0:
-            raise KeyError(word)
-        return CATEGORIES[code - 1]
+    Computed once per process, and only when an :class:`OutcomeCache` or
+    a campaign checkpoint is opened. It is deliberately coarse: any source
+    change invalidates persisted outcomes and checkpoints, which is what
+    keeps them from outliving the semantics that produced them.
+    """
+    import repro
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.nonzero(self._codes)[0].tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._codes))
+    return source_fingerprint(Path(repro.__file__).parent)
 
 
 class OutcomeCache:
-    """Disk-backed ``(mnemonic, zero_is_invalid, word) -> category`` store."""
+    """Disk-backed ``(world digest, word) -> category`` store."""
 
     def __init__(self, root: Union[str, os.PathLike, None] = None):
         self.root = Path(root) if root is not None else default_cache_root()
         self.root.mkdir(parents=True, exist_ok=True)
-        self._shards: dict[tuple[str, bool], np.ndarray] = {}
-        self._dirty: set[tuple[str, bool]] = set()
+        #: the fingerprint shards are written under and must match to be served
+        self.fingerprint = semantics_fingerprint()
+        self._shards: dict[str, np.ndarray] = {}
+        self._dirty: set[str] = set()
         self.hits = 0
         self.misses = 0
         # Words resolved from a harness's in-memory memo before any disk
@@ -113,93 +121,57 @@ class OutcomeCache:
         # consulted), but campaign accounting still wants the denominator:
         # hits + misses + memo_hits == words requested.
         self.memo_hits = 0
+        #: shards found on disk but written under another fingerprint
+        self.semantic_misses = 0
 
     # ------------------------------------------------------------------
 
-    def get(self, mnemonic: str, zero_is_invalid: bool, word: int) -> Optional[str]:
-        code = int(self._shard(mnemonic, zero_is_invalid)[word & 0xFFFF])
+    def get(self, key: str, word: int) -> Optional[str]:
+        code = int(self._shard(key)[word & 0xFFFF])
         if code == 0:
             self.misses += 1
             return None
         self.hits += 1
         return CATEGORIES[code - 1]
 
-    def put(self, mnemonic: str, zero_is_invalid: bool, word: int, category: str) -> None:
+    def put(self, key: str, word: int, category: str) -> None:
         code = CATEGORY_CODES.get(category)
         if code is None:
             raise ValueError(f"unknown outcome category {category!r}")
-        self._shard(mnemonic, zero_is_invalid)[word & 0xFFFF] = code
-        self._dirty.add((mnemonic, zero_is_invalid))
+        self._shard(key)[word & 0xFFFF] = code
+        self._dirty.add(key)
 
-    def get_shard(
-        self, mnemonic: str, zero_is_invalid: bool
-    ) -> Mapping[int, str]:
-        """Read-only view of the whole ``(mnemonic, zero_is_invalid)`` shard.
-
-        Bulk counterpart to :meth:`get` for dict-shaped consumers; the
-        mask-algebra hot path uses :meth:`get_shard_codes` instead. Does
-        **not** touch the hit/miss counters — callers that consult the
-        shard directly report their own totals via :meth:`account`.
-        """
-        return ShardView(self._shard(mnemonic, zero_is_invalid))
-
-    def get_shard_codes(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
+    def get_shard_codes(self, key: str) -> np.ndarray:
         """The shard's dense ``uint8`` code array, as a read-only view.
 
         Zero-copy: index it with a word array to resolve a whole batch in
         one gather (``0`` = not cached, else ``CODE_CATEGORIES[code]``).
-        Like :meth:`get_shard`, it never touches the hit/miss counters —
-        report bulk totals via :meth:`account`.
+        It never touches the hit/miss counters — report bulk totals via
+        :meth:`account`.
         """
-        view = self._shard(mnemonic, zero_is_invalid).view()
+        view = self._shard(key).view()
         view.flags.writeable = False
         return view
 
-    def put_shard(
-        self, mnemonic: str, zero_is_invalid: bool, entries: Mapping[int, str]
-    ) -> None:
-        """Merge ``entries`` (word → category) into the shard in one pass."""
-        if not entries:
-            return
-        n = len(entries)
-        words = np.fromiter(entries.keys(), dtype=np.int64, count=n) & 0xFFFF
-        try:
-            codes = np.fromiter(
-                (CATEGORY_CODES[category] for category in entries.values()),
-                dtype=np.uint8,
-                count=n,
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown outcome category {exc.args[0]!r}") from None
-        self._shard(mnemonic, zero_is_invalid)[words] = codes
-        self._dirty.add((mnemonic, zero_is_invalid))
-
-    def put_shard_codes(
-        self,
-        mnemonic: str,
-        zero_is_invalid: bool,
-        words: np.ndarray,
-        codes: np.ndarray,
-    ) -> None:
+    def put_shard_codes(self, key: str, words: np.ndarray, codes: np.ndarray) -> None:
         """Merge parallel ``words``/``codes`` arrays in one scatter.
 
-        The array counterpart of :meth:`put_shard`: ``codes`` must hold
-        valid nonzero category codes (``CATEGORY_CODES`` values) — this is
-        the trusted fast path for harness batches whose codes came out of
-        the vector engine's classifier.
+        ``codes`` must hold valid nonzero category codes
+        (``CATEGORY_CODES`` values) — this is the trusted fast path for
+        harness batches whose codes came out of a classifier. Words are
+        masked to 16 bits, as in :meth:`put`.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.size == 0:
             return
-        shard = self._shard(mnemonic, zero_is_invalid)
-        shard[words & 0xFFFF] = np.asarray(codes, dtype=np.uint8)
-        self._dirty.add((mnemonic, zero_is_invalid))
+        self._shard(key)[words & 0xFFFF] = np.asarray(codes, dtype=np.uint8)
+        self._dirty.add(key)
 
     def account(self, hits: int = 0, misses: int = 0, memo_hits: int = 0) -> None:
         """Record bulk totals for lookups done outside :meth:`get`.
 
-        ``hits``/``misses`` cover shard lookups done via :meth:`get_shard`
-        or :meth:`get_shard_codes`; ``memo_hits`` covers words a harness
+        ``hits``/``misses`` cover shard lookups done via
+        :meth:`get_shard_codes`; ``memo_hits`` covers words a harness
         resolved from its in-memory memo without consulting the disk layer
         at all.
         """
@@ -207,20 +179,31 @@ class OutcomeCache:
         self.misses += misses
         self.memo_hits += memo_hits
 
+    def counters(self) -> dict[str, int]:
+        """This handle's traffic under its observer counter names."""
+        return {
+            "cache.hits": self.hits,
+            "cache.misses": self.misses,
+            "cache.memo_hits": self.memo_hits,
+            "cache.semantic_misses": self.semantic_misses,
+        }
+
     def flush(self) -> None:
         """Write every dirty shard atomically (temp file + rename)."""
         for key in sorted(self._dirty):
             self._write_shard(key)
         self._dirty.clear()
 
-    def _write_shard(self, key: tuple[str, bool]) -> None:
-        path = self._shard_path(*key)
+    def _write_shard(self, key: str) -> None:
+        path = self._shard_path(key)
         fd, tmp = tempfile.mkstemp(
             dir=str(self.root), prefix=path.name + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.save(handle, self._shards[key])
+                np.savez(
+                    handle, codes=self._shards[key], semantics=np.array(self.fingerprint)
+                )
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -241,32 +224,51 @@ class OutcomeCache:
 
     # ------------------------------------------------------------------
 
-    def _shard_path(self, mnemonic: str, zero_is_invalid: bool) -> Path:
-        suffix = "-0invalid" if zero_is_invalid else ""
-        return self.root / f"{mnemonic}{suffix}.npy"
+    def _shard_path(self, key: str) -> Path:
+        return self.root / f"{key}.npz"
 
-    def _shard(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
-        key = (mnemonic, zero_is_invalid)
+    def _shard(self, key: str) -> np.ndarray:
         shard = self._shards.get(key)
         if shard is None:
-            shard = self._shards[key] = self._load_shard(*key)
+            shard = self._shards[key] = self._load_shard(key)
         return shard
 
-    def _load_shard(self, mnemonic: str, zero_is_invalid: bool) -> np.ndarray:
-        path = self._shard_path(mnemonic, zero_is_invalid)
-        if path.exists():
-            try:
-                stored = np.load(path, allow_pickle=False)
-            except Exception:
-                stored = None  # a torn/corrupt shard is a cache miss, not an error
-            if (
-                stored is not None
-                and stored.shape == (WORD_SPACE,)
-                and stored.dtype == np.uint8
-                and int(stored.max(initial=0)) <= len(CATEGORIES)
-            ):
-                return np.ascontiguousarray(stored)
-        return np.zeros(WORD_SPACE, dtype=np.uint8)
+    def _load_shard(self, key: str) -> np.ndarray:
+        empty = np.zeros(WORD_SPACE, dtype=np.uint8)
+        path = self._shard_path(key)
+        if not path.exists():
+            return empty
+        try:
+            with np.load(path, allow_pickle=False) as stored:
+                codes = stored["codes"]
+                semantics = str(stored["semantics"])
+        except Exception:
+            return empty  # a torn/corrupt shard is a cache miss, not an error
+        if (
+            codes.shape != (WORD_SPACE,)
+            or codes.dtype != np.uint8
+            or int(codes.max(initial=0)) > len(CATEGORIES)
+        ):
+            return empty
+        if semantics != self.fingerprint:
+            if not self.semantic_misses:
+                warnings.warn(
+                    f"outcome shard {path} was written by different code; "
+                    "re-emulating its world and overwriting it",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            self.semantic_misses += 1
+            self._dirty.add(key)
+            return empty
+        return np.ascontiguousarray(codes)
+
+
+def count_cache_traffic(obs, cache: OutcomeCache, before: Mapping[str, int]) -> None:
+    """Add ``cache``'s counter growth since ``before`` (an earlier
+    :meth:`OutcomeCache.counters`) to the observer ``obs``."""
+    for name, value in cache.counters().items():
+        obs.count(name, value - before.get(name, 0))
 
 
 def coerce_cache(
@@ -283,8 +285,10 @@ __all__ = [
     "CATEGORY_CODES",
     "CODE_CATEGORIES",
     "OutcomeCache",
-    "ShardView",
     "WORD_SPACE",
     "coerce_cache",
+    "count_cache_traffic",
     "default_cache_root",
+    "semantics_fingerprint",
+    "source_fingerprint",
 ]

@@ -18,7 +18,10 @@ uninterrupted run.
 Checkpoints live under ``<cache root>/checkpoints`` by default (the same
 root the :class:`~repro.exec.cache.OutcomeCache` uses); campaign drivers
 derive the file name from a digest of the campaign parameters, so two
-differently-parameterised runs never collide.
+differently-parameterised runs never collide. :func:`open_campaign_checkpoint`
+folds the :func:`~repro.exec.cache.semantics_fingerprint` into every
+campaign's meta, so a resume after a code change starts a fresh file
+instead of merging tallies the old code produced.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.exec.cache import default_cache_root
+from repro.exec.cache import default_cache_root, semantics_fingerprint
 
 #: sentinel distinguishing "no record" from a recorded falsy payload
 MISSING = object()
@@ -152,10 +155,13 @@ def open_campaign_checkpoint(
 ) -> CampaignCheckpoint:
     """Open (or resume) the checkpoint for one parameterised campaign.
 
-    ``checkpoint_dir=None`` uses :func:`default_checkpoint_root`. The file
-    name embeds a digest of ``meta``, so a parameter change starts fresh
-    instead of tripping :class:`CheckpointMismatch`.
+    ``checkpoint_dir=None`` uses :func:`default_checkpoint_root`. The
+    stored meta is ``meta`` plus ``"semantics"``, the
+    :func:`~repro.exec.cache.semantics_fingerprint`; the file name embeds
+    a digest of it, so a parameter or code change starts fresh instead of
+    tripping :class:`CheckpointMismatch`.
     """
+    meta = {**meta, "semantics": semantics_fingerprint()}
     root = Path(checkpoint_dir) if checkpoint_dir is not None else default_checkpoint_root()
     path = root / f"{campaign_id(prefix, meta)}.jsonl"
     return CampaignCheckpoint(path, meta=meta, resume=resume, flush_every=flush_every)

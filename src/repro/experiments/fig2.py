@@ -28,7 +28,7 @@ PAPER_MEAN_SUCCESS = {"and": 0.60, "or": 0.30}
 @dataclass
 class Figure2Result:
     panels: dict[str, FigureData] = field(default_factory=dict)
-    #: quarantined per-branch sweeps of every panel (absent from the tallies)
+    #: quarantined world units of every panel (their branches are absent)
     failed_units: list[FailedUnit] = field(default_factory=list)
 
     def mean_success(self, panel: str) -> float:
@@ -69,7 +69,7 @@ def run_figure2(
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
     ``conditions`` to subsample for quick runs.
 
-    ``workers`` parallelises each panel's per-branch sweeps; ``cache`` (an
+    ``workers`` parallelises each panel's replay-world units; ``cache`` (an
     ``OutcomeCache`` or a directory path) persists outcomes on disk, so the
     AND/XOR panels share corrupted-word executions and re-runs skip
     emulation entirely. ``checkpoint_dir``/``resume`` make each panel's
@@ -80,9 +80,10 @@ def run_figure2(
     ``engine`` selects the harness execution engine for every panel
     (``"snapshot"`` or the NumPy lock-step ``"vector"`` backend — see
     :class:`repro.glitchsim.SnippetHarness`); the tallies are identical
-    for either engine. With a shared cache the AND/OR/XOR panels together
-    emulate at most 2^16 unique words per (branch, panel). ``chunk_size`` tunes executor dispatch batching
-    (``None`` = auto).
+    for either engine. Each panel emulates a word once per replay world (5
+    for the 14 branches); with a shared cache the AND/OR/XOR panels
+    together emulate at most 2^16 unique words per world. ``chunk_size``
+    tunes executor dispatch batching (``None`` = auto).
     """
     from repro.obs import coerce_observer
 

@@ -7,9 +7,19 @@ For an instruction of ``n`` bits the campaign covers every
 The executed outcome depends only on the *resulting* corrupted word, so the
 campaign never needs to enumerate masks at all: it classifies only the
 *unique reachable corrupted words* (``repro.glitchsim.maskalgebra``) — at
-most 2^16 per (mnemonic, panel), shared across all three flip models — and
+most 2^16 per replay world, shared across all three flip models — and
 derives the per-``k`` mask tallies in closed form, bit-identical to
 walking every mask (the test suite keeps that mask loop as its oracle).
+
+A word's outcome depends only on the *replay world*, the machine paused
+at the target slot (:meth:`WordHarness.world_digest`). Many branch
+snippets share one: the 14 Figure 2 snippets have 5 distinct worlds
+(``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``; ``ls``).
+:func:`run_branch_campaign` therefore makes one work unit per world, not
+per branch: the unit builds one harness and sweeps every member branch on
+it, so each corrupted word of a world is emulated once per campaign.
+Checkpoint records, quarantine and outcome-cache shards are per world too;
+the sweeps are re-emitted in condition order.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from repro.exec import (
     coerce_cache,
     open_campaign_checkpoint,
 )
-from repro.exec.cache import CODE_CATEGORIES
+from repro.exec.cache import CODE_CATEGORIES, count_cache_traffic
 from repro.glitchsim.harness import ENGINES, OUTCOME_CATEGORIES, SnippetHarness, WordHarness
 from repro.glitchsim.maskalgebra import MODELS, reachable_words, tally_from_word_codes
 from repro.glitchsim.snippets import BranchSnippet, all_branch_snippets
@@ -139,6 +149,7 @@ def sweep_instruction(
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
     engine: str = "snapshot",
+    harness: WordHarness | None = None,
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
 
@@ -148,10 +159,17 @@ def sweep_instruction(
     executed are free for XOR). ``engine`` picks the harness execution
     engine (``"snapshot"``/``"vector"``); both tally identically. The
     tallies come from :func:`tally_reachable`.
+
+    ``harness`` classifies on an already-built harness instead of a fresh
+    one for ``snippet`` (its own cache and engine then apply): any harness
+    whose :meth:`WordHarness.world_digest` equals this snippet's, built
+    with the same ``zero_is_invalid``, tallies identically, and words it
+    already emulated are free.
     """
-    harness = SnippetHarness(
-        snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
-    )
+    if harness is None:
+        harness = SnippetHarness(
+            snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
+        )
     return InstructionSweep(
         mnemonic=snippet.mnemonic,
         model=model,
@@ -162,10 +180,10 @@ def sweep_instruction(
 
 
 @dataclass(frozen=True)
-class _SweepSpec:
-    """Picklable work unit: one instruction's full sweep under one model."""
+class _WorldSpec:
+    """Picklable work unit: the sweeps of every branch sharing one world."""
 
-    mnemonic: str
+    mnemonics: tuple[str, ...]  # members, in condition order
     model: str
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
@@ -173,31 +191,54 @@ class _SweepSpec:
     engine: str = "snapshot"
 
 
-def _sweep_unit(spec: _SweepSpec) -> InstructionSweep:
-    """Worker entry point: rebuild the snippet (and cache handle) in-process."""
+def _sweep_world(
+    spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
+) -> list[InstructionSweep]:
+    """Sweep every member branch of one world on its shared harness."""
+    return [
+        sweep_instruction(
+            snippet, spec.model, zero_is_invalid=spec.zero_is_invalid,
+            k_values=spec.k_values, harness=harness,
+        )
+        for snippet in snippets
+    ]
+
+
+def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
+    """Worker entry point: rebuild the snippets, harness and cache in-process."""
     from repro.glitchsim.snippets import branch_snippet
 
-    snippet = branch_snippet(spec.mnemonic[1:])
+    snippets = [branch_snippet(mnemonic[1:]) for mnemonic in spec.mnemonics]
     cache = OutcomeCache(spec.cache_root) if spec.cache_root is not None else None
     try:
-        return sweep_instruction(
-            snippet,
-            spec.model,
-            zero_is_invalid=spec.zero_is_invalid,
-            k_values=spec.k_values,
-            cache=cache,
-            engine=spec.engine,
+        harness = SnippetHarness(
+            snippets[0], zero_is_invalid=spec.zero_is_invalid,
+            disk_cache=cache, engine=spec.engine,
         )
+        return _sweep_world(spec, snippets, harness)
     finally:
-        # per-word outcomes already computed survive even if the sweep raised
+        # per-word outcomes already computed survive even if the sweep raised;
+        # the unit's cache traffic (all of this fresh handle's) goes to the
+        # ambient (worker-local) observer, and the envelope carries it back
         if cache is not None:
             cache.flush()
-            # attribute this unit's disk-cache traffic to the ambient
-            # (worker-local) observer; the envelope carries it back
-            obs = current()
-            obs.count("cache.hits", cache.hits)
-            obs.count("cache.misses", cache.misses)
-            obs.count("cache.memo_hits", cache.memo_hits)
+            count_cache_traffic(current(), cache, {})
+
+
+def _world_totals(sweeps: list[InstructionSweep]) -> Counter:
+    total: Counter = Counter()
+    for sweep in sweeps:
+        total.update(sweep.totals)
+    return total
+
+
+def _encode_world(sweeps: list[InstructionSweep]) -> list[dict]:
+    """JSON-able checkpoint payload for one completed world unit."""
+    return [_encode_sweep(sweep) for sweep in sweeps]
+
+
+def _decode_world(payload: list[dict]) -> list[InstructionSweep]:
+    return [_decode_sweep(entry) for entry in payload]
 
 
 def _encode_sweep(sweep: InstructionSweep) -> dict:
@@ -239,17 +280,21 @@ def run_branch_campaign(
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
 
-    ``workers`` fans the per-instruction sweeps out over processes (one work
-    unit per branch; each unit owns its own cache shard, so workers never
-    contend on a file). Results are merged in instruction order, so
-    ``workers=1`` and ``workers=N`` produce identical campaigns.
+    The selected branches are grouped by :meth:`WordHarness.world_digest`
+    into one work unit per replay world (5 for all 14 branches); a unit
+    sweeps every member branch on one shared harness. ``workers`` fans the
+    units out over processes (each unit owns its world's cache shard, so
+    workers never contend on a file). Sweeps are re-emitted in condition
+    order, so ``workers=1`` and ``workers=N`` produce identical campaigns.
 
-    ``checkpoint_dir``/``resume`` persist each completed sweep to a JSONL
-    checkpoint (keyed by mnemonic) and replay recorded sweeps on resume, so
-    an interrupted campaign restarts only its missing branches and merges
-    to tallies identical to an uninterrupted run. ``retries`` grants a
-    failing sweep extra attempts (exponential backoff) before it is
-    quarantined into ``CampaignResult.failed_units``; ``unit_timeout``
+    ``checkpoint_dir``/``resume`` persist each completed world unit to a
+    JSONL checkpoint (keyed by its member mnemonics, e.g. ``beq`` or
+    ``bcc+bmi+blt+ble``) and replay recorded units on resume, so an
+    interrupted campaign restarts only its missing worlds and merges to
+    tallies identical to an uninterrupted run. ``retries`` grants a
+    failing unit extra attempts (exponential backoff) before it is
+    quarantined into ``CampaignResult.failed_units`` — whose spec names
+    every member branch, all absent from the sweeps; ``unit_timeout``
     bounds a unit's wall-clock seconds on the multiprocessing path.
 
     ``obs`` (a :class:`repro.obs.Observer`) traces the campaign span and
@@ -257,7 +302,7 @@ def run_branch_campaign(
     and quarantines — identically for any worker count.
 
     ``engine`` selects the harness execution engine (``"snapshot"``
-    replays one cached machine per branch, ``"vector"`` runs whole
+    replays one cached machine per world, ``"vector"`` runs whole
     batches lock-step on the NumPy backend). It is not part of the
     checkpoint fingerprint: tallies are bit-identical across engines, so
     a resumed campaign may switch freely.
@@ -281,10 +326,20 @@ def run_branch_campaign(
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
-    by_mnemonic = {snippet.mnemonic: snippet for snippet in snippets}
+    # group by replay world; the serial path sweeps on each world's first harness
+    worlds: dict[str, tuple[SnippetHarness, list[BranchSnippet]]] = {}
+    for snippet in snippets:
+        harness = SnippetHarness(
+            snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
+        )
+        worlds.setdefault(harness.world_digest(), (harness, []))[1].append(snippet)
+    units = {
+        tuple(snippet.mnemonic for snippet in members): (shared, members)
+        for shared, members in worlds.values()
+    }
     specs = [
-        _SweepSpec(snippet.mnemonic, model, zero_is_invalid, ks, cache_root, engine)
-        for snippet in snippets
+        _WorldSpec(mnemonics, model, zero_is_invalid, ks, cache_root, engine)
+        for mnemonics in units
     ]
 
     checkpoint = None
@@ -294,22 +349,19 @@ def run_branch_campaign(
             "model": model,
             "zero_is_invalid": zero_is_invalid,
             "k_values": list(ks) if ks is not None else None,
-            "conditions": sorted(by_mnemonic),
+            "conditions": sorted(snippet.mnemonic for snippet in snippets),
         }
         checkpoint = open_campaign_checkpoint(
             checkpoint_dir, f"branch-{model}", meta, resume=resume
         )
 
-    def serial(spec: _SweepSpec) -> InstructionSweep:
-        # in-process: reuse the built snippets and the shared cache handle;
+    def serial(spec: _WorldSpec) -> list[InstructionSweep]:
+        # in-process: reuse the built harnesses and the shared cache handle;
         # activate the campaign observer so the ambient algebra counters
         # land on it exactly as the worker-envelope path reports them
+        shared, members = units[spec.mnemonics]
         with activate(obs):
-            return sweep_instruction(
-                by_mnemonic[spec.mnemonic], spec.model,
-                zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values, cache=cache,
-                engine=spec.engine,
-            )
+            return _sweep_world(spec, members, shared)
 
     # vector-engine workers memmap the persisted operand tables (when
     # present) before their first unit, so no worker re-decodes the
@@ -325,40 +377,37 @@ def run_branch_campaign(
         retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
         obs=obs, initializer=initializer, initargs=initargs or (),
     )
-    # serial units reuse the shared cache handle, so their hit/miss
-    # traffic lands on the handle's counters rather than the ambient
-    # worker observer — count the deltas here. (The parallel path never
-    # touches the shared handle; workers report via their envelopes.)
-    cache_hits0 = cache.hits if cache is not None else 0
-    cache_misses0 = cache.misses if cache is not None else 0
-    cache_memo0 = cache.memo_hits if cache is not None else 0
+    # serial units reuse the shared cache handle, so their cache traffic
+    # lands on the handle's counters rather than the ambient worker
+    # observer — count the deltas here. (The parallel path never touches
+    # the shared handle; workers report via their envelopes.)
+    cache_before = cache.counters() if cache is not None else {}
     try:
         with obs.trace(f"campaign.branch[{model}]", model=model,
                        zero_is_invalid=zero_is_invalid, units=len(specs)):
-            sweeps = executor.map(
-                _sweep_unit,
+            results = executor.map(
+                _world_unit,
                 specs,
                 serial_fn=serial,
-                attempts_of=lambda sweep: sum(sweep.totals.values()),
-                categories_of=lambda sweep: dict(sweep.totals),
+                attempts_of=lambda sweeps: sum(_world_totals(sweeps).values()),
+                categories_of=lambda sweeps: dict(_world_totals(sweeps)),
                 checkpoint=checkpoint,
-                key_of=lambda spec: spec.mnemonic,
-                encode=_encode_sweep,
-                decode=_decode_sweep,
+                key_of=lambda spec: "+".join(spec.mnemonics),
+                encode=_encode_world,
+                decode=_decode_world,
             )
     finally:
         # SIGINT / worker crash must not discard dirty shards or the checkpoint
         if cache is not None:
             cache.flush()
-            obs.count("cache.hits", cache.hits - cache_hits0)
-            obs.count("cache.misses", cache.misses - cache_misses0)
-            obs.count("cache.memo_hits", cache.memo_hits - cache_memo0)
+            count_cache_traffic(obs, cache, cache_before)
         if checkpoint is not None:
             checkpoint.close()
+    done = {sweep.mnemonic: sweep for sweeps in results if sweeps for sweep in sweeps}
     return CampaignResult(
         model=model,
         zero_is_invalid=zero_is_invalid,
-        sweeps=[sweep for sweep in sweeps if sweep is not None],
+        sweeps=[done[s.mnemonic] for s in snippets if s.mnemonic in done],
         failed_units=list(executor.failed_units),
     )
 

@@ -38,10 +38,17 @@ runs the paper's marker-block snippets, and
 inside a whole firmware image.  A subclass supplies the replay point
 (:meth:`WordHarness._snapshot_world`) and the classification rules; the
 base class owns everything keyed by the corrupted word.
+
+A word's outcome depends only on that replay point, so
+:meth:`WordHarness.world_digest` hashes it (the target slot masked out)
+into the key under which outcomes are shared: one harness serves every
+branch whose world matches (Figure 2's 14 snippets have 5 distinct
+worlds), and the digest is the :class:`repro.exec.OutcomeCache` shard key.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -116,8 +123,8 @@ class _SnapshotWorld:
     # steps remain — otherwise execution resumes to keep the step
     # accounting bit-identical with an uninterrupted run.
     marker_stops: frozenset
-    success_address: Optional[int] = None  # snippet harness only
-    normal_address: Optional[int] = None  # snippet harness only
+    success_address: Optional[int] = None  # the stop that classifies success
+    normal_address: Optional[int] = None  # the taken path (None: no taken label)
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,10 @@ class WordHarness:
     flip-count into at most :math:`2^{16}` distinct executions total.
 
     ``disk_cache`` (a :class:`repro.exec.OutcomeCache`) adds a persistent
-    layer keyed by ``(panel, zero_is_invalid, corrupted_word)`` — the
-    ``panel`` string is the subclass's shard name (the snippet mnemonic, or
-    a per-site image key).  Only the outcome *category* is persisted, so a
-    disk hit returns an :class:`Outcome` with an empty detail string.
+    layer keyed by ``(world_digest(), corrupted_word)``, so harnesses of
+    different branches (or sites) whose replay worlds coincide share one
+    shard.  Only the outcome *category* is persisted, so a disk hit
+    returns an :class:`Outcome` with an empty detail string.
 
     ``engine`` selects how cache misses execute: ``"snapshot"`` (default)
     replays against a cached machine snapshot, and ``"vector"`` runs whole
@@ -176,14 +183,12 @@ class WordHarness:
 
     def __init__(
         self,
-        panel: str,
         zero_is_invalid: bool = False,
         disk_cache=None,
         engine: str = "snapshot",
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.panel = panel
         self.zero_is_invalid = zero_is_invalid
         self.disk_cache = disk_cache
         self.engine = engine
@@ -200,7 +205,50 @@ class WordHarness:
         # value, so corrupted and pristine words coexist as distinct keys).
         self._decode_cache: dict = {}
         self._world: Optional[_SnapshotWorld] = None  # built on first use
+        self._digest: Optional[str] = None  # world_digest(), on first use
         self._vector = None  # lazily-built repro.emu.vector.VectorEngine
+
+    def world_digest(self) -> str:
+        """SHA-256 hex digest of the replay point this harness classifies on.
+
+        Covers every :class:`_SnapshotWorld` field except the pristine
+        target word and the live machine objects: every mapped region
+        (layout, permissions and bytes, with the two target-slot bytes
+        zeroed, so flash and RAM), the CPU snapshot and the step budget,
+        the slot and region addresses, the halfword after the slot, the
+        marker stops and success/normal addresses — plus
+        ``zero_is_invalid`` and the harness class, which fix the decode
+        mode and the classification rules.  Two harnesses with equal
+        digests classify every corrupted word identically.
+        """
+        if self._digest is None:
+            world = self._snapshot_world()
+            if world.memory._journal:  # undo any scalar replay's stores
+                world.memory.restore(world.memory_snapshot)
+            digest = hashlib.sha256()
+
+            def mix(*values) -> None:
+                digest.update(repr(values).encode())
+                digest.update(b"\0")
+
+            cls = type(self)
+            mix(cls.__module__, cls.__qualname__, self.zero_is_invalid)
+            for region in world.memory_snapshot.regions:
+                data = bytearray(region.data)
+                if region.contains(world.target_address, 2):
+                    offset = world.target_address - region.base
+                    data[offset:offset + 2] = b"\0\0"
+                mix(region.name, region.base, region.size, region.readable,
+                    region.writable, region.executable)
+                digest.update(data)
+            snap = world.cpu_snapshot
+            mix(snap.regs, snap.flags, snap.halted, snap.instruction_count, world.budget)
+            mix(world.flash_base, world.ram_base, world.slot_offset,
+                world.target_address, world.next_after_target,
+                sorted(world.marker_stops), world.success_address,
+                world.normal_address)
+            self._digest = digest.hexdigest()
+        return self._digest
 
     def run(self, corrupted_word: int) -> Outcome:
         """Classify the execution with ``corrupted_word`` in the target slot."""
@@ -212,9 +260,7 @@ class WordHarness:
             cached = self._cache.get(corrupted_word)
             return cached if cached is not None else _OUTCOMES_BY_CODE[code]
         if self.disk_cache is not None:
-            category = self.disk_cache.get(
-                self.panel, self.zero_is_invalid, corrupted_word
-            )
+            category = self.disk_cache.get(self.world_digest(), corrupted_word)
             if category is not None:
                 self._codes[corrupted_word] = CATEGORY_CODES[category]
                 return _OUTCOMES_BY_CATEGORY[category]
@@ -222,10 +268,7 @@ class WordHarness:
         self._cache[corrupted_word] = outcome
         self._codes[corrupted_word] = CATEGORY_CODES[outcome.category]
         if self.disk_cache is not None:
-            self.disk_cache.put(
-                self.panel, self.zero_is_invalid, corrupted_word,
-                outcome.category,
-            )
+            self.disk_cache.put(self.world_digest(), corrupted_word, outcome.category)
         return outcome
 
     def run_many_codes(self, words) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +309,7 @@ class WordHarness:
         if self.disk_cache is not None:
             disk_hits = 0
             if pending.size:
-                shard = self.disk_cache.get_shard_codes(
-                    self.panel, self.zero_is_invalid
-                )
+                shard = self.disk_cache.get_shard_codes(self.world_digest())
                 found = shard[pending]
                 hit = found != 0
                 disk_hits = int(np.count_nonzero(hit))
@@ -295,7 +336,7 @@ class WordHarness:
                 done = to_flush[codes[to_flush] != 0]
                 if done.size:
                     self.disk_cache.put_shard_codes(
-                        self.panel, self.zero_is_invalid, done, codes[done]
+                        self.world_digest(), done, codes[done]
                     )
         return unique, codes[unique].copy()
 
@@ -449,7 +490,6 @@ class SnippetHarness(WordHarness):
         engine: str = "snapshot",
     ):
         super().__init__(
-            panel=snippet.mnemonic,
             zero_is_invalid=zero_is_invalid,
             disk_cache=disk_cache,
             engine=engine,

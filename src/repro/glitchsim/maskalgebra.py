@@ -30,8 +30,8 @@ words, the tallies satisfy the Vandermonde identity
 table missing a reachable word raises instead of silently under-counting.
 
 The word-outcome table is model-independent (it is keyed by the corrupted
-word alone), so one table serves all three models for a given
-``(mnemonic, zero_is_invalid)`` panel — XOR's full 2^16 word set subsumes
+word alone), so one table serves all three models for a given replay
+world (``WordHarness.world_digest``) — XOR's full 2^16 word set subsumes
 AND's submasks and OR's supersets, which is what lets the Figure 2
 campaign share a single word sweep across its panels.
 """

@@ -55,9 +55,15 @@ SETTLE_CYCLES = 400
 
 #: per-glitcher attempt counters (see :attr:`ClockGlitcher.counters`):
 #: attempts decided by the fault-model fast path, attempts simulated,
-#: simulated attempts cut short by the settled-loop exit, and pipeline
-#: cycles stepped after the first trigger
-HW_COUNTERS = ("hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles")
+#: simulated attempts cut short by the settled-loop exit, pipeline
+#: cycles stepped after the first trigger, and how each simulated run
+#: started — booted from reset, or restored from a boot record.  For
+#: scans, ``hw.full_boots + hw.baseline_replays == hw.simulated``
+#: (:meth:`ClockGlitcher.run_unglitched` runs count a start too).
+HW_COUNTERS = (
+    "hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles",
+    "hw.full_boots", "hw.baseline_replays",
+)
 
 #: machine states the settled-loop exit remembers per attempt
 _HISTORY_LIMIT = 4096
@@ -299,9 +305,11 @@ class ClockGlitcher:
             board.pipeline.restore_state(record.pipe_state)
             board._gpio_state = record.gpio_state
             board.boot_count += 1
+            self.counters["hw.baseline_replays"] += 1
             windows: list[int] = [record.trigger_cycle]
             capture = False
         else:
+            self.counters["hw.full_boots"] += 1
             board.reset()
             windows = []
             capture = self.replay

@@ -17,6 +17,7 @@ from repro.exec import (
     campaign_id,
     open_campaign_checkpoint,
 )
+from repro.exec.cache import semantics_fingerprint
 from repro.glitchsim import run_branch_campaign
 from repro.hw.scan import run_defense_scan, run_single_glitch_scan
 from repro.hw.search import ParameterSearch
@@ -95,6 +96,19 @@ class TestCampaignCheckpointStore:
         assert checkpoint.path.name.startswith("scan-single-a-")
         checkpoint.close()
 
+    def test_checkpoint_of_other_code_is_never_resumed(self, tmp_path, monkeypatch):
+        import repro.exec.checkpoint as checkpoint_mod
+
+        checkpoint = open_campaign_checkpoint(tmp_path, "branch-and", {"s": 1})
+        assert checkpoint.meta["semantics"] == semantics_fingerprint()
+        checkpoint.record("beq", {"k": 1})
+        checkpoint.close()
+        monkeypatch.setattr(checkpoint_mod, "semantics_fingerprint", lambda: "0" * 64)
+        resumed = open_campaign_checkpoint(tmp_path, "branch-and", {"s": 1}, resume=True)
+        assert resumed.path != checkpoint.path  # a fresh file, not a merge
+        assert len(resumed) == 0
+        resumed.close()
+
 
 CONDITIONS = ["eq", "ne", "lt", "ge"]
 KS = (1, 2)
@@ -110,7 +124,7 @@ class TestCampaignResume:
             )
         files = list(tmp_path.glob("*.jsonl"))
         assert len(files) == 1
-        # meta header + the two completed sweeps survived the interrupt
+        # meta header + the two completed world units survived the interrupt
         assert sum(1 for _ in files[0].open()) == 3
         resumed = run_branch_campaign(
             "and", k_values=KS, conditions=CONDITIONS,
@@ -139,7 +153,9 @@ class TestCampaignResume:
             "and", k_values=KS, conditions=CONDITIONS,
             checkpoint_dir=tmp_path, resume=True,
         )
-        assert len(executed) == 2  # the two units the interrupt dropped
+        # four branches are three world units (bne and bge share one);
+        # the interrupt dropped the last
+        assert executed == ["blt"]
 
     def test_poisoned_sweep_quarantined_without_aborting(self, monkeypatch):
         import repro.glitchsim.campaign as campaign_mod
@@ -158,9 +174,10 @@ class TestCampaignResume:
             "and", k_values=(1,), conditions=CONDITIONS, retries=2,
         )
         assert calls["bne"] == 3  # 1 initial + 2 retries
-        assert [f.spec.mnemonic for f in result.failed_units] == ["bne"]
+        # quarantine is per world: bge shares bne's world and goes with it
+        assert [f.spec.mnemonics for f in result.failed_units] == [("bne", "bge")]
         assert result.failed_units[0].attempts == 3
-        assert sorted(s.mnemonic for s in result.sweeps) == ["beq", "bge", "blt"]
+        assert [s.mnemonic for s in result.sweeps] == ["beq", "blt"]
 
     def test_parallel_resume_matches_serial_baseline(self, tmp_path):
         baseline = run_branch_campaign("and", k_values=KS, conditions=CONDITIONS)

@@ -2,9 +2,12 @@
 
 import json
 import os
+import shutil
 import sys
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.exec import (
@@ -362,42 +365,65 @@ class TestProgressReporter:
         assert sink.text.endswith("\n")
 
 
+def _codes(words, categories):
+    from repro.exec.cache import CATEGORY_CODES
+
+    return np.asarray(words), np.array([CATEGORY_CODES[c] for c in categories], dtype=np.uint8)
+
+
+def _cached(cache, key):
+    """``word -> category`` for every cached word of one shard."""
+    from repro.exec.cache import CODE_CATEGORIES
+
+    codes = cache.get_shard_codes(key)
+    return {int(word): CODE_CATEGORIES[codes[word]] for word in np.nonzero(codes)[0]}
+
+
 class TestOutcomeCache:
+    KEY = "a" * 64  # shard keys are world digests (sha256 hex)
+
     def test_roundtrip_and_persistence(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        assert cache.get("beq", False, 0x1234) is None
-        cache.put("beq", False, 0x1234, "success")
-        assert cache.get("beq", False, 0x1234) == "success"
+        assert cache.get(self.KEY, 0x1234) is None
+        cache.put(self.KEY, 0x1234, "success")
+        assert cache.get(self.KEY, 0x1234) == "success"
         cache.flush()
         # a second instance reads the shard back from disk
         again = OutcomeCache(tmp_path)
-        assert again.get("beq", False, 0x1234) == "success"
+        assert again.get(self.KEY, 0x1234) == "success"
         assert again.hits == 1
 
     def test_zero_invalid_shards_are_separate(self, tmp_path):
+        # the decode mode is part of the world digest, so one snippet
+        # under both modes owns two shards
         cache = OutcomeCache(tmp_path)
-        cache.put("beq", False, 0, "success")
-        cache.put("beq", True, 0, "invalid_instruction")
+        snippet = branch_snippet("eq")
+        plain = SnippetHarness(snippet, disk_cache=cache)
+        hardened = SnippetHarness(snippet, zero_is_invalid=True, disk_cache=cache)
+        assert plain.world_digest() != hardened.world_digest()
+        assert plain.run(0).category != hardened.run(0).category
         cache.flush()
-        assert (tmp_path / "beq.npy").exists()
-        assert (tmp_path / "beq-0invalid.npy").exists()
-        assert OutcomeCache(tmp_path).get("beq", True, 0) == "invalid_instruction"
+        assert (tmp_path / f"{plain.world_digest()}.npz").exists()
+        assert (tmp_path / f"{hardened.world_digest()}.npz").exists()
+        assert OutcomeCache(tmp_path).get(hardened.world_digest(), 0) == "invalid_instruction"
 
     def test_corrupt_legacy_shard_is_a_miss_not_an_error(self, tmp_path):
-        """A stray JSON file next to the binary shards is never read."""
-        (tmp_path / "beq.json").write_text(json.dumps({"7": "success"}))
+        """Stray files next to the shards (old JSON or ``.npy`` ones) are never read."""
+        (tmp_path / f"{self.KEY}.json").write_text(json.dumps({"7": "success"}))
+        np.save(tmp_path / f"{self.KEY}.npy", np.ones(1 << 16, dtype=np.uint8))
         cache = OutcomeCache(tmp_path)
-        assert cache.get("beq", False, 7) is None
+        assert cache.get(self.KEY, 7) is None
 
     def test_corrupt_binary_shard_is_a_miss_not_an_error(self, tmp_path):
-        (tmp_path / "beq.npy").write_bytes(b"\x93NUMPY garbage")
+        (tmp_path / f"{self.KEY}.npz").write_bytes(b"PK garbage")
         cache = OutcomeCache(tmp_path)
-        assert cache.get("beq", False, 7) is None
+        assert cache.get(self.KEY, 7) is None
+        assert cache.semantic_misses == 0
 
     def test_context_manager_flushes(self, tmp_path):
         with OutcomeCache(tmp_path) as cache:
-            cache.put("bne", False, 1, "no_effect")
-        assert dict(OutcomeCache(tmp_path).get_shard("bne", False)) == {1: "no_effect"}
+            cache.put(self.KEY, 1, "no_effect")
+        assert _cached(OutcomeCache(tmp_path), self.KEY) == {1: "no_effect"}
 
     def test_coerce_cache(self, tmp_path):
         assert coerce_cache(None) is None
@@ -407,15 +433,14 @@ class TestOutcomeCache:
 
     def test_shard_bulk_roundtrip(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        cache.put_shard("beq", False, {1: "success", 0x1FFFF: "no_effect"})
+        cache.put_shard_codes(self.KEY, *_codes([1, 0x1FFFF], ["success", "no_effect"]))
         cache.flush()
         again = OutcomeCache(tmp_path)
-        shard = again.get_shard("beq", False)
         # words are masked to 16 bits on the way in, like put()
-        assert dict(shard) == {1: "success", 0xFFFF: "no_effect"}
-        # the view is read-only; mutation goes through put/put_shard
-        with pytest.raises(TypeError):
-            shard[2] = "success"
+        assert _cached(again, self.KEY) == {1: "success", 0xFFFF: "no_effect"}
+        # the view is read-only; mutation goes through put/put_shard_codes
+        with pytest.raises(ValueError):
+            again.get_shard_codes(self.KEY)[2] = 1
         # bulk lookups do not touch the per-call counters...
         assert (again.hits, again.misses) == (0, 0)
         # ...callers report totals explicitly instead
@@ -424,15 +449,78 @@ class TestOutcomeCache:
 
     def test_put_shard_empty_is_noop(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        cache.put_shard("beq", False, {})
+        cache.put_shard_codes(self.KEY, *_codes([], []))
         cache.flush()
-        assert not (tmp_path / "beq.npy").exists()
+        assert not (tmp_path / f"{self.KEY}.npz").exists()
 
     def test_put_shard_merges_with_existing_entries(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        cache.put("beq", False, 1, "success")
-        cache.put_shard("beq", False, {2: "no_effect"})
-        assert dict(cache.get_shard("beq", False)) == {1: "success", 2: "no_effect"}
+        cache.put(self.KEY, 1, "success")
+        cache.put_shard_codes(self.KEY, *_codes([2], ["no_effect"]))
+        assert _cached(cache, self.KEY) == {1: "success", 2: "no_effect"}
+
+
+class TestSemanticsFingerprint:
+    def test_fingerprint_changes_with_one_source_byte(self, tmp_path):
+        from repro.exec.cache import semantics_fingerprint, source_fingerprint
+
+        import repro
+
+        package = tmp_path / "repro"
+        shutil.copytree(
+            os.path.dirname(repro.__file__), package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        before = source_fingerprint(package)
+        assert before == semantics_fingerprint()  # the installed package
+        source = package / "isa" / "decoder.py"
+        data = bytearray(source.read_bytes())
+        data[-2] ^= 0x01
+        source.write_bytes(bytes(data))
+        assert source_fingerprint(package) != before
+
+    def test_shard_of_other_code_is_reemulated_counted_and_rewritten(self, tmp_path):
+        snippet = branch_snippet("eq")
+        words = [0x0000, 0xD001, 0xFFFF]
+        with OutcomeCache(tmp_path) as stale:
+            stale.fingerprint = "0" * 64  # as if written before a decoder fix
+            SnippetHarness(snippet, disk_cache=stale).run_many(words)
+
+        cache = OutcomeCache(tmp_path)
+        harness = SnippetHarness(snippet, disk_cache=cache)
+        with pytest.warns(RuntimeWarning, match="written by different code"):
+            harness.run_many(words)
+        assert harness.words_executed == len(words)  # nothing served from disk
+        assert (cache.hits, cache.misses, cache.semantic_misses) == (0, 3, 1)
+        assert cache.counters()["cache.semantic_misses"] == 1
+        cache.flush()
+
+        warm = OutcomeCache(tmp_path)  # rewritten under today's fingerprint
+        again = SnippetHarness(snippet, disk_cache=warm)
+        again.run_many(words)
+        assert again.words_executed == 0
+        assert (warm.hits, warm.semantic_misses) == (3, 0)
+
+    def test_semantic_misses_reach_the_campaign_observer(self, tmp_path):
+        from repro.obs import Observer
+
+        campaign = dict(k_values=(1,), conditions=["eq"])
+        for workers in (1, 2):
+            root = tmp_path / str(workers)
+            with OutcomeCache(root) as stale:
+                stale.fingerprint = "0" * 64
+                run_branch_campaign("and", cache=stale, **campaign)
+            obs = Observer()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                run_branch_campaign("and", cache=OutcomeCache(root), workers=workers,
+                                    obs=obs, **campaign)
+            assert obs.counters["cache.semantic_misses"] == 1
+            assert obs.counters["cache.hits"] == 0
+            # the campaign rewrote the shard under today's fingerprint
+            warm = OutcomeCache(root)
+            run_branch_campaign("and", cache=warm, **campaign)
+            assert (warm.semantic_misses, warm.misses) == (0, 0)
 
 
 class TestHarnessDiskCache:
@@ -474,8 +562,10 @@ class TestCampaignParallel:
         run_branch_campaign(
             "and", k_values=(1,), conditions=["eq", "ne"], workers=2, cache=tmp_path
         )
-        assert (tmp_path / "beq.npy").exists()
-        assert (tmp_path / "bne.npy").exists()
+        # one shard per replay world, named by its digest
+        assert {path.stem for path in tmp_path.glob("*.npz")} == {
+            SnippetHarness(branch_snippet(c)).world_digest() for c in ("eq", "ne")
+        }
 
     def test_campaign_progress_counts_masks(self):
         reporter = ProgressReporter()

@@ -5,9 +5,9 @@ Every campaign here is deterministic given the default fault-model seed
 EXPERIMENTS.md are exact — any drift means the emulator, fault model, or
 campaign plumbing changed behaviour and the document must be re-measured.
 
-These run the full Figure 2 sweep (~1 min) and the stride-2 Table I scans,
-so they are marked ``slow`` and excluded from the default test run; select
-them with ``pytest -m slow``.
+These run the full Figure 2 sweep, the stride-2 Table I scans and the
+stride-2 Table VI scans (~14 s), so they are marked ``slow`` and excluded
+from the default test run; select them with ``pytest -m slow``.
 """
 
 import pytest
@@ -82,3 +82,51 @@ class TestTable1Golden:
         # RQ3: !a > a!=K > a ("while(a) was the most resilient")
         rates = {g: s.success_rate for g, s in table1.scans.items()}
         assert rates["not_a"] > rates["a_ne_const"] > rates["a"]
+
+
+class TestTable6Golden:
+    """Table VI at stride 2 (27,500 / 25,000 attempts a row), every row.
+
+    EXPERIMENTS.md quotes these successes and detection rates; the
+    ``while(!a)`` / All / single row went stale there once unnoticed.
+    """
+
+    #: (scenario, defense, attack) -> (attempts, successes, detections)
+    ROWS = {
+        ("while_not_a", "none", "single"): (27500, 150, 0),
+        ("while_not_a", "none", "long"): (25000, 49, 0),
+        ("while_not_a", "none", "windowed"): (27500, 74, 0),
+        ("while_not_a", "all", "single"): (27500, 2, 1),
+        ("while_not_a", "all", "long"): (25000, 2, 1),
+        ("while_not_a", "all", "windowed"): (27500, 2, 2),
+        ("while_not_a", "all_no_delay", "single"): (27500, 88, 68),
+        ("while_not_a", "all_no_delay", "long"): (25000, 42, 32),
+        ("while_not_a", "all_no_delay", "windowed"): (27500, 42, 127),
+        ("if_success", "none", "single"): (27500, 76, 0),
+        ("if_success", "none", "long"): (25000, 34, 0),
+        ("if_success", "none", "windowed"): (27500, 22, 0),
+        ("if_success", "all", "single"): (27500, 0, 1),
+        ("if_success", "all", "long"): (25000, 0, 0),
+        ("if_success", "all", "windowed"): (27500, 0, 0),
+        ("if_success", "all_no_delay", "single"): (27500, 5, 33),
+        ("if_success", "all_no_delay", "long"): (25000, 2, 36),
+        ("if_success", "all_no_delay", "windowed"): (27500, 12, 29),
+    }
+
+    @pytest.fixture(scope="class")
+    def table6(self):
+        from repro.experiments.table6 import run_table6
+
+        return run_table6(stride=2)
+
+    @pytest.mark.parametrize("row", sorted(ROWS), ids="-".join)
+    def test_row(self, table6, row):
+        scan = table6.get(*row)
+        assert (scan.attempts, scan.successes, scan.detections) == self.ROWS[row]
+
+    def test_worst_case_reduction(self, table6):
+        # EXPERIMENTS.md: the full stack cuts while(!a) single-glitch
+        # successes ~75× (150 → 2)
+        undefended = table6.get("while_not_a", "none", "single").successes
+        defended = table6.get("while_not_a", "all", "single").successes
+        assert undefended / defended == 75

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmulationFault
-from repro.experiments.table6 import DEFENSE_STACKS, SCENARIOS
+from repro.experiments.table6 import DEFENSE_STACKS, SCENARIOS, run_table6
 from repro.firmware import build_guard_firmware
 from repro.firmware.guards import build_defended_guard
 from repro.hw import FAULT_MODELS
@@ -438,6 +438,21 @@ class TestHwCounters:
             assert counters[0] == counters[1], defense
             assert counters[0]["hw.simulated"] > 0
             assert counters[0]["hw.settled_exits"] > 0
+
+    def test_table6_boot_counters_add_up_to_simulated(self):
+        # every simulated attempt boots from reset or restores a boot
+        # record; the split differs by worker count (serial shape units
+        # share one glitcher's records, workers do not), so only the
+        # identity is pinned, not serial == parallel boot counts
+        for workers in (1, 2):
+            obs = Observer()
+            run_table6(stride=24, workers=workers, obs=obs)
+            counters = obs.counters
+            assert counters["hw.simulated"] > 0
+            assert counters["hw.full_boots"] > 0
+            assert counters["hw.baseline_replays"] > 0
+            assert (counters["hw.full_boots"] + counters["hw.baseline_replays"]
+                    == counters["hw.simulated"]), workers
 
     def test_shared_glitcher_scan_counters_serial_equals_parallel(self):
         # the serial path shares one glitcher (and its boot records) across

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.bits import apply_flip, iter_masks, popcount
 from repro.exec import OutcomeCache
+from repro.exec.cache import CODE_CATEGORIES
 from repro.glitchsim import SnippetHarness, branch_snippet, sweep_instruction
 from repro.glitchsim.maskalgebra import (
     MODELS,
@@ -320,6 +321,7 @@ class TestRunMany:
         outcomes = warm.run_many(words)
         assert warm.words_executed == 0
         assert (warm_cache.hits, warm_cache.misses) == (3, 0)
+        shard = warm_cache.get_shard_codes(warm.world_digest())
         assert {word: outcome.category for word, outcome in outcomes.items()} == {
-            word: warm_cache.get_shard("beq", False)[word] for word in words
+            word: CODE_CATEGORIES[shard[word]] for word in words
         }

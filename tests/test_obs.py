@@ -270,10 +270,11 @@ class TestCampaignObservability:
 
         parallel = run_branch_campaign("and", workers=2, obs=obs_parallel, **SLICE)
 
-        # interrupted run: record the first 2 of 4 sweeps, then resume
+        # interrupted run: record 2 of the slice's 3 world units (beq;
+        # bne+bcs; bcc), then resume
         ck = tmp_path / "ck"
         partial = run_branch_campaign(
-            "and", conditions=["eq", "ne"], k_values=SLICE["k_values"],
+            "and", conditions=["eq", "cc"], k_values=SLICE["k_values"],
             checkpoint_dir=ck,
         )
         assert len(partial.sweeps) == 2
@@ -284,11 +285,11 @@ class TestCampaignObservability:
             "conditions": sorted(f"b{c}" for c in SLICE["conditions"]),
         }
         from repro.exec.checkpoint import open_campaign_checkpoint
-        from repro.glitchsim.campaign import _encode_sweep
+        from repro.glitchsim.campaign import _encode_world
 
         full_ck = open_campaign_checkpoint(ck, "branch-and", full_meta, resume=False)
-        for sweep in partial.sweeps:
-            full_ck.record(sweep.mnemonic, _encode_sweep(sweep))
+        for sweep in partial.sweeps:  # each a one-branch world unit
+            full_ck.record(sweep.mnemonic, _encode_world([sweep]))
         full_ck.close()
         resumed = run_branch_campaign(
             "and", workers=2, checkpoint_dir=ck, resume=True,

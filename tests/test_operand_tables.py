@@ -28,7 +28,7 @@ from repro.emu.vector import (
 )
 from repro.exec import ParallelExecutor
 from repro.glitchsim import branch_snippet, run_branch_campaign, sweep_instruction
-from repro.glitchsim.campaign import _SweepSpec, _sweep_unit
+from repro.glitchsim.campaign import _WorldSpec, _world_unit
 from repro.obs import Observer, activate
 
 SMALL_KS = (0, 1, 2)
@@ -145,9 +145,10 @@ class TestZeroRedecode:
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
         warm_tables()
+        # bne and bcs share one replay world, so one unit sweeps both
         specs = [
-            _SweepSpec(f"b{cond}", "xor", False, SMALL_KS, None, "vector")
-            for cond in ("eq", "ne", "cs")
+            _WorldSpec(members, "xor", False, SMALL_KS, None, "vector")
+            for members in (("beq",), ("bne", "bcs"))
         ]
         obs = Observer()
         executor = ParallelExecutor(
@@ -157,14 +158,15 @@ class TestZeroRedecode:
             initializer=preload_operand_tables,
             initargs=(str(isolated_tables), (False,)),
         )
-        sweeps = executor.map(_sweep_unit, specs)
+        sweeps = [sweep for unit in executor.map(_world_unit, specs) for sweep in unit]
         assert obs.counters.get("vector.table_rows_decoded", 0) == 0
         serial = [
             sweep_instruction(
-                branch_snippet(spec.mnemonic[1:]), spec.model,
+                branch_snippet(mnemonic[1:]), spec.model,
                 k_values=spec.k_values, engine="snapshot",
             )
             for spec in specs
+            for mnemonic in spec.mnemonics
         ]
         assert sweeps == serial
 

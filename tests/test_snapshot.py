@@ -303,7 +303,14 @@ class TestGlitcherBaselineReplay:
                     fast_row.resets, fast_row.register_values) == \
                 (slow_row.cycle, slow_row.attempts, slow_row.successes,
                  slow_row.resets, slow_row.register_values)
-        assert dict(replay_obs.counters) == dict(control_obs.counters)
+        # boot records change how simulated attempts start, nothing else
+        replayed_counts, control_counts = dict(replay_obs.counters), dict(control_obs.counters)
+        starts = ("hw.full_boots", "hw.baseline_replays")
+        assert control_counts.get("hw.baseline_replays", 0) == 0
+        assert replayed_counts.get("hw.baseline_replays", 0) > 0
+        assert sum(replayed_counts.pop(name, 0) for name in starts) == \
+            sum(control_counts.pop(name, 0) for name in starts)
+        assert replayed_counts == control_counts
 
     def test_record_survives_external_reset(self):
         """Boot records are keyed by the power-on seed page and hold no
