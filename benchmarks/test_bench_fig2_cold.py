@@ -1,4 +1,4 @@
-"""Cold full-Figure-2 benchmark: the zero-copy hot path, end to end.
+"""Cold full-Figure-2 benchmark: the vector engine, end to end.
 
 Times the *whole* Figure 2 campaign (all four panels, all 14 branch
 conditions, full ``k`` range) per engine and writes the measurements as
@@ -6,10 +6,9 @@ machine-readable JSON — ``BENCH_fig2.json`` by default,
 ``$REPRO_BENCH_FIG2_OUT`` to override — so CI can upload the artifact
 and gate on regressions.
 
-"Cold" means what a deployed run sees after ``repro warm-tables``: an
-empty outcome cache (every word is emulated) with the persisted operand
-tables memmapped from disk. The lazy-decode path (no table artifact at
-all) is reported separately as ``true_cold_s``. The gate asserts
+"Cold" means what a fresh process sees: an empty outcome cache (every
+word is emulated) and no operand tables yet, so the run includes
+building them. The gate asserts
 
 - the vector engine's cold wall time stays within
   ``$REPRO_BENCH_FIG2_BUDGET`` seconds (default 3.0 — generous against
@@ -19,7 +18,7 @@ all) is reported separately as ``true_cold_s``. The gate asserts
 
 The speedup field compares against a pinned 3.0 s baseline — the
 pre-optimization cold vector time this suite documented — so the JSON
-records how much headroom the zero-copy path keeps, not just a boolean.
+records how much headroom the cold path keeps, not just a boolean.
 """
 
 import json
@@ -43,24 +42,15 @@ GOLDEN_RATES = {
 
 
 @pytest.fixture
-def warmed_root(tmp_path, monkeypatch):
-    """A cache root holding freshly persisted operand tables.
-
-    ``REPRO_CACHE_DIR`` points at it so every ``operand_table()`` call
-    resolves here, and the process-wide table registry is cleared (and
-    restored afterwards) so the load path genuinely runs.
-    """
+def no_tables():
+    """Empty the process-wide operand-table registry (restored afterwards)."""
     from repro.emu import vector
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     saved = dict(vector._TABLES)
     vector._TABLES.clear()
-    try:
-        vector.warm_tables(root=tmp_path)
-        yield tmp_path
-    finally:
-        vector._TABLES.clear()
-        vector._TABLES.update(saved)
+    yield
+    vector._TABLES.clear()
+    vector._TABLES.update(saved)
 
 
 def _timed_fig2(engine: str, cache=None):
@@ -69,29 +59,16 @@ def _timed_fig2(engine: str, cache=None):
     return time.perf_counter() - start, result
 
 
-def test_fig2_cold_times_and_budget(warmed_root):
-    from repro.emu import vector
-
+def test_fig2_cold_times_and_budget(no_tables, tmp_path):
     report = {"figure": "fig2", "baseline_s": BASELINE_S, "engines": {}}
 
-    # vector, cold: empty outcome cache + persisted operand tables
+    # vector, cold: empty outcome cache, operand tables built in the run
     cold_s, cold = _timed_fig2("vector")
 
     # vector, warm: second run against a populated disk cache
-    cache_dir = warmed_root / "outcomes"
+    cache_dir = tmp_path / "outcomes"
     _timed_fig2("vector", cache=str(cache_dir))
     warm_s, warm = _timed_fig2("vector", cache=str(cache_dir))
-
-    # vector, true cold: no table artifact — the lazy-decode fallback
-    saved = dict(vector._TABLES)
-    vector._TABLES.clear()
-    os.environ["REPRO_CACHE_DIR"] = str(warmed_root / "empty")
-    try:
-        true_cold_s, lazy = _timed_fig2("vector")
-    finally:
-        os.environ["REPRO_CACHE_DIR"] = str(warmed_root)
-        vector._TABLES.clear()
-        vector._TABLES.update(saved)
 
     # snapshot, cold: the scalar reference point (one repetition)
     snap_s, snap = _timed_fig2("snapshot")
@@ -99,7 +76,6 @@ def test_fig2_cold_times_and_budget(warmed_root):
     report["engines"]["vector"] = {
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
-        "true_cold_s": round(true_cold_s, 3),
         "speedup_vs_baseline": round(BASELINE_S / cold_s, 2),
     }
     report["engines"]["snapshot"] = {"cold_s": round(snap_s, 3)}
@@ -112,16 +88,15 @@ def test_fig2_cold_times_and_budget(warmed_root):
     out = os.environ.get("REPRO_BENCH_FIG2_OUT", "BENCH_fig2.json")
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"\nfig2 cold: vector {cold_s:.2f}s (warm {warm_s:.2f}s, "
-          f"lazy-table {true_cold_s:.2f}s), snapshot {snap_s:.2f}s "
-          f"→ {out}")
+    print(f"\nfig2 cold: vector {cold_s:.2f}s (warm {warm_s:.2f}s), "
+          f"snapshot {snap_s:.2f}s → {out}")
 
     # correctness before speed: all paths bit-identical, rates golden
-    assert cold.panels == snap.panels == warm.panels == lazy.panels
+    assert cold.panels == snap.panels == warm.panels
     for name, rate in GOLDEN_RATES.items():
         assert cold.mean_success(name) == pytest.approx(rate, abs=5e-9)
 
     assert cold_s <= budget, (
         f"cold vector Figure 2 took {cold_s:.2f}s > {budget:.2f}s budget "
-        f"(baseline {BASELINE_S:.1f}s) — the zero-copy hot path regressed"
+        f"(baseline {BASELINE_S:.1f}s) — the cold vector path regressed"
     )

@@ -294,18 +294,10 @@ def run_image_campaign(
     ks = tuple(k_values) if k_values is not None else None
     by_id = {site.site_id: site for site in sites}
 
-    # vector-engine workers memmap the persisted operand tables (when
-    # present) before their first unit — see ``repro warm-tables``
-    initializer = initargs = None
-    if engine == "vector":
-        from repro.emu.vector import preload_operand_tables
-
-        initializer = preload_operand_tables
-        initargs = (cache_root, (zero_is_invalid,))
     executor = ParallelExecutor(
         workers=workers, chunk_size=chunk_size, progress=progress,
         retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs, initializer=initializer, initargs=initargs or (),
+        obs=obs,
     )
 
     def serial(spec: _SiteSpec) -> SiteSweep:

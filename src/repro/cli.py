@@ -15,8 +15,6 @@ Commands:
   AND/OR/XOR flip models and print the exploitability ranking.
 - ``experiment <name>`` — run one paper artifact
   (fig2 | table1 | ... | table7 | search) and print it.
-- ``warm-tables`` — decode and persist the shared vector-engine operand
-  tables (one build; every later run and worker memmaps them).
 - ``report <events.jsonl>`` — render the timing/metrics summary of a run
   recorded with ``--trace``/``--metrics-out``.
 """
@@ -293,14 +291,6 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_warm_tables(args) -> int:
-    from repro.emu.vector import warm_tables
-
-    for path in warm_tables(root=args.cache_dir):
-        print(path)
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.obs import load_events, render_report
 
@@ -398,16 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_flags(p_exp, "worker processes for campaign/scan experiments "
                                 "(0 = all cores; table4/5/7 and search are serial)")
     p_exp.set_defaults(func=cmd_experiment)
-
-    p_warm = sub.add_parser(
-        "warm-tables",
-        help="decode and persist the vector engine's shared operand tables",
-    )
-    p_warm.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache root to write the table artifacts under "
-                             "(default: the REPRO_CACHE_DIR / XDG cache root "
-                             "every vector run and worker loads from)")
-    p_warm.set_defaults(func=cmd_warm_tables)
 
     p_report = sub.add_parser(
         "report", help="summarise a --trace/--metrics-out JSONL event log"

@@ -12,11 +12,10 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
   target slot (both for the fetched halfword and for a BL-suffix
   lookahead at ``target ± 2``, and byte-wise for data loads that read the
   slot), so the base image is never mutated;
-- **decode** is a 65,536-row operand table built lazily *through the
-  scalar decoder* (:func:`repro.isa.decoder.decode`) and shared
-  process-wide per ``zero_is_invalid`` setting — each unique halfword is
-  decoded exactly once, and the per-harness decode cache is consulted and
-  seeded so the scalar replay engine sees the same memo;
+- **decode** is a lookup in a read-only 65,536-row operand table, built
+  once per process in NumPy from the decoder's own format tables (all
+  2^16 words at once, a few tens of milliseconds) and shared per
+  ``zero_is_invalid`` setting;
 - **execute** groups live lanes by opcode and runs one vectorized handler
   per group, mirroring :mod:`repro.emu.cpu` / :mod:`repro.emu.alu`
   bit-for-bit (including the LSR/ASR ``#0 == 32`` quirk, shift-by-zero
@@ -38,21 +37,15 @@ vector handler, so every lane ends with a terminal status.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.bits import bits, sign_extend
-from repro.errors import InvalidInstruction
-from repro.exec.cache import CATEGORY_CODES, default_cache_root
+from repro.exec.cache import CATEGORY_CODES
 from repro.isa.conditions import Flags
-from repro.isa.decoder import decode
-from repro.isa.instruction import Instruction
+from repro.isa.decoder import _FMT4_OPS, _FMT7_8_OPS, _HINTS
+from repro.isa.registers import LR, PC, SP
 
 M32 = 0xFFFFFFFF
 _TWO31 = 1 << 31
@@ -140,412 +133,198 @@ _LOGIC_AUX = {"ands": 0, "eors": 1, "orrs": 2, "bics": 3}
 _EXTEND_AUX = {"sxth": 0, "sxtb": 1, "uxth": 2, "uxtb": 3}
 _REV_AUX = {"rev": 0, "rev16": 1, "revsh": 2}
 
+#: format-4 ALU mnemonic -> (opcode, aux)
+_ALU_ROWS = {
+    **{m: (OP_LOGIC, aux) for m, aux in _LOGIC_AUX.items()},
+    **{m: (OP_SHIFT_REG, aux) for m, aux in _SHIFT_AUX.items()},
+    "tst": (OP_TST, 0), "adcs": (OP_ADC, 0), "sbcs": (OP_SBC, 0), "negs": (OP_NEG, 0),
+    "cmp": (OP_CMP_REG, 0), "cmn": (OP_CMN, 0), "muls": (OP_MUL, 0), "mvns": (OP_MVN, 0),
+}
+
+#: load/store mnemonic -> (opcode, aux)
+_MEMORY_ROWS = {
+    **{m: (OP_LOAD, aux) for m, aux in _LOAD_AUX.items()},
+    **{m: (OP_STORE, aux) for m, aux in _STORE_AUX.items()},
+}
+
+#: operand column -> (dtype, value in a row that does not use the column)
+_COLUMNS = {
+    "op": (np.uint8, OP_INVALID),
+    "aux": (np.uint8, 0),
+    "rd": (np.int8, -1),
+    "rs": (np.int8, -1),
+    "base": (np.int8, -1),
+    "ro": (np.int8, -1),
+    "imm": (np.int64, 0),
+    "cond": (np.int8, -1),
+    "reg_list": (np.uint16, 0),
+}
+
+
+def _lookup(rows: Mapping[str, tuple], names: Sequence[str], index: np.ndarray) -> tuple:
+    """Per-row (opcode, aux) for a format whose mnemonic is ``names[index]``."""
+    op, aux = np.array([rows[name] for name in names]).T
+    return op[index], aux[index]
+
+
+def _sign_extend(value: np.ndarray, width: int) -> np.ndarray:
+    sign = 1 << (width - 1)
+    return (value ^ sign) - sign
+
+
+def _decode_all() -> dict[str, np.ndarray]:
+    """Operand columns for all 65,536 halfwords under the base ISA.
+
+    Follows :func:`repro.isa.decoder.decode` format by format, reusing
+    its mnemonic tables: each format is a mask over ``np.arange(1 << 16)``
+    and its operands are bit fields of the same array, so the whole word
+    space decodes in a few dozen array passes.  A row no format claims
+    stays ``OP_INVALID``.  A BL prefix row holds the high offset; the
+    suffix (and so validity) is checked per lane at execute time.
+    """
+    hw = np.arange(1 << 16, dtype=np.int64)
+    columns = {
+        name: np.full(hw.size, fill, dtype=dtype) for name, (dtype, fill) in _COLUMNS.items()
+    }
+
+    def field(hi: int, lo: int) -> np.ndarray:
+        return (hw >> lo) & ((1 << (hi - lo + 1)) - 1)
+
+    def put(sel: np.ndarray, op, aux=0, **operands) -> None:
+        for name, value in (("op", op), ("aux", aux), *operands.items()):
+            columns[name][sel] = value[sel] if isinstance(value, np.ndarray) else value
+
+    top3, op2 = field(15, 13), field(12, 11)
+    b12, b11 = field(12, 12) == 1, field(11, 11) == 1
+    lo3, mid3, hi3 = field(2, 0), field(5, 3), field(10, 8)
+    imm5, imm8 = field(10, 6), field(7, 0)
+
+    # format 1: lsls/lsrs/asrs Rd, Rs, #imm5 (lsr/asr #0 shift by 32)
+    put((top3 == 0) & (op2 != 3), OP_SHIFT_IMM, op2, rd=lo3, rs=mid3,
+        imm=np.where((op2 != 0) & (imm5 == 0), 32, imm5))
+    # format 2: adds/subs Rd, Rs, Rn|#imm3
+    immediate = field(10, 10) == 1
+    put((top3 == 0) & (op2 == 3), np.where(field(9, 9) == 1, OP_SUBS, OP_ADDS),
+        rd=lo3, rs=mid3, ro=np.where(immediate, -1, field(8, 6)),
+        imm=np.where(immediate, field(8, 6), 0))
+    # format 3: movs/cmp/adds/subs Rd, #imm8 (adds/subs read Rd as the lhs)
+    put(top3 == 1, np.array([OP_MOVS_IMM, OP_CMP_IMM, OP_ADDS, OP_SUBS])[op2],
+        rd=hi3, rs=np.where(op2 >= 2, hi3, -1), imm=imm8)
+    # format 4: register ALU operations
+    put((top3 == 2) & (field(12, 10) == 0), *_lookup(_ALU_ROWS, _FMT4_OPS, field(9, 6)),
+        rd=lo3, rs=mid3)
+    # format 5: add/cmp/mov with high registers, bx/blx
+    fmt5 = (top3 == 2) & (field(12, 10) == 1)
+    op5, h1, h2 = field(9, 8), field(7, 7), field(6, 6)
+    rs5 = mid3 | (h2 << 3)
+    put(fmt5 & (op5 == 3) & (lo3 == 0) & ~((h1 == 1) & (rs5 == PC)), OP_BX, h1, rs=rs5)
+    put(fmt5 & (op5 != 3) & ~((op5 == 1) & (h1 == 0) & (h2 == 0)),
+        np.array([OP_HI_ADD, OP_CMP_REG, OP_HI_MOV, OP_INVALID])[op5],
+        rd=lo3 | (h1 << 3), rs=rs5)
+    # format 6: ldr Rd, [pc, #imm8*4]
+    put((top3 == 2) & ~b12 & b11, OP_LOAD, _LOAD_AUX["ldr"], rd=hi3, base=PC, imm=imm8 * 4)
+    # formats 7/8: load/store with register offset
+    put((top3 == 2) & b12, *_lookup(_MEMORY_ROWS, _FMT7_8_OPS, field(11, 9)),
+        rd=lo3, base=mid3, ro=field(8, 6))
+    # format 9: str/ldr Rd, [Rb, #imm5*4], strb/ldrb Rd, [Rb, #imm5]
+    put(top3 == 3, *_lookup(_MEMORY_ROWS, ("str", "ldr", "strb", "ldrb"), op2),
+        rd=lo3, base=mid3, imm=np.where(b12, imm5, imm5 * 4))
+    # format 10: strh/ldrh Rd, [Rb, #imm5*2]
+    put((top3 == 4) & ~b12, *_lookup(_MEMORY_ROWS, ("strh", "ldrh"), field(11, 11)),
+        rd=lo3, base=mid3, imm=imm5 * 2)
+    # format 11: str/ldr Rd, [sp, #imm8*4]
+    put((top3 == 4) & b12, *_lookup(_MEMORY_ROWS, ("str", "ldr"), field(11, 11)),
+        rd=hi3, base=SP, imm=imm8 * 4)
+    # format 12: adr Rd, #imm8*4 / add Rd, sp, #imm8*4
+    put((top3 == 5) & ~b12, np.where(b11, OP_ADD_SP_IMM, OP_ADR), rd=hi3, imm=imm8 * 4)
+
+    # 1011 miscellaneous group
+    misc = (top3 == 5) & b12
+    sub = field(11, 8)
+    # format 13: add/sub sp, #imm7*4
+    put(misc & (sub == 0b0000), OP_ADJ_SP, imm=np.where(field(7, 7) == 1, -4, 4) * field(6, 0))
+    # sxth/sxtb/uxth/uxtb (_EXTEND_AUX is in encoding order)
+    put(misc & (sub == 0b0010), OP_EXTEND, field(7, 6), rd=lo3, rs=mid3)
+    # format 14: push {rlist[, lr]} / pop {rlist[, pc]}; an empty list is undefined
+    reg_list = imm8 | (field(8, 8) << np.where(b11, PC, LR))
+    put(misc & np.isin(sub, (0b0100, 0b0101, 0b1100, 0b1101)) & (reg_list != 0),
+        np.where(b11, OP_POP, OP_PUSH), reg_list=reg_list)
+    # cps, modelled as a hint
+    put(misc & (sub == 0b0110) & (field(7, 5) == 0b011), OP_NOP)
+    # rev/rev16/revsh (op 0b10 is undefined)
+    rev_aux = np.array([_REV_AUX["rev"], _REV_AUX["rev16"], 0, _REV_AUX["revsh"]])
+    put(misc & (sub == 0b1010) & (field(7, 6) != 0b10), OP_REV, rev_aux[field(7, 6)],
+        rd=lo3, rs=mid3)
+    # bkpt
+    put(misc & (sub == 0b1110), OP_HALT)
+    # nop/yield/wfe/wfi/sev hints
+    hint_op = np.full(16, OP_INVALID)
+    for code, name in _HINTS.items():
+        hint_op[code] = OP_HALT if name in ("wfi", "wfe") else OP_NOP
+    hint = hint_op[field(7, 4)]
+    put(misc & (sub == 0b1111) & (field(3, 0) == 0) & (hint != OP_INVALID), hint)
+
+    # format 15: stmia/ldmia Rb!, {rlist}; an empty list is undefined
+    put((top3 == 6) & ~b12 & (imm8 != 0), np.where(b11, OP_LDMIA, OP_STMIA),
+        base=hi3, reg_list=imm8)
+    # formats 16/17: b<cond> #offset8*2, svc #imm8 (cond 0b1110 is udf)
+    cond = field(11, 8)
+    put((top3 == 6) & b12 & (cond < 0b1110), OP_BCOND, cond=cond,
+        imm=_sign_extend(imm8, 8) * 2)
+    put((top3 == 6) & b12 & (cond == 0b1111), OP_SVC, imm=imm8)
+    # formats 18/19: b #offset11*2, bl prefix (0b11101 and a lone suffix are undefined)
+    offset11 = _sign_extend(field(10, 0), 11)
+    put((top3 == 7) & (op2 == 0b00), OP_B, imm=offset11 * 2)
+    put((top3 == 7) & (op2 == 0b10), OP_BL_PREFIX, imm=offset11 << 12)
+    return columns
+
 
 class _OperandTable:
-    """Lazily-filled decoded-operand columns for all 65,536 halfwords."""
+    """Read-only decoded-operand columns for all 65,536 halfwords of one mode."""
 
-    def __init__(self, zero_is_invalid: bool):
-        n = 1 << 16
-        self.zero_is_invalid = zero_is_invalid
-        #: True once every row is decoded — lets the engine's per-step
-        #: missing-row scan (an np.unique over the fetched halfwords)
-        #: be skipped entirely on the hot path
-        self.complete = False
-        self.filled = np.zeros(n, dtype=bool)
-        self.op = np.zeros(n, dtype=np.uint8)
-        self.aux = np.zeros(n, dtype=np.uint8)
-        self.rd = np.full(n, -1, dtype=np.int8)
-        self.rs = np.full(n, -1, dtype=np.int8)
-        self.base = np.full(n, -1, dtype=np.int8)
-        self.ro = np.full(n, -1, dtype=np.int8)
-        self.imm = np.zeros(n, dtype=np.int64)
-        self.cond = np.full(n, -1, dtype=np.int8)
-        self.reg_list = np.zeros(n, dtype=np.uint16)
-        #: decoded mnemonic per row (None = invalid)
-        self.mnemonic: list = [None] * n
+    #: tables are built whole, never row by row
+    complete = True
 
-    def ensure(self, halfwords: Iterable[int], decode_cache: Optional[dict] = None) -> None:
-        """Decode (once, via the scalar decoder) any still-missing rows.
-
-        ``decode_cache`` is the per-harness decode memo: rows already
-        memoised there (including memoised :class:`InvalidInstruction`)
-        are reused, and fresh decodes are written back, so the scalar
-        replay engine and the vector engine share one decode per word.
-        BL *prefixes* are next-halfword-dependent in the scalar cache
-        (tuple keys) and are therefore materialised directly here from
-        the encoding, leaving the tuple-keyed entries alone.
-
-        The hardened-ISA table differs from the base table only at
-        0x0000 (the one word ``zero_is_invalid`` affects), so any row the
-        base table has already decoded is adopted by bulk column copy
-        instead of re-decoded.
-
-        Every row filled here is counted on the ambient observer as
-        ``vector.table_rows_decoded`` — a table loaded from a persisted
-        artifact (``complete`` is set, so this is a no-op) keeps that
-        counter at zero, which is how tests prove workers reuse the
-        memmapped table instead of re-decoding.
-        """
-        if self.complete:
-            return
-        halfwords = list(halfwords)
-        filled = self.filled
-        filled_before = int(filled.sum())
-        if self.zero_is_invalid:
-            base = _TABLES.get(False)
-            if base is not None:
-                adopt = np.asarray(
-                    [hw for hw in halfwords if hw and base.filled[hw] and not filled[hw]],
-                    dtype=np.int64,
-                )
-                if adopt.size:
-                    for column in (
-                        "op", "aux", "rd", "rs", "base", "ro",
-                        "imm", "cond", "reg_list",
-                    ):
-                        getattr(self, column)[adopt] = getattr(base, column)[adopt]
-                    for hw in adopt.tolist():
-                        self.mnemonic[hw] = base.mnemonic[hw]
-                    filled[adopt] = True
-        for hw in halfwords:
-            hw = int(hw)
-            if filled[hw]:
-                continue
-            if (hw >> 11) == 0b11110:
-                # BL prefix: the row stores offset_high; the suffix (and
-                # hence validity) is resolved per lane at execute time.
-                self._set_row(hw, "bl", OP_BL_PREFIX, imm=sign_extend(bits(hw, 10, 0), 11) << 12)
-                continue
-            instr: Optional[Instruction] = None
-            hit = decode_cache.get(hw) if decode_cache is not None else None
-            if hit is None:
-                try:
-                    instr = decode(hw, None, zero_is_invalid=self.zero_is_invalid)
-                except InvalidInstruction as exc:
-                    if decode_cache is not None:
-                        decode_cache[hw] = exc
-                else:
-                    if decode_cache is not None:
-                        decode_cache[hw] = instr
-            elif not isinstance(hit, InvalidInstruction):
-                instr = hit
-            if instr is None:
-                self.filled[hw] = True  # op stays OP_INVALID
-                continue
-            self._fill_from_instruction(hw, instr)
-        decoded = int(filled.sum()) - filled_before
-        if decoded:
-            from repro.obs import current
-
-            current().count("vector.table_rows_decoded", decoded)
-
-    def fill_all(self, decode_cache: Optional[dict] = None) -> None:
-        """Decode every still-missing row and mark the table complete."""
-        missing = np.nonzero(~self.filled)[0]
-        if missing.size:
-            self.ensure(missing.tolist(), decode_cache)
-        self.complete = True
-
-    # -- row construction ------------------------------------------------
-
-    def _set_row(
-        self, hw: int, mnemonic: str, op: int, aux: int = 0,
-        rd: int = -1, rs: int = -1, base: int = -1, ro: int = -1,
-        imm: int = 0, cond: int = -1, reg_list: int = 0,
-    ) -> None:
-        self.op[hw] = op
-        self.aux[hw] = aux
-        self.rd[hw] = rd
-        self.rs[hw] = rs
-        self.base[hw] = base
-        self.ro[hw] = ro
-        self.imm[hw] = imm
-        self.cond[hw] = cond
-        self.reg_list[hw] = reg_list
-        self.mnemonic[hw] = mnemonic
-        self.filled[hw] = True
-
-    def _fill_from_instruction(self, hw: int, instr: Instruction) -> None:
-        m = instr.mnemonic
-        none = -1
-
-        def reg(value):
-            return none if value is None else value
-
-        if m in ("lsls", "lsrs", "asrs") and instr.fmt == 1:
-            amount = instr.imm
-            if m in ("lsrs", "asrs") and amount == 0:
-                amount = 32  # encoding quirk: #0 means shift-by-32
-            self._set_row(hw, m, OP_SHIFT_IMM, aux=_SHIFT_AUX[m],
-                          rd=instr.rd, rs=instr.rs, imm=amount)
-        elif m in ("lsls", "lsrs", "asrs", "rors"):  # format 4 register shifts
-            self._set_row(hw, m, OP_SHIFT_REG, aux=_SHIFT_AUX[m],
-                          rd=instr.rd, rs=instr.rs)
-        elif m in ("adds", "subs"):
-            # normalise: the left-hand register always sits in the rs column
-            lhs = instr.rs if instr.fmt == 2 else instr.rd
-            self._set_row(hw, m, OP_ADDS if m == "adds" else OP_SUBS,
-                          rd=instr.rd, rs=lhs, ro=reg(instr.ro),
-                          imm=instr.imm if instr.ro is None else 0)
-        elif m == "movs":
-            self._set_row(hw, m, OP_MOVS_IMM, rd=instr.rd, imm=instr.imm)
-        elif m == "cmp":
-            if instr.rs is None:
-                self._set_row(hw, m, OP_CMP_IMM, rd=instr.rd, imm=instr.imm)
-            else:
-                self._set_row(hw, m, OP_CMP_REG, rd=instr.rd, rs=instr.rs)
-        elif m == "cmn":
-            self._set_row(hw, m, OP_CMN, rd=instr.rd, rs=instr.rs)
-        elif m in _LOGIC_AUX:
-            self._set_row(hw, m, OP_LOGIC, aux=_LOGIC_AUX[m], rd=instr.rd, rs=instr.rs)
-        elif m == "tst":
-            self._set_row(hw, m, OP_TST, rd=instr.rd, rs=instr.rs)
-        elif m == "adcs":
-            self._set_row(hw, m, OP_ADC, rd=instr.rd, rs=instr.rs)
-        elif m == "sbcs":
-            self._set_row(hw, m, OP_SBC, rd=instr.rd, rs=instr.rs)
-        elif m == "negs":
-            self._set_row(hw, m, OP_NEG, rd=instr.rd, rs=instr.rs)
-        elif m == "muls":
-            self._set_row(hw, m, OP_MUL, rd=instr.rd, rs=instr.rs)
-        elif m == "mvns":
-            self._set_row(hw, m, OP_MVN, rd=instr.rd, rs=instr.rs)
-        elif m == "add" and instr.fmt == 5:
-            self._set_row(hw, m, OP_HI_ADD, rd=instr.rd, rs=instr.rs)
-        elif m == "mov" and instr.fmt == 5:
-            self._set_row(hw, m, OP_HI_MOV, rd=instr.rd, rs=instr.rs)
-        elif m in ("bx", "blx"):
-            self._set_row(hw, m, OP_BX, aux=1 if m == "blx" else 0, rs=instr.rs)
-        elif m in _LOAD_AUX:
-            self._set_row(hw, m, OP_LOAD, aux=_LOAD_AUX[m], rd=instr.rd,
-                          base=reg(instr.base), ro=reg(instr.ro), imm=instr.imm or 0)
-        elif m in _STORE_AUX:
-            self._set_row(hw, m, OP_STORE, aux=_STORE_AUX[m], rd=instr.rd,
-                          base=reg(instr.base), ro=reg(instr.ro), imm=instr.imm or 0)
-        elif m == "adr":
-            self._set_row(hw, m, OP_ADR, rd=instr.rd, imm=instr.imm)
-        elif m == "add_sp_imm":
-            self._set_row(hw, m, OP_ADD_SP_IMM, rd=instr.rd, imm=instr.imm)
-        elif m in ("add_sp", "sub_sp"):
-            self._set_row(hw, m, OP_ADJ_SP, imm=instr.imm if m == "add_sp" else -instr.imm)
-        elif m in ("push", "pop"):
-            mask = 0
-            for r in instr.reg_list:
-                mask |= 1 << r
-            self._set_row(hw, m, OP_PUSH if m == "push" else OP_POP, reg_list=mask)
-        elif m in ("stmia", "ldmia"):
-            mask = 0
-            for r in instr.reg_list:
-                mask |= 1 << r
-            self._set_row(hw, m, OP_STMIA if m == "stmia" else OP_LDMIA,
-                          base=instr.base, reg_list=mask)
-        elif m.startswith("b") and instr.fmt == 16:
-            self._set_row(hw, m, OP_BCOND, cond=instr.cond, imm=instr.imm)
-        elif m == "b":
-            self._set_row(hw, m, OP_B, imm=instr.imm)
-        elif m == "svc":
-            self._set_row(hw, m, OP_SVC, imm=instr.imm)
-        elif m in ("bkpt", "wfi", "wfe"):
-            self._set_row(hw, m, OP_HALT)
-        elif m in ("nop", "yield", "sev", "cps"):
-            self._set_row(hw, m, OP_NOP)
-        elif m in _EXTEND_AUX:
-            self._set_row(hw, m, OP_EXTEND, aux=_EXTEND_AUX[m], rd=instr.rd, rs=instr.rs)
-        elif m in _REV_AUX:
-            self._set_row(hw, m, OP_REV, aux=_REV_AUX[m], rd=instr.rd, rs=instr.rs)
-        else:  # pragma: no cover - decoder emits only the mnemonics above
-            raise ValueError(f"no vector handler for mnemonic {m!r} ({hw:#06x})")
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        for name, column in columns.items():
+            column.flags.writeable = False
+            setattr(self, name, column)
 
 
 _TABLES: dict[bool, _OperandTable] = {}
 
-# ----------------------------------------------------------------------
-# operand-table persistence (build once, memmap everywhere)
-# ----------------------------------------------------------------------
 
-#: bump when the on-disk matrix layout or any opcode/aux encoding changes
-TABLE_FORMAT_VERSION = 1
-
-#: matrix row order; the final extra row holds mnemonic codes
-_TABLE_COLUMNS = ("op", "aux", "rd", "rs", "base", "ro", "imm", "cond", "reg_list")
-
-
-def table_path(zero_is_invalid: bool, root: Union[str, os.PathLike, None] = None) -> Path:
-    """Where the persisted operand table for one decode mode lives."""
-    base = Path(root) if root is not None else default_cache_root()
-    suffix = "-0invalid" if zero_is_invalid else ""
-    return base / "tables" / f"operands-v{TABLE_FORMAT_VERSION}-thumb16{suffix}.npy"
-
-
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.name + ".meta.json")
-
-
-def save_operand_table(
-    table: _OperandTable, root: Union[str, os.PathLike, None] = None
-) -> Path:
-    """Persist a fully-decoded table as one ``(10, 65536)`` int64 ``.npy``.
-
-    Rows are the :data:`_TABLE_COLUMNS` in order plus a final row of
-    mnemonic codes (``-1`` = invalid word, else an index into the sorted
-    mnemonic list stored in the JSON sidecar). Everything is widened to
-    int64 so a single matrix serves all columns; loaders take zero-copy
-    row views, so the width costs only page-cache (5 MiB, shared across
-    every worker that maps it). The ``.npy`` is written atomically first
-    and the sidecar second — the loader requires the sidecar, so a torn
-    write is simply ignored.
-    """
-    if not bool(table.filled.all()):
-        raise ValueError("refusing to persist a partially-decoded operand table")
-    path = table_path(table.zero_is_invalid, root)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    names = sorted({name for name in table.mnemonic if name is not None})
-    code_of = {name: code for code, name in enumerate(names)}
-    matrix = np.empty((len(_TABLE_COLUMNS) + 1, 1 << 16), dtype=np.int64)
-    for row, column in enumerate(_TABLE_COLUMNS):
-        matrix[row] = getattr(table, column)
-    matrix[-1] = np.fromiter(
-        (-1 if name is None else code_of[name] for name in table.mnemonic),
-        dtype=np.int64,
-        count=1 << 16,
-    )
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.save(handle, matrix)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    meta = {
-        "format": TABLE_FORMAT_VERSION,
-        "isa": "thumb16",
-        "zero_is_invalid": table.zero_is_invalid,
-        "columns": list(_TABLE_COLUMNS),
-        "mnemonics": names,
-    }
-    meta_path = _meta_path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=meta_path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(meta, handle)
-        os.replace(tmp, meta_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_operand_table(
-    zero_is_invalid: bool, root: Union[str, os.PathLike, None] = None
-) -> Optional[_OperandTable]:
-    """Load a persisted table as zero-copy memmap row views, or ``None``.
-
-    ``np.load(..., mmap_mode="r")`` maps the matrix read-only, so every
-    process (fork *or* spawn) that loads the same artifact shares one
-    page-cache copy — workers never re-decode, and the read-only mapping
-    makes accidental mutation of a complete table a hard error. Any
-    validation failure (missing/torn files, version or mode mismatch)
-    falls back to ``None`` and the caller lazily fills a fresh table.
-    """
-    path = table_path(zero_is_invalid, root)
-    try:
-        meta = json.loads(_meta_path(path).read_text())
-        if (
-            meta.get("format") != TABLE_FORMAT_VERSION
-            or meta.get("isa") != "thumb16"
-            or meta.get("zero_is_invalid") is not zero_is_invalid
-            or meta.get("columns") != list(_TABLE_COLUMNS)
-        ):
-            return None
-        names = meta["mnemonics"]
-        matrix = np.load(path, mmap_mode="r", allow_pickle=False)
-        if matrix.shape != (len(_TABLE_COLUMNS) + 1, 1 << 16) or matrix.dtype != np.int64:
-            return None
-        table = _OperandTable(zero_is_invalid)
-        for row, column in enumerate(_TABLE_COLUMNS):
-            # Base-class view of the mapped buffer: same shared pages,
-            # without np.memmap's per-indexing subclass dispatch overhead.
-            setattr(table, column, matrix[row].view(np.ndarray))
-        lookup = [None] + list(names)
-        table.mnemonic = [lookup[code + 1] for code in matrix[-1].tolist()]
-        table.filled = np.ones(1 << 16, dtype=bool)
-        table.complete = True
-        table._matrix = matrix  # keep the memmap alive alongside its row views
-        return table
-    except Exception:
-        return None
-
-
-def operand_table(
-    zero_is_invalid: bool, root: Union[str, os.PathLike, None] = None
-) -> _OperandTable:
+def operand_table(zero_is_invalid: bool) -> _OperandTable:
     """The process-wide operand table for one ``zero_is_invalid`` setting.
 
-    First use per process tries the persisted artifact (under ``root`` if
-    given, else the default cache root — see ``repro warm-tables``); when
-    none validates, rows are decoded lazily through the scalar decoder as
-    before. Successful loads count ``vector.table_loads`` on the ambient
-    observer.
+    Built on first use in each process: the base table by
+    :func:`_decode_all` (counted as ``vector.table_rows_decoded`` on the
+    ambient observer), the hardened table as a copy of the base one with
+    row ``0x0000`` invalid, the only word ``zero_is_invalid`` changes.
     """
     table = _TABLES.get(zero_is_invalid)
     if table is None:
-        candidates = []
-        if root is not None:
-            candidates.append(root)
-        candidates.append(None)  # default cache root
-        for candidate in candidates:
-            table = load_operand_table(zero_is_invalid, candidate)
-            if table is not None:
-                from repro.obs import current
+        if zero_is_invalid:
+            base = operand_table(False)
+            columns = {name: getattr(base, name).copy() for name in _COLUMNS}
+            columns["op"][0] = OP_INVALID
+        else:
+            from repro.obs import current
 
-                current().count("vector.table_loads")
-                break
-        if table is None:
-            table = _OperandTable(zero_is_invalid)
-        _TABLES[zero_is_invalid] = table
+            columns = _decode_all()
+            current().count("vector.table_rows_decoded", 1 << 16)
+        table = _TABLES[zero_is_invalid] = _OperandTable(columns)
     return table
 
 
-def warm_tables(
-    root: Union[str, os.PathLike, None] = None,
-    settings: Sequence[bool] = (False, True),
-) -> list:
-    """Decode and persist the operand table for each decode mode.
-
-    The build-once half of the deployment story: run this (via
-    ``repro warm-tables``) and every later process — including every
-    ``ParallelExecutor`` worker via :func:`preload_operand_tables` —
-    memmaps the finished artifact instead of re-decoding 65,536 words.
-    The base (``False``) mode is warmed first so the hardened table can
-    adopt its rows by bulk copy.
-    """
-    paths = []
-    for zero_is_invalid in settings:
-        table = operand_table(zero_is_invalid, root)
-        if not table.complete:
-            table.fill_all()
-        paths.append(save_operand_table(table, root))
-    return paths
+def warm_tables() -> None:
+    """Build both decode modes' operand tables in this process."""
+    for zero_is_invalid in (False, True):
+        operand_table(zero_is_invalid)
 
 
-def preload_operand_tables(
-    root: Union[str, os.PathLike, None] = None,
-    settings: Sequence[bool] = (False, True),
-) -> None:
-    """Worker ``initializer``: map persisted tables before any unit runs.
-
-    Safe under both fork and spawn start methods; when no artifact exists
-    the worker simply falls back to lazy fill on first use.
-    """
-    for zero_is_invalid in settings:
-        operand_table(zero_is_invalid, root)
+#: the same in-process build, under the name perfbench's fig2-cold set-up calls
+preload_operand_tables = warm_tables
 
 
 # ----------------------------------------------------------------------
@@ -646,13 +425,10 @@ class VectorEngine:
         budget: int,
         zero_is_invalid: bool,
         marker_stops: Sequence[int] = (),
-        decode_cache: Optional[dict] = None,
-        table_root: Union[str, os.PathLike, None] = None,
     ):
         if len(flash_bytes) % 2:
             raise ValueError("flash image must be an even number of bytes")
-        self.table = operand_table(zero_is_invalid, root=table_root)
-        self.decode_cache = decode_cache
+        self.table = operand_table(zero_is_invalid)
         self.flash_base = flash_base
         self.flash_end = flash_base + len(flash_bytes)
         self.flash8 = np.frombuffer(flash_bytes, dtype=np.uint8).astype(np.int64)
@@ -898,14 +674,7 @@ class VectorEngine:
             at_target = addr == ta
             if at_target.any():
                 hw = np.where(at_target, words[active], hw)
-            # 4. decode via the shared operand table (scalar decoder inside);
-            #    a complete (memmapped or pre-filled) table skips the
-            #    missing-row scan entirely
-            if not tbl.complete:
-                unique_hw = np.unique(hw)
-                missing = unique_hw[~tbl.filled[unique_hw]]
-                if missing.size:
-                    tbl.ensure(missing.tolist(), self.decode_cache)
+            # 4. decode via the shared operand table
             ops = tbl.op[hw]
             is_invalid = ops == OP_INVALID
             if is_invalid.any():
@@ -1250,12 +1019,7 @@ class VectorEngine:
 __all__ = [
     "VectorEngine",
     "VectorRun",
-    "TABLE_FORMAT_VERSION",
-    "load_operand_table",
     "operand_table",
-    "preload_operand_tables",
-    "save_operand_table",
-    "table_path",
     "warm_tables",
     "STATUS_CATEGORIES",
     "ST_HALTED",

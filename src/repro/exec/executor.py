@@ -92,13 +92,6 @@ class ParallelExecutor:
       unit runs under a worker-local observer whose counters/events ride
       back inside the result and are merged in record order, so metrics
       are identical for any worker count.
-    - ``initializer``/``initargs`` — run once in every worker process
-      before any unit, under both fork and spawn start methods (the
-      standard ``multiprocessing.Pool`` hook). Campaigns use it to
-      memmap shared read-only state — e.g.
-      :func:`repro.emu.vector.preload_operand_tables` — so workers never
-      rebuild it per process. Ignored on the in-process path, where the
-      parent's state is already live.
     """
 
     def __init__(
@@ -112,8 +105,6 @@ class ParallelExecutor:
         backoff: float = 0.05,
         on_error: str = "raise",
         obs: Optional[Observer] = None,
-        initializer: Optional[Callable] = None,
-        initargs: tuple = (),
     ):
         self.workers = resolve_workers(workers)
         if chunk_size is not None and chunk_size < 1:
@@ -132,8 +123,6 @@ class ParallelExecutor:
         self.backoff = backoff
         self.on_error = on_error
         self.obs = coerce_observer(obs)
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
         self.failed_units: list[FailedUnit] = []
 
     @property
@@ -168,11 +157,6 @@ class ParallelExecutor:
         if method is not None:
             return multiprocessing.get_context(method)
         return multiprocessing.get_context()
-
-    def _pool(self, context, size: int):
-        return context.Pool(
-            size, initializer=self.initializer, initargs=self.initargs
-        )
 
     def map(
         self,
@@ -326,7 +310,7 @@ class ParallelExecutor:
         size = min(self.workers, len(pending))
         if self.retries == 0 and self.unit_timeout is None and self.on_error == "raise":
             # fast path: chunked imap, no per-unit bookkeeping
-            with self._pool(context, size) as pool:
+            with context.Pool(size) as pool:
                 ordered = [specs[index] for index in pending]
                 for index, result in zip(
                     pending,
@@ -335,7 +319,7 @@ class ParallelExecutor:
                     record(index, result)
             return
         attempts = {index: 0 for index in pending}
-        pool = self._pool(context, size)
+        pool = context.Pool(size)
         try:
             while pending:
                 handles = [(index, pool.apply_async(fn, (specs[index],))) for index in pending]
@@ -377,7 +361,7 @@ class ParallelExecutor:
                 if rebuild:
                     pool.terminate()
                     pool.join()
-                    pool = self._pool(context, size)
+                    pool = context.Pool(size)
                 if retry:
                     self._backoff_sleep(max(attempts[index] for index in retry))
                 pending = retry

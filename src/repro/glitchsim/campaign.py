@@ -363,19 +363,10 @@ def run_branch_campaign(
         with activate(obs):
             return _sweep_world(spec, members, shared)
 
-    # vector-engine workers memmap the persisted operand tables (when
-    # present) before their first unit, so no worker re-decodes the
-    # 65,536-row table — see ``repro warm-tables``
-    initializer = initargs = None
-    if engine == "vector":
-        from repro.emu.vector import preload_operand_tables
-
-        initializer = preload_operand_tables
-        initargs = (cache_root, (zero_is_invalid,))
     executor = ParallelExecutor(
         workers=workers, chunk_size=chunk_size, progress=progress,
         retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs, initializer=initializer, initargs=initargs or (),
+        obs=obs,
     )
     # serial units reuse the shared cache handle, so their cache traffic
     # lands on the handle's counters rather than the ambient worker

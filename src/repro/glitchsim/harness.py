@@ -24,9 +24,10 @@ Two execution engines produce identical outcome categories:
 - ``"vector"`` executes whole :meth:`WordHarness.run_many` cache-miss
   batches lock-step on the NumPy backend (:mod:`repro.emu.vector`): one
   lane per corrupted word, sharing the snapshot engine's replay point and
-  decode cache.  Single-word :meth:`WordHarness.run` calls execute on the
-  snapshot replay.  Vector outcomes carry empty detail strings (like
-  disk-cache hits); the documented contract is category identity.
+  decoding through the process-wide operand tables.  Single-word
+  :meth:`WordHarness.run` calls execute on the snapshot replay.  Vector
+  outcomes carry empty detail strings (like disk-cache hits); the
+  documented contract is category identity.
 
 Both engines are checked against a per-word world rebuild kept in the
 test suite (``tests/oracles.py``).
@@ -397,7 +398,6 @@ class WordHarness:
                 budget=world.budget,
                 zero_is_invalid=self.zero_is_invalid,
                 marker_stops=sorted(world.marker_stops),
-                decode_cache=self._decode_cache,
             )
         return self._vector
 

@@ -18,7 +18,10 @@ speedup benchmarks keep comparing against them on the same inputs:
 - :func:`staged_step_cycle` — the hw pipeline's clock cycle as four
   separate stages (issue, front end, glitch, execute), which
   :meth:`repro.hw.pipeline.PipelinedCPU.step_cycle` runs as one flat
-  method.
+  method;
+- :func:`scalar_operand_columns` — the vector engine's operand table
+  filled one word at a time through the scalar decoder, which
+  :func:`repro.emu.vector.operand_table` builds as NumPy mask passes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 
-from repro.bits import apply_flip, halfwords_to_bytes, iter_masks
+import numpy as np
+
+from repro.bits import apply_flip, bits, halfwords_to_bytes, iter_masks, sign_extend
 from repro.campaign.harness import SiteHarness
+from repro.emu import vector as V
 from repro.errors import (
     AlignmentFault,
     BadFetch,
@@ -53,6 +59,7 @@ from repro.glitchsim.snippets import (
     SUCCESS_MARKER,
     SUCCESS_REGISTER,
 )
+from repro.isa.decoder import decode
 
 
 class RebuildSnippetHarness(SnippetHarness):
@@ -287,3 +294,112 @@ def _execute_stage(pipeline, effect) -> None:
         return
     pipeline._complete(slot)
     pipeline.execute_slot = None
+
+
+def operand_row(instr) -> dict:
+    """The operand-table row (column -> value) of one decoded instruction.
+
+    Unset columns keep their "unused" value (``-1`` registers and
+    condition, ``0`` elsewhere), as in :data:`repro.emu.vector._COLUMNS`.
+    """
+    m = instr.mnemonic
+
+    def reg(value):
+        return -1 if value is None else value
+
+    def row(op, aux=0, rd=-1, rs=-1, base=-1, ro=-1, imm=0, cond=-1, reg_list=0):
+        return dict(op=op, aux=aux, rd=rd, rs=rs, base=base, ro=ro,
+                    imm=imm, cond=cond, reg_list=reg_list)
+
+    def mask(regs):
+        return sum(1 << r for r in regs)
+
+    if m in ("lsls", "lsrs", "asrs") and instr.fmt == 1:
+        amount = instr.imm
+        if m in ("lsrs", "asrs") and amount == 0:
+            amount = 32  # encoding quirk: #0 means shift-by-32
+        return row(V.OP_SHIFT_IMM, V._SHIFT_AUX[m], rd=instr.rd, rs=instr.rs, imm=amount)
+    if m in ("lsls", "lsrs", "asrs", "rors"):  # format 4 register shifts
+        return row(V.OP_SHIFT_REG, V._SHIFT_AUX[m], rd=instr.rd, rs=instr.rs)
+    if m in ("adds", "subs"):
+        # normalise: the left-hand register always sits in the rs column
+        lhs = instr.rs if instr.fmt == 2 else instr.rd
+        return row(V.OP_ADDS if m == "adds" else V.OP_SUBS, rd=instr.rd, rs=lhs,
+                   ro=reg(instr.ro), imm=instr.imm if instr.ro is None else 0)
+    if m == "movs":
+        return row(V.OP_MOVS_IMM, rd=instr.rd, imm=instr.imm)
+    if m == "cmp":
+        if instr.rs is None:
+            return row(V.OP_CMP_IMM, rd=instr.rd, imm=instr.imm)
+        return row(V.OP_CMP_REG, rd=instr.rd, rs=instr.rs)
+    simple = {
+        "cmn": V.OP_CMN, "tst": V.OP_TST, "adcs": V.OP_ADC, "sbcs": V.OP_SBC,
+        "negs": V.OP_NEG, "muls": V.OP_MUL, "mvns": V.OP_MVN,
+    }
+    if m in simple:
+        return row(simple[m], rd=instr.rd, rs=instr.rs)
+    if m in V._LOGIC_AUX:
+        return row(V.OP_LOGIC, V._LOGIC_AUX[m], rd=instr.rd, rs=instr.rs)
+    if m == "add" and instr.fmt == 5:
+        return row(V.OP_HI_ADD, rd=instr.rd, rs=instr.rs)
+    if m == "mov" and instr.fmt == 5:
+        return row(V.OP_HI_MOV, rd=instr.rd, rs=instr.rs)
+    if m in ("bx", "blx"):
+        return row(V.OP_BX, 1 if m == "blx" else 0, rs=instr.rs)
+    if m in V._LOAD_AUX:
+        return row(V.OP_LOAD, V._LOAD_AUX[m], rd=instr.rd, base=reg(instr.base),
+                   ro=reg(instr.ro), imm=instr.imm or 0)
+    if m in V._STORE_AUX:
+        return row(V.OP_STORE, V._STORE_AUX[m], rd=instr.rd, base=reg(instr.base),
+                   ro=reg(instr.ro), imm=instr.imm or 0)
+    if m == "adr":
+        return row(V.OP_ADR, rd=instr.rd, imm=instr.imm)
+    if m == "add_sp_imm":
+        return row(V.OP_ADD_SP_IMM, rd=instr.rd, imm=instr.imm)
+    if m in ("add_sp", "sub_sp"):
+        return row(V.OP_ADJ_SP, imm=instr.imm if m == "add_sp" else -instr.imm)
+    if m in ("push", "pop"):
+        return row(V.OP_PUSH if m == "push" else V.OP_POP, reg_list=mask(instr.reg_list))
+    if m in ("stmia", "ldmia"):
+        return row(V.OP_STMIA if m == "stmia" else V.OP_LDMIA, base=instr.base,
+                   reg_list=mask(instr.reg_list))
+    if m.startswith("b") and instr.fmt == 16:
+        return row(V.OP_BCOND, cond=instr.cond, imm=instr.imm)
+    if m == "b":
+        return row(V.OP_B, imm=instr.imm)
+    if m == "svc":
+        return row(V.OP_SVC, imm=instr.imm)
+    if m in ("bkpt", "wfi", "wfe"):
+        return row(V.OP_HALT)
+    if m in ("nop", "yield", "sev", "cps"):
+        return row(V.OP_NOP)
+    if m in V._EXTEND_AUX:
+        return row(V.OP_EXTEND, V._EXTEND_AUX[m], rd=instr.rd, rs=instr.rs)
+    if m in V._REV_AUX:
+        return row(V.OP_REV, V._REV_AUX[m], rd=instr.rd, rs=instr.rs)
+    raise ValueError(f"no operand row for mnemonic {m!r}")
+
+
+def scalar_operand_columns(zero_is_invalid: bool) -> dict:
+    """Every operand-table column, one scalar :func:`decode` per halfword.
+
+    A BL prefix decodes only with its suffix, so its row is built from
+    the encoding (the high offset); an invalid word leaves ``op`` at
+    ``OP_INVALID`` and every other column at its unused value.
+    """
+    columns = {
+        name: np.full(1 << 16, fill, dtype=dtype)
+        for name, (dtype, fill) in V._COLUMNS.items()
+    }
+    for hw in range(1 << 16):
+        if (hw >> 11) == 0b11110:
+            row = {"op": V.OP_BL_PREFIX, "imm": sign_extend(bits(hw, 10, 0), 11) << 12}
+        else:
+            try:
+                instr = decode(hw, None, zero_is_invalid=zero_is_invalid)
+            except InvalidInstruction:
+                continue
+            row = operand_row(instr)
+        for name, value in row.items():
+            columns[name][hw] = value
+    return columns

@@ -289,17 +289,16 @@ class TestImageCli:
 
 
 # ----------------------------------------------------------------------
-# scale: a generated >=100-site image through the zero-copy hot path
+# scale: a generated >=100-site image through the multi-worker vector path
 # ----------------------------------------------------------------------
 
 class TestHundredSiteCampaign:
-    """The warmed multi-worker vector path on a 120-site generated image.
+    """The multi-worker vector path on a 120-site generated image.
 
-    Pins the PR-level contract end to end: a campaign over a synthetic
-    firmware with 120 conditional branches, run with ``engine="vector"``
-    and two workers against persisted operand tables, is bit-identical
-    to the serial snapshot-engine campaign — and no worker decodes a
-    single operand-table row.
+    A campaign over a synthetic firmware with 120 conditional branches,
+    run with ``engine="vector"`` and two workers (each building its own
+    operand tables), is bit-identical to the serial snapshot-engine
+    campaign.
     """
 
     CONDS = ("eq", "ne", "cs", "cc", "mi", "pl", "vs", "vc",
@@ -323,28 +322,11 @@ class TestHundredSiteCampaign:
         program = assemble("\n".join(lines) + "\n")
         return FirmwareImage.from_program(program)
 
-    def test_warm_parallel_vector_matches_serial_snapshot(
-        self, big_image, tmp_path, monkeypatch
-    ):
-        from repro.emu import vector
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        saved = dict(vector._TABLES)
-        vector._TABLES.clear()
-        try:
-            vector.warm_tables()
-            vector._TABLES.clear()  # parent loads too, like a fresh process
-            obs = Observer()
-            kwargs = dict(models=("and", "xor"), k_values=(0, 1, 2))
-            sites = discover_sites(big_image)
-            assert len(sites) >= 100
-            fast = run_image_campaign(
-                big_image, engine="vector", workers=2, obs=obs, **kwargs
-            )
-            reference = run_image_campaign(big_image, engine="snapshot", **kwargs)
-        finally:
-            vector._TABLES.clear()
-            vector._TABLES.update(saved)
-        assert obs.counters.get("vector.table_rows_decoded", 0) == 0
+    def test_warm_parallel_vector_matches_serial_snapshot(self, big_image):
+        kwargs = dict(models=("and", "xor"), k_values=(0, 1, 2))
+        sites = discover_sites(big_image)
+        assert len(sites) >= 100
+        fast = run_image_campaign(big_image, engine="vector", workers=2, **kwargs)
+        reference = run_image_campaign(big_image, engine="snapshot", **kwargs)
         assert len(fast.sweeps["and"]) == len(sites)
         assert fast.sweeps == reference.sweeps
