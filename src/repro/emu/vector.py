@@ -27,7 +27,13 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
 - **divergence** is handled by retirement: lanes that halt, fault, hit a
   marker stop, or exhaust the shared step budget leave the active set and
   keep their terminal status, so classification happens per lane while
-  stepping stays dense.
+  stepping stays dense;
+- **early decisions** retire a lane as soon as its terminal status is
+  certain: a lane sliding down a straight run of pristine fall-through
+  halfwords takes the status of what ends the run (or ``ST_LIMIT`` when
+  the run outlasts the budget), and a lane that has not stored since its
+  last power-of-two-step snapshot and is back in the same registers and
+  flags is in an exact cycle, so ``ST_LIMIT``.
 
 The engine is *deliberately* a re-implementation of the scalar semantics:
 ``engine="snapshot"`` remains the differential oracle (the test suite
@@ -113,6 +119,17 @@ OP_HALT = 32        # bkpt / wfi / wfe
 OP_NOP = 33         # nop / yield / sev / cps
 OP_EXTEND = 34      # aux: 0 sxth / 1 sxtb / 2 uxth / 3 uxtb
 OP_REV = 35         # aux: 0 rev / 1 rev16 / 2 revsh
+
+#: opcodes that never fault, halt, branch or touch memory: a pristine row
+#: of one of these always falls through to the next halfword (OP_HI_ADD and
+#: OP_HI_MOV only while they do not write the PC)
+_FALL_THROUGH_OPS = (
+    OP_SHIFT_IMM, OP_SHIFT_REG, OP_ADDS, OP_SUBS, OP_MOVS_IMM, OP_CMP_IMM,
+    OP_CMP_REG, OP_CMN, OP_LOGIC, OP_TST, OP_ADC, OP_SBC, OP_NEG, OP_MUL,
+    OP_MVN, OP_HI_ADD, OP_HI_MOV, OP_ADR, OP_ADD_SP_IMM, OP_ADJ_SP, OP_NOP,
+    OP_EXTEND, OP_REV,
+)
+
 
 def _present(values: np.ndarray, bound: int) -> list[int]:
     """Distinct codes in a small-nonneg-int array, ascending.
@@ -333,15 +350,22 @@ preload_operand_tables = warm_tables
 
 @dataclass
 class VectorRun:
-    """Final per-lane state of one :meth:`VectorEngine.run` batch."""
+    """Per-lane state of one :meth:`VectorEngine.run` batch, as each lane retired."""
 
     words: np.ndarray       # the corrupted words, lane order == input order
     status: np.ndarray      # terminal ST_* per lane (never ST_RUNNING)
     stop_pc: np.ndarray     # for ST_STOPPED lanes: the marker address reached
-    regs: np.ndarray        # (16, N) final architectural registers
+    # ``regs`` and ``ram`` hold each lane's state when it retired.  A lane
+    # decided early (ST_LIMIT, ST_BAD_FETCH, ST_INVALID or ST_FAILED before
+    # it got there) keeps its state at that decision, so callers classify
+    # those four statuses by status alone; ST_HALTED and ST_STOPPED lanes
+    # are never decided early.
+    regs: np.ndarray        # (16, N) architectural registers at retirement
     lane_row: np.ndarray    # RAM plane row per lane (0 = shared pristine row)
     ram: np.ndarray         # (rows, ram_size) copy-on-write RAM plane
     ram_base: int
+    lane_steps: int         # lanes fetched, summed over the executed steps
+    early_exits: int        # lanes retired by a straight-line or cycle exit
 
     def read_ram_u32(self, address: int) -> np.ndarray:
         """Little-endian u32 at ``address`` as seen by each lane."""
@@ -410,6 +434,13 @@ class VectorEngine:
     One engine is built per harness from its post-prefix snapshot; every
     :meth:`run` call executes a fresh batch of corrupted words against it
     without mutating the shared state.
+
+    ``straight_run[s]`` / ``straight_end[s]`` describe flash slot ``s``
+    (one extra slot stands for the end of flash): the number of pristine
+    halfwords from ``s`` on that always fall through, and the terminal
+    status of the address that ends that run (``ST_RUNNING`` when reaching
+    it decides nothing).  The target slot and the marker stops never join
+    a run and never end one with a status.
     """
 
     def __init__(
@@ -442,6 +473,29 @@ class VectorEngine:
         self.init_flags = init_flags
         self.budget = budget
         self.stops = tuple(int(s) for s in marker_stops)
+        self.straight_run, self.straight_end = self._straight_lines()
+
+    def _straight_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(straight_run, straight_end)`` for every flash slot, in NumPy."""
+        tbl = self.table
+        op = tbl.op[self.flash16]
+        falls = np.isin(op, _FALL_THROUGH_OPS) & ~(
+            np.isin(op, (OP_HI_ADD, OP_HI_MOV)) & (tbl.rd[self.flash16] == PC)
+        )
+        end = np.select(
+            [op == OP_INVALID, op == OP_SVC], [ST_INVALID, ST_FAILED], ST_RUNNING
+        ).astype(np.int8)
+        # the slot past the last one: running off the end of flash
+        falls = np.append(falls, False)
+        end = np.append(end, np.int8(ST_BAD_FETCH))
+        address = self.flash_base + 2 * np.arange(falls.size)
+        special = np.isin(address, (self.target_address, *self.stops))
+        falls &= ~special
+        end[special] = ST_RUNNING
+        slot = np.arange(falls.size)
+        # the first slot at or after each slot that does not fall through
+        run_end = np.minimum.accumulate(np.where(falls, falls.size, slot)[::-1])[::-1]
+        return run_end - slot, end[run_end]
 
     # ------------------------------------------------------------------
 
@@ -453,7 +507,7 @@ class VectorEngine:
         ta = self.target_address
         flash8, flash16 = self.flash8, self.flash16
 
-        words = np.asarray(list(word_batch), dtype=np.int64) & 0xFFFF
+        words = np.asarray(word_batch, dtype=np.int64) & 0xFFFF
         n = words.size
         regs = np.empty((16, n), dtype=np.int64)
         for i, value in enumerate(self.init_regs):
@@ -468,6 +522,14 @@ class VectorEngine:
         lane_row = np.zeros(n, dtype=np.int64)
         ram = self.base_ram[np.newaxis, :].copy()
         active = np.arange(n)
+        # cycle-exit state: a snapshot of the lanes active at the last
+        # power-of-two step (row per lane in ``snap_row``), and which lanes
+        # stored since it was taken
+        dirty = np.zeros(n, dtype=bool)
+        snap_row = np.zeros(n, dtype=np.int32)
+        snap_regs = snap_nzcv = None
+        straight_run, straight_end = self.straight_run, self.straight_end
+        lane_steps = early_exits = 0
 
         # -- lane-state helpers (close over the arrays above) ------------
 
@@ -494,6 +556,9 @@ class VectorEngine:
             values = values & M32
             values = np.where(reg == 15, values & ~1, values)
             regs[reg, lanes] = values
+
+        def nzcv(lanes: np.ndarray) -> np.ndarray:
+            return np.stack((fn[lanes], fz[lanes], fc[lanes], fv[lanes]))
 
         def set_nz(lanes: np.ndarray, result: np.ndarray) -> None:
             fn[lanes] = (result & 0x80000000) != 0
@@ -628,6 +693,7 @@ class VectorEngine:
 
         def scatter(lanes, target, value, length) -> None:
             """Store to already-privatized lanes; caller pre-validated."""
+            dirty[lanes] = True
             rows = lane_row[lanes]
             off = target - rb
             for i in range(length):
@@ -670,11 +736,47 @@ class VectorEngine:
                 addr = addr[fetch_ok]
                 if active.size == 0:
                     break
-            hw = flash16[(addr - fb_base) >> 1]
+            # 4. early exits: a lane whose terminal status is already certain
+            #    retires with it.  On a straight run the lane only falls
+            #    through, so it either outlasts the budget or reaches the
+            #    run's end within it.
+            left = budget - step_index
+            slot = (addr - fb_base) >> 1
+            outlasts = straight_run[slot] >= left
+            verdict = np.where(outlasts, ST_LIMIT, straight_end[slot])
+            decided = verdict != ST_RUNNING
+            if snap_regs is not None:
+                # back in its snapshot state without a store in between:
+                # every PC on the cycle passed the stop check with ≥ 2 steps
+                # left, so the lane can never stop, halt or fault
+                rows = snap_row[active]
+                again = (addr == snap_regs[PC, rows]) & ~dirty[active] & ~decided
+                if again.any():
+                    idx = np.nonzero(again)[0]
+                    lanes, rows = active[idx], rows[idx]
+                    again[idx] = (regs[:, lanes] == snap_regs[:, rows]).all(axis=0) & (
+                        nzcv(lanes) == snap_nzcv[:, rows]
+                    ).all(axis=0)
+                    decided |= again
+                    verdict[again] = ST_LIMIT
+            if decided.any():
+                status[active[decided]] = verdict[decided]
+                early_exits += int(np.count_nonzero(decided))
+                keep = ~decided
+                active, addr, slot = active[keep], addr[keep], slot[keep]
+                if active.size == 0:
+                    break
+            if step_index & (step_index - 1) == 0 and step_index:
+                snap_row[active] = np.arange(active.size)
+                snap_regs = regs[:, active].astype(np.uint32)
+                snap_nzcv = nzcv(active)
+                dirty[active] = False
+            lane_steps += active.size
+            hw = flash16[slot]
             at_target = addr == ta
             if at_target.any():
                 hw = np.where(at_target, words[active], hw)
-            # 4. decode via the shared operand table
+            # 5. decode via the shared operand table
             ops = tbl.op[hw]
             is_invalid = ops == OP_INVALID
             if is_invalid.any():
@@ -683,7 +785,7 @@ class VectorEngine:
                 active, addr, hw, ops = active[keep], addr[keep], hw[keep], ops[keep]
                 if active.size == 0:
                     break
-            # 5. BL prefixes need the suffix halfword (overlay applies there too)
+            # 6. BL prefixes need the suffix halfword (overlay applies there too)
             suffix = np.zeros(active.size, dtype=np.int64)
             is_bl = ops == OP_BL_PREFIX
             if is_bl.any():
@@ -703,10 +805,10 @@ class VectorEngine:
                     ops, suffix = ops[keep], suffix[keep]
                     if active.size == 0:
                         break
-            # 6. advance the PC past the halfword (branches overwrite it;
+            # 7. advance the PC past the halfword (branches overwrite it;
             #    BL computes its link/target from addr, so +2 vs +4 is moot)
             regs[15, active] = (addr + 2) & M32
-            # 7. execute, grouped by opcode
+            # 8. execute, grouped by opcode
             for op in _present(ops, OP_REV + 1):
                 sel = np.nonzero(ops == op)[0]
                 l = active[sel]
@@ -1013,6 +1115,8 @@ class VectorEngine:
             lane_row=lane_row,
             ram=ram,
             ram_base=rb,
+            lane_steps=lane_steps,
+            early_exits=early_exits,
         )
 
 

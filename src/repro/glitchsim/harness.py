@@ -416,6 +416,8 @@ class WordHarness:
         obs = current()
         obs.count("vector.batches", 1)
         obs.count("vector.lanes", int(pending.size))
+        obs.count("vector.lane_steps", batch.lane_steps)
+        obs.count("vector.early_exits", batch.early_exits)
 
     def _execute_replay(self, world: _SnapshotWorld, corrupted_word: int) -> Outcome:
         # First-step pre-classification: the replayed machine fetches the

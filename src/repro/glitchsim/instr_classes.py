@@ -178,7 +178,7 @@ def sweep_instruction_class(
 
     result = ClassSweepResult(instruction_class=instruction_class, model=model)
     ks = k_values if k_values is not None else tuple(range(17))
-    words = list(reachable_words(original, model, 16, ks))
+    words = reachable_words(original, model, 16, ks).tolist()
     if engine == "vector":
         word_buckets = _classify_vector(halfwords, target_index, words, judge_kind)
     else:

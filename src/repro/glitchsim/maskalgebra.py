@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.bits import FLIP_MODELS, hamming_distance, iter_masks, mask, popcount
+from repro.bits import FLIP_MODELS, hamming_distance, mask, popcount
 
 MODELS = tuple(sorted(FLIP_MODELS))  # ("and", "or", "xor")
 
@@ -54,16 +54,6 @@ def _check_model(model: str) -> None:
         raise ValueError(
             f"unknown flip model {model!r}; expected one of {MODELS}"
         )
-
-
-def _submasks(value: int) -> Iterable[int]:
-    """Every submask of ``value`` (including 0 and ``value`` itself)."""
-    sub = value
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & value
 
 
 def _allowed_j(
@@ -88,38 +78,40 @@ def reachable_words(
     model: str,
     width: int = 16,
     k_values: Optional[Iterable[int]] = None,
-) -> list[int]:
+) -> np.ndarray:
     """All corrupted words reachable from ``word`` under ``model``, sorted.
 
     ``k_values`` restricts the sweep to the given flip counts: only words
     with a non-zero :func:`multiplicity` for at least one requested ``k``
     are returned (``None`` means the full ``0..width`` range). The result
-    is sorted ascending — the order :meth:`SnippetHarness.run_many`
-    prefers for snapshot locality.
+    is a sorted ascending int64 array — the order
+    :meth:`SnippetHarness.run_many` prefers for snapshot locality — built
+    by mask passes over all ``2^width`` words.
     """
     _check_model(model)
     word &= mask(width)
-    full = k_values is None
-    ks = tuple(range(width + 1)) if full else tuple(k_values)
+    ks = tuple(range(width + 1)) if k_values is None else tuple(k_values)
     p = popcount(word)
+    # the narrowest dtype that holds every word keeps the passes cheap
+    every = np.arange(1 << width, dtype=np.min_scalar_type(mask(width)))
+    keep = np.zeros(width + 1, dtype=bool)  # by j, the determined-bit count
+    if model == "xor":
+        # every word, in the distance-k shell k = j
+        keep[[k for k in ks if 0 <= k <= width]] = True
+        if keep.all():
+            return every.astype(np.int64)
+        return np.flatnonzero(keep[np.bitwise_count(every ^ word)])
     if model == "and":
-        allowed = _allowed_j(ks, p, width - p)
-        return sorted(
-            sub for sub in _submasks(word) if p - popcount(sub) in allowed
-        )
-    if model == "or":
-        zeros = ~word & mask(width)
-        allowed = _allowed_j(ks, width - p, p)
-        return sorted(
-            word | sub for sub in _submasks(zeros) if popcount(sub) in allowed
-        )
-    # xor: distance-k shells; the full range is simply every word
-    if full or set(range(width + 1)).issubset(ks):
-        return list(range(1 << width))
-    words: list[int] = []
-    for k in sorted({k for k in ks if 0 <= k <= width}):
-        words.extend(word ^ m for m in iter_masks(width, k))
-    return sorted(words)
+        # submasks of the target; j = cleared bits
+        words = np.flatnonzero((every & (~word & mask(width))) == 0)
+        j = p - np.bitwise_count(words)
+        keep[list(_allowed_j(ks, p, width - p))] = True
+    else:
+        # supersets of the target; j = added bits
+        words = np.flatnonzero((every & word) == word)
+        j = np.bitwise_count(words) - p
+        keep[list(_allowed_j(ks, width - p, p))] = True
+    return words[keep[j]]
 
 
 def multiplicity(word: int, target: int, model: str, k: int, width: int = 16) -> int:

@@ -5,9 +5,9 @@ Every campaign here is deterministic given the default fault-model seed
 EXPERIMENTS.md are exact — any drift means the emulator, fault model, or
 campaign plumbing changed behaviour and the document must be re-measured.
 
-These run the full Figure 2 sweep, the stride-2 Table I scans and the
-stride-2 Table VI scans (~14 s), so they are marked ``slow`` and excluded
-from the default test run; select them with ``pytest -m slow``.
+These run the full Figure 2 sweep and the stride-2 Table I, II, III and
+VI scans (~17 s), so they are marked ``slow`` and excluded from the
+default test run; select them with ``pytest -m slow``.
 """
 
 import pytest
@@ -82,6 +82,55 @@ class TestTable1Golden:
         # RQ3: !a > a!=K > a ("while(a) was the most resilient")
         rates = {g: s.success_rate for g, s in table1.scans.items()}
         assert rates["not_a"] > rates["a_ne_const"] > rates["a"]
+
+
+class TestTable2Golden:
+    """Table II partial/full multi-glitch rates at stride 2 (20,000 attempts/guard)."""
+
+    @pytest.fixture(scope="class")
+    def table2(self):
+        from repro.experiments.table2 import run_table2
+
+        return run_table2(stride=2, fault_model=FaultModel(seed=0x600D5EED))
+
+    @pytest.mark.parametrize(
+        "guard,partial,full",
+        [
+            ("not_a", 113, 17),       # EXPERIMENTS.md: while(!a) — 0.565% / 0.085%
+            ("a", 32, 2),             # while(a) — 0.160% / 0.010%
+            ("a_ne_const", 46, 2),    # while(a!=K) — 0.230% / 0.010%
+        ],
+    )
+    def test_guard_partial_and_full_rates(self, table2, guard, partial, full):
+        scan = table2.scans[guard]
+        assert scan.total_attempts == 20000
+        assert (scan.total_partial, scan.total_full) == (partial, full)
+        assert scan.partial_rate == pytest.approx(partial / 20000, abs=1e-12)
+        assert scan.full_rate == pytest.approx(full / 20000, abs=1e-12)
+
+
+class TestTable3Golden:
+    """Table III long-glitch rates at stride 2 (27,500 attempts/guard)."""
+
+    @pytest.fixture(scope="class")
+    def table3(self):
+        from repro.experiments.table3 import run_table3
+
+        return run_table3(stride=2, fault_model=FaultModel(seed=0x600D5EED))
+
+    @pytest.mark.parametrize(
+        "guard,successes",
+        [
+            ("not_a", 46),        # EXPERIMENTS.md: while(!a) — 0.167%
+            ("a", 40),            # while(a) — 0.145%
+            ("a_ne_const", 63),   # while(a!=K) — 0.229%
+        ],
+    )
+    def test_guard_long_glitch_rate(self, table3, guard, successes):
+        scan = table3.scans[guard]
+        assert scan.total_attempts == 27500
+        assert scan.total_successes == successes
+        assert scan.success_rate == pytest.approx(successes / 27500, abs=1e-12)
 
 
 class TestTable6Golden:

@@ -167,20 +167,37 @@ class TestWordCodesMatmulDifferential:
 class TestReachableWords:
     def test_and_words_are_submasks(self):
         target = 0xD001  # beq: p = 4
-        words = reachable_words(target, "and")
+        words = reachable_words(target, "and").tolist()
         assert len(words) == 2 ** popcount(target)
         assert all(word & ~target == 0 for word in words)
         assert words == sorted(words)
 
     def test_or_words_are_supersets(self):
         target = 0xD001
-        words = reachable_words(target, "or")
+        words = reachable_words(target, "or").tolist()
         assert len(words) == 2 ** (WIDTH - popcount(target))
         assert all(word & target == target for word in words)
         assert words == sorted(words)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        target=st.integers(0, 0xFFFF),
+        model=st.sampled_from(MODELS),
+        ks=st.sets(st.integers(-1, WIDTH + 1), max_size=4),
+    )
+    def test_matches_mask_enumeration(self, target, model, ks):
+        import numpy as np
+
+        # the loop reference: apply every mask of every requested flip count
+        expected = sorted({
+            apply_flip(target, flip, WIDTH, model) for k in ks for flip in iter_masks(WIDTH, k)
+        })
+        words = reachable_words(target, model, WIDTH, tuple(ks))
+        assert words.dtype == np.int64
+        assert words.tolist() == expected
+
     def test_xor_reaches_every_word(self):
-        assert reachable_words(0xBEEF, "xor") == list(range(1 << WIDTH))
+        assert reachable_words(0xBEEF, "xor").tolist() == list(range(1 << WIDTH))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_k_restriction_matches_multiplicity(self, model):
@@ -188,10 +205,10 @@ class TestReachableWords:
         restricted = reachable_words(target, model, k_values=(1, 2))
         expected = [
             word
-            for word in reachable_words(target, model)
+            for word in reachable_words(target, model).tolist()
             if any(multiplicity(word, target, model, k) for k in (1, 2))
         ]
-        assert restricted == expected
+        assert restricted.tolist() == expected
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model"):

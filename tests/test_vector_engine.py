@@ -46,22 +46,32 @@ def _harness_trio(mnemonic, zero_is_invalid):
     return trio
 
 
+def _full_word_space_mismatches(condition, zero_is_invalid):
+    """Words whose category differs between the snapshot and vector engines."""
+    snippet = branch_snippet(condition)
+    words = range(1 << 16)
+    base = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid).run_many(words)
+    vec = SnippetHarness(
+        snippet, zero_is_invalid=zero_is_invalid, engine="vector"
+    ).run_many(words)
+    return [
+        (word, base[word].category, vec[word].category)
+        for word in words
+        if base[word].category != vec[word].category
+    ]
+
+
 class TestVectorDifferential:
     @pytest.mark.parametrize("zero_is_invalid", [False, True])
     def test_beq_full_word_space_matches_snapshot(self, zero_is_invalid):
         """Every possible corrupted word, both decode modes, both engines."""
-        snippet = branch_snippet("eq")
-        words = range(1 << 16)
-        base = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid).run_many(words)
-        vec = SnippetHarness(
-            snippet, zero_is_invalid=zero_is_invalid, engine="vector"
-        ).run_many(words)
-        mismatches = [
-            (word, base[word].category, vec[word].category)
-            for word in words
-            if base[word].category != vec[word].category
-        ]
-        assert mismatches == []
+        assert _full_word_space_mismatches("eq", zero_is_invalid) == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    def test_bvs_full_word_space_matches_snapshot(self, zero_is_invalid):
+        """bvs is the only world with a 60-step budget (a four-step set-up)."""
+        assert _full_word_space_mismatches("vs", zero_is_invalid) == []
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -108,6 +118,177 @@ class TestVectorDifferential:
             instruction_class, "xor", k_values=(1, 2), engine="vector"
         )
         assert xor_vector == xor_scalar
+
+
+def _b(source: int, destination: int) -> int:
+    """The Thumb ``b`` halfword at ``source`` that jumps to ``destination``."""
+    return 0xE000 | (((destination - source - 4) >> 1) & 0x7FF)
+
+
+#: loops that come back to the same PC in a different state and then leave
+#: through the taken block (so the outcome is no_effect, not the limit);
+#: the set-up parks r1 on a RAM word for ``count``
+_LOOPS_SNIPPET = """
+    mov r1, sp
+    subs r1, #4
+    movs r0, #1
+    cmp r0, #1
+target:
+    beq taken
+    ldr r2, =0xdead
+    bkpt #0
+taken:
+    ldr r3, =0xaaaa
+    bkpt #0
+count:
+    ldr r2, [r1]
+    adds r2, #1
+    str r2, [r1]
+    cmp r2, #5
+    bge taken
+    movs r2, #0
+    movs r4, #0
+    b count
+spin:
+    adds r2, #1
+    cmp r2, #12
+    blt spin
+    b taken
+pad:
+    movs r4, #0
+    movs r4, #0
+    movs r4, #0
+toggle:
+    bcc taken
+    cmp r2, r0
+    b toggle
+"""
+
+
+def _loops_snippet():
+    from repro.glitchsim.snippets import FLASH_BASE, BranchSnippet
+    from repro.isa import assemble
+
+    program = assemble(_LOOPS_SNIPPET, base=FLASH_BASE)
+    target = program.symbols["target"]
+    return BranchSnippet(
+        mnemonic="beq",
+        program=program,
+        target_address=target,
+        target_word=program.halfwords[(target - FLASH_BASE) // 2],
+    )
+
+
+class TestEarlyExitBoundaries:
+    """The straight-line and cycle exits at their edges, against snapshot.
+
+    The beq world: the corrupted slot is 0x08000004 (62 budget steps),
+    0x0800000E is a zero halfword before the ``0xdead`` literal (``udf``),
+    and 0x08000016 starts the zero padding that runs 501 halfwords to the
+    end of the 1 KiB flash.  A zero halfword is ``lsls r0, r0, #0`` unless
+    ``zero_is_invalid``.  Each case also checks whether the vector lane was
+    decided early, so a rule that stops firing cannot pass unnoticed.
+    """
+
+    TARGET = 0x0800_0004
+    PAD_BEFORE_UDF = 0x0800_000E
+    PADDING = 0x0800_0016
+    FLASH_END = 0x0800_0400
+
+    def _run(self, word, zero_is_invalid, *, budget=None, extra_stops=(), snippet=None):
+        """(snapshot category, vector category, the lane's VectorRun)."""
+        snippet = snippet or branch_snippet("eq")
+        categories = []
+        for engine in ENGINES:
+            harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine=engine)
+            world = harness._snapshot_world()
+            if budget is not None:
+                world.budget = budget
+            world.marker_stops = world.marker_stops | frozenset(extra_stops)
+            categories.append(harness.run_many([word])[word].category)
+        batch = harness._vector_engine(world).run(np.array([word]))
+        return categories[0], categories[1], batch
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    @pytest.mark.parametrize(
+        "destination,budget,expected",
+        [
+            # the padding's run (501) equals the 501 steps left after the b
+            (PADDING, 502, "failed"),
+            # one step more: the run ends at the end of flash within budget
+            (PADDING, 503, "bad_fetch"),
+            # a one-halfword sled before udf: run == steps left, then one more
+            (PAD_BEFORE_UDF, 2, "failed"),
+            (PAD_BEFORE_UDF, 3, "invalid_instruction"),
+            # the default budget: the sled reaches udf
+            (PAD_BEFORE_UDF, None, "invalid_instruction"),
+            # ten halfwords before the end of flash
+            (FLASH_END - 20, None, "bad_fetch"),
+        ],
+    )
+    def test_straight_line_sleds(self, destination, budget, expected, zero_is_invalid):
+        word = _b(self.TARGET, destination)
+        snapshot, vector, batch = self._run(word, zero_is_invalid, budget=budget)
+        assert vector == snapshot
+        # under zero_is_invalid the first zero halfword already faults
+        assert snapshot == ("invalid_instruction" if zero_is_invalid else expected)
+        assert batch.early_exits == 1
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    @pytest.mark.parametrize(
+        "budget,expected", [(None, "no_effect"), (8, "no_effect"), (7, "failed")]
+    )
+    def test_run_through_a_marker_stop_is_not_decided(self, budget, expected, zero_is_invalid):
+        # a stop five halfwords into the padding, reached at step 6: it
+        # classifies with two steps left (budget 8), but with one step left
+        # (budget 7) the lane executes it and runs out of budget instead
+        stop = self.PADDING + 10
+        snapshot, vector, batch = self._run(
+            _b(self.TARGET, self.PADDING), zero_is_invalid, budget=budget, extra_stops=(stop,)
+        )
+        assert vector == snapshot
+        if not zero_is_invalid:
+            assert snapshot == expected
+            # the padding's run ends at the stop, which decides nothing
+            assert batch.early_exits == 0
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    @pytest.mark.parametrize(
+        "destination,steps",
+        [
+            # b .: snapshot at step 1, equal at step 2
+            (TARGET, 2),
+            # back into the movs/cmp set-up: a three-step cycle, snapshot at
+            # step 4, equal at step 7
+            (0x0800_0000, 7),
+        ],
+    )
+    def test_cycles_exit_as_limit(self, destination, steps, zero_is_invalid):
+        snapshot, vector, batch = self._run(_b(self.TARGET, destination), zero_is_invalid)
+        assert snapshot == vector == "failed"
+        assert batch.early_exits == 1
+        assert batch.lane_steps == steps
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            # stores on every pass: registers and flags repeat at `b count`
+            # (steps 8, 16, 24, ...), only the RAM counter moves
+            "count",
+            # registers differ: r2 counts while PC and flags repeat
+            "spin",
+            # flags differ: back at `toggle` (step 7) with the snapshot's
+            # registers (step 4) but carry clear
+            "pad",
+        ],
+    )
+    def test_loops_that_leave_keep_stepping(self, loop, zero_is_invalid):
+        snippet = _loops_snippet()
+        word = _b(snippet.target_address, snippet.program.symbols[loop])
+        snapshot, vector, batch = self._run(word, zero_is_invalid, snippet=snippet)
+        assert snapshot == vector == "no_effect"
+        assert batch.early_exits == 0
 
 
 class TestRunManyRegressions:
@@ -190,6 +371,19 @@ class TestVectorObservability:
         assert obs.counters["vector.batches"] == 1
         assert obs.counters["vector.lanes"] == 256
         assert harness.words_executed == 256
+
+    def test_lane_step_and_early_exit_counters(self):
+        # every forward b: some land in the zero padding and are decided there
+        obs = Observer()
+        harness = SnippetHarness(branch_snippet("ne"), engine="vector")
+        with activate(obs):
+            harness.run_many(range(0xE000, 0xE400))
+        world = harness._snapshot_world()
+        batch = harness._vector_engine(world).run(np.arange(0xE000, 0xE400))
+        assert obs.counters["vector.lane_steps"] == batch.lane_steps
+        assert obs.counters["vector.early_exits"] == batch.early_exits
+        assert 0 < batch.early_exits <= 1024
+        assert batch.lane_steps >= 1024  # every lane fetches its own word
 
     def test_memoised_rerun_spawns_no_batch(self):
         obs = Observer()
