@@ -22,7 +22,8 @@ cites: Balasch+'11, Moro+'13, Korak & Hoefler '14, Timmers+'16) reports:
 
 The model is fully deterministic given its ``seed``: occurrence decisions
 hash (seed, width, offset, relative cycle); realizations additionally hash
-an occurrence counter.
+an occurrence counter.  Every roll is a pure function of the seed, a label
+and integer keys (:func:`_roll`), memoized process-wide.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.hw.clock import GlitchParams
@@ -364,9 +366,19 @@ class FaultModel:
         return names[-1]
 
     def _uniform(self, label: str, *keys: int) -> float:
-        payload = label.encode() + struct.pack(f"<q{len(keys)}q", self.seed, *keys)
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        return int.from_bytes(digest, "little") / float(1 << 64)
+        return _roll(self.seed, label, keys)
+
+
+# A roll is a pure function of its arguments, so it is memoized for the
+# whole process: a Table VI regeneration asks for ~31k rolls but only ~3k
+# distinct ones, mostly the same grid points again in another row's scan
+# (each with its own model).  Bounded, so long campaigns keep a flat RSS.
+@lru_cache(maxsize=1 << 16)
+def _roll(seed: int, label: str, keys: tuple[int, ...]) -> float:
+    """A uniform draw in ``[0, 1)`` hashed from ``seed``, ``label`` and ``keys``."""
+    payload = label.encode() + struct.pack(f"<q{len(keys)}q", seed, *keys)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    return int.from_bytes(digest, "little") / float(1 << 64)
 
 
 __all__ = ["FaultEffect", "FaultModel", "PipelineView", "EFFECT_KINDS"]

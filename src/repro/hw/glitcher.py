@@ -43,7 +43,7 @@ from typing import Optional
 from repro.emu.memory import MemoryRegion
 from repro.errors import EmulationFault
 from repro.hw.clock import GlitchParams
-from repro.hw.faults import FaultEffect, FaultModel, PipelineView
+from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel, PipelineView
 from repro.hw.mcu import Board
 from repro.hw.pipeline import PipelineState
 from repro.isa.assembler import AssembledProgram
@@ -55,15 +55,17 @@ SETTLE_CYCLES = 400
 
 #: per-glitcher attempt counters (see :attr:`ClockGlitcher.counters`):
 #: attempts decided by the fault-model fast path, attempts simulated,
-#: simulated attempts cut short by the settled-loop exit, pipeline
-#: cycles stepped after the first trigger, and how each simulated run
-#: started — booted from reset, or restored from a boot record.  For
+#: simulated attempts cut short by the settled-loop exit, machine states
+#: that exit looked up, pipeline cycles stepped after the first trigger,
+#: how each simulated run started — booted from reset, or restored from
+#: a boot record — and, per :data:`~repro.hw.faults.EFFECT_KINDS` kind,
+#: the fault effects the resolver realized (``reset`` included).  For
 #: scans, ``hw.full_boots + hw.baseline_replays == hw.simulated``
 #: (:meth:`ClockGlitcher.run_unglitched` runs count a start too).
 HW_COUNTERS = (
-    "hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles",
-    "hw.full_boots", "hw.baseline_replays",
-)
+    "hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.settle_checks",
+    "hw.cycles", "hw.full_boots", "hw.baseline_replays",
+) + tuple(f"hw.effects.{kind}" for kind in EFFECT_KINDS)
 
 #: machine states the settled-loop exit remembers per attempt
 _HISTORY_LIMIT = 4096
@@ -241,21 +243,33 @@ class ClockGlitcher:
         """Settled-loop exit: jump whole periods of a loop that can no
         longer change; returns the cycles skipped (0 when none).
 
-        Called at every top-of-loop with a free execute stage once no
-        glitch can land.  ``history`` maps each machine state seen there
-        to the counters and the memory write-log position at that point.
-        The state covers the registers, flags and halt bit, both latches,
-        the fetch address, the last retired instruction, the bus-residue
-        hint and the GPIO pin, plus the counts of MMIO reads and of
-        milestones, so a repeat implies neither happened in between.  The
-        repeat counts only if memory is also unchanged: no write in
-        between hit MMIO (a GPIO write can open a window), and every byte
-        written holds its earlier value again.  Then nothing read the
-        cycle counter, no trigger can fire and the run from the repeated
-        state replays the run from its first sighting, so every later
-        period is identical: skipping whole periods up to the deadline
-        leaves the final state, cycle count and outcome exactly those of
-        the full settle.
+        Called once no glitch can land, at every top-of-loop where the
+        execute stage and both latches are empty: just after a taken
+        branch flushed the pipeline.  Checking fewer points never makes
+        the exit inexact, only later, and these points see every loop
+        that fetches: with no glitch left only a taken branch moves the
+        fetch address back, so a state that comes back after a fetch
+        took a branch in between, and every taken branch goes through
+        :meth:`~repro.hw.pipeline.PipelinedCPU._flush`.  Each period of
+        such a loop passes a check point, so its repeat is seen at most
+        one period later than a check at every cycle would see it.  (A
+        front end stalled for good, a BL prefix whose suffix cannot be
+        fetched, just steps to the deadline.)
+
+        ``history`` maps each machine state seen at a check point to the
+        counters and the memory write-log position there.  The state
+        covers the registers, flags and halt bit, the fetch address, the
+        last retired instruction, the bus-residue hint and the GPIO pin,
+        plus the counts of MMIO reads and of milestones, so a repeat
+        implies neither happened in between (the latches are empty at
+        every check point).  The repeat counts only if memory is also
+        unchanged: no write in between hit MMIO (a GPIO write can open a
+        window), and every byte written holds its earlier value again.
+        Then nothing read the cycle counter, no trigger can fire and the
+        run from the repeated state replays the run from its first
+        sighting, so every later period is identical: skipping whole
+        periods up to the deadline leaves the final state, cycle count
+        and outcome exactly those of the full settle.
         """
         board = self.board
         pipeline = board.pipeline
@@ -263,9 +277,9 @@ class ClockGlitcher:
         log = cpu.memory.write_log
         if log is None:
             log = cpu.memory.write_log = []
+        self.counters["hw.settle_checks"] += 1
         state = (
-            tuple(cpu.regs), cpu.flags, cpu.halted,
-            pipeline.fetch_latch, pipeline.decode_latch, pipeline.fetch_address,
+            tuple(cpu.regs), cpu.flags, cpu.halted, pipeline.fetch_address,
             pipeline._last_retired_raw, getattr(cpu, "last_bus_address", None),
             board._gpio_state, board.mmio_reads, len(pipeline.milestones),
         )
@@ -343,6 +357,7 @@ class ClockGlitcher:
 
         effects: list[FaultEffect] = []
         occurrence_counter = 0
+        counters = self.counters
 
         def resolver(cycle: int, view: PipelineView) -> Optional[FaultEffect]:
             nonlocal occurrence_counter
@@ -356,6 +371,7 @@ class ClockGlitcher:
                     )
                     if effect is not None:
                         effects.append(effect)
+                        counters["hw.effects." + effect.kind] += 1
                     return effect
             return None
 
@@ -408,11 +424,15 @@ class ClockGlitcher:
                     # step), so this state is attempt-independent.
                     self._capture_baseline(windows[0])
                     capture = False
-                if watch and pipeline.execute_slot is None and pipeline.cycles >= quiet_from:
+                if (
+                    watch and pipeline.fetch_latch is None and pipeline.decode_latch is None
+                    and pipeline.execute_slot is None and pipeline.cycles >= quiet_from
+                ):
+                    # a flushed pipeline: see _skip_settled_periods
                     jumped = self._skip_settled_periods(history, deadline)
                     if jumped:
                         skipped += jumped
-                        self.counters["hw.settled_exits"] += 1
+                        counters["hw.settled_exits"] += 1
                         continue
                 if pipeline.cycles >= rearm_at:
                     rearm_at = arm(pipeline.cycles)
@@ -423,7 +443,7 @@ class ClockGlitcher:
             cpu.memory.write_log = None  # only the settled-loop exit reads it
 
         if windows:
-            self.counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped
+            counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped
         if self.expected_triggers > 1 and category in ("no_effect", "reset"):
             # "Partial" = the first glitch broke out of loop 1 (observable:
             # the second trigger fired / the exit1 milestone issued) but the

@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.emu.cpu import CPU, CPUSnapshot
+from repro.emu.memory import MemoryRegion
 from repro.errors import BadFetch, HardFault, InvalidInstruction
 from repro.hw.faults import FaultEffect, PipelineView
 from repro.isa.decoder import decode
@@ -130,6 +131,14 @@ class PipelinedCPU:
         #: called as trace_hook(cycle, address, raw) when an instruction
         #: occupies the execute stage (each cycle it occupies it)
         self.trace_hook: Optional[Callable[[int, int, tuple[int, ...]], None]] = None
+        # The first executable region's bytes (a live reference), fetched
+        # from directly; any other fetch goes through Memory.try_fetch_u16.
+        code = next((region for region in cpu.memory.regions
+                     if region.executable and type(region) is MemoryRegion), None)
+        self._code = bytearray() if code is None else code.data
+        self._code_base = 0 if code is None else code.base
+        #: code offsets at or past this one are not a whole halfword
+        self._code_limit = len(self._code) - 1
 
     # ------------------------------------------------------------------
 
@@ -200,17 +209,23 @@ class PipelinedCPU:
             latch = self.decode_latch = (latch[0], (latch[1][0], fetch[1]))
             fetch = self.fetch_latch = None
         if fetch is None:
-            halfword = self.cpu.memory.try_fetch_u16(self.fetch_address)
-            if halfword is not None:
-                self.fetch_latch = (self.fetch_address, halfword)
-                self.fetch_address += 2
-            elif latch is None and slot is None:
-                # Nothing older in flight: the corrupted PC has run the
-                # pipeline into unmapped memory.
-                raise BadFetch(
-                    f"pipeline ran into unmapped memory at {self.fetch_address:#010x}",
-                    self.fetch_address,
-                )
+            address = self.fetch_address
+            offset = address - self._code_base
+            if 0 <= offset < self._code_limit and not address & 1:
+                code = self._code
+                self.fetch_latch = (address, code[offset] | code[offset + 1] << 8)
+                self.fetch_address = address + 2
+            else:
+                halfword = self.cpu.memory.try_fetch_u16(address)
+                if halfword is not None:
+                    self.fetch_latch = (address, halfword)
+                    self.fetch_address = address + 2
+                elif latch is None and slot is None:
+                    # Nothing older in flight: the corrupted PC has run the
+                    # pipeline into unmapped memory.
+                    raise BadFetch(
+                        f"pipeline ran into unmapped memory at {address:#010x}", address,
+                    )
 
         # 3. glitch
         resolver = self.glitch_resolver

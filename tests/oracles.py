@@ -19,6 +19,12 @@ speedup benchmarks keep comparing against them on the same inputs:
   separate stages (issue, front end, glitch, execute), which
   :meth:`repro.hw.pipeline.PipelinedCPU.step_cycle` runs as one flat
   method;
+- :func:`uniform_roll` — the fault model's hashed uniform draw, computed
+  afresh on every call, which ``FaultModel._uniform`` memoizes
+  process-wide;
+- :func:`trace_pipeline` — per-cycle pipeline occupancy (which
+  instruction executes, what sits in decode and fetch), rendered as an
+  ASCII diagram; the tests use it to check Table I's cycle attribution;
 - :func:`scalar_operand_columns` — the vector engine's operand table
   filled one word at a time through the scalar decoder, which
   :func:`repro.emu.vector.operand_table` builds as NumPy mask passes.
@@ -26,8 +32,12 @@ speedup benchmarks keep comparing against them on the same inputs:
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -60,6 +70,7 @@ from repro.glitchsim.snippets import (
     SUCCESS_REGISTER,
 )
 from repro.isa.decoder import decode
+from repro.isa.disassembler import disassemble_one
 
 
 class RebuildSnippetHarness(SnippetHarness):
@@ -294,6 +305,116 @@ def _execute_stage(pipeline, effect) -> None:
         return
     pipeline._complete(slot)
     pipeline.execute_slot = None
+
+
+# ----------------------------------------------------------------------
+# fault-model rolls
+# ----------------------------------------------------------------------
+
+def uniform_roll(seed: int, label: str, *keys: int) -> float:
+    """``FaultModel(seed=seed)._uniform(label, *keys)``, hashed on every call."""
+    payload = label.encode() + struct.pack(f"<q{len(keys)}q", seed, *keys)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    return int.from_bytes(digest, "little") / float(1 << 64)
+
+
+# ----------------------------------------------------------------------
+# pipeline occupancy traces
+# ----------------------------------------------------------------------
+
+@dataclass
+class CycleRecord:
+    """Pipeline occupancy at one clock cycle."""
+
+    cycle: int
+    execute: Optional[str] = None
+    execute_address: Optional[int] = None
+    decode: Optional[str] = None
+    fetch: Optional[str] = None
+
+
+@dataclass
+class PipelineTrace:
+    records: list[CycleRecord] = field(default_factory=list)
+    trigger_cycle: Optional[int] = None
+
+    def window(self, start: int, length: int) -> list[CycleRecord]:
+        """Records for ``length`` cycles starting at relative cycle ``start``
+        (relative to the trigger if one was seen, else absolute)."""
+        base = (self.trigger_cycle + 1) if self.trigger_cycle is not None else 0
+        lo = base + start
+        return [r for r in self.records if lo <= r.cycle < lo + length]
+
+    def render(
+        self,
+        start: int = 0,
+        length: int = 16,
+        glitch_cycles: tuple[int, ...] = (),
+    ) -> str:
+        """ASCII pipeline diagram; ``glitch_cycles`` (relative) get a ⚡ mark."""
+        base = (self.trigger_cycle + 1) if self.trigger_cycle is not None else 0
+        rows = ["cycle | X | execute              | decode               | fetch"]
+        rows.append("-" * 78)
+        for record in self.window(start, length):
+            rel = record.cycle - base
+            mark = "⚡" if rel in glitch_cycles else " "
+            rows.append(
+                f"{rel:>5} | {mark} | {(record.execute or '-'):<20} | "
+                f"{(record.decode or '-'):<20} | {record.fetch or '-'}"
+            )
+        return "\n".join(rows)
+
+
+def trace_pipeline(
+    board,
+    max_cycles: int = 2000,
+    stop_after_trigger: Optional[int] = None,
+) -> PipelineTrace:
+    """Run ``board`` (freshly reset) while recording pipeline occupancy.
+
+    ``stop_after_trigger`` stops that many cycles after the first trigger
+    (handy for tracing exactly the paper's 8-cycle loop window).
+    """
+    board.reset()
+    pipeline = board.pipeline
+    trace = PipelineTrace()
+    trigger_seen: list[int] = []
+    board.trigger_callback = lambda value: trigger_seen.append(pipeline.cycles)
+
+    while pipeline.cycles < max_cycles:
+        if trigger_seen and stop_after_trigger is not None:
+            if pipeline.cycles - trigger_seen[0] > stop_after_trigger:
+                break
+        record = CycleRecord(cycle=pipeline.cycles)
+        slot = pipeline.execute_slot
+        if slot is None and pipeline.decode_latch is not None:
+            # a 1-cycle instruction will issue+execute this very cycle
+            address, raw = pipeline.decode_latch
+            if not (len(raw) == 1 and (raw[0] >> 11) == 0b11110):
+                record.execute = _safe_disasm(raw)
+                record.execute_address = address
+        elif slot is not None:
+            record.execute = _safe_disasm(slot.raw)
+            record.execute_address = slot.address
+        if pipeline.decode_latch is not None:
+            record.decode = _safe_disasm(pipeline.decode_latch[1])
+        if pipeline.fetch_latch is not None:
+            record.fetch = _safe_disasm((pipeline.fetch_latch[1],))
+        trace.records.append(record)
+        try:
+            pipeline.step_cycle()
+        except Exception:
+            break
+        if pipeline.stopped_at is not None or board.cpu.halted:
+            break
+    if trigger_seen:
+        trace.trigger_cycle = trigger_seen[0]
+    board.persist_nonvolatile()
+    return trace
+
+
+def _safe_disasm(raw: tuple[int, ...]) -> str:
+    return disassemble_one(raw[0], raw[1] if len(raw) == 2 else None).split(";")[0].strip()
 
 
 def operand_row(instr) -> dict:

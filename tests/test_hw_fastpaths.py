@@ -4,14 +4,18 @@ Each fast path is checked against the slow computation it replaces:
 
 - the point-memoized ``FaultModel.occurrence_decision`` against a direct
   recomputation from ``_uniform``, for every registered model;
+- the process-wide memoized ``FaultModel._uniform`` against the roll
+  hashed afresh in ``tests/oracles.py``;
 - the first-decision ``ClockGlitcher._occurrence_plan`` against the first
   entry of the full per-cycle plan;
 - the settled-loop exit against the full settle, field by field on
-  ``AttemptResult`` and on the persisted seed page;
+  ``AttemptResult`` and on the persisted seed page, with its state
+  lookups made once per loop period (after the taken branch);
 - seed-keyed boot records, shared by a scan's units, against
   ``replay=False`` glitchers booting every attempt from reset;
 - the flat ``PipelinedCPU.step_cycle`` against the staged cycle in
-  ``tests/oracles.py``, in lock-step under random glitch effects.
+  ``tests/oracles.py``, in lock-step under random glitch effects, and its
+  direct flash fetch against ``Memory.try_fetch_u16``.
 
 Also pins the ``hw.*`` scan counters and the process-wide decode memo.
 """
@@ -26,12 +30,12 @@ from repro.errors import EmulationFault
 from repro.experiments.table6 import DEFENSE_STACKS, SCENARIOS, run_table6
 from repro.firmware import build_guard_firmware
 from repro.firmware.guards import build_defended_guard
-from repro.hw import FAULT_MODELS
+from repro.hw import FAULT_MODELS, EMFaultModel, VoltageFaultModel
 from repro.hw import pipeline as pipeline_module
 from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE, GlitchParams
 from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel
 from repro.hw.glitcher import ClockGlitcher
-from repro.hw.mcu import Board
+from repro.hw.mcu import FLASH_BASE, FLASH_SIZE, SEED_PAGE_BASE, SRAM_BASE, Board
 from repro.hw.scan import (
     ATTACK_SHAPES,
     map_cycles_to_instructions,
@@ -39,7 +43,7 @@ from repro.hw.scan import (
     run_long_glitch_scan,
 )
 from repro.obs import Observer
-from tests.oracles import staged_step_cycle
+from tests.oracles import staged_step_cycle, uniform_roll
 
 widths = st.integers(WIDTH_RANGE.start, WIDTH_RANGE.stop - 1)
 offsets = st.integers(OFFSET_RANGE.start, OFFSET_RANGE.stop - 1)
@@ -107,6 +111,43 @@ class TestPointMemo:
         params = GlitchParams(ext_offset, width, offset, repeat=repeat)
         full = _full_plan(glitcher, params)
         assert glitcher._occurrence_plan(params) == (full[0] if full else None)
+
+
+#: roll arguments: a signed 64-bit seed, a label and up to six keys
+seeds = st.integers(-(1 << 63), (1 << 63) - 1)
+labels = st.sampled_from(("crashpt", "occurpt", "occur", "follow", "kind", "mode",
+                          "subst", "bits", "pos")) | st.text(max_size=8)
+roll_keys = st.lists(st.integers(-(1 << 31), 1 << 31), max_size=6)
+
+
+class TestRollMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, label=labels, keys=roll_keys)
+    def test_memoized_roll_matches_oracle(self, seed, label, keys):
+        model = FaultModel(seed=seed)
+        expected = uniform_roll(seed, label, *keys)
+        # cold (fills the memo) and warm (reads it)
+        assert model._uniform(label, *keys) == expected
+        assert model._uniform(label, *keys) == expected
+        assert 0.0 <= expected < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.lists(seeds, min_size=2, max_size=2, unique=True),
+           label=labels, keys=roll_keys)
+    def test_rolls_are_keyed_by_seed(self, seeds, label, keys):
+        # two models asked for the same (label, keys) back to back must
+        # each get their own seed's roll, not the other's memo entry
+        for seed in seeds:
+            assert FaultModel(seed=seed)._uniform(label, *keys) == (
+                uniform_roll(seed, label, *keys)
+            )
+
+    @pytest.mark.parametrize("model", [EMFaultModel(), VoltageFaultModel()],
+                             ids=["em", "voltage"])
+    @settings(max_examples=50, deadline=None)
+    @given(label=labels, keys=roll_keys)
+    def test_zoo_rolls_match_oracle(self, model, label, keys):
+        assert model._uniform(label, *keys) == uniform_roll(model.seed, label, *keys)
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +272,53 @@ win:
         assert a.triggers_seen == b.triggers_seen == 1
         assert fast.counters["hw.settled_exits"] == int(exits)
 
+    def test_exit_checks_once_per_period_of_a_long_loop(self):
+        """A loop body of 12 restoring instructions: the exit looks the
+        state up once per period (after ``b loop`` flushes the pipeline),
+        not at every instruction issue."""
+        from repro.isa import assemble
+
+        image = assemble("""
+_start:
+    ldr r0, =0x48000014
+    movs r1, #1
+    str r1, [r0]
+    ldr r2, =0x20000000
+loop:
+    movs r3, #1
+    str r3, [r2]
+    movs r3, #2
+    str r3, [r2, #4]
+    movs r4, #3
+    str r4, [r2, #8]
+    adds r4, r4, r3
+    movs r3, #0
+    str r3, [r2]
+    str r3, [r2, #4]
+    movs r4, #0
+    str r4, [r2, #8]
+    b loop
+win:
+    b win
+""", base=0x0800_0000)
+        fast, full = _glitcher_pair(image, True)
+        a = fast.run_unglitched(max_cycles=3_000)
+        b = full.run_unglitched(max_cycles=3_000)
+        assert (a.category, a.cycles, a.registers) == (b.category, b.cycles, b.registers)
+        assert a.cycles == 3_000
+        assert fast.counters["hw.settled_exits"] == 1
+        # the loop's period, from the cycles at which its head issues
+        board = Board(image)
+        board.pipeline.milestone_addresses = frozenset({image.symbols["loop"]})
+        board.run(200)
+        heads = [cycle for cycle, _ in board.pipeline.milestones]
+        period = heads[-1] - heads[-2]
+        assert period == heads[-2] - heads[-3] > 12
+        stepped = fast.counters["hw.cycles"]
+        assert stepped < full.counters["hw.cycles"]
+        checks = fast.counters["hw.settle_checks"]
+        assert 0 < checks <= -(-stepped // period)
+
 
 # ----------------------------------------------------------------------
 # boot records vs from-reset runs
@@ -323,6 +411,49 @@ class TestBootRecords:
 
 
 # ----------------------------------------------------------------------
+# direct flash fetch vs Memory.try_fetch_u16
+# ----------------------------------------------------------------------
+
+def _fetch_once(board: Board, address: int):
+    """One cycle from an empty pipeline fetching at ``address``."""
+    pipeline = board.pipeline
+    pipeline.fetch_address = address
+    pipeline.fetch_latch = pipeline.decode_latch = pipeline.execute_slot = None
+    try:
+        pipeline.step_cycle()
+    except EmulationFault as exc:
+        return type(exc), exc.address
+    return pipeline.fetch_latch, pipeline.decode_latch, pipeline.fetch_address
+
+
+#: fetch addresses at and around the edges of flash, plus other regions
+fetch_addresses = st.one_of(
+    st.sampled_from([FLASH_BASE - 2, FLASH_BASE - 1, FLASH_BASE, FLASH_BASE + 1,
+                     FLASH_BASE + FLASH_SIZE - 3, FLASH_BASE + FLASH_SIZE - 2,
+                     FLASH_BASE + FLASH_SIZE - 1, FLASH_BASE + FLASH_SIZE,
+                     SEED_PAGE_BASE + 2, SRAM_BASE, 0x4800_0014, 0]),
+    st.integers(FLASH_BASE, FLASH_BASE + 0x200),
+)
+
+
+class TestDirectFetch:
+    @settings(max_examples=60, deadline=None)
+    @given(address=fetch_addresses)
+    def test_matches_memory_fetch(self, address):
+        image = _lockstep_image("single")
+        direct, reference = Board(image), Board(image)
+        assert direct.pipeline._code_limit > 0
+        # no bound region: every fetch goes through Memory.try_fetch_u16
+        reference.pipeline._code_limit = 0
+        assert _fetch_once(direct, address) == _fetch_once(reference, address)
+
+    def test_reads_the_live_flash_bytes(self):
+        board = Board(_lockstep_image("single"))
+        board.cpu.memory.load(FLASH_BASE + 0x100, b"\x34\x12")
+        assert _fetch_once(board, FLASH_BASE + 0x100)[0] == (FLASH_BASE + 0x100, 0x1234)
+
+
+# ----------------------------------------------------------------------
 # flat step_cycle vs the staged oracle
 # ----------------------------------------------------------------------
 
@@ -412,7 +543,9 @@ class TestFlatStepCycle:
 # hw counters
 # ----------------------------------------------------------------------
 
-HW_NAMES = ("hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.cycles")
+EFFECT_NAMES = tuple(f"hw.effects.{kind}" for kind in EFFECT_KINDS)
+HW_NAMES = ("hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.settle_checks",
+            "hw.cycles") + EFFECT_NAMES
 
 
 def _hw_counters(obs: Observer) -> dict:
@@ -438,6 +571,42 @@ class TestHwCounters:
             assert counters[0] == counters[1], defense
             assert counters[0]["hw.simulated"] > 0
             assert counters[0]["hw.settled_exits"] > 0
+            assert counters[0]["hw.settle_checks"] >= counters[0]["hw.settled_exits"]
+            assert sum(counters[0][name] for name in EFFECT_NAMES) > 0
+
+    def test_effect_counters_count_every_realized_effect(self, monkeypatch):
+        results = []
+        run_attempt = ClockGlitcher.run_attempt
+
+        def recording(self, params, force_simulation=False):
+            result = run_attempt(self, params, force_simulation)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(ClockGlitcher, "run_attempt", recording)
+        obs = Observer()
+        run_defense_scan(_defended_image("while_not_a", "all_no_delay"), "windowed",
+                         stride=24, obs=obs)
+        realized = [effect.kind for result in results for effect in result.effects]
+        assert realized
+        assert sum(obs.counters[name] for name in EFFECT_NAMES) == len(realized)
+        for kind in EFFECT_KINDS:
+            assert obs.counters[f"hw.effects.{kind}"] == realized.count(kind), kind
+
+    def test_reset_effects_are_counted(self):
+        # a crash point, simulated anyway: the resolver realizes the reset
+        glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))
+        model = glitcher.fault_model
+        params = next(
+            GlitchParams(0, width, offset)
+            for width in WIDTH_RANGE for offset in OFFSET_RANGE
+            if model.occurrence_decision(GlitchParams(0, width, offset), 0) == "crash"
+        )
+        before = dict(glitcher.counters)
+        result = glitcher.run_attempt(params, force_simulation=True)
+        assert result.category == "reset"
+        assert [effect.kind for effect in result.effects] == ["reset"]
+        assert glitcher.counters["hw.effects.reset"] - before["hw.effects.reset"] == 1
 
     def test_table6_boot_counters_add_up_to_simulated(self):
         # every simulated attempt boots from reset or restores a boot

