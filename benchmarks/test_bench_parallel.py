@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.exec import ExecOptions
 from repro.firmware.loops import build_guard_firmware
 from repro.glitchsim.campaign import run_branch_campaign
 from repro.hw.scan import run_defense_scan
@@ -30,8 +31,9 @@ def _speedup_ks() -> tuple[int, ...]:
 
 
 def test_campaign_parallel_equality():
-    serial = run_branch_campaign("and", k_values=(1, 2), workers=1)
-    parallel = run_branch_campaign("and", k_values=(1, 2), workers=WORKERS)
+    serial = run_branch_campaign("and", k_values=(1, 2), execution=ExecOptions(workers=1))
+    parallel = run_branch_campaign("and", k_values=(1, 2),
+                                   execution=ExecOptions(workers=WORKERS))
     assert serial == parallel
     assert repr(serial) == repr(parallel)
 
@@ -39,8 +41,10 @@ def test_campaign_parallel_equality():
 def test_defense_scan_parallel_equality(stride):
     image = build_guard_firmware("not_a", "single")
     effective = max(stride, 8)
-    serial = run_defense_scan(image, "single", stride=effective, workers=1)
-    parallel = run_defense_scan(image, "single", stride=effective, workers=WORKERS)
+    serial = run_defense_scan(image, "single", stride=effective,
+                              execution=ExecOptions(workers=1))
+    parallel = run_defense_scan(image, "single", stride=effective,
+                                execution=ExecOptions(workers=WORKERS))
     assert serial == parallel
     assert repr(serial) == repr(parallel)
 
@@ -52,11 +56,11 @@ def test_defense_scan_parallel_equality(stride):
 def test_fig2_panel_parallel_speedup():
     ks = _speedup_ks()
     start = time.perf_counter()
-    serial = run_branch_campaign("and", k_values=ks, workers=1)
+    serial = run_branch_campaign("and", k_values=ks, execution=ExecOptions(workers=1))
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_branch_campaign("and", k_values=ks, workers=WORKERS)
+    parallel = run_branch_campaign("and", k_values=ks, execution=ExecOptions(workers=WORKERS))
     parallel_seconds = time.perf_counter() - start
 
     assert serial == parallel

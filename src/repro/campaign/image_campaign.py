@@ -9,11 +9,10 @@ The machinery is the Figure 2 campaign's, re-aimed: one work unit is one
 ``(site, flip model)`` sweep executed by a
 :class:`repro.campaign.harness.SiteHarness` (mask algebra over unique
 reachable words, :func:`repro.glitchsim.campaign.tally_reachable`),
-fanned out by :class:`repro.exec.ParallelExecutor`, cached in per-site
+fanned out by :class:`repro.exec.ExecOptions`, cached in per-site
 :class:`repro.exec.OutcomeCache` shards shared across models and re-runs,
-and checkpointed per flip model in a subdirectory of ``checkpoint_dir``
-(keyed by site, so an interrupted whole-image campaign resumes with only
-its missing sites).
+and checkpointed per flip model (keyed by site, so an interrupted
+whole-image campaign resumes with only its missing sites).
 
 Obs counters: ``sites.discovered`` (from :func:`discover_sites`) and
 ``sites.campaigned`` (one per merged site×model sweep) — identical for
@@ -26,14 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.exec import (
-    FailedUnit,
-    OutcomeCache,
-    ParallelExecutor,
-    ProgressReporter,
-    coerce_cache,
-    open_campaign_checkpoint,
-)
+from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
 from repro.exec.cache import count_cache_traffic
 from repro.firmware.image import FirmwareImage
 from repro.glitchsim.campaign import check_campaign_args, tally_reachable
@@ -255,16 +247,10 @@ def run_image_campaign(
     strategy: str = "linear",
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
-    workers: int = 1,
     cache: OutcomeCache | str | None = None,
-    progress: ProgressReporter | None = None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: float | None = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
     engine: str = "snapshot",
-    chunk_size: int | None = None,
 ) -> ImageCampaignResult:
     """Sweep every branch site of ``image`` under every flip model.
 
@@ -273,10 +259,10 @@ def run_image_campaign(
 
     Fan-out, caching, checkpoint/resume, retries, timeouts, and
     observability all follow :func:`repro.glitchsim.campaign.run_branch_campaign`;
-    the checkpoint lives in a per-model subdirectory of ``checkpoint_dir``
-    keyed by site, with the image digest, model, and site list in the
-    fingerprint, so resuming a differently-shaped campaign is a typed
-    :class:`repro.exec.CheckpointMismatch` instead of silent corruption.
+    each model's checkpoint is keyed by site, with the image digest, model,
+    and site list in the fingerprint, so resuming a differently-shaped
+    campaign is a typed :class:`repro.exec.CheckpointMismatch` instead of
+    silent corruption.
     ``engine`` is deliberately absent from the fingerprint: tallies are
     bit-identical across engines, so a resumed campaign may switch freely.
 
@@ -293,12 +279,6 @@ def run_image_campaign(
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
     by_id = {site.site_id: site for site in sites}
-
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
-    )
 
     def serial(spec: _SiteSpec) -> SiteSweep:
         # in-process: reuse the shared cache handle; activate the campaign
@@ -323,42 +303,30 @@ def run_image_campaign(
                               zero_is_invalid, ks, cache_root, engine)
                     for site in sites
                 ]
-                checkpoint = None
-                if checkpoint_dir is not None or resume:
-                    import os
-
-                    meta = {
+                model_sweeps, failed = execution.run(
+                    _site_unit,
+                    specs,
+                    prefix=f"image-{image.digest}",
+                    meta={
                         "campaign": "image",
                         "digest": image.digest,
                         "model": model,
                         "zero_is_invalid": zero_is_invalid,
                         "k_values": list(ks) if ks is not None else None,
                         "sites": sorted(by_id),
-                    }
-                    subdir = (os.path.join(checkpoint_dir, model)
-                              if checkpoint_dir is not None else None)
-                    checkpoint = open_campaign_checkpoint(
-                        subdir, f"image-{image.digest}", meta, resume=resume
-                    )
-                try:
-                    model_sweeps = executor.map(
-                        _site_unit,
-                        specs,
-                        serial_fn=serial,
-                        attempts_of=lambda sweep: sum(sweep.totals.values()),
-                        categories_of=lambda sweep: dict(sweep.totals),
-                        checkpoint=checkpoint,
-                        key_of=lambda spec: spec.site.site_id,
-                        encode=_encode_site_sweep,
-                        decode=_decode_site_sweep,
-                    )
-                finally:
-                    if checkpoint is not None:
-                        checkpoint.close()
+                    },
+                    key_of=lambda spec: spec.site.site_id,
+                    encode=_encode_site_sweep,
+                    decode=_decode_site_sweep,
+                    serial_fn=serial,
+                    attempts_of=lambda sweep: sum(sweep.totals.values()),
+                    categories_of=lambda sweep: dict(sweep.totals),
+                    obs=obs,
+                )
                 merged = [sweep for sweep in model_sweeps if sweep is not None]
                 obs.count("sites.campaigned", len(merged))
                 sweeps[model] = merged
-                failed_units.extend(executor.failed_units)
+                failed_units.extend(failed)
     finally:
         # SIGINT / worker crash must not discard dirty shards
         if cache is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.resistor import ResistorConfig
 
@@ -101,12 +102,8 @@ def cmd_campaign(args) -> int:
     obs = _observer_from_args(args, "campaign-image")
     try:
         result = run_image_campaign(
-            image, models=models, strategy=args.strategy,
-            workers=args.workers, cache=args.cache_dir,
-            progress=_progress_reporter(args),
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            retries=args.retries, unit_timeout=args.unit_timeout,
-            obs=obs, engine=args.engine,
+            image, models=models, strategy=args.strategy, cache=args.cache_dir,
+            execution=_exec_options(args), obs=obs, engine=args.engine,
         )
     finally:
         _finish_observer(obs, args)
@@ -140,12 +137,18 @@ def cmd_harden(args) -> int:
     return 0
 
 
-def _progress_reporter(args):
-    if args.progress:
-        from repro.exec import console_progress
+def _exec_options(args):
+    """The one :class:`~repro.exec.ExecOptions` of a campaign-running command."""
+    from repro.exec import ExecOptions, console_progress
 
-        return console_progress()
-    return None
+    return ExecOptions(
+        workers=args.workers,
+        progress=console_progress() if args.progress else None,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+        retries=args.retries,
+        unit_timeout=args.unit_timeout,
+    )
 
 
 def _observer_from_args(args, label: str):
@@ -188,10 +191,7 @@ def cmd_attack(args) -> int:
             hardened.image, args.attack,
             scenario=args.source, defense=config.describe(), stride=args.stride,
             fault_model=args.fault_model, profile=args.profile,
-            workers=args.workers, progress=_progress_reporter(args),
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            retries=args.retries, unit_timeout=args.unit_timeout,
-            obs=obs,
+            execution=_exec_options(args), obs=obs,
         )
     finally:
         _finish_observer(obs, args)
@@ -215,31 +215,33 @@ def _report_failed_units(failed_units) -> None:
               file=sys.stderr)
 
 
-#: flags shared by every campaign-running artifact
-_EXECUTION_DESTS = ("workers", "progress", "checkpoint_dir", "resume", "retries",
-                    "unit_timeout", "trace", "metrics_out")
-_SCAN_DESTS = _EXECUTION_DESTS + ("stride", "fault_model", "profile")
+def _experiment_dests() -> dict[str, tuple[str, ...]]:
+    """The ``experiment`` flags (argparse dests) each artifact consumes; any
+    other flag set away from its default is an error, not silently ignored."""
+    from repro.exec import ExecOptions
 
-#: the ``experiment`` flags (argparse dests) each artifact consumes; any
-#: other flag set away from its default is an error, not silently ignored
-_EXPERIMENT_DESTS = {
-    "fig2": _EXECUTION_DESTS + ("cache_dir", "engine"),
-    "table1": _SCAN_DESTS,
-    "table2": _SCAN_DESTS,
-    "table3": _SCAN_DESTS,
-    "table4": (),
-    "table5": (),
-    "table6": _SCAN_DESTS,
-    "table7": (),
-    "search": ("fault_model", "profile", "checkpoint_dir", "resume", "trace",
-               "metrics_out"),
-}
+    # every campaign-running artifact takes the ExecOptions fields and the
+    # observer's flags
+    execution = tuple(f.name for f in fields(ExecOptions)) + ("trace", "metrics_out")
+    scan = execution + ("stride", "fault_model", "profile")
+    return {
+        "fig2": execution + ("cache_dir", "engine"),
+        "table1": scan,
+        "table2": scan,
+        "table3": scan,
+        "table4": (),
+        "table5": (),
+        "table6": scan,
+        "table7": (),
+        "search": ("fault_model", "profile", "checkpoint_dir", "resume", "trace",
+                   "metrics_out"),
+    }
 
 
 def _unused_experiment_flags(args) -> list[str]:
     """Flags set away from their defaults that ``args.name`` does not use."""
     defaults = vars(build_parser().parse_args(["experiment", args.name]))
-    used = _EXPERIMENT_DESTS[args.name]
+    used = _experiment_dests()[args.name]
     return ["--" + dest.replace("_", "-")
             for dest, value in vars(args).items()
             if dest not in used and value != defaults[dest]]
@@ -261,24 +263,21 @@ def cmd_experiment(args) -> int:
     if name in fixed:
         print(fixed[name]().render())
         return 0
-    progress = _progress_reporter(args)
     obs = _observer_from_args(args, f"experiment-{name}")
-    robust = dict(checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-                  retries=args.retries, unit_timeout=args.unit_timeout, obs=obs)
     model = dict(fault_model=args.fault_model, profile=args.profile)
     failed_units = ()
     try:
         if name == "fig2":
             result = experiments.run_figure2(
-                workers=args.workers, cache=args.cache_dir, progress=progress,
-                engine=args.engine, **robust
+                cache=args.cache_dir, execution=_exec_options(args), obs=obs,
+                engine=args.engine,
             )
             failed_units = result.failed_units
         elif name in scans:
-            result = scans[name](stride=args.stride, workers=args.workers,
-                                 progress=progress, **model, **robust)
-            failed_units = [unit for by_key in result.by_model.values()
-                            for scan in by_key.values()
+            result = scans[name](stride=args.stride, execution=_exec_options(args),
+                                 obs=obs, **model)
+            by_key = result.results if name == "table6" else result.scans
+            failed_units = [unit for scan in by_key.values()
                             for unit in scan.failed_units]
         else:
             result = experiments.run_search(checkpoint_dir=args.checkpoint_dir,

@@ -4,6 +4,9 @@ The Figure 2 emulation campaign executes 4 × 2^16 snippets and each
 Table VI defense scan fires ~100k ``run_attempt`` calls; this package keeps
 those loops out of single-core Python *and* makes them survivable:
 
+- :class:`ExecOptions` carries a campaign's execution options (workers,
+  progress, checkpoint/resume, retries, unit timeout) through every
+  driver and runs its units;
 - :class:`ParallelExecutor` fans picklable work specs out over
   ``multiprocessing`` and merges results deterministically (``workers=1``
   is a pure in-process path, so serial and parallel runs stay
@@ -31,10 +34,11 @@ from repro.exec.checkpoint import (
     default_checkpoint_root,
     open_campaign_checkpoint,
 )
-from repro.exec.executor import FailedUnit, ParallelExecutor, resolve_workers
+from repro.exec.executor import ExecOptions, FailedUnit, ParallelExecutor, resolve_workers
 from repro.exec.progress import ProgressReporter, ProgressSnapshot, console_progress
 
 __all__ = [
+    "ExecOptions",
     "ParallelExecutor",
     "FailedUnit",
     "resolve_workers",

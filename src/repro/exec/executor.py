@@ -20,6 +20,10 @@ additionally
   instead of aborting the whole campaign (``on_error="quarantine"``), and
 - skip/record units against a :class:`~repro.exec.checkpoint.CampaignCheckpoint`
   so an interrupted campaign resumes from the last completed unit.
+
+Campaign drivers take one frozen :class:`ExecOptions` and run their units
+through :meth:`ExecOptions.run`, which builds the executor and opens the
+campaign's checkpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
-from repro.exec.checkpoint import MISSING, CampaignCheckpoint
+from repro.exec.checkpoint import MISSING, CampaignCheckpoint, open_campaign_checkpoint
 from repro.exec.progress import ProgressReporter
 from repro.obs.core import Observer, WorkerTelemetry, coerce_observer, observed_call
 
@@ -69,12 +73,10 @@ class ParallelExecutor:
     """Maps a worker function over specs, optionally across processes.
 
     - ``workers`` — process count; 1 (default) runs in-process, 0 means
-      one per CPU core.
-    - ``chunk_size`` — specs handed to a worker per dispatch (larger
-      chunks amortise IPC for many small units). ``None`` (default)
-      picks ``max(1, pending_specs // (workers * 4))`` at dispatch
-      time — about four chunks per worker, balancing IPC amortisation
-      against tail latency when unit costs are uneven.
+      one per CPU core. The fast path hands each worker
+      ``max(1, pending_specs // (workers * 4))`` specs per dispatch —
+      about four chunks per worker, balancing IPC amortisation against
+      tail latency when unit costs are uneven.
     - ``progress`` — a :class:`ProgressReporter` fed one ``advance`` per
       completed unit.
     - ``retries`` — extra attempts granted to a failing unit (0 = none).
@@ -97,7 +99,6 @@ class ParallelExecutor:
     def __init__(
         self,
         workers: Optional[int] = 1,
-        chunk_size: Optional[int] = None,
         progress: Optional[ProgressReporter] = None,
         start_method: Optional[str] = None,
         retries: int = 0,
@@ -107,15 +108,12 @@ class ParallelExecutor:
         obs: Optional[Observer] = None,
     ):
         self.workers = resolve_workers(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if unit_timeout is not None and unit_timeout <= 0:
             raise ValueError(f"unit_timeout must be > 0, got {unit_timeout}")
         if on_error not in ("raise", "quarantine"):
             raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
-        self.chunk_size = chunk_size
         self.progress = progress
         self._start_method = start_method
         self.retries = retries
@@ -130,14 +128,9 @@ class ParallelExecutor:
         return self.workers > 1
 
     def resolve_chunk_size(self, pending: int) -> int:
-        """The imap chunksize used for ``pending`` dispatchable specs.
-
-        An explicit ``chunk_size`` is used as-is; ``None`` resolves to
-        ``max(1, pending // (workers * 4))`` — roughly four chunks per
-        worker, so stragglers cost at most ~a quarter of a worker's share.
-        """
-        if self.chunk_size is not None:
-            return self.chunk_size
+        """The imap chunksize used for ``pending`` dispatchable specs:
+        roughly four chunks per worker, so stragglers cost at most ~a
+        quarter of a worker's share."""
         return max(1, pending // (self.workers * 4))
 
     def _preferred_start_method(self) -> Optional[str]:
@@ -370,4 +363,69 @@ class ParallelExecutor:
             pool.join()
 
 
-__all__ = ["ParallelExecutor", "FailedUnit", "resolve_workers"]
+@dataclass(frozen=True)
+class ExecOptions:
+    """How a campaign's work units run, passed once to every driver.
+
+    - ``workers`` — process count (1 = in-process, 0 = one per core);
+    - ``progress`` — a :class:`ProgressReporter` fed once per unit;
+    - ``checkpoint_dir``/``resume`` — persist completed units as JSONL and
+      replay them on resume (``checkpoint_dir=None`` with ``resume`` uses
+      :func:`~repro.exec.checkpoint.default_checkpoint_root`);
+    - ``retries``/``unit_timeout`` — retry a failing unit, bound a unit's
+      wall-clock seconds on the multiprocessing path; a unit that exhausts
+      its attempts is quarantined, never fatal.
+    """
+
+    workers: Optional[int] = 1
+    progress: Optional[ProgressReporter] = None
+    checkpoint_dir: Optional[str] = None
+    resume: bool = False
+    retries: int = 0
+    unit_timeout: Optional[float] = None
+
+    def run(
+        self,
+        fn: Callable[[S], R],
+        specs: Iterable[S],
+        *,
+        prefix: str,
+        meta: dict,
+        key_of: Callable[[S], str],
+        encode: Callable[[R], Any],
+        decode: Callable[[Any], R],
+        serial_fn: Optional[Callable[[S], R]] = None,
+        attempts_of: Optional[Callable[[R], int]] = None,
+        categories_of: Optional[Callable[[R], dict]] = None,
+        obs: Optional[Observer] = None,
+    ) -> tuple[list[Optional[R]], list[FailedUnit]]:
+        """Run one campaign's units: ``(results in spec order, failed units)``.
+
+        Quarantined units leave ``None`` in the results. The checkpoint
+        (named by ``prefix`` and a digest of ``meta``, see
+        :func:`~repro.exec.checkpoint.open_campaign_checkpoint`) is opened
+        only when ``checkpoint_dir`` or ``resume`` is set, and is always
+        closed. The keyword arguments are :meth:`ParallelExecutor.map`'s.
+        """
+        executor = ParallelExecutor(
+            workers=self.workers, progress=self.progress, retries=self.retries,
+            unit_timeout=self.unit_timeout, on_error="quarantine", obs=obs,
+        )
+        checkpoint = None
+        if self.checkpoint_dir is not None or self.resume:
+            checkpoint = open_campaign_checkpoint(
+                self.checkpoint_dir, prefix, meta, resume=self.resume
+            )
+        try:
+            results = executor.map(
+                fn, specs, serial_fn=serial_fn, attempts_of=attempts_of,
+                categories_of=categories_of, checkpoint=checkpoint,
+                key_of=key_of, encode=encode, decode=decode,
+            )
+        finally:
+            if checkpoint is not None:
+                checkpoint.close()
+        return results, executor.failed_units
+
+
+__all__ = ["ExecOptions", "ParallelExecutor", "FailedUnit", "resolve_workers"]

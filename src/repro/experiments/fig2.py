@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exec import FailedUnit
+from repro.exec import ExecOptions, FailedUnit
 from repro.glitchsim import figure2 as _figure2_data
 from repro.glitchsim import run_branch_campaign
 from repro.glitchsim.results import (
@@ -55,45 +55,35 @@ def run_figure2(
     k_values: tuple[int, ...] | None = None,
     conditions: list[str] | None = None,
     include_xor: bool = True,
-    workers: int = 1,
     cache=None,
-    progress=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout=None,
+    execution: ExecOptions = ExecOptions(),
     obs=None,
     engine: str = "snapshot",
-    chunk_size: int | None = None,
 ) -> Figure2Result:
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
     ``conditions`` to subsample for quick runs.
 
-    ``workers`` parallelises each panel's replay-world units; ``cache`` (an
-    ``OutcomeCache`` or a directory path) persists outcomes on disk, so the
-    AND/XOR panels share corrupted-word executions and re-runs skip
-    emulation entirely. ``checkpoint_dir``/``resume`` make each panel's
-    campaign resumable (panels checkpoint independently — the file name
-    embeds the model), and ``retries``/``unit_timeout`` quarantine failing
-    sweeps instead of aborting the figure.
+    ``execution`` (an :class:`~repro.exec.ExecOptions`) parallelises each
+    panel's replay-world units, makes each panel's campaign resumable
+    (panels checkpoint independently — the file name embeds the model)
+    and quarantines failing sweeps instead of aborting the figure;
+    ``cache`` (an ``OutcomeCache`` or a directory path) persists outcomes
+    on disk, so the AND/XOR panels share corrupted-word executions and
+    re-runs skip emulation entirely.
 
     ``engine`` selects the harness execution engine for every panel
     (``"snapshot"`` or the NumPy lock-step ``"vector"`` backend — see
     :class:`repro.glitchsim.SnippetHarness`); the tallies are identical
     for either engine. Each panel emulates a word once per replay world (5
     for the 14 branches); with a shared cache the AND/OR/XOR panels
-    together emulate at most 2^16 unique words per world. ``chunk_size``
-    tunes executor dispatch batching (``None`` = auto).
+    together emulate at most 2^16 unique words per world.
     """
     from repro.obs import coerce_observer
 
     obs = coerce_observer(obs)
     result = Figure2Result()
-    common = dict(k_values=k_values, conditions=conditions,
-                  workers=workers, cache=cache, progress=progress,
-                  checkpoint_dir=checkpoint_dir, resume=resume,
-                  retries=retries, unit_timeout=unit_timeout, obs=obs,
-                  engine=engine, chunk_size=chunk_size)
+    common = dict(k_values=k_values, conditions=conditions, cache=cache,
+                  execution=execution, obs=obs, engine=engine)
     panels = [
         ("and", "Figure 2a: AND model (1→0 flips)", "and", False),
         ("or", "Figure 2b: OR model (0→1 flips)", "or", False),

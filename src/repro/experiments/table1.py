@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import ExecOptions
 from repro.experiments.render import render_table
 from repro.firmware.loops import GUARD_KINDS, guard_descriptor
 from repro.hw.faults import FaultModel
+from repro.hw.models import resolve_fault_model
 from repro.hw.scan import SingleGlitchScan, run_single_glitch_scan
+from repro.obs import coerce_observer
 
 #: paper totals: successes, attempts-per-cycle basis, success rate
 PAPER_TOTALS = {
@@ -19,42 +22,36 @@ PAPER_TOTALS = {
 
 @dataclass
 class Table1Result:
-    #: the first (or only) model's scans — the historical single-model shape
     scans: dict[str, SingleGlitchScan] = field(default_factory=dict)
-    #: per-model axis: model label → guard → scan
-    by_model: dict[str, dict[str, SingleGlitchScan]] = field(default_factory=dict)
 
     def render(self) -> str:
         parts = []
-        models = self.by_model or {"clock": self.scans}
-        for label, scans in models.items():
-            model_note = f" [{label} model]" if len(models) > 1 else ""
-            for guard, scan in scans.items():
-                descriptor = guard_descriptor(guard)
-                rows = []
-                for row in scan.rows:
-                    top = ", ".join(
-                        f"{value:#x}×{count}"
-                        for value, count in row.register_values.most_common(4)
-                    )
-                    rows.append([row.cycle, row.instruction, row.successes, top])
-                reference = PAPER_TOTALS[guard]
-                title = (
-                    f"Table I ({descriptor.description}){model_note} — "
-                    f"total {scan.total_successes}/{scan.total_attempts} "
-                    f"({scan.success_rate * 100:.3f}%), "
-                    f"{scan.unique_register_values} unique register values "
-                    f"[paper: {reference['successes']} succ, "
-                    f"{reference['rate'] * 100:.3f}%, {reference['unique_registers']} unique]"
+        for guard, scan in self.scans.items():
+            descriptor = guard_descriptor(guard)
+            rows = []
+            for row in scan.rows:
+                top = ", ".join(
+                    f"{value:#x}×{count}"
+                    for value, count in row.register_values.most_common(4)
                 )
-                parts.append(
-                    render_table(
-                        title,
-                        ["Cycle", "Instruction", "Successes", f"R{descriptor.comparator_register} (top)"],
-                        rows,
-                    )
+                rows.append([row.cycle, row.instruction, row.successes, top])
+            reference = PAPER_TOTALS[guard]
+            title = (
+                f"Table I ({descriptor.description}) — "
+                f"total {scan.total_successes}/{scan.total_attempts} "
+                f"({scan.success_rate * 100:.3f}%), "
+                f"{scan.unique_register_values} unique register values "
+                f"[paper: {reference['successes']} succ, "
+                f"{reference['rate'] * 100:.3f}%, {reference['unique_registers']} unique]"
+            )
+            parts.append(
+                render_table(
+                    title,
+                    ["Cycle", "Instruction", "Successes", f"R{descriptor.comparator_register} (top)"],
+                    rows,
                 )
-                parts.append("")
+            )
+            parts.append("")
         return "\n".join(parts)
 
     def ordering_matches_paper(self) -> bool:
@@ -63,49 +60,37 @@ class Table1Result:
         return rates["not_a"] > rates["a_ne_const"] > rates["a"]
 
 
+def scan_guards(
+    name: str, scan, stride: int, fault_model, profile, execution: ExecOptions, obs, **keys
+) -> dict:
+    """``scan`` over every guard loop with one resolved fault model, under
+    one ``name`` trace span: the body of Tables I-III."""
+    model = resolve_fault_model(fault_model, profile)
+    obs = coerce_observer(obs)
+    with obs.trace(name, stride=stride):
+        return {
+            guard: scan(guard, stride=stride, fault_model=model, execution=execution,
+                        obs=obs, **keys)
+            for guard in GUARD_KINDS
+        }
+
+
 def run_table1(
     stride: int = 1,
     cycles=range(8),
     fault_model: FaultModel | str | None = None,
-    workers: int = 1,
-    progress=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout=None,
+    execution: ExecOptions = ExecOptions(),
     obs=None,
     profile=None,
-    fault_models=None,
 ) -> Table1Result:
-    """Run Table I, optionally once per fault model.
-
-    ``fault_model``/``profile`` select a single model (name, instance, or
-    calibration profile); ``fault_models`` (an iterable of names or
-    instances) opens the per-model axis and fills ``result.by_model``.
-    The default is the paper's clock model, bit-identical to before the
-    registry existed.
+    """Run Table I under the paper's clock model, or the model that
+    ``fault_model``/``profile`` select (a name, an instance, or a
+    calibration profile — see :func:`repro.hw.models.resolve_fault_model`).
     """
-    from repro.hw.models import model_checkpoint_dir as _model_checkpoint_dir
-    from repro.hw.models import resolve_model_axis
-    from repro.obs import coerce_observer
-
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table1Result()
-    with obs.trace("table1", stride=stride):
-        for label, model in axis:
-            scans: dict[str, SingleGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_single_glitch_scan(
-                    guard, cycles=cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=_model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    return Table1Result(scan_guards(
+        "table1", run_single_glitch_scan, stride, fault_model, profile, execution, obs,
+        cycles=cycles,
+    ))
 
 
-__all__ = ["Table1Result", "run_table1", "PAPER_TOTALS"]
+__all__ = ["Table1Result", "run_table1", "scan_guards", "PAPER_TOTALS"]

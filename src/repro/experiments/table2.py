@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import ExecOptions
 from repro.experiments.render import render_table
-from repro.firmware.loops import GUARD_KINDS, guard_descriptor
+from repro.experiments.table1 import scan_guards
+from repro.firmware.loops import guard_descriptor
 from repro.hw.faults import FaultModel
 from repro.hw.scan import MultiGlitchScan, run_multi_glitch_scan
 
@@ -19,44 +21,34 @@ PAPER_TOTALS = {
 
 @dataclass
 class Table2Result:
-    #: the first (or only) model's scans — the historical single-model shape
     scans: dict[str, MultiGlitchScan] = field(default_factory=dict)
-    #: per-model axis: model label → guard → scan
-    by_model: dict[str, dict[str, MultiGlitchScan]] = field(default_factory=dict)
 
     def render(self) -> str:
-        parts = []
-        models = self.by_model or {"clock": self.scans}
-        for label, scans in models.items():
-            model_note = f" [{label} model]" if len(models) > 1 else ""
-            rows = []
-            for guard, scan in scans.items():
-                reference = PAPER_TOTALS[guard]
-                rows.append([
-                    guard_descriptor(guard).description,
-                    scan.total_partial,
-                    f"{scan.partial_rate * 100:.4f}%",
-                    scan.total_full,
-                    f"{scan.full_rate * 100:.4f}%",
-                    f"{reference['partial'] * 100:.3f}% / {reference['full'] * 100:.3f}%",
-                ])
-            header = [
-                "Guard", "Partial", "Partial %", "Full", "Full %", "Paper (partial/full)",
-            ]
-            body = render_table(
-                "Table II: multi-glitch attacks (two back-to-back triggers)"
-                + model_note,
-                header, rows,
-            )
-            notes = [
-                "",
-                "Per-cycle rows:",
-            ]
-            for guard, scan in scans.items():
-                per_cycle = ", ".join(f"c{r.cycle}:{r.partial}/{r.full}" for r in scan.rows)
-                notes.append(f"  {guard:<12} {per_cycle}")
-            parts.append(body + "\n" + "\n".join(notes))
-        return "\n\n".join(parts)
+        rows = []
+        for guard, scan in self.scans.items():
+            reference = PAPER_TOTALS[guard]
+            rows.append([
+                guard_descriptor(guard).description,
+                scan.total_partial,
+                f"{scan.partial_rate * 100:.4f}%",
+                scan.total_full,
+                f"{scan.full_rate * 100:.4f}%",
+                f"{reference['partial'] * 100:.3f}% / {reference['full'] * 100:.3f}%",
+            ])
+        header = [
+            "Guard", "Partial", "Partial %", "Full", "Full %", "Paper (partial/full)",
+        ]
+        body = render_table(
+            "Table II: multi-glitch attacks (two back-to-back triggers)", header, rows
+        )
+        notes = [
+            "",
+            "Per-cycle rows:",
+        ]
+        for guard, scan in self.scans.items():
+            per_cycle = ", ".join(f"c{r.cycle}:{r.partial}/{r.full}" for r in scan.rows)
+            notes.append(f"  {guard:<12} {per_cycle}")
+        return body + "\n" + "\n".join(notes)
 
     def multi_glitch_harder_everywhere(self) -> bool:
         """§V-C's core claim: a full multi-glitch is significantly rarer
@@ -71,37 +63,15 @@ def run_table2(
     stride: int = 1,
     cycles=range(8),
     fault_model: FaultModel | str | None = None,
-    workers: int = 1,
-    progress=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout=None,
+    execution: ExecOptions = ExecOptions(),
     obs=None,
     profile=None,
-    fault_models=None,
 ) -> Table2Result:
-    """Run Table II, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
-
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table2Result()
-    with obs.trace("table2", stride=stride):
-        for label, model in axis:
-            scans: dict[str, MultiGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_multi_glitch_scan(
-                    guard, cycles=cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    """Run Table II (model selection as for :func:`repro.experiments.table1.run_table1`)."""
+    return Table2Result(scan_guards(
+        "table2", run_multi_glitch_scan, stride, fault_model, profile, execution, obs,
+        cycles=cycles,
+    ))
 
 
 __all__ = ["Table2Result", "run_table2", "PAPER_TOTALS"]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import ExecOptions
 from repro.experiments.render import render_table
-from repro.firmware.loops import GUARD_KINDS
+from repro.experiments.table1 import scan_guards
 from repro.hw.faults import FaultModel
 from repro.hw.scan import LongGlitchScan, run_long_glitch_scan
 
@@ -19,41 +20,32 @@ PAPER_TOTALS = {
 
 @dataclass
 class Table3Result:
-    #: the first (or only) model's scans — the historical single-model shape
     scans: dict[str, LongGlitchScan] = field(default_factory=dict)
-    #: per-model axis: model label → guard → scan
-    by_model: dict[str, dict[str, LongGlitchScan]] = field(default_factory=dict)
 
     def render(self) -> str:
-        parts = []
-        models = self.by_model or {"clock": self.scans}
-        for model_name, scans in models.items():
-            model_note = f" [{model_name} model]" if len(models) > 1 else ""
-            cycle_labels = [f"0-{row.last_cycle}" for row in next(iter(scans.values())).rows]
-            rows = []
-            for label_index, label in enumerate(cycle_labels):
-                row = [label]
-                for guard in scans:
-                    row.append(scans[guard].rows[label_index].successes)
-                rows.append(row)
-            totals = ["Total"]
-            rates = ["Total (%)"]
-            for guard, scan in scans.items():
-                totals.append(scan.total_successes)
-                rates.append(f"{scan.success_rate * 100:.4f}%")
-            rows.append(totals)
-            rows.append(rates)
-            header = ["Cycles"] + [g for g in scans]
-            body = render_table(
-                "Table III: long glitches against two subsequent while loops"
-                + model_note,
-                header, rows,
-            )
-            reference = ", ".join(
-                f"{guard}={rate * 100:.3f}%" for guard, rate in PAPER_TOTALS.items()
-            )
-            parts.append(body + f"\npaper totals: {reference}")
-        return "\n\n".join(parts)
+        scans = self.scans
+        cycle_labels = [f"0-{row.last_cycle}" for row in next(iter(scans.values())).rows]
+        rows = []
+        for label_index, label in enumerate(cycle_labels):
+            row = [label]
+            for guard in scans:
+                row.append(scans[guard].rows[label_index].successes)
+            rows.append(row)
+        totals = ["Total"]
+        rates = ["Total (%)"]
+        for guard, scan in scans.items():
+            totals.append(scan.total_successes)
+            rates.append(f"{scan.success_rate * 100:.4f}%")
+        rows.append(totals)
+        rows.append(rates)
+        header = ["Cycles"] + [g for g in scans]
+        body = render_table(
+            "Table III: long glitches against two subsequent while loops", header, rows
+        )
+        reference = ", ".join(
+            f"{guard}={rate * 100:.3f}%" for guard, rate in PAPER_TOTALS.items()
+        )
+        return body + f"\npaper totals: {reference}"
 
     def not_a_resists_long_glitches(self) -> bool:
         """§V-D: 'The condition that was previously the most vulnerable,
@@ -65,37 +57,15 @@ def run_table3(
     stride: int = 1,
     last_cycles=range(10, 21),
     fault_model: FaultModel | str | None = None,
-    workers: int = 1,
-    progress=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout=None,
+    execution: ExecOptions = ExecOptions(),
     obs=None,
     profile=None,
-    fault_models=None,
 ) -> Table3Result:
-    """Run Table III, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
-
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table3Result()
-    with obs.trace("table3", stride=stride):
-        for label, model in axis:
-            scans: dict[str, LongGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_long_glitch_scan(
-                    guard, last_cycles=last_cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    """Run Table III (model selection as for :func:`repro.experiments.table1.run_table1`)."""
+    return Table3Result(scan_guards(
+        "table3", run_long_glitch_scan, stride, fault_model, profile, execution, obs,
+        last_cycles=last_cycles,
+    ))
 
 
 __all__ = ["Table3Result", "run_table3", "PAPER_TOTALS"]

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import ExecOptions
 from repro.experiments.render import render_table
 from repro.firmware.guards import build_defended_guard
 from repro.hw.faults import FaultModel
+from repro.hw.models import resolve_fault_model
 from repro.hw.scan import DefenseScanResult, run_defense_scan
+from repro.obs import coerce_observer
 from repro.resistor import ResistorConfig
 
 #: paper Table VI: (scenario, defense, attack) → (successes, success %, detection %)
@@ -46,43 +49,33 @@ SCENARIOS = ("while_not_a", "if_success")
 
 @dataclass
 class Table6Result:
-    #: the first (or only) model's results — the historical single-model shape
     results: dict[tuple[str, str, str], DefenseScanResult] = field(default_factory=dict)
-    #: per-model axis: model label → (scenario, defense, attack) → result
-    by_model: dict[str, dict[tuple[str, str, str], DefenseScanResult]] = field(
-        default_factory=dict
-    )
 
     def get(self, scenario: str, defense: str, attack: str) -> DefenseScanResult:
         return self.results[(scenario, defense, attack)]
 
     def render(self) -> str:
-        parts = []
-        models = self.by_model or {"clock": self.results}
-        for label, results in models.items():
-            model_note = f" [{label} model]" if len(models) > 1 else ""
-            rows = []
-            for (scenario, defense, attack), scan in sorted(results.items()):
-                paper = PAPER_ROWS.get((scenario, defense, attack))
-                paper_text = (
-                    f"{paper[0]} succ ({paper[1] * 100:.4g}%), det {paper[2] * 100:.1f}%"
-                    if paper
-                    else "-"
-                )
-                rows.append([
-                    scenario, defense, attack,
-                    f"{scan.successes}/{scan.attempts}",
-                    f"{scan.success_rate * 100:.5f}%",
-                    scan.detections,
-                    f"{scan.detection_rate * 100:.1f}%",
-                    paper_text,
-                ])
-            parts.append(render_table(
-                "Table VI: defended-firmware attack outcomes" + model_note,
-                ["Scenario", "Defense", "Attack", "Succ", "Succ %", "Det", "Det %", "Paper"],
-                rows,
-            ))
-        return "\n\n".join(parts)
+        rows = []
+        for (scenario, defense, attack), scan in sorted(self.results.items()):
+            paper = PAPER_ROWS.get((scenario, defense, attack))
+            paper_text = (
+                f"{paper[0]} succ ({paper[1] * 100:.4g}%), det {paper[2] * 100:.1f}%"
+                if paper
+                else "-"
+            )
+            rows.append([
+                scenario, defense, attack,
+                f"{scan.successes}/{scan.attempts}",
+                f"{scan.success_rate * 100:.5f}%",
+                scan.detections,
+                f"{scan.detection_rate * 100:.1f}%",
+                paper_text,
+            ])
+        return render_table(
+            "Table VI: defended-firmware attack outcomes",
+            ["Scenario", "Defense", "Attack", "Succ", "Succ %", "Det", "Det %", "Paper"],
+            rows,
+        )
 
     def all_stack_beats_baseline(self) -> bool:
         for scenario in SCENARIOS:
@@ -101,49 +94,23 @@ def run_table6(
     scenarios: tuple[str, ...] = SCENARIOS,
     defenses: tuple[str, ...] = ("none", "all", "all_no_delay"),
     fault_model: FaultModel | str | None = None,
-    workers: int = 1,
-    progress=None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout=None,
+    execution: ExecOptions = ExecOptions(),
     obs=None,
     profile=None,
-    fault_models=None,
 ) -> Table6Result:
-    """Run Table VI, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
-
-    axis = resolve_model_axis(fault_model, fault_models, profile)
+    """Run Table VI (model selection as for :func:`repro.experiments.table1.run_table1`)."""
+    model = resolve_fault_model(fault_model, profile)
     obs = coerce_observer(obs)
     result = Table6Result()
     with obs.trace("table6", stride=stride):
-        for label, model in axis:
-            results: dict[tuple[str, str, str], DefenseScanResult] = {}
-            for scenario in scenarios:
-                for defense in defenses:
-                    hardened = build_defended_guard(scenario, DEFENSE_STACKS[defense]())
-                    for attack in attacks:
-                        results[(scenario, defense, attack)] = run_defense_scan(
-                            hardened.image,
-                            attack,
-                            scenario=scenario,
-                            defense=defense,
-                            stride=stride,
-                            fault_model=model,
-                            workers=workers,
-                            progress=progress,
-                            checkpoint_dir=model_checkpoint_dir(
-                                checkpoint_dir, label, axis
-                            ),
-                            resume=resume,
-                            retries=retries,
-                            unit_timeout=unit_timeout,
-                            obs=obs,
-                        )
-            result.by_model[label] = results
-    result.results = next(iter(result.by_model.values()))
+        for scenario in scenarios:
+            for defense in defenses:
+                hardened = build_defended_guard(scenario, DEFENSE_STACKS[defense]())
+                for attack in attacks:
+                    result.results[(scenario, defense, attack)] = run_defense_scan(
+                        hardened.image, attack, scenario=scenario, defense=defense,
+                        stride=stride, fault_model=model, execution=execution, obs=obs,
+                    )
     return result
 
 

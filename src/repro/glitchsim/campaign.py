@@ -28,14 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.exec import (
-    FailedUnit,
-    OutcomeCache,
-    ParallelExecutor,
-    ProgressReporter,
-    coerce_cache,
-    open_campaign_checkpoint,
-)
+from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
 from repro.exec.cache import CODE_CATEGORIES, count_cache_traffic
 from repro.glitchsim.harness import ENGINES, OUTCOME_CATEGORIES, SnippetHarness, WordHarness
 from repro.glitchsim.maskalgebra import MODELS, reachable_words, tally_from_word_codes
@@ -267,35 +260,28 @@ def run_branch_campaign(
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
     conditions: list[str] | None = None,
-    workers: int = 1,
     cache: OutcomeCache | str | None = None,
-    progress: ProgressReporter | None = None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: float | None = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
     engine: str = "snapshot",
-    chunk_size: int | None = None,
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
 
     The selected branches are grouped by :meth:`WordHarness.world_digest`
     into one work unit per replay world (5 for all 14 branches); a unit
-    sweeps every member branch on one shared harness. ``workers`` fans the
-    units out over processes (each unit owns its world's cache shard, so
-    workers never contend on a file). Sweeps are re-emitted in condition
-    order, so ``workers=1`` and ``workers=N`` produce identical campaigns.
+    sweeps every member branch on one shared harness. ``execution`` (an
+    :class:`~repro.exec.ExecOptions`) fans the units out over processes
+    (each unit owns its world's cache shard, so workers never contend on
+    a file). Sweeps are re-emitted in condition order, so one worker and
+    N workers produce identical campaigns.
 
-    ``checkpoint_dir``/``resume`` persist each completed world unit to a
-    JSONL checkpoint (keyed by its member mnemonics, e.g. ``beq`` or
-    ``bcc+bmi+blt+ble``) and replay recorded units on resume, so an
-    interrupted campaign restarts only its missing worlds and merges to
-    tallies identical to an uninterrupted run. ``retries`` grants a
-    failing unit extra attempts (exponential backoff) before it is
-    quarantined into ``CampaignResult.failed_units`` — whose spec names
-    every member branch, all absent from the sweeps; ``unit_timeout``
-    bounds a unit's wall-clock seconds on the multiprocessing path.
+    A checkpoint records each completed world unit (keyed by its member
+    mnemonics, e.g. ``beq`` or ``bcc+bmi+blt+ble``) and a resume replays
+    the recorded units, so an interrupted campaign restarts only its
+    missing worlds and merges to tallies identical to an uninterrupted
+    run. A unit that exhausts its retries is quarantined into
+    ``CampaignResult.failed_units`` — whose spec names every member
+    branch, all absent from the sweeps.
 
     ``obs`` (a :class:`repro.obs.Observer`) traces the campaign span and
     tallies attempts, outcome categories, cache hits/misses, retries,
@@ -309,9 +295,6 @@ def run_branch_campaign(
 
     An unknown ``model``, ``engine`` or condition raises ``ValueError``
     before any work starts.
-
-    ``chunk_size`` is handed to the :class:`ParallelExecutor` (``None`` =
-    auto: about four chunks per worker).
     """
     check_campaign_args((model,), engine)
     obs = coerce_observer(obs)
@@ -342,19 +325,6 @@ def run_branch_campaign(
         for mnemonics in units
     ]
 
-    checkpoint = None
-    if checkpoint_dir is not None or resume:
-        meta = {
-            "campaign": "branch",
-            "model": model,
-            "zero_is_invalid": zero_is_invalid,
-            "k_values": list(ks) if ks is not None else None,
-            "conditions": sorted(snippet.mnemonic for snippet in snippets),
-        }
-        checkpoint = open_campaign_checkpoint(
-            checkpoint_dir, f"branch-{model}", meta, resume=resume
-        )
-
     def serial(spec: _WorldSpec) -> list[InstructionSweep]:
         # in-process: reuse the built harnesses and the shared cache handle;
         # activate the campaign observer so the ambient algebra counters
@@ -363,11 +333,6 @@ def run_branch_campaign(
         with activate(obs):
             return _sweep_world(spec, members, shared)
 
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
-    )
     # serial units reuse the shared cache handle, so their cache traffic
     # lands on the handle's counters rather than the ambient worker
     # observer — count the deltas here. (The parallel path never touches
@@ -376,30 +341,36 @@ def run_branch_campaign(
     try:
         with obs.trace(f"campaign.branch[{model}]", model=model,
                        zero_is_invalid=zero_is_invalid, units=len(specs)):
-            results = executor.map(
+            results, failed = execution.run(
                 _world_unit,
                 specs,
-                serial_fn=serial,
-                attempts_of=lambda sweeps: sum(_world_totals(sweeps).values()),
-                categories_of=lambda sweeps: dict(_world_totals(sweeps)),
-                checkpoint=checkpoint,
+                prefix=f"branch-{model}",
+                meta={
+                    "campaign": "branch",
+                    "model": model,
+                    "zero_is_invalid": zero_is_invalid,
+                    "k_values": list(ks) if ks is not None else None,
+                    "conditions": sorted(snippet.mnemonic for snippet in snippets),
+                },
                 key_of=lambda spec: "+".join(spec.mnemonics),
                 encode=_encode_world,
                 decode=_decode_world,
+                serial_fn=serial,
+                attempts_of=lambda sweeps: sum(_world_totals(sweeps).values()),
+                categories_of=lambda sweeps: dict(_world_totals(sweeps)),
+                obs=obs,
             )
     finally:
-        # SIGINT / worker crash must not discard dirty shards or the checkpoint
+        # SIGINT / worker crash must not discard dirty shards
         if cache is not None:
             cache.flush()
             count_cache_traffic(obs, cache, cache_before)
-        if checkpoint is not None:
-            checkpoint.close()
     done = {sweep.mnemonic: sweep for sweeps in results if sweeps for sweep in sweeps}
     return CampaignResult(
         model=model,
         zero_is_invalid=zero_is_invalid,
         sweeps=[done[s.mnemonic] for s in snippets if s.mnemonic in done],
-        failed_units=list(executor.failed_units),
+        failed_units=failed,
     )
 
 

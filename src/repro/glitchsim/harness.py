@@ -292,8 +292,8 @@ class WordHarness:
         and their parallel nonzero category codes
         (:data:`repro.exec.cache.CATEGORY_CODES`). Freshly executed
         entries are flushed to the disk cache even when an execution
-        raises partway through the batch, so a crash or a campaign
-        ``unit_timeout`` kill never discards paid-for work.
+        raises partway through the batch, so a crash or a campaign's
+        unit-timeout kill never discards paid-for work.
         """
         if not isinstance(words, (np.ndarray, list)):
             words = list(words)

@@ -33,7 +33,6 @@ from repro.hw.models import (
     register_fault_model,
     register_profile,
     resolve_fault_model,
-    resolve_model_axis,
 )
 from repro.hw.mcu import Board, FLASH_BASE, SRAM_BASE, GPIO_BASE
 from repro.hw.pipeline import PipelinedCPU
@@ -67,7 +66,6 @@ __all__ = [
     "register_fault_model",
     "register_profile",
     "resolve_fault_model",
-    "resolve_model_axis",
     "Board",
     "FLASH_BASE",
     "SRAM_BASE",

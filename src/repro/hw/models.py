@@ -176,49 +176,15 @@ def model_label(model: Optional[FaultModel]) -> str:
     return "clock"
 
 
-def resolve_model_axis(
-    fault_model: Union[FaultModel, str, None] = None,
-    fault_models=None,
-    profile: Union[CalibrationProfile, str, None] = None,
-) -> list[tuple[str, Optional[FaultModel]]]:
-    """Resolve the per-model experiment axis to ``[(label, model), ...]``.
+def model_meta(model: FaultModel) -> dict:
+    """A fault model's checkpoint fingerprint: its class name plus every
+    public calibration field.
 
-    ``fault_models`` (an iterable of names/instances) opens the multi-model
-    axis and is mutually exclusive with the single-selection arguments.
-    The default axis is ``[("clock", None)]`` — the paper's bench, with
-    ``None`` preserved so downstream defaults stay bit-identical.
+    Two calibrations of one model (``em`` and the ``em-probe-4mm``
+    profile) differ in a field, so their checkpoints never collide.
     """
-    if fault_models:
-        if fault_model is not None or profile is not None:
-            raise GlitchConfigError(
-                "pass either fault_models (the multi-model axis) or a single "
-                "fault_model/profile selection, not both"
-            )
-        axis: list[tuple[str, Optional[FaultModel]]] = []
-        for entry in fault_models:
-            model = resolve_fault_model(entry)
-            label = entry if isinstance(entry, str) else model_label(model)
-            axis.append((label, model))
-        return axis
-    model = resolve_fault_model(fault_model, profile)
-    if model is None:
-        return [("clock", None)]
-    label = fault_model if isinstance(fault_model, str) else model_label(model)
-    return [(label, model)]
-
-
-def model_checkpoint_dir(checkpoint_dir, label: str, axis) -> Optional[str]:
-    """Per-model checkpoint subdirectory for multi-model experiment axes.
-
-    With a single-model axis the directory is passed through unchanged
-    (so existing single-model checkpoints keep resuming); with several
-    models each gets its own subdirectory keyed by its label.
-    """
-    if checkpoint_dir is None or len(axis) <= 1:
-        return checkpoint_dir
-    import os
-
-    return os.path.join(str(checkpoint_dir), label)
+    fields = {name: value for name, value in vars(model).items() if not name.startswith("_")}
+    return {"class": type(model).__name__, **fields}
 
 
 __all__ = [
@@ -228,7 +194,6 @@ __all__ = [
     "register_fault_model",
     "register_profile",
     "resolve_fault_model",
-    "resolve_model_axis",
     "model_label",
-    "model_checkpoint_dir",
+    "model_meta",
 ]

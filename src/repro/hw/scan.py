@@ -1,37 +1,39 @@
-"""Parameter scans reproducing Tables I, II, and III.
+"""Parameter scans reproducing Tables I, II, III and VI.
 
-Each scan sweeps the full ``[-49, 49] × [-49, 49]`` (width, offset) grid —
-9,801 attempts — per clock cycle (or per cycle-range for long glitches)
-and tallies successes, crashes, and the post-mortem comparator register
-values the paper reports.
+Every scan is the same experiment: sweep the ``[-49, 49] × [-49, 49]``
+(width, offset) grid — 9,801 attempts — for each element of a list of
+``(ext_offset, repeat)`` glitch shapes on one firmware image, and tally
+the outcome categories. The scans differ only in shapes and firmware:
 
-The serial path shares one :class:`~repro.hw.glitcher.ClockGlitcher`
-across all rows (Table VI: all shape units) of a scan, so the glitcher's
-boot records (see ``docs/ARCHITECTURE.md``) kick in automatically: the
-pre-glitch boot up to the trigger cycle is simulated once per power-on
-seed page and every later simulated attempt from that page restores the
-record, and all units share one fault model and its point memo. On the
-multiprocessing path each worker builds its own glitcher and records its
-own boots. Tallies are identical with replay on or off
-(``benchmarks/test_bench_table1.py`` runs the differential).
+- Table I (single): ``(cycle, 1)`` per glitched cycle, plus the
+  post-mortem comparator register values of the successes;
+- Table II (multi): ``(cycle, 1)`` on the double-trigger firmware, where
+  the glitch fires after each of two triggers;
+- Table III (long): ``(0, last + 1)``, one glitch over cycles 0..last;
+- Table VI (defense): the :data:`ATTACK_SHAPES` of one attack.
+
+One work unit is one shape element's grid. The serial path shares one
+:class:`~repro.hw.glitcher.ClockGlitcher` across all units of a scan, so
+the glitcher's boot records (see ``docs/ARCHITECTURE.md``) kick in
+automatically: the pre-glitch boot up to the trigger cycle is simulated
+once per power-on seed page and every later simulated attempt from that
+page restores the record, and all units share one fault model and its
+point memo. On the multiprocessing path each worker builds its own
+glitcher and records its own boots. Tallies are identical with replay on
+or off (``benchmarks/test_bench_table1.py`` runs the differential).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.exec import (
-    FailedUnit,
-    ParallelExecutor,
-    ProgressReporter,
-    open_campaign_checkpoint,
-)
-from repro.hw.clock import GRID_POINTS, GlitchParams, OFFSET_RANGE, WIDTH_RANGE
+from repro.exec import ExecOptions, FailedUnit, resolve_workers
+from repro.hw.clock import GlitchParams, OFFSET_RANGE, WIDTH_RANGE
 from repro.hw.faults import FaultModel
-from repro.hw.glitcher import AttemptResult, ClockGlitcher
-from repro.hw.models import model_label, resolve_fault_model
+from repro.hw.glitcher import ClockGlitcher
+from repro.hw.models import model_meta, resolve_fault_model
 from repro.isa.disassembler import disassemble_one
 from repro.obs import Observer, activate, coerce_observer, current
 
@@ -212,15 +214,8 @@ def map_cycles_to_instructions(glitcher: ClockGlitcher, n_cycles: int) -> dict[i
 
 
 # ----------------------------------------------------------------------
-# scans
+# the grid unit
 # ----------------------------------------------------------------------
-#
-# Each scan is decomposed into per-row work units: a picklable spec names
-# the guard/cycle/stride, and the worker rebuilds its own firmware +
-# glitcher. The guard firmware never touches nonvolatile state, so a fresh
-# board per row produces exactly the rows a single shared board would —
-# which is what lets the in-process (``workers=1``) path keep one shared
-# glitcher while the multiprocessing path stays bit-identical.
 
 def _report_hw(glitcher: ClockGlitcher, before: dict) -> None:
     """Count a unit's ``hw.*`` attempt counters on the ambient observer."""
@@ -241,141 +236,172 @@ def _observed(obs: Observer, unit):
     return run
 
 
-def _single_row(
-    glitcher: ClockGlitcher, comparator_register: int, cycle: int, stride: int
-) -> CycleRow:
-    before = dict(glitcher.counters)
-    row = CycleRow(cycle=cycle, instruction="-")
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
-        row.attempts += 1
-        if result.category == "success":
-            row.successes += 1
-            value = result.registers[comparator_register] & 0xFFFFFFFF
-            row.register_values[value] += 1
-        elif result.category == "reset":
-            row.resets += 1
-    _report_hw(glitcher, before)
-    return row
+@dataclass(frozen=True)
+class _GridSpec:
+    """Picklable work unit: one ``(ext_offset, repeat)`` shape element's
+    grid against one image; a worker builds its own glitcher from it."""
+
+    image: object = field(repr=False)  # AssembledProgram — pickles cleanly
+    ext_offset: int
+    repeat: int
+    stride: int
+    fault_model: FaultModel = field(repr=False)
+    detect: Optional[str] = None
+    expected_triggers: int = 1
+    #: register whose post-mortem value Table I tallies per success
+    comparator: Optional[int] = None
 
 
-def _multi_row(glitcher: ClockGlitcher, cycle: int, stride: int) -> MultiCycleRow:
-    before = dict(glitcher.counters)
-    row = MultiCycleRow(cycle=cycle)
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
-        row.attempts += 1
-        if result.category == "success":
-            row.full += 1
-        elif result.category == "partial":
-            row.partial += 1
-    _report_hw(glitcher, before)
-    return row
+#: one unit's result: outcome category counts, comparator register values
+_Tally = tuple[Counter, Counter]
 
 
-def _long_row(glitcher: ClockGlitcher, last: int, stride: int) -> LongRangeRow:
-    before = dict(glitcher.counters)
-    row = LongRangeRow(last_cycle=last)
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(
-            GlitchParams(ext_offset=0, width=width, offset=offset, repeat=last + 1)
+def _defense_shape_unit(spec: _GridSpec, glitcher: Optional[ClockGlitcher] = None) -> _Tally:
+    """One shape element's grid, on a fresh glitcher or on the scan's
+    shared one (whose boot records and fault model then carry over).
+
+    Every scan's unit, not only Table VI's: the name is the one
+    ``perfbench/layers.py`` attributes to its harness layer.
+    """
+    if glitcher is None:
+        glitcher = ClockGlitcher(
+            spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect,
+            expected_triggers=spec.expected_triggers,
         )
-        row.attempts += 1
-        if result.category == "success":
-            row.successes += 1
+    else:
+        # start from the factory seed page, exactly as a fresh board does
+        glitcher.board.erase_seed_page()
+    before = dict(glitcher.counters)
+    categories: Counter = Counter()
+    values: Counter = Counter()
+    for width, offset in _grid(spec.stride):
+        result = glitcher.run_attempt(
+            GlitchParams(spec.ext_offset, width, offset, repeat=spec.repeat)
+        )
+        categories[result.category] += 1
+        if spec.comparator is not None and result.category == "success":
+            values[result.registers[spec.comparator] & 0xFFFFFFFF] += 1
     _report_hw(glitcher, before)
-    return row
+    return categories, values
 
+
+def _encode_tally(tally: _Tally) -> dict:
+    categories, values = tally
+    return {"categories": dict(categories),
+            "values": {str(value): count for value, count in values.items()}}
+
+
+def _decode_tally(payload: dict) -> _Tally:
+    return (Counter(payload["categories"]),
+            Counter({int(value): count for value, count in payload["values"].items()}))
+
+
+def _sweep(
+    kind: str, label: str, glitcher: ClockGlitcher, shapes: list[tuple[int, int]],
+    stride: int, execution: ExecOptions, obs: Optional[Observer], meta: dict,
+    detect: Optional[str] = None, comparator: Optional[int] = None,
+) -> tuple[list[Optional[_Tally]], list[FailedUnit]]:
+    """Run one scan's shape elements: a tally per shape (``None`` when
+    quarantined) and the quarantined units.
+
+    In process every unit runs on ``glitcher``; workers build their own
+    from its firmware, fault model and trigger count. Checkpoints are
+    keyed by shape element under ``meta`` plus the shapes, stride and
+    the fault model's full calibration.
+    """
+    _validate_stride(stride)
+    obs = coerce_observer(obs)
+    specs = [
+        _GridSpec(glitcher.firmware, ext_offset, repeat, stride, glitcher.fault_model,
+                  detect, glitcher.expected_triggers, comparator)
+        for ext_offset, repeat in shapes
+    ]
+    with obs.trace(f"scan.{kind}[{label}]", **meta, stride=stride, units=len(specs)):
+        tallies, failed = execution.run(
+            _defense_shape_unit,
+            specs,
+            prefix=f"scan-{kind}-{label}",
+            meta={"campaign": f"scan-{kind}", **meta, "shapes": shapes,
+                  "stride": stride, "detect": detect,
+                  "fault_model": model_meta(glitcher.fault_model)},
+            key_of=lambda spec: f"{spec.ext_offset}x{spec.repeat}",
+            encode=_encode_tally,
+            decode=_decode_tally,
+            serial_fn=_observed(obs, lambda spec: _defense_shape_unit(spec, glitcher)),
+            attempts_of=lambda tally: sum(tally[0].values()),
+            categories_of=lambda tally: dict(tally[0]),
+            obs=obs,
+        )
+    if obs.enabled:
+        total: Counter = Counter()
+        for tally in tallies:
+            if tally is not None:
+                total.update(tally[0])
+        obs.event("scan", kind=kind, **meta, attempts=sum(total.values()),
+                  outcomes=dict(total))
+    return tallies, failed
+
+
+# ----------------------------------------------------------------------
+# Tables I-III: guard-loop scans
+# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _GuardRowSpec:
-    """Picklable work unit: one scan row against a freshly-built guard board."""
+class _GuardKind:
+    """How one guard scan kind maps rows onto the grid unit."""
 
-    kind: str  # "single" | "multi" | "long"
-    guard: str
-    cycle: int
-    stride: int
-    fault_model: Optional[FaultModel]
-
-
-# checkpoint codecs: one JSON-able payload per completed scan row ----------
-
-def _encode_single_row(row: CycleRow) -> dict:
-    return {
-        "cycle": row.cycle,
-        "attempts": row.attempts,
-        "successes": row.successes,
-        "resets": row.resets,
-        "register_values": {str(value): count for value, count in row.register_values.items()},
-    }
+    variant: str  # guard firmware variant (repro.firmware.loops)
+    expected_triggers: int
+    shape: Callable[[int], tuple[int, int]]  # row key → (ext_offset, repeat)
+    row: Callable[[int, Counter, Counter], object]  # key, categories, values → row
 
 
-def _decode_single_row(payload: dict) -> CycleRow:
-    return CycleRow(
-        cycle=payload["cycle"],
-        instruction="-",  # re-derived from the live instruction map after the merge
-        attempts=payload["attempts"],
-        successes=payload["successes"],
-        resets=payload["resets"],
-        register_values=Counter(
-            {int(value): count for value, count in payload["register_values"].items()}
-        ),
+_GUARD_KINDS = {
+    "single": _GuardKind(
+        "single", 1, lambda cycle: (cycle, 1),
+        lambda cycle, c, values: CycleRow(cycle, "-", sum(c.values()), c["success"],
+                                          c["reset"], values),
+    ),
+    "multi": _GuardKind(
+        "double", 2, lambda cycle: (cycle, 1),
+        lambda cycle, c, _: MultiCycleRow(cycle, sum(c.values()), c["partial"], c["success"]),
+    ),
+    "long": _GuardKind(
+        "contiguous", 1, lambda last: (0, last + 1),
+        lambda last, c, _: LongRangeRow(last, sum(c.values()), c["success"]),
+    ),
+}
+
+
+def _guard_glitcher(kind: str, guard: str, fault_model, profile) -> ClockGlitcher:
+    """The scan's shared glitcher on the guard firmware for ``kind``."""
+    from repro.firmware.loops import build_guard_firmware
+
+    spec = _GUARD_KINDS[kind]
+    return ClockGlitcher(
+        build_guard_firmware(guard, spec.variant),
+        fault_model=resolve_fault_model(fault_model, profile),
+        expected_triggers=spec.expected_triggers,
     )
 
 
-def _encode_multi_row(row: MultiCycleRow) -> dict:
-    return {"cycle": row.cycle, "attempts": row.attempts,
-            "partial": row.partial, "full": row.full}
+def _guard_scan(
+    kind: str, guard: str, keys: Iterable[int], glitcher: ClockGlitcher, stride: int,
+    execution: ExecOptions, obs: Optional[Observer],
+) -> tuple[list, list[FailedUnit]]:
+    """The rows of one Table I/II/III scan (one unit per key) and its
+    quarantined units."""
+    from repro.firmware.loops import guard_descriptor
 
-
-def _decode_multi_row(payload: dict) -> MultiCycleRow:
-    return MultiCycleRow(**payload)
-
-
-def _encode_long_row(row: LongRangeRow) -> dict:
-    return {"last_cycle": row.last_cycle, "attempts": row.attempts,
-            "successes": row.successes}
-
-
-def _decode_long_row(payload: dict) -> LongRangeRow:
-    return LongRangeRow(**payload)
-
-
-def _scan_checkpoint(
-    checkpoint_dir, resume, kind: str, guard: str, cycles: list[int],
-    stride: int, fault_model: Optional[FaultModel],
-):
-    """Open the checkpoint for one guard scan, or ``None`` when not requested."""
-    if checkpoint_dir is None and not resume:
-        return None
-    meta = {
-        "campaign": f"scan-{kind}",
-        "guard": guard,
-        "cycles": list(cycles),
-        "stride": stride,
-        "fault_seed": fault_model.seed if fault_model is not None else None,
-        "fault_model": model_label(fault_model),
-    }
-    return open_campaign_checkpoint(
-        checkpoint_dir, f"scan-{kind}-{guard}", meta, resume=resume
+    spec = _GUARD_KINDS[kind]
+    keys = list(keys)
+    comparator = guard_descriptor(guard).comparator_register if kind == "single" else None
+    tallies, failed = _sweep(
+        kind, guard, glitcher, [spec.shape(key) for key in keys], stride, execution, obs,
+        meta={"guard": guard}, comparator=comparator,
     )
-
-
-def _guard_row_unit(spec: _GuardRowSpec):
-    from repro.firmware.loops import build_guard_firmware, guard_descriptor
-
-    if spec.kind == "single":
-        firmware = build_guard_firmware(spec.guard, "single")
-        glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model)
-        descriptor = guard_descriptor(spec.guard)
-        return _single_row(glitcher, descriptor.comparator_register, spec.cycle, spec.stride)
-    if spec.kind == "multi":
-        firmware = build_guard_firmware(spec.guard, "double")
-        glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model, expected_triggers=2)
-        return _multi_row(glitcher, spec.cycle, spec.stride)
-    firmware = build_guard_firmware(spec.guard, "contiguous")
-    glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model)
-    return _long_row(glitcher, spec.cycle, spec.stride)
+    rows = [spec.row(key, *tally) for key, tally in zip(keys, tallies) if tally is not None]
+    return rows, failed
 
 
 def run_single_glitch_scan(
@@ -384,14 +410,8 @@ def run_single_glitch_scan(
     fault_model=None,
     stride: int = 1,
     glitcher: Optional[ClockGlitcher] = None,
-    workers: int = 1,
-    progress: Optional[ProgressReporter] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: Optional[float] = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    chunk_size: Optional[int] = None,
     profile=None,
 ) -> SingleGlitchScan:
     """Table I: scan every (width, offset) for each glitched clock cycle.
@@ -400,76 +420,34 @@ def run_single_glitch_scan(
     model name; ``profile`` a named calibration from
     :data:`repro.hw.models.PROFILES` (see :func:`resolve_fault_model`).
 
-    ``workers`` distributes the per-cycle rows over processes. A pre-built
-    ``glitcher`` carries its own fault model, so combining it with
-    ``fault_model``/``profile`` (or with ``workers > 1`` — a live board
-    cannot be shipped to worker processes) raises ``ValueError``.
-
-    ``checkpoint_dir``/``resume`` persist completed rows (keyed by cycle)
-    so an interrupted scan restarts only its missing cycles; ``retries``/
-    ``unit_timeout`` retry a failing row before quarantining it into
-    ``failed_units``.
+    ``execution`` (an :class:`~repro.exec.ExecOptions`) distributes the
+    per-cycle rows over processes, persists completed rows (keyed by
+    cycle) so an interrupted scan restarts only its missing cycles, and
+    retries a failing row before quarantining it into ``failed_units``.
+    A pre-built ``glitcher`` carries its own fault model, so combining it
+    with ``fault_model``/``profile`` (or with more than one worker — a
+    live board cannot be shipped to worker processes) raises
+    ``ValueError``.
     """
-    from repro.firmware.loops import build_guard_firmware, guard_descriptor
-
     if glitcher is not None and (fault_model is not None or profile is not None):
         raise ValueError(
             "pass either a pre-built glitcher or a fault_model/profile, not "
             "both: the glitcher was already constructed with its own fault "
             "model, so the fault_model argument would be silently ignored"
         )
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    cycles = list(cycles)
-    descriptor = guard_descriptor(guard)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
-    )
-    if glitcher is not None and executor.parallel:
+    if glitcher is not None and resolve_workers(execution.workers) > 1:
         raise ValueError(
             "a pre-built glitcher cannot be used with workers > 1; "
             "pass fault_model and let each worker build its own board"
         )
     if glitcher is None:
-        firmware = build_guard_firmware(guard, "single")
-        glitcher = ClockGlitcher(firmware, fault_model=fault_model)
+        glitcher = _guard_glitcher("single", guard, fault_model, profile)
+    cycles = list(cycles)
     instruction_map = map_cycles_to_instructions(glitcher, max(cycles, default=0) + 1)
-    shared = glitcher
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "single", guard, cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.single[{guard}]", guard=guard, stride=stride,
-                       cycles=len(cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("single", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=_observed(obs, lambda spec: _single_row(
-                    shared, descriptor.comparator_register, spec.cycle, spec.stride
-                )),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"success": row.successes, "reset": row.resets},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_single_row,
-                decode=_decode_single_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    rows = [row for row in rows if row is not None]
+    rows, failed = _guard_scan("single", guard, cycles, glitcher, stride, execution, obs)
     for row in rows:
         row.instruction = instruction_map.get(row.cycle, "-")
-    scan = SingleGlitchScan(
-        guard=guard, rows=rows, failed_units=list(executor.failed_units)
-    )
-    if obs.enabled:
-        obs.event("scan", kind="single", guard=guard,
-                  attempts=scan.total_attempts, successes=scan.total_successes)
-    return scan
+    return SingleGlitchScan(guard=guard, rows=rows, failed_units=failed)
 
 
 def run_multi_glitch_scan(
@@ -477,62 +455,14 @@ def run_multi_glitch_scan(
     cycles: Iterable[int] = range(8),
     fault_model=None,
     stride: int = 1,
-    workers: int = 1,
-    progress: Optional[ProgressReporter] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: Optional[float] = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    chunk_size: Optional[int] = None,
     profile=None,
 ) -> MultiGlitchScan:
     """Table II: the same glitch fired after each of two triggers."""
-    from repro.firmware.loops import build_guard_firmware
-
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    cycles = list(cycles)
-    firmware = build_guard_firmware(guard, "double")
-    glitcher = ClockGlitcher(firmware, fault_model=fault_model, expected_triggers=2)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
-    )
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "multi", guard, cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.multi[{guard}]", guard=guard, stride=stride,
-                       cycles=len(cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("multi", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=_observed(
-                    obs, lambda spec: _multi_row(glitcher, spec.cycle, spec.stride)
-                ),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"full": row.full, "partial": row.partial},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_multi_row,
-                decode=_decode_multi_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    scan = MultiGlitchScan(
-        guard=guard,
-        rows=[row for row in rows if row is not None],
-        failed_units=list(executor.failed_units),
-    )
-    if obs.enabled:
-        obs.event("scan", kind="multi", guard=guard,
-                  attempts=scan.total_attempts, full=scan.total_full,
-                  partial=scan.total_partial)
-    return scan
+    glitcher = _guard_glitcher("multi", guard, fault_model, profile)
+    rows, failed = _guard_scan("multi", guard, cycles, glitcher, stride, execution, obs)
+    return MultiGlitchScan(guard=guard, rows=rows, failed_units=failed)
 
 
 def run_long_glitch_scan(
@@ -540,75 +470,14 @@ def run_long_glitch_scan(
     last_cycles: Iterable[int] = range(10, 21),
     fault_model=None,
     stride: int = 1,
-    workers: int = 1,
-    progress: Optional[ProgressReporter] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: Optional[float] = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    chunk_size: Optional[int] = None,
     profile=None,
 ) -> LongGlitchScan:
     """Table III: one glitch spanning cycles 0..last over two adjacent loops."""
-    from repro.firmware.loops import build_guard_firmware
-
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    last_cycles = list(last_cycles)
-    firmware = build_guard_firmware(guard, "contiguous")
-    glitcher = ClockGlitcher(firmware, fault_model=fault_model)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
-    )
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "long", guard, last_cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.long[{guard}]", guard=guard, stride=stride,
-                       cycles=len(last_cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("long", guard, last, stride, fault_model) for last in last_cycles],
-                serial_fn=_observed(
-                    obs, lambda spec: _long_row(glitcher, spec.cycle, spec.stride)
-                ),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"success": row.successes},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_long_row,
-                decode=_decode_long_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    scan = LongGlitchScan(
-        guard=guard,
-        rows=[row for row in rows if row is not None],
-        failed_units=list(executor.failed_units),
-    )
-    if obs.enabled:
-        obs.event("scan", kind="long", guard=guard,
-                  attempts=scan.total_attempts, successes=scan.total_successes)
-    return scan
-
-
-__all__ = [
-    "CycleRow",
-    "SingleGlitchScan",
-    "MultiCycleRow",
-    "MultiGlitchScan",
-    "LongRangeRow",
-    "LongGlitchScan",
-    "run_single_glitch_scan",
-    "run_multi_glitch_scan",
-    "run_long_glitch_scan",
-    "map_cycles_to_instructions",
-]
+    glitcher = _guard_glitcher("long", guard, fault_model, profile)
+    rows, failed = _guard_scan("long", guard, last_cycles, glitcher, stride, execution, obs)
+    return LongGlitchScan(guard=guard, rows=rows, failed_units=failed)
 
 
 # ----------------------------------------------------------------------
@@ -651,50 +520,6 @@ ATTACK_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class _DefenseShapeSpec:
-    """Picklable work unit: one attack shape element against one image."""
-
-    image: object  # AssembledProgram — plain bytes/dicts, pickles cleanly
-    ext_offset: int
-    repeat: int
-    stride: int
-    fault_model: Optional[FaultModel]
-    detect: Optional[str]
-
-
-def _defense_shape_unit(
-    spec: _DefenseShapeSpec, glitcher: Optional[ClockGlitcher] = None
-) -> DefenseScanResult:
-    """One shape element's grid, on a fresh glitcher or on the scan's
-    shared one (whose boot records and fault model then carry over)."""
-    if glitcher is None:
-        glitcher = ClockGlitcher(
-            spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect
-        )
-    else:
-        # start from the factory seed page, exactly as a fresh board does
-        glitcher.board.erase_seed_page()
-    before = dict(glitcher.counters)
-    tally = DefenseScanResult(scenario="", defense="", attack="")
-    for width, offset in _grid(spec.stride):
-        outcome = glitcher.run_attempt(
-            GlitchParams(
-                ext_offset=spec.ext_offset, width=width, offset=offset, repeat=spec.repeat
-            )
-        )
-        tally.attempts += 1
-        if outcome.category == "success":
-            tally.successes += 1
-        elif outcome.category == "detected":
-            tally.detections += 1
-        elif outcome.category == "reset":
-            tally.resets += 1
-        else:
-            tally.no_effect += 1
-    _report_hw(glitcher, before)
-    return tally
-
 
 def run_defense_scan(
     image,
@@ -704,14 +529,8 @@ def run_defense_scan(
     fault_model=None,
     stride: int = 1,
     detect_symbol: Optional[str] = "gr_detected",
-    workers: int = 1,
-    progress: Optional[ProgressReporter] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: Optional[float] = None,
+    execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    chunk_size: Optional[int] = None,
     profile=None,
 ) -> DefenseScanResult:
     """Attack a (possibly defended) firmware image with one Table VI attack.
@@ -728,83 +547,42 @@ def run_defense_scan(
     instead of booting.
     """
     try:
-        shape = ATTACK_SHAPES[attack]
+        shapes = ATTACK_SHAPES[attack]
     except KeyError:
         raise ValueError(f"unknown attack {attack!r}; expected one of {sorted(ATTACK_SHAPES)}")
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
     detect = detect_symbol if detect_symbol and detect_symbol in image.symbols else None
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
+    glitcher = ClockGlitcher(
+        image, fault_model=resolve_fault_model(fault_model, profile), detect_symbol=detect
     )
-    checkpoint = None
-    if checkpoint_dir is not None or resume:
-        meta = {
-            "campaign": "defense",
-            "scenario": scenario,
-            "defense": defense,
-            "attack": attack,
-            "stride": stride,
-            "detect": detect,
-            "fault_seed": fault_model.seed if fault_model is not None else None,
-            "fault_model": model_label(fault_model),
-        }
-        checkpoint = open_campaign_checkpoint(
-            checkpoint_dir, f"defense-{attack}", meta, resume=resume
-        )
-    shared = ClockGlitcher(image, fault_model=fault_model, detect_symbol=detect)
-    try:
-        with obs.trace(
-            f"scan.defense[{attack}]", attack=attack,
-            scenario=scenario, defense=defense, stride=stride,
-        ):
-            partials = executor.map(
-                _defense_shape_unit,
-                [
-                    _DefenseShapeSpec(image, ext_offset, repeat, stride, fault_model, detect)
-                    for ext_offset, repeat in shape
-                ],
-                serial_fn=_observed(obs, lambda spec: _defense_shape_unit(spec, shared)),
-                attempts_of=lambda tally: tally.attempts,
-                categories_of=lambda tally: {
-                    "success": tally.successes,
-                    "detected": tally.detections,
-                    "reset": tally.resets,
-                    "no_effect": tally.no_effect,
-                },
-                checkpoint=checkpoint,
-                key_of=lambda spec: f"{spec.ext_offset}x{spec.repeat}",
-                encode=lambda tally: {
-                    "attempts": tally.attempts,
-                    "successes": tally.successes,
-                    "detections": tally.detections,
-                    "resets": tally.resets,
-                    "no_effect": tally.no_effect,
-                },
-                decode=lambda payload: DefenseScanResult(
-                    scenario="", defense="", attack="", **payload
-                ),
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    result = DefenseScanResult(
-        scenario=scenario, defense=defense, attack=attack,
-        failed_units=list(executor.failed_units),
+    tallies, failed = _sweep(
+        "defense", attack, glitcher, list(shapes), stride, execution, obs,
+        meta={"scenario": scenario, "defense": defense, "attack": attack},
+        detect=detect,
     )
-    for tally in partials:
-        if tally is None:
-            continue
-        result.attempts += tally.attempts
-        result.successes += tally.successes
-        result.detections += tally.detections
-        result.resets += tally.resets
-        result.no_effect += tally.no_effect
-    if obs.enabled:
-        obs.event("scan", kind="defense", attack=attack, scenario=scenario,
-                  defense=defense, attempts=result.attempts,
-                  successes=result.successes, detections=result.detections)
-    return result
+    total: Counter = Counter()
+    for categories, _ in filter(None, tallies):
+        total.update(categories)
+    attempts = sum(total.values())
+    return DefenseScanResult(
+        scenario=scenario, defense=defense, attack=attack, attempts=attempts,
+        successes=total["success"], detections=total["detected"], resets=total["reset"],
+        no_effect=attempts - total["success"] - total["detected"] - total["reset"],
+        failed_units=failed,
+    )
+
+
+__all__ = [
+    "CycleRow",
+    "SingleGlitchScan",
+    "MultiCycleRow",
+    "MultiGlitchScan",
+    "LongRangeRow",
+    "LongGlitchScan",
+    "DefenseScanResult",
+    "ATTACK_SHAPES",
+    "run_single_glitch_scan",
+    "run_multi_glitch_scan",
+    "run_long_glitch_scan",
+    "run_defense_scan",
+    "map_cycles_to_instructions",
+]

@@ -64,7 +64,7 @@ class ParameterSearch:
         profile=None,
     ):
         from repro.firmware.loops import build_guard_firmware
-        from repro.hw.models import model_label, resolve_fault_model
+        from repro.hw.models import model_meta, resolve_fault_model
 
         self.guard = guard
         fault_model = resolve_fault_model(fault_model, profile)
@@ -87,8 +87,7 @@ class ParameterSearch:
                 "guard": guard,
                 "coarse_stride": coarse_stride,
                 "scan_cycles": scan_cycles,
-                "fault_seed": fault_model.seed if fault_model is not None else None,
-                "fault_model": model_label(fault_model),
+                "fault_model": model_meta(self.glitcher.fault_model),
             }
             self._checkpoint = open_campaign_checkpoint(
                 checkpoint_dir, f"search-{guard}", meta, resume=resume,

@@ -13,14 +13,21 @@ import pytest
 from repro.exec import (
     CampaignCheckpoint,
     CheckpointMismatch,
+    ExecOptions,
     ProgressReporter,
     campaign_id,
     open_campaign_checkpoint,
 )
 from repro.exec.cache import semantics_fingerprint
 from repro.glitchsim import run_branch_campaign
-from repro.hw.scan import run_defense_scan, run_single_glitch_scan
+from repro.hw.scan import (
+    run_defense_scan,
+    run_long_glitch_scan,
+    run_multi_glitch_scan,
+    run_single_glitch_scan,
+)
 from repro.hw.search import ParameterSearch
+from repro.obs import Observer
 
 
 def _interrupt_after(units):
@@ -120,7 +127,7 @@ class TestCampaignResume:
         with pytest.raises(KeyboardInterrupt):
             run_branch_campaign(
                 "and", k_values=KS, conditions=CONDITIONS,
-                checkpoint_dir=tmp_path, progress=_interrupt_after(2),
+                execution=ExecOptions(checkpoint_dir=tmp_path, progress=_interrupt_after(2)),
             )
         files = list(tmp_path.glob("*.jsonl"))
         assert len(files) == 1
@@ -128,7 +135,7 @@ class TestCampaignResume:
         assert sum(1 for _ in files[0].open()) == 3
         resumed = run_branch_campaign(
             "and", k_values=KS, conditions=CONDITIONS,
-            checkpoint_dir=tmp_path, resume=True,
+            execution=ExecOptions(checkpoint_dir=tmp_path, resume=True),
         )
         assert resumed == baseline
         assert repr(resumed) == repr(baseline)
@@ -137,7 +144,7 @@ class TestCampaignResume:
         with pytest.raises(KeyboardInterrupt):
             run_branch_campaign(
                 "and", k_values=KS, conditions=CONDITIONS,
-                checkpoint_dir=tmp_path, progress=_interrupt_after(2),
+                execution=ExecOptions(checkpoint_dir=tmp_path, progress=_interrupt_after(2)),
             )
         import repro.glitchsim.campaign as campaign_mod
 
@@ -151,7 +158,7 @@ class TestCampaignResume:
         monkeypatch.setattr(campaign_mod, "sweep_instruction", spy)
         run_branch_campaign(
             "and", k_values=KS, conditions=CONDITIONS,
-            checkpoint_dir=tmp_path, resume=True,
+            execution=ExecOptions(checkpoint_dir=tmp_path, resume=True),
         )
         # four branches are three world units (bne and bge share one);
         # the interrupt dropped the last
@@ -171,7 +178,7 @@ class TestCampaignResume:
 
         monkeypatch.setattr(campaign_mod, "sweep_instruction", poisoned)
         result = run_branch_campaign(
-            "and", k_values=(1,), conditions=CONDITIONS, retries=2,
+            "and", k_values=(1,), conditions=CONDITIONS, execution=ExecOptions(retries=2),
         )
         assert calls["bne"] == 3  # 1 initial + 2 retries
         # quarantine is per world: bge shares bne's world and goes with it
@@ -184,13 +191,33 @@ class TestCampaignResume:
         with pytest.raises(KeyboardInterrupt):
             run_branch_campaign(
                 "and", k_values=KS, conditions=CONDITIONS,
-                checkpoint_dir=tmp_path, progress=_interrupt_after(1),
+                execution=ExecOptions(checkpoint_dir=tmp_path, progress=_interrupt_after(1)),
             )
         resumed = run_branch_campaign(
             "and", k_values=KS, conditions=CONDITIONS,
-            checkpoint_dir=tmp_path, resume=True, workers=2,
+            execution=ExecOptions(checkpoint_dir=tmp_path, resume=True, workers=2),
         )
         assert resumed == baseline
+
+
+def _defense_image():
+    from repro.firmware.guards import build_defended_guard
+    from repro.resistor import ResistorConfig
+
+    return build_defended_guard("while_not_a", ResistorConfig.none()).image
+
+
+#: kind → (scan with its small shape bound in, work units per scan)
+SCANS = {
+    "single": (lambda **kw: run_single_glitch_scan("not_a", cycles=range(4), stride=12,
+                                                   **kw), 4),
+    "multi": (lambda **kw: run_multi_glitch_scan("not_a", cycles=range(4), stride=12,
+                                                 **kw), 4),
+    "long": (lambda **kw: run_long_glitch_scan("not_a", last_cycles=range(10, 14), stride=12,
+                                               **kw), 4),
+    "defense": (lambda **kw: run_defense_scan(_defense_image(), "windowed", stride=24,
+                                              **kw), 11),
+}
 
 
 class TestScanResume:
@@ -199,10 +226,11 @@ class TestScanResume:
         baseline = run_single_glitch_scan("a", **kwargs)
         with pytest.raises(KeyboardInterrupt):
             run_single_glitch_scan(
-                "a", checkpoint_dir=tmp_path, progress=_interrupt_after(1), **kwargs
+                "a", execution=ExecOptions(checkpoint_dir=tmp_path,
+                                           progress=_interrupt_after(1)), **kwargs
             )
         resumed = run_single_glitch_scan(
-            "a", checkpoint_dir=tmp_path, resume=True, **kwargs
+            "a", execution=ExecOptions(checkpoint_dir=tmp_path, resume=True), **kwargs
         )
         assert resumed == baseline
         assert [row.instruction for row in resumed.rows] == [
@@ -218,13 +246,59 @@ class TestScanResume:
         baseline = run_defense_scan(image, "long", **kwargs)
         with pytest.raises(KeyboardInterrupt):
             run_defense_scan(
-                image, "long", checkpoint_dir=tmp_path,
-                progress=_interrupt_after(4), **kwargs
+                image, "long",
+                execution=ExecOptions(checkpoint_dir=tmp_path, progress=_interrupt_after(4)),
+                **kwargs
             )
         resumed = run_defense_scan(
-            image, "long", checkpoint_dir=tmp_path, resume=True, **kwargs
+            image, "long", execution=ExecOptions(checkpoint_dir=tmp_path, resume=True),
+            **kwargs
         )
         assert resumed == baseline
+
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_every_scan_kind_resumes_to_identical_result(self, kind, tmp_path):
+        scan, units = SCANS[kind]
+        baseline = scan()
+        with pytest.raises(KeyboardInterrupt):
+            scan(execution=ExecOptions(checkpoint_dir=tmp_path,
+                                       progress=_interrupt_after(units // 2)))
+        obs = Observer()
+        resumed = scan(execution=ExecOptions(checkpoint_dir=tmp_path, resume=True), obs=obs)
+        assert obs.counters["units.replayed"] == units // 2
+        assert repr(resumed) == repr(baseline)
+
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_every_scan_kind_parallel_equals_serial(self, kind):
+        scan, _ = SCANS[kind]
+        assert repr(scan(execution=ExecOptions(workers=2))) == repr(scan())
+
+
+class TestCalibrationsNeverShareACheckpoint:
+    """``em`` and its ``em-probe-4mm`` calibration differ only in
+    calibration fields: neither may resume the other's records."""
+
+    def test_scan_resume_under_another_calibration_starts_fresh(self, tmp_path):
+        kwargs = dict(cycles=[0, 1, 2], stride=8)
+        run_single_glitch_scan("not_a", fault_model="em",
+                               execution=ExecOptions(checkpoint_dir=tmp_path), **kwargs)
+        obs = Observer()
+        resumed = run_single_glitch_scan(
+            "not_a", profile="em-probe-4mm",
+            execution=ExecOptions(checkpoint_dir=tmp_path, resume=True), obs=obs, **kwargs
+        )
+        assert obs.counters["units.replayed"] == 0
+        assert resumed == run_single_glitch_scan("not_a", profile="em-probe-4mm", **kwargs)
+
+    def test_search_resume_under_another_calibration_starts_fresh(self, tmp_path):
+        first = ParameterSearch("a", fault_model="em", checkpoint_dir=tmp_path)
+        first.run(max_attempts=50)
+        first.close()
+        resumed = ParameterSearch("a", profile="em-probe-4mm", checkpoint_dir=tmp_path,
+                                  resume=True)
+        assert len(resumed._checkpoint) == 0
+        resumed.close()
+        assert len(list(tmp_path.glob("search-a-*.jsonl"))) == 2
 
 
 class TestSearchResume:

@@ -129,19 +129,19 @@ class TestExperimentQuarantineReport:
     def test_table1_names_the_quarantined_row(self, monkeypatch, capsys):
         import repro.hw.scan as scan_mod
 
-        real = scan_mod._single_row
+        real = scan_mod._defense_shape_unit
 
-        def poisoned(glitcher, register, cycle, stride):
-            if cycle == 0:
+        def poisoned(spec, glitcher=None):
+            if spec.ext_offset == 0:  # Table I's glitched cycle 0
                 raise RuntimeError("board wedged")
-            return real(glitcher, register, cycle, stride)
+            return real(spec, glitcher)
 
-        monkeypatch.setattr(scan_mod, "_single_row", poisoned)
+        monkeypatch.setattr(scan_mod, "_defense_shape_unit", poisoned)
         assert main(["experiment", "table1", "--stride", "24"]) == 0
         captured = capsys.readouterr()
         assert "total 8/175" in captured.out
         assert "3 work unit(s) quarantined" in captured.err
-        assert "cycle=0" in captured.err and "board wedged" in captured.err
+        assert "ext_offset=0" in captured.err and "board wedged" in captured.err
 
     def test_fig2_names_the_quarantined_sweep(self, monkeypatch, capsys):
         import repro.glitchsim.campaign as campaign_mod

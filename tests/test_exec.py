@@ -12,6 +12,7 @@ import pytest
 
 from repro.exec import (
     CampaignCheckpoint,
+    ExecOptions,
     OutcomeCache,
     ParallelExecutor,
     ProgressReporter,
@@ -78,8 +79,10 @@ class TestParallelExecutor:
         assert serial == parallel
 
     def test_parallel_chunked(self):
-        executor = ParallelExecutor(workers=2, chunk_size=4)
-        assert executor.map(_square, range(10)) == [x * x for x in range(10)]
+        # 40 specs over 2 workers dispatch in auto chunks of 5
+        executor = ParallelExecutor(workers=2)
+        assert executor.resolve_chunk_size(40) == 5
+        assert executor.map(_square, range(40)) == [x * x for x in range(40)]
 
     def test_serial_fn_used_in_process(self):
         calls = []
@@ -92,18 +95,11 @@ class TestParallelExecutor:
         assert executor.map(_square, [2, 3], serial_fn=serial) == [4, 9]
         assert calls == [2, 3]
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=1, chunk_size=0)
-
     def test_auto_chunk_size_heuristic(self):
-        # chunk_size=None (the default) resolves to ~4 chunks per worker
+        # ~4 chunks per worker
         executor = ParallelExecutor(workers=4)
-        assert executor.chunk_size is None
         assert executor.resolve_chunk_size(100) == 100 // (4 * 4)
         assert executor.resolve_chunk_size(3) == 1  # never below 1
-        explicit = ParallelExecutor(workers=4, chunk_size=2)
-        assert explicit.resolve_chunk_size(100) == 2
 
     def test_parallel_auto_chunked_matches_serial(self):
         serial = ParallelExecutor(workers=1).map(_square, range(20))
@@ -513,8 +509,9 @@ class TestSemanticsFingerprint:
             obs = Observer()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                run_branch_campaign("and", cache=OutcomeCache(root), workers=workers,
-                                    obs=obs, **campaign)
+                run_branch_campaign("and", cache=OutcomeCache(root),
+                                    execution=ExecOptions(workers=workers), obs=obs,
+                                    **campaign)
             assert obs.counters["cache.semantic_misses"] == 1
             assert obs.counters["cache.hits"] == 0
             # the campaign rewrote the shard under today's fingerprint
@@ -544,7 +541,7 @@ class TestCampaignParallel:
     def test_workers_produce_identical_campaigns(self):
         serial = run_branch_campaign("and", k_values=(1, 2), conditions=["eq", "ne"])
         parallel = run_branch_campaign(
-            "and", k_values=(1, 2), conditions=["eq", "ne"], workers=2
+            "and", k_values=(1, 2), conditions=["eq", "ne"], execution=ExecOptions(workers=2)
         )
         assert serial == parallel
         assert repr(serial) == repr(parallel)
@@ -560,7 +557,8 @@ class TestCampaignParallel:
 
     def test_parallel_workers_write_cache_shards(self, tmp_path):
         run_branch_campaign(
-            "and", k_values=(1,), conditions=["eq", "ne"], workers=2, cache=tmp_path
+            "and", k_values=(1,), conditions=["eq", "ne"], execution=ExecOptions(workers=2),
+            cache=tmp_path
         )
         # one shard per replay world, named by its digest
         assert {path.stem for path in tmp_path.glob("*.npz")} == {
@@ -570,7 +568,8 @@ class TestCampaignParallel:
     def test_campaign_progress_counts_masks(self):
         reporter = ProgressReporter()
         run_branch_campaign(
-            "and", k_values=(1,), conditions=["eq", "ne"], progress=reporter
+            "and", k_values=(1,), conditions=["eq", "ne"],
+            execution=ExecOptions(progress=reporter)
         )
         assert reporter.units_done == 2
         assert reporter.attempts == 2 * 16  # C(16,1) masks per branch

@@ -23,11 +23,11 @@ from repro.hw import (
     SkipReplayModel,
     model_label,
     resolve_fault_model,
-    resolve_model_axis,
 )
 from repro.hw.clock import GlitchParams
 from repro.hw.faults import FaultEffect, FaultModel, PipelineView
 from repro.hw.glitcher import ClockGlitcher
+from repro.hw.models import model_meta
 from repro.hw.pipeline import PipelinedCPU
 from repro.hw.scan import run_single_glitch_scan
 from repro.hw.voltage import (
@@ -101,6 +101,15 @@ class TestRegistry:
         assert model_label(SkipReplayModel(effect="skip")) == "skip"
         assert model_label(SkipReplayModel(effect="replay")) == "replay"
 
+    def test_model_meta_names_the_full_calibration(self):
+        meta = model_meta(PROFILES["em-probe-4mm"].build())
+        assert meta["class"] == "EMFaultModel"
+        assert meta["fault_amplitude"] == 0.92 and meta["width_sigma"] == 13.0
+        assert meta != model_meta(EMFaultModel())  # same class and seed
+        assert model_meta(SkipReplayModel(effect="skip")) != model_meta(
+            SkipReplayModel(effect="replay")
+        )
+
     def test_skip_replay_effect_validated(self):
         with pytest.raises(GlitchConfigError):
             SkipReplayModel(effect="teleport")
@@ -146,27 +155,6 @@ class TestProfiles:
         profile = CalibrationProfile(name="x", model="laser")
         with pytest.raises(GlitchConfigError, match="unknown model"):
             profile.build()
-
-
-class TestModelAxis:
-    def test_default_axis_is_clock_none(self):
-        # None is preserved so downstream defaults stay bit-identical
-        assert resolve_model_axis() == [("clock", None)]
-
-    def test_single_selection(self):
-        [(label, model)] = resolve_model_axis("em")
-        assert label == "em" and isinstance(model, EMFaultModel)
-        [(label, model)] = resolve_model_axis(profile="cw-lite-voltage")
-        assert label == "voltage" and isinstance(model, VoltageFaultModel)
-
-    def test_multi_axis(self):
-        axis = resolve_model_axis(fault_models=("clock", "em", "skip"))
-        assert [label for label, _ in axis] == ["clock", "em", "skip"]
-        assert all(model is not None for _, model in axis)
-
-    def test_axis_conflict(self):
-        with pytest.raises(GlitchConfigError, match="not both"):
-            resolve_model_axis("clock", fault_models=("em",))
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmulationFault
+from repro.exec import ExecOptions
 from repro.experiments.table6 import DEFENSE_STACKS, SCENARIOS, run_table6
 from repro.firmware import build_guard_firmware
 from repro.firmware.guards import build_defended_guard
@@ -562,8 +563,8 @@ class TestHwCounters:
             counters = []
             for workers in (1, 2):
                 obs = Observer()
-                result = run_defense_scan(image, "windowed", stride=24, workers=workers,
-                                          obs=obs)
+                result = run_defense_scan(image, "windowed", stride=24,
+                                          execution=ExecOptions(workers=workers), obs=obs)
                 hw = _hw_counters(obs)
                 assert hw["hw.fastpath"] + hw["hw.simulated"] == result.attempts
                 assert obs.counters["attempts"] == result.attempts
@@ -615,7 +616,7 @@ class TestHwCounters:
         # identity is pinned, not serial == parallel boot counts
         for workers in (1, 2):
             obs = Observer()
-            run_table6(stride=24, workers=workers, obs=obs)
+            run_table6(stride=24, execution=ExecOptions(workers=workers), obs=obs)
             counters = obs.counters
             assert counters["hw.simulated"] > 0
             assert counters["hw.full_boots"] > 0
@@ -630,7 +631,7 @@ class TestHwCounters:
         for workers in (1, 2):
             obs = Observer()
             scan = run_long_glitch_scan("not_a", last_cycles=range(10, 13), stride=16,
-                                        workers=workers, obs=obs)
+                                        execution=ExecOptions(workers=workers), obs=obs)
             hw = _hw_counters(obs)
             assert hw["hw.fastpath"] + hw["hw.simulated"] == scan.total_attempts
             counters.append(hw)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec import ExecOptions
 from repro.firmware import GUARD_KINDS, build_guard_firmware
 from repro.firmware.loops import MAGIC_CONSTANT, STORED_VALUE, guard_descriptor
 from repro.hw.clock import GlitchParams
@@ -190,7 +191,8 @@ class TestScanRegressions:
     def test_prebuilt_glitcher_with_workers_rejected(self):
         glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))
         with pytest.raises(ValueError, match="workers"):
-            run_single_glitch_scan("not_a", glitcher=glitcher, stride=12, workers=2)
+            run_single_glitch_scan("not_a", glitcher=glitcher, stride=12,
+                                   execution=ExecOptions(workers=2))
 
     @pytest.mark.parametrize("stride", [0, -1, -3])
     def test_bad_stride_rejected_everywhere(self, stride):
@@ -217,26 +219,32 @@ class TestParallelScans:
 
     def test_single_scan_parallel_equality(self):
         serial = run_single_glitch_scan("not_a", stride=10, cycles=range(4))
-        parallel = run_single_glitch_scan("not_a", stride=10, cycles=range(4), workers=2)
+        parallel = run_single_glitch_scan("not_a", stride=10, cycles=range(4),
+                                          execution=ExecOptions(workers=2))
         assert serial == parallel
         assert repr(serial) == repr(parallel)
 
     def test_multi_scan_parallel_equality(self):
         serial = run_multi_glitch_scan("a", stride=10, cycles=range(4))
-        parallel = run_multi_glitch_scan("a", stride=10, cycles=range(4), workers=2)
+        parallel = run_multi_glitch_scan("a", stride=10, cycles=range(4),
+                                         execution=ExecOptions(workers=2))
         assert serial == parallel
+        assert repr(serial) == repr(parallel)
 
     def test_long_scan_parallel_equality(self):
         serial = run_long_glitch_scan("a", stride=10, last_cycles=(10, 12))
-        parallel = run_long_glitch_scan("a", stride=10, last_cycles=(10, 12), workers=2)
+        parallel = run_long_glitch_scan("a", stride=10, last_cycles=(10, 12),
+                                        execution=ExecOptions(workers=2))
         assert serial == parallel
+        assert repr(serial) == repr(parallel)
 
     def test_defense_scan_parallel_equality(self):
         from repro.hw.scan import run_defense_scan
 
         image = build_guard_firmware("not_a", "single")
         serial = run_defense_scan(image, "single", stride=12)
-        parallel = run_defense_scan(image, "single", stride=12, workers=2)
+        parallel = run_defense_scan(image, "single", stride=12,
+                                    execution=ExecOptions(workers=2))
         assert serial == parallel
         assert repr(serial) == repr(parallel)
 

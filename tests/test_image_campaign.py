@@ -18,7 +18,7 @@ from repro.campaign import (
     sweep_site,
 )
 from repro.cli import main
-from repro.exec import ProgressReporter
+from repro.exec import ExecOptions, ProgressReporter
 from repro.firmware.image import load_image, write_image
 from repro.glitchsim.harness import ENGINES
 from repro.obs import Observer
@@ -139,13 +139,15 @@ class TestCampaignResume:
         checkpoint_dir = str(tmp_path / "ck")
         with pytest.raises(KeyboardInterrupt):
             run_image_campaign(
-                demo_image, progress=_KillAfter(len(demo_sites) // 2),
-                checkpoint_dir=checkpoint_dir, **self.KWARGS,
+                demo_image,
+                execution=ExecOptions(progress=_KillAfter(len(demo_sites) // 2),
+                                      checkpoint_dir=checkpoint_dir),
+                **self.KWARGS,
             )
         obs = Observer()
         resumed = run_image_campaign(
-            demo_image, checkpoint_dir=checkpoint_dir, resume=True, obs=obs,
-            **self.KWARGS,
+            demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
+            obs=obs, **self.KWARGS,
         )
         fresh = run_image_campaign(demo_image, **self.KWARGS)
         assert self._by_site(resumed) == self._by_site(fresh)
@@ -163,12 +165,12 @@ class TestCampaignResume:
         """A changed campaign shape digests to a different checkpoint file,
         so nothing stale is replayed — every unit runs live."""
         checkpoint_dir = str(tmp_path / "ck")
-        run_image_campaign(demo_image, checkpoint_dir=checkpoint_dir,
+        run_image_campaign(demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir),
                            **self.KWARGS)
         obs = Observer()
         run_image_campaign(
-            demo_image, checkpoint_dir=checkpoint_dir, resume=True, obs=obs,
-            models=("and",), k_values=(0, 1), engine="vector",
+            demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
+            obs=obs, models=("and",), k_values=(0, 1), engine="vector",
         )
         assert obs.counters["units.replayed"] == 0
         assert obs.counters["units.completed"] == len(demo_sites)
@@ -179,12 +181,12 @@ class TestCampaignResume:
         """engine is absent from the fingerprint — tallies are
         bit-identical, so a resume may switch it freely."""
         checkpoint_dir = str(tmp_path / "ck")
-        run_image_campaign(demo_image, checkpoint_dir=checkpoint_dir,
+        run_image_campaign(demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir),
                            **self.KWARGS)
         obs = Observer()
         resumed = run_image_campaign(
-            demo_image, checkpoint_dir=checkpoint_dir, resume=True, obs=obs,
-            models=("and",), k_values=(0, 1, 2, 3), engine="snapshot",
+            demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
+            obs=obs, models=("and",), k_values=(0, 1, 2, 3), engine="snapshot",
         )
         assert obs.counters["units.replayed"] == len(demo_sites)
         assert self._by_site(resumed)
@@ -326,7 +328,8 @@ class TestHundredSiteCampaign:
         kwargs = dict(models=("and", "xor"), k_values=(0, 1, 2))
         sites = discover_sites(big_image)
         assert len(sites) >= 100
-        fast = run_image_campaign(big_image, engine="vector", workers=2, **kwargs)
+        fast = run_image_campaign(big_image, engine="vector",
+                                  execution=ExecOptions(workers=2), **kwargs)
         reference = run_image_campaign(big_image, engine="snapshot", **kwargs)
         assert len(fast.sweeps["and"]) == len(sites)
         assert fast.sweeps == reference.sweeps

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.exec import CampaignCheckpoint, OutcomeCache, ParallelExecutor
+from repro.exec import CampaignCheckpoint, ExecOptions, OutcomeCache, ParallelExecutor
 from repro.glitchsim import run_branch_campaign
 from repro.obs import (
     NULL_OBSERVER,
@@ -257,7 +257,8 @@ class TestCampaignObservability:
     def test_parallel_campaign_cache_counters_via_workers(self, tmp_path):
         obs = Observer()
         cache = OutcomeCache(tmp_path / "cache")
-        run_branch_campaign("and", cache=cache, workers=2, obs=obs, **SLICE)
+        run_branch_campaign("and", cache=cache, execution=ExecOptions(workers=2), obs=obs,
+                            **SLICE)
         # workers report their private cache handles through the envelope
         assert obs.counters["cache.misses"] > 0
 
@@ -268,14 +269,15 @@ class TestCampaignObservability:
 
         serial = run_branch_campaign("and", obs=obs_serial, **SLICE)
 
-        parallel = run_branch_campaign("and", workers=2, obs=obs_parallel, **SLICE)
+        parallel = run_branch_campaign("and", execution=ExecOptions(workers=2),
+                                       obs=obs_parallel, **SLICE)
 
         # interrupted run: record 2 of the slice's 3 world units (beq;
         # bne+bcs; bcc), then resume
         ck = tmp_path / "ck"
         partial = run_branch_campaign(
             "and", conditions=["eq", "cc"], k_values=SLICE["k_values"],
-            checkpoint_dir=ck,
+            execution=ExecOptions(checkpoint_dir=ck),
         )
         assert len(partial.sweeps) == 2
         # graft the recorded sweeps into the full campaign's checkpoint file
@@ -292,7 +294,7 @@ class TestCampaignObservability:
             full_ck.record(sweep.mnemonic, _encode_world([sweep]))
         full_ck.close()
         resumed = run_branch_campaign(
-            "and", workers=2, checkpoint_dir=ck, resume=True,
+            "and", execution=ExecOptions(workers=2, checkpoint_dir=ck, resume=True),
             obs=obs_resumed, **SLICE,
         )
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.emu import vector
 from repro.emu.vector import OP_INVALID, _COLUMNS, operand_table, warm_tables
-from repro.exec import ParallelExecutor
+from repro.exec import ExecOptions, ParallelExecutor
 from repro.glitchsim import branch_snippet, run_branch_campaign, sweep_instruction
 from repro.glitchsim.campaign import _WorldSpec, _world_unit
 from repro.obs import Observer, activate
@@ -98,7 +98,8 @@ class TestWorkers:
 
     def test_parallel_branch_campaign_matches_snapshot(self):
         result = run_branch_campaign(
-            "xor", k_values=SMALL_KS, conditions=["eq", "ne"], workers=2, engine="vector",
+            "xor", k_values=SMALL_KS, conditions=["eq", "ne"],
+            execution=ExecOptions(workers=2), engine="vector",
         )
         baseline = run_branch_campaign(
             "xor", k_values=SMALL_KS, conditions=["eq", "ne"], engine="snapshot"

@@ -265,16 +265,18 @@ class TestHarnessEngineEquivalence:
 
     def test_fig2_slice_serial_parallel_resume_identical(self, tmp_path):
         """Snapshot engine preserves the serial/parallel/resume invariants."""
+        from repro.exec import ExecOptions
         from repro.glitchsim.campaign import run_branch_campaign
 
         kwargs = dict(k_values=(1, 2), conditions=["eq", "ne"], engine="snapshot")
         serial = run_branch_campaign("xor", **kwargs)
-        parallel = run_branch_campaign("xor", workers=2, **kwargs)
+        parallel = run_branch_campaign("xor", execution=ExecOptions(workers=2), **kwargs)
         checkpoint_dir = str(tmp_path / "ck")
-        run_branch_campaign("xor", conditions=["eq"], k_values=(1, 2),
-                            engine="snapshot", checkpoint_dir=checkpoint_dir)
-        resumed = run_branch_campaign("xor", checkpoint_dir=checkpoint_dir,
-                                      resume=True, **kwargs)
+        run_branch_campaign("xor", conditions=["eq"], k_values=(1, 2), engine="snapshot",
+                            execution=ExecOptions(checkpoint_dir=checkpoint_dir))
+        resumed = run_branch_campaign(
+            "xor", execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True), **kwargs
+        )
         for other in (parallel, resumed):
             for fast_sweep, slow_sweep in zip(serial.sweeps, other.sweeps):
                 assert fast_sweep.mnemonic == slow_sweep.mnemonic
