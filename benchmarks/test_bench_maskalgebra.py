@@ -4,7 +4,8 @@ Runs a Figure 2 slice — the three paper panels (AND, OR, AND with 0x0000
 invalid) over a subset of branches, full ``k`` range — once through the
 campaign's closed-form tallies and once through the mask-enumeration
 oracle (tests/oracles.py), each repetition against its own cold outcome
-cache, and asserts
+cache and both on the scalar snapshot engine (so the ratio measures the
+tallying, not the engine), and asserts
 
 - the ``by_k`` Counters are bit-identical between the two, and
 - the algebra path is at least 3× faster end to end.
@@ -41,6 +42,7 @@ def _fig2_slice(tally: str, cache_root: str) -> dict:
                 zero_is_invalid=zero_is_invalid,
                 conditions=_CONDITIONS,
                 cache=cache_root,
+                engine="snapshot",  # the enumeration side runs on it too
             )
             panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
         return panels
@@ -50,7 +52,7 @@ def _fig2_slice(tally: str, cache_root: str) -> dict:
         for condition in _CONDITIONS:
             snippet = branch_snippet(condition)
             harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
-                                     disk_cache=cache)
+                                     disk_cache=cache, engine="snapshot")
             panels[name][snippet.mnemonic] = enumerate_by_k(
                 harness, snippet.target_word, model
             )

@@ -86,7 +86,7 @@ class SiteHarness(WordHarness):
         site: BranchSite,
         zero_is_invalid: bool = False,
         disk_cache=None,
-        engine: str = "snapshot",
+        engine: str = "vector",
     ):
         super().__init__(
             zero_is_invalid=zero_is_invalid,

@@ -153,7 +153,7 @@ def sweep_site(
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
-    engine: str = "snapshot",
+    engine: str = "vector",
 ) -> SiteSweep:
     """Sweep every mask of every flip count ``k`` for one branch site.
 
@@ -183,7 +183,7 @@ class _SiteSpec:
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
-    engine: str = "snapshot"
+    engine: str = "vector"
 
 
 def _site_unit(spec: _SiteSpec) -> SiteSweep:
@@ -250,7 +250,7 @@ def run_image_campaign(
     cache: OutcomeCache | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
-    engine: str = "snapshot",
+    engine: str = "vector",
 ) -> ImageCampaignResult:
     """Sweep every branch site of ``image`` under every flip model.
 

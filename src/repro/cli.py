@@ -103,7 +103,7 @@ def cmd_campaign(args) -> int:
     try:
         result = run_image_campaign(
             image, models=models, strategy=args.strategy, cache=args.cache_dir,
-            execution=_exec_options(args), obs=obs, engine=args.engine,
+            execution=_exec_options(args), obs=obs,
         )
     finally:
         _finish_observer(obs, args)
@@ -225,7 +225,7 @@ def _experiment_dests() -> dict[str, tuple[str, ...]]:
     execution = tuple(f.name for f in fields(ExecOptions)) + ("trace", "metrics_out")
     scan = execution + ("stride", "fault_model", "profile")
     return {
-        "fig2": execution + ("cache_dir", "engine"),
+        "fig2": execution + ("cache_dir",),
         "table1": scan,
         "table2": scan,
         "table3": scan,
@@ -270,7 +270,6 @@ def cmd_experiment(args) -> int:
         if name == "fig2":
             result = experiments.run_figure2(
                 cache=args.cache_dir, execution=_exec_options(args), obs=obs,
-                engine=args.engine,
             )
             failed_units = result.failed_units
         elif name in scans:
@@ -360,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(subset of and,or,xor; default: all three)")
     p_camp.add_argument("--top", type=int, default=None, metavar="N",
                         help="print only the N most exploitable sites")
-    p_camp.add_argument("--engine", choices=["snapshot", "vector"],
-                        default="snapshot",
-                        help="per-site execution engine (as for experiment fig2)")
     p_camp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent outcome-cache directory; per-site "
                              "shards are shared across models and re-runs")
@@ -380,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent outcome-cache directory for fig2 "
                             "(default: no disk cache)")
-    p_exp.add_argument("--engine", choices=["snapshot", "vector"],
-                       default="snapshot",
-                       help="fig2 execution engine: scalar snapshot replay "
-                            "(default) or the NumPy lock-step vector backend")
     _add_execution_flags(p_exp, "worker processes for campaign/scan experiments "
                                 "(0 = all cores; table4/5/7 and search are serial)")
     p_exp.set_defaults(func=cmd_experiment)

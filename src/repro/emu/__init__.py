@@ -10,12 +10,13 @@ The cycle-accurate pipelined core used for the "real-world" experiments
 lives in :mod:`repro.hw.pipeline` and reuses this package's memory model
 and instruction semantics.
 
-Campaign hot paths use the snapshot engine
-(:meth:`Memory.snapshot`/:meth:`Memory.restore`,
-:meth:`CPU.snapshot`/:meth:`CPU.reset_from`, and ``CPU.decode_cache``)
-to replay thousands of corrupted executions against one pre-built
-machine instead of rebuilding it per attempt; see
-``docs/ARCHITECTURE.md`` for the invariants.
+Campaign hot paths build one machine, run it up to the target slot and
+snapshot it (:meth:`Memory.snapshot`/:meth:`Memory.restore`,
+:meth:`CPU.snapshot`/:meth:`CPU.reset_from`, and ``CPU.decode_cache``).
+The default NumPy engine (:mod:`repro.emu.vector`) resumes a whole batch
+of corrupted words from that replay point in lock-step; the scalar
+snapshot replay runs single words and is the vector engine's
+differential oracle.  See ``docs/ARCHITECTURE.md`` for the invariants.
 """
 
 from repro.emu.memory import Memory, MemoryRegion, MemorySnapshot, MMIORegion, PAGE_SIZE

@@ -58,7 +58,7 @@ def run_figure2(
     cache=None,
     execution: ExecOptions = ExecOptions(),
     obs=None,
-    engine: str = "snapshot",
+    engine: str = "vector",
 ) -> Figure2Result:
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
     ``conditions`` to subsample for quick runs.
@@ -71,12 +71,13 @@ def run_figure2(
     on disk, so the AND/XOR panels share corrupted-word executions and
     re-runs skip emulation entirely.
 
-    ``engine`` selects the harness execution engine for every panel
-    (``"snapshot"`` or the NumPy lock-step ``"vector"`` backend — see
-    :class:`repro.glitchsim.SnippetHarness`); the tallies are identical
-    for either engine. Each panel emulates a word once per replay world (5
-    for the 14 branches); with a shared cache the AND/OR/XOR panels
-    together emulate at most 2^16 unique words per world.
+    ``engine`` selects the harness execution engine for every panel (the
+    NumPy lock-step ``"vector"`` backend by default, or ``"snapshot"`` —
+    see :class:`repro.glitchsim.SnippetHarness`); the tallies are
+    identical for either engine. Each panel emulates a word once per
+    replay world (5 for the 14 branches); with a shared cache the
+    AND/OR/XOR panels together emulate at most 2^16 unique words per
+    world.
     """
     from repro.obs import coerce_observer
 

@@ -141,7 +141,7 @@ def sweep_instruction(
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
-    engine: str = "snapshot",
+    engine: str = "vector",
     harness: WordHarness | None = None,
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
@@ -150,8 +150,8 @@ def sweep_instruction(
     the full ``0..16`` range the paper used. ``cache`` adds a persistent
     outcome store shared across models and runs (words the AND sweep already
     executed are free for XOR). ``engine`` picks the harness execution
-    engine (``"snapshot"``/``"vector"``); both tally identically. The
-    tallies come from :func:`tally_reachable`.
+    engine (``"vector"`` by default, or ``"snapshot"``); both tally
+    identically. The tallies come from :func:`tally_reachable`.
 
     ``harness`` classifies on an already-built harness instead of a fresh
     one for ``snippet`` (its own cache and engine then apply): any harness
@@ -181,7 +181,7 @@ class _WorldSpec:
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
-    engine: str = "snapshot"
+    engine: str = "vector"
 
 
 def _sweep_world(
@@ -263,7 +263,7 @@ def run_branch_campaign(
     cache: OutcomeCache | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
-    engine: str = "snapshot",
+    engine: str = "vector",
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
 
@@ -287,11 +287,11 @@ def run_branch_campaign(
     tallies attempts, outcome categories, cache hits/misses, retries,
     and quarantines — identically for any worker count.
 
-    ``engine`` selects the harness execution engine (``"snapshot"``
-    replays one cached machine per world, ``"vector"`` runs whole
-    batches lock-step on the NumPy backend). It is not part of the
-    checkpoint fingerprint: tallies are bit-identical across engines, so
-    a resumed campaign may switch freely.
+    ``engine`` selects the harness execution engine (``"vector"``, the
+    default, runs whole batches lock-step on the NumPy backend;
+    ``"snapshot"`` replays one cached machine per world). It is not part
+    of the checkpoint fingerprint: tallies are bit-identical across
+    engines, so a resumed campaign may switch freely.
 
     An unknown ``model``, ``engine`` or condition raises ``ValueError``
     before any work starts.

@@ -15,19 +15,22 @@ Categories, matching Section IV verbatim:
 
 Two execution engines produce identical outcome categories:
 
-- ``"snapshot"`` (default) builds the address space once, runs the
-  flag-setup prefix up to (not including) the target instruction, takes a
+- ``"vector"`` (default) executes whole :meth:`WordHarness.run_many`
+  cache-miss batches lock-step on the NumPy backend
+  (:mod:`repro.emu.vector`): one lane per corrupted word, sharing the
+  snapshot replay point and decoding through the process-wide operand
+  tables.  Vector outcomes carry empty detail strings (like disk-cache
+  hits); the documented contract is category identity.
+- ``"snapshot"`` builds the address space once, runs the flag-setup
+  prefix up to (not including) the target instruction, takes a
   :meth:`Memory.snapshot`/:meth:`CPU.snapshot` pair, and replays each
   corrupted word by restoring the pair, journaling the corrupted halfword
   into the target slot, and resuming with the remaining step budget.  A
   shared per-harness decode cache memoises ``decode()`` by halfword value.
-- ``"vector"`` executes whole :meth:`WordHarness.run_many` cache-miss
-  batches lock-step on the NumPy backend (:mod:`repro.emu.vector`): one
-  lane per corrupted word, sharing the snapshot engine's replay point and
-  decoding through the process-wide operand tables.  Single-word
-  :meth:`WordHarness.run` calls execute on the snapshot replay.  Vector
-  outcomes carry empty detail strings (like disk-cache hits); the
-  documented contract is category identity.
+  Single-word :meth:`WordHarness.run` calls always execute on this
+  replay, so they keep their detail strings; ``engine="snapshot"`` also
+  routes whole batches here, which the test suite uses as the
+  differential oracle for the vector engine.
 
 Both engines are checked against a per-word world rebuild kept in the
 test suite (``tests/oracles.py``).
@@ -172,10 +175,11 @@ class WordHarness:
     shard.  Only the outcome *category* is persisted, so a disk hit
     returns an :class:`Outcome` with an empty detail string.
 
-    ``engine`` selects how cache misses execute: ``"snapshot"`` (default)
-    replays against a cached machine snapshot, and ``"vector"`` runs whole
-    :meth:`run_many` batches lock-step on the NumPy backend.  Both produce
-    identical outcome categories.
+    ``engine`` selects how cache misses execute: ``"vector"`` (default)
+    runs whole :meth:`run_many` batches lock-step on the NumPy backend,
+    and ``"snapshot"`` replays each word against a cached machine
+    snapshot.  Both produce identical outcome categories; single-word
+    :meth:`run` calls always use the snapshot replay.
 
     Subclasses implement :meth:`_snapshot_world` (build the replay point),
     :meth:`_classify_replay` (classify a finished replay), and
@@ -186,7 +190,7 @@ class WordHarness:
         self,
         zero_is_invalid: bool = False,
         disk_cache=None,
-        engine: str = "snapshot",
+        engine: str = "vector",
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -489,7 +493,7 @@ class SnippetHarness(WordHarness):
         snippet: BranchSnippet,
         zero_is_invalid: bool = False,
         disk_cache=None,
-        engine: str = "snapshot",
+        engine: str = "vector",
     ):
         super().__init__(
             zero_is_invalid=zero_is_invalid,

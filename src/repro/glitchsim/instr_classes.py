@@ -16,17 +16,9 @@ same snippet + classification machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.emu import CPU, Memory
-from repro.errors import (
-    AlignmentFault,
-    BadFetch,
-    BadRead,
-    BadWrite,
-    EmulationFault,
-    InvalidInstruction,
-)
 from repro.isa import assemble
 
 FLASH_BASE = 0x0800_0000
@@ -34,7 +26,8 @@ RAM_BASE = 0x2000_0000
 RAM_SIZE = 0x1000
 
 #: (class name, snippet source, judge) — ``target:`` marks the instruction
-#: under test; ``judge(cpu)`` decides whether its architectural job was done.
+#: under test; ``judge`` names the check :func:`_classify_vector` applies to
+#: decide whether its architectural job was done.
 _CLASS_CASES: dict[str, tuple[str, str]] = {
     # load: r2 must receive the value stored at [r1]
     "load": (
@@ -125,39 +118,17 @@ class ClassSweepResult:
         return self.derailments / self.attempts if self.attempts else 0.0
 
 
-def _judge(kind: str, cpu: CPU) -> bool:
-    """Did the target instruction do its architectural job?"""
-    if kind == "load":
-        return cpu.regs[2] == 0xCAFE0042
-    if kind == "store":
-        try:
-            return cpu.memory.read_u32(0x2000_0800) == 0xCAFE0042
-        except EmulationFault:
-            return False
-    if kind == "compare":
-        return cpu.regs[3] == 1
-    if kind == "alu":
-        return cpu.regs[2] == 42
-    if kind == "move":
-        return cpu.regs[2] == 0x5A
-    raise ValueError(kind)  # pragma: no cover
-
-
 def sweep_instruction_class(
     instruction_class: str,
     model: str = "and",
     k_values: tuple[int, ...] | None = None,
-    engine: str = "snapshot",
 ) -> ClassSweepResult:
     """Sweep every bit-flip mask over one class's target instruction.
 
-    Classifies each unique reachable corrupted word once and derives the
-    mask counts in closed form via :mod:`repro.glitchsim.maskalgebra`.
-
-    ``engine="vector"`` classifies those words as one lock-step batch on
-    the NumPy backend (:mod:`repro.emu.vector`); ``"snapshot"`` runs each
-    word on a freshly built scalar machine. Tallies are identical for
-    either engine.
+    Classifies each unique reachable corrupted word once, as one
+    lock-step batch on the NumPy backend (:mod:`repro.emu.vector`), and
+    derives the mask counts in closed form via
+    :mod:`repro.glitchsim.maskalgebra`.
     """
     try:
         source, judge_kind = _CLASS_CASES[instruction_class]
@@ -166,11 +137,8 @@ def sweep_instruction_class(
             f"unknown instruction class {instruction_class!r}; "
             f"expected one of {sorted(_CLASS_CASES)}"
         ) from None
-    from repro.glitchsim.harness import ENGINES
     from repro.glitchsim.maskalgebra import reachable_words, tally_from_word_outcomes
 
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     program = assemble(source, base=FLASH_BASE)
     target_index = (program.symbols["target"] - FLASH_BASE) // 2
     halfwords = program.halfwords
@@ -179,12 +147,7 @@ def sweep_instruction_class(
     result = ClassSweepResult(instruction_class=instruction_class, model=model)
     ks = k_values if k_values is not None else tuple(range(17))
     words = reachable_words(original, model, 16, ks).tolist()
-    if engine == "vector":
-        word_buckets = _classify_vector(halfwords, target_index, words, judge_kind)
-    else:
-        word_buckets = {
-            word: _classify(halfwords, target_index, word, judge_kind) for word in words
-        }
+    word_buckets = _classify_vector(halfwords, target_index, words, judge_kind)
     for counter in tally_from_word_outcomes(original, model, word_buckets, ks, 16).values():
         for bucket, count in counter.items():
             result.attempts += count
@@ -205,7 +168,7 @@ def _classify_vector(
     The setup prefix never fetches or reads the target slot, so it runs
     once on the scalar CPU up to the target instruction; the NumPy engine
     resumes every lane from that state with the leftover step budget —
-    exactly the continuous ``cpu.run(64)`` of :func:`_classify`.
+    exactly a continuous ``cpu.run(64)`` of the corrupted program.
     """
     from repro.bits import halfwords_to_bytes
     from repro.emu.vector import ST_HALTED, VectorEngine
@@ -248,27 +211,6 @@ def _classify_vector(
         word: ("effective" if job_done[i] else "silent") if halted[i] else "derailed"
         for i, word in enumerate(words)
     }
-
-
-def _classify(halfwords: list[int], index: int, corrupted: int, judge_kind: str) -> str:
-    words = list(halfwords)
-    words[index] = corrupted
-    from repro.bits import halfwords_to_bytes
-
-    memory = Memory()
-    memory.map("flash", FLASH_BASE, 0x400, writable=False, executable=True)
-    memory.map("ram", RAM_BASE, RAM_SIZE)
-    memory.load(FLASH_BASE, halfwords_to_bytes(words))
-    cpu = CPU(memory)
-    cpu.pc = FLASH_BASE
-    cpu.sp = RAM_BASE + RAM_SIZE
-    try:
-        outcome = cpu.run(64)
-    except (InvalidInstruction, BadFetch, BadRead, BadWrite, AlignmentFault, EmulationFault):
-        return "derailed"
-    if outcome.reason != "halted":
-        return "derailed"
-    return "effective" if _judge(judge_kind, cpu) else "silent"
 
 
 def sweep_all_classes(model: str = "and") -> dict[str, ClassSweepResult]:

@@ -1,10 +1,12 @@
 """Reference implementations the emulation fast paths are checked against.
 
-Production code classifies corrupted words with two engines (``snapshot``
-replay and the NumPy ``vector`` batch) and derives mask-sweep tallies in
-closed form from the unique reachable words.  The slow, obviously correct
-versions those replaced live here, so the differential tests and the
-speedup benchmarks keep comparing against them on the same inputs:
+Production code classifies corrupted words on the NumPy ``vector`` batch
+engine (the scalar ``snapshot`` replay runs single words and, selected
+with ``engine="snapshot"``, is the vector engine's first oracle) and
+derives mask-sweep tallies in closed form from the unique reachable
+words.  The slow, obviously correct versions those replaced live here,
+so the differential tests and the speedup benchmarks keep comparing
+against them on the same inputs:
 
 - :class:`RebuildSnippetHarness` / :class:`RebuildSiteHarness` — the
   per-word world rebuild: a fresh ``Memory``/``CPU`` for every corrupted
@@ -15,6 +17,9 @@ speedup benchmarks keep comparing against them on the same inputs:
 - :func:`enumerate_by_k` / :func:`enumerate_class_sweep` — the full mask
   enumeration that :func:`repro.glitchsim.campaign.tally_reachable` and
   the instruction-class sweep replace;
+- :func:`classify_class_word` — one instruction-class word run from reset
+  on the scalar CPU, which the instruction-class sweep replaces with one
+  lock-step batch;
 - :func:`staged_step_cycle` — the hw pipeline's clock cycle as four
   separate stages (issue, front end, glitch, execute), which
   :meth:`repro.hw.pipeline.PipelinedCPU.step_cycle` runs as one flat
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.bits import apply_flip, bits, halfwords_to_bytes, iter_masks, sign_extend
 from repro.campaign.harness import SiteHarness
+from repro.emu import CPU, Memory
 from repro.emu import vector as V
 from repro.errors import (
     AlignmentFault,
@@ -78,12 +84,14 @@ class RebuildSnippetHarness(SnippetHarness):
 
     The corrupted snippet runs from reset for the full step budget with no
     marker stops, and classifies by the marker registers alone.  It always
-    executes word by word (``engine`` is accepted and ignored), so batches
-    never reach the vector engine.
+    executes word by word (``engine`` is accepted and ignored; the base is
+    pinned to ``engine="snapshot"``), so batches never reach the vector
+    engine.
     """
 
     def __init__(self, snippet, zero_is_invalid=False, disk_cache=None, engine=None):
-        super().__init__(snippet, zero_is_invalid=zero_is_invalid, disk_cache=disk_cache)
+        super().__init__(snippet, zero_is_invalid=zero_is_invalid, disk_cache=disk_cache,
+                         engine="snapshot")
 
     def _execute(self, corrupted_word: int) -> Outcome:
         self.words_executed += 1
@@ -120,7 +128,7 @@ class RebuildSiteHarness(SiteHarness):
 
     def __init__(self, image, site, zero_is_invalid=False, disk_cache=None, engine=None):
         super().__init__(image, site, zero_is_invalid=zero_is_invalid,
-                         disk_cache=disk_cache)
+                         disk_cache=disk_cache, engine="snapshot")
 
     def _execute(self, corrupted_word: int) -> Outcome:
         self.words_executed += 1
@@ -165,6 +173,53 @@ def enumerate_by_k(harness, target_word: int, model: str, k_values=None) -> dict
     return by_k
 
 
+def _class_job_done(kind: str, cpu: CPU) -> bool:
+    """Did the instruction-class target do its architectural job?"""
+    if kind == "load":
+        return cpu.regs[2] == 0xCAFE0042
+    if kind == "store":
+        try:
+            return cpu.memory.read_u32(0x2000_0800) == 0xCAFE0042
+        except EmulationFault:
+            return False
+    if kind == "compare":
+        return cpu.regs[3] == 1
+    if kind == "alu":
+        return cpu.regs[2] == 42
+    if kind == "move":
+        return cpu.regs[2] == 0x5A
+    raise ValueError(kind)
+
+
+def classify_class_word(halfwords: list[int], index: int, corrupted: int,
+                        judge_kind: str) -> str:
+    """Bucket one corrupted instruction-class word on a freshly built machine.
+
+    The program runs from reset for 64 steps on the scalar CPU; this is the
+    per-word reference for the lock-step batch that
+    :func:`repro.glitchsim.instr_classes.sweep_instruction_class` runs.
+    """
+    from repro.glitchsim import instr_classes
+
+    words = list(halfwords)
+    words[index] = corrupted
+    flash_base, ram_base = instr_classes.FLASH_BASE, instr_classes.RAM_BASE
+    memory = Memory()
+    memory.map("flash", flash_base, 0x400, writable=False, executable=True)
+    memory.map("ram", ram_base, instr_classes.RAM_SIZE)
+    memory.load(flash_base, halfwords_to_bytes(words))
+    cpu = CPU(memory)
+    cpu.pc = flash_base
+    cpu.sp = ram_base + instr_classes.RAM_SIZE
+    try:
+        outcome = cpu.run(64)
+    except (InvalidInstruction, BadFetch, BadRead, BadWrite, AlignmentFault, EmulationFault):
+        return "derailed"
+    if outcome.reason != "halted":
+        return "derailed"
+    return "effective" if _class_job_done(judge_kind, cpu) else "silent"
+
+
 def enumerate_class_sweep(instruction_class: str, model: str = "and", k_values=None):
     """:func:`sweep_instruction_class` by walking every mask one by one."""
     from repro.glitchsim import instr_classes
@@ -184,7 +239,7 @@ def enumerate_class_sweep(instruction_class: str, model: str = "and", k_values=N
             corrupted = apply_flip(original, mask, 16, model)
             bucket = buckets.get(corrupted)
             if bucket is None:
-                bucket = instr_classes._classify(halfwords, index, corrupted, judge_kind)
+                bucket = classify_class_word(halfwords, index, corrupted, judge_kind)
                 buckets[corrupted] = bucket
             result.attempts += 1
             if bucket == "effective":

@@ -106,8 +106,7 @@ class TestExperiment:
     @pytest.mark.parametrize("argv, flags", [
         (["fig2", "--fault-model", "voltage", "--stride", "2"],
          "--stride, --fault-model"),
-        (["table1", "--engine", "vector", "--cache-dir", "x"],
-         "--cache-dir, --engine"),
+        (["table1", "--cache-dir", "x"], "--cache-dir"),
         (["table4", "--workers", "2", "--trace"], "--workers, --trace"),
         (["search", "--workers", "2", "--retries", "1", "--unit-timeout", "5"],
          "--workers, --retries, --unit-timeout"),

@@ -98,6 +98,34 @@ class TestOverheadDrivers:
     def test_table5_overhead_monotone_for_all(self, table5):
         assert table5.overhead("All", "text") >= table5.overhead("Branches", "text")
 
+    def test_table4_exact_cycles_and_constants(self, table4):
+        # EXPERIMENTS.md Table IV: boot cycles and the pre-main constant
+        assert {row.defense: (row.cycles, row.constant) for row in table4.rows} == {
+            "None": (455, 0),
+            "Branches": (575, 0),
+            "Delay": (2823, 88),
+            "Integrity": (483, 9),
+            "Loops": (483, 0),
+            "Returns": (461, 0),
+            "All\\Delay": (637, 9),
+            "All": (4770, 97),
+        }
+
+    def test_table5_exact_text_and_total_bytes(self, table5):
+        # EXPERIMENTS.md Table V: text / total section bytes
+        assert {
+            defense: (sizes.text, sizes.total) for defense, sizes in table5.sizes.items()
+        } == {
+            "None": (536, 544),
+            "Branches": (784, 792),
+            "Delay": (816, 828),
+            "Integrity": (724, 736),
+            "Loops": (592, 600),
+            "Returns": (588, 596),
+            "All\\Delay": (1040, 1052),
+            "All": (1356, 1372),
+        }
+
 
 class TestTable7Driver:
     def test_matrix_shape(self):

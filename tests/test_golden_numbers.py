@@ -5,16 +5,15 @@ Every campaign here is deterministic given the default fault-model seed
 EXPERIMENTS.md are exact — any drift means the emulator, fault model, or
 campaign plumbing changed behaviour and the document must be re-measured.
 
-These run the full Figure 2 sweep and the stride-2 Table I, II, III and
-VI scans (~17 s), so they are marked ``slow`` and excluded from the
-default test run; select them with ``pytest -m slow``.
+The full Figure 2 sweep runs on the default vector engine in about a
+second, so its golden is part of the default test run.  The stride-2
+Table I, II, III and VI scans (~15 s) are marked ``slow`` and excluded
+from it; select them with ``pytest -m slow``.
 """
 
 import pytest
 
 from repro.hw.faults import FaultModel
-
-pytestmark = pytest.mark.slow
 
 
 class TestFigure2Golden:
@@ -55,6 +54,8 @@ class TestFigure2Golden:
 class TestTable1Golden:
     """Table I single-glitch success rates at stride 2 (20,000 attempts/guard)."""
 
+    pytestmark = pytest.mark.slow
+
     @pytest.fixture(scope="class")
     def table1(self):
         from repro.experiments import run_table1
@@ -87,6 +88,8 @@ class TestTable1Golden:
 class TestTable2Golden:
     """Table II partial/full multi-glitch rates at stride 2 (20,000 attempts/guard)."""
 
+    pytestmark = pytest.mark.slow
+
     @pytest.fixture(scope="class")
     def table2(self):
         from repro.experiments.table2 import run_table2
@@ -111,6 +114,8 @@ class TestTable2Golden:
 
 class TestTable3Golden:
     """Table III long-glitch rates at stride 2 (27,500 attempts/guard)."""
+
+    pytestmark = pytest.mark.slow
 
     @pytest.fixture(scope="class")
     def table3(self):
@@ -139,6 +144,8 @@ class TestTable6Golden:
     EXPERIMENTS.md quotes these successes and detection rates; the
     ``while(!a)`` / All / single row went stale there once unnoticed.
     """
+
+    pytestmark = pytest.mark.slow
 
     #: (scenario, defense, attack) -> (attempts, successes, detections)
     ROWS = {

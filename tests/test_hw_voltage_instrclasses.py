@@ -187,6 +187,11 @@ class TestInstructionClassSweeps:
         with pytest.raises(TypeError, match="tally"):
             sweep_instruction_class("alu", tally="algebra")
 
+    def test_engine_option_rejected(self):
+        """The sweep always runs one lock-step batch; the ``engine`` option is gone."""
+        with pytest.raises(TypeError, match="engine"):
+            sweep_instruction_class("alu", engine="vector")
+
     @given(st.sampled_from(["load", "compare", "alu"]))
     @settings(max_examples=3, deadline=None)
     def test_or_model_also_classifies(self, name):

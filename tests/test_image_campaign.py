@@ -66,7 +66,7 @@ class TestDifferentialSweep:
         """Mask algebra equals the brute-force enumeration oracle."""
         for site in (demo_sites[0], demo_sites[3]):
             algebra = sweep_site(demo_image, site, model, k_values=(0, 1, 2))
-            enumerate_ = enumerate_by_k(SiteHarness(demo_image, site),
+            enumerate_ = enumerate_by_k(SiteHarness(demo_image, site, engine="snapshot"),
                                         site.word, model, (0, 1, 2))
             assert algebra.by_k == enumerate_, (site.site_id, model)
 
@@ -259,8 +259,7 @@ class TestImageCli:
 
     def test_campaign(self, tmp_path, capsys):
         assert main([
-            "campaign", "--image", DEMO_HEX, "--models", "and",
-            "--engine", "vector", "--top", "3",
+            "campaign", "--image", DEMO_HEX, "--models", "and", "--top", "3",
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
         out = capsys.readouterr().out

@@ -254,7 +254,7 @@ class TestSweepTallyDifferential:
         algebra = sweep_instruction(snippet, model, zero_is_invalid=zero_is_invalid,
                                     k_values=ks)
         enumerate_ = enumerate_by_k(
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"),
             snippet.target_word, model, ks,
         )
         assert algebra.by_k == enumerate_
@@ -263,7 +263,8 @@ class TestSweepTallyDifferential:
     def test_algebra_equals_enumerate_full_k(self, model):
         snippet = branch_snippet("eq")
         algebra = sweep_instruction(snippet, model)
-        enumerate_ = enumerate_by_k(SnippetHarness(snippet), snippet.target_word, model)
+        enumerate_ = enumerate_by_k(SnippetHarness(snippet, engine="snapshot"),
+                                    snippet.target_word, model)
         assert algebra.by_k == enumerate_
         assert sum(algebra.totals.values()) == 1 << WIDTH  # every mask accounted for
 
@@ -315,7 +316,8 @@ class TestRunMany:
         snippet = branch_snippet("eq")
         words = [0x0000, 0xD001, 0xFFFF, 0x1234, 0x1234]  # duplicate on purpose
         bulk_cache = OutcomeCache(tmp_path / "bulk")
-        bulk_harness = SnippetHarness(snippet, disk_cache=bulk_cache)
+        # the snapshot engine keeps detail strings in batches too
+        bulk_harness = SnippetHarness(snippet, disk_cache=bulk_cache, engine="snapshot")
         bulk = bulk_harness.run_many(words)
         assert sorted(bulk) == sorted(set(words))
         assert bulk_harness.words_executed == 4

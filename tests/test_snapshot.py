@@ -252,8 +252,10 @@ class TestHarnessEngineEquivalence:
                                   ("rebuild", rebuild_engine())):
             obs = Observer()
             with harnesses:
+                # the rebuild harnesses accept and ignore ``engine``
                 result = run_branch_campaign(
                     "and", k_values=(0, 1, 2), conditions=["eq", "ge"], obs=obs,
+                    engine="snapshot",
                 )
             outcomes[engine] = (result, dict(obs.counters))
         snap_result, snap_counters = outcomes["snapshot"]

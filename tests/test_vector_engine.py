@@ -6,24 +6,38 @@ pinned against the per-word rebuild oracle of tests/oracles.py by
 tests/test_snapshot.py) is the oracle.
 The beq full-space sweep runs every one of the 2^16 corrupted words
 through both engines; the hypothesis sweep samples word batches across
-all 14 branches and both decode modes three ways.
+all 14 branches and both decode modes three ways.  Every differential
+names ``engine="snapshot"`` on its reference side, since ``"vector"`` is
+the default.  The instruction-class sweep has no scalar path, so it is
+checked against the per-word rebuild classifier of tests/oracles.py.
 
 This file also carries the run_many batch-path regressions that landed
 with the engine: original-word result keying, flush-fresh-on-crash, and
 the vector.* observability counters.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import discover_sites
 from repro.exec import OutcomeCache
 from repro.exec.cache import CODE_CATEGORIES
+from repro.firmware.image import load_image
 from repro.glitchsim.harness import ENGINES, SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
 from repro.obs import Observer, activate
-from tests.oracles import RebuildSnippetHarness, rebuild_engine
+from tests.oracles import (
+    RebuildSiteHarness,
+    RebuildSnippetHarness,
+    enumerate_class_sweep,
+    rebuild_engine,
+)
+
+DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
 
 ALL_MNEMONICS = [snippet.mnemonic for snippet in all_branch_snippets()]
 
@@ -38,7 +52,7 @@ def _harness_trio(mnemonic, zero_is_invalid):
     if trio is None:
         snippet = branch_snippet(mnemonic[1:])
         trio = (
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"),
             RebuildSnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
             SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="vector"),
         )
@@ -50,7 +64,9 @@ def _full_word_space_mismatches(condition, zero_is_invalid):
     """Words whose category differs between the snapshot and vector engines."""
     snippet = branch_snippet(condition)
     words = range(1 << 16)
-    base = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid).run_many(words)
+    base = SnippetHarness(
+        snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"
+    ).run_many(words)
     vec = SnippetHarness(
         snippet, zero_is_invalid=zero_is_invalid, engine="vector"
     ).run_many(words)
@@ -106,18 +122,13 @@ class TestVectorDifferential:
     @pytest.mark.parametrize("instruction_class",
                              ["load", "store", "compare", "alu", "move"])
     def test_instruction_class_sweeps_identical(self, instruction_class):
+        """The lock-step class sweep equals the per-word rebuild oracle."""
         from repro.glitchsim.instr_classes import sweep_instruction_class
 
-        scalar = sweep_instruction_class(instruction_class, "and")
-        vector = sweep_instruction_class(instruction_class, "and", engine="vector")
-        assert vector == scalar
-        xor_scalar = sweep_instruction_class(
-            instruction_class, "xor", k_values=(1, 2)
-        )
-        xor_vector = sweep_instruction_class(
-            instruction_class, "xor", k_values=(1, 2), engine="vector"
-        )
-        assert xor_vector == xor_scalar
+        for model, k_values in (("and", None), ("xor", (1, 2))):
+            batch = sweep_instruction_class(instruction_class, model, k_values)
+            oracle = enumerate_class_sweep(instruction_class, model, k_values)
+            assert batch == oracle, (model, k_values)
 
 
 def _b(source: int, destination: int) -> int:
@@ -394,25 +405,18 @@ class TestVectorObservability:
         assert "vector.batches" not in obs.counters
 
     def test_scalar_engines_emit_no_vector_counters(self):
-        obs = Observer()
-        harness = SnippetHarness(branch_snippet("ne"))
-        with activate(obs):
-            harness.run_many(range(64))
-        assert not any(name.startswith("vector.") for name in obs.counters)
-
-
-class TestGoldenUnderVector:
-    """The published Figure 2 rates are engine-independent."""
-
-    pytestmark = pytest.mark.slow
-
-    def test_fig2_golden_means_unchanged(self):
-        from repro.experiments import run_figure2
-
-        fig2 = run_figure2(engine="vector")
-        assert fig2.mean_success("and") == pytest.approx(0.4252232142857143, abs=1e-12)
-        assert fig2.mean_success("or") == pytest.approx(0.12009974888392858, abs=1e-12)
-        assert fig2.mean_success("xor") == pytest.approx(0.415924072265625, abs=1e-12)
-        assert fig2.mean_success("and-0invalid") == pytest.approx(
-            0.40345982142857145, abs=1e-12
-        )
+        """Batches on the snapshot engine and both rebuild oracles stay scalar."""
+        image = load_image(DEMO_HEX)
+        snippet = branch_snippet("ne")
+        for harness in (
+            SnippetHarness(snippet, engine="snapshot"),
+            RebuildSnippetHarness(snippet),
+            RebuildSiteHarness(image, discover_sites(image)[0]),
+        ):
+            obs = Observer()
+            with activate(obs):
+                harness.run_many(range(64))
+            assert harness.words_executed == 64, type(harness).__name__
+            assert not any(name.startswith("vector.") for name in obs.counters), (
+                type(harness).__name__
+            )

@@ -57,7 +57,7 @@ class TestWorldDigest:
     def test_engine_is_not_part_of_the_world(self):
         snippet = branch_snippet("eq")
         assert (SnippetHarness(snippet, engine="vector").world_digest()
-                == SnippetHarness(snippet).world_digest())
+                == SnippetHarness(snippet, engine="snapshot").world_digest())
 
     def test_digest_ignores_earlier_replays(self):
         # scalar replays poke the slot and journal RAM stores; the digest
