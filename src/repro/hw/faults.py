@@ -23,7 +23,10 @@ cites: Balasch+'11, Moro+'13, Korak & Hoefler '14, Timmers+'16) reports:
 The model is fully deterministic given its ``seed``: occurrence decisions
 hash (seed, width, offset, relative cycle); realizations additionally hash
 an occurrence counter.  Every roll is a pure function of the seed, a label
-and integer keys (:func:`_roll`), memoized process-wide.
+and integer keys (:func:`_roll`), memoized process-wide.  So is every
+realization (:meth:`FaultModel.effect_at`) and every shape's fast-path
+plan (:meth:`FaultModel.shape_plan`, memoized by ``repro.hw.scan``), given
+the model's calibration (:meth:`FaultModel.memo_key`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ EFFECT_KINDS = (
     "reset",       # the glitch crashed the core (brown-out / lockup)
 )
 
-#: memo marker for a (width, offset) point not yet decided
+#: memo marker for a (width, offset) point or a realization not yet decided
 _UNSEEN = object()
 
 _LOAD_SUBSTITUTES = ("zero", "bus_residue", "sp_leak", "pattern", "mask", "wrong_reg")
@@ -80,6 +83,21 @@ class PipelineView:
     executing_class: str  # "load" | "store" | "branch" | "alu" | "none"
     has_fetch: bool = True
     has_decode: bool = True
+
+
+@dataclass(frozen=True)
+class ShapePlan:
+    """The fast path's verdict on one ``(ext_offset, repeat)`` shape's grid.
+
+    Every grid point whose first occurrence decision
+    (:meth:`FaultModel.first_occurrence`) is ``None`` ends ``no_effect``
+    and every one whose first decision is a crash ends ``reset``, both
+    without simulation; the rest must be simulated.
+    """
+
+    no_effect: int
+    resets: int
+    simulate: tuple[GlitchParams, ...]  # in grid order
 
 
 class FaultModel:
@@ -109,12 +127,36 @@ class FaultModel:
         self.follow_up_attenuation = follow_up_attenuation
         #: (width, offset) -> :meth:`_point_decision`, filled on first use
         self._points: dict = {}
+        #: :meth:`memo_key`, computed at the first realization or plan
+        self._key: Optional[int] = None
 
     def __getstate__(self) -> dict:
-        # the point memo is derived data: ship models to workers without it
+        # the point memo is derived data: ship models to workers without it,
+        # and without the memo key, which names a calibration in this
+        # process's _CALIBRATIONS only
         state = self.__dict__.copy()
         state["_points"] = {}
+        state["_key"] = None
         return state
+
+    def calibration(self) -> dict:
+        """Every public field: the parameters all decisions depend on."""
+        return {name: value for name, value in vars(self).items() if not name.startswith("_")}
+
+    def memo_key(self) -> int:
+        """A small integer naming the model's class and :meth:`calibration`.
+
+        Keys the process-wide realization and plan memos, so models with
+        equal calibrations share entries and any differing field (``em``
+        against the ``em-probe-4mm`` profile, two clock seeds) keeps them
+        apart.  Computed once, so like the point memo it assumes the
+        calibration does not change after the model's first decision.
+        """
+        key = self._key
+        if key is None:
+            calibration = (type(self), tuple(sorted(self.calibration().items())))
+            key = self._key = _CALIBRATIONS.setdefault(calibration, len(_CALIBRATIONS))
+        return key
 
     def begin_run(self) -> None:
         """Reset per-run state before an attempt starts.
@@ -168,7 +210,32 @@ class FaultModel:
         fault/crash decision, which stays parameter-deterministic.
         ``window_index`` is 0 for the first trigger window, 1+ for follow-up
         glitches fired in rapid succession, which bite less reliably.
+
+        The realization is a pure function of the calibration, ``width``,
+        ``offset``, whether ``repeat >= 4``, ``rel_cycle``, ``view``,
+        ``occurrence`` and ``window_index``, so it is memoized
+        process-wide under :meth:`memo_key`: the rows of a Table VI
+        regeneration, each with its own model, ask for the same ones
+        again.  Bounded, so long campaigns keep a flat RSS.
         """
+        key = (
+            self.memo_key(), params.width, params.offset, params.repeat >= 4,
+            rel_cycle, view, occurrence, window_index,
+        )
+        effect = _EFFECTS.get(key, _UNSEEN)
+        if effect is _UNSEEN:
+            if len(_EFFECTS) >= _EFFECT_LIMIT:
+                _EFFECTS.clear()
+            effect = _EFFECTS[key] = self._realize(
+                params, rel_cycle, view, occurrence, window_index
+            )
+        return effect
+
+    def _realize(
+        self, params: GlitchParams, rel_cycle: int, view: PipelineView, occurrence: int,
+        window_index: int,
+    ) -> Optional[FaultEffect]:
+        """The unmemoized :meth:`effect_at`."""
         decision = self.occurrence_decision(params, rel_cycle)
         if decision is None:
             return None
@@ -254,6 +321,22 @@ class FaultModel:
             if decision is not None:
                 return rel_cycle, decision
         return None
+
+    def shape_plan(self, ext_offset: int, repeat: int, points) -> ShapePlan:
+        """The :class:`ShapePlan` of the glitches ``(ext_offset, width,
+        offset, repeat)`` for each ``(width, offset)`` of ``points``."""
+        no_effect = resets = 0
+        simulate = []
+        for width, offset in points:
+            params = GlitchParams(ext_offset, width, offset, repeat=repeat)
+            first = self.first_occurrence(params)
+            if first is None:
+                no_effect += 1
+            elif first[1] == "crash":
+                resets += 1
+            else:
+                simulate.append(params)
+        return ShapePlan(no_effect, resets, tuple(simulate))
 
     def _point(self, params: GlitchParams):
         """The memoized :meth:`_point_decision` of ``params``' grid point.
@@ -369,10 +452,19 @@ class FaultModel:
         return _roll(self.seed, label, keys)
 
 
+#: (model class, sorted calibration items) -> FaultModel.memo_key
+_CALIBRATIONS: dict = {}
+#: memo key and realization inputs -> FaultModel.effect_at; cleared when full
+_EFFECTS: dict = {}
+_EFFECT_LIMIT = 1 << 14
+
+
 # A roll is a pure function of its arguments, so it is memoized for the
-# whole process: a Table VI regeneration asks for ~31k rolls but only ~3k
-# distinct ones, mostly the same grid points again in another row's scan
-# (each with its own model).  Bounded, so long campaigns keep a flat RSS.
+# whole process: each Table VI row builds its own model, whose point memo
+# starts empty, so the rows ask for the same grid points' rolls again.
+# Behind the plan and realization memos, the first regeneration in a
+# process asks for ~11.5k rolls (~3.2k distinct) and a later one ~1.5k.
+# Bounded, so long campaigns keep a flat RSS.
 @lru_cache(maxsize=1 << 16)
 def _roll(seed: int, label: str, keys: tuple[int, ...]) -> float:
     """A uniform draw in ``[0, 1)`` hashed from ``seed``, ``label`` and ``keys``."""
@@ -381,4 +473,4 @@ def _roll(seed: int, label: str, keys: tuple[int, ...]) -> float:
     return int.from_bytes(digest, "little") / float(1 << 64)
 
 
-__all__ = ["FaultEffect", "FaultModel", "PipelineView", "EFFECT_KINDS"]
+__all__ = ["FaultEffect", "FaultModel", "PipelineView", "ShapePlan", "EFFECT_KINDS"]

@@ -13,20 +13,31 @@ Drives one :class:`~repro.hw.mcu.Board` through glitched runs:
 
 A parameter-deterministic fast path skips full simulation for grid points
 the fault model says produce neither a fault nor a crash — the
-overwhelming majority of the 9,801-point scans.
+overwhelming majority of the 9,801-point scans.  A scan decides those
+points in bulk from a memoized plan (``repro.hw.scan``) and calls
+:meth:`ClockGlitcher.run_attempt` only for the rest; a single attempt
+takes the same decision itself.
 
 Simulated attempts additionally use *boot records* (the hw-layer face of
-the snapshot engine, see ``docs/ARCHITECTURE.md``).  Boot is unglitched
-and deterministic given the image and the power-on seed flash page, so
-the first full run from each power-on seed page records the machine at
-the trigger cycle — the writable memory, the pipeline latches via
-:class:`~repro.hw.pipeline.PipelineState`, the GPIO pin — and every later
-attempt that powers on with the same page restores that record into the
-board instead of re-simulating boot from reset.  Records belong to the
-glitcher, not to the board, so they survive an external ``board.reset()``;
-firmware that persists new seed-page state (the random-delay defense)
-just looks up a different record.  Pass ``replay=False`` to force the
-from-reset path (the differential tests do).
+the snapshot engine, see ``docs/ARCHITECTURE.md``).  The run up to the
+first glitched cycle is unglitched and deterministic given the image and
+the power-on seed flash page, so the first full run from each power-on
+seed page records the machine at the trigger cycle — the writable
+memory, the pipeline latches via :class:`~repro.hw.pipeline.PipelineState`,
+the GPIO pin — and every later attempt that powers on with the same page
+restores that record into the board instead of re-simulating boot from
+reset.  An attempt whose glitch starts ``ext_offset`` cycles after the
+trigger also records the machine just before that cycle (a *prefix
+record*), and later attempts restore the latest record at or before
+their own ``ext_offset``: a scan's units run their shapes in increasing
+``ext_offset``, and each unit's k-th simulated attempt powers on with the
+same page, so each unit steps only the cycles since the previous unit's
+glitch start.  A page keeps its trigger-cycle record and the latest
+prefix record, no more.  Records belong to the glitcher, not to the
+board, so they survive an external ``board.reset()``; firmware that
+persists new seed-page state (the random-delay defense) just looks up a
+different record.  Pass ``replay=False`` to force the from-reset path
+(the differential tests do).
 
 Most simulated attempts end ``no_effect`` with the firmware spinning in
 a guard loop until the settle budget runs out.  The *settled-loop exit*
@@ -56,15 +67,19 @@ SETTLE_CYCLES = 400
 #: per-glitcher attempt counters (see :attr:`ClockGlitcher.counters`):
 #: attempts decided by the fault-model fast path, attempts simulated,
 #: simulated attempts cut short by the settled-loop exit, machine states
-#: that exit looked up, pipeline cycles stepped after the first trigger,
-#: how each simulated run started — booted from reset, or restored from
-#: a boot record — and, per :data:`~repro.hw.faults.EFFECT_KINDS` kind,
-#: the fault effects the resolver realized (``reset`` included).  For
-#: scans, ``hw.full_boots + hw.baseline_replays == hw.simulated``
-#: (:meth:`ClockGlitcher.run_unglitched` runs count a start too).
+#: that exit looked up, pipeline cycles run after the first trigger
+#: (restored prefix cycles included), how each simulated run started —
+#: booted from reset, or restored from a boot record — and the prefix
+#: cycles restored from a record instead of stepped, and, per
+#: :data:`~repro.hw.faults.EFFECT_KINDS` kind, the fault effects the
+#: resolver realized (``reset`` included).  For scans,
+#: ``hw.full_boots + hw.baseline_replays == hw.simulated``
+#: (:meth:`ClockGlitcher.run_unglitched` runs count a start too).  The
+#: last three depend on which records a glitcher holds, so serial and
+#: parallel scans differ there; the others do not.
 HW_COUNTERS = (
     "hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.settle_checks",
-    "hw.cycles", "hw.full_boots", "hw.baseline_replays",
+    "hw.cycles", "hw.full_boots", "hw.baseline_replays", "hw.restored_cycles",
 ) + tuple(f"hw.effects.{kind}" for kind in EFFECT_KINDS)
 
 #: machine states the settled-loop exit remembers per attempt
@@ -110,17 +125,22 @@ class GlitchStatistics:
 
 @dataclass(frozen=True)
 class _BootRecord:
-    """The machine at the trigger capture point, keyed by the power-on
-    seed page it booted from.
+    """The machine at the top-of-loop ``rel`` cycles after the trigger,
+    keyed by the power-on seed page it booted from.
 
-    Holds no reference to a board: :meth:`ClockGlitcher._simulate`
-    restores it into whatever board the glitcher drives now.
+    ``rel`` is 0 (the trigger cycle) or the ``ext_offset`` of the attempt
+    that captured it, whose run was still live there with one trigger
+    window open and no glitch landed yet: every attempt from the same page
+    with ``ext_offset >= rel`` passes through exactly this state.  Holds
+    no reference to a board: :meth:`ClockGlitcher._simulate` restores it
+    into whatever board the glitcher drives now.
     """
 
     ram: tuple[bytes, ...]  # Board.ram_image(): SRAM and the seed page
     pipe_state: PipelineState
     gpio_state: int
     trigger_cycle: int
+    rel: int
 
 
 class ClockGlitcher:
@@ -128,8 +148,9 @@ class ClockGlitcher:
 
     ``replay=True`` (the default) enables boot records: a simulated
     attempt whose power-on seed page was booted before restores the
-    recorded trigger-cycle state instead of re-simulating boot from
-    reset.  Outcomes are bit-identical either way.
+    latest recorded state at or before its first glitched cycle instead
+    of re-simulating boot from reset.  Outcomes are bit-identical either
+    way.
     """
 
     def __init__(
@@ -160,8 +181,9 @@ class ClockGlitcher:
         if detect_symbol and self.detect_address is None:
             raise ValueError(f"firmware does not define the {detect_symbol!r} symbol")
         self.replay = replay
-        #: power-on seed page -> the boot it leads to (see _BootRecord)
-        self._records: dict[bytes, _BootRecord] = {}
+        #: power-on seed page -> its trigger-cycle record, then at most the
+        #: latest prefix record (see _BootRecord)
+        self._records: dict[bytes, list[_BootRecord]] = {}
         #: running totals of :data:`HW_COUNTERS`; scans report per-unit deltas
         self.counters = dict.fromkeys(HW_COUNTERS, 0)
 
@@ -197,23 +219,34 @@ class ClockGlitcher:
         """
         return self.fault_model.first_occurrence(params)
 
-    def _usable_baseline(self) -> Optional[_BootRecord]:
-        """The boot record the next simulated attempt restores, or ``None``
-        when it boots from reset."""
+    def _usable_baseline(self, ext_offset: int = 0) -> Optional[_BootRecord]:
+        """The boot record the next simulated attempt restores when its
+        glitch starts ``ext_offset`` cycles after the trigger — the latest
+        at or before that cycle — or ``None`` when it boots from reset."""
         if not self.replay:
             return None
-        return self._records.get(bytes(self.board._seed_page))
+        records = self._records.get(bytes(self.board._seed_page))
+        if records is None:
+            return None
+        return records[-1] if records[-1].rel <= ext_offset else records[0]
 
-    def _capture_baseline(self, trigger_cycle: int) -> None:
-        """Record the board at the trigger cycle, keyed by the power-on
-        seed page (the live page is only persisted when the attempt ends)."""
+    def _capture_baseline(self, trigger_cycle: int, rel: int = 0) -> None:
+        """Record the board ``rel`` cycles after the trigger, keyed by the
+        power-on seed page (the live page is only persisted when the
+        attempt ends).  A prefix record replaces the page's previous one."""
         board = self.board
-        self._records[bytes(board._seed_page)] = _BootRecord(
+        record = _BootRecord(
             ram=board.ram_image(),
             pipe_state=board.pipeline.snapshot_state(),
             gpio_state=board._gpio_state,
             trigger_cycle=trigger_cycle,
+            rel=rel,
         )
+        page = bytes(board._seed_page)
+        if rel == 0:
+            self._records[page] = [record]
+        else:
+            self._records[page][1:] = [record]
 
     def _loop_bounds(
         self, params: Optional[GlitchParams], windows: list[int], max_cycles: int
@@ -310,9 +343,11 @@ class ClockGlitcher:
         # a no-op for stateless models; resets e.g. the voltage model's
         # recharge capacitor so every attempt starts a fresh run
         self.fault_model.begin_run()
-        record = self._usable_baseline()
+        # no glitch lands before rel cycle ``prefix``
+        prefix = params.ext_offset if params is not None else 0
+        record = self._usable_baseline(prefix)
         if record is not None:
-            # Restore the boot this power-on seed page leads to.  A
+            # Restore the run this power-on seed page leads to.  A
             # replayed attempt is still a power cycle as far as the
             # firmware and the tallies are concerned.
             board.load_ram_image(record.ram)
@@ -320,13 +355,15 @@ class ClockGlitcher:
             board._gpio_state = record.gpio_state
             board.boot_count += 1
             self.counters["hw.baseline_replays"] += 1
+            self.counters["hw.restored_cycles"] += record.rel
             windows: list[int] = [record.trigger_cycle]
-            capture = False
+            # rel cycles still to record at, in order
+            pending: tuple[int, ...] = (prefix,) if record.rel < prefix else ()
         else:
             self.counters["hw.full_boots"] += 1
             board.reset()
             windows = []
-            capture = self.replay
+            pending = ((0, prefix) if prefix else (0,)) if self.replay else ()
         # The whole run configuration is installed here: a restored
         # pipeline may carry another caller's (a trace hook, say).
         pipeline = board.pipeline
@@ -418,12 +455,16 @@ class ClockGlitcher:
                     break
                 if pipeline.cycles >= deadline:
                     break
-                if capture and windows:
-                    # First top-of-loop after the trigger fired: no glitch
-                    # has landed yet (rel cycle 0 executes in the upcoming
-                    # step), so this state is attempt-independent.
-                    self._capture_baseline(windows[0])
-                    capture = False
+                if pending and windows:
+                    # A live top-of-loop no later than rel cycle ``prefix``,
+                    # which executes in the upcoming step at the earliest:
+                    # no glitch has landed, so with one window open this
+                    # state is attempt-independent.
+                    if len(windows) > 1:
+                        pending = ()
+                    elif pipeline.cycles - windows[0] == pending[0]:
+                        self._capture_baseline(windows[0], pending[0])
+                        pending = pending[1:]
                 if (
                     watch and pipeline.fetch_latch is None and pipeline.decode_latch is None
                     and pipeline.execute_slot is None and pipeline.cycles >= quiet_from

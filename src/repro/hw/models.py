@@ -183,8 +183,7 @@ def model_meta(model: FaultModel) -> dict:
     Two calibrations of one model (``em`` and the ``em-probe-4mm``
     profile) differ in a field, so their checkpoints never collide.
     """
-    fields = {name: value for name, value in vars(model).items() if not name.startswith("_")}
-    return {"class": type(model).__name__, **fields}
+    return {"class": type(model).__name__, **model.calibration()}
 
 
 __all__ = [

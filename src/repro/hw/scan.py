@@ -12,15 +12,21 @@ the outcome categories. The scans differ only in shapes and firmware:
 - Table III (long): ``(0, last + 1)``, one glitch over cycles 0..last;
 - Table VI (defense): the :data:`ATTACK_SHAPES` of one attack.
 
-One work unit is one shape element's grid. The serial path shares one
-:class:`~repro.hw.glitcher.ClockGlitcher` across all units of a scan, so
-the glitcher's boot records (see ``docs/ARCHITECTURE.md``) kick in
-automatically: the pre-glitch boot up to the trigger cycle is simulated
-once per power-on seed page and every later simulated attempt from that
-page restores the record, and all units share one fault model and its
-point memo. On the multiprocessing path each worker builds its own
-glitcher and records its own boots. Tallies are identical with replay on
-or off (``benchmarks/test_bench_table1.py`` runs the differential).
+One work unit is one shape element's grid. Which of its points the
+fault-model fast path decides is a pure function of the model's
+calibration and the shape, so the unit takes the counts and the points
+left to simulate from a :class:`~repro.hw.faults.ShapePlan` memoized
+process-wide, and simulates only those points, in grid order. The serial
+path shares one :class:`~repro.hw.glitcher.ClockGlitcher` across all
+units of a scan, so the glitcher's boot records (see
+``docs/ARCHITECTURE.md``) kick in automatically: the unglitched run up
+to the first glitched cycle is simulated once per power-on seed page and
+glitch start, and every later simulated attempt from that page restores
+the latest record at or before its own glitch start; all units share
+one fault model and its point memo. On the multiprocessing path each
+worker builds its own glitcher and records its own boots. Tallies are
+identical with replay on or off (``benchmarks/test_bench_table1.py``
+runs the differential).
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.exec import ExecOptions, FailedUnit, resolve_workers
-from repro.hw.clock import GlitchParams, OFFSET_RANGE, WIDTH_RANGE
-from repro.hw.faults import FaultModel
+from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE
+from repro.hw.faults import FaultModel, ShapePlan
 from repro.hw.glitcher import ClockGlitcher
 from repro.hw.models import model_meta, resolve_fault_model
 from repro.isa.disassembler import disassemble_one
@@ -255,10 +261,31 @@ class _GridSpec:
 #: one unit's result: outcome category counts, comparator register values
 _Tally = tuple[Counter, Counter]
 
+#: (model memo key, ext_offset, repeat, stride) -> ShapePlan; cleared when full
+_PLANS: dict = {}
+_PLAN_LIMIT = 256
+
+
+def _shape_plan(model: FaultModel, spec: _GridSpec) -> ShapePlan:
+    """The fast-path plan of ``spec``'s grid, memoized process-wide: a
+    Table VI regeneration asks for the same plans in every row of an
+    attack, each row with its own model."""
+    key = (model.memo_key(), spec.ext_offset, spec.repeat, spec.stride)
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _PLAN_LIMIT:
+            _PLANS.clear()
+        plan = _PLANS[key] = model.shape_plan(spec.ext_offset, spec.repeat, _grid(spec.stride))
+    return plan
+
 
 def _defense_shape_unit(spec: _GridSpec, glitcher: Optional[ClockGlitcher] = None) -> _Tally:
     """One shape element's grid, on a fresh glitcher or on the scan's
     shared one (whose boot records and fault model then carry over).
+
+    The fast path's attempts are tallied from the memoized
+    :func:`_shape_plan`; only the points it leaves go through
+    ``run_attempt``, in grid order.
 
     Every scan's unit, not only Table VI's: the name is the one
     ``perfbench/layers.py`` attributes to its harness layer.
@@ -272,15 +299,19 @@ def _defense_shape_unit(spec: _GridSpec, glitcher: Optional[ClockGlitcher] = Non
         # start from the factory seed page, exactly as a fresh board does
         glitcher.board.erase_seed_page()
     before = dict(glitcher.counters)
+    plan = _shape_plan(glitcher.fault_model, spec)
+    # Fast-path attempts never boot, so deciding them in bulk leaves the
+    # seed-page sequence of the simulated ones as it was.
+    glitcher.counters["hw.fastpath"] += plan.no_effect + plan.resets
     categories: Counter = Counter()
     values: Counter = Counter()
-    for width, offset in _grid(spec.stride):
-        result = glitcher.run_attempt(
-            GlitchParams(spec.ext_offset, width, offset, repeat=spec.repeat)
-        )
+    for params in plan.simulate:
+        result = glitcher.run_attempt(params)
         categories[result.category] += 1
         if spec.comparator is not None and result.category == "success":
             values[result.registers[spec.comparator] & 0xFFFFFFFF] += 1
+    # in-place ``+=`` keeps positive counts only, as per-attempt tallying did
+    categories += Counter(no_effect=plan.no_effect, reset=plan.resets)
     _report_hw(glitcher, before)
     return categories, values
 

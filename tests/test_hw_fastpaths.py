@@ -8,11 +8,16 @@ Each fast path is checked against the slow computation it replaces:
   hashed afresh in ``tests/oracles.py``;
 - the first-decision ``ClockGlitcher._occurrence_plan`` against the first
   entry of the full per-cycle plan;
+- the memoized shape plans a scan unit decides its fast path from against
+  per-point ``run_attempt`` decisions, and the process-wide effect memo
+  against the unmemoized realization, for every zoo model and keyed
+  apart by calibration;
 - the settled-loop exit against the full settle, field by field on
   ``AttemptResult`` and on the persisted seed page, with its state
   lookups made once per loop period (after the taken branch);
 - seed-keyed boot records, shared by a scan's units, against
-  ``replay=False`` glitchers booting every attempt from reset;
+  ``replay=False`` glitchers booting every attempt from reset, prefix
+  records at the glitch start included;
 - the flat ``PipelinedCPU.step_cycle`` against the staged cycle in
   ``tests/oracles.py``, in lock-step under random glitch effects, and its
   direct flash fetch against ``Memory.try_fetch_u16``.
@@ -20,6 +25,7 @@ Each fast path is checked against the slow computation it replaces:
 Also pins the ``hw.*`` scan counters and the process-wide decode memo.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -34,11 +40,16 @@ from repro.firmware.guards import build_defended_guard
 from repro.hw import FAULT_MODELS, EMFaultModel, VoltageFaultModel
 from repro.hw import pipeline as pipeline_module
 from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE, GlitchParams
-from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel
-from repro.hw.glitcher import ClockGlitcher
+from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel, PipelineView
+from repro.hw.glitcher import AttemptResult, ClockGlitcher
 from repro.hw.mcu import FLASH_BASE, FLASH_SIZE, SEED_PAGE_BASE, SRAM_BASE, Board
+from repro.hw.models import resolve_fault_model
 from repro.hw.scan import (
     ATTACK_SHAPES,
+    _defense_shape_unit,
+    _grid,
+    _GridSpec,
+    _shape_plan,
     map_cycles_to_instructions,
     run_defense_scan,
     run_long_glitch_scan,
@@ -92,9 +103,13 @@ class TestPointMemo:
 
         model = FaultModel()
         model.occurrence_decision(GlitchParams(0, 20, -10), 0)
+        model.memo_key()
         assert model._points
         clone = pickle.loads(pickle.dumps(model))
         assert clone._points == {}
+        # memo keys are interned per process: a worker computes its own
+        assert clone._key is None
+        assert clone.memo_key() == model.memo_key()
         assert clone.occurrence_decision(GlitchParams(0, 20, -10), 3) == (
             model.occurrence_decision(GlitchParams(0, 20, -10), 3)
         )
@@ -154,6 +169,123 @@ class TestRollMemo:
 @lru_cache(maxsize=None)
 def _plan_glitcher(name: str) -> ClockGlitcher:
     return ClockGlitcher(build_guard_firmware("not_a", "single"), fault_model=name)
+
+
+# ----------------------------------------------------------------------
+# shape plans and the effect memo vs per-point decisions
+# ----------------------------------------------------------------------
+
+#: every zoo model, plus a calibration profile of one: name -> glitcher kwargs
+ZOO = {name: {"fault_model": name} for name in sorted(FAULT_MODELS)}
+ZOO["em-probe-4mm"] = {"profile": "em-probe-4mm"}
+SHAPES = sorted({shape for shapes in ATTACK_SHAPES.values() for shape in shapes})
+
+
+def _decision_glitcher(**kwargs) -> ClockGlitcher:
+    """A glitcher whose simulations are stubbed out: ``run_attempt``
+    takes its real fast-path decisions and marks every other attempt."""
+    glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"), **kwargs)
+    glitcher._simulate = lambda params: AttemptResult(category="simulate", params=params)
+    return glitcher
+
+
+class TestShapePlans:
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_plan_matches_per_point_decisions(self, name):
+        glitcher = _decision_glitcher(**ZOO[name])
+        model = glitcher.fault_model
+        for ext_offset, repeat in SHAPES:
+            categories, simulated = {"no_effect": 0, "reset": 0}, []
+            for width, offset in _grid(6):
+                result = glitcher.run_attempt(GlitchParams(ext_offset, width, offset, repeat))
+                if result.category == "simulate":
+                    simulated.append(result.params)
+                else:
+                    categories[result.category] += 1
+            plan = model.shape_plan(ext_offset, repeat, _grid(6))
+            assert (plan.no_effect, plan.resets) == (categories["no_effect"], categories["reset"])
+            assert plan.simulate == tuple(simulated)
+            # the memoized plan a unit decides from, and the unit itself
+            spec = _GridSpec(None, ext_offset, repeat, 6, model)
+            assert _shape_plan(model, spec) == plan
+            before = dict(glitcher.counters)
+            tally, values = _defense_shape_unit(spec, glitcher)
+            assert tally == Counter(categories, simulate=len(simulated))
+            assert not values
+            fastpath = glitcher.counters["hw.fastpath"] - before["hw.fastpath"]
+            assert fastpath == plan.no_effect + plan.resets
+
+    def test_plans_are_keyed_by_calibration(self):
+        models = {
+            "em": FAULT_MODELS["em"](),
+            "em-probe-4mm": _zoo_model("em-probe-4mm"),
+            "clock": FaultModel(),
+            "clock-reseeded": FaultModel(seed=0x1234),
+        }
+        keys = {name: model.memo_key() for name, model in models.items()}
+        assert len(set(keys.values())) == len(keys)
+        # an equal calibration in another instance shares the key
+        assert FaultModel().memo_key() == keys["clock"]
+        for ext_offset, repeat in ((0, 1), (10, 10), (0, 40)):
+            # asked back to back, each model gets its own calibration's plan
+            for name, model in models.items():
+                spec = _GridSpec(None, ext_offset, repeat, 6, model)
+                assert _shape_plan(model, spec) == model.shape_plan(ext_offset, repeat, _grid(6))
+        plans = {name: models[name].shape_plan(0, 1, _grid(6)) for name in models}
+        assert plans["em"] != plans["em-probe-4mm"]
+        assert plans["clock"] != plans["clock-reseeded"]
+
+
+#: the fault-effect realizations the base model's memo serves
+MEMO_ZOO = ("clock", "em", "em-probe-4mm", "voltage")
+#: (width, offset) draws around the zoo models' fault bands
+fault_band = st.tuples(st.integers(-30, 35), st.integers(-30, 20))
+views = st.builds(PipelineView, st.sampled_from(("none", "load", "store", "compare",
+                                                 "branch", "alu")),
+                  st.booleans(), st.booleans())
+
+
+def _zoo_model(name: str) -> FaultModel:
+    return resolve_fault_model(**ZOO[name])
+
+
+class TestEffectMemo:
+    @pytest.mark.parametrize("name", MEMO_ZOO)
+    @settings(max_examples=150, deadline=None)
+    @given(point=st.one_of(st.tuples(widths, offsets), fault_band),
+           ext_offset=st.integers(0, 100), repeat=st.integers(1, 100),
+           rel_cycle=st.integers(0, 200), view=views,
+           occurrence=st.integers(0, 40), window_index=st.integers(0, 2))
+    def test_memoized_effect_matches_realization(
+        self, name, point, ext_offset, repeat, rel_cycle, view, occurrence, window_index
+    ):
+        model, fresh = _zoo_model(name), _zoo_model(name)
+        params = GlitchParams(ext_offset, *point, repeat=repeat)
+        expected = fresh._realize(params, rel_cycle, view, occurrence, window_index)
+        # the base realization; the voltage model's capacitor gate wraps it
+        effect_at = FaultModel.effect_at
+        # cold (fills the memo) and warm (reads it), from two instances
+        assert effect_at(model, params, rel_cycle, view, occurrence, window_index) == expected
+        assert effect_at(fresh, params, rel_cycle, view, occurrence, window_index) == expected
+        # another shape of the same (width, offset) and glitch length class
+        other = GlitchParams((ext_offset + 7) % 101, *point,
+                             repeat=repeat if repeat < 4 else 4 + repeat % 50)
+        assert effect_at(model, other, rel_cycle, view, occurrence, window_index) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=fault_band, repeat=st.integers(1, 100), rel_cycle=st.integers(0, 200), view=views,
+           occurrence=st.integers(0, 40), window_index=st.integers(0, 2))
+    def test_calibrations_never_share_an_effect(
+        self, point, repeat, rel_cycle, view, occurrence, window_index
+    ):
+        params = GlitchParams(0, *point, repeat=repeat)
+        for pair in ((_zoo_model("em"), _zoo_model("em-probe-4mm")),
+                     (FaultModel(), FaultModel(seed=0x1234))):
+            assert pair[0].memo_key() != pair[1].memo_key()
+            for model in pair + pair:
+                assert model.effect_at(params, rel_cycle, view, occurrence, window_index) == (
+                    model._realize(params, rel_cycle, view, occurrence, window_index)
+                )
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +541,105 @@ class TestBootRecords:
         assert deltas[0] == deltas[1]
         assert deltas[0]["hw.settled_exits"] == 1
         assert not calls
+
+
+# ----------------------------------------------------------------------
+# prefix records vs from-reset runs
+# ----------------------------------------------------------------------
+
+#: a Table VI scan's unit order, sampled: windowed shapes, then single ones
+PREFIX_UNITS = [("windowed", index) for index in (0, 1, 3, 6)] + [
+    ("single", index) for index in (0, 2, 5, 9)
+]
+#: each unit's grid points: faulting and crashing ones near the clock band
+PREFIX_POINTS = [(20, -10), (14, -4), (26, -20), (47, 0)]
+
+#: a Table II-style guard whose second trigger fires a few cycles after
+#: the first, so glitches past the gap land in two open windows
+TWO_TRIGGER_GUARD = """
+_start:
+    ldr r0, =0x48000014
+    ldr r3, =0x20000000
+    movs r1, #1
+    movs r2, #0
+    str r2, [r3]
+    str r1, [r0]
+    str r2, [r0]
+    nop
+    nop
+    str r1, [r0]
+loop:
+    ldr r4, [r3]
+    cmp r4, #0
+    beq loop
+win:
+    b win
+"""
+
+
+class TestPrefixRecords:
+    @pytest.mark.parametrize("scenario, defense", [("while_not_a", "all"),
+                                                   ("if_success", "none")])
+    def test_units_match_from_reset(self, scenario, defense):
+        """Units on one shared glitcher, each from the factory page as a
+        serial scan runs them, restore the latest record at or before
+        their glitch start; every attempt equals a from-reset run."""
+        image = _defended_image(scenario, defense)
+        detect = "gr_detected" if "gr_detected" in image.symbols else None
+        shared = ClockGlitcher(image, detect_symbol=detect)
+        for shape, index in PREFIX_UNITS:
+            shared.board.erase_seed_page()
+            seed = bytes(shared.board._seed_page)
+            ext_offset, repeat = ATTACK_SHAPES[shape][index]
+            for width, offset in PREFIX_POINTS:
+                params = GlitchParams(ext_offset, width, offset, repeat=repeat)
+                control = _from_reset(image, detect, seed)
+                counters = dict(shared.counters)
+                got = shared.run_attempt(params, force_simulation=True)
+                assert got == control.run_attempt(params, force_simulation=True)
+                for name in ("hw.settled_exits", "hw.cycles"):
+                    assert shared.counters[name] - counters[name] == control.counters[name]
+                seed = bytes(control.board._seed_page)
+                assert bytes(shared.board._seed_page) == seed
+        assert shared.counters["hw.restored_cycles"] > 0
+        assert all(len(records) <= 2 for records in shared._records.values())
+        if defense == "all":
+            # random delay: each attempt of a unit powers on with a new page
+            assert len(shared._records) == len(PREFIX_POINTS)
+
+    def test_two_trigger_guard_records_only_with_one_window_open(self):
+        from repro.isa import assemble
+
+        image = assemble(TWO_TRIGGER_GUARD, base=0x0800_0000)
+        board, windows = Board(image), []
+        board.trigger_callback = lambda value: windows.append(board.pipeline.cycles + 1)
+        board.run(100)
+        gap = windows[1] - windows[0]
+        shared = ClockGlitcher(image, expected_triggers=2)
+        captured = []
+        capture = shared._capture_baseline
+        shared._capture_baseline = (
+            lambda trigger_cycle, rel=0: captured.append(rel) or capture(trigger_cycle, rel)
+        )
+        for ext_offset in (0, 2, gap - 1, gap, gap + 3, 1, gap + 1, 20):
+            for point in PREFIX_POINTS:
+                params = GlitchParams(ext_offset, *point)
+                control = ClockGlitcher(image, expected_triggers=2, replay=False)
+                assert shared.run_attempt(params, force_simulation=True) == (
+                    control.run_attempt(params, force_simulation=True)
+                )
+        # recorded up to the cycle before the second window opens, never in it
+        assert max(captured) == gap - 1
+        assert shared.counters["hw.restored_cycles"] > 0
+
+    def test_replay_off_keeps_no_records(self):
+        image = _defended_image("while_not_a", "none")
+        glitcher = ClockGlitcher(image, replay=False)
+        for ext_offset in (0, 5, 10):
+            glitcher.run_attempt(GlitchParams(ext_offset, 20, -10), force_simulation=True)
+        assert glitcher._records == {}
+        assert glitcher.counters["hw.restored_cycles"] == 0
+        assert glitcher.counters["hw.baseline_replays"] == 0
 
 
 # ----------------------------------------------------------------------

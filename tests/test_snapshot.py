@@ -312,6 +312,9 @@ class TestGlitcherBaselineReplay:
         starts = ("hw.full_boots", "hw.baseline_replays")
         assert control_counts.get("hw.baseline_replays", 0) == 0
         assert replayed_counts.get("hw.baseline_replays", 0) > 0
+        # prefix cycles restored from a record still count in hw.cycles
+        assert control_counts.get("hw.restored_cycles", 0) == 0
+        assert replayed_counts.pop("hw.restored_cycles") > 0
         assert sum(replayed_counts.pop(name, 0) for name in starts) == \
             sum(control_counts.pop(name, 0) for name in starts)
         assert replayed_counts == control_counts
