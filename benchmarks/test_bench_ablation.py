@@ -23,7 +23,7 @@ class TestComplementedChecksAblation:
         """Model the §VI-B.b argument directly at the IR level: apply the
         *same* bit flip to the value feeding both the original and the
         redundant comparison; count bypasses over a basket of flips."""
-        from repro.compiler.ir_interp import _CMP
+        from repro.compiler.passes.constfold import _CMP
 
         survived = 0
         guard_value, compared = 0, 0  # while (a == 0) with a == 0

@@ -22,14 +22,13 @@ any worker count and across interrupted/resumed runs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
-from repro.exec.cache import count_cache_traffic
+from repro.exec.cache import cache_session
 from repro.firmware.image import FirmwareImage
-from repro.glitchsim.campaign import check_campaign_args, tally_reachable
-from repro.glitchsim.harness import OUTCOME_CATEGORIES
+from repro.glitchsim.campaign import SweepTallies, check_campaign_args, tally_reachable
 from repro.experiments.render import render_table
 from repro.obs import Observer, activate, coerce_observer, current
 
@@ -41,7 +40,7 @@ DEFAULT_MODELS = ("and", "or", "xor")
 
 
 @dataclass
-class SiteSweep:
+class SiteSweep(SweepTallies):
     """Aggregated outcomes for one branch site under one flip model."""
 
     site: BranchSite
@@ -50,28 +49,14 @@ class SiteSweep:
     #: per flip-count k: Counter of outcome categories
     by_k: dict[int, Counter] = field(default_factory=dict)
 
-    @property
-    def totals(self) -> Counter:
-        total: Counter = Counter()
-        for counter in self.by_k.values():
-            total.update(counter)
-        return total
+    def to_payload(self) -> dict:
+        site = {**asdict(self.site), "window": list(self.site.window)}
+        return {**super().to_payload(), "site": site}
 
-    def success_rate(self, k: int | None = None) -> float:
-        """Fraction of masks classified *success* (overall, or for one ``k``)."""
-        counter = self.totals if k is None else self.by_k.get(k, Counter())
-        attempts = sum(counter.values())
-        if attempts == 0:
-            return 0.0
-        return counter.get("success", 0) / attempts
-
-    def category_fractions(self) -> dict[str, float]:
-        totals = self.totals
-        attempts = sum(totals.values())
-        if attempts == 0:
-            return {category: 0.0 for category in OUTCOME_CATEGORIES}
-        return {category: totals.get(category, 0) / attempts
-                for category in OUTCOME_CATEGORIES}
+    @classmethod
+    def from_payload(cls, payload: dict) -> "SiteSweep":
+        site = {**payload["site"], "window": tuple(payload["site"]["window"])}
+        return super().from_payload({**payload, "site": BranchSite(**site)})
 
 
 @dataclass(frozen=True)
@@ -190,8 +175,7 @@ def _site_unit(spec: _SiteSpec) -> SiteSweep:
     """Worker entry point: rebuild the image (and cache handle) in-process."""
     image = FirmwareImage(base=spec.image_base, data=spec.image_data,
                           entry=spec.image_entry)
-    cache = OutcomeCache(spec.cache_root) if spec.cache_root is not None else None
-    try:
+    with cache_session(spec.cache_root, current()) as cache:
         return sweep_site(
             image,
             spec.site,
@@ -201,43 +185,6 @@ def _site_unit(spec: _SiteSpec) -> SiteSweep:
             cache=cache,
             engine=spec.engine,
         )
-    finally:
-        # per-word outcomes already computed survive even if the sweep raised
-        if cache is not None:
-            cache.flush()
-            count_cache_traffic(current(), cache, {})
-
-
-def _encode_site_sweep(sweep: SiteSweep) -> dict:
-    """JSON-able checkpoint payload for one completed site sweep."""
-    site = sweep.site
-    return {
-        "site": {
-            "address": site.address,
-            "word": site.word,
-            "mnemonic": site.mnemonic,
-            "cond": site.cond,
-            "fallthrough": site.fallthrough,
-            "taken": site.taken,
-            "compare": site.compare,
-            "compare_address": site.compare_address,
-            "window": list(site.window),
-        },
-        "model": sweep.model,
-        "zero_is_invalid": sweep.zero_is_invalid,
-        "by_k": {str(k): dict(counter) for k, counter in sweep.by_k.items()},
-    }
-
-
-def _decode_site_sweep(payload: dict) -> SiteSweep:
-    raw = dict(payload["site"])
-    raw["window"] = tuple(raw["window"])
-    return SiteSweep(
-        site=BranchSite(**raw),
-        model=payload["model"],
-        zero_is_invalid=payload["zero_is_invalid"],
-        by_k={int(k): Counter(counts) for k, counts in payload["by_k"].items()},
-    )
 
 
 def run_image_campaign(
@@ -290,48 +237,42 @@ def run_image_campaign(
                 cache=cache, engine=spec.engine,
             )
 
-    cache_before = cache.counters() if cache is not None else {}
     sweeps: dict[str, list[SiteSweep]] = {}
     failed_units: list[FailedUnit] = []
-    try:
-        with obs.trace(f"campaign.image[{image.digest}]", source=image.source,
-                       models=list(models), sites=len(sites),
-                       zero_is_invalid=zero_is_invalid):
-            for model in models:
-                specs = [
-                    _SiteSpec(image.base, image.data, image.entry, site, model,
-                              zero_is_invalid, ks, cache_root, engine)
-                    for site in sites
-                ]
-                model_sweeps, failed = execution.run(
-                    _site_unit,
-                    specs,
-                    prefix=f"image-{image.digest}",
-                    meta={
-                        "campaign": "image",
-                        "digest": image.digest,
-                        "model": model,
-                        "zero_is_invalid": zero_is_invalid,
-                        "k_values": list(ks) if ks is not None else None,
-                        "sites": sorted(by_id),
-                    },
-                    key_of=lambda spec: spec.site.site_id,
-                    encode=_encode_site_sweep,
-                    decode=_decode_site_sweep,
-                    serial_fn=serial,
-                    attempts_of=lambda sweep: sum(sweep.totals.values()),
-                    categories_of=lambda sweep: dict(sweep.totals),
-                    obs=obs,
-                )
-                merged = [sweep for sweep in model_sweeps if sweep is not None]
-                obs.count("sites.campaigned", len(merged))
-                sweeps[model] = merged
-                failed_units.extend(failed)
-    finally:
-        # SIGINT / worker crash must not discard dirty shards
-        if cache is not None:
-            cache.flush()
-            count_cache_traffic(obs, cache, cache_before)
+    with cache_session(cache, obs), obs.trace(
+        f"campaign.image[{image.digest}]", source=image.source,
+        models=list(models), sites=len(sites), zero_is_invalid=zero_is_invalid,
+    ):
+        for model in models:
+            specs = [
+                _SiteSpec(image.base, image.data, image.entry, site, model,
+                          zero_is_invalid, ks, cache_root, engine)
+                for site in sites
+            ]
+            model_sweeps, failed = execution.run(
+                _site_unit,
+                specs,
+                prefix=f"image-{image.digest}",
+                meta={
+                    "campaign": "image",
+                    "digest": image.digest,
+                    "model": model,
+                    "zero_is_invalid": zero_is_invalid,
+                    "k_values": list(ks) if ks is not None else None,
+                    "sites": sorted(by_id),
+                },
+                key_of=lambda spec: spec.site.site_id,
+                encode=SiteSweep.to_payload,
+                decode=SiteSweep.from_payload,
+                serial_fn=serial,
+                attempts_of=lambda sweep: sum(sweep.totals.values()),
+                categories_of=lambda sweep: dict(sweep.totals),
+                obs=obs,
+            )
+            merged = [sweep for sweep in model_sweeps if sweep is not None]
+            obs.count("sites.campaigned", len(merged))
+            sweeps[model] = merged
+            failed_units.extend(failed)
     return ImageCampaignResult(
         source=image.source,
         digest=image.digest,

@@ -25,7 +25,11 @@ import argparse
 import sys
 from dataclasses import fields
 
+from repro.errors import AssemblerError, CompileError, ImageError, LayoutError
 from repro.resistor import ResistorConfig
+
+#: what a bad input file or path raises; ``main`` reports these as errors
+_INPUT_ERRORS = (OSError, AssemblerError, CompileError, LayoutError, ImageError)
 
 
 def _config_from_args(args) -> ResistorConfig:
@@ -68,14 +72,9 @@ def _load_cli_image(args):
 
 def cmd_discover(args) -> int:
     from repro.campaign import discover_sites
-    from repro.errors import ImageError
 
-    try:
-        image = _load_cli_image(args)
-        sites = discover_sites(image, strategy=args.strategy)
-    except ImageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    image = _load_cli_image(args)
+    sites = discover_sites(image, strategy=args.strategy)
     print(f"; {args.image}: {len(image.data)} bytes at {image.base:#010x}, "
           f"entry {image.entry:#010x}")
     print(f"; {len(sites)} conditional branch site(s) ({args.strategy} discovery)")
@@ -86,7 +85,6 @@ def cmd_discover(args) -> int:
 
 def cmd_campaign(args) -> int:
     from repro.campaign import DEFAULT_MODELS, run_image_campaign
-    from repro.errors import ImageError
 
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     unknown = [m for m in models if m not in DEFAULT_MODELS]
@@ -94,11 +92,7 @@ def cmd_campaign(args) -> int:
         print(f"error: --models must be a comma-separated subset of "
               f"{','.join(DEFAULT_MODELS)}", file=sys.stderr)
         return 1
-    try:
-        image = _load_cli_image(args)
-    except ImageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    image = _load_cli_image(args)
     obs = _observer_from_args(args, "campaign-image")
     try:
         result = run_image_campaign(
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--sensitive", nargs="*", metavar="GLOBAL")
     p_attack.add_argument("--attack", choices=["single", "long", "windowed"],
                           default="single")
-    p_attack.add_argument("--stride", type=int, default=4)
+    p_attack.add_argument("--stride", type=_validated(int, _check_stride), default=4)
     _add_fault_model_flags(p_attack)
     _add_execution_flags(p_attack, "worker processes for the scan (0 = all cores)")
     p_attack.set_defaults(func=cmd_attack)
@@ -371,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fig2", "table1", "table2", "table3", "table4", "table5",
         "table6", "table7", "search",
     ])
-    p_exp.add_argument("--stride", type=int, default=4)
+    p_exp.add_argument("--stride", type=_validated(int, _check_stride), default=4)
     _add_fault_model_flags(p_exp)
     p_exp.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent outcome-cache directory for fig2 "
@@ -419,7 +413,8 @@ def _add_fault_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_execution_flags(parser: argparse.ArgumentParser, workers_help: str) -> None:
     """Parallelism, progress, checkpoint/retry, and tracing flags."""
-    parser.add_argument("--workers", type=int, default=1, help=workers_help)
+    parser.add_argument("--workers", type=_exec_flag("workers", int), default=1,
+                        help=workers_help)
     parser.add_argument("--progress", action="store_true",
                         help="show attempts/sec, tallies, and ETA on stderr")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
@@ -428,10 +423,11 @@ def _add_execution_flags(parser: argparse.ArgumentParser, workers_help: str) -> 
     parser.add_argument("--resume", action="store_true",
                         help="resume from an existing checkpoint, replaying "
                              "completed work units instead of re-running them")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=_exec_flag("retries", int), default=0,
                         help="extra attempts for a failing work unit before it "
                              "is quarantined into the failed-units report")
-    parser.add_argument("--unit-timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--unit-timeout", type=_exec_flag("unit_timeout", float),
+                        default=None, metavar="SEC",
                         help="wall-clock bound per work unit on the "
                              "multiprocessing path (hung workers are rebuilt)")
     parser.add_argument("--trace", action="store_true",
@@ -443,9 +439,43 @@ def _add_execution_flags(parser: argparse.ArgumentParser, workers_help: str) -> 
                              "<cache root>/runs/<label>-<timestamp>.jsonl)")
 
 
+def _validated(parse, check):
+    """An argparse ``type`` that parses the text, then runs ``check`` on the
+    value; a ``ValueError`` from either is a usage error."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
+
+
+def _exec_flag(name: str, parse):
+    """The ``type`` of an ``ExecOptions`` field's flag: the options object
+    itself rejects an out-of-range value."""
+    def check(value) -> None:
+        from repro.exec import ExecOptions
+
+        ExecOptions(**{name: value})
+
+    return _validated(parse, check)
+
+
+def _check_stride(stride: int) -> None:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ from repro.compiler.lexer import tokenize, Token
 from repro.compiler.parser import parse
 from repro.compiler.sema import analyze
 from repro.compiler.lowering import lower
-from repro.compiler.interp import Interpreter
 from repro.compiler.driver import CompiledProgram, compile_source
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "parse",
     "analyze",
     "lower",
-    "Interpreter",
     "CompiledProgram",
     "compile_source",
 ]

@@ -9,10 +9,58 @@ paper requires) survives folding untouched.
 from __future__ import annotations
 
 from repro.compiler import ir
-from repro.compiler.ir_interp import _BIN, _CMP
 from repro.compiler.passes.pass_manager import IRPass
 
 WORD_MASK = 0xFFFFFFFF
+
+
+def _signed(value: int) -> int:
+    value &= WORD_MASK
+    return value - (1 << 32) if value & (1 << 31) else value
+
+
+def _c_div(a: int, b: int) -> int:
+    if b == 0:
+        raise ZeroDivisionError("division by zero")
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+#: IR binary operators on 32-bit operands (the caller masks the result);
+#: shared with the reference IR interpreter in the test suite
+_BIN = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << (b & 31),
+    "lshr": lambda a, b: a >> (b & 31),
+    "ashr": lambda a, b: _signed(a) >> (b & 31),
+    "udiv": lambda a, b: a // b if b else _raise_div(),
+    "urem": lambda a, b: a % b if b else _raise_div(),
+    "sdiv": lambda a, b: _c_div(_signed(a), _signed(b)),
+    "srem": lambda a, b: _signed(a) - _c_div(_signed(a), _signed(b)) * _signed(b),
+}
+
+#: IR comparisons on 32-bit operands
+_CMP = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "ult": lambda a, b: a < b,
+    "ule": lambda a, b: a <= b,
+    "ugt": lambda a, b: a > b,
+    "uge": lambda a, b: a >= b,
+    "slt": lambda a, b: _signed(a) < _signed(b),
+    "sle": lambda a, b: _signed(a) <= _signed(b),
+    "sgt": lambda a, b: _signed(a) > _signed(b),
+    "sge": lambda a, b: _signed(a) >= _signed(b),
+}
+
+
+def _raise_div():
+    raise ZeroDivisionError("division by zero")
 
 
 class ConstantFoldPass(IRPass):

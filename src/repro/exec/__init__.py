@@ -11,10 +11,10 @@ those loops out of single-core Python *and* makes them survivable:
   ``multiprocessing`` and merges results deterministically (``workers=1``
   is a pure in-process path, so serial and parallel runs stay
   bit-identical). Failing units retry with exponential backoff, hung
-  workers are bounded by ``unit_timeout``, and poisoned specs quarantine
-  into ``failed_units`` instead of killing the campaign;
-- :class:`OutcomeCache` persists harness outcomes on disk keyed by the
-  replay world's content digest and stamped with the code's semantics
+  workers are bounded by ``unit_timeout``, and poisoned specs always
+  quarantine into ``failed_units`` instead of killing the campaign;
+- :class:`OutcomeCache` persists harness outcomes on disk, one shard per
+  replay world's content digest stamped with the code's semantics
   fingerprint, so branches and panels that share a world — and re-runs
   of unchanged code — skip emulation entirely;
 - :class:`CampaignCheckpoint` records completed work units as JSONL so an

@@ -36,9 +36,10 @@ import hashlib
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -105,7 +106,12 @@ def semantics_fingerprint() -> str:
 
 
 class OutcomeCache:
-    """Disk-backed ``(world digest, word) -> category`` store."""
+    """Disk-backed ``(world digest, word) -> category`` store.
+
+    Accessed a shard at a time: :meth:`get_shard_codes` to look words up,
+    :meth:`put_shard_codes` to merge fresh outcomes, :meth:`account` to
+    report the lookups' hit/miss totals.
+    """
 
     def __init__(self, root: Union[str, os.PathLike, None] = None):
         self.root = Path(root) if root is not None else default_cache_root()
@@ -124,23 +130,6 @@ class OutcomeCache:
         #: shards found on disk but written under another fingerprint
         self.semantic_misses = 0
 
-    # ------------------------------------------------------------------
-
-    def get(self, key: str, word: int) -> Optional[str]:
-        code = int(self._shard(key)[word & 0xFFFF])
-        if code == 0:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return CATEGORIES[code - 1]
-
-    def put(self, key: str, word: int, category: str) -> None:
-        code = CATEGORY_CODES.get(category)
-        if code is None:
-            raise ValueError(f"unknown outcome category {category!r}")
-        self._shard(key)[word & 0xFFFF] = code
-        self._dirty.add(key)
-
     def get_shard_codes(self, key: str) -> np.ndarray:
         """The shard's dense ``uint8`` code array, as a read-only view.
 
@@ -157,9 +146,8 @@ class OutcomeCache:
         """Merge parallel ``words``/``codes`` arrays in one scatter.
 
         ``codes`` must hold valid nonzero category codes
-        (``CATEGORY_CODES`` values) — this is the trusted fast path for
-        harness batches whose codes came out of a classifier. Words are
-        masked to 16 bits, as in :meth:`put`.
+        (``CATEGORY_CODES`` values) — the codes a harness's classifier
+        produced. Words are masked to 16 bits.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.size == 0:
@@ -168,7 +156,7 @@ class OutcomeCache:
         self._dirty.add(key)
 
     def account(self, hits: int = 0, misses: int = 0, memo_hits: int = 0) -> None:
-        """Record bulk totals for lookups done outside :meth:`get`.
+        """Record lookup totals: the shard itself never counts them.
 
         ``hits``/``misses`` cover shard lookups done via
         :meth:`get_shard_codes`; ``memo_hits`` covers words a harness
@@ -211,10 +199,6 @@ class OutcomeCache:
             except OSError:
                 pass
             raise
-
-    def __len__(self) -> int:
-        """Entries across the shards loaded so far (not the whole disk store)."""
-        return sum(int(np.count_nonzero(shard)) for shard in self._shards.values())
 
     def __enter__(self) -> "OutcomeCache":
         return self
@@ -264,13 +248,6 @@ class OutcomeCache:
         return np.ascontiguousarray(codes)
 
 
-def count_cache_traffic(obs, cache: OutcomeCache, before: Mapping[str, int]) -> None:
-    """Add ``cache``'s counter growth since ``before`` (an earlier
-    :meth:`OutcomeCache.counters`) to the observer ``obs``."""
-    for name, value in cache.counters().items():
-        obs.count(name, value - before.get(name, 0))
-
-
 def coerce_cache(
     cache: Union["OutcomeCache", str, os.PathLike, None]
 ) -> Optional[OutcomeCache]:
@@ -280,14 +257,37 @@ def coerce_cache(
     return OutcomeCache(cache)
 
 
+@contextmanager
+def cache_session(
+    cache: Union[OutcomeCache, str, os.PathLike, None], obs
+) -> Iterator[Optional[OutcomeCache]]:
+    """Open ``cache`` (see :func:`coerce_cache`) for one campaign or unit.
+
+    On exit, even by an exception or an interrupt, every dirty shard is
+    flushed, so outcomes already computed survive, and the handle's
+    counter growth within the block is added to the observer ``obs``.
+    """
+    cache = coerce_cache(cache)
+    if cache is None:
+        yield None
+        return
+    before = cache.counters()
+    try:
+        yield cache
+    finally:
+        cache.flush()
+        for name, value in cache.counters().items():
+            obs.count(name, value - before[name])
+
+
 __all__ = [
     "CATEGORIES",
     "CATEGORY_CODES",
     "CODE_CATEGORIES",
     "OutcomeCache",
     "WORD_SPACE",
+    "cache_session",
     "coerce_cache",
-    "count_cache_traffic",
     "default_cache_root",
     "semantics_fingerprint",
     "source_fingerprint",

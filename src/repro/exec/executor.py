@@ -6,19 +6,22 @@ finished first, so merging tallies is deterministic by construction.
 ``workers=1`` never touches ``multiprocessing`` — it runs the same unit
 function (or a caller-supplied in-process equivalent) in a plain loop,
 which keeps serial and parallel campaigns bit-identical and keeps tests
-on the fast path.
+on the fast path. With more workers, every pending unit is one
+``apply_async`` dispatch on a fork (spawn on macOS or where fork is
+missing) pool.
 
 Fault tolerance: ``map`` always finalizes its progress reporter and
-tears the pool down (a raising worker no longer leaks either), and can
-additionally
+tears the pool down, and
 
-- retry a failing unit with exponential backoff (``retries``/``backoff``),
-- bound a unit's wall-clock time on the multiprocessing path
+- retries a failing unit with exponential backoff (``retries``; retry
+  ``n`` waits ``BACKOFF_S * 2**(n-1)`` seconds),
+- bounds a unit's wall-clock time on the multiprocessing path
   (``unit_timeout`` — a hung or crashed worker is detected, the pool is
   rebuilt, and the unit is charged a failed attempt),
-- quarantine a unit that exhausts its attempts into ``failed_units``
-  instead of aborting the whole campaign (``on_error="quarantine"``), and
-- skip/record units against a :class:`~repro.exec.checkpoint.CampaignCheckpoint`
+- quarantines a unit that exhausts its attempts into ``failed_units``
+  instead of aborting the whole campaign (only ``KeyboardInterrupt`` and
+  ``SystemExit`` propagate), and
+- skips/records units against a :class:`~repro.exec.checkpoint.CampaignCheckpoint`
   so an interrupted campaign resumes from the last completed unit.
 
 Campaign drivers take one frozen :class:`ExecOptions` and run their units
@@ -31,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -45,6 +49,9 @@ R = TypeVar("R")
 
 #: placeholder for a spec whose unit never produced a result (quarantined)
 _UNSET = object()
+
+#: seconds before a unit's first retry; each further retry doubles it
+BACKOFF_S = 0.05
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -73,69 +80,41 @@ class ParallelExecutor:
     """Maps a worker function over specs, optionally across processes.
 
     - ``workers`` — process count; 1 (default) runs in-process, 0 means
-      one per CPU core. The fast path hands each worker
-      ``max(1, pending_specs // (workers * 4))`` specs per dispatch —
-      about four chunks per worker, balancing IPC amortisation against
-      tail latency when unit costs are uneven.
+      one per CPU core. Each pending unit is one ``apply_async`` dispatch.
     - ``progress`` — a :class:`ProgressReporter` fed one ``advance`` per
       completed unit.
-    - ``retries`` — extra attempts granted to a failing unit (0 = none).
+    - ``retries`` — extra attempts granted to a failing unit (0 = none);
+      retry ``n`` sleeps ``BACKOFF_S * 2**(n-1)`` seconds first.
     - ``unit_timeout`` — seconds a unit may run on the multiprocessing
       path before it counts as a failed attempt (None = unbounded; the
       in-process path cannot preempt a running unit and ignores it).
-    - ``backoff`` — base delay before retry ``n`` sleeps
-      ``backoff * 2**(n-1)`` seconds.
-    - ``on_error`` — ``"raise"`` propagates a unit's final failure
-      (after retries); ``"quarantine"`` records it in ``failed_units``
-      and keeps going.
     - ``obs`` — a :class:`repro.obs.Observer`; counts units, attempts,
       per-category outcomes, retries/timeouts/quarantines and emits one
       ``unit`` event per completion. On the multiprocessing path each
       unit runs under a worker-local observer whose counters/events ride
       back inside the result and are merged in record order, so metrics
       are identical for any worker count.
+
+    A unit that exhausts its attempts is quarantined into
+    ``failed_units``; only ``KeyboardInterrupt``/``SystemExit`` abort a map.
     """
 
     def __init__(
         self,
         workers: Optional[int] = 1,
         progress: Optional[ProgressReporter] = None,
-        start_method: Optional[str] = None,
         retries: int = 0,
         unit_timeout: Optional[float] = None,
-        backoff: float = 0.05,
-        on_error: str = "raise",
         obs: Optional[Observer] = None,
     ):
         self.workers = resolve_workers(workers)
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if unit_timeout is not None and unit_timeout <= 0:
-            raise ValueError(f"unit_timeout must be > 0, got {unit_timeout}")
-        if on_error not in ("raise", "quarantine"):
-            raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
         self.progress = progress
-        self._start_method = start_method
         self.retries = retries
         self.unit_timeout = unit_timeout
-        self.backoff = backoff
-        self.on_error = on_error
         self.obs = coerce_observer(obs)
         self.failed_units: list[FailedUnit] = []
 
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
-    def resolve_chunk_size(self, pending: int) -> int:
-        """The imap chunksize used for ``pending`` dispatchable specs:
-        roughly four chunks per worker, so stragglers cost at most ~a
-        quarter of a worker's share."""
-        return max(1, pending // (self.workers * 4))
-
     def _preferred_start_method(self) -> Optional[str]:
-        if self._start_method is not None:
-            return self._start_method
         methods = multiprocessing.get_all_start_methods()
         # fork shares the already-imported interpreter state (the cheap
         # path), but is unavailable on some platforms and unsafe under
@@ -145,23 +124,18 @@ class ParallelExecutor:
             return "fork"
         return None
 
-    def _context(self):
-        method = self._preferred_start_method()
-        if method is not None:
-            return multiprocessing.get_context(method)
-        return multiprocessing.get_context()
-
     def map(
         self,
         fn: Callable[[S], R],
         specs: Iterable[S],
+        *,
+        key_of: Callable[[S], str],
+        encode: Callable[[R], Any],
+        decode: Callable[[Any], R],
+        checkpoint: Optional[CampaignCheckpoint] = None,
         serial_fn: Optional[Callable[[S], R]] = None,
         attempts_of: Optional[Callable[[R], int]] = None,
         categories_of: Optional[Callable[[R], dict]] = None,
-        checkpoint: Optional[CampaignCheckpoint] = None,
-        key_of: Optional[Callable[[S], str]] = None,
-        encode: Optional[Callable[[R], Any]] = None,
-        decode: Optional[Callable[[Any], R]] = None,
     ) -> list[Optional[R]]:
         """Run ``fn`` over every spec, returning results in spec order.
 
@@ -172,19 +146,17 @@ class ParallelExecutor:
         identical. ``attempts_of`` / ``categories_of`` extract progress
         metrics from each unit result.
 
-        ``checkpoint`` + ``key_of`` make the map resumable: specs whose
-        key is already recorded are decoded (``decode``) instead of run,
-        and every fresh completion is encoded (``encode``) and persisted
+        ``key_of`` names each unit (in events and checkpoint records).
+        With a ``checkpoint`` the map is resumable: specs whose key is
+        already recorded are decoded (``decode``) instead of run, and
+        every fresh completion is encoded (``encode``) and persisted
         before progress advances — so an interruption at any point loses
-        at most the in-flight units. Quarantined specs (``on_error=
-        "quarantine"``) yield ``None`` placeholders and are reported in
-        ``self.failed_units``; with the default ``on_error="raise"`` the
-        final failure propagates after the pool and reporter are torn
-        down cleanly.
+        at most the in-flight units. Quarantined specs yield ``None``
+        placeholders and are reported in ``self.failed_units``; an
+        interrupt propagates after the pool, reporter and checkpoint are
+        finalized.
         """
         specs = list(specs)
-        if checkpoint is not None and key_of is None:
-            raise ValueError("checkpoint requires key_of to derive stable unit keys")
         progress = self.progress
         obs = self.obs
         if progress is not None:
@@ -202,8 +174,7 @@ class ParallelExecutor:
                 result = result.result
             results[index] = result
             if checkpoint is not None and not replayed:
-                payload = encode(result) if encode is not None else result
-                checkpoint.record(key_of(specs[index]), payload)
+                checkpoint.record(key_of(specs[index]), encode(result))
                 obs.count("checkpoint.recorded")
             attempts = attempts_of(result) if attempts_of else 0
             categories = categories_of(result) if categories_of else None
@@ -216,31 +187,27 @@ class ParallelExecutor:
                 for category, n in categories.items():
                     obs.count(f"outcome.{category}", n)
             if obs.enabled:
-                event = {
-                    "key": key_of(specs[index]) if key_of is not None else index,
-                    "attempts": attempts,
-                    "replayed": replayed,
-                }
+                event = {"key": key_of(specs[index]), "attempts": attempts,
+                         "replayed": replayed}
                 if wall is not None:
                     event["wall"] = round(wall, 6)
                 obs.event("unit", **event)
             if progress is not None:
                 progress.advance(units=1, attempts=attempts, categories=categories)
 
-        def fail(index: int, error: BaseException, attempts: int) -> None:
-            if self.on_error == "raise":
-                raise error
+        def failed(index: int, error: BaseException, attempts: int) -> bool:
+            """Charge a failed attempt: True to retry, False once quarantined."""
+            if attempts <= self.retries:
+                obs.count("exec.retries")
+                return True
             obs.count("exec.quarantined")
             if obs.enabled:
-                obs.event(
-                    "unit_failed",
-                    key=key_of(specs[index]) if key_of is not None else index,
-                    attempts=attempts,
-                    error=repr(error),
-                )
+                obs.event("unit_failed", key=key_of(specs[index]),
+                          attempts=attempts, error=repr(error))
             self.failed_units.append(
                 FailedUnit(spec=specs[index], error=repr(error), attempts=attempts)
             )
+            return False
 
         with obs.trace("exec.map", units=len(specs), workers=self.workers):
             try:
@@ -248,19 +215,18 @@ class ParallelExecutor:
                 for index, spec in enumerate(specs):
                     payload = checkpoint.get(key_of(spec)) if checkpoint is not None else MISSING
                     if payload is not MISSING:
-                        record(index, decode(payload) if decode is not None else payload,
-                               replayed=True)
+                        record(index, decode(payload), replayed=True)
                     else:
                         pending.append(index)
                 if pending:
-                    if not self.parallel or len(pending) <= 1:
+                    if self.workers == 1 or len(pending) == 1:
                         run = serial_fn if serial_fn is not None else fn
-                        self._run_serial(run, specs, pending, record, fail)
+                        self._run_serial(run, specs, pending, record, failed)
                     else:
-                        self._run_parallel(fn, specs, pending, record, fail)
+                        self._run_parallel(fn, specs, pending, record, failed)
             finally:
-                # a raising worker (or SIGINT) must still finalize the
-                # reporter and persist every completed unit
+                # an interrupt must still finalize the reporter and
+                # persist every completed unit
                 if progress is not None:
                     progress.finish()
                 if checkpoint is not None:
@@ -269,11 +235,7 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
 
-    def _backoff_sleep(self, attempt: int) -> None:
-        if self.backoff > 0:
-            time.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    def _run_serial(self, run, specs, pending, record, fail) -> None:
+    def _run_serial(self, run, specs, pending, record, failed) -> None:
         obs = self.obs
         for index in pending:
             attempts = 0
@@ -283,34 +245,22 @@ class ParallelExecutor:
                     result = run(specs[index])
                 except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
                     attempts += 1
-                    if attempts > self.retries:
-                        fail(index, exc, attempts)
+                    if not failed(index, exc, attempts):
                         break
-                    obs.count("exec.retries")
-                    self._backoff_sleep(attempts)
+                    _backoff_sleep(attempts)
                 else:
                     wall = time.perf_counter() - wall0 if obs.enabled else None
                     record(index, result, wall=wall)
                     break
 
-    def _run_parallel(self, fn, specs, pending, record, fail) -> None:
+    def _run_parallel(self, fn, specs, pending, record, failed) -> None:
         obs = self.obs
         if obs.enabled:
             # wrap each unit in a worker-local observer; record() unwraps
             # the returned WorkerTelemetry envelope
             fn = partial(observed_call, fn)
-        context = self._context()
+        context = multiprocessing.get_context(self._preferred_start_method())
         size = min(self.workers, len(pending))
-        if self.retries == 0 and self.unit_timeout is None and self.on_error == "raise":
-            # fast path: chunked imap, no per-unit bookkeeping
-            with context.Pool(size) as pool:
-                ordered = [specs[index] for index in pending]
-                for index, result in zip(
-                    pending,
-                    pool.imap(fn, ordered, chunksize=self.resolve_chunk_size(len(ordered))),
-                ):
-                    record(index, result)
-            return
         attempts = {index: 0 for index in pending}
         pool = context.Pool(size)
         try:
@@ -326,28 +276,16 @@ class ParallelExecutor:
                         continue
                     try:
                         value = handle.get(self.unit_timeout)
-                    except multiprocessing.TimeoutError:
-                        attempts[index] += 1
-                        obs.count("exec.timeouts")
-                        rebuild = True  # the worker may be hung — rebuild the pool
-                        if attempts[index] > self.retries:
-                            fail(
-                                index,
-                                TimeoutError(
-                                    f"work unit exceeded unit_timeout="
-                                    f"{self.unit_timeout}s ({attempts[index]} attempts)"
-                                ),
-                                attempts[index],
-                            )
-                        else:
-                            obs.count("exec.retries")
-                            retry.append(index)
                     except Exception as exc:
                         attempts[index] += 1
-                        if attempts[index] > self.retries:
-                            fail(index, exc, attempts[index])
-                        else:
-                            obs.count("exec.retries")
+                        if isinstance(exc, multiprocessing.TimeoutError):
+                            obs.count("exec.timeouts")
+                            rebuild = True  # the worker may be hung — rebuild the pool
+                            exc = TimeoutError(
+                                f"work unit exceeded unit_timeout="
+                                f"{self.unit_timeout}s ({attempts[index]} attempts)"
+                            )
+                        if failed(index, exc, attempts[index]):
                             retry.append(index)
                     else:
                         record(index, value)
@@ -356,11 +294,15 @@ class ParallelExecutor:
                     pool.join()
                     pool = context.Pool(size)
                 if retry:
-                    self._backoff_sleep(max(attempts[index] for index in retry))
+                    _backoff_sleep(max(attempts[index] for index in retry))
                 pending = retry
         finally:
             pool.terminate()
             pool.join()
+
+
+def _backoff_sleep(attempt: int) -> None:
+    time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
 
 
 @dataclass(frozen=True)
@@ -375,6 +317,10 @@ class ExecOptions:
     - ``retries``/``unit_timeout`` — retry a failing unit, bound a unit's
       wall-clock seconds on the multiprocessing path; a unit that exhausts
       its attempts is quarantined, never fatal.
+
+    Invalid values (``workers < 0``, ``retries < 0``, a ``unit_timeout``
+    not in ``(0, threading.TIMEOUT_MAX]``) raise ``ValueError`` at
+    construction, before any campaign work.
     """
 
     workers: Optional[int] = 1
@@ -383,6 +329,16 @@ class ExecOptions:
     resume: bool = False
     retries: int = 0
     unit_timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        resolve_workers(self.workers)  # rejects a negative count
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        # a wait longer than TIMEOUT_MAX raises OverflowError in the pool,
+        # which would quarantine every unit
+        if self.unit_timeout is not None and not 0 < self.unit_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"unit_timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f} s, "
+                             f"got {self.unit_timeout}")
 
     def run(
         self,
@@ -409,7 +365,7 @@ class ExecOptions:
         """
         executor = ParallelExecutor(
             workers=self.workers, progress=self.progress, retries=self.retries,
-            unit_timeout=self.unit_timeout, on_error="quarantine", obs=obs,
+            unit_timeout=self.unit_timeout, obs=obs,
         )
         checkpoint = None
         if self.checkpoint_dir is not None or self.resume:
@@ -418,9 +374,9 @@ class ExecOptions:
             )
         try:
             results = executor.map(
-                fn, specs, serial_fn=serial_fn, attempts_of=attempts_of,
-                categories_of=categories_of, checkpoint=checkpoint,
-                key_of=key_of, encode=encode, decode=decode,
+                fn, specs, key_of=key_of, encode=encode, decode=decode,
+                checkpoint=checkpoint, serial_fn=serial_fn,
+                attempts_of=attempts_of, categories_of=categories_of,
             )
         finally:
             if checkpoint is not None:

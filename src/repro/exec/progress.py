@@ -82,9 +82,7 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
 
-    def start(self, units_total: int, label: Optional[str] = None) -> None:
-        if label is not None:
-            self.label = label
+    def start(self, units_total: int) -> None:
         self.units_total = units_total
         self.units_done = 0
         self.attempts = 0
@@ -100,8 +98,6 @@ class ProgressReporter:
         attempts: int = 0,
         categories: Optional[Mapping[str, int]] = None,
     ) -> None:
-        if self._started_at is None:
-            self.start(0)
         self.units_done += units
         self.attempts += attempts
         if categories:
@@ -119,10 +115,6 @@ class ProgressReporter:
         if self._started_at is None:
             return 0.0
         return self._clock() - self._started_at
-
-    @property
-    def rate(self) -> float:
-        return self.snapshot().rate
 
     def snapshot(self) -> ProgressSnapshot:
         return ProgressSnapshot(

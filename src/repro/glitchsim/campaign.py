@@ -25,11 +25,11 @@ the sweeps are re-emitted in condition order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
-from repro.exec.cache import CODE_CATEGORIES, count_cache_traffic
+from repro.exec.cache import CODE_CATEGORIES, cache_session
 from repro.glitchsim.harness import ENGINES, OUTCOME_CATEGORIES, SnippetHarness, WordHarness
 from repro.glitchsim.maskalgebra import MODELS, reachable_words, tally_from_word_codes
 from repro.glitchsim.snippets import BranchSnippet, all_branch_snippets
@@ -38,16 +38,12 @@ from repro.obs import Observer, activate, coerce_observer, current
 INSTRUCTION_BITS = 16
 
 
-@dataclass
-class InstructionSweep:
-    """Aggregated outcomes for one instruction under one flip model."""
+class SweepTallies:
+    """Per-flip-count outcome tallies, shared by every sweep record.
 
-    mnemonic: str
-    model: str
-    target_word: int
-    zero_is_invalid: bool = False
-    #: per flip-count k: Counter of outcome categories
-    by_k: dict[int, Counter] = field(default_factory=dict)
+    Subclasses are dataclasses with a ``by_k`` field: per flip count
+    ``k``, a Counter of outcome categories.
+    """
 
     @property
     def totals(self) -> Counter:
@@ -71,6 +67,37 @@ class InstructionSweep:
         if attempts == 0:
             return {category: 0.0 for category in OUTCOME_CATEGORIES}
         return {category: totals.get(category, 0) / attempts for category in OUTCOME_CATEGORIES}
+
+    def to_payload(self) -> dict:
+        """JSON-able checkpoint payload: every field, ``by_k`` keyed by ``str(k)``."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["by_k"] = {str(k): dict(counter) for k, counter in self.by_k.items()}
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        by_k = {int(k): Counter(counts) for k, counts in payload["by_k"].items()}
+        return cls(**{**payload, "by_k": by_k})
+
+
+def _unit_totals(sweeps: list[SweepTallies]) -> Counter:
+    """Outcome totals over every sweep of one work unit."""
+    total: Counter = Counter()
+    for sweep in sweeps:
+        total.update(sweep.totals)
+    return total
+
+
+@dataclass
+class InstructionSweep(SweepTallies):
+    """Aggregated outcomes for one instruction under one flip model."""
+
+    mnemonic: str
+    model: str
+    target_word: int
+    zero_is_invalid: bool = False
+    #: per flip-count k: Counter of outcome categories
+    by_k: dict[int, Counter] = field(default_factory=dict)
 
 
 @dataclass
@@ -202,57 +229,14 @@ def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
     from repro.glitchsim.snippets import branch_snippet
 
     snippets = [branch_snippet(mnemonic[1:]) for mnemonic in spec.mnemonics]
-    cache = OutcomeCache(spec.cache_root) if spec.cache_root is not None else None
-    try:
+    # the unit's cache traffic goes to the ambient (worker-local) observer,
+    # and the envelope carries it back
+    with cache_session(spec.cache_root, current()) as cache:
         harness = SnippetHarness(
             snippets[0], zero_is_invalid=spec.zero_is_invalid,
             disk_cache=cache, engine=spec.engine,
         )
         return _sweep_world(spec, snippets, harness)
-    finally:
-        # per-word outcomes already computed survive even if the sweep raised;
-        # the unit's cache traffic (all of this fresh handle's) goes to the
-        # ambient (worker-local) observer, and the envelope carries it back
-        if cache is not None:
-            cache.flush()
-            count_cache_traffic(current(), cache, {})
-
-
-def _world_totals(sweeps: list[InstructionSweep]) -> Counter:
-    total: Counter = Counter()
-    for sweep in sweeps:
-        total.update(sweep.totals)
-    return total
-
-
-def _encode_world(sweeps: list[InstructionSweep]) -> list[dict]:
-    """JSON-able checkpoint payload for one completed world unit."""
-    return [_encode_sweep(sweep) for sweep in sweeps]
-
-
-def _decode_world(payload: list[dict]) -> list[InstructionSweep]:
-    return [_decode_sweep(entry) for entry in payload]
-
-
-def _encode_sweep(sweep: InstructionSweep) -> dict:
-    """JSON-able checkpoint payload for one completed instruction sweep."""
-    return {
-        "mnemonic": sweep.mnemonic,
-        "model": sweep.model,
-        "target_word": sweep.target_word,
-        "zero_is_invalid": sweep.zero_is_invalid,
-        "by_k": {str(k): dict(counter) for k, counter in sweep.by_k.items()},
-    }
-
-
-def _decode_sweep(payload: dict) -> InstructionSweep:
-    return InstructionSweep(
-        mnemonic=payload["mnemonic"],
-        model=payload["model"],
-        target_word=payload["target_word"],
-        zero_is_invalid=payload["zero_is_invalid"],
-        by_k={int(k): Counter(counts) for k, counts in payload["by_k"].items()},
-    )
 
 
 def run_branch_campaign(
@@ -333,38 +317,31 @@ def run_branch_campaign(
         with activate(obs):
             return _sweep_world(spec, members, shared)
 
-    # serial units reuse the shared cache handle, so their cache traffic
-    # lands on the handle's counters rather than the ambient worker
-    # observer — count the deltas here. (The parallel path never touches
-    # the shared handle; workers report via their envelopes.)
-    cache_before = cache.counters() if cache is not None else {}
-    try:
-        with obs.trace(f"campaign.branch[{model}]", model=model,
-                       zero_is_invalid=zero_is_invalid, units=len(specs)):
-            results, failed = execution.run(
-                _world_unit,
-                specs,
-                prefix=f"branch-{model}",
-                meta={
-                    "campaign": "branch",
-                    "model": model,
-                    "zero_is_invalid": zero_is_invalid,
-                    "k_values": list(ks) if ks is not None else None,
-                    "conditions": sorted(snippet.mnemonic for snippet in snippets),
-                },
-                key_of=lambda spec: "+".join(spec.mnemonics),
-                encode=_encode_world,
-                decode=_decode_world,
-                serial_fn=serial,
-                attempts_of=lambda sweeps: sum(_world_totals(sweeps).values()),
-                categories_of=lambda sweeps: dict(_world_totals(sweeps)),
-                obs=obs,
-            )
-    finally:
-        # SIGINT / worker crash must not discard dirty shards
-        if cache is not None:
-            cache.flush()
-            count_cache_traffic(obs, cache, cache_before)
+    # serial units reuse the shared cache handle, so the session counts
+    # their traffic here (workers report theirs via their envelopes)
+    with cache_session(cache, obs), obs.trace(
+        f"campaign.branch[{model}]", model=model,
+        zero_is_invalid=zero_is_invalid, units=len(specs),
+    ):
+        results, failed = execution.run(
+            _world_unit,
+            specs,
+            prefix=f"branch-{model}",
+            meta={
+                "campaign": "branch",
+                "model": model,
+                "zero_is_invalid": zero_is_invalid,
+                "k_values": list(ks) if ks is not None else None,
+                "conditions": sorted(snippet.mnemonic for snippet in snippets),
+            },
+            key_of=lambda spec: "+".join(spec.mnemonics),
+            encode=lambda sweeps: [sweep.to_payload() for sweep in sweeps],
+            decode=lambda payload: [InstructionSweep.from_payload(entry) for entry in payload],
+            serial_fn=serial,
+            attempts_of=lambda sweeps: sum(_unit_totals(sweeps).values()),
+            categories_of=lambda sweeps: dict(_unit_totals(sweeps)),
+            obs=obs,
+        )
     done = {sweep.mnemonic: sweep for sweeps in results if sweeps for sweep in sweeps}
     return CampaignResult(
         model=model,
@@ -375,6 +352,7 @@ def run_branch_campaign(
 
 
 __all__ = [
+    "SweepTallies",
     "InstructionSweep",
     "CampaignResult",
     "sweep_instruction",

@@ -151,15 +151,10 @@ _OUTCOME_NO_EFFECT = Outcome("no_effect")
 _OUTCOME_LIMIT = Outcome("failed", f"did not halt within {_STEP_LIMIT} steps")
 _OUTCOME_NO_MARKER = Outcome("failed", "halted without reaching either marker")
 
-# Detail-free interned outcomes for vector-engine lanes and disk hits.
-_OUTCOMES_BY_CATEGORY = {category: Outcome(category) for category in OUTCOME_CATEGORIES}
-
-# Shard-code -> interned Outcome (index 0, "not classified", maps to None),
-# so a whole code array converts to Outcome objects by plain indexing.
-_OUTCOMES_BY_CODE = (None,) + tuple(
-    _OUTCOMES_BY_CATEGORY[category]
-    for category, _ in sorted(CATEGORY_CODES.items(), key=lambda item: item[1])
-)
+# Detail-free interned outcomes for vector-engine lanes and disk hits, by
+# shard code (index 0, "not classified", maps to None; the cache's codes
+# follow OUTCOME_CATEGORIES), so a code array converts by plain indexing.
+_OUTCOMES_BY_CODE = (None,) + tuple(Outcome(category) for category in OUTCOME_CATEGORIES)
 
 
 class WordHarness:
@@ -256,7 +251,11 @@ class WordHarness:
         return self._digest
 
     def run(self, corrupted_word: int) -> Outcome:
-        """Classify the execution with ``corrupted_word`` in the target slot."""
+        """Classify the execution with ``corrupted_word`` in the target slot.
+
+        A miss in the memo and the disk shard runs the scalar snapshot
+        replay, so the outcome keeps its detail string.
+        """
         corrupted_word &= 0xFFFF
         code = int(self._codes[corrupted_word])
         if code:
@@ -265,15 +264,16 @@ class WordHarness:
             cached = self._cache.get(corrupted_word)
             return cached if cached is not None else _OUTCOMES_BY_CODE[code]
         if self.disk_cache is not None:
-            category = self.disk_cache.get(self.world_digest(), corrupted_word)
-            if category is not None:
-                self._codes[corrupted_word] = CATEGORY_CODES[category]
-                return _OUTCOMES_BY_CATEGORY[category]
+            code = int(self.disk_cache.get_shard_codes(self.world_digest())[corrupted_word])
+            self.disk_cache.account(hits=int(code != 0), misses=int(code == 0))
+            if code:
+                self._codes[corrupted_word] = code
+                return _OUTCOMES_BY_CODE[code]
         outcome = self._execute(corrupted_word)
         self._cache[corrupted_word] = outcome
-        self._codes[corrupted_word] = CATEGORY_CODES[outcome.category]
+        code = self._codes[corrupted_word] = CATEGORY_CODES[outcome.category]
         if self.disk_cache is not None:
-            self.disk_cache.put(self.world_digest(), corrupted_word, outcome.category)
+            self.disk_cache.put_shard_codes(self.world_digest(), [corrupted_word], [code])
         return outcome
 
     def run_many_codes(self, words) -> tuple[np.ndarray, np.ndarray]:

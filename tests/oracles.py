@@ -32,7 +32,10 @@ against them on the same inputs:
   ASCII diagram; the tests use it to check Table I's cycle attribution;
 - :func:`scalar_operand_columns` — the vector engine's operand table
   filled one word at a time through the scalar decoder, which
-  :func:`repro.emu.vector.operand_table` builds as NumPy mask passes.
+  :func:`repro.emu.vector.operand_table` builds as NumPy mask passes;
+- :class:`Interpreter` / :class:`IRInterpreter` — MiniC executed at the
+  AST and at the IR level, the semantics the compiler and the
+  GlitchResistor passes must preserve.
 """
 
 from __future__ import annotations
@@ -42,21 +45,28 @@ import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.bits import apply_flip, bits, halfwords_to_bytes, iter_masks, sign_extend
 from repro.campaign.harness import SiteHarness
 from repro.emu import CPU, Memory
+from repro.compiler import ast_nodes as ast
+from repro.compiler import ir
+from repro.compiler.parser import parse
+from repro.compiler.passes.constfold import _BIN, _CMP, WORD_MASK, _c_div, _signed
+from repro.compiler.sema import BUILTINS, Program, analyze
 from repro.emu import vector as V
 from repro.errors import (
     AlignmentFault,
     BadFetch,
     BadRead,
     BadWrite,
+    CompileError,
     EmulationFault,
     InvalidInstruction,
+    PassError,
 )
 from repro.glitchsim.campaign import INSTRUCTION_BITS
 from repro.glitchsim.harness import (
@@ -579,3 +589,433 @@ def scalar_operand_columns(zero_is_invalid: bool) -> dict:
         for name, value in row.items():
             columns[name][hw] = value
     return columns
+
+
+# ----------------------------------------------------------------------
+# MiniC reference interpreters
+# ----------------------------------------------------------------------
+#
+# The AST interpreter executes MiniC directly, with C-like 32-bit integer
+# semantics and MMIO routed to a host-provided device map; the IR
+# interpreter executes an IRModule. Lowering is checked against the first,
+# GlitchResistor's IR transformations against the second, and both
+# against compiled code running on the emulator.
+
+class HaltExecution(Exception):
+    """Raised by ``__halt()``."""
+
+
+class StepLimitExceeded(Exception):
+    """The interpreter's instruction budget ran out."""
+
+
+class _ReturnValue(Exception):
+    def __init__(self, value: int):
+        self.value = value
+
+
+class _BreakLoop(Exception):
+    pass
+
+
+class _ContinueLoop(Exception):
+    pass
+
+
+@dataclass
+class Interpreter:
+    """Interprets an analyzed MiniC program."""
+
+    program: Program
+    mmio_read: Optional[Callable[[int, int], int]] = None
+    mmio_write: Optional[Callable[[int, int, int], None]] = None
+    step_limit: int = 1_000_000
+    globals: dict[str, int] = field(default_factory=dict)
+    steps: int = 0
+    call_trace: list[str] = field(default_factory=list)
+    _fn_stack: list[str] = field(default_factory=list)
+    _local_unsigned: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for info in self.program.globals.values():
+            self.globals[info.name] = info.initial
+
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def from_source(cls, source: str, **kwargs) -> "Interpreter":
+        return cls(program=analyze(parse(source)), **kwargs)
+
+    def run(self, entry: str = "main", args: tuple[int, ...] = ()) -> Optional[int]:
+        """Call ``entry``; returns its value (None for void / on __halt)."""
+        try:
+            return self.call(entry, args)
+        except HaltExecution:
+            return None
+
+    def call(self, name: str, args: tuple[int, ...] = ()) -> Optional[int]:
+        function = self.program.unit.function(name)
+        if len(args) != len(function.params):
+            raise CompileError(f"{name!r} expects {len(function.params)} args")
+        self.call_trace.append(name)
+        self._fn_stack.append(name)
+        scope = {param.name: value & WORD_MASK for param, value in zip(function.params, args)}
+        for param in function.params:
+            self._local_unsigned[(name, param.name)] = not param.ctype.signed
+        try:
+            self._exec_block(function.body, [scope])
+        except _ReturnValue as ret:
+            return None if function.return_type.is_void else ret.value & WORD_MASK
+        finally:
+            self._fn_stack.pop()
+        return None if function.return_type.is_void else 0
+
+    # ------------------------------------------------------------------
+
+    def _tick(self, line: int) -> None:
+        self.steps += 1
+        if self.steps > self.step_limit:
+            raise StepLimitExceeded(f"exceeded {self.step_limit} steps near line {line}")
+
+    def _exec_block(self, block: ast.Block, scopes: list[dict[str, int]]) -> None:
+        scopes.append({})
+        try:
+            for statement in block.statements:
+                self._exec_stmt(statement, scopes)
+        finally:
+            scopes.pop()
+
+    def _exec_stmt(self, stmt: ast.Stmt, scopes: list[dict[str, int]]) -> None:
+        self._tick(stmt.line)
+        if isinstance(stmt, ast.Block):
+            self._exec_block(stmt, scopes)
+        elif isinstance(stmt, ast.Declaration):
+            value = self._eval(stmt.init, scopes) if stmt.init is not None else 0
+            scopes[-1][stmt.name] = value & WORD_MASK
+            if self._fn_stack:
+                self._local_unsigned[(self._fn_stack[-1], stmt.name)] = not stmt.ctype.signed
+        elif isinstance(stmt, ast.ExprStmt):
+            self._eval(stmt.expr, scopes)
+        elif isinstance(stmt, ast.If):
+            if self._eval(stmt.cond, scopes):
+                self._exec_stmt(stmt.then, scopes)
+            elif stmt.other is not None:
+                self._exec_stmt(stmt.other, scopes)
+        elif isinstance(stmt, ast.While):
+            while self._eval(stmt.cond, scopes):
+                self._tick(stmt.line)
+                try:
+                    self._exec_stmt(stmt.body, scopes)
+                except _BreakLoop:
+                    break
+                except _ContinueLoop:
+                    continue
+        elif isinstance(stmt, ast.For):
+            scopes.append({})
+            try:
+                if stmt.init is not None:
+                    self._exec_stmt(stmt.init, scopes)
+                while stmt.cond is None or self._eval(stmt.cond, scopes):
+                    self._tick(stmt.line)
+                    try:
+                        self._exec_stmt(stmt.body, scopes)
+                    except _BreakLoop:
+                        break
+                    except _ContinueLoop:
+                        pass
+                    if stmt.step is not None:
+                        self._eval(stmt.step, scopes)
+            finally:
+                scopes.pop()
+        elif isinstance(stmt, ast.Return):
+            value = self._eval(stmt.value, scopes) if stmt.value is not None else 0
+            raise _ReturnValue(value)
+        elif isinstance(stmt, ast.Break):
+            raise _BreakLoop()
+        elif isinstance(stmt, ast.Continue):
+            raise _ContinueLoop()
+        else:  # pragma: no cover
+            raise CompileError(f"cannot interpret {stmt!r}", stmt.line)
+
+    # ------------------------------------------------------------------
+
+    def _eval(self, expr: ast.Expr, scopes: list[dict[str, int]]) -> int:
+        self._tick(expr.line)
+        if isinstance(expr, ast.NumberLit):
+            return expr.value & WORD_MASK
+        if isinstance(expr, ast.Name):
+            return self._read_name(expr, scopes)
+        if isinstance(expr, ast.Unary):
+            operand = self._eval(expr.operand, scopes)
+            if expr.op == "-":
+                return (-operand) & WORD_MASK
+            if expr.op == "~":
+                return (~operand) & WORD_MASK
+            if expr.op == "!":
+                return 0 if operand else 1
+            raise CompileError(f"unsupported unary {expr.op!r}", expr.line)
+        if isinstance(expr, ast.Binary):
+            return self._eval_binary(expr, scopes)
+        if isinstance(expr, ast.Conditional):
+            if self._eval(expr.cond, scopes):
+                return self._eval(expr.then, scopes)
+            return self._eval(expr.other, scopes)
+        if isinstance(expr, ast.Call):
+            return self._eval_call(expr, scopes)
+        if isinstance(expr, ast.MMIODeref):
+            address = self._eval(expr.address, scopes)
+            width = max(1, expr.target_type.size)
+            if self.mmio_read is None:
+                raise CompileError(f"MMIO read at {address:#x} without a device map", expr.line)
+            value = self.mmio_read(address, width) & ((1 << (8 * width)) - 1)
+            if expr.target_type.signed and value & (1 << (8 * width - 1)):
+                value -= 1 << (8 * width)
+            return value & WORD_MASK
+        if isinstance(expr, ast.Assign):
+            return self._eval_assign(expr, scopes)
+        raise CompileError(f"cannot interpret {expr!r}", expr.line)  # pragma: no cover
+
+    def _read_name(self, expr: ast.Name, scopes: list[dict[str, int]]) -> int:
+        for scope in reversed(scopes):
+            if expr.ident in scope:
+                return scope[expr.ident]
+        if expr.ident in self.program.enum_values:
+            return self.program.enum_values[expr.ident] & WORD_MASK
+        info = self.program.globals.get(expr.ident)
+        if info is None:
+            raise CompileError(f"undefined identifier {expr.ident!r}", expr.line)
+        raw = self.globals[expr.ident] & ((1 << (8 * info.ctype.size)) - 1)
+        if info.ctype.signed and raw & (1 << (8 * info.ctype.size - 1)):
+            raw -= 1 << (8 * info.ctype.size)
+        return raw & WORD_MASK
+
+    def _eval_binary(self, expr: ast.Binary, scopes: list[dict[str, int]]) -> int:
+        if expr.op == "&&":
+            return int(bool(self._eval(expr.left, scopes)) and bool(self._eval(expr.right, scopes)))
+        if expr.op == "||":
+            return int(bool(self._eval(expr.left, scopes)) or bool(self._eval(expr.right, scopes)))
+        left = self._eval(expr.left, scopes)
+        right = self._eval(expr.right, scopes)
+        unsigned = self._is_unsigned(expr.left, scopes) or self._is_unsigned(expr.right, scopes)
+        op = expr.op
+        if op == "+":
+            return (left + right) & WORD_MASK
+        if op == "-":
+            return (left - right) & WORD_MASK
+        if op == "*":
+            return (left * right) & WORD_MASK
+        if op == "/":
+            if unsigned:
+                if right == 0:
+                    raise ZeroDivisionError("division by zero")
+                return (left // right) & WORD_MASK
+            return _c_div(_signed(left), _signed(right)) & WORD_MASK
+        if op == "%":
+            if unsigned:
+                if right == 0:
+                    raise ZeroDivisionError("modulo by zero")
+                return (left % right) & WORD_MASK
+            signed_left, signed_right = _signed(left), _signed(right)
+            return (signed_left - _c_div(signed_left, signed_right) * signed_right) & WORD_MASK
+        if op == "&":
+            return left & right
+        if op == "|":
+            return left | right
+        if op == "^":
+            return left ^ right
+        if op == "<<":
+            return (left << (right & 31)) & WORD_MASK
+        if op == ">>":
+            if unsigned:
+                return left >> (right & 31)
+            return (_signed(left) >> (right & 31)) & WORD_MASK
+        comparisons = {
+            "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
+            "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+            ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+        }
+        if op in comparisons:
+            if unsigned:
+                return int(comparisons[op](left, right))
+            return int(comparisons[op](_signed(left), _signed(right)))
+        raise CompileError(f"unsupported operator {op!r}", expr.line)
+
+    def _is_unsigned(self, expr: ast.Expr, scopes: list[dict[str, int]]) -> bool:
+        if isinstance(expr, ast.NumberLit):
+            return expr.value >= (1 << 31)
+        if isinstance(expr, ast.Name):
+            if self._fn_stack:
+                key = (self._fn_stack[-1], expr.ident)
+                if key in self._local_unsigned:
+                    return self._local_unsigned[key]
+            info = self.program.globals.get(expr.ident)
+            return info is not None and not info.ctype.signed
+        if isinstance(expr, ast.MMIODeref):
+            return not expr.target_type.signed
+        if isinstance(expr, ast.Binary):
+            if expr.op in ("&&", "||", "==", "!=", "<", "<=", ">", ">="):
+                return False
+            return self._is_unsigned(expr.left, scopes) or self._is_unsigned(expr.right, scopes)
+        if isinstance(expr, ast.Call):
+            info = self.program.functions.get(expr.func)
+            return info is not None and not info.return_type.signed
+        if isinstance(expr, ast.Assign):
+            return self._is_unsigned(expr.value, scopes)
+        if isinstance(expr, ast.Unary):
+            return self._is_unsigned(expr.operand, scopes) and expr.op != "!"
+        return False
+
+    def _eval_call(self, expr: ast.Call, scopes: list[dict[str, int]]) -> int:
+        if expr.func == "__halt":
+            raise HaltExecution()
+        if expr.func == "__nop":
+            return 0
+        if expr.func in BUILTINS and expr.func not in self.program.functions:
+            return 0
+        args = tuple(self._eval(arg, scopes) for arg in expr.args)
+        result = self.call(expr.func, args)
+        return 0 if result is None else result
+
+    def _eval_assign(self, expr: ast.Assign, scopes: list[dict[str, int]]) -> int:
+        if expr.op != "=":
+            read: ast.Expr
+            if isinstance(expr.lhs, ast.Name):
+                read = ast.Name(line=expr.line, ident=expr.lhs.ident)
+            else:
+                read = ast.MMIODeref(
+                    line=expr.line, target_type=expr.lhs.target_type, address=expr.lhs.address
+                )
+            value = self._eval(
+                ast.Binary(line=expr.line, op=expr.op[:-1], left=read, right=expr.value),
+                scopes,
+            )
+        else:
+            value = self._eval(expr.value, scopes)
+
+        if isinstance(expr.lhs, ast.Name):
+            for scope in reversed(scopes):
+                if expr.lhs.ident in scope:
+                    scope[expr.lhs.ident] = value & WORD_MASK
+                    return value & WORD_MASK
+            info = self.program.globals.get(expr.lhs.ident)
+            if info is None:
+                raise CompileError(f"undefined identifier {expr.lhs.ident!r}", expr.line)
+            self.globals[expr.lhs.ident] = value & ((1 << (8 * info.ctype.size)) - 1)
+            return value & WORD_MASK
+        address = self._eval(expr.lhs.address, scopes)
+        width = max(1, expr.lhs.target_type.size)
+        if self.mmio_write is None:
+            raise CompileError(f"MMIO write at {address:#x} without a device map", expr.line)
+        self.mmio_write(address, width, value & ((1 << (8 * width)) - 1))
+        return value & WORD_MASK
+
+
+class IRHalt(Exception):
+    """Raised by the ``halt`` instruction."""
+
+
+class IRStepLimit(Exception):
+    pass
+
+
+@dataclass
+class IRInterpreter:
+    module: ir.IRModule
+    mmio_read: Optional[Callable[[int, int], int]] = None
+    mmio_write: Optional[Callable[[int, int, int], None]] = None
+    step_limit: int = 2_000_000
+    globals: dict[str, int] = field(default_factory=dict)
+    steps: int = 0
+    call_trace: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for info in self.module.globals.values():
+            self.globals.setdefault(info.name, info.initial)
+
+    # ------------------------------------------------------------------
+
+    def run(self, entry: str = "main", args: tuple[int, ...] = ()) -> Optional[int]:
+        try:
+            return self.call(entry, args)
+        except IRHalt:
+            return None
+
+    def call(self, name: str, args: tuple[int, ...] = ()) -> Optional[int]:
+        function = self.module.functions.get(name)
+        if function is None:
+            if name == "__nop":
+                return None
+            raise PassError(f"call to unknown IR function {name!r}")
+        if len(args) != function.param_count:
+            raise PassError(f"{name!r} expects {function.param_count} args, got {len(args)}")
+        self.call_trace.append(name)
+        temps: dict[int, int] = {}
+        slots: dict[int, int] = {i: (args[i] & WORD_MASK) for i in range(len(args))}
+        label = function.entry
+        while True:
+            block = function.blocks.get(label)
+            if block is None:
+                raise PassError(f"jump to unknown block {label!r} in {name!r}")
+            for instr in block.instrs:
+                self.steps += 1
+                if self.steps > self.step_limit:
+                    raise IRStepLimit(f"exceeded {self.step_limit} IR steps")
+                self._execute(instr, temps, slots)
+            terminator = block.terminator
+            if isinstance(terminator, ir.Jump):
+                label = terminator.target
+            elif isinstance(terminator, ir.CondBr):
+                label = terminator.if_true if temps[terminator.cond] else terminator.if_false
+            elif isinstance(terminator, ir.Ret):
+                if terminator.operand is None:
+                    return None
+                return temps[terminator.operand] & WORD_MASK
+            elif isinstance(terminator, ir.Unreachable):
+                raise PassError(f"executed unreachable in {name!r}")
+            else:
+                raise PassError(f"block {label!r} has no terminator")
+
+    # ------------------------------------------------------------------
+
+    def _execute(self, instr: ir.Instr, temps: dict[int, int], slots: dict[int, int]) -> None:
+        if isinstance(instr, ir.Const):
+            temps[instr.result] = instr.value & WORD_MASK
+        elif isinstance(instr, ir.BinOp):
+            temps[instr.result] = _BIN[instr.op](temps[instr.lhs], temps[instr.rhs]) & WORD_MASK
+        elif isinstance(instr, ir.Cmp):
+            temps[instr.result] = int(_CMP[instr.op](temps[instr.lhs], temps[instr.rhs]))
+        elif isinstance(instr, ir.LoadLocal):
+            temps[instr.result] = slots.get(instr.slot, 0)
+        elif isinstance(instr, ir.StoreLocal):
+            slots[instr.slot] = temps[instr.operand] & WORD_MASK
+        elif isinstance(instr, ir.LoadGlobal):
+            raw = self.globals.get(instr.name, 0) & ((1 << (8 * instr.width)) - 1)
+            if instr.signed and raw & (1 << (8 * instr.width - 1)):
+                raw -= 1 << (8 * instr.width)
+            temps[instr.result] = raw & WORD_MASK
+        elif isinstance(instr, ir.StoreGlobal):
+            self.globals[instr.name] = temps[instr.operand] & ((1 << (8 * instr.width)) - 1)
+        elif isinstance(instr, ir.RawLoad):
+            if self.mmio_read is None:
+                raise PassError("mmio_load without a device map")
+            value = self.mmio_read(temps[instr.address], instr.width)
+            value &= (1 << (8 * instr.width)) - 1
+            if instr.signed and value & (1 << (8 * instr.width - 1)):
+                value -= 1 << (8 * instr.width)
+            temps[instr.result] = value & WORD_MASK
+        elif isinstance(instr, ir.RawStore):
+            if self.mmio_write is None:
+                raise PassError("mmio_store without a device map")
+            self.mmio_write(
+                temps[instr.address],
+                instr.width,
+                temps[instr.operand] & ((1 << (8 * instr.width)) - 1),
+            )
+        elif isinstance(instr, ir.Call):
+            result = self.call(instr.func, tuple(temps[a] for a in instr.args))
+            if instr.result is not None:
+                temps[instr.result] = 0 if result is None else result & WORD_MASK
+        elif isinstance(instr, ir.Halt):
+            raise IRHalt()
+        else:  # pragma: no cover
+            raise PassError(f"unknown IR instruction {instr!r}")

@@ -122,6 +122,45 @@ class TestExperiment:
         assert "GlitchResistor" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    """A bad flag value, path or source file is an ``error:`` line and a
+    nonzero exit status, never a traceback."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, guard_c):
+        dollar = tmp_path / "dollar.c"
+        dollar.write_text("int main(void) { return $; }\n")
+        nomain = tmp_path / "nomain.c"
+        nomain.write_text("int f(void) { return 0; }\n")
+        return {"guard": guard_c, "missing": str(tmp_path / "missing.hex"),
+                "dir": str(tmp_path), "dollar": str(dollar), "nomain": str(nomain)}
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table1", "--workers", "-1"],
+        ["experiment", "table1", "--retries", "-1"],
+        ["experiment", "table1", "--unit-timeout", "0"],
+        ["experiment", "table1", "--unit-timeout", "inf"],
+        ["experiment", "table1", "--stride", "0"],
+        ["attack", "{guard}", "--stride", "0"],
+        ["discover", "{missing}"],
+        ["discover", "{dir}"],
+        ["harden", "{dollar}"],
+        ["harden", "{nomain}"],
+    ], ids=["workers-negative", "retries-negative", "unit-timeout-zero",
+            "unit-timeout-infinite", "stride-zero",
+            "attack-stride-zero", "discover-missing", "discover-directory",
+            "harden-bad-character", "harden-no-main"])
+    def test_reported_as_an_error(self, argv, inputs, capsys):
+        try:
+            status = main([arg.format(**inputs) for arg in argv])
+        except SystemExit as exc:  # argparse rejects the flag value
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status != 0
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestExperimentQuarantineReport:
     """Quarantined work units must be named on stderr, as for ``attack``."""
 

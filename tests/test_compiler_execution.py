@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_source
-from repro.compiler.interp import Interpreter
-from repro.compiler.ir_interp import IRInterpreter
 from repro.compiler.lowering import lower
 from repro.hw.mcu import Board
+from tests.oracles import Interpreter, IRInterpreter
 
 WORD = 0xFFFFFFFF
 

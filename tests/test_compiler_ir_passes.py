@@ -3,13 +3,13 @@
 import pytest
 
 from repro.compiler import ir
-from repro.compiler.ir_interp import IRInterpreter
 from repro.compiler.lowering import lower
 from repro.compiler.parser import parse
 from repro.compiler.passes import ConstantFoldPass, DeadCodeEliminationPass, PassManager
 from repro.compiler.passes.pass_manager import IRPass
 from repro.compiler.sema import analyze
 from repro.errors import PassError
+from tests.oracles import IRInterpreter
 
 
 def module_for(source: str) -> ir.IRModule:
@@ -186,7 +186,7 @@ class TestIRInterpreterEdges:
             interp.call("missing")
 
     def test_step_limit(self):
-        from repro.compiler.ir_interp import IRStepLimit
+        from tests.oracles import IRStepLimit
 
         module = module_for("int main(void) { while (1) { } return 0; }")
         interp = IRInterpreter(module, step_limit=100)

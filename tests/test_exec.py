@@ -20,6 +20,7 @@ from repro.exec import (
     console_progress,
     resolve_workers,
 )
+from repro.exec import executor as executor_mod
 from repro.exec.progress import format_snapshot
 from repro.glitchsim import SnippetHarness, branch_snippet, run_branch_campaign
 
@@ -30,6 +31,10 @@ def _square(x):  # module-level: picklable for the multiprocessing path
 
 def _boom(x):
     raise RuntimeError(f"boom {x}")
+
+
+def _interrupt(x):
+    raise KeyboardInterrupt
 
 
 def _flaky(spec):
@@ -54,6 +59,20 @@ def _boom_on_negative(x):
     return x * x
 
 
+def _identity(value):
+    return value
+
+
+#: unit keys and the (identity) checkpoint codec, as every driver passes them
+UNITS = dict(key_of=str, encode=_identity, decode=_identity)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry without the exponential backoff sleeps."""
+    monkeypatch.setattr(executor_mod, "BACKOFF_S", 0.0)
+
+
 class TestResolveWorkers:
     def test_defaults(self):
         assert resolve_workers(None) == 1
@@ -71,18 +90,26 @@ class TestResolveWorkers:
 class TestParallelExecutor:
     def test_serial_map_preserves_order(self):
         executor = ParallelExecutor(workers=1)
-        assert executor.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
+        assert executor.map(_square, range(6), **UNITS) == [0, 1, 4, 9, 16, 25]
 
     def test_parallel_map_matches_serial(self):
-        serial = ParallelExecutor(workers=1).map(_square, range(20))
-        parallel = ParallelExecutor(workers=2).map(_square, range(20))
+        serial = ParallelExecutor(workers=1).map(_square, range(20), **UNITS)
+        parallel = ParallelExecutor(workers=2).map(_square, range(20), **UNITS)
         assert serial == parallel
 
-    def test_parallel_chunked(self):
-        # 40 specs over 2 workers dispatch in auto chunks of 5
+    def test_parallel_more_units_than_workers(self):
+        # 40 units over 2 workers, one dispatch each, merged in spec order
         executor = ParallelExecutor(workers=2)
-        assert executor.resolve_chunk_size(40) == 5
-        assert executor.map(_square, range(40)) == [x * x for x in range(40)]
+        assert executor.map(_square, range(40), **UNITS) == [x * x for x in range(40)]
+        assert executor.failed_units == []
+
+    def test_parallel_auto_chunked_matches_serial(self):
+        # no dispatch knob to set: an odd unit count over 2 workers still
+        # merges back in spec order with nothing quarantined
+        serial = ParallelExecutor(workers=1).map(_square, range(21), **UNITS)
+        executor = ParallelExecutor(workers=2)
+        assert executor.map(_square, range(21), **UNITS) == serial
+        assert executor.failed_units == []
 
     def test_serial_fn_used_in_process(self):
         calls = []
@@ -92,19 +119,8 @@ class TestParallelExecutor:
             return x * x
 
         executor = ParallelExecutor(workers=1)
-        assert executor.map(_square, [2, 3], serial_fn=serial) == [4, 9]
+        assert executor.map(_square, [2, 3], serial_fn=serial, **UNITS) == [4, 9]
         assert calls == [2, 3]
-
-    def test_auto_chunk_size_heuristic(self):
-        # ~4 chunks per worker
-        executor = ParallelExecutor(workers=4)
-        assert executor.resolve_chunk_size(100) == 100 // (4 * 4)
-        assert executor.resolve_chunk_size(3) == 1  # never below 1
-
-    def test_parallel_auto_chunked_matches_serial(self):
-        serial = ParallelExecutor(workers=1).map(_square, range(20))
-        auto = ParallelExecutor(workers=2).map(_square, range(20))
-        assert auto == serial
 
     def test_progress_fed_per_unit(self):
         reporter = ProgressReporter()
@@ -113,6 +129,7 @@ class TestParallelExecutor:
             _square, [1, 2, 3],
             attempts_of=lambda r: r,
             categories_of=lambda r: {"seen": 1},
+            **UNITS,
         )
         assert reporter.units_done == 3
         assert reporter.units_total == 3
@@ -122,36 +139,48 @@ class TestParallelExecutor:
 
 class TestExecutorFailurePaths:
     def test_serial_exception_propagates_but_finalizes_progress(self):
+        # a unit's ordinary exception is quarantined; an interrupt
+        # propagates, after the reporter is finalized
         reporter = ProgressReporter()
         executor = ParallelExecutor(workers=1, progress=reporter)
-        with pytest.raises(RuntimeError, match="boom"):
-            executor.map(_boom, [1, 2, 3])
+        assert executor.map(_boom, [1], **UNITS) == [None]
+        with pytest.raises(KeyboardInterrupt):
+            executor.map(_interrupt, [1, 2, 3], **UNITS)
         assert reporter.snapshot().finished  # finish() ran despite the raise
 
-    def test_parallel_exception_propagates_but_finalizes_progress(self):
-        reporter = ProgressReporter()
+    def test_parallel_exception_propagates_but_finalizes_progress(self, tmp_path):
+        # an interrupt while the parent collects results (here: from the
+        # progress callback after the first unit) tears the pool down,
+        # finalizes the reporter and keeps the completed unit on disk
+        def stop_after_first(snapshot):
+            if snapshot.units_done == 1 and not snapshot.finished:
+                raise KeyboardInterrupt
+
+        reporter = ProgressReporter(callback=stop_after_first)
+        checkpoint = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={"t": 1})
         executor = ParallelExecutor(workers=2, progress=reporter)
-        with pytest.raises(RuntimeError, match="boom"):
-            executor.map(_boom, [1, 2, 3, 4])
+        with pytest.raises(KeyboardInterrupt):
+            executor.map(_square, [1, 2, 3, 4], checkpoint=checkpoint, **UNITS)
+        checkpoint.close()
         assert reporter.snapshot().finished
+        reloaded = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={"t": 1}, resume=True)
+        assert reloaded.results == {"1": 1}
 
-    def test_serial_retry_then_succeed(self, tmp_path):
+    def test_serial_retry_then_succeed(self, tmp_path, no_backoff):
         specs = [(str(tmp_path / f"marker-{i}"), i) for i in range(3)]
-        executor = ParallelExecutor(workers=1, retries=2, backoff=0.0)
-        assert executor.map(_flaky, specs) == [0, 2, 4]
+        executor = ParallelExecutor(workers=1, retries=2)
+        assert executor.map(_flaky, specs, **UNITS) == [0, 2, 4]
         assert executor.failed_units == []
 
-    def test_parallel_retry_then_succeed(self, tmp_path):
+    def test_parallel_retry_then_succeed(self, tmp_path, no_backoff):
         specs = [(str(tmp_path / f"marker-{i}"), i) for i in range(4)]
-        executor = ParallelExecutor(workers=2, retries=2, backoff=0.0)
-        assert executor.map(_flaky, specs) == [0, 2, 4, 6]
+        executor = ParallelExecutor(workers=2, retries=2)
+        assert executor.map(_flaky, specs, **UNITS) == [0, 2, 4, 6]
         assert executor.failed_units == []
 
-    def test_serial_quarantine_after_max_retries(self):
-        executor = ParallelExecutor(
-            workers=1, retries=3, backoff=0.0, on_error="quarantine"
-        )
-        results = executor.map(_boom, [7])
+    def test_serial_quarantine_after_max_retries(self, no_backoff):
+        executor = ParallelExecutor(workers=1, retries=3)
+        results = executor.map(_boom, [7], **UNITS)
         assert results == [None]
         assert len(executor.failed_units) == 1
         failed = executor.failed_units[0]
@@ -159,22 +188,18 @@ class TestExecutorFailurePaths:
         assert failed.attempts == 4  # 1 initial + 3 retries
         assert "boom" in failed.error
 
-    def test_parallel_quarantine_keeps_remaining_units(self):
+    def test_parallel_quarantine_keeps_remaining_units(self, no_backoff):
         # one poisoned spec must not abort its siblings
-        executor = ParallelExecutor(
-            workers=2, retries=1, backoff=0.0, on_error="quarantine"
-        )
-        results = executor.map(_boom_on_negative, [2, -1, 4, 5])
+        executor = ParallelExecutor(workers=2, retries=1)
+        results = executor.map(_boom_on_negative, [2, -1, 4, 5], **UNITS)
         assert results == [4, None, 16, 25]
         assert len(executor.failed_units) == 1
         assert executor.failed_units[0].spec == -1
         assert executor.failed_units[0].attempts == 2
 
     def test_parallel_timeout_quarantines_hung_unit(self):
-        executor = ParallelExecutor(
-            workers=2, unit_timeout=1.0, backoff=0.0, on_error="quarantine"
-        )
-        results = executor.map(_hang_or_square, [3, "hang", 5])
+        executor = ParallelExecutor(workers=2, unit_timeout=1.0)
+        results = executor.map(_hang_or_square, [3, "hang", 5], **UNITS)
         assert results == [9, None, 25]
         assert len(executor.failed_units) == 1
         assert executor.failed_units[0].spec == "hang"
@@ -193,10 +218,7 @@ class TestExecutorFailurePaths:
         checkpoint = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={"t": 1})
         executor = ParallelExecutor(workers=1, progress=reporter)
         with pytest.raises(KeyboardInterrupt):
-            executor.map(
-                unit, [1, 2, "stop", 4],
-                checkpoint=checkpoint, key_of=str,
-            )
+            executor.map(unit, [1, 2, "stop", 4], checkpoint=checkpoint, **UNITS)
         checkpoint.close()
         assert done == [1, 2]
         assert reporter.snapshot().finished
@@ -214,35 +236,25 @@ class TestExecutorFailurePaths:
             return x * x
 
         executor = ParallelExecutor(workers=1)
-        results = executor.map(unit, [1, 2, 3], checkpoint=checkpoint, key_of=str)
+        results = executor.map(unit, [1, 2, 3], checkpoint=checkpoint, **UNITS)
         checkpoint.close()
         assert results == [1, 99, 9]  # recorded payload wins, order preserved
         assert executed == [1, 3]
 
-    def test_checkpoint_requires_key_of(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.jsonl")
-        with pytest.raises(ValueError, match="key_of"):
-            ParallelExecutor(workers=1).map(_square, [1], checkpoint=checkpoint)
-        checkpoint.close()
-
     def test_invalid_robustness_params_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(retries=-1)
-        with pytest.raises(ValueError):
-            ParallelExecutor(unit_timeout=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(on_error="explode")
+        # rejected when the options are built, before any campaign work
+        # (an infinite timeout would overflow the pool's wait and
+        # quarantine every unit)
+        for bad in (dict(workers=-1), dict(retries=-1), dict(unit_timeout=0),
+                    dict(unit_timeout=-1.0), dict(unit_timeout=float("inf"))):
+            with pytest.raises(ValueError):
+                ExecOptions(**bad)
 
 
 class TestStartMethodFallback:
-    def test_explicit_method_wins(self):
-        executor = ParallelExecutor(workers=2, start_method="spawn")
-        assert executor._preferred_start_method() == "spawn"
-
     def test_fork_preferred_where_available(self, monkeypatch):
         monkeypatch.setattr(sys, "platform", "linux")
         executor = ParallelExecutor(workers=2)
-        from repro.exec import executor as executor_mod
         monkeypatch.setattr(
             executor_mod.multiprocessing, "get_all_start_methods",
             lambda: ["fork", "spawn", "forkserver"],
@@ -255,7 +267,6 @@ class TestStartMethodFallback:
         assert executor._preferred_start_method() is None
 
     def test_no_fork_falls_back_to_platform_default(self, monkeypatch):
-        from repro.exec import executor as executor_mod
         monkeypatch.setattr(
             executor_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
@@ -380,14 +391,12 @@ class TestOutcomeCache:
 
     def test_roundtrip_and_persistence(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        assert cache.get(self.KEY, 0x1234) is None
-        cache.put(self.KEY, 0x1234, "success")
-        assert cache.get(self.KEY, 0x1234) == "success"
+        assert _cached(cache, self.KEY) == {}
+        cache.put_shard_codes(self.KEY, *_codes([0x1234], ["success"]))
+        assert _cached(cache, self.KEY) == {0x1234: "success"}
         cache.flush()
         # a second instance reads the shard back from disk
-        again = OutcomeCache(tmp_path)
-        assert again.get(self.KEY, 0x1234) == "success"
-        assert again.hits == 1
+        assert _cached(OutcomeCache(tmp_path), self.KEY) == {0x1234: "success"}
 
     def test_zero_invalid_shards_are_separate(self, tmp_path):
         # the decode mode is part of the world digest, so one snippet
@@ -401,24 +410,26 @@ class TestOutcomeCache:
         cache.flush()
         assert (tmp_path / f"{plain.world_digest()}.npz").exists()
         assert (tmp_path / f"{hardened.world_digest()}.npz").exists()
-        assert OutcomeCache(tmp_path).get(hardened.world_digest(), 0) == "invalid_instruction"
+        assert _cached(OutcomeCache(tmp_path), hardened.world_digest()) == {
+            0: "invalid_instruction"
+        }
 
     def test_corrupt_legacy_shard_is_a_miss_not_an_error(self, tmp_path):
         """Stray files next to the shards (old JSON or ``.npy`` ones) are never read."""
         (tmp_path / f"{self.KEY}.json").write_text(json.dumps({"7": "success"}))
         np.save(tmp_path / f"{self.KEY}.npy", np.ones(1 << 16, dtype=np.uint8))
         cache = OutcomeCache(tmp_path)
-        assert cache.get(self.KEY, 7) is None
+        assert _cached(cache, self.KEY) == {}
 
     def test_corrupt_binary_shard_is_a_miss_not_an_error(self, tmp_path):
         (tmp_path / f"{self.KEY}.npz").write_bytes(b"PK garbage")
         cache = OutcomeCache(tmp_path)
-        assert cache.get(self.KEY, 7) is None
+        assert _cached(cache, self.KEY) == {}
         assert cache.semantic_misses == 0
 
     def test_context_manager_flushes(self, tmp_path):
         with OutcomeCache(tmp_path) as cache:
-            cache.put(self.KEY, 1, "no_effect")
+            cache.put_shard_codes(self.KEY, *_codes([1], ["no_effect"]))
         assert _cached(OutcomeCache(tmp_path), self.KEY) == {1: "no_effect"}
 
     def test_coerce_cache(self, tmp_path):
@@ -432,12 +443,12 @@ class TestOutcomeCache:
         cache.put_shard_codes(self.KEY, *_codes([1, 0x1FFFF], ["success", "no_effect"]))
         cache.flush()
         again = OutcomeCache(tmp_path)
-        # words are masked to 16 bits on the way in, like put()
+        # words are masked to 16 bits on the way in
         assert _cached(again, self.KEY) == {1: "success", 0xFFFF: "no_effect"}
-        # the view is read-only; mutation goes through put/put_shard_codes
+        # the view is read-only; mutation goes through put_shard_codes
         with pytest.raises(ValueError):
             again.get_shard_codes(self.KEY)[2] = 1
-        # bulk lookups do not touch the per-call counters...
+        # lookups do not touch the counters...
         assert (again.hits, again.misses) == (0, 0)
         # ...callers report totals explicitly instead
         again.account(hits=2, misses=1)
@@ -451,7 +462,7 @@ class TestOutcomeCache:
 
     def test_put_shard_merges_with_existing_entries(self, tmp_path):
         cache = OutcomeCache(tmp_path)
-        cache.put(self.KEY, 1, "success")
+        cache.put_shard_codes(self.KEY, *_codes([1], ["success"]))
         cache.put_shard_codes(self.KEY, *_codes([2], ["no_effect"]))
         assert _cached(cache, self.KEY) == {1: "success", 2: "no_effect"}
 

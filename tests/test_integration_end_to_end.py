@@ -6,13 +6,13 @@ the flows a downstream adopter of this repository would actually run.
 
 import pytest
 
-from repro.compiler.interp import Interpreter
 from repro.hw.clock import GlitchParams
 from repro.hw.glitcher import ClockGlitcher
 from repro.hw.mcu import Board
 from repro.hw.scan import run_defense_scan
 from repro.hw.search import ParameterSearch
 from repro.resistor import ResistorConfig, harden
+from tests.oracles import Interpreter
 
 FIRMWARE = """
 enum AuthResult { AUTH_OK, AUTH_FAIL };

@@ -28,6 +28,14 @@ def _boom(x):
     raise RuntimeError(f"boom {x}")
 
 
+def _identity(value):
+    return value
+
+
+#: unit keys and the (identity) checkpoint codec, as every driver passes them
+UNITS = dict(key_of=str, encode=_identity, decode=_identity)
+
+
 def _counting_unit(x):
     # worker-side counting via the ambient observer
     current().count("widgets", x)
@@ -149,7 +157,7 @@ class TestExecutorObservability:
     def test_counts_units_and_emits_unit_events(self):
         obs = Observer()
         executor = ParallelExecutor(workers=1, obs=obs)
-        results = executor.map(_square, [1, 2, 3], attempts_of=lambda r: r)
+        results = executor.map(_square, [1, 2, 3], attempts_of=lambda r: r, **UNITS)
         assert results == [1, 4, 9]
         assert obs.counters["units.completed"] == 3
         assert obs.counters["attempts"] == 1 + 4 + 9
@@ -157,11 +165,13 @@ class TestExecutorObservability:
         assert len(units) == 3
         assert all("wall" in u for u in units)
 
-    def test_retries_and_quarantine_counted(self, tmp_path):
+    def test_retries_and_quarantine_counted(self, tmp_path, monkeypatch):
+        from repro.exec import executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "BACKOFF_S", 0.0)
         obs = Observer()
-        executor = ParallelExecutor(workers=1, retries=2, backoff=0.0,
-                                    on_error="quarantine", obs=obs)
-        results = executor.map(_boom, ["x"])
+        executor = ParallelExecutor(workers=1, retries=2, obs=obs)
+        results = executor.map(_boom, ["x"], **UNITS)
         assert results == [None]
         assert obs.counters["exec.retries"] == 2
         assert obs.counters["exec.quarantined"] == 1
@@ -170,7 +180,7 @@ class TestExecutorObservability:
     def test_parallel_worker_telemetry_merged(self):
         obs = Observer()
         executor = ParallelExecutor(workers=2, obs=obs)
-        results = executor.map(_counting_unit, [1, 2, 3, 4])
+        results = executor.map(_counting_unit, [1, 2, 3, 4], **UNITS)
         assert results == [1, 2, 3, 4]
         # worker-side counts rode back over the result channel
         assert obs.counters["widgets"] == 10
@@ -179,9 +189,9 @@ class TestExecutorObservability:
     def test_serial_and_parallel_counters_identical(self):
         serial, parallel = Observer(), Observer()
         ParallelExecutor(workers=1, obs=serial).map(
-            _square, [3, 5], attempts_of=lambda r: r)
+            _square, [3, 5], attempts_of=lambda r: r, **UNITS)
         ParallelExecutor(workers=2, obs=parallel).map(
-            _square, [3, 5], attempts_of=lambda r: r)
+            _square, [3, 5], attempts_of=lambda r: r, **UNITS)
         assert serial.counters == parallel.counters
 
     def test_replayed_units_counted_without_checkpoint_rewrite(self, tmp_path):
@@ -189,13 +199,13 @@ class TestExecutorObservability:
         obs1 = Observer()
         executor = ParallelExecutor(workers=1, obs=obs1)
         executor.map(_square, [2, 3], attempts_of=lambda r: r,
-                     checkpoint=checkpoint, key_of=str)
+                     checkpoint=checkpoint, **UNITS)
         checkpoint.close()
         resumed = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={"v": 1}, resume=True)
         obs2 = Observer()
         executor = ParallelExecutor(workers=1, obs=obs2)
         executor.map(_square, [2, 3], attempts_of=lambda r: r,
-                     checkpoint=resumed, key_of=str)
+                     checkpoint=resumed, **UNITS)
         resumed.close()
         assert obs2.counters["units.replayed"] == 2
         assert "units.completed" not in obs2.counters
@@ -287,11 +297,10 @@ class TestCampaignObservability:
             "conditions": sorted(f"b{c}" for c in SLICE["conditions"]),
         }
         from repro.exec.checkpoint import open_campaign_checkpoint
-        from repro.glitchsim.campaign import _encode_world
 
         full_ck = open_campaign_checkpoint(ck, "branch-and", full_meta, resume=False)
         for sweep in partial.sweeps:  # each a one-branch world unit
-            full_ck.record(sweep.mnemonic, _encode_world([sweep]))
+            full_ck.record(sweep.mnemonic, [sweep.to_payload()])
         full_ck.close()
         resumed = run_branch_campaign(
             "and", execution=ExecOptions(workers=2, checkpoint_dir=ck, resume=True),
@@ -348,6 +357,12 @@ class TestMemoHitAccounting:
         batched2, batched2_cache = self._harness(tmp_path, "batched")
         batched2.run_many(self.WORDS)
         assert self._totals(serial2_cache) == self._totals(batched2_cache) == (4, 0, 2)
+        # both read through the shard: nothing re-emulated, same categories
+        assert serial2.words_executed == batched2.words_executed == 0
+        assert {word: serial2.run(word).category for word in self.WORDS} == {
+            word: outcome.category
+            for word, outcome in batched2.run_many(self.WORDS).items()
+        }
 
     def test_memo_hits_surface_in_render_report(self):
         obs = Observer()

@@ -76,16 +76,20 @@ class TestBuild:
 
 class TestWorkers:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_vector_workers_match_serial_snapshot(self, start_method):
+    def test_vector_workers_match_serial_snapshot(self, start_method, monkeypatch):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
+        # the executor's pool runs on whatever its platform probe picks
+        monkeypatch.setattr(ParallelExecutor, "_preferred_start_method",
+                            lambda self: start_method)
         # bne and bcs share one replay world, so one unit sweeps both
         specs = [
             _WorldSpec(members, "xor", False, SMALL_KS, None, "vector")
             for members in (("beq",), ("bne", "bcs"))
         ]
-        executor = ParallelExecutor(workers=2, start_method=start_method)
-        sweeps = [sweep for unit in executor.map(_world_unit, specs) for sweep in unit]
+        executor = ParallelExecutor(workers=2)
+        units = executor.map(_world_unit, specs, key_of=repr, encode=list, decode=list)
+        sweeps = [sweep for unit in units for sweep in unit]
         serial = [
             sweep_instruction(
                 branch_snippet(mnemonic[1:]), spec.model,

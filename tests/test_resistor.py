@@ -3,10 +3,10 @@
 import pytest
 
 from repro.compiler import compile_source, ir
-from repro.compiler.interp import Interpreter
 from repro.hw.mcu import Board
 from repro.resistor import ResistorConfig, harden
 from repro.resistor.runtime import lcg_reference, LCG_INCREMENT, LCG_MULTIPLIER
+from tests.oracles import Interpreter
 
 GUARD_SOURCE = """
 enum Result { OK, DENIED };
