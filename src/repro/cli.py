@@ -31,6 +31,14 @@ from repro.resistor import ResistorConfig
 #: what a bad input file or path raises; ``main`` reports these as errors
 _INPUT_ERRORS = (OSError, AssemblerError, CompileError, LayoutError, ImageError)
 
+#: ``--fault-model`` choices: the :data:`repro.hw.models.FAULT_MODELS` names
+#: (models and bench calibrations), spelled out so that start-up does not
+#: import NumPy
+FAULT_MODEL_NAMES = (
+    "clock", "cw-lite-clock", "cw-lite-voltage", "em", "em-probe-4mm",
+    "replay", "replay-precise", "skip", "skip-precise", "voltage",
+)
+
 
 def _config_from_args(args) -> ResistorConfig:
     sensitive = tuple(args.sensitive or ())
@@ -47,7 +55,7 @@ def cmd_assemble(args) -> int:
     from repro.isa import assemble
 
     with open(args.source) as handle:
-        program = assemble(handle.read(), base=int(args.base, 0))
+        program = assemble(handle.read(), base=args.base)
     print(f"; {len(program.code)} bytes at {program.base:#010x}")
     for address, size, text in program.listing:
         raw = program.code[address - program.base:address - program.base + size]
@@ -66,8 +74,7 @@ def cmd_assemble(args) -> int:
 def _load_cli_image(args):
     from repro.firmware.image import load_image
 
-    base = int(args.base, 0) if args.base is not None else None
-    return load_image(args.image, base=base, fmt=args.format)
+    return load_image(args.image, base=args.base, fmt=args.format)
 
 
 def cmd_discover(args) -> int:
@@ -109,8 +116,7 @@ def cmd_campaign(args) -> int:
 def cmd_disassemble(args) -> int:
     from repro.isa.disassembler import disassemble, format_listing
 
-    data = bytes.fromhex(args.hex_bytes.replace(" ", ""))
-    print(format_listing(disassemble(data, base=int(args.base, 0))))
+    print(format_listing(disassemble(args.hex_bytes, base=args.base)))
     return 0
 
 
@@ -184,7 +190,7 @@ def cmd_attack(args) -> int:
         result = run_defense_scan(
             hardened.image, args.attack,
             scenario=args.source, defense=config.describe(), stride=args.stride,
-            fault_model=args.fault_model, profile=args.profile,
+            fault_model=args.fault_model,
             execution=_exec_options(args), obs=obs,
         )
     finally:
@@ -217,7 +223,7 @@ def _experiment_dests() -> dict[str, tuple[str, ...]]:
     # every campaign-running artifact takes the ExecOptions fields and the
     # observer's flags
     execution = tuple(f.name for f in fields(ExecOptions)) + ("trace", "metrics_out")
-    scan = execution + ("stride", "fault_model", "profile")
+    scan = execution + ("stride", "fault_model")
     return {
         "fig2": execution + ("cache_dir",),
         "table1": scan,
@@ -227,8 +233,7 @@ def _experiment_dests() -> dict[str, tuple[str, ...]]:
         "table5": (),
         "table6": scan,
         "table7": (),
-        "search": ("fault_model", "profile", "checkpoint_dir", "resume", "trace",
-                   "metrics_out"),
+        "search": ("fault_model", "checkpoint_dir", "resume", "trace", "metrics_out"),
     }
 
 
@@ -258,7 +263,6 @@ def cmd_experiment(args) -> int:
         print(fixed[name]().render())
         return 0
     obs = _observer_from_args(args, f"experiment-{name}")
-    model = dict(fault_model=args.fault_model, profile=args.profile)
     failed_units = ()
     try:
         if name == "fig2":
@@ -267,15 +271,15 @@ def cmd_experiment(args) -> int:
             )
             failed_units = result.failed_units
         elif name in scans:
-            result = scans[name](stride=args.stride, execution=_exec_options(args),
-                                 obs=obs, **model)
+            result = scans[name](stride=args.stride, fault_model=args.fault_model,
+                                 execution=_exec_options(args), obs=obs)
             by_key = result.results if name == "table6" else result.scans
             failed_units = [unit for scan in by_key.values()
                             for unit in scan.failed_units]
         else:
-            result = experiments.run_search(checkpoint_dir=args.checkpoint_dir,
-                                            resume=args.resume, obs=obs,
-                                            **model)
+            result = experiments.run_search(fault_model=args.fault_model,
+                                            checkpoint_dir=args.checkpoint_dir,
+                                            resume=args.resume, obs=obs)
     finally:
         _finish_observer(obs, args)
     print(result.render())
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asm = sub.add_parser("assemble", help="assemble Thumb-16 source")
     p_asm.add_argument("source")
-    p_asm.add_argument("--base", default="0x08000000")
+    p_asm.add_argument("--base", type=_address, default="0x08000000")
     p_asm.add_argument("--output", "-o", default=None, metavar="FILE",
                        help="also write a firmware image (.hex/.ihex → Intel "
                             "HEX, anything else → raw binary) that feeds "
@@ -307,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_asm.set_defaults(func=cmd_assemble)
 
     p_dis = sub.add_parser("disassemble", help="disassemble hex bytes")
-    p_dis.add_argument("hex_bytes")
-    p_dis.add_argument("--base", default="0x08000000")
+    p_dis.add_argument("hex_bytes", type=_hex_bytes,
+                       help="instruction bytes in hex (spaces allowed)")
+    p_dis.add_argument("--base", type=_address, default="0x08000000")
     p_dis.set_defaults(func=cmd_disassemble)
 
     defense_choices = [
@@ -329,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--sensitive", nargs="*", metavar="GLOBAL")
     p_attack.add_argument("--attack", choices=["single", "long", "windowed"],
                           default="single")
-    p_attack.add_argument("--stride", type=_validated(int, _check_stride), default=4)
-    _add_fault_model_flags(p_attack)
+    p_attack.add_argument("--stride", type=_positive_int("stride"), default=4)
+    _add_fault_model_flag(p_attack)
     _add_execution_flags(p_attack, "worker processes for the scan (0 = all cores)")
     p_attack.set_defaults(func=cmd_attack)
 
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="LIST",
                         help="comma-separated flip models to sweep "
                              "(subset of and,or,xor; default: all three)")
-    p_camp.add_argument("--top", type=int, default=None, metavar="N",
+    p_camp.add_argument("--top", type=_positive_int("top"), default=None, metavar="N",
                         help="print only the N most exploitable sites")
     p_camp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent outcome-cache directory; per-site "
@@ -365,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fig2", "table1", "table2", "table3", "table4", "table5",
         "table6", "table7", "search",
     ])
-    p_exp.add_argument("--stride", type=_validated(int, _check_stride), default=4)
-    _add_fault_model_flags(p_exp)
+    p_exp.add_argument("--stride", type=_positive_int("stride"), default=4)
+    _add_fault_model_flag(p_exp)
     p_exp.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent outcome-cache directory for fig2 "
                             "(default: no disk cache)")
@@ -388,7 +393,7 @@ def _add_image_flags(parser: argparse.ArgumentParser) -> None:
                         default="auto",
                         help="image format (auto sniffs .hex/.ihex/.ihx "
                              "suffixes as Intel HEX, anything else as raw)")
-    parser.add_argument("--base", default=None, metavar="ADDR",
+    parser.add_argument("--base", type=_address, default=None, metavar="ADDR",
                         help="load address for raw images "
                              "(default 0x08000000; Intel HEX carries its own)")
     parser.add_argument("--strategy", choices=["linear", "entry"],
@@ -398,17 +403,13 @@ def _add_image_flags(parser: argparse.ArgumentParser) -> None:
                              "point (skips literal pools)")
 
 
-def _add_fault_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fault-model",
-                        choices=["clock", "voltage", "em", "skip", "replay"],
-                        default=None,
-                        help="injection phenomenology for hw-scan campaigns "
-                             "(repro.hw.models registry; default: the paper's "
-                             "clock-glitch model)")
-    parser.add_argument("--profile", default=None, metavar="NAME",
-                        help="named calibration profile (seed/amplitude/band "
-                             "bundle) from repro.hw.models.PROFILES, e.g. "
-                             "em-probe-4mm; implies its fault model")
+def _add_fault_model_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fault-model", choices=FAULT_MODEL_NAMES, default=None,
+                        metavar="NAME",
+                        help="fault model or bench calibration for hw-scan "
+                             "campaigns, from the repro.hw.models registry: "
+                             f"{', '.join(FAULT_MODEL_NAMES)} (default: the "
+                             "paper's clock-glitch model)")
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser, workers_help: str) -> None:
@@ -464,9 +465,28 @@ def _exec_flag(name: str, parse):
     return _validated(parse, check)
 
 
-def _check_stride(stride: int) -> None:
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+def _positive_int(name: str):
+    """The ``type`` of a flag that takes an integer >= 1."""
+    def check(value: int) -> None:
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+    return _validated(int, check)
+
+
+def _address(text: str) -> int:
+    """An address flag: decimal, or ``0x``/``0o``/``0b``-prefixed."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an address: {text!r}") from None
+
+
+def _hex_bytes(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text.replace(" ", ""))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not hex bytes: {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

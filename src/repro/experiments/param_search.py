@@ -53,7 +53,6 @@ def run_search(
     checkpoint_dir=None,
     resume: bool = False,
     obs=None,
-    profile=None,
 ) -> SearchExperiment:
     from repro.obs import coerce_observer
 
@@ -64,7 +63,6 @@ def run_search(
             search = ParameterSearch(
                 guard, coarse_stride=coarse_stride, fault_model=fault_model,
                 checkpoint_dir=checkpoint_dir, resume=resume, obs=obs,
-                profile=profile,
             )
             try:
                 experiment.results[guard] = search.run()

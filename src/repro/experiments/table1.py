@@ -61,11 +61,11 @@ class Table1Result:
 
 
 def scan_guards(
-    name: str, scan, stride: int, fault_model, profile, execution: ExecOptions, obs, **keys
+    name: str, scan, stride: int, fault_model, execution: ExecOptions, obs, **keys
 ) -> dict:
     """``scan`` over every guard loop with one resolved fault model, under
     one ``name`` trace span: the body of Tables I-III."""
-    model = resolve_fault_model(fault_model, profile)
+    model = resolve_fault_model(fault_model)
     obs = coerce_observer(obs)
     with obs.trace(name, stride=stride):
         return {
@@ -81,14 +81,13 @@ def run_table1(
     fault_model: FaultModel | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs=None,
-    profile=None,
 ) -> Table1Result:
-    """Run Table I under the paper's clock model, or the model that
-    ``fault_model``/``profile`` select (a name, an instance, or a
-    calibration profile — see :func:`repro.hw.models.resolve_fault_model`).
+    """Run Table I under the paper's clock model, or the model or
+    calibration ``fault_model`` selects (an instance or a registered name —
+    see :func:`repro.hw.models.resolve_fault_model`).
     """
     return Table1Result(scan_guards(
-        "table1", run_single_glitch_scan, stride, fault_model, profile, execution, obs,
+        "table1", run_single_glitch_scan, stride, fault_model, execution, obs,
         cycles=cycles,
     ))
 

@@ -65,11 +65,10 @@ def run_table2(
     fault_model: FaultModel | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs=None,
-    profile=None,
 ) -> Table2Result:
     """Run Table II (model selection as for :func:`repro.experiments.table1.run_table1`)."""
     return Table2Result(scan_guards(
-        "table2", run_multi_glitch_scan, stride, fault_model, profile, execution, obs,
+        "table2", run_multi_glitch_scan, stride, fault_model, execution, obs,
         cycles=cycles,
     ))
 

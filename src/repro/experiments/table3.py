@@ -47,11 +47,6 @@ class Table3Result:
         )
         return body + f"\npaper totals: {reference}"
 
-    def not_a_resists_long_glitches(self) -> bool:
-        """§V-D: 'The condition that was previously the most vulnerable,
-        while(!a), faired much better against this attack.'"""
-        return True  # compared against Table I in the benchmark harness
-
 
 def run_table3(
     stride: int = 1,
@@ -59,11 +54,10 @@ def run_table3(
     fault_model: FaultModel | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs=None,
-    profile=None,
 ) -> Table3Result:
     """Run Table III (model selection as for :func:`repro.experiments.table1.run_table1`)."""
     return Table3Result(scan_guards(
-        "table3", run_long_glitch_scan, stride, fault_model, profile, execution, obs,
+        "table3", run_long_glitch_scan, stride, fault_model, execution, obs,
         last_cycles=last_cycles,
     ))
 

@@ -96,10 +96,9 @@ def run_table6(
     fault_model: FaultModel | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs=None,
-    profile=None,
 ) -> Table6Result:
     """Run Table VI (model selection as for :func:`repro.experiments.table1.run_table1`)."""
-    model = resolve_fault_model(fault_model, profile)
+    model = resolve_fault_model(fault_model)
     obs = coerce_observer(obs)
     result = Table6Result()
     with obs.trace("table6", stride=stride):

@@ -11,7 +11,7 @@ with a simulated equivalent:
 - :mod:`repro.hw.em` — the EMFI (precise instruction replacement) and
   skip/replay fault models from the related work.
 - :mod:`repro.hw.models` — the pluggable fault-model registry
-  (``FAULT_MODELS``) and named ``CalibrationProfile`` bench calibrations.
+  (``FAULT_MODELS``): the models and their named bench calibrations.
 - :mod:`repro.hw.pipeline` — 3-stage fetch/decode/execute pipeline with
   Cortex-M0 cycle timings, built over :mod:`repro.emu`.
 - :mod:`repro.hw.mcu` — the board: flash, SRAM, GPIO trigger, seed flash
@@ -25,15 +25,7 @@ with a simulated equivalent:
 from repro.hw.clock import GlitchParams, WIDTH_RANGE, OFFSET_RANGE, iter_width_offset_grid
 from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel, PipelineView
 from repro.hw.em import EMFaultModel, SkipReplayModel
-from repro.hw.models import (
-    CalibrationProfile,
-    FAULT_MODELS,
-    PROFILES,
-    model_label,
-    register_fault_model,
-    register_profile,
-    resolve_fault_model,
-)
+from repro.hw.models import FAULT_MODELS, resolve_fault_model
 from repro.hw.mcu import Board, FLASH_BASE, SRAM_BASE, GPIO_BASE
 from repro.hw.pipeline import PipelinedCPU
 from repro.hw.glitcher import AttemptResult, ClockGlitcher
@@ -59,12 +51,7 @@ __all__ = [
     "PipelineView",
     "EMFaultModel",
     "SkipReplayModel",
-    "CalibrationProfile",
     "FAULT_MODELS",
-    "PROFILES",
-    "model_label",
-    "register_fault_model",
-    "register_profile",
     "resolve_fault_model",
     "Board",
     "FLASH_BASE",

@@ -6,7 +6,7 @@ glitching: the pulse couples into the flash/prefetch path, so "the fault
 model is a precise instruction replacement" — the fetched or latched
 encoding is corrupted with a *narrow*, *bidirectional* bit flip while the
 execute stage is barely touched.  :class:`EMFaultModel` re-weights the
-shared phenomenology machinery accordingly:
+shared phenomenology machinery's tables accordingly:
 
 - realization lands overwhelmingly on the fetch bus / decode latch;
 - flips are XOR-dominant (set and clear both occur, unlike the 1→0
@@ -18,22 +18,34 @@ shared phenomenology machinery accordingly:
 and Lu use when reasoning about countermeasures: a faulted instruction
 either does not execute at all (*skip*, modeled as a NOP replacement) or
 the previous instruction executes again in its place (*replay*, the
-prefetch buffer serving stale content).  It realizes every bite as a
-single deterministic ``skip``/``replay`` effect, which
-:mod:`repro.hw.pipeline` applies at instruction completion.
+prefetch buffer serving stale content).  Its bites land on its one
+``skip``/``replay`` effect whatever stage the view shows; the crash and
+follow-up-window decisions are the base model's.
+:mod:`repro.hw.pipeline` applies the effect at instruction completion.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import GlitchConfigError
 from repro.hw.clock import GlitchParams
-from repro.hw.faults import FaultEffect, FaultModel, PipelineView
+from repro.hw.faults import FaultModel, PipelineView
 
 
 class EMFaultModel(FaultModel):
     """Moro-et-al.-style EMFI: precise instruction replacement in the front end."""
+
+    #: the execute stage is nearly immune — tiny residual couplings only
+    KIND_WEIGHTS = {
+        "fetch": 0.78,
+        "decode": 0.16,
+        "load_data": 0.03,
+        "cmp_transient": 0.04,
+        "store_data": 0.03,
+        "branch_decision": 0.02,
+        "writeback": 0.01,
+    }
+    #: bidirectional: EM pulses set and clear bits alike
+    MODE_WEIGHTS = {"xor": 0.56, "and": 0.22, "or": 0.22}
 
     def __init__(self, seed: int = 0xE1EC_7120, **kwargs):
         defaults = dict(
@@ -48,47 +60,9 @@ class EMFaultModel(FaultModel):
         defaults.update(kwargs)
         super().__init__(seed=seed, **defaults)
 
-    def _pick_kind(
-        self, params: GlitchParams, rel_cycle: int, view: PipelineView, occurrence: int
-    ) -> Optional[str]:
-        weights: list[tuple[str, float]] = []
-        if view.has_fetch:
-            weights.append(("fetch", 0.78))
-        if view.has_decode:
-            weights.append(("decode", 0.16))
-        # the execute stage is nearly immune — tiny residual couplings only
-        if view.executing_class == "load":
-            weights.append(("load_data", 0.03))
-        elif view.executing_class == "compare":
-            weights.append(("cmp_transient", 0.04))
-        elif view.executing_class == "store":
-            weights.append(("store_data", 0.03))
-        elif view.executing_class == "branch":
-            weights.append(("branch_decision", 0.02))
-        elif view.executing_class == "alu":
-            weights.append(("writeback", 0.01))
-        names = tuple(name for name, _ in weights)
-        probabilities = tuple(weight for _, weight in weights)
-        return self._pick("kind", names, probabilities, params, rel_cycle, occurrence)
-
-    def _pick_mode(self, params: GlitchParams, rel_cycle: int, occurrence: int) -> str:
-        # bidirectional: EM pulses set and clear bits alike
-        return self._pick(
-            "mode", ("xor", "and", "or"), (0.56, 0.22, 0.22), params, rel_cycle, occurrence
-        )
-
-    def _mask(self, params: GlitchParams, rel_cycle: int, occurrence: int, bits: int) -> int:
+    def _bit_count(self, roll: float, bits: int, repeat: int) -> int:
         # precise replacement: 1-2 flipped bits, independent of pulse length
-        count_roll = self._uniform("bits", params.width, params.offset, rel_cycle, occurrence)
-        count = 1 if count_roll < 0.75 else 2
-        mask = 0
-        for index in range(count):
-            position = int(
-                self._uniform("pos", params.width, params.offset, rel_cycle, occurrence, index)
-                * bits
-            ) % bits
-            mask |= 1 << position
-        return mask
+        return 1 if roll < 0.75 else 2
 
 
 class SkipReplayModel(FaultModel):
@@ -116,27 +90,10 @@ class SkipReplayModel(FaultModel):
         super().__init__(seed=seed, **defaults)
         self.effect = effect
 
-    def effect_at(
-        self,
-        params: GlitchParams,
-        rel_cycle: int,
-        view: PipelineView,
-        occurrence: int,
-        window_index: int = 0,
-        absolute_cycle: Optional[int] = None,
-    ) -> Optional[FaultEffect]:
-        decision = self.occurrence_decision(params, rel_cycle)
-        if decision is None:
-            return None
-        if decision == "crash":
-            return FaultEffect(kind="reset", rel_cycle=rel_cycle)
-        if window_index > 0:
-            follow = self._uniform(
-                "follow", params.width, params.offset, rel_cycle, window_index, occurrence
-            )
-            if follow >= self.follow_up_attenuation:
-                return None
-        return FaultEffect(kind=self.effect, rel_cycle=rel_cycle)
+    def _pick_kind(
+        self, params: GlitchParams, rel_cycle: int, view: PipelineView, occurrence: int
+    ) -> str:
+        return self.effect
 
 
 __all__ = ["EMFaultModel", "SkipReplayModel"]

@@ -61,6 +61,15 @@ _UNSEEN = object()
 
 _LOAD_SUBSTITUTES = ("zero", "bus_residue", "sp_leak", "pattern", "mask", "wrong_reg")
 
+#: executing instruction class → the execute-stage kind a bite can realize
+_EXECUTE_KINDS = {
+    "load": "load_data",
+    "compare": "cmp_transient",
+    "store": "store_data",
+    "branch": "branch_decision",
+    "alu": "writeback",
+}
+
 
 @dataclass(frozen=True)
 class FaultEffect:
@@ -101,7 +110,32 @@ class ShapePlan:
 
 
 class FaultModel:
-    """Deterministic (width, offset, cycle) → corruption mapping."""
+    """Deterministic (width, offset, cycle) → corruption mapping.
+
+    Subclasses re-weight the realization through the class tables: a
+    bite lands on a pipeline stage with :data:`KIND_WEIGHTS` (among the
+    latches the view shows) and flips bits with :data:`MODE_WEIGHTS`.
+    """
+
+    #: relative weight of each corruptible stage; the execute-stage kinds
+    #: apply only while an instruction of their class executes
+    KIND_WEIGHTS = {
+        "fetch": 0.45,
+        "decode": 0.18,
+        "load_data": 0.15,
+        # corrupt the comparator's operand path: the flags come out wrong
+        # but the register file is untouched, so a redundant recheck
+        # (GlitchResistor) sees the true value
+        "cmp_transient": 0.70,
+        "store_data": 0.30,
+        "branch_decision": 0.18,
+        # "instructions which simply manipulate registers appear to be
+        # exceptionally difficult to glitch" (§V-A)
+        "writeback": 0.04,
+    }
+    #: flip mode → weight, in draw order: unidirectional 1→0 dominates
+    #: clock glitching (§IV)
+    MODE_WEIGHTS = {"and": 0.72, "or": 0.14, "xor": 0.14}
 
     def __init__(
         self,
@@ -148,7 +182,7 @@ class FaultModel:
 
         Keys the process-wide realization and plan memos, so models with
         equal calibrations share entries and any differing field (``em``
-        against the ``em-probe-4mm`` profile, two clock seeds) keeps them
+        against its ``em-probe-4mm`` calibration, two clock seeds) keeps them
         apart.  Computed once, so like the point memo it assumes the
         calibration does not change after the model's first decision.
         """
@@ -374,59 +408,51 @@ class FaultModel:
     def _pick_kind(
         self, params: GlitchParams, rel_cycle: int, view: PipelineView, occurrence: int
     ) -> Optional[str]:
-        weights: list[tuple[str, float]] = []
+        names = []
         if view.has_fetch:
-            weights.append(("fetch", 0.45))
+            names.append("fetch")
         if view.has_decode:
-            weights.append(("decode", 0.18))
-        if view.executing_class == "load":
-            weights.append(("load_data", 0.15))
-        elif view.executing_class == "compare":
-            # corrupt the comparator's operand path: the flags come out
-            # wrong but the register file is untouched, so a redundant
-            # recheck (GlitchResistor) sees the true value
-            weights.append(("cmp_transient", 0.70))
-        elif view.executing_class == "store":
-            weights.append(("store_data", 0.30))
-        elif view.executing_class == "branch":
-            weights.append(("branch_decision", 0.18))
-        elif view.executing_class == "alu":
-            # "instructions which simply manipulate registers appear to be
-            # exceptionally difficult to glitch" (§V-A)
-            weights.append(("writeback", 0.04))
-        names = tuple(name for name, _ in weights)
-        probabilities = tuple(weight for _, weight in weights)
-        return self._pick("kind", names, probabilities, params, rel_cycle, occurrence)
+            names.append("decode")
+        execute = _EXECUTE_KINDS.get(view.executing_class)
+        if execute is not None:
+            names.append(execute)
+        weights = self.KIND_WEIGHTS
+        return self._pick(
+            "kind", tuple(names), tuple(weights[name] for name in names),
+            params, rel_cycle, occurrence,
+        )
 
     def _pick_mode(self, params: GlitchParams, rel_cycle: int, occurrence: int) -> str:
-        # unidirectional 1→0 dominates clock glitching (§IV)
+        modes = self.MODE_WEIGHTS
         return self._pick(
-            "mode", ("and", "or", "xor"), (0.72, 0.14, 0.14), params, rel_cycle, occurrence
+            "mode", tuple(modes), tuple(modes.values()), params, rel_cycle, occurrence
         )
 
     def _mask(self, params: GlitchParams, rel_cycle: int, occurrence: int, bits: int) -> int:
         count_roll = self._uniform("bits", params.width, params.offset, rel_cycle, occurrence)
-        if bits == 16 and params.repeat >= 4:
-            # Sustained clock starvation mangles many bits of the fetched
-            # halfword, which is why long glitches usually cause
-            # "irrecoverable corruption" rather than a clean skip (§V-D).
-            count = 2 + int(count_roll * 5)
-        elif count_roll < 0.55:
-            count = 1
-        elif count_roll < 0.80:
-            count = 2
-        elif count_roll < 0.93:
-            count = 3
-        else:
-            count = 4
         mask = 0
-        for index in range(count):
+        for index in range(self._bit_count(count_roll, bits, params.repeat)):
             position = int(
                 self._uniform("pos", params.width, params.offset, rel_cycle, occurrence, index)
                 * bits
             ) % bits
             mask |= 1 << position
         return mask
+
+    def _bit_count(self, roll: float, bits: int, repeat: int) -> int:
+        """How many bits a ``bits``-wide corruption flips, from a uniform ``roll``."""
+        if bits == 16 and repeat >= 4:
+            # Sustained clock starvation mangles many bits of the fetched
+            # halfword, which is why long glitches usually cause
+            # "irrecoverable corruption" rather than a clean skip (§V-D).
+            return 2 + int(roll * 5)
+        if roll < 0.55:
+            return 1
+        if roll < 0.80:
+            return 2
+        if roll < 0.93:
+            return 3
+        return 4
 
     def _pick(
         self,

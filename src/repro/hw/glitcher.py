@@ -162,14 +162,12 @@ class ClockGlitcher:
         expected_triggers: int = 1,
         zero_is_invalid: bool = False,
         replay: bool = True,
-        profile=None,
     ):
         from repro.hw.models import resolve_fault_model
 
         self.board = Board(firmware, zero_is_invalid=zero_is_invalid)
-        # fault_model accepts an instance or a registered name; profile a
-        # named CalibrationProfile (repro.hw.models)
-        self.fault_model = resolve_fault_model(fault_model, profile) or FaultModel()
+        # fault_model accepts an instance or a registered name
+        self.fault_model = resolve_fault_model(fault_model) or FaultModel()
         self.firmware = firmware
         self.expected_triggers = expected_triggers
         self.win_address = firmware.symbols.get(win_symbol)

@@ -39,7 +39,7 @@ from repro.exec import ExecOptions, FailedUnit, resolve_workers
 from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE
 from repro.hw.faults import FaultModel, ShapePlan
 from repro.hw.glitcher import ClockGlitcher
-from repro.hw.models import model_meta, resolve_fault_model
+from repro.hw.models import model_meta
 from repro.isa.disassembler import disassemble_one
 from repro.obs import Observer, activate, coerce_observer, current
 
@@ -404,14 +404,14 @@ _GUARD_KINDS = {
 }
 
 
-def _guard_glitcher(kind: str, guard: str, fault_model, profile) -> ClockGlitcher:
+def _guard_glitcher(kind: str, guard: str, fault_model) -> ClockGlitcher:
     """The scan's shared glitcher on the guard firmware for ``kind``."""
     from repro.firmware.loops import build_guard_firmware
 
     spec = _GUARD_KINDS[kind]
     return ClockGlitcher(
         build_guard_firmware(guard, spec.variant),
-        fault_model=resolve_fault_model(fault_model, profile),
+        fault_model=fault_model,
         expected_triggers=spec.expected_triggers,
     )
 
@@ -443,26 +443,24 @@ def run_single_glitch_scan(
     glitcher: Optional[ClockGlitcher] = None,
     execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    profile=None,
 ) -> SingleGlitchScan:
     """Table I: scan every (width, offset) for each glitched clock cycle.
 
-    ``fault_model`` accepts a :class:`FaultModel` instance or a registered
-    model name; ``profile`` a named calibration from
-    :data:`repro.hw.models.PROFILES` (see :func:`resolve_fault_model`).
+    ``fault_model`` accepts a :class:`FaultModel` instance or a
+    :data:`repro.hw.models.FAULT_MODELS` name (a model or a calibration).
 
     ``execution`` (an :class:`~repro.exec.ExecOptions`) distributes the
     per-cycle rows over processes, persists completed rows (keyed by
     cycle) so an interrupted scan restarts only its missing cycles, and
     retries a failing row before quarantining it into ``failed_units``.
     A pre-built ``glitcher`` carries its own fault model, so combining it
-    with ``fault_model``/``profile`` (or with more than one worker — a
+    with ``fault_model`` (or with more than one worker — a
     live board cannot be shipped to worker processes) raises
     ``ValueError``.
     """
-    if glitcher is not None and (fault_model is not None or profile is not None):
+    if glitcher is not None and fault_model is not None:
         raise ValueError(
-            "pass either a pre-built glitcher or a fault_model/profile, not "
+            "pass either a pre-built glitcher or a fault_model, not "
             "both: the glitcher was already constructed with its own fault "
             "model, so the fault_model argument would be silently ignored"
         )
@@ -472,7 +470,7 @@ def run_single_glitch_scan(
             "pass fault_model and let each worker build its own board"
         )
     if glitcher is None:
-        glitcher = _guard_glitcher("single", guard, fault_model, profile)
+        glitcher = _guard_glitcher("single", guard, fault_model)
     cycles = list(cycles)
     instruction_map = map_cycles_to_instructions(glitcher, max(cycles, default=0) + 1)
     rows, failed = _guard_scan("single", guard, cycles, glitcher, stride, execution, obs)
@@ -488,10 +486,9 @@ def run_multi_glitch_scan(
     stride: int = 1,
     execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    profile=None,
 ) -> MultiGlitchScan:
     """Table II: the same glitch fired after each of two triggers."""
-    glitcher = _guard_glitcher("multi", guard, fault_model, profile)
+    glitcher = _guard_glitcher("multi", guard, fault_model)
     rows, failed = _guard_scan("multi", guard, cycles, glitcher, stride, execution, obs)
     return MultiGlitchScan(guard=guard, rows=rows, failed_units=failed)
 
@@ -503,10 +500,9 @@ def run_long_glitch_scan(
     stride: int = 1,
     execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    profile=None,
 ) -> LongGlitchScan:
     """Table III: one glitch spanning cycles 0..last over two adjacent loops."""
-    glitcher = _guard_glitcher("long", guard, fault_model, profile)
+    glitcher = _guard_glitcher("long", guard, fault_model)
     rows, failed = _guard_scan("long", guard, last_cycles, glitcher, stride, execution, obs)
     return LongGlitchScan(guard=guard, rows=rows, failed_units=failed)
 
@@ -562,7 +558,6 @@ def run_defense_scan(
     detect_symbol: Optional[str] = "gr_detected",
     execution: ExecOptions = ExecOptions(),
     obs: Optional[Observer] = None,
-    profile=None,
 ) -> DefenseScanResult:
     """Attack a (possibly defended) firmware image with one Table VI attack.
 
@@ -582,9 +577,7 @@ def run_defense_scan(
     except KeyError:
         raise ValueError(f"unknown attack {attack!r}; expected one of {sorted(ATTACK_SHAPES)}")
     detect = detect_symbol if detect_symbol and detect_symbol in image.symbols else None
-    glitcher = ClockGlitcher(
-        image, fault_model=resolve_fault_model(fault_model, profile), detect_symbol=detect
-    )
+    glitcher = ClockGlitcher(image, fault_model=fault_model, detect_symbol=detect)
     tallies, failed = _sweep(
         "defense", attack, glitcher, list(shapes), stride, execution, obs,
         meta={"scenario": scenario, "defense": defense, "attack": attack},

@@ -61,13 +61,11 @@ class ParameterSearch:
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         obs: Optional[Observer] = None,
-        profile=None,
     ):
         from repro.firmware.loops import build_guard_firmware
-        from repro.hw.models import model_meta, resolve_fault_model
+        from repro.hw.models import model_meta
 
         self.guard = guard
-        fault_model = resolve_fault_model(fault_model, profile)
         firmware = build_guard_firmware(guard, "single")
         self.glitcher = ClockGlitcher(firmware, fault_model=fault_model)
         self.coarse_stride = coarse_stride

@@ -122,20 +122,16 @@ class VoltageFaultModel(FaultModel):
 class VoltageGlitcher:
     """ChipWhisperer-crowbar-style controller over the shared board machinery.
 
-    ``fault_model`` accepts a pre-built model or a registered model name,
-    and ``profile`` a :data:`repro.hw.models.PROFILES` calibration name;
-    by default a fresh :class:`VoltageFaultModel` is used.  (The old
-    constructor hard-coded the default and raised ``TypeError`` when a
-    caller passed ``fault_model`` through ``**glitcher_kwargs``.)
+    ``fault_model`` accepts a pre-built model or a
+    :data:`repro.hw.models.FAULT_MODELS` name; by default a fresh
+    :class:`VoltageFaultModel` is used.
     """
 
-    def __init__(self, firmware, fault_model=None, profile=None, **glitcher_kwargs):
+    def __init__(self, firmware, fault_model=None, **glitcher_kwargs):
         from repro.hw.glitcher import ClockGlitcher
         from repro.hw.models import resolve_fault_model
 
-        self.fault_model = (
-            resolve_fault_model(fault_model, profile) or VoltageFaultModel()
-        )
+        self.fault_model = resolve_fault_model(fault_model) or VoltageFaultModel()
         self._inner = ClockGlitcher(
             firmware, fault_model=self.fault_model, **glitcher_kwargs
         )
@@ -146,7 +142,6 @@ class VoltageGlitcher:
 
     def run_attempt(self, params: VoltageGlitchParams):
         """Fire one voltage glitch and classify the outcome."""
-        self.fault_model.begin_run()
         return self._inner.run_attempt(params.as_clock_params())
 
     def run_unglitched(self, max_cycles: int = 10_000):

@@ -27,6 +27,9 @@ against them on the same inputs:
 - :func:`uniform_roll` — the fault model's hashed uniform draw, computed
   afresh on every call, which ``FaultModel._uniform`` memoizes
   process-wide;
+- :func:`skip_replay_effect` — the skip/replay model's realization
+  written out on its own, unmemoized, which ``SkipReplayModel`` now
+  takes through the base model's memoized realization;
 - :func:`trace_pipeline` — per-cycle pipeline occupancy (which
   instruction executes, what sits in decode and fetch), rendered as an
   ASCII diagram; the tests use it to check Table I's cycle attribution;
@@ -85,6 +88,7 @@ from repro.glitchsim.snippets import (
     SUCCESS_MARKER,
     SUCCESS_REGISTER,
 )
+from repro.hw.faults import FaultEffect
 from repro.isa.decoder import decode
 from repro.isa.disassembler import disassemble_one
 
@@ -381,6 +385,28 @@ def uniform_roll(seed: int, label: str, *keys: int) -> float:
     payload = label.encode() + struct.pack(f"<q{len(keys)}q", seed, *keys)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little") / float(1 << 64)
+
+
+def skip_replay_effect(
+    model, params, rel_cycle: int, view, occurrence: int, window_index: int = 0
+) -> Optional[FaultEffect]:
+    """``SkipReplayModel(...).effect_at(params, rel_cycle, view, occurrence,
+    window_index)``: a crash resets, a follow-up window bites with the
+    model's attenuation, and every other bite is the model's one effect
+    whatever the pipeline ``view`` shows."""
+    decision = model.occurrence_decision(params, rel_cycle)
+    if decision is None:
+        return None
+    if decision == "crash":
+        return FaultEffect(kind="reset", rel_cycle=rel_cycle)
+    if window_index > 0:
+        follow = uniform_roll(
+            model.seed, "follow", params.width, params.offset, rel_cycle, window_index,
+            occurrence,
+        )
+        if follow >= model.follow_up_attenuation:
+            return None
+    return FaultEffect(kind=model.effect, rel_cycle=rel_cycle)
 
 
 # ----------------------------------------------------------------------

@@ -284,17 +284,17 @@ class TestCalibrationsNeverShareACheckpoint:
                                execution=ExecOptions(checkpoint_dir=tmp_path), **kwargs)
         obs = Observer()
         resumed = run_single_glitch_scan(
-            "not_a", profile="em-probe-4mm",
+            "not_a", fault_model="em-probe-4mm",
             execution=ExecOptions(checkpoint_dir=tmp_path, resume=True), obs=obs, **kwargs
         )
         assert obs.counters["units.replayed"] == 0
-        assert resumed == run_single_glitch_scan("not_a", profile="em-probe-4mm", **kwargs)
+        assert resumed == run_single_glitch_scan("not_a", fault_model="em-probe-4mm", **kwargs)
 
     def test_search_resume_under_another_calibration_starts_fresh(self, tmp_path):
         first = ParameterSearch("a", fault_model="em", checkpoint_dir=tmp_path)
         first.run(max_attempts=50)
         first.close()
-        resumed = ParameterSearch("a", profile="em-probe-4mm", checkpoint_dir=tmp_path,
+        resumed = ParameterSearch("a", fault_model="em-probe-4mm", checkpoint_dir=tmp_path,
                                   resume=True)
         assert len(resumed._checkpoint) == 0
         resumed.close()

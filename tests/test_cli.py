@@ -1,8 +1,14 @@
 """CLI tests (``python -m repro ...``)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import FAULT_MODEL_NAMES, main
+
+DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
 
 
 @pytest.fixture()
@@ -133,7 +139,8 @@ class TestInputErrors:
         nomain = tmp_path / "nomain.c"
         nomain.write_text("int f(void) { return 0; }\n")
         return {"guard": guard_c, "missing": str(tmp_path / "missing.hex"),
-                "dir": str(tmp_path), "dollar": str(dollar), "nomain": str(nomain)}
+                "dir": str(tmp_path), "dollar": str(dollar), "nomain": str(nomain),
+                "demo": DEMO_HEX}
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "table1", "--workers", "-1"],
@@ -146,10 +153,18 @@ class TestInputErrors:
         ["discover", "{dir}"],
         ["harden", "{dollar}"],
         ["harden", "{nomain}"],
+        ["disassemble", "zz"],
+        ["disassemble", "0120", "--base", "0xq"],
+        ["discover", "{demo}", "--format", "raw", "--base", "xyz"],
+        ["campaign", "--image", "{demo}", "--top", "-2"],
+        ["campaign", "--image", "{demo}", "--top", "0"],
+        ["experiment", "table1", "--fault-model", "bogus"],
     ], ids=["workers-negative", "retries-negative", "unit-timeout-zero",
             "unit-timeout-infinite", "stride-zero",
             "attack-stride-zero", "discover-missing", "discover-directory",
-            "harden-bad-character", "harden-no-main"])
+            "harden-bad-character", "harden-no-main", "disassemble-bad-hex",
+            "disassemble-bad-base", "discover-bad-base", "campaign-top-negative",
+            "campaign-top-zero", "fault-model-unknown"])
     def test_reported_as_an_error(self, argv, inputs, capsys):
         try:
             status = main([arg.format(**inputs) for arg in argv])
@@ -159,6 +174,36 @@ class TestInputErrors:
         assert status != 0
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestFaultModelFlag:
+    """``--fault-model`` names a model or a bench calibration, from one registry."""
+
+    def test_choices_are_the_registry(self):
+        from repro.hw.models import FAULT_MODELS
+
+        assert FAULT_MODEL_NAMES == tuple(sorted(FAULT_MODELS))
+
+    def test_startup_does_not_import_numpy(self):
+        code = "import sys, repro.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"
+
+    def test_profile_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "table1", "--profile", "em-probe-4mm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
+
+    def test_calibration_name_runs_its_model(self, capsys):
+        from repro.experiments import run_table1
+
+        assert main(["experiment", "table1", "--stride", "12",
+                     "--fault-model", "em-probe-4mm"]) == 0
+        expected = run_table1(stride=12, fault_model="em-probe-4mm").render()
+        assert capsys.readouterr().out == expected + "\n"
+        assert expected != run_table1(stride=12, fault_model="em").render()
 
 
 class TestExperimentQuarantineReport:

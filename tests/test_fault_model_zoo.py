@@ -1,15 +1,23 @@
-"""The pluggable fault-model zoo: registry, profiles, new models, bugfixes.
+"""The pluggable fault-model zoo: registry, calibrations, models, bugfixes.
 
-Covers the ISSUE-7 tentpole and satellites:
+Covers:
 
-- the ``FAULT_MODELS`` registry and named ``CalibrationProfile`` bundles;
-- the EMFI and skip/replay models, including their pipeline semantics;
+- the ``FAULT_MODELS`` registry of models and named bench calibrations,
+  with every name's tallies, effect counters and checkpoint fingerprint
+  pinned;
+- the EMFI and skip/replay models, including their pipeline semantics
+  and the skip/replay realization against its reference in
+  ``tests/oracles.py``;
 - the zoo-wide property/determinism contracts;
 - regressions for the voltage recharge-by-cycles bug, the empty-weight
   ``_pick`` crash, and the ``VoltageGlitcher`` ``fault_model`` TypeError.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.emu import CPU, Memory
 from repro.errors import GlitchConfigError
@@ -17,14 +25,13 @@ from repro.firmware import build_guard_firmware
 from repro.hw import (
     EFFECT_KINDS,
     FAULT_MODELS,
-    PROFILES,
-    CalibrationProfile,
     EMFaultModel,
     SkipReplayModel,
-    model_label,
     resolve_fault_model,
 )
-from repro.hw.clock import GlitchParams
+from repro.experiments.table1 import run_table1
+from repro.experiments.table6 import run_table6
+from repro.hw.clock import OFFSET_RANGE, WIDTH_RANGE, GlitchParams
 from repro.hw.faults import FaultEffect, FaultModel, PipelineView
 from repro.hw.glitcher import ClockGlitcher
 from repro.hw.models import model_meta
@@ -36,6 +43,8 @@ from repro.hw.voltage import (
     VoltageGlitcher,
 )
 from repro.isa import assemble
+from repro.obs import Observer
+from tests.oracles import skip_replay_effect
 
 BASE = 0x0800_0000
 
@@ -69,12 +78,18 @@ def _find_faulting_params(model, rel_cycle=0):
 
 
 # ----------------------------------------------------------------------
-# registry + profiles
+# registry: models and calibrations
 # ----------------------------------------------------------------------
+
+#: the five bench calibrations that share the registry with the models
+CALIBRATIONS = ("cw-lite-clock", "cw-lite-voltage", "em-probe-4mm", "skip-precise",
+                "replay-precise")
+
 
 class TestRegistry:
     def test_builtin_models_registered(self):
-        assert set(FAULT_MODELS) >= {"clock", "voltage", "em", "skip", "replay"}
+        assert set(FAULT_MODELS) >= {"clock", "voltage", "em", "skip", "replay",
+                                     *CALIBRATIONS}
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_fault_model("clock"), FaultModel)
@@ -93,16 +108,8 @@ class TestRegistry:
         with pytest.raises(GlitchConfigError, match="unknown fault model"):
             resolve_fault_model("laser")
 
-    def test_model_label(self):
-        assert model_label(None) == "clock"
-        assert model_label(FaultModel()) == "clock"
-        assert model_label(VoltageFaultModel()) == "voltage"
-        assert model_label(EMFaultModel()) == "em"
-        assert model_label(SkipReplayModel(effect="skip")) == "skip"
-        assert model_label(SkipReplayModel(effect="replay")) == "replay"
-
     def test_model_meta_names_the_full_calibration(self):
-        meta = model_meta(PROFILES["em-probe-4mm"].build())
+        meta = model_meta(resolve_fault_model("em-probe-4mm"))
         assert meta["class"] == "EMFaultModel"
         assert meta["fault_amplitude"] == 0.92 and meta["width_sigma"] == 13.0
         assert meta != model_meta(EMFaultModel())  # same class and seed
@@ -117,44 +124,20 @@ class TestRegistry:
 
 class TestProfiles:
     def test_builtin_profiles(self):
-        assert set(PROFILES) >= {
-            "cw-lite-clock", "cw-lite-voltage", "em-probe-4mm",
-            "skip-precise", "replay-precise",
-        }
-        for profile in PROFILES.values():
-            assert profile.model in FAULT_MODELS
-            assert isinstance(profile.build(), FaultModel)
+        for name in CALIBRATIONS:
+            assert isinstance(FAULT_MODELS[name](), FaultModel)
+        # the paper's bench is the default clock model
+        assert model_meta(resolve_fault_model("cw-lite-clock")) == model_meta(FaultModel())
 
     def test_profile_applies_calibration(self):
-        model = resolve_fault_model(profile="em-probe-4mm")
+        model = resolve_fault_model("em-probe-4mm")
         assert isinstance(model, EMFaultModel)
         assert model.fault_amplitude == pytest.approx(0.92)
         assert model.width_sigma == pytest.approx(13.0)
 
-    def test_profile_seed_override(self):
-        profile = CalibrationProfile(name="x", model="clock", seed=0xABCD)
-        assert profile.build().seed == 0xABCD
-
     def test_unknown_profile(self):
-        with pytest.raises(GlitchConfigError, match="unknown calibration profile"):
-            resolve_fault_model(profile="bench-42")
-
-    def test_profile_with_matching_name_ok(self):
-        model = resolve_fault_model("em", profile="em-probe-4mm")
-        assert isinstance(model, EMFaultModel)
-
-    def test_profile_with_mismatched_name(self):
-        with pytest.raises(GlitchConfigError, match="calibrates"):
-            resolve_fault_model("clock", profile="em-probe-4mm")
-
-    def test_profile_with_instance(self):
-        with pytest.raises(GlitchConfigError, match="not both"):
-            resolve_fault_model(FaultModel(), profile="cw-lite-clock")
-
-    def test_unknown_model_in_profile(self):
-        profile = CalibrationProfile(name="x", model="laser")
-        with pytest.raises(GlitchConfigError, match="unknown model"):
-            profile.build()
+        with pytest.raises(GlitchConfigError, match="unknown fault model"):
+            resolve_fault_model("bench-42")
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +265,11 @@ class TestVoltageGlitcherInjection:
 
     def test_fault_model_by_name_and_profile(self):
         firmware = build_guard_firmware("not_a", "single")
-        assert isinstance(
-            VoltageGlitcher(firmware, fault_model="voltage").fault_model,
-            VoltageFaultModel,
-        )
-        by_profile = VoltageGlitcher(firmware, profile="cw-lite-voltage")
-        assert isinstance(by_profile.fault_model, VoltageFaultModel)
+        for name in ("voltage", "cw-lite-voltage"):
+            assert isinstance(
+                VoltageGlitcher(firmware, fault_model=name).fault_model,
+                VoltageFaultModel,
+            )
 
     def test_default_still_voltage_model(self):
         firmware = build_guard_firmware("not_a", "single")
@@ -299,7 +281,7 @@ class TestVoltageGlitcherInjection:
             ClockGlitcher(firmware, fault_model="em").fault_model, EMFaultModel
         )
         assert isinstance(
-            ClockGlitcher(firmware, profile="skip-precise").fault_model,
+            ClockGlitcher(firmware, fault_model="skip-precise").fault_model,
             SkipReplayModel,
         )
 
@@ -307,7 +289,7 @@ class TestVoltageGlitcherInjection:
         firmware = build_guard_firmware("not_a", "single")
         glitcher = ClockGlitcher(firmware)
         with pytest.raises(ValueError, match="not both"):
-            run_single_glitch_scan("not_a", glitcher=glitcher, profile="cw-lite-clock")
+            run_single_glitch_scan("not_a", glitcher=glitcher, fault_model="cw-lite-clock")
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +356,25 @@ class TestSkipReplayPipeline:
         fresh.restore_state(state)
         assert fresh._last_retired_raw == pipe._last_retired_raw
 
+    @pytest.mark.parametrize("name", ["skip", "replay", "skip-precise", "replay-precise"])
+    @settings(max_examples=150, deadline=None)
+    @given(point=st.one_of(
+               st.tuples(st.integers(WIDTH_RANGE.start, WIDTH_RANGE.stop - 1),
+                         st.integers(OFFSET_RANGE.start, OFFSET_RANGE.stop - 1)),
+               st.tuples(st.integers(5, 35), st.integers(-30, 10))),
+           repeat=st.integers(1, 100), rel_cycle=st.integers(0, 200),
+           view=st.sampled_from(ALL_VIEWS), occurrence=st.integers(0, 40),
+           window_index=st.integers(0, 2))
+    def test_realization_matches_oracle(
+        self, name, point, repeat, rel_cycle, view, occurrence, window_index
+    ):
+        """The memoized base realization against the skip/replay reference."""
+        model = resolve_fault_model(name)
+        params = GlitchParams(0, *point, repeat=repeat)
+        expected = skip_replay_effect(model, params, rel_cycle, view, occurrence, window_index)
+        for _ in range(2):  # cold, then served by the memo
+            assert model.effect_at(params, rel_cycle, view, occurrence, window_index) == expected
+
     def test_skip_model_end_to_end_success(self):
         """A skip attacker can break a guard loop through the glitcher."""
         firmware = build_guard_firmware("not_a", "single")
@@ -383,3 +384,174 @@ class TestSkipReplayPipeline:
         # skipping the guard's compare/branch is exactly the paper's
         # "skip" mechanism: the attack must land at least once
         assert scan.total_successes > 0
+
+
+# ----------------------------------------------------------------------
+# every registry name, pinned
+# ----------------------------------------------------------------------
+
+#: Each registry name's behaviour, recorded when the five calibrations
+#: were still built by a separate calibration-profile selector: Table I
+#: at stride 6 as per-guard (successes, resets, unique register values),
+#: that run's nonzero ``hw.effects.*`` counters, the Table VI
+#: while(!a) ``single`` rows at stride 12 as per-defense (successes,
+#: detections, resets, attempts), and the ``model_meta`` checkpoint
+#: fingerprint (unchanged, so checkpoints written then still resume).
+REGISTRY_PINS = {
+    "clock": (
+        {"not_a": (19, 234, 7), "a": (5, 234, 2), "a_ne_const": (8, 226, 2)},
+        {"branch_decision": 9, "cmp_transient": 3, "decode": 27, "fetch": 95, "load_data": 22},
+        {"none": (9, 0, 68, 891), "all_no_delay": (7, 2, 68, 891)},
+        {"class": "FaultModel", "crash_amplitude": 0.4, "fault_amplitude": 0.95,
+         "follow_up_attenuation": 0.45, "offset_center": -10.0, "offset_sigma": 13.0,
+         "seed": 1611489005, "width_center": 20.0, "width_sigma": 9.0},
+    ),
+    "cw-lite-clock": (
+        {"not_a": (19, 234, 7), "a": (5, 234, 2), "a_ne_const": (8, 226, 2)},
+        {"branch_decision": 9, "cmp_transient": 3, "decode": 27, "fetch": 95, "load_data": 22},
+        {"none": (9, 0, 68, 891), "all_no_delay": (7, 2, 68, 891)},
+        {"class": "FaultModel", "crash_amplitude": 0.4, "fault_amplitude": 0.95,
+         "follow_up_attenuation": 0.45, "offset_center": -10.0, "offset_sigma": 13.0,
+         "seed": 1611489005, "width_center": 20.0, "width_sigma": 9.0},
+    ),
+    "cw-lite-voltage": (
+        {"not_a": (2, 314, 2), "a": (0, 314, 0), "a_ne_const": (0, 312, 0)},
+        {"decode": 7, "fetch": 8, "load_data": 1, "writeback": 2},
+        {"none": (0, 0, 176, 891), "all_no_delay": (0, 0, 176, 891)},
+        {"class": "VoltageFaultModel", "crash_amplitude": 0.6, "fault_amplitude": 0.85,
+         "follow_up_attenuation": 0.0, "offset_center": -18.0, "offset_sigma": 10.0,
+         "recharge_cycles": 48, "seed": 195936478, "width_center": -24.0,
+         "width_sigma": 8.0},
+    ),
+    "em": (
+        {"not_a": (20, 259, 5), "a": (4, 259, 1), "a_ne_const": (6, 256, 1)},
+        {"branch_decision": 3, "decode": 41, "fetch": 107, "load_data": 11},
+        {"none": (5, 0, 81, 891), "all_no_delay": (2, 3, 81, 891)},
+        {"class": "EMFaultModel", "crash_amplitude": 0.3, "fault_amplitude": 0.9,
+         "follow_up_attenuation": 0.3, "offset_center": 8.0, "offset_sigma": 12.0,
+         "seed": 3790369056, "width_center": 12.0, "width_sigma": 11.0},
+    ),
+    "em-probe-4mm": (
+        {"not_a": (25, 276, 7), "a": (6, 276, 2), "a_ne_const": (8, 273, 1)},
+        {"branch_decision": 3, "cmp_transient": 3, "decode": 48, "fetch": 142, "load_data": 11},
+        {"none": (7, 0, 84, 891), "all_no_delay": (3, 4, 84, 891)},
+        {"class": "EMFaultModel", "crash_amplitude": 0.3, "fault_amplitude": 0.92,
+         "follow_up_attenuation": 0.3, "offset_center": 8.0, "offset_sigma": 12.0,
+         "seed": 3790369056, "width_center": 12.0, "width_sigma": 13.0},
+    ),
+    "replay": (
+        {"not_a": (14, 195, 3), "a": (4, 195, 1), "a_ne_const": (10, 184, 1)},
+        {"replay": 105},
+        {"none": (3, 0, 121, 891), "all_no_delay": (3, 0, 121, 891)},
+        {"class": "SkipReplayModel", "crash_amplitude": 0.25, "effect": "replay",
+         "fault_amplitude": 0.9, "follow_up_attenuation": 0.6, "offset_center": -10.0,
+         "offset_sigma": 13.0, "seed": 1592611198, "width_center": 20.0,
+         "width_sigma": 9.0},
+    ),
+    "replay-precise": (
+        {"not_a": (19, 187, 3), "a": (6, 187, 1), "a_ne_const": (15, 176, 1)},
+        {"replay": 126},
+        {"none": (6, 0, 121, 891), "all_no_delay": (5, 1, 121, 891)},
+        {"class": "SkipReplayModel", "crash_amplitude": 0.1, "effect": "replay",
+         "fault_amplitude": 0.97, "follow_up_attenuation": 0.6, "offset_center": -10.0,
+         "offset_sigma": 13.0, "seed": 1592611198, "width_center": 20.0,
+         "width_sigma": 9.0},
+    ),
+    "skip": (
+        {"not_a": (19, 190, 3), "a": (4, 190, 1), "a_ne_const": (10, 184, 1)},
+        {"skip": 105},
+        {"none": (3, 0, 121, 891), "all_no_delay": (3, 0, 121, 891)},
+        {"class": "SkipReplayModel", "crash_amplitude": 0.25, "effect": "skip",
+         "fault_amplitude": 0.9, "follow_up_attenuation": 0.6, "offset_center": -10.0,
+         "offset_sigma": 13.0, "seed": 1592611198, "width_center": 20.0,
+         "width_sigma": 9.0},
+    ),
+    "skip-precise": (
+        {"not_a": (24, 182, 3), "a": (6, 182, 1), "a_ne_const": (15, 176, 1)},
+        {"skip": 126},
+        {"none": (6, 0, 121, 891), "all_no_delay": (5, 1, 121, 891)},
+        {"class": "SkipReplayModel", "crash_amplitude": 0.1, "effect": "skip",
+         "fault_amplitude": 0.97, "follow_up_attenuation": 0.6, "offset_center": -10.0,
+         "offset_sigma": 13.0, "seed": 1592611198, "width_center": 20.0,
+         "width_sigma": 9.0},
+    ),
+    "voltage": (
+        {"not_a": (2, 314, 2), "a": (0, 314, 0), "a_ne_const": (0, 312, 0)},
+        {"decode": 7, "fetch": 8, "load_data": 1, "writeback": 2},
+        {"none": (0, 0, 176, 891), "all_no_delay": (0, 0, 176, 891)},
+        {"class": "VoltageFaultModel", "crash_amplitude": 0.6, "fault_amplitude": 0.85,
+         "follow_up_attenuation": 0.0, "offset_center": -18.0, "offset_sigma": 10.0,
+         "recharge_cycles": 48, "seed": 195936478, "width_center": -24.0,
+         "width_sigma": 8.0},
+    ),
+}
+
+
+#: Each registry name's :func:`_realization_digest`, recorded with
+#: :data:`REGISTRY_PINS`: every mask, mode and substitute the model draws.
+REALIZATION_DIGESTS = {
+    "clock": "8047abb48a569666",
+    "cw-lite-clock": "8047abb48a569666",
+    "cw-lite-voltage": "3f8fe64163644c2c",
+    "em": "968b43154d3f1725",
+    "em-probe-4mm": "b7e83a684d9831b3",
+    "replay": "3a5d582be93a2499",
+    "replay-precise": "edc9cb0459dd1adc",
+    "skip": "5b62038b4906e92a",
+    "skip-precise": "8d83b46988be1aad",
+    "voltage": "3f8fe64163644c2c",
+}
+
+
+def _realization_digest(model) -> str:
+    """A digest of ``model.effect_at`` at every other grid point whose
+    first glitched cycle faults: both glitch lengths, five pipeline views
+    and two occurrences (the second in a follow-up window), each from a
+    fresh run."""
+    views = (PipelineView("load"), PipelineView("compare", False),
+             PipelineView("store", True, False), PipelineView("branch"), PipelineView("alu"))
+    effects = []
+    for width in range(WIDTH_RANGE.start, WIDTH_RANGE.stop, 2):
+        for offset in range(OFFSET_RANGE.start, OFFSET_RANGE.stop, 2):
+            if model.first_occurrence(GlitchParams(0, width, offset)) != (0, "fault"):
+                continue
+            for repeat in (1, 5):
+                params = GlitchParams(0, width, offset, repeat=repeat)
+                for view in views:
+                    for occurrence in (0, 1):
+                        model.begin_run()
+                        effect = model.effect_at(params, 0, view, occurrence, occurrence)
+                        effects.append(effect and effect.cache_key())
+    return hashlib.blake2b(repr(effects).encode(), digest_size=8).hexdigest()
+
+
+class TestRegistryPins:
+    def test_every_name_is_pinned(self):
+        assert set(FAULT_MODELS) == set(REGISTRY_PINS) == set(REALIZATION_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_PINS))
+    def test_name_reproduces_its_pins(self, name):
+        table1, effects, table6, meta = REGISTRY_PINS[name]
+        obs = Observer()
+        scans = run_table1(stride=6, fault_model=name, obs=obs).scans
+        assert {
+            guard: (scan.total_successes, sum(row.resets for row in scan.rows),
+                    scan.unique_register_values)
+            for guard, scan in scans.items()
+        } == table1
+        assert {
+            counter[len("hw.effects."):]: value
+            for counter, value in obs.counters.items()
+            if counter.startswith("hw.effects.") and value
+        } == effects
+        rows = run_table6(stride=12, attacks=("single",), scenarios=("while_not_a",),
+                          defenses=tuple(table6), fault_model=name).results
+        assert {
+            defense: (row.successes, row.detections, row.resets, row.attempts)
+            for (_, defense, _), row in rows.items()
+        } == table6
+        assert model_meta(resolve_fault_model(name)) == meta
+
+    @pytest.mark.parametrize("name", sorted(REALIZATION_DIGESTS))
+    def test_name_realizes_its_pinned_effects(self, name):
+        assert _realization_digest(resolve_fault_model(name)) == REALIZATION_DIGESTS[name]

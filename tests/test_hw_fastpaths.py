@@ -175,9 +175,8 @@ def _plan_glitcher(name: str) -> ClockGlitcher:
 # shape plans and the effect memo vs per-point decisions
 # ----------------------------------------------------------------------
 
-#: every zoo model, plus a calibration profile of one: name -> glitcher kwargs
+#: every zoo model and bench calibration: name -> glitcher kwargs
 ZOO = {name: {"fault_model": name} for name in sorted(FAULT_MODELS)}
-ZOO["em-probe-4mm"] = {"profile": "em-probe-4mm"}
 SHAPES = sorted({shape for shapes in ATTACK_SHAPES.values() for shape in shapes})
 
 
@@ -237,7 +236,7 @@ class TestShapePlans:
 
 
 #: the fault-effect realizations the base model's memo serves
-MEMO_ZOO = ("clock", "em", "em-probe-4mm", "voltage")
+MEMO_ZOO = ("clock", "em", "em-probe-4mm", "replay", "skip", "voltage")
 #: (width, offset) draws around the zoo models' fault bands
 fault_band = st.tuples(st.integers(-30, 35), st.integers(-30, 20))
 views = st.builds(PipelineView, st.sampled_from(("none", "load", "store", "compare",
