@@ -71,7 +71,7 @@ snippet = branch_snippet("vs")
 report = {}
 for engine, harness_class in (("rebuild", RebuildSnippetHarness),
                               ("snapshot", SnippetHarness)):
-    harness = harness_class(snippet, engine="snapshot")
+    harness = harness_class(snippet)
     start = time.perf_counter()
     tally = Counter(harness.run(word).category for word in range(0x10000))
     report[engine] = [time.perf_counter() - start, dict(tally)]

@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro.experiments.fig2 import run_figure2
+from tests.oracles import snapshot_engine
 
 #: pre-optimization cold vector-engine wall time (s), pinned for speedup
 BASELINE_S = 3.0
@@ -53,9 +54,9 @@ def no_tables():
     vector._TABLES.update(saved)
 
 
-def _timed_fig2(engine: str, cache=None):
+def _timed_fig2(cache=None):
     start = time.perf_counter()
-    result = run_figure2(engine=engine, cache=cache)
+    result = run_figure2(cache=cache)
     return time.perf_counter() - start, result
 
 
@@ -63,15 +64,17 @@ def test_fig2_cold_times_and_budget(no_tables, tmp_path):
     report = {"figure": "fig2", "baseline_s": BASELINE_S, "engines": {}}
 
     # vector, cold: empty outcome cache, operand tables built in the run
-    cold_s, cold = _timed_fig2("vector")
+    cold_s, cold = _timed_fig2()
 
     # vector, warm: second run against a populated disk cache
     cache_dir = tmp_path / "outcomes"
-    _timed_fig2("vector", cache=str(cache_dir))
-    warm_s, warm = _timed_fig2("vector", cache=str(cache_dir))
+    _timed_fig2(cache=str(cache_dir))
+    warm_s, warm = _timed_fig2(cache=str(cache_dir))
 
-    # snapshot, cold: the scalar reference point (one repetition)
-    snap_s, snap = _timed_fig2("snapshot")
+    # snapshot, cold: the scalar reference point (one repetition) on the
+    # test-side snapshot oracle
+    with snapshot_engine():
+        snap_s, snap = _timed_fig2()
 
     report["engines"]["vector"] = {
         "cold_s": round(cold_s, 3),

@@ -4,8 +4,9 @@ Runs a Figure 2 slice — the three paper panels (AND, OR, AND with 0x0000
 invalid) over a subset of branches, full ``k`` range — once through the
 campaign's closed-form tallies and once through the mask-enumeration
 oracle (tests/oracles.py), each repetition against its own cold outcome
-cache and both on the scalar snapshot engine (so the ratio measures the
-tallying, not the engine), and asserts
+cache and both on the scalar snapshot replay (the ``snapshot_engine()``
+oracle of tests/oracles.py, so the ratio measures the tallying, not the
+engine), and asserts
 
 - the ``by_k`` Counters are bit-identical between the two, and
 - the algebra path is at least 3× faster end to end.
@@ -19,9 +20,9 @@ supersets under OR) instead of touching the memo once per mask.
 import time
 
 from repro.exec import OutcomeCache
-from repro.glitchsim import SnippetHarness, branch_snippet
+from repro.glitchsim import branch_snippet
 from repro.glitchsim.campaign import run_branch_campaign
-from tests.oracles import enumerate_by_k
+from tests.oracles import SnapshotSnippetHarness, enumerate_by_k, snapshot_engine
 
 #: (panel, model, zero_is_invalid) — Figure 2's three paper panels
 _PANELS = (
@@ -37,13 +38,13 @@ def _fig2_slice(tally: str, cache_root: str) -> dict:
     panels = {}
     if tally == "algebra":
         for name, model, zero_is_invalid in _PANELS:
-            result = run_branch_campaign(
-                model,
-                zero_is_invalid=zero_is_invalid,
-                conditions=_CONDITIONS,
-                cache=cache_root,
-                engine="snapshot",  # the enumeration side runs on it too
-            )
+            with snapshot_engine():  # the enumeration side runs on it too
+                result = run_branch_campaign(
+                    model,
+                    zero_is_invalid=zero_is_invalid,
+                    conditions=_CONDITIONS,
+                    cache=cache_root,
+                )
             panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
         return panels
     cache = OutcomeCache(cache_root)
@@ -51,8 +52,8 @@ def _fig2_slice(tally: str, cache_root: str) -> dict:
         panels[name] = {}
         for condition in _CONDITIONS:
             snippet = branch_snippet(condition)
-            harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
-                                     disk_cache=cache, engine="snapshot")
+            harness = SnapshotSnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
+                                             disk_cache=cache)
             panels[name][snippet.mnemonic] = enumerate_by_k(
                 harness, snippet.target_word, model
             )

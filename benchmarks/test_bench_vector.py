@@ -1,5 +1,8 @@
 """Vector-engine benchmark: NumPy lock-step batches vs per-word snapshot replay.
 
+The snapshot side runs on the test-side oracle (``snapshot_engine()`` of
+tests/oracles.py).
+
 Runs a Figure 2 slice — all four corruption panels (AND, OR, XOR, AND
 with 0x0000 invalid) over three branch conditions, full ``k`` range —
 once per engine, each repetition against its own cold outcome cache, and
@@ -17,10 +20,12 @@ replaying the snapshot world once per word in Python.
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.glitchsim.campaign import run_branch_campaign
+from tests.oracles import snapshot_engine
 
 #: (panel, model, zero_is_invalid) — Figure 2's panels plus XOR so each
 #: cold repetition touches all 2^16 words per branch.
@@ -34,7 +39,7 @@ _PANELS = (
 _CONDITIONS = ["eq", "ne", "vs"]
 
 
-def _fig2_slice(engine: str) -> dict:
+def _fig2_slice() -> dict:
     panels = {}
     for name, model, zero_is_invalid in _PANELS:
         result = run_branch_campaign(
@@ -42,14 +47,13 @@ def _fig2_slice(engine: str) -> dict:
             zero_is_invalid=zero_is_invalid,
             conditions=_CONDITIONS,
             cache=None,  # no disk cache: every repetition is fully cold
-            engine=engine,
         )
         panels[name] = {sweep.mnemonic: sweep.by_k for sweep in result.sweeps}
     return panels
 
 
 def test_vector_speedup():
-    """``engine="vector"`` is ≥5× faster than ``engine="snapshot"``, bit-identical.
+    """The vector engine is ≥5× faster than the snapshot replay, bit-identical.
 
     No disk cache is attached, so every repetition does its full cold
     emulation workload and the timing compares engines rather than
@@ -61,11 +65,12 @@ def test_vector_speedup():
     """
     timings = {}
     tallies = {}
-    for engine in ("snapshot", "vector"):
+    for engine, harnesses in (("snapshot", snapshot_engine), ("vector", nullcontext)):
         best = float("inf")
         for _repetition in range(3):
             start = time.perf_counter()
-            panels = _fig2_slice(engine)
+            with harnesses():
+                panels = _fig2_slice()
             best = min(best, time.perf_counter() - start)
         timings[engine] = best
         tallies[engine] = panels
@@ -86,13 +91,11 @@ def test_vector_executes_identical_word_population(tmp_path):
     from repro.obs import Observer, activate
 
     counts = {}
-    for engine in ("snapshot", "vector"):
+    for engine, harnesses in (("snapshot", snapshot_engine), ("vector", nullcontext)):
         cache = OutcomeCache(tmp_path / engine)
         obs = Observer()
-        with activate(obs):
+        with activate(obs), harnesses():
             for model in ("and", "or", "xor"):
-                sweep_instruction(
-                    branch_snippet("eq"), model, cache=cache, engine=engine
-                )
+                sweep_instruction(branch_snippet("eq"), model, cache=cache)
         counts[engine] = obs.counters["algebra.words_emulated"]
     assert counts["vector"] == counts["snapshot"] == 1 << 16

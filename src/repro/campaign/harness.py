@@ -17,9 +17,9 @@ classification is positional rather than marker-based:
 
 Both edges are registered as stop addresses, mirroring the snippet
 harness's marker-stop semantics (a stop only classifies with ≥ 2 budget
-steps remaining) so the snapshot and vector engines stay bit-identical
-with each other and with a per-word world rebuild — the differential
-sweep in tests/test_image_campaign.py pins this.
+steps remaining) so the scalar snapshot replay and the vector batches
+stay bit-identical with each other and with a per-word world rebuild —
+the differential sweep in tests/test_image_campaign.py pins this.
 
 The disk-cache shard is the harness's world digest (see
 :meth:`repro.glitchsim.harness.WordHarness.world_digest`): one shard per
@@ -77,7 +77,7 @@ class SiteHarness(WordHarness):
     top of RAM) and the flags satisfy the site's condition, so the
     pristine word branches to ``site.taken`` (``no_effect``).  See the
     module docstring for the outcome semantics and
-    :class:`repro.glitchsim.harness.WordHarness` for caching/engines.
+    :class:`repro.glitchsim.harness.WordHarness` for caching and execution.
     """
 
     def __init__(
@@ -86,13 +86,8 @@ class SiteHarness(WordHarness):
         site: BranchSite,
         zero_is_invalid: bool = False,
         disk_cache=None,
-        engine: str = "vector",
     ):
-        super().__init__(
-            zero_is_invalid=zero_is_invalid,
-            disk_cache=disk_cache,
-            engine=engine,
-        )
+        super().__init__(zero_is_invalid=zero_is_invalid, disk_cache=disk_cache)
         self.image = image
         self.site = site
         self._flash_size = max(0x400, (len(image.data) + 0x3FF) & ~0x3FF)
@@ -148,7 +143,8 @@ class SiteHarness(WordHarness):
 
         Mirrors :meth:`SnippetHarness._classify_replay` step accounting: a
         stop with fewer than two budget steps left resumes (without stops)
-        instead of classifying, keeping both engines bit-identical.  When
+        instead of classifying, keeping the scalar and vector paths
+        bit-identical.  When
         both edges coincide (a branch to its own fall-through) the
         fall-through check wins, exactly as the vector path orders it.
         """

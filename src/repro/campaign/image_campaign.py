@@ -138,7 +138,6 @@ def sweep_site(
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
-    engine: str = "vector",
 ) -> SiteSweep:
     """Sweep every mask of every flip count ``k`` for one branch site.
 
@@ -147,9 +146,7 @@ def sweep_site(
     same ambient ``algebra.words_emulated``/``algebra.masks_derived``
     counters.
     """
-    harness = SiteHarness(
-        image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
-    )
+    harness = SiteHarness(image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache)
     return SiteSweep(
         site=site, model=model, zero_is_invalid=zero_is_invalid,
         by_k=tally_reachable(harness, site.word, model, k_values),
@@ -168,7 +165,6 @@ class _SiteSpec:
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
-    engine: str = "vector"
 
 
 def _site_unit(spec: _SiteSpec) -> SiteSweep:
@@ -183,7 +179,6 @@ def _site_unit(spec: _SiteSpec) -> SiteSweep:
             zero_is_invalid=spec.zero_is_invalid,
             k_values=spec.k_values,
             cache=cache,
-            engine=spec.engine,
         )
 
 
@@ -197,7 +192,6 @@ def run_image_campaign(
     cache: OutcomeCache | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
-    engine: str = "vector",
 ) -> ImageCampaignResult:
     """Sweep every branch site of ``image`` under every flip model.
 
@@ -210,13 +204,11 @@ def run_image_campaign(
     and site list in the fingerprint, so resuming a differently-shaped
     campaign is a typed :class:`repro.exec.CheckpointMismatch` instead of
     silent corruption.
-    ``engine`` is deliberately absent from the fingerprint: tallies are
-    bit-identical across engines, so a resumed campaign may switch freely.
 
-    An unknown flip model or ``engine`` raises ``ValueError`` before
-    discovery or any work starts.
+    An unknown flip model raises ``ValueError`` before discovery or any
+    work starts.
     """
-    check_campaign_args(models, engine)
+    check_campaign_args(models)
     obs = coerce_observer(obs)
     if sites is None:
         with activate(obs):
@@ -228,14 +220,11 @@ def run_image_campaign(
     by_id = {site.site_id: site for site in sites}
 
     def serial(spec: _SiteSpec) -> SiteSweep:
-        # in-process: reuse the shared cache handle; activate the campaign
-        # observer so ambient counters land exactly as worker envelopes do
-        with activate(obs):
-            return sweep_site(
-                image, by_id[spec.site.site_id], spec.model,
-                zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values,
-                cache=cache, engine=spec.engine,
-            )
+        # in-process: reuse the shared cache handle
+        return sweep_site(
+            image, by_id[spec.site.site_id], spec.model,
+            zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values, cache=cache,
+        )
 
     sweeps: dict[str, list[SiteSweep]] = {}
     failed_units: list[FailedUnit] = []
@@ -246,7 +235,7 @@ def run_image_campaign(
         for model in models:
             specs = [
                 _SiteSpec(image.base, image.data, image.entry, site, model,
-                          zero_is_invalid, ks, cache_root, engine)
+                          zero_is_invalid, ks, cache_root)
                 for site in sites
             ]
             model_sweeps, failed = execution.run(

@@ -13,10 +13,10 @@ and instruction semantics.
 Campaign hot paths build one machine, run it up to the target slot and
 snapshot it (:meth:`Memory.snapshot`/:meth:`Memory.restore`,
 :meth:`CPU.snapshot`/:meth:`CPU.reset_from`, and ``CPU.decode_cache``).
-The default NumPy engine (:mod:`repro.emu.vector`) resumes a whole batch
-of corrupted words from that replay point in lock-step; the scalar
-snapshot replay runs single words and is the vector engine's
-differential oracle.  See ``docs/ARCHITECTURE.md`` for the invariants.
+The NumPy engine (:mod:`repro.emu.vector`) resumes a whole batch of
+corrupted words from that replay point in lock-step; the scalar
+snapshot replay runs single words, and the test suite runs it over whole
+batches as the vector engine's differential oracle.  See ``docs/ARCHITECTURE.md`` for the invariants.
 """
 
 from repro.emu.memory import Memory, MemoryRegion, MemorySnapshot, MMIORegion, PAGE_SIZE

@@ -36,8 +36,9 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
   flags is in an exact cycle, so ``ST_LIMIT``.
 
 The engine is *deliberately* a re-implementation of the scalar semantics:
-``engine="snapshot"`` remains the differential oracle (the test suite
-sweeps the full 2^16 word space against it).  Every decoded opcode has a
+the scalar snapshot replay, run word by word over whole batches in the
+test suite, remains the differential oracle (it sweeps the full 2^16
+word space against it).  Every decoded opcode has a
 vector handler, so every lane ends with a terminal status.
 """
 

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from repro.exec.checkpoint import MISSING, CampaignCheckpoint, open_campaign_checkpoint
 from repro.exec.progress import ProgressReporter
-from repro.obs.core import Observer, WorkerTelemetry, coerce_observer, observed_call
+from repro.obs.core import Observer, WorkerTelemetry, activate, coerce_observer, observed_call
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -90,10 +90,11 @@ class ParallelExecutor:
       in-process path cannot preempt a running unit and ignores it).
     - ``obs`` — a :class:`repro.obs.Observer`; counts units, attempts,
       per-category outcomes, retries/timeouts/quarantines and emits one
-      ``unit`` event per completion. On the multiprocessing path each
-      unit runs under a worker-local observer whose counters/events ride
-      back inside the result and are merged in record order, so metrics
-      are identical for any worker count.
+      ``unit`` event per completion. In-process, each unit runs with it
+      as the ambient :func:`repro.obs.current` observer; on the
+      multiprocessing path each unit runs under a worker-local observer
+      whose counters/events ride back inside the result and are merged in
+      record order, so metrics are identical for any worker count.
 
     A unit that exhausts its attempts is quarantined into
     ``failed_units``; only ``KeyboardInterrupt``/``SystemExit`` abort a map.
@@ -242,7 +243,10 @@ class ParallelExecutor:
             while True:
                 wall0 = time.perf_counter() if obs.enabled else 0.0
                 try:
-                    result = run(specs[index])
+                    # units count on the ambient observer, as a worker's
+                    # units count on their envelope's
+                    with activate(obs):
+                        result = run(specs[index])
                 except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
                     attempts += 1
                     if not failed(index, exc, attempts):

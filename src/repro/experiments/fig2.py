@@ -71,20 +71,23 @@ def run_figure2(
     on disk, so the AND/XOR panels share corrupted-word executions and
     re-runs skip emulation entirely.
 
-    ``engine`` selects the harness execution engine for every panel (the
-    NumPy lock-step ``"vector"`` backend by default, or ``"snapshot"`` —
-    see :class:`repro.glitchsim.SnippetHarness`); the tallies are
-    identical for either engine. Each panel emulates a word once per
-    replay world (5 for the 14 branches); with a shared cache the
-    AND/OR/XOR panels together emulate at most 2^16 unique words per
-    world.
+    Each panel emulates a word once per replay world (5 for the 14
+    branches); with a shared cache the AND/OR/XOR panels together emulate
+    at most 2^16 unique words per world.
+
+    ``engine`` accepts only ``"vector"``, the one batch engine, and
+    anything else raises ``ValueError``. It survives for the benchmark
+    workload in ``perfbench/workloads.py``, which calls
+    ``run_figure2(engine="vector", obs=obs)``.
     """
     from repro.obs import coerce_observer
 
+    if engine != "vector":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is 'vector'")
     obs = coerce_observer(obs)
     result = Figure2Result()
     common = dict(k_values=k_values, conditions=conditions, cache=cache,
-                  execution=execution, obs=obs, engine=engine)
+                  execution=execution, obs=obs)
     panels = [
         ("and", "Figure 2a: AND model (1→0 flips)", "and", False),
         ("or", "Figure 2b: OR model (0→1 flips)", "or", False),

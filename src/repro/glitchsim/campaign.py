@@ -30,10 +30,10 @@ from typing import Optional
 
 from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
 from repro.exec.cache import CODE_CATEGORIES, cache_session
-from repro.glitchsim.harness import ENGINES, OUTCOME_CATEGORIES, SnippetHarness, WordHarness
+from repro.glitchsim.harness import OUTCOME_CATEGORIES, SnippetHarness, WordHarness
 from repro.glitchsim.maskalgebra import MODELS, reachable_words, tally_from_word_codes
 from repro.glitchsim.snippets import BranchSnippet, all_branch_snippets
-from repro.obs import Observer, activate, coerce_observer, current
+from repro.obs import Observer, coerce_observer, current
 
 INSTRUCTION_BITS = 16
 
@@ -120,8 +120,8 @@ class CampaignResult:
         return sorted(self.sweeps, key=lambda s: s.success_rate(), reverse=True)
 
 
-def check_campaign_args(models, engine: str) -> None:
-    """Raise ``ValueError`` for an unknown flip model or engine.
+def check_campaign_args(models) -> None:
+    """Raise ``ValueError`` for an unknown flip model.
 
     Campaign entry points call this before their executor starts: inside a
     work unit the error would be quarantined as a unit failure and the
@@ -130,8 +130,6 @@ def check_campaign_args(models, engine: str) -> None:
     unknown = [model for model in models if model not in MODELS]
     if unknown:
         raise ValueError(f"unknown flip model(s) {unknown}; expected one of {MODELS}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 def tally_reachable(
@@ -168,7 +166,6 @@ def sweep_instruction(
     zero_is_invalid: bool = False,
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
-    engine: str = "vector",
     harness: WordHarness | None = None,
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
@@ -176,20 +173,17 @@ def sweep_instruction(
     ``k_values`` restricts the sweep (useful for fast tests); ``None`` means
     the full ``0..16`` range the paper used. ``cache`` adds a persistent
     outcome store shared across models and runs (words the AND sweep already
-    executed are free for XOR). ``engine`` picks the harness execution
-    engine (``"vector"`` by default, or ``"snapshot"``); both tally
-    identically. The tallies come from :func:`tally_reachable`.
+    executed are free for XOR). The tallies come from
+    :func:`tally_reachable`.
 
     ``harness`` classifies on an already-built harness instead of a fresh
-    one for ``snippet`` (its own cache and engine then apply): any harness
+    one for ``snippet`` (its own cache then applies): any harness
     whose :meth:`WordHarness.world_digest` equals this snippet's, built
     with the same ``zero_is_invalid``, tallies identically, and words it
     already emulated are free.
     """
     if harness is None:
-        harness = SnippetHarness(
-            snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
-        )
+        harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
     return InstructionSweep(
         mnemonic=snippet.mnemonic,
         model=model,
@@ -208,7 +202,6 @@ class _WorldSpec:
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
-    engine: str = "vector"
 
 
 def _sweep_world(
@@ -233,8 +226,7 @@ def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
     # and the envelope carries it back
     with cache_session(spec.cache_root, current()) as cache:
         harness = SnippetHarness(
-            snippets[0], zero_is_invalid=spec.zero_is_invalid,
-            disk_cache=cache, engine=spec.engine,
+            snippets[0], zero_is_invalid=spec.zero_is_invalid, disk_cache=cache,
         )
         return _sweep_world(spec, snippets, harness)
 
@@ -247,7 +239,6 @@ def run_branch_campaign(
     cache: OutcomeCache | str | None = None,
     execution: ExecOptions = ExecOptions(),
     obs: Observer | None = None,
-    engine: str = "vector",
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
 
@@ -271,16 +262,10 @@ def run_branch_campaign(
     tallies attempts, outcome categories, cache hits/misses, retries,
     and quarantines — identically for any worker count.
 
-    ``engine`` selects the harness execution engine (``"vector"``, the
-    default, runs whole batches lock-step on the NumPy backend;
-    ``"snapshot"`` replays one cached machine per world). It is not part
-    of the checkpoint fingerprint: tallies are bit-identical across
-    engines, so a resumed campaign may switch freely.
-
-    An unknown ``model``, ``engine`` or condition raises ``ValueError``
-    before any work starts.
+    An unknown ``model`` or condition raises ``ValueError`` before any
+    work starts.
     """
-    check_campaign_args((model,), engine)
+    check_campaign_args((model,))
     obs = coerce_observer(obs)
     snippets = all_branch_snippets()
     if conditions is not None:
@@ -296,26 +281,21 @@ def run_branch_campaign(
     # group by replay world; the serial path sweeps on each world's first harness
     worlds: dict[str, tuple[SnippetHarness, list[BranchSnippet]]] = {}
     for snippet in snippets:
-        harness = SnippetHarness(
-            snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache, engine=engine
-        )
+        harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
         worlds.setdefault(harness.world_digest(), (harness, []))[1].append(snippet)
     units = {
         tuple(snippet.mnemonic for snippet in members): (shared, members)
         for shared, members in worlds.values()
     }
     specs = [
-        _WorldSpec(mnemonics, model, zero_is_invalid, ks, cache_root, engine)
+        _WorldSpec(mnemonics, model, zero_is_invalid, ks, cache_root)
         for mnemonics in units
     ]
 
     def serial(spec: _WorldSpec) -> list[InstructionSweep]:
-        # in-process: reuse the built harnesses and the shared cache handle;
-        # activate the campaign observer so the ambient algebra counters
-        # land on it exactly as the worker-envelope path reports them
+        # in-process: reuse the built harnesses and the shared cache handle
         shared, members = units[spec.mnemonics]
-        with activate(obs):
-            return _sweep_world(spec, members, shared)
+        return _sweep_world(spec, members, shared)
 
     # serial units reuse the shared cache handle, so the session counts
     # their traffic here (workers report theirs via their envelopes)

@@ -13,29 +13,28 @@ Categories, matching Section IV verbatim:
 - ``failed`` — any unrecognised error (including non-terminating runs).
 - ``no_effect`` — the modification had no effect on the execution.
 
-Two execution engines produce identical outcome categories:
+Cache misses execute on one of two paths, with identical outcome
+categories:
 
-- ``"vector"`` (default) executes whole :meth:`WordHarness.run_many`
-  cache-miss batches lock-step on the NumPy backend
+- :meth:`WordHarness.run_many` batches run lock-step on the NumPy backend
   (:mod:`repro.emu.vector`): one lane per corrupted word, sharing the
   snapshot replay point and decoding through the process-wide operand
   tables.  Vector outcomes carry empty detail strings (like disk-cache
   hits); the documented contract is category identity.
-- ``"snapshot"`` builds the address space once, runs the flag-setup
-  prefix up to (not including) the target instruction, takes a
-  :meth:`Memory.snapshot`/:meth:`CPU.snapshot` pair, and replays each
-  corrupted word by restoring the pair, journaling the corrupted halfword
-  into the target slot, and resuming with the remaining step budget.  A
-  shared per-harness decode cache memoises ``decode()`` by halfword value.
-  Single-word :meth:`WordHarness.run` calls always execute on this
-  replay, so they keep their detail strings; ``engine="snapshot"`` also
-  routes whole batches here, which the test suite uses as the
-  differential oracle for the vector engine.
+- Single-word :meth:`WordHarness.run` calls replay the snapshot: the
+  address space is built once, the flag-setup prefix runs up to (not
+  including) the target instruction, a
+  :meth:`Memory.snapshot`/:meth:`CPU.snapshot` pair is taken, and each
+  corrupted word restores the pair, journals the corrupted halfword into
+  the target slot, and resumes with the remaining step budget.  A shared
+  per-harness decode cache memoises ``decode()`` by halfword value, and
+  the outcome keeps its detail string.
 
-Both engines are checked against a per-word world rebuild kept in the
-test suite (``tests/oracles.py``).
+The test suite (``tests/oracles.py``) checks the vector batches against
+that scalar replay run word by word over whole batches, and both against
+a per-word world rebuild.
 
-The engine/cache/memo machinery is shared between two harnesses via the
+The cache/memo/execution machinery is shared between two harnesses via the
 :class:`WordHarness` base class: :class:`SnippetHarness` (this module)
 runs the paper's marker-block snippets, and
 :class:`repro.campaign.harness.SiteHarness` runs a branch site *in situ*
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -100,8 +98,6 @@ assert _CACHE_CATEGORIES == OUTCOME_CATEGORIES, (
 )
 
 _STEP_LIMIT = 64
-
-ENGINES = ("snapshot", "vector")
 
 
 @dataclass
@@ -158,7 +154,7 @@ _OUTCOMES_BY_CODE = (None,) + tuple(Outcome(category) for category in OUTCOME_CA
 
 
 class WordHarness:
-    """Shared memo/cache/engine machinery for corrupted-word classification.
+    """Shared memo/cache/execution machinery for corrupted-word classification.
 
     Results are memoised per corrupted word: the outcome is a pure function
     of the resulting machine word, which turns the :math:`2^{16}` masks per
@@ -170,28 +166,18 @@ class WordHarness:
     shard.  Only the outcome *category* is persisted, so a disk hit
     returns an :class:`Outcome` with an empty detail string.
 
-    ``engine`` selects how cache misses execute: ``"vector"`` (default)
-    runs whole :meth:`run_many` batches lock-step on the NumPy backend,
-    and ``"snapshot"`` replays each word against a cached machine
-    snapshot.  Both produce identical outcome categories; single-word
-    :meth:`run` calls always use the snapshot replay.
+    Cache misses of a :meth:`run_many` batch run lock-step on the NumPy
+    backend; single-word :meth:`run` calls replay a cached machine
+    snapshot.  Both produce identical outcome categories.
 
     Subclasses implement :meth:`_snapshot_world` (build the replay point),
     :meth:`_classify_replay` (classify a finished replay), and
     :meth:`_vector_codes` (per-lane category codes for a vector batch).
     """
 
-    def __init__(
-        self,
-        zero_is_invalid: bool = False,
-        disk_cache=None,
-        engine: str = "vector",
-    ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    def __init__(self, zero_is_invalid: bool = False, disk_cache=None):
         self.zero_is_invalid = zero_is_invalid
         self.disk_cache = disk_cache
-        self.engine = engine
         # The word memo is a dense code array (mirroring the binary cache
         # shards), so batch resolution is one gather; ``_cache`` keeps only
         # the detailed Outcome objects that scalar executions produced
@@ -326,19 +312,12 @@ class WordHarness:
                 misses=int(pending.size),
                 memo_hits=(total - int(unique.size)) + memo_resolved,
             )
-        to_flush = pending
         try:
-            if self.engine == "vector":
-                if pending.size:
-                    self._execute_vector_batch(pending)
-            else:
-                for word in pending.tolist():
-                    outcome = self._execute(word)
-                    self._cache[word] = outcome
-                    codes[word] = CATEGORY_CODES[outcome.category]
+            if pending.size:
+                self._execute_vector_batch(pending)
         finally:
-            if to_flush.size and self.disk_cache is not None:
-                done = to_flush[codes[to_flush] != 0]
+            if pending.size and self.disk_cache is not None:
+                done = pending[codes[pending] != 0]
                 if done.size:
                     self.disk_cache.put_shard_codes(
                         self.world_digest(), done, codes[done]
@@ -366,7 +345,7 @@ class WordHarness:
         return {word: results[word & 0xFFFF] for word in words}
 
     # ------------------------------------------------------------------
-    # engine orchestration (shared)
+    # execution (shared)
     # ------------------------------------------------------------------
 
     def _execute(self, corrupted_word: int) -> Outcome:
@@ -485,21 +464,11 @@ class SnippetHarness(WordHarness):
     The snippet's flag-setup prefix runs once up to (not including) the
     target instruction; the classification reads the 0xdead/0xaaaa marker
     registers the snippet's fall-through/taken blocks set.  See
-    :class:`WordHarness` for the caching and engine contract.
+    :class:`WordHarness` for the caching and execution contract.
     """
 
-    def __init__(
-        self,
-        snippet: BranchSnippet,
-        zero_is_invalid: bool = False,
-        disk_cache=None,
-        engine: str = "vector",
-    ):
-        super().__init__(
-            zero_is_invalid=zero_is_invalid,
-            disk_cache=disk_cache,
-            engine=engine,
-        )
+    def __init__(self, snippet: BranchSnippet, zero_is_invalid: bool = False, disk_cache=None):
+        super().__init__(zero_is_invalid=zero_is_invalid, disk_cache=disk_cache)
         self.snippet = snippet
         self._halfwords = list(snippet.program.halfwords)
         self._flash_size = max(0x400, (len(snippet.program.code) + 0x3FF) & ~0x3FF)
@@ -602,25 +571,9 @@ class SnippetHarness(WordHarness):
         return _OUTCOME_NO_MARKER
 
 
-@lru_cache(maxsize=64)
-def _shared_harness(mnemonic: str, zero_is_invalid: bool) -> SnippetHarness:
-    from repro.glitchsim.snippets import branch_snippet
-
-    return SnippetHarness(branch_snippet(mnemonic[1:]), zero_is_invalid=zero_is_invalid)
-
-
-def classify_branch_corruption(
-    mnemonic: str, corrupted_word: int, zero_is_invalid: bool = False
-) -> Outcome:
-    """One-shot helper: classify ``corrupted_word`` in the ``mnemonic`` snippet."""
-    return _shared_harness(mnemonic, zero_is_invalid).run(corrupted_word)
-
-
 __all__ = [
     "Outcome",
     "WordHarness",
     "SnippetHarness",
     "OUTCOME_CATEGORIES",
-    "ENGINES",
-    "classify_branch_corruption",
 ]

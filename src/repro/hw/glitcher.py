@@ -48,7 +48,7 @@ attempt's result is exactly the full settle's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.emu.memory import MemoryRegion
@@ -104,23 +104,6 @@ class AttemptResult:
     @property
     def succeeded(self) -> bool:
         return self.category == "success"
-
-
-@dataclass
-class GlitchStatistics:
-    """Running tally over many attempts."""
-
-    attempts: int = 0
-    by_category: dict = field(default_factory=dict)
-
-    def record(self, result: AttemptResult) -> None:
-        self.attempts += 1
-        self.by_category[result.category] = self.by_category.get(result.category, 0) + 1
-
-    def rate(self, category: str) -> float:
-        if self.attempts == 0:
-            return 0.0
-        return self.by_category.get(category, 0) / self.attempts
 
 
 @dataclass(frozen=True)
@@ -514,4 +497,4 @@ def _memory_unchanged(log: list, position: int) -> bool:
     return all(data[index] == value for (_, index), (data, value) in earlier.items())
 
 
-__all__ = ["ClockGlitcher", "AttemptResult", "GlitchStatistics", "BOOT_BUDGET", "SETTLE_CYCLES"]
+__all__ = ["ClockGlitcher", "AttemptResult", "BOOT_BUDGET", "SETTLE_CYCLES"]

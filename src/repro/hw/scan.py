@@ -41,7 +41,7 @@ from repro.hw.faults import FaultModel, ShapePlan
 from repro.hw.glitcher import ClockGlitcher
 from repro.hw.models import model_meta
 from repro.isa.disassembler import disassemble_one
-from repro.obs import Observer, activate, coerce_observer, current
+from repro.obs import Observer, coerce_observer, current
 
 
 # ----------------------------------------------------------------------
@@ -230,18 +230,6 @@ def _report_hw(glitcher: ClockGlitcher, before: dict) -> None:
         obs.count(name, total - before[name])
 
 
-def _observed(obs: Observer, unit):
-    """``unit`` run with ``obs`` as the ambient observer.
-
-    The in-process path of a scan, so units report their ``hw.*``
-    counters exactly as the worker-envelope path does.
-    """
-    def run(spec):
-        with activate(obs):
-            return unit(spec)
-    return run
-
-
 @dataclass(frozen=True)
 class _GridSpec:
     """Picklable work unit: one ``(ext_offset, repeat)`` shape element's
@@ -358,7 +346,7 @@ def _sweep(
             key_of=lambda spec: f"{spec.ext_offset}x{spec.repeat}",
             encode=_encode_tally,
             decode=_decode_tally,
-            serial_fn=_observed(obs, lambda spec: _defense_shape_unit(spec, glitcher)),
+            serial_fn=lambda spec: _defense_shape_unit(spec, glitcher),
             attempts_of=lambda tally: sum(tally[0].values()),
             categories_of=lambda tally: dict(tally[0]),
             obs=obs,

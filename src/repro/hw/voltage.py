@@ -83,12 +83,9 @@ class VoltageFaultModel(FaultModel):
         self.recharge_cycles = recharge_cycles
         self._last_bite_cycle: Optional[int] = None
 
-    def reset_recharge(self) -> None:
-        self._last_bite_cycle = None
-
     def begin_run(self) -> None:
         """A fresh run starts with the injection capacitor fully charged."""
-        self.reset_recharge()
+        self._last_bite_cycle = None
 
     def effect_at(
         self,

@@ -1,19 +1,23 @@
 """Reference implementations the emulation fast paths are checked against.
 
-Production code classifies corrupted words on the NumPy ``vector`` batch
-engine (the scalar ``snapshot`` replay runs single words and, selected
-with ``engine="snapshot"``, is the vector engine's first oracle) and
-derives mask-sweep tallies in closed form from the unique reachable
-words.  The slow, obviously correct versions those replaced live here,
-so the differential tests and the speedup benchmarks keep comparing
-against them on the same inputs:
+Production code classifies corrupted-word batches on the NumPy vector
+engine (the scalar snapshot replay runs single words only) and derives
+mask-sweep tallies in closed form from the unique reachable words.  The
+slow, obviously correct versions those replaced live here, so the
+differential tests and the speedup benchmarks keep comparing against
+them on the same inputs:
 
+- :class:`SnapshotSnippetHarness` / :class:`SnapshotSiteHarness` — whole
+  batches run word by word on the scalar snapshot replay, the vector
+  engine's first oracle;
 - :class:`RebuildSnippetHarness` / :class:`RebuildSiteHarness` — the
   per-word world rebuild: a fresh ``Memory``/``CPU`` for every corrupted
   word, run from reset;
-- :func:`rebuild_engine` — routes the campaign entry points' in-process sweeps
-  onto those harnesses, so whole campaigns (tallies *and* observability
-  counters) can be compared;
+- :func:`snapshot_engine` / :func:`rebuild_engine` — route the campaign
+  entry points' in-process sweeps onto those harnesses, so whole
+  campaigns (tallies *and* observability counters) can be compared;
+- :func:`classify_branch_corruption` — one corrupted word classified in
+  a branch snippet on a shared harness;
 - :func:`enumerate_by_k` / :func:`enumerate_class_sweep` — the full mask
   enumeration that :func:`repro.glitchsim.campaign.tally_reachable` and
   the instruction-class sweep replace;
@@ -48,6 +52,7 @@ import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,6 +76,7 @@ from repro.errors import (
     InvalidInstruction,
     PassError,
 )
+from repro.exec.cache import CATEGORY_CODES
 from repro.glitchsim.campaign import INSTRUCTION_BITS
 from repro.glitchsim.harness import (
     _OUTCOME_LIMIT,
@@ -87,25 +93,43 @@ from repro.glitchsim.snippets import (
     NORMAL_REGISTER,
     SUCCESS_MARKER,
     SUCCESS_REGISTER,
+    branch_snippet,
 )
 from repro.hw.faults import FaultEffect
 from repro.isa.decoder import decode
 from repro.isa.disassembler import disassemble_one
 
 
-class RebuildSnippetHarness(SnippetHarness):
+class _ScalarBatches:
+    """Runs a harness's cache-miss batches word by word through ``_execute``.
+
+    Each word keeps its detailed :class:`Outcome`, and no ``vector.*``
+    counter is emitted.
+    """
+
+    def _execute_vector_batch(self, pending: np.ndarray) -> None:
+        for word in pending.tolist():
+            outcome = self._execute(word)
+            self._cache[word] = outcome
+            self._codes[word] = CATEGORY_CODES[outcome.category]
+
+
+class SnapshotSnippetHarness(_ScalarBatches, SnippetHarness):
+    """A :class:`SnippetHarness` whose batches run on the scalar snapshot replay."""
+
+
+class SnapshotSiteHarness(_ScalarBatches, SiteHarness):
+    """A :class:`SiteHarness` whose batches run on the scalar snapshot replay."""
+
+
+class RebuildSnippetHarness(SnapshotSnippetHarness):
     """A :class:`SnippetHarness` that rebuilds the whole world per word.
 
     The corrupted snippet runs from reset for the full step budget with no
-    marker stops, and classifies by the marker registers alone.  It always
-    executes word by word (``engine`` is accepted and ignored; the base is
-    pinned to ``engine="snapshot"``), so batches never reach the vector
+    marker stops, and classifies by the marker registers alone.  Like its
+    base it executes batches word by word, so they never reach the vector
     engine.
     """
-
-    def __init__(self, snippet, zero_is_invalid=False, disk_cache=None, engine=None):
-        super().__init__(snippet, zero_is_invalid=zero_is_invalid, disk_cache=disk_cache,
-                         engine="snapshot")
 
     def _execute(self, corrupted_word: int) -> Outcome:
         self.words_executed += 1
@@ -132,17 +156,13 @@ class RebuildSnippetHarness(SnippetHarness):
         return _OUTCOME_NO_MARKER
 
 
-class RebuildSiteHarness(SiteHarness):
+class RebuildSiteHarness(SnapshotSiteHarness):
     """A :class:`SiteHarness` that maps a fresh image per word.
 
     The corrupted word is poked into a freshly built world and classified
     with the full step budget; like :class:`RebuildSnippetHarness` it
     always executes word by word.
     """
-
-    def __init__(self, image, site, zero_is_invalid=False, disk_cache=None, engine=None):
-        super().__init__(image, site, zero_is_invalid=zero_is_invalid,
-                         disk_cache=disk_cache, engine="snapshot")
 
     def _execute(self, corrupted_word: int) -> Outcome:
         self.words_executed += 1
@@ -155,23 +175,48 @@ class RebuildSiteHarness(SiteHarness):
 
 
 @contextmanager
-def rebuild_engine():
-    """Run in-process campaign sweeps on the rebuild harnesses.
+def _harness_classes(snippet_class, site_class):
+    """Swap the harness classes the campaign entry points construct.
 
-    Swaps the harness classes that :func:`sweep_instruction` and
-    :func:`sweep_site` construct, so a serial (``workers=1``) campaign
-    runs unchanged on the oracle; worker processes are unaffected.
+    :func:`sweep_instruction`, :func:`run_branch_campaign`,
+    :func:`sweep_site` and :func:`run_image_campaign` then build
+    ``snippet_class``/``site_class`` harnesses, so a serial
+    (``workers=1``) campaign runs unchanged on an oracle.  Only forked
+    worker processes inherit the swap; spawned ones import the
+    production classes afresh.
     """
     import repro.campaign.image_campaign as image_campaign
     import repro.glitchsim.campaign as branch_campaign
 
     saved = branch_campaign.SnippetHarness, image_campaign.SiteHarness
-    branch_campaign.SnippetHarness = RebuildSnippetHarness
-    image_campaign.SiteHarness = RebuildSiteHarness
+    branch_campaign.SnippetHarness = snippet_class
+    image_campaign.SiteHarness = site_class
     try:
         yield
     finally:
         branch_campaign.SnippetHarness, image_campaign.SiteHarness = saved
+
+
+def snapshot_engine():
+    """Run in-process campaign sweeps on the scalar snapshot replay."""
+    return _harness_classes(SnapshotSnippetHarness, SnapshotSiteHarness)
+
+
+def rebuild_engine():
+    """Run in-process campaign sweeps on the per-word rebuild harnesses."""
+    return _harness_classes(RebuildSnippetHarness, RebuildSiteHarness)
+
+
+@lru_cache(maxsize=64)
+def _shared_harness(mnemonic: str, zero_is_invalid: bool) -> SnippetHarness:
+    return SnippetHarness(branch_snippet(mnemonic[1:]), zero_is_invalid=zero_is_invalid)
+
+
+def classify_branch_corruption(
+    mnemonic: str, corrupted_word: int, zero_is_invalid: bool = False
+) -> Outcome:
+    """Classify ``corrupted_word`` in the ``mnemonic`` snippet on a shared harness."""
+    return _shared_harness(mnemonic, zero_is_invalid).run(corrupted_word)
 
 
 def enumerate_by_k(harness, target_word: int, model: str, k_values=None) -> dict:

@@ -122,6 +122,22 @@ class TestParallelExecutor:
         assert executor.map(_square, [2, 3], serial_fn=serial, **UNITS) == [4, 9]
         assert calls == [2, 3]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_unit_counts_on_the_map_observer(self, workers):
+        """In-process units see the map's observer as the ambient one, as
+        worker units see their envelope's (two workers with one pending
+        unit run it in-process too)."""
+        from repro.obs import Observer, current
+
+        def counting(x):
+            current().count("unit.ambient", x)
+            return x
+
+        obs = Observer()
+        executor = ParallelExecutor(workers=workers, obs=obs)
+        assert executor.map(_square, [5], serial_fn=counting, **UNITS) == [5]
+        assert obs.counters["unit.ambient"] == 5
+
     def test_progress_fed_per_unit(self):
         reporter = ProgressReporter()
         executor = ParallelExecutor(workers=1, progress=reporter)

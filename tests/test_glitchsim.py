@@ -15,10 +15,10 @@ from repro.glitchsim import (
     run_branch_campaign,
     sweep_instruction,
 )
-from repro.glitchsim.harness import classify_branch_corruption
 from repro.glitchsim.results import render_figure_ascii, summarize_mean_success, to_csv
 from repro.isa import decode
 from repro.isa.conditions import CONDITION_NAMES
+from tests.oracles import classify_branch_corruption
 
 
 class TestSnippets:
@@ -167,7 +167,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("model,kwargs", [
         ("andd", {}),
-        ("and", {"engine": "rebuld"}),
+        ("and", {"conditions": ["al"]}),  # a condition code with no conditional branch
         ("and", {"conditions": ["nosuch"]}),
         ("and", {"conditions": ["eq", "bnosuch"]}),
     ])

@@ -7,7 +7,7 @@ from repro.firmware import GUARD_KINDS, build_guard_firmware
 from repro.firmware.loops import MAGIC_CONSTANT, STORED_VALUE, guard_descriptor
 from repro.hw.clock import GlitchParams
 from repro.hw.faults import FaultModel
-from repro.hw.glitcher import ClockGlitcher, GlitchStatistics
+from repro.hw.glitcher import ClockGlitcher
 from repro.hw.scan import (
     map_cycles_to_instructions,
     run_long_glitch_scan,
@@ -95,14 +95,6 @@ class TestGlitcher:
         firmware = assemble("_start:\nnop\nbkpt #0", base=FLASH_BASE)
         with pytest.raises(ValueError):
             ClockGlitcher(firmware)
-
-    def test_statistics_accumulate(self):
-        glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))
-        stats = GlitchStatistics()
-        for width in (-49, -40, 20):
-            stats.record(glitcher.run_attempt(GlitchParams(0, width, 0)))
-        assert stats.attempts == 3
-        assert abs(sum(stats.rate(c) for c in stats.by_category) - 1.0) < 1e-9
 
     def test_seed_page_persists_across_attempts(self):
         glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))

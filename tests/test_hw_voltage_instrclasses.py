@@ -68,7 +68,7 @@ class TestVoltageFaultModel:
             if params:
                 break
         assert params is not None
-        model.reset_recharge()
+        model.begin_run()
         first = model.effect_at(params, 0, view, 0, absolute_cycle=100)
         assert first is not None
         # a second glitch inside the recharge window never bites
@@ -83,7 +83,7 @@ class TestVoltageFaultModel:
     def test_reset_recharge_clears_state(self):
         model = VoltageFaultModel()
         model._last_bite_cycle = 5
-        model.reset_recharge()
+        model.begin_run()
         assert model._last_bite_cycle is None
 
 

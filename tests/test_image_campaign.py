@@ -1,7 +1,8 @@
 """Whole-image campaigns: differential sweep, resume, caching, CLI.
 
 The differential contract: per-site tallies are **bit-identical** across
-``engine=vector``/``snapshot`` and the per-word rebuild oracle, the
+the vector engine, the scalar snapshot replay and the per-word rebuild
+oracle, the
 closed-form mask algebra equals the full mask enumeration oracle (both
 oracles live in tests/oracles.py), and a campaign killed half-way resumes
 from its checkpoint to the exact tallies of an uninterrupted run.
@@ -20,10 +21,8 @@ from repro.campaign import (
 from repro.cli import main
 from repro.exec import ExecOptions, ProgressReporter
 from repro.firmware.image import load_image, write_image
-from repro.glitchsim.harness import ENGINES
 from repro.obs import Observer
-from repro.campaign.harness import SiteHarness
-from tests.oracles import enumerate_by_k, rebuild_engine
+from tests.oracles import SnapshotSiteHarness, enumerate_by_k, rebuild_engine, snapshot_engine
 
 DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
 
@@ -49,11 +48,10 @@ class TestDifferentialSweep:
     def test_every_engine_bit_identical(self, demo_image, demo_sites, model):
         """snapshot / rebuild / vector agree mask-for-mask on every site."""
         for site in demo_sites:
-            by_engine = {
-                engine: sweep_site(demo_image, site, model,
-                                   k_values=SMALL_KS, engine=engine).by_k
-                for engine in ENGINES
-            }
+            by_engine = {"vector": sweep_site(demo_image, site, model, k_values=SMALL_KS).by_k}
+            with snapshot_engine():
+                by_engine["snapshot"] = sweep_site(demo_image, site, model,
+                                                   k_values=SMALL_KS).by_k
             with rebuild_engine():
                 by_engine["rebuild"] = sweep_site(demo_image, site, model,
                                                   k_values=SMALL_KS).by_k
@@ -66,15 +64,16 @@ class TestDifferentialSweep:
         """Mask algebra equals the brute-force enumeration oracle."""
         for site in (demo_sites[0], demo_sites[3]):
             algebra = sweep_site(demo_image, site, model, k_values=(0, 1, 2))
-            enumerate_ = enumerate_by_k(SiteHarness(demo_image, site, engine="snapshot"),
+            enumerate_ = enumerate_by_k(SnapshotSiteHarness(demo_image, site),
                                         site.word, model, (0, 1, 2))
             assert algebra.by_k == enumerate_, (site.site_id, model)
 
     def test_full_range_vector_matches_snapshot(self, demo_image, demo_sites):
         """All 2^16 xor masks, every k — the strongest single-site identity."""
         site = demo_sites[0]
-        vector = sweep_site(demo_image, site, "xor", engine="vector")
-        snapshot = sweep_site(demo_image, site, "xor", engine="snapshot")
+        vector = sweep_site(demo_image, site, "xor")
+        with snapshot_engine():
+            snapshot = sweep_site(demo_image, site, "xor")
         assert vector.by_k == snapshot.by_k
         assert sum(vector.totals.values()) == 2 ** 16
 
@@ -95,8 +94,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("kwargs", [
         {"models": ("andd",)},
-        {"engine": "vectr"},
-        {"engine": "rebuild"},
+        {"models": ("and", "nand")},  # one unknown model among known ones
+        {"strategy": "bogus"},
     ])
     def test_bad_argument_raises_before_any_unit(self, demo_image, kwargs):
         obs = Observer()
@@ -125,7 +124,7 @@ class _KillAfter(ProgressReporter):
 
 
 class TestCampaignResume:
-    KWARGS = dict(models=("and",), k_values=(0, 1, 2, 3), engine="vector")
+    KWARGS = dict(models=("and",), k_values=(0, 1, 2, 3))
 
     def _by_site(self, result):
         return {
@@ -170,7 +169,7 @@ class TestCampaignResume:
         obs = Observer()
         run_image_campaign(
             demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
-            obs=obs, models=("and",), k_values=(0, 1), engine="vector",
+            obs=obs, models=("and",), k_values=(0, 1),
         )
         assert obs.counters["units.replayed"] == 0
         assert obs.counters["units.completed"] == len(demo_sites)
@@ -178,22 +177,23 @@ class TestCampaignResume:
     def test_resumed_campaign_may_switch_engine(
         self, demo_image, demo_sites, tmp_path
     ):
-        """engine is absent from the fingerprint — tallies are
-        bit-identical, so a resume may switch it freely."""
+        """The harness class is absent from the fingerprint — tallies are
+        bit-identical, so a resume may run on the snapshot oracle."""
         checkpoint_dir = str(tmp_path / "ck")
         run_image_campaign(demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir),
                            **self.KWARGS)
         obs = Observer()
-        resumed = run_image_campaign(
-            demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
-            obs=obs, models=("and",), k_values=(0, 1, 2, 3), engine="snapshot",
-        )
+        with snapshot_engine():
+            resumed = run_image_campaign(
+                demo_image, execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
+                obs=obs, **self.KWARGS,
+            )
         assert obs.counters["units.replayed"] == len(demo_sites)
         assert self._by_site(resumed)
 
 
 class TestCampaignCacheAndObs:
-    KWARGS = dict(models=("and", "or"), k_values=(0, 1, 2), engine="vector")
+    KWARGS = dict(models=("and", "or"), k_values=(0, 1, 2))
 
     def test_cache_shared_across_reruns(self, demo_image, demo_sites, tmp_path):
         cache_root = str(tmp_path / "cache")
@@ -225,7 +225,7 @@ class TestCampaignCacheAndObs:
 
     def test_render_top_footer(self, demo_image, demo_sites):
         result = run_image_campaign(demo_image, models=("and",),
-                                    k_values=(0, 1), engine="vector")
+                                    k_values=(0, 1))
         table = result.render(top=2)
         assert "Exploitability ranking" in table
         assert f"... {len(demo_sites) - 2} more site(s) not shown" in table
@@ -297,9 +297,8 @@ class TestHundredSiteCampaign:
     """The multi-worker vector path on a 120-site generated image.
 
     A campaign over a synthetic firmware with 120 conditional branches,
-    run with ``engine="vector"`` and two workers (each building its own
-    operand tables), is bit-identical to the serial snapshot-engine
-    campaign.
+    run on two workers (each building its own operand tables), is
+    bit-identical to the serial campaign on the snapshot replay.
     """
 
     CONDS = ("eq", "ne", "cs", "cc", "mi", "pl", "vs", "vc",
@@ -327,8 +326,8 @@ class TestHundredSiteCampaign:
         kwargs = dict(models=("and", "xor"), k_values=(0, 1, 2))
         sites = discover_sites(big_image)
         assert len(sites) >= 100
-        fast = run_image_campaign(big_image, engine="vector",
-                                  execution=ExecOptions(workers=2), **kwargs)
-        reference = run_image_campaign(big_image, engine="snapshot", **kwargs)
+        fast = run_image_campaign(big_image, execution=ExecOptions(workers=2), **kwargs)
+        with snapshot_engine():
+            reference = run_image_campaign(big_image, **kwargs)
         assert len(fast.sweeps["and"]) == len(sites)
         assert fast.sweeps == reference.sweeps

@@ -61,7 +61,7 @@ GOLDEN_TOP5 = [
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_image_campaign(load_image(DEMO_HEX), engine="vector")
+    return run_image_campaign(load_image(DEMO_HEX))
 
 
 def test_site_count(campaign):

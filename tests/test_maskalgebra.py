@@ -24,7 +24,7 @@ from repro.glitchsim.maskalgebra import (
     tally_from_word_codes,
     tally_from_word_outcomes,
 )
-from tests.oracles import enumerate_by_k
+from tests.oracles import SnapshotSnippetHarness, enumerate_by_k
 
 WIDTH = 16
 
@@ -254,7 +254,7 @@ class TestSweepTallyDifferential:
         algebra = sweep_instruction(snippet, model, zero_is_invalid=zero_is_invalid,
                                     k_values=ks)
         enumerate_ = enumerate_by_k(
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"),
+            SnapshotSnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
             snippet.target_word, model, ks,
         )
         assert algebra.by_k == enumerate_
@@ -263,7 +263,7 @@ class TestSweepTallyDifferential:
     def test_algebra_equals_enumerate_full_k(self, model):
         snippet = branch_snippet("eq")
         algebra = sweep_instruction(snippet, model)
-        enumerate_ = enumerate_by_k(SnippetHarness(snippet, engine="snapshot"),
+        enumerate_ = enumerate_by_k(SnapshotSnippetHarness(snippet),
                                     snippet.target_word, model)
         assert algebra.by_k == enumerate_
         assert sum(algebra.totals.values()) == 1 << WIDTH  # every mask accounted for
@@ -316,8 +316,8 @@ class TestRunMany:
         snippet = branch_snippet("eq")
         words = [0x0000, 0xD001, 0xFFFF, 0x1234, 0x1234]  # duplicate on purpose
         bulk_cache = OutcomeCache(tmp_path / "bulk")
-        # the snapshot engine keeps detail strings in batches too
-        bulk_harness = SnippetHarness(snippet, disk_cache=bulk_cache, engine="snapshot")
+        # the snapshot replay keeps detail strings in batches too
+        bulk_harness = SnapshotSnippetHarness(snippet, disk_cache=bulk_cache)
         bulk = bulk_harness.run_many(words)
         assert sorted(bulk) == sorted(set(words))
         assert bulk_harness.words_executed == 4

@@ -19,7 +19,7 @@ from repro.exec import ExecOptions, ParallelExecutor
 from repro.glitchsim import branch_snippet, run_branch_campaign, sweep_instruction
 from repro.glitchsim.campaign import _WorldSpec, _world_unit
 from repro.obs import Observer, activate
-from tests.oracles import scalar_operand_columns
+from tests.oracles import SnapshotSnippetHarness, scalar_operand_columns, snapshot_engine
 
 SMALL_KS = (0, 1, 2)
 
@@ -84,7 +84,7 @@ class TestWorkers:
                             lambda self: start_method)
         # bne and bcs share one replay world, so one unit sweeps both
         specs = [
-            _WorldSpec(members, "xor", False, SMALL_KS, None, "vector")
+            _WorldSpec(members, "xor", False, SMALL_KS, None)
             for members in (("beq",), ("bne", "bcs"))
         ]
         executor = ParallelExecutor(workers=2)
@@ -92,8 +92,8 @@ class TestWorkers:
         sweeps = [sweep for unit in units for sweep in unit]
         serial = [
             sweep_instruction(
-                branch_snippet(mnemonic[1:]), spec.model,
-                k_values=spec.k_values, engine="snapshot",
+                branch_snippet(mnemonic[1:]), spec.model, k_values=spec.k_values,
+                harness=SnapshotSnippetHarness(branch_snippet(mnemonic[1:])),
             )
             for spec in specs
             for mnemonic in spec.mnemonics
@@ -103,9 +103,8 @@ class TestWorkers:
     def test_parallel_branch_campaign_matches_snapshot(self):
         result = run_branch_campaign(
             "xor", k_values=SMALL_KS, conditions=["eq", "ne"],
-            execution=ExecOptions(workers=2), engine="vector",
+            execution=ExecOptions(workers=2),
         )
-        baseline = run_branch_campaign(
-            "xor", k_values=SMALL_KS, conditions=["eq", "ne"], engine="snapshot"
-        )
+        with snapshot_engine():
+            baseline = run_branch_campaign("xor", k_values=SMALL_KS, conditions=["eq", "ne"])
         assert result == baseline

@@ -202,28 +202,17 @@ class TestHarnessEngineEquivalence:
     @pytest.mark.parametrize("condition,zero_is_invalid",
                              [("eq", False), ("vs", False), ("eq", True)])
     def test_engines_agree_per_word(self, condition, zero_is_invalid):
-        from repro.glitchsim.harness import SnippetHarness
         from repro.glitchsim.snippets import branch_snippet
-        from tests.oracles import RebuildSnippetHarness
+        from tests.oracles import RebuildSnippetHarness, SnapshotSnippetHarness
 
         snippet = branch_snippet(condition)
-        fast = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid,
-                              engine="snapshot")
+        fast = SnapshotSnippetHarness(snippet, zero_is_invalid=zero_is_invalid)
         slow = RebuildSnippetHarness(snippet, zero_is_invalid=zero_is_invalid)
         for word in self._words(snippet):
             fast_outcome = fast.run(word)
             slow_outcome = slow.run(word)
             assert (fast_outcome.category, fast_outcome.detail) == \
                 (slow_outcome.category, slow_outcome.detail), hex(word)
-
-    def test_unknown_engine_rejected(self):
-        from repro.glitchsim.harness import SnippetHarness
-        from repro.glitchsim.snippets import branch_snippet
-
-        with pytest.raises(ValueError, match="engine"):
-            SnippetHarness(branch_snippet("eq"), engine="warp")
-        with pytest.raises(ValueError, match="engine"):
-            SnippetHarness(branch_snippet("eq"), engine="rebuild")
 
     def test_missing_replay_point_raises(self):
         """A snippet whose setup prefix never reaches the target has no
@@ -241,21 +230,17 @@ class TestHarnessEngineEquivalence:
 
     def test_fig2_slice_identical_tallies_and_counters(self):
         """Engine choice is invisible to tallies AND to the obs layer."""
-        from contextlib import nullcontext
-
         from repro.glitchsim.campaign import run_branch_campaign
         from repro.obs import Observer
-        from tests.oracles import rebuild_engine
+        from tests.oracles import rebuild_engine, snapshot_engine
 
         outcomes = {}
-        for engine, harnesses in (("snapshot", nullcontext()),
+        for engine, harnesses in (("snapshot", snapshot_engine()),
                                   ("rebuild", rebuild_engine())):
             obs = Observer()
             with harnesses:
-                # the rebuild harnesses accept and ignore ``engine``
                 result = run_branch_campaign(
                     "and", k_values=(0, 1, 2), conditions=["eq", "ge"], obs=obs,
-                    engine="snapshot",
                 )
             outcomes[engine] = (result, dict(obs.counters))
         snap_result, snap_counters = outcomes["snapshot"]
@@ -266,19 +251,26 @@ class TestHarnessEngineEquivalence:
         assert snap_counters == slow_counters
 
     def test_fig2_slice_serial_parallel_resume_identical(self, tmp_path):
-        """Snapshot engine preserves the serial/parallel/resume invariants."""
+        """The snapshot replay preserves the serial/parallel/resume invariants.
+
+        Forked workers inherit the swapped harness classes; spawned ones
+        would run the vector engine, which tallies identically.
+        """
         from repro.exec import ExecOptions
         from repro.glitchsim.campaign import run_branch_campaign
+        from tests.oracles import snapshot_engine
 
-        kwargs = dict(k_values=(1, 2), conditions=["eq", "ne"], engine="snapshot")
-        serial = run_branch_campaign("xor", **kwargs)
-        parallel = run_branch_campaign("xor", execution=ExecOptions(workers=2), **kwargs)
+        kwargs = dict(k_values=(1, 2), conditions=["eq", "ne"])
         checkpoint_dir = str(tmp_path / "ck")
-        run_branch_campaign("xor", conditions=["eq"], k_values=(1, 2), engine="snapshot",
-                            execution=ExecOptions(checkpoint_dir=checkpoint_dir))
-        resumed = run_branch_campaign(
-            "xor", execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True), **kwargs
-        )
+        with snapshot_engine():
+            serial = run_branch_campaign("xor", **kwargs)
+            parallel = run_branch_campaign("xor", execution=ExecOptions(workers=2), **kwargs)
+            run_branch_campaign("xor", conditions=["eq"], k_values=(1, 2),
+                                execution=ExecOptions(checkpoint_dir=checkpoint_dir))
+            resumed = run_branch_campaign(
+                "xor", execution=ExecOptions(checkpoint_dir=checkpoint_dir, resume=True),
+                **kwargs,
+            )
         for other in (parallel, resumed):
             for fast_sweep, slow_sweep in zip(serial.sweeps, other.sweeps):
                 assert fast_sweep.mnemonic == slow_sweep.mnemonic

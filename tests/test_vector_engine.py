@@ -1,15 +1,15 @@
 """Differential and regression tests for the NumPy lock-step engine.
 
 The vector engine re-implements the scalar Thumb-16 semantics, so its
-tests are overwhelmingly differential: ``engine="snapshot"`` (itself
-pinned against the per-word rebuild oracle of tests/oracles.py by
+tests are overwhelmingly differential: the scalar snapshot replay run
+over whole batches (``SnapshotSnippetHarness`` of tests/oracles.py,
+itself pinned against the per-word rebuild oracle by
 tests/test_snapshot.py) is the oracle.
 The beq full-space sweep runs every one of the 2^16 corrupted words
-through both engines; the hypothesis sweep samples word batches across
-all 14 branches and both decode modes three ways.  Every differential
-names ``engine="snapshot"`` on its reference side, since ``"vector"`` is
-the default.  The instruction-class sweep has no scalar path, so it is
-checked against the per-word rebuild classifier of tests/oracles.py.
+through both; the hypothesis sweep samples word batches across all 14
+branches and both decode modes three ways.  The instruction-class sweep
+has no scalar path, so it is checked against the per-word rebuild
+classifier of tests/oracles.py.
 
 This file also carries the run_many batch-path regressions that landed
 with the engine: original-word result keying, flush-fresh-on-crash, and
@@ -27,14 +27,16 @@ from repro.campaign import discover_sites
 from repro.exec import OutcomeCache
 from repro.exec.cache import CODE_CATEGORIES
 from repro.firmware.image import load_image
-from repro.glitchsim.harness import ENGINES, SnippetHarness
+from repro.glitchsim.harness import SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
 from repro.obs import Observer, activate
 from tests.oracles import (
     RebuildSiteHarness,
     RebuildSnippetHarness,
+    SnapshotSnippetHarness,
     enumerate_class_sweep,
     rebuild_engine,
+    snapshot_engine,
 )
 
 DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
@@ -52,24 +54,20 @@ def _harness_trio(mnemonic, zero_is_invalid):
     if trio is None:
         snippet = branch_snippet(mnemonic[1:])
         trio = (
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"),
+            SnapshotSnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
             RebuildSnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
-            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine="vector"),
+            SnippetHarness(snippet, zero_is_invalid=zero_is_invalid),
         )
         _HARNESS_CACHE[key] = trio
     return trio
 
 
 def _full_word_space_mismatches(condition, zero_is_invalid):
-    """Words whose category differs between the snapshot and vector engines."""
+    """Words whose category differs between the snapshot replay and the vector engine."""
     snippet = branch_snippet(condition)
     words = range(1 << 16)
-    base = SnippetHarness(
-        snippet, zero_is_invalid=zero_is_invalid, engine="snapshot"
-    ).run_many(words)
-    vec = SnippetHarness(
-        snippet, zero_is_invalid=zero_is_invalid, engine="vector"
-    ).run_many(words)
+    base = SnapshotSnippetHarness(snippet, zero_is_invalid=zero_is_invalid).run_many(words)
+    vec = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid).run_many(words)
     return [
         (word, base[word].category, vec[word].category)
         for word in words
@@ -110,10 +108,9 @@ class TestVectorDifferential:
         from repro.glitchsim import run_branch_campaign
 
         slice_kwargs = dict(k_values=(1, 2, 15), conditions=["eq", "vs"])
-        by_engine = {
-            engine: run_branch_campaign("and", engine=engine, **slice_kwargs)
-            for engine in ENGINES
-        }
+        by_engine = {"vector": run_branch_campaign("and", **slice_kwargs)}
+        with snapshot_engine():
+            by_engine["snapshot"] = run_branch_campaign("and", **slice_kwargs)
         with rebuild_engine():
             by_engine["rebuild"] = run_branch_campaign("and", **slice_kwargs)
         reprs = {engine: repr(result.sweeps) for engine, result in by_engine.items()}
@@ -210,8 +207,8 @@ class TestEarlyExitBoundaries:
         """(snapshot category, vector category, the lane's VectorRun)."""
         snippet = snippet or branch_snippet("eq")
         categories = []
-        for engine in ENGINES:
-            harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, engine=engine)
+        for harness_class in (SnapshotSnippetHarness, SnippetHarness):
+            harness = harness_class(snippet, zero_is_invalid=zero_is_invalid)
             world = harness._snapshot_world()
             if budget is not None:
                 world.budget = budget
@@ -327,9 +324,8 @@ class TestRunManyRegressions:
         """An exception partway through a batch used to discard every
         already-classified entry; now `fresh` flushes in a finally."""
         cache = OutcomeCache(tmp_path / "cache")
-        harness = SnippetHarness(
-            branch_snippet("eq"), disk_cache=cache, engine=engine
-        )
+        harness_class = SnippetHarness if engine == "vector" else SnapshotSnippetHarness
+        harness = harness_class(branch_snippet("eq"), disk_cache=cache)
         if engine == "vector":
             # crash inside the batch executor, after classification started
             real_batch = harness._execute_vector_batch
@@ -354,7 +350,7 @@ class TestRunManyRegressions:
         cached = np.nonzero(shard)[0]
         assert cached.size > 0  # paid-for work survived the crash
         # and it is valid: a fresh harness serves those words from disk
-        fresh = SnippetHarness(branch_snippet("eq"), disk_cache=cache)
+        fresh = harness_class(branch_snippet("eq"), disk_cache=cache)
         word = int(cached[0])
         assert fresh.run(word).category == CODE_CATEGORIES[shard[word]]
         assert cache.hits == 1
@@ -375,7 +371,7 @@ class TestRunManyRegressions:
 class TestVectorObservability:
     def test_vector_counters(self):
         obs = Observer()
-        harness = SnippetHarness(branch_snippet("ne"), engine="vector")
+        harness = SnippetHarness(branch_snippet("ne"))
         words = range(256)
         with activate(obs):
             harness.run_many(words)
@@ -386,7 +382,7 @@ class TestVectorObservability:
     def test_lane_step_and_early_exit_counters(self):
         # every forward b: some land in the zero padding and are decided there
         obs = Observer()
-        harness = SnippetHarness(branch_snippet("ne"), engine="vector")
+        harness = SnippetHarness(branch_snippet("ne"))
         with activate(obs):
             harness.run_many(range(0xE000, 0xE400))
         world = harness._snapshot_world()
@@ -398,18 +394,18 @@ class TestVectorObservability:
 
     def test_memoised_rerun_spawns_no_batch(self):
         obs = Observer()
-        harness = SnippetHarness(branch_snippet("ne"), engine="vector")
+        harness = SnippetHarness(branch_snippet("ne"))
         harness.run_many(range(64))
         with activate(obs):
             harness.run_many(range(64))
         assert "vector.batches" not in obs.counters
 
     def test_scalar_engines_emit_no_vector_counters(self):
-        """Batches on the snapshot engine and both rebuild oracles stay scalar."""
+        """Batches on the snapshot replay and both rebuild oracles stay scalar."""
         image = load_image(DEMO_HEX)
         snippet = branch_snippet("ne")
         for harness in (
-            SnippetHarness(snippet, engine="snapshot"),
+            SnapshotSnippetHarness(snippet),
             RebuildSnippetHarness(snippet),
             RebuildSiteHarness(image, discover_sites(image)[0]),
         ):

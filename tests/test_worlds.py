@@ -17,7 +17,7 @@ from repro.firmware.image import FirmwareImage
 from repro.glitchsim import SnippetHarness, all_branch_snippets, branch_snippet, sweep_instruction
 from repro.glitchsim.maskalgebra import MODELS
 from repro.isa import assemble
-from tests.oracles import RebuildSnippetHarness
+from tests.oracles import RebuildSnippetHarness, SnapshotSnippetHarness
 
 #: Figure 2's 14 snippets fall into these 5 replay worlds
 WORLDS = [
@@ -50,20 +50,31 @@ class TestWorldDigest:
         assert not set(_group(False)) & set(_group(True))
 
     def test_harness_class_is_part_of_the_world(self):
+        # so an oracle never reads outcomes the production harness cached
         snippet = branch_snippet("eq")
-        assert (SnippetHarness(snippet).world_digest()
-                != RebuildSnippetHarness(snippet).world_digest())
+        digests = {cls(snippet).world_digest()
+                   for cls in (SnippetHarness, SnapshotSnippetHarness, RebuildSnippetHarness)}
+        assert len(digests) == 3
 
     def test_engine_is_not_part_of_the_world(self):
+        # a harness runs batches on the vector engine and single words on
+        # the scalar replay; which of the two ran first leaves the digest alone
         snippet = branch_snippet("eq")
-        assert (SnippetHarness(snippet, engine="vector").world_digest()
-                == SnippetHarness(snippet, engine="snapshot").world_digest())
+        words = range(0x6000, 0x6100)
+        batched = SnippetHarness(snippet)
+        batched.run_many(words)
+        replayed = SnippetHarness(snippet)
+        for word in words:
+            replayed.run(word)
+        assert batched.world_digest() == replayed.world_digest() \
+            == SnippetHarness(snippet).world_digest()
 
     def test_digest_ignores_earlier_replays(self):
         # scalar replays poke the slot and journal RAM stores; the digest
         # is of the replay point, not of whatever ran last
         ran = SnippetHarness(branch_snippet("ne"))
-        ran.run_many(range(0x6000, 0x6200))  # includes str/push words
+        for word in range(0x6000, 0x6200):  # includes str/push words
+            ran.run(word)
         assert ran.world_digest() == SnippetHarness(branch_snippet("cs")).world_digest()
 
     def test_sites_of_one_image_are_distinct_worlds(self):
@@ -94,14 +105,16 @@ class TestSharedHarnessDifferential:
     @pytest.mark.parametrize("zero_is_invalid", [False, True])
     @pytest.mark.parametrize("engine", ["snapshot", "vector"])
     def test_shared_harness_tallies_like_independent_harnesses(self, zero_is_invalid, engine):
+        harness_class = SnapshotSnippetHarness if engine == "snapshot" else SnippetHarness
         for world in WORLDS:
             snippets = [branch_snippet(mnemonic[1:]) for mnemonic in world]
-            shared = SnippetHarness(snippets[-1], zero_is_invalid=zero_is_invalid,
-                                    engine=engine)
+            shared = harness_class(snippets[-1], zero_is_invalid=zero_is_invalid)
             for model in MODELS:
                 for snippet in snippets:
                     own = sweep_instruction(snippet, model, zero_is_invalid=zero_is_invalid,
-                                            k_values=KS, engine=engine)
+                                            k_values=KS,
+                                            harness=harness_class(
+                                                snippet, zero_is_invalid=zero_is_invalid))
                     on_shared = sweep_instruction(snippet, model,
                                                   zero_is_invalid=zero_is_invalid,
                                                   k_values=KS, harness=shared)
@@ -113,8 +126,8 @@ class TestSharedHarnessDifferential:
         words = np.arange(1 << 16)
         for world in WORLDS:
             codes = [
-                SnippetHarness(branch_snippet(mnemonic[1:]), zero_is_invalid=zero_is_invalid,
-                               engine="vector").run_many_codes(words)[1]
+                SnippetHarness(branch_snippet(mnemonic[1:]),
+                               zero_is_invalid=zero_is_invalid).run_many_codes(words)[1]
                 for mnemonic in world
             ]
             for mnemonic, member_codes in zip(world[1:], codes[1:]):
