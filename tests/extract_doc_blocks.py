@@ -10,7 +10,9 @@ the test surface: the CI docs job executes every one of them with
 Supported languages: ``bash`` (each non-comment line is run as a shell
 command) and ``python`` (the block is executed as a script). Commands
 run from the repository root with ``src`` prepended to ``PYTHONPATH``,
-matching the setup the docs tell readers to use.
+matching the setup the docs tell readers to use. Each block gets its own
+``TMPDIR``, shared by its lines and removed afterwards, so blocks write
+scratch files under ``"${TMPDIR:-/tmp}"`` and never a fixed path.
 
 `tests/test_docs_consistency.py` imports :func:`extract_runnable_blocks`
 to assert the docs keep at least one runnable block per language.
@@ -23,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,11 +77,18 @@ def extract_runnable_blocks(markdown_path: Path) -> list[DocBlock]:
 
 
 def run_block(block: DocBlock) -> None:
-    """Execute one block, raising ``CalledProcessError`` on failure."""
+    """Execute one block in a private ``TMPDIR``, raising
+    ``CalledProcessError`` on failure."""
+    with tempfile.TemporaryDirectory(prefix="doc-block-") as tmp:
+        _run_block(block, tmp)
+
+
+def _run_block(block: DocBlock, tmp: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    env["TMPDIR"] = tmp
     if block.language == "bash":
         for line in block.code.splitlines():
             command = line.strip()

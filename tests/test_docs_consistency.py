@@ -251,6 +251,26 @@ class TestExperimentsGuideCoverage:
             "runnable python block for the CI smoke job"
         )
 
+    def test_runnable_blocks_name_no_fixed_tmp_path(self):
+        """Runnable blocks write scratch files under ``"${TMPDIR:-/tmp}"``:
+        the block runner gives each block a private ``TMPDIR``, so nothing
+        is left behind outside the checkout and concurrent runs never
+        share a file."""
+        import sys
+
+        sys.path.insert(0, str(ROOT / "tests"))
+        try:
+            from extract_doc_blocks import extract_runnable_blocks
+        finally:
+            sys.path.pop(0)
+        fixed = [
+            f"{block.path.name}:{block.line}"
+            for doc in sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
+            for block in extract_runnable_blocks(doc)
+            if "/tmp/" in block.code
+        ]
+        assert not fixed, f"runnable blocks naming a literal /tmp/ path: {fixed}"
+
     def test_golden_numbers_match_the_golden_tests(self):
         """The doc quotes the exact constants test_golden_numbers.py pins."""
         text = _read("docs/EXPERIMENTS.md")
