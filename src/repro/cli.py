@@ -17,6 +17,11 @@ Commands:
   (fig2 | table1 | ... | table7 | search) and print it.
 - ``report <events.jsonl>`` — render the timing/metrics summary of a run
   recorded with ``--trace``/``--metrics-out``.
+
+A campaign-running command (``attack``, ``campaign``, ``experiment``)
+that quarantined a work unit prints its result, lists the units on
+stderr and exits with status 3 (:data:`EXIT_QUARANTINED`): its tallies
+are incomplete.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from dataclasses import fields
 
 from repro.errors import AssemblerError, CompileError, ImageError, LayoutError
 from repro.resistor import ResistorConfig
+
+#: exit status of a command whose tallies exclude quarantined work units
+EXIT_QUARANTINED = 3
 
 #: what a bad input file or path raises; ``main`` reports these as errors
 _INPUT_ERRORS = (OSError, AssemblerError, CompileError, LayoutError, ImageError)
@@ -109,8 +117,7 @@ def cmd_campaign(args) -> int:
     finally:
         _finish_observer(obs, args)
     print(result.render(top=args.top))
-    _report_failed_units(result.failed_units)
-    return 0
+    return _report_failed_units(result.failed_units)
 
 
 def cmd_disassemble(args) -> int:
@@ -201,18 +208,19 @@ def cmd_attack(args) -> int:
     print(f"  detections: {result.detections} ({result.detection_rate * 100:.1f}% "
           f"of det+succ)")
     print(f"  resets:     {result.resets}")
-    _report_failed_units(result.failed_units)
-    return 0
+    return _report_failed_units(result.failed_units)
 
 
-def _report_failed_units(failed_units) -> None:
+def _report_failed_units(failed_units) -> int:
+    """List quarantined work units on stderr; the command's exit status."""
     if not failed_units:
-        return
+        return 0
     print(f"warning: {len(failed_units)} work unit(s) quarantined after "
           f"exhausting retries (tallies exclude them):", file=sys.stderr)
     for unit in failed_units:
         print(f"  {unit.spec!r}: {unit.error} ({unit.attempts} attempts)",
               file=sys.stderr)
+    return EXIT_QUARANTINED
 
 
 def _experiment_dests() -> dict[str, tuple[str, ...]]:
@@ -283,8 +291,7 @@ def cmd_experiment(args) -> int:
     finally:
         _finish_observer(obs, args)
     print(result.render())
-    _report_failed_units(failed_units)
-    return 0
+    return _report_failed_units(failed_units)
 
 
 def cmd_report(args) -> int:

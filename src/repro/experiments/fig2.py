@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.exec import ExecOptions, FailedUnit
 from repro.glitchsim import figure2 as _figure2_data
-from repro.glitchsim import run_branch_campaign
+from repro.glitchsim.campaign import _run_campaigns, _select_snippets
 from repro.glitchsim.results import (
     FigureData,
     render_figure_ascii,
@@ -24,11 +24,21 @@ from repro.glitchsim.results import (
 #: (60% when flipping to 0 and 30% when flipping to 1)"
 PAPER_MEAN_SUCCESS = {"and": 0.60, "or": 0.30}
 
+#: (panel name, title, flip model, zero_is_invalid), in render order; the
+#: XOR ablation comes last
+_PANELS = (
+    ("and", "Figure 2a: AND model (1→0 flips)", "and", False),
+    ("or", "Figure 2b: OR model (0→1 flips)", "or", False),
+    ("and-0invalid", "Figure 2c: AND model, 0x0000 decoded as invalid", "and", True),
+    ("xor", "Figure 2 ablation: XOR model (bidirectional flips)", "xor", False),
+)
+
 
 @dataclass
 class Figure2Result:
     panels: dict[str, FigureData] = field(default_factory=dict)
-    #: quarantined world units of every panel (their branches are absent)
+    #: quarantined world units of both decode modes (their branches are
+    #: absent from every panel of the mode)
     failed_units: list[FailedUnit] = field(default_factory=list)
 
     def mean_success(self, panel: str) -> float:
@@ -63,17 +73,20 @@ def run_figure2(
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
     ``conditions`` to subsample for quick runs.
 
-    ``execution`` (an :class:`~repro.exec.ExecOptions`) parallelises each
-    panel's replay-world units, makes each panel's campaign resumable
-    (panels checkpoint independently — the file name embeds the model)
-    and quarantines failing sweeps instead of aborting the figure;
-    ``cache`` (an ``OutcomeCache`` or a directory path) persists outcomes
-    on disk, so the AND/XOR panels share corrupted-word executions and
-    re-runs skip emulation entirely.
+    The panels run as one campaign per decode mode: AND, OR and XOR on
+    the plain decoder, AND again with 0x0000 invalid. A campaign's work
+    unit is one replay world (5 for the 14 branches) under every model
+    of its mode, so each corrupted word is emulated once per world and
+    decode mode, and the panels tally from that one classification.
+    Snippets and harnesses live for this call only.
 
-    Each panel emulates a word once per replay world (5 for the 14
-    branches); with a shared cache the AND/OR/XOR panels together emulate
-    at most 2^16 unique words per world.
+    ``execution`` (an :class:`~repro.exec.ExecOptions`) parallelises the
+    world units, makes each campaign resumable (the checkpoint file name
+    embeds its models, e.g. ``branch-and+or+xor``) and quarantines failing
+    units instead of aborting the figure; a quarantined world is absent
+    from every panel of its decode mode. ``cache`` (an ``OutcomeCache``
+    or a directory path) persists outcomes on disk, so re-runs skip
+    emulation entirely.
 
     ``engine`` accepts only ``"vector"``, the one batch engine, and
     anything else raises ``ValueError``. It survives for the benchmark
@@ -85,24 +98,20 @@ def run_figure2(
     if engine != "vector":
         raise ValueError(f"unknown engine {engine!r}; the only engine is 'vector'")
     obs = coerce_observer(obs)
+    panels = _PANELS if include_xor else _PANELS[:3]
+    snippets = _select_snippets(conditions)
     result = Figure2Result()
-    common = dict(k_values=k_values, conditions=conditions, cache=cache,
-                  execution=execution, obs=obs)
-    panels = [
-        ("and", "Figure 2a: AND model (1→0 flips)", "and", False),
-        ("or", "Figure 2b: OR model (0→1 flips)", "or", False),
-        ("and-0invalid", "Figure 2c: AND model, 0x0000 decoded as invalid", "and", True),
-    ]
-    if include_xor:
-        panels.append(
-            ("xor", "Figure 2 ablation: XOR model (bidirectional flips)", "xor", False)
-        )
+    campaigns = {}
     with obs.trace("fig2"):
+        for zero_is_invalid in (False, True):
+            models = tuple(model for _, _, model, mode in panels if mode == zero_is_invalid)
+            runs = _run_campaigns(models, zero_is_invalid, snippets, k_values, cache,
+                                  execution, obs)
+            # the campaigns of one mode share its quarantined units
+            result.failed_units.extend(runs[0].failed_units)
+            campaigns.update({(run.model, zero_is_invalid): run for run in runs})
         for name, title, model, zero_is_invalid in panels:
-            campaign = run_branch_campaign(model, zero_is_invalid=zero_is_invalid,
-                                           **common)
-            result.panels[name] = _figure2_data(campaign, title=title)
-            result.failed_units.extend(campaign.failed_units)
+            result.panels[name] = _figure2_data(campaigns[model, zero_is_invalid], title=title)
     return result
 
 

@@ -7,26 +7,31 @@ For an instruction of ``n`` bits the campaign covers every
 The executed outcome depends only on the *resulting* corrupted word, so the
 campaign never needs to enumerate masks at all: it classifies only the
 *unique reachable corrupted words* (``repro.glitchsim.maskalgebra``) — at
-most 2^16 per replay world, shared across all three flip models — and
+most 2^16 per replay world, whatever the flip models — and
 derives the per-``k`` mask tallies in closed form, bit-identical to
 walking every mask (the test suite keeps that mask loop as its oracle).
 
 A word's outcome depends only on the *replay world*, the machine paused
-at the target slot (:meth:`WordHarness.world_digest`). Many branch
-snippets share one: the 14 Figure 2 snippets have 5 distinct worlds
-(``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``; ``ls``).
-:func:`run_branch_campaign` therefore makes one work unit per world, not
-per branch: the unit builds one harness and sweeps every member branch on
-it, so each corrupted word of a world is emulated once per campaign.
-Checkpoint records, quarantine and outcome-cache shards are per world too;
-the sweeps are re-emitted in condition order.
+at the target slot in one decode mode (:meth:`WordHarness.world_digest`).
+Many branch snippets share one: the 14 Figure 2 snippets have 5 distinct
+worlds (``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``;
+``ls``). A campaign therefore makes one work unit per world, not per
+branch, covering every flip model it runs: the unit builds one harness,
+classifies its members' reachable words under all those models in one
+batch and tallies every sweep from that, so each corrupted word of a
+world is emulated once per campaign. Checkpoint records, quarantine and
+outcome-cache shards are per world too; the sweeps are re-emitted in
+condition order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
 from repro.exec.cache import CODE_CATEGORIES, cache_session
@@ -42,28 +47,34 @@ class SweepTallies:
     """Per-flip-count outcome tallies, shared by every sweep record.
 
     Subclasses are dataclasses with a ``by_k`` field: per flip count
-    ``k``, a Counter of outcome categories.
+    ``k``, a Counter of outcome categories. A record is complete once
+    built: :attr:`totals` and :attr:`attempts` are computed on first use
+    and kept.
     """
 
-    @property
+    @cached_property
     def totals(self) -> Counter:
         total: Counter = Counter()
         for counter in self.by_k.values():
             total.update(counter)
         return total
 
+    @cached_property
+    def attempts(self) -> int:
+        """Masks tallied over every flip count."""
+        return sum(self.totals.values())
+
     def success_rate(self, k: int | None = None) -> float:
         """Fraction of masks classified *success* (overall, or for one ``k``)."""
         counter = self.totals if k is None else self.by_k.get(k, Counter())
-        attempts = sum(counter.values())
+        attempts = self.attempts if k is None else sum(counter.values())
         if attempts == 0:
             return 0.0
         return counter.get("success", 0) / attempts
 
     def category_fractions(self) -> dict[str, float]:
         """Overall fraction per outcome category (the Figure 2 histograms)."""
-        totals = self.totals
-        attempts = sum(totals.values())
+        totals, attempts = self.totals, self.attempts
         if attempts == 0:
             return {category: 0.0 for category in OUTCOME_CATEGORIES}
         return {category: totals.get(category, 0) / attempts for category in OUTCOME_CATEGORIES}
@@ -195,10 +206,10 @@ def sweep_instruction(
 
 @dataclass(frozen=True)
 class _WorldSpec:
-    """Picklable work unit: the sweeps of every branch sharing one world."""
+    """Picklable work unit: every model's sweeps of the branches sharing one world."""
 
     mnemonics: tuple[str, ...]  # members, in condition order
-    model: str
+    models: tuple[str, ...]
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
@@ -207,12 +218,25 @@ class _WorldSpec:
 def _sweep_world(
     spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
 ) -> list[InstructionSweep]:
-    """Sweep every member branch of one world on its shared harness."""
+    """Sweep every member branch of one world under every model of the
+    unit, model by model, from one batch over the union of their words."""
+    union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
+    for snippet in snippets:
+        for model in spec.models:
+            union[reachable_words(
+                snippet.target_word, model, INSTRUCTION_BITS, spec.k_values
+            )] = True
+    words = np.flatnonzero(union)
+    del union  # not held through the batch, the memory peak
+    executed_before = harness.words_executed
+    harness.run_many_codes(words)
+    current().count("algebra.words_emulated", harness.words_executed - executed_before)
     return [
         sweep_instruction(
-            snippet, spec.model, zero_is_invalid=spec.zero_is_invalid,
+            snippet, model, zero_is_invalid=spec.zero_is_invalid,
             k_values=spec.k_values, harness=harness,
         )
+        for model in spec.models
         for snippet in snippets
     ]
 
@@ -244,7 +268,9 @@ def run_branch_campaign(
 
     The selected branches are grouped by :meth:`WordHarness.world_digest`
     into one work unit per replay world (5 for all 14 branches); a unit
-    sweeps every member branch on one shared harness. ``execution`` (an
+    sweeps every member branch on one shared harness. This is the
+    one-model case of the campaigns :func:`repro.experiments.run_figure2`
+    runs with several models per unit. ``execution`` (an
     :class:`~repro.exec.ExecOptions`) fans the units out over processes
     (each unit owns its world's cache shard, so workers never contend on
     a file). Sweeps are re-emitted in condition order, so one worker and
@@ -266,15 +292,37 @@ def run_branch_campaign(
     work starts.
     """
     check_campaign_args((model,))
-    obs = coerce_observer(obs)
+    (campaign,) = _run_campaigns(
+        (model,), zero_is_invalid, _select_snippets(conditions), k_values,
+        cache, execution, coerce_observer(obs),
+    )
+    return campaign
+
+
+def _select_snippets(conditions: list[str] | None) -> list[BranchSnippet]:
+    """The selected branches' snippets (all 14 for ``None``), in condition order."""
     snippets = all_branch_snippets()
-    if conditions is not None:
-        wanted = {c: f"b{c}" if not c.startswith("b") else c for c in conditions}
-        known = {s.mnemonic for s in snippets}
-        unknown = [c for c, mnemonic in wanted.items() if mnemonic not in known]
-        if unknown:
-            raise ValueError(f"unknown branch condition(s) {unknown}")
-        snippets = [s for s in snippets if s.mnemonic in wanted.values()]
+    if conditions is None:
+        return snippets
+    wanted = {c: f"b{c}" if not c.startswith("b") else c for c in conditions}
+    known = {s.mnemonic for s in snippets}
+    unknown = [c for c, mnemonic in wanted.items() if mnemonic not in known]
+    if unknown:
+        raise ValueError(f"unknown branch condition(s) {unknown}")
+    return [s for s in snippets if s.mnemonic in wanted.values()]
+
+
+def _run_campaigns(
+    models: tuple[str, ...],
+    zero_is_invalid: bool,
+    snippets: list[BranchSnippet],
+    k_values: tuple[int, ...] | None,
+    cache: OutcomeCache | str | None,
+    execution: ExecOptions,
+    obs: Observer,
+) -> list[CampaignResult]:
+    """One campaign per model, in ``models`` order, run as one executor map;
+    they share the quarantined world units."""
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
@@ -288,7 +336,7 @@ def run_branch_campaign(
         for shared, members in worlds.values()
     }
     specs = [
-        _WorldSpec(mnemonics, model, zero_is_invalid, ks, cache_root)
+        _WorldSpec(mnemonics, models, zero_is_invalid, ks, cache_root)
         for mnemonics in units
     ]
 
@@ -297,19 +345,20 @@ def run_branch_campaign(
         shared, members = units[spec.mnemonics]
         return _sweep_world(spec, members, shared)
 
+    label = "+".join(models)
     # serial units reuse the shared cache handle, so the session counts
     # their traffic here (workers report theirs via their envelopes)
     with cache_session(cache, obs), obs.trace(
-        f"campaign.branch[{model}]", model=model,
+        f"campaign.branch[{label}]", model=label,
         zero_is_invalid=zero_is_invalid, units=len(specs),
     ):
         results, failed = execution.run(
             _world_unit,
             specs,
-            prefix=f"branch-{model}",
+            prefix=f"branch-{label}",
             meta={
                 "campaign": "branch",
-                "model": model,
+                "model": label,
                 "zero_is_invalid": zero_is_invalid,
                 "k_values": list(ks) if ks is not None else None,
                 "conditions": sorted(snippet.mnemonic for snippet in snippets),
@@ -318,17 +367,23 @@ def run_branch_campaign(
             encode=lambda sweeps: [sweep.to_payload() for sweep in sweeps],
             decode=lambda payload: [InstructionSweep.from_payload(entry) for entry in payload],
             serial_fn=serial,
-            attempts_of=lambda sweeps: sum(_unit_totals(sweeps).values()),
+            attempts_of=lambda sweeps: sum(sweep.attempts for sweep in sweeps),
             categories_of=lambda sweeps: dict(_unit_totals(sweeps)),
             obs=obs,
         )
-    done = {sweep.mnemonic: sweep for sweeps in results if sweeps for sweep in sweeps}
-    return CampaignResult(
-        model=model,
-        zero_is_invalid=zero_is_invalid,
-        sweeps=[done[s.mnemonic] for s in snippets if s.mnemonic in done],
-        failed_units=failed,
-    )
+    done = {
+        (sweep.model, sweep.mnemonic): sweep
+        for sweeps in results if sweeps for sweep in sweeps
+    }
+    return [
+        CampaignResult(
+            model=model,
+            zero_is_invalid=zero_is_invalid,
+            sweeps=[done[model, s.mnemonic] for s in snippets if (model, s.mnemonic) in done],
+            failed_units=failed,
+        )
+        for model in models
+    ]
 
 
 __all__ = [

@@ -31,9 +31,12 @@ table missing a reachable word raises instead of silently under-counting.
 
 The word-outcome table is model-independent (it is keyed by the corrupted
 word alone), so one table serves all three models for a given replay
-world (``WordHarness.world_digest``) — XOR's full 2^16 word set subsumes
-AND's submasks and OR's supersets, which is what lets the Figure 2
-campaign share a single word sweep across its panels.
+world (``WordHarness.world_digest``, which covers the decode mode) — XOR's
+full 2^16 word set subsumes AND's submasks and OR's supersets. A branch
+campaign's work unit relies on this: it classifies the union of its
+branches' reachable words under all its models in one batch and tallies
+every (branch, model) sweep from that table, so Figure 2's AND, OR and
+XOR panels share one word sweep per world.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ import numpy as np
 from repro.bits import FLIP_MODELS, hamming_distance, mask, popcount
 
 MODELS = tuple(sorted(FLIP_MODELS))  # ("and", "or", "xor")
+
+#: ``_PASCAL[n, r] == C(n, r)`` for word widths up to 32 (zero for ``r > n``)
+_PASCAL = np.array(
+    [[comb(n, r) for r in range(33)] for n in range(33)], dtype=np.int64
+)
 
 
 def _check_model(model: str) -> None:
@@ -183,36 +191,30 @@ def tally_from_word_codes(
     p = popcount(target)
     free = {"and": width - p, "or": p, "xor": 0}[model]
 
-    words = np.asarray(words, dtype=np.uint64)
-    codes = np.asarray(codes, dtype=np.int64)
+    # the narrowest dtypes that hold a word, a code and a G cell index
+    # keep the passes cheap
     ncat = len(categories)
-    if words.size:
-        if model == "and":
-            valid = (words & np.uint64(~target & mask(width))) == 0
-            j = p - np.bitwise_count(words).astype(np.int64)
-        elif model == "or":
-            valid = (np.uint64(target) & ~words) == 0
-            j = np.bitwise_count(words).astype(np.int64) - p
-        else:  # xor: j is the Hamming distance and the multiplicity is 1
-            valid = np.ones(words.size, dtype=bool)
-            j = np.bitwise_count(
-                (words & np.uint64(mask(width))) ^ np.uint64(target)
-            ).astype(np.int64)
-        G = np.bincount(
-            j[valid] * ncat + codes[valid], minlength=(width + 1) * ncat
-        ).reshape(width + 1, ncat)
+    words = np.asarray(words).astype(np.min_scalar_type(mask(width)), copy=False)
+    codes = np.asarray(codes).astype(np.min_scalar_type(ncat), copy=False)
+    if model == "xor":  # j is the Hamming distance, every word counts once
+        j = np.bitwise_count(words ^ target)
     else:
-        G = np.zeros((width + 1, ncat), dtype=np.int64)
+        if model == "and":
+            valid = (words & (~target & mask(width))) == 0
+            j = p - np.bitwise_count(words[valid])
+        else:  # or
+            valid = (words & target) == target
+            j = np.bitwise_count(words[valid]) - p
+        codes = codes[valid]
+    cell = j.astype(np.min_scalar_type((width + 1) * ncat), copy=False) * ncat + codes
+    G = np.bincount(cell, minlength=(width + 1) * ncat).reshape(width + 1, ncat)
 
-    # W[i, j] = number of popcount-k_i masks producing a word in group j
-    W = np.zeros((len(ks), width + 1), dtype=np.int64)
-    for i, k in enumerate(ks):
-        if model == "xor":
-            if 0 <= k <= width:
-                W[i, k] = 1
-        else:
-            for j_value in range(max(0, k - free), min(width, k) + 1):
-                W[i, j_value] = comb(free, k - j_value)
+    # W[i, j] = C(free, k_i - j), the popcount-k_i masks producing a word
+    # in group j (under XOR, where free == 0, the row selector j == k_i)
+    spare = np.asarray(ks, dtype=np.intp)[:, None] - np.arange(width + 1)
+    W = np.where(
+        (spare >= 0) & (spare <= free), _PASCAL[free, np.clip(spare, 0, free)], 0
+    )
     M = W @ G
 
     totals = M.sum(axis=1)
@@ -225,11 +227,11 @@ def tally_from_word_codes(
                 f"tallied {int(totals[i])} masks, expected {expected} "
                 f"(a reachable word is missing from the table)"
             )
-        counter = Counter()
-        row = M[i]
-        for code in np.nonzero(row)[0].tolist():
-            counter[categories[code]] = int(row[code])
-        by_k[k] = counter
+    for k, row in zip(ks, M.tolist()):
+        counter = by_k[k] = Counter()
+        for code, count in enumerate(row):
+            if count:
+                counter[categories[code]] = count
     return by_k
 
 

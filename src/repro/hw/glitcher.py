@@ -740,6 +740,10 @@ class ClockGlitcher:
             faulted = True
         finally:
             cpu.memory.write_log = None  # only the settled-loop exit reads it
+            # both hooks close over this glitcher: left installed, they
+            # would tie it and its board into a reference cycle
+            board.trigger_callback = None
+            pipeline.glitch_resolver = None
 
         if windows:
             counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped

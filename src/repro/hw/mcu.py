@@ -21,6 +21,7 @@ and the glitcher counts ``ext_offset`` cycles from there.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from repro.emu import CPU, Memory, MemoryRegion, MMIORegion
@@ -41,6 +42,17 @@ DWT_SIZE = 0x10
 DWT_CYCCNT_OFFSET = 0x4
 
 TRIGGER_ADDRESS = GPIO_BASE + GPIO_ODR_OFFSET
+
+
+def _weak(method: Callable) -> Callable:
+    """``method`` of a board, holding the board only weakly.
+
+    The board owns its memory, so an MMIO region holding a bound method
+    would make a reference cycle and leave every dropped board (flash
+    image included) to the cyclic collector.
+    """
+    board, function = weakref.ref(method.__self__), method.__func__
+    return lambda *args: function(board(), *args)
 
 
 class Board:
@@ -95,13 +107,13 @@ class Board:
         memory.map_region(
             MMIORegion(
                 name="gpioa", base=GPIO_BASE, size=GPIO_SIZE,
-                on_read=self._gpio_read, on_write=self._gpio_write,
+                on_read=_weak(self._gpio_read), on_write=_weak(self._gpio_write),
             )
         )
         memory.map_region(
             MMIORegion(
                 name="dwt", base=DWT_BASE, size=DWT_SIZE,
-                on_read=self._dwt_read, on_write=lambda *_: None,
+                on_read=_weak(self._dwt_read), on_write=lambda *_: None,
             )
         )
         memory.load(FLASH_BASE, self.firmware.code)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cli import FAULT_MODEL_NAMES, main
+from repro.cli import EXIT_QUARANTINED, FAULT_MODEL_NAMES, main
 
 DEMO_HEX = os.path.join(os.path.dirname(__file__), "..", "examples", "demo_fw.hex")
 
@@ -207,7 +207,8 @@ class TestFaultModelFlag:
 
 
 class TestExperimentQuarantineReport:
-    """Quarantined work units must be named on stderr, as for ``attack``."""
+    """Quarantined work units must be named on stderr, and the command
+    exits with ``EXIT_QUARANTINED`` after printing its result."""
 
     def test_table1_names_the_quarantined_row(self, monkeypatch, capsys):
         import repro.hw.scan as scan_mod
@@ -220,7 +221,7 @@ class TestExperimentQuarantineReport:
             return real(spec, glitcher)
 
         monkeypatch.setattr(scan_mod, "_defense_shape_unit", poisoned)
-        assert main(["experiment", "table1", "--stride", "24"]) == 0
+        assert main(["experiment", "table1", "--stride", "24"]) == EXIT_QUARANTINED
         captured = capsys.readouterr()
         assert "total 8/175" in captured.out
         assert "3 work unit(s) quarantined" in captured.err
@@ -238,14 +239,28 @@ class TestExperimentQuarantineReport:
             return real(snippet, model, zero_is_invalid, k_values=(1,), **kwargs)
 
         monkeypatch.setattr(campaign_mod, "sweep_instruction", poisoned)
-        assert main(["experiment", "fig2"]) == 0
+        assert main(["experiment", "fig2"]) == EXIT_QUARANTINED
         captured = capsys.readouterr()
-        # a unit is a replay world: bne's world-mates go with it, and the
-        # quarantine report names every member, once per panel
+        # a unit is a replay world under every model of one decode mode:
+        # bne's world-mates go with it from every panel, and the quarantine
+        # report names every member, once per decode mode
         world = ("bne", "bcs", "bpl", "bvc", "bhi", "bge", "bgt")
         for mnemonic in world:
             assert mnemonic.upper() not in captured.out
         assert "BEQ" in captured.out and "BLS" in captured.out
-        assert "4 work unit(s) quarantined" in captured.err
-        assert captured.err.count(f"mnemonics={world!r}") == 4
+        assert "2 work unit(s) quarantined" in captured.err
+        assert captured.err.count(f"mnemonics={world!r}") == 2
         assert "emulator crashed" in captured.err
+
+    def test_attack_exits_quarantined(self, monkeypatch, capsys, guard_c):
+        import repro.hw.scan as scan_mod
+
+        def poisoned(spec, glitcher=None):
+            raise RuntimeError("board wedged")
+
+        monkeypatch.setattr(scan_mod, "_defense_shape_unit", poisoned)
+        assert main(["attack", guard_c, "--defense", "none",
+                     "--stride", "24"]) == EXIT_QUARANTINED
+        captured = capsys.readouterr()
+        assert "attempts:   0" in captured.out
+        assert "board wedged" in captured.err

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.fig2 import run_figure2
+from repro.exec import ExecOptions, ProgressReporter
+from repro.experiments.fig2 import _PANELS, run_figure2
 from repro.experiments.param_search import run_search
 from repro.experiments.render import compare_line, pct, render_table
 from repro.experiments.table1 import run_table1
@@ -12,6 +13,8 @@ from repro.experiments.table4 import CONFIGS, run_table4
 from repro.experiments.table5 import run_table5
 from repro.experiments.table6 import run_table6
 from repro.experiments.table7 import run_table7
+from repro.glitchsim import figure2, run_branch_campaign
+from repro.obs import Observer
 
 
 class TestRenderHelpers:
@@ -40,6 +43,73 @@ class TestFigure2Driver:
     def test_csv(self):
         result = run_figure2(k_values=(1,), conditions=["eq"], include_xor=False)
         assert "instruction,k,success_rate" in result.to_csv()
+
+    #: the full figure: one batch per (replay world, decode mode), 5 worlds
+    #: x 2 modes; the plain-decoder batches hold all 2^16 words (XOR reaches
+    #: every word) and the 0x0000-invalid ones their worlds' AND submasks
+    FULL_FIGURE_COUNTERS = {
+        "vector.batches": 10,
+        "vector.lanes": 328_192,
+        "algebra.words_emulated": 328_192,
+        "units.completed": 10,
+        "attempts": 4 * 14 * 65_536,
+        "algebra.masks_derived": 4 * 14 * 65_536,
+    }
+
+    def test_full_figure_counters_exact_and_repeatable(self):
+        # a second figure in the same process emulates every word again:
+        # no harness, snippet or outcome outlives a call
+        for _ in range(2):
+            obs = Observer()
+            run_figure2(obs=obs)
+            counters = {name: obs.counters.get(name) for name in self.FULL_FIGURE_COUNTERS}
+            assert counters == self.FULL_FIGURE_COUNTERS
+
+
+class TestFigure2SharedUnits:
+    """Each panel of the multi-model campaigns equals its model's campaign
+    run on its own, whatever the execution path."""
+
+    KWARGS = dict(k_values=(1, 2), conditions=["eq", "ne", "cc", "vs"])
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return {
+            name: figure2(run_branch_campaign(model, zero_is_invalid=zero_is_invalid,
+                                              **self.KWARGS), title=title)
+            for name, title, model, zero_is_invalid in _PANELS
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_panels_match_single_model_campaigns(self, alone, workers):
+        result = run_figure2(execution=ExecOptions(workers=workers), **self.KWARGS)
+        assert result.panels == alone
+        assert result.failed_units == []
+
+    def test_resumed_panels_match_single_model_campaigns(self, alone, tmp_path):
+        class KillInSecondMode(ProgressReporter):
+            """Interrupts after six units: the plain decoder's four worlds
+            and two of the 0x0000-invalid mode's."""
+
+            done = 0
+
+            def advance(self, units=1, attempts=0, categories=None):
+                super().advance(units, attempts, categories)
+                self.done += units
+                if self.done == 6:
+                    raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_figure2(execution=ExecOptions(checkpoint_dir=tmp_path,
+                                              progress=KillInSecondMode()),
+                        **self.KWARGS)
+        obs = Observer()
+        resumed = run_figure2(
+            execution=ExecOptions(checkpoint_dir=tmp_path, resume=True, workers=2),
+            obs=obs, **self.KWARGS,
+        )
+        assert resumed.panels == alone
+        assert (obs.counters["units.replayed"], obs.counters["units.completed"]) == (6, 2)
 
 
 class TestScanDrivers:

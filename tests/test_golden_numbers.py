@@ -25,6 +25,9 @@ class TestFigure2Golden:
 
         return run_figure2()
 
+    def test_no_quarantined_units(self, fig2):
+        assert fig2.failed_units == []
+
     def test_and_model_mean_success(self, fig2):
         # EXPERIMENTS.md: 42.5% (paper ≈60%; same order, AND dominant)
         assert fig2.mean_success("and") == pytest.approx(0.4252232142857143, abs=1e-12)
@@ -62,6 +65,9 @@ class TestTable1Golden:
 
         return run_table1(stride=2, fault_model=FaultModel(seed=0x600D5EED))
 
+    def test_no_quarantined_units(self, table1):
+        assert [scan.failed_units for scan in table1.scans.values()] == [[]] * 3
+
     def test_default_seed_is_the_published_one(self):
         assert FaultModel().seed == 0x600D5EED
 
@@ -96,6 +102,9 @@ class TestTable2Golden:
 
         return run_table2(stride=2, fault_model=FaultModel(seed=0x600D5EED))
 
+    def test_no_quarantined_units(self, table2):
+        assert [scan.failed_units for scan in table2.scans.values()] == [[]] * 3
+
     @pytest.mark.parametrize(
         "guard,partial,full",
         [
@@ -122,6 +131,9 @@ class TestTable3Golden:
         from repro.experiments.table3 import run_table3
 
         return run_table3(stride=2, fault_model=FaultModel(seed=0x600D5EED))
+
+    def test_no_quarantined_units(self, table3):
+        assert [scan.failed_units for scan in table3.scans.values()] == [[]] * 3
 
     @pytest.mark.parametrize(
         "guard,successes",
@@ -174,6 +186,9 @@ class TestTable6Golden:
         from repro.experiments.table6 import run_table6
 
         return run_table6(stride=2)
+
+    def test_no_quarantined_units(self, table6):
+        assert [scan.failed_units for scan in table6.results.values()] == [[]] * 18
 
     @pytest.mark.parametrize("row", sorted(ROWS), ids="-".join)
     def test_row(self, table6, row):

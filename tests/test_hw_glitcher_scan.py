@@ -103,6 +103,24 @@ class TestGlitcher:
         glitcher.run_attempt(GlitchParams(0, 20, -10))
         assert bytes(board._seed_page[0:4]) == b"\x01\x02\x03\x04"
 
+    def test_dropped_glitcher_frees_by_refcount(self):
+        # no reference cycle ties a glitcher to its board (run hooks) or a
+        # board to its MMIO regions, so neither waits for the cyclic GC
+        import gc
+        import weakref
+
+        glitcher = ClockGlitcher(build_guard_firmware("not_a", "single"))
+        gc.disable()
+        try:
+            for params in (GlitchParams(0, 20, -10), GlitchParams(3, 5, 5)):
+                assert glitcher.run_attempt(params, force_simulation=True).simulated
+            dead_glitcher, dead_board = weakref.ref(glitcher), weakref.ref(glitcher.board)
+            del glitcher
+            assert dead_glitcher() is None
+            assert dead_board() is None
+        finally:
+            gc.enable()
+
 
 class TestScans:
     """Strided scans keep these fast while checking the paper's orderings."""

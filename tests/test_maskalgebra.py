@@ -140,6 +140,19 @@ class TestWordCodesMatmulDifferential:
         vectorized = tally_from_word_codes(target, model, arr, codes, categories, ks)
         assert vectorized == _scalar_comb_tally(target, model, words, categories_of, ks)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_wide_cell_index_matches_scalar_comb_loop(self, model):
+        # 40 categories: a (j, code) cell index no longer fits a uint8
+        import numpy as np
+
+        target, ks = 0xD001, tuple(range(WIDTH + 1))
+        words = reachable_words(target, model, WIDTH)
+        categories = (None,) + tuple(f"cat{i}" for i in range(40))
+        categories_of = {word: categories[1 + word % 40] for word in words}
+        codes = np.asarray([1 + word % 40 for word in words], dtype=np.int64)
+        vectorized = tally_from_word_codes(target, model, words, codes, categories, ks)
+        assert vectorized == _scalar_comb_tally(target, model, words, categories_of, ks)
+
     @settings(max_examples=15, deadline=None)
     @given(target=st.integers(0, 0xFFFF), model=st.sampled_from(MODELS))
     def test_out_of_range_k_tallies_empty(self, target, model):

@@ -83,8 +83,9 @@ class TestWorkers:
         monkeypatch.setattr(ParallelExecutor, "_preferred_start_method",
                             lambda self: start_method)
         # bne and bcs share one replay world, so one unit sweeps both
+        # under both models
         specs = [
-            _WorldSpec(members, "xor", False, SMALL_KS, None)
+            _WorldSpec(members, ("xor", "and"), False, SMALL_KS, None)
             for members in (("beq",), ("bne", "bcs"))
         ]
         executor = ParallelExecutor(workers=2)
@@ -92,10 +93,11 @@ class TestWorkers:
         sweeps = [sweep for unit in units for sweep in unit]
         serial = [
             sweep_instruction(
-                branch_snippet(mnemonic[1:]), spec.model, k_values=spec.k_values,
+                branch_snippet(mnemonic[1:]), model, k_values=spec.k_values,
                 harness=SnapshotSnippetHarness(branch_snippet(mnemonic[1:])),
             )
             for spec in specs
+            for model in spec.models
             for mnemonic in spec.mnemonics
         ]
         assert sweeps == serial
