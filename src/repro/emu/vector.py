@@ -20,14 +20,20 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
   per group, mirroring :mod:`repro.emu.cpu` / :mod:`repro.emu.alu`
   bit-for-bit (including the LSR/ASR ``#0 == 32`` quirk, shift-by-zero
   carry passthrough, and ``AddWithCarry`` flag algebra);
-- **memory** is a copy-on-write RAM plane: row 0 is the shared
-  post-prefix RAM image and a lane is given a private row only right
-  before its first successful store, so a 65k-lane batch allocates a few
-  MB rather than lanes × RAM_SIZE;
+- **memory** is copy-on-write per :data:`RAM_BLOCK`-byte block: every
+  lane reads the shared post-prefix RAM image until it stores, and a
+  store first copies just the block it lands in into a lane-private
+  page, so a lane copies only what it writes and the page and block-map
+  arrays grow by capacity, never re-copied whole per store;
 - **divergence** is handled by retirement: lanes that halt, fault, hit a
   marker stop, or exhaust the shared step budget leave the active set and
   keep their terminal status, so classification happens per lane while
   stepping stays dense;
+- **step 0** is lean: every lane starts at the target slot with the
+  snapshot's registers and flags, so the halted, marker-stop, fetch and
+  early-exit checks are one scalar test for the whole batch and the
+  fetch is the batch's words themselves (the constructor rejects a
+  snapshot whose PC is not the target);
 - **early decisions** retire a lane as soon as its terminal status is
   certain: a lane sliding down a straight run of pristine fall-through
   halfwords takes the status of what ends the run (or ``ST_LIMIT`` when
@@ -120,6 +126,11 @@ OP_HALT = 32        # bkpt / wfi / wfe
 OP_NOP = 33         # nop / yield / sev / cps
 OP_EXTEND = 34      # aux: 0 sxth / 1 sxtb / 2 uxth / 3 uxtb
 OP_REV = 35         # aux: 0 rev / 1 rev16 / 2 revsh
+
+#: bytes per copy-on-write RAM block: a power of two of at least 4, so no
+#: access (all are aligned and at most 4 bytes wide) straddles two blocks
+RAM_BLOCK = 256
+_BLOCK_SHIFT = RAM_BLOCK.bit_length() - 1
 
 #: opcodes that never fault, halt, branch or touch memory: a pristine row
 #: of one of these always falls through to the next halfword (OP_HI_ADD and
@@ -356,14 +367,20 @@ class VectorRun:
     words: np.ndarray       # the corrupted words, lane order == input order
     status: np.ndarray      # terminal ST_* per lane (never ST_RUNNING)
     stop_pc: np.ndarray     # for ST_STOPPED lanes: the marker address reached
-    # ``regs`` and ``ram`` hold each lane's state when it retired.  A lane
+    # ``regs`` and the lane RAM hold each lane's state when it retired.  A lane
     # decided early (ST_LIMIT, ST_BAD_FETCH, ST_INVALID or ST_FAILED before
     # it got there) keeps its state at that decision, so callers classify
     # those four statuses by status alone; ST_HALTED and ST_STOPPED lanes
     # are never decided early.
     regs: np.ndarray        # (16, N) architectural registers at retirement
-    lane_row: np.ndarray    # RAM plane row per lane (0 = shared pristine row)
-    ram: np.ndarray         # (rows, ram_size) copy-on-write RAM plane
+    # Lane RAM: byte ``o`` of lane ``i`` is
+    # ``pages[block_map[lane_row[i], o // RAM_BLOCK], o % RAM_BLOCK]``.
+    # Pages 0..blocks-1 hold the shared RAM image and block-map row 0 maps
+    # onto them; a lane that stored has its own block-map row, pointing
+    # at a private page for each block it wrote.
+    lane_row: np.ndarray    # block-map row per lane (0 = never stored)
+    block_map: np.ndarray   # (rows, blocks) page per RAM block
+    pages: np.ndarray       # (pages, RAM_BLOCK) shared and private blocks
     ram_base: int
     lane_steps: int         # lanes fetched, summed over the executed steps
     early_exits: int        # lanes retired by a straight-line or cycle exit
@@ -371,10 +388,11 @@ class VectorRun:
     def read_ram_u32(self, address: int) -> np.ndarray:
         """Little-endian u32 at ``address`` as seen by each lane."""
         off = address - self.ram_base
-        rows = self.lane_row
-        value = self.ram[rows, off].astype(np.int64)
-        for i in range(1, 4):
-            value |= self.ram[rows, off + i].astype(np.int64) << (8 * i)
+        value = np.zeros(self.lane_row.size, dtype=np.int64)
+        for i in range(4):
+            byte = off + i
+            page = self.block_map[self.lane_row, byte >> _BLOCK_SHIFT]
+            value |= self.pages[page, byte & (RAM_BLOCK - 1)].astype(np.int64) << (8 * i)
         return value
 
     def classify_branch(
@@ -442,6 +460,10 @@ class VectorEngine:
     status of the address that ends that run (``ST_RUNNING`` when reaching
     it decides nothing).  The target slot and the marker stops never join
     a run and never end one with a status.
+
+    The replay point must be paused at the target slot: ``ValueError``
+    unless ``init_regs`` holds ``target_address`` as the PC and the
+    target is a halfword inside flash.
     """
 
     def __init__(
@@ -460,6 +482,15 @@ class VectorEngine:
     ):
         if len(flash_bytes) % 2:
             raise ValueError("flash image must be an even number of bytes")
+        if init_regs[PC] != target_address:
+            raise ValueError(
+                f"the replay point's PC {init_regs[PC]:#010x} is not the "
+                f"target slot {target_address:#010x}"
+            )
+        if target_address % 2 or not (
+            flash_base <= target_address < flash_base + len(flash_bytes)
+        ):
+            raise ValueError(f"target slot {target_address:#010x} is not a flash halfword")
         self.table = operand_table(zero_is_invalid)
         self.flash_base = flash_base
         self.flash_end = flash_base + len(flash_bytes)
@@ -470,11 +501,19 @@ class VectorEngine:
         self.ram_size = len(ram_bytes)
         self.ram_end = ram_base + self.ram_size
         self.base_ram = np.frombuffer(ram_bytes, dtype=np.uint8).copy()
+        self.blocks = -(-self.ram_size // RAM_BLOCK)
+        self.base_pages = np.zeros((self.blocks, RAM_BLOCK), dtype=np.uint8)
+        self.base_pages.reshape(-1)[:self.ram_size] = self.base_ram
         self.init_regs = tuple(int(r) & M32 for r in init_regs)
         self.init_flags = init_flags
         self.budget = budget
         self.stops = tuple(int(s) for s in marker_stops)
         self.straight_run, self.straight_end = self._straight_lines()
+        # the halfword after the target if it completes a BL prefix there
+        # (0 when it does not: a BL prefix at the target is then invalid)
+        after = target_address + 2
+        suffix = int(self.flash16[(after - flash_base) >> 1]) if after + 2 <= self.flash_end else 0
+        self.first_suffix = suffix if suffix >> 11 == 0b11111 else 0
 
     def _straight_lines(self) -> tuple[np.ndarray, np.ndarray]:
         """``(straight_run, straight_end)`` for every flash slot, in NumPy."""
@@ -511,8 +550,7 @@ class VectorEngine:
         words = np.asarray(word_batch, dtype=np.int64) & 0xFFFF
         n = words.size
         regs = np.empty((16, n), dtype=np.int64)
-        for i, value in enumerate(self.init_regs):
-            regs[i] = value
+        regs[:] = np.array(self.init_regs, dtype=np.int64)[:, np.newaxis]
         fn = np.full(n, self.init_flags.n, dtype=bool)
         fz = np.full(n, self.init_flags.z, dtype=bool)
         fc = np.full(n, self.init_flags.c, dtype=bool)
@@ -520,9 +558,14 @@ class VectorEngine:
         halted = np.zeros(n, dtype=bool)
         status = np.zeros(n, dtype=np.int8)
         stop_pc = np.zeros(n, dtype=np.int64)
+        # copy-on-write RAM (see VectorRun): row 0 of the block map and
+        # the first ``blocks`` pages are the shared image; both arrays grow
+        # by capacity as lanes store
+        blocks = self.blocks
         lane_row = np.zeros(n, dtype=np.int64)
-        ram = self.base_ram[np.newaxis, :].copy()
-        active = np.arange(n)
+        block_map = np.arange(blocks, dtype=np.int32)[np.newaxis, :]
+        pages = self.base_pages.copy()
+        rows_used, pages_used = 1, blocks
         # cycle-exit state: a snapshot of the lanes active at the last
         # power-of-two step (row per lane in ``snap_row``), and which lanes
         # stored since it was taken
@@ -534,18 +577,60 @@ class VectorEngine:
 
         # -- lane-state helpers (close over the arrays above) ------------
 
-        def privatize(lanes: np.ndarray) -> None:
-            """Give each storing lane a private RAM row (copy of row 0)."""
-            nonlocal ram
-            fresh = lane_row[lanes] == 0
-            if fresh.any():
-                new_lanes = lanes[fresh]
-                start = ram.shape[0]
-                ram = np.concatenate([ram, np.tile(ram[0], (new_lanes.size, 1))])
-                lane_row[new_lanes] = start + np.arange(new_lanes.size)
+        def grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
+            """``array`` with room for ``need`` rows (its first ``used`` kept)."""
+            if need <= array.shape[0]:
+                return array
+            bigger = np.empty((max(need, 2 * array.shape[0]), array.shape[1]), array.dtype)
+            bigger[:used] = array[:used]
+            return bigger
+
+        def private_pages(lanes: np.ndarray, off: np.ndarray) -> np.ndarray:
+            """Each store's private page for the block at RAM offset ``off``
+            (a lane may store several times), copying the shared block into
+            a fresh page on a lane's first store there."""
+            nonlocal block_map, pages, rows_used, pages_used
+            fresh = np.unique(lanes[lane_row[lanes] == 0])
+            if fresh.size:
+                need = rows_used + fresh.size
+                block_map = grown(block_map, rows_used, need)
+                block_map[rows_used:need] = block_map[0]
+                lane_row[fresh] = np.arange(rows_used, need)
+                rows_used = need
+            rows, block = lane_row[lanes], off >> _BLOCK_SHIFT
+            page = block_map[rows, block]
+            shared = page < blocks  # still the image's own block
+            if shared.any():
+                key, first = np.unique(
+                    rows[shared] * blocks + block[shared], return_inverse=True
+                )
+                need = pages_used + key.size
+                pages = grown(pages, pages_used, need)
+                fresh_pages = np.arange(pages_used, need, dtype=block_map.dtype)
+                pages[fresh_pages] = pages[key % blocks]
+                block_map[key // blocks, key % blocks] = fresh_pages
+                page[shared] = fresh_pages[first]
+                pages_used = need
+            return page
+
+        # At step 0 every lane still holds the snapshot's registers (each
+        # lane runs one handler, which reads before it writes), so register
+        # reads there are lookups in these 16-entry rows: as stored (the
+        # PC already advanced) and as read_reg sees them.
+        first_raw = np.array(self.init_regs, dtype=np.int64)
+        first_raw[PC] = (ta + 2) & M32
+        first_read = first_raw.copy()
+        first_read[PC] = (ta + 4) & M32
+        first = True
+
+        def reg_of(reg: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            """Registers ``reg`` of ``lanes`` as stored."""
+            return first_raw[reg] if first else regs[reg, lanes]
 
         def rread(reg: np.ndarray, lanes: np.ndarray, addr: np.ndarray) -> np.ndarray:
             """read_reg: the PC reads as instruction address + 4."""
+            if first:
+                return first_read[reg]
             values = regs[reg, lanes]
             is_pc = reg == 15
             if is_pc.any():
@@ -681,137 +766,186 @@ class VectorEngine:
             flash_off = np.clip(target - fb_base, 0, flash8.size - length)
             ram_off = np.clip(target - rb, 0, self.ram_size - length)
             rows = lane_row[lanes]
+            private = bool(rows.any())
             lane_words = words[lanes]
             value = np.zeros(lanes.size, dtype=np.int64)
             for i in range(length):
-                byte = np.where(in_flash, flash8[flash_off + i],
-                                ram[rows, ram_off + i].astype(np.int64))
+                off = ram_off + i
+                if private:
+                    ram_byte = pages[block_map[rows, off >> _BLOCK_SHIFT],
+                                     off & (RAM_BLOCK - 1)]
+                else:
+                    ram_byte = self.base_ram[off]
+                byte = np.where(in_flash, flash8[flash_off + i], ram_byte.astype(np.int64))
                 byte_addr = target + i
                 byte = np.where(byte_addr == ta, lane_words & 0xFF, byte)
                 byte = np.where(byte_addr == ta + 1, (lane_words >> 8) & 0xFF, byte)
                 value |= byte << (8 * i)
             return value
 
+        def list_slots(masks: np.ndarray, base: np.ndarray) -> tuple:
+            """``(lane index, register, address)`` per listed register of a
+            push/pop/ldmia/stmia: each lane's registers ascending, stored
+            4 bytes apart from its ``base``."""
+            bits = (masks[:, np.newaxis] >> np.arange(16)) & 1
+            i, reg = np.nonzero(bits)
+            rank = np.cumsum(bits, axis=1)[i, reg] - 1
+            return i, reg, base[i] + 4 * rank
+
         def scatter(lanes, target, value, length) -> None:
-            """Store to already-privatized lanes; caller pre-validated."""
+            """Aligned store, one per (lane, address); caller pre-validated."""
             dirty[lanes] = True
-            rows = lane_row[lanes]
             off = target - rb
+            page = private_pages(lanes, off)
+            within = off & (RAM_BLOCK - 1)
             for i in range(length):
-                ram[rows, off + i] = (value >> (8 * i)) & 0xFF
+                pages[page, within + i] = (value >> (8 * i)) & 0xFF
 
         # -- the lock-step loop -------------------------------------------
 
         budget = self.budget
         check_stops = bool(self.stops)
+        first_suffix = self.first_suffix
         for step_index in range(budget):
-            if active.size == 0:
-                break
-            # 1. halted lanes retire (checked before stepping, like CPU.run)
-            is_halted = halted[active]
-            if is_halted.any():
-                status[active[is_halted]] = ST_HALTED
-                active = active[~is_halted]
+            first = step_index == 0
+            if first:
+                # Every lane sits at the target slot with the snapshot's
+                # registers and flags: none is halted, the fetch is valid,
+                # the target slot never joins a straight run nor ends one,
+                # and there is no cycle snapshot yet, so checks 1-4 below
+                # are one scalar test.  Only a target that is itself a
+                # marker stop decides anything, and it decides every lane.
+                if ta in self.stops and budget >= 2:
+                    status[:] = ST_STOPPED
+                    stop_pc[:] = ta
+                    break
+                lane_steps += n
+                # the fetched halfwords are the batch's words, and a BL
+                # prefix's suffix is the pristine halfword after the target
+                ops = tbl.op[words]
+                dead = ops == OP_INVALID
+                if not first_suffix:
+                    dead |= ops == OP_BL_PREFIX
+                status[dead] = ST_INVALID
+                active = np.flatnonzero(~dead)
                 if active.size == 0:
                     break
-            # 2. marker stops short-circuit only with ≥2 budget steps left,
-            #    keeping step accounting identical to the scalar engines
-            if check_stops and budget - step_index >= 2:
-                pc = regs[15, active]
-                at_stop = np.zeros(active.size, dtype=bool)
-                for stop in self.stops:
-                    at_stop |= pc == stop
-                if at_stop.any():
-                    idx = active[at_stop]
-                    status[idx] = ST_STOPPED
-                    stop_pc[idx] = regs[15, idx]
-                    active = active[~at_stop]
+                hw, ops = words[active], ops[active]
+                addr = np.full(active.size, ta, dtype=np.int64)
+                suffix = np.broadcast_to(np.int64(first_suffix), active.shape)
+                regs[15, active] = (ta + 2) & M32
+            else:
+                if active.size == 0:
+                    break
+                # 1. halted lanes retire (checked before stepping, like CPU.run)
+                is_halted = halted[active]
+                if is_halted.any():
+                    status[active[is_halted]] = ST_HALTED
+                    active = active[~is_halted]
                     if active.size == 0:
                         break
-            # 3. fetch (with the per-lane corrupted-word overlay at target)
-            addr = regs[15, active]
-            fetch_ok = ((addr & 1) == 0) & (addr >= fb_base) & (addr + 2 <= fb_end)
-            if not fetch_ok.all():
-                status[active[~fetch_ok]] = ST_BAD_FETCH
-                active = active[fetch_ok]
-                addr = addr[fetch_ok]
-                if active.size == 0:
-                    break
-            # 4. early exits: a lane whose terminal status is already certain
-            #    retires with it.  On a straight run the lane only falls
-            #    through, so it either outlasts the budget or reaches the
-            #    run's end within it.
-            left = budget - step_index
-            slot = (addr - fb_base) >> 1
-            outlasts = straight_run[slot] >= left
-            verdict = np.where(outlasts, ST_LIMIT, straight_end[slot])
-            decided = verdict != ST_RUNNING
-            if snap_regs is not None:
-                # back in its snapshot state without a store in between:
-                # every PC on the cycle passed the stop check with ≥ 2 steps
-                # left, so the lane can never stop, halt or fault
-                rows = snap_row[active]
-                again = (addr == snap_regs[PC, rows]) & ~dirty[active] & ~decided
-                if again.any():
-                    idx = np.nonzero(again)[0]
-                    lanes, rows = active[idx], rows[idx]
-                    again[idx] = (regs[:, lanes] == snap_regs[:, rows]).all(axis=0) & (
-                        nzcv(lanes) == snap_nzcv[:, rows]
-                    ).all(axis=0)
-                    decided |= again
-                    verdict[again] = ST_LIMIT
-            if decided.any():
-                status[active[decided]] = verdict[decided]
-                early_exits += int(np.count_nonzero(decided))
-                keep = ~decided
-                active, addr, slot = active[keep], addr[keep], slot[keep]
-                if active.size == 0:
-                    break
-            if step_index & (step_index - 1) == 0 and step_index:
-                snap_row[active] = np.arange(active.size)
-                snap_regs = regs[:, active].astype(np.uint32)
-                snap_nzcv = nzcv(active)
-                dirty[active] = False
-            lane_steps += active.size
-            hw = flash16[slot]
-            at_target = addr == ta
-            if at_target.any():
-                hw = np.where(at_target, words[active], hw)
-            # 5. decode via the shared operand table
-            ops = tbl.op[hw]
-            is_invalid = ops == OP_INVALID
-            if is_invalid.any():
-                status[active[is_invalid]] = ST_INVALID
-                keep = ~is_invalid
-                active, addr, hw, ops = active[keep], addr[keep], hw[keep], ops[keep]
-                if active.size == 0:
-                    break
-            # 6. BL prefixes need the suffix halfword (overlay applies there too)
-            suffix = np.zeros(active.size, dtype=np.int64)
-            is_bl = ops == OP_BL_PREFIX
-            if is_bl.any():
-                next_addr = addr + 2
-                next_ok = is_bl & (next_addr + 2 <= fb_end)
-                idx = np.nonzero(next_ok)[0]
-                suffix[idx] = flash16[(next_addr[idx] - fb_base) >> 1]
-                overlay = next_ok & (next_addr == ta)
-                if overlay.any():
-                    suffix = np.where(overlay, words[active], suffix)
-                good = next_ok & ((suffix >> 11) == 0b11111)
-                bad_bl = is_bl & ~good
-                if bad_bl.any():
-                    status[active[bad_bl]] = ST_INVALID
-                    keep = ~bad_bl
-                    active, addr, hw = active[keep], addr[keep], hw[keep]
-                    ops, suffix = ops[keep], suffix[keep]
+                # 2. marker stops short-circuit only with ≥2 budget steps left,
+                #    keeping step accounting identical to the scalar engines
+                if check_stops and budget - step_index >= 2:
+                    pc = regs[15, active]
+                    at_stop = np.zeros(active.size, dtype=bool)
+                    for stop in self.stops:
+                        at_stop |= pc == stop
+                    if at_stop.any():
+                        idx = active[at_stop]
+                        status[idx] = ST_STOPPED
+                        stop_pc[idx] = regs[15, idx]
+                        active = active[~at_stop]
+                        if active.size == 0:
+                            break
+                # 3. fetch (with the per-lane corrupted-word overlay at target)
+                addr = regs[15, active]
+                fetch_ok = ((addr & 1) == 0) & (addr >= fb_base) & (addr + 2 <= fb_end)
+                if not fetch_ok.all():
+                    status[active[~fetch_ok]] = ST_BAD_FETCH
+                    active = active[fetch_ok]
+                    addr = addr[fetch_ok]
                     if active.size == 0:
                         break
-            # 7. advance the PC past the halfword (branches overwrite it;
-            #    BL computes its link/target from addr, so +2 vs +4 is moot)
-            regs[15, active] = (addr + 2) & M32
-            # 8. execute, grouped by opcode
-            for op in _present(ops, OP_REV + 1):
-                sel = np.nonzero(ops == op)[0]
+                # 4. early exits: a lane whose terminal status is already certain
+                #    retires with it.  On a straight run the lane only falls
+                #    through, so it either outlasts the budget or reaches the
+                #    run's end within it.
+                left = budget - step_index
+                slot = (addr - fb_base) >> 1
+                outlasts = straight_run[slot] >= left
+                verdict = np.where(outlasts, ST_LIMIT, straight_end[slot])
+                decided = verdict != ST_RUNNING
+                if snap_regs is not None:
+                    # back in its snapshot state without a store in between:
+                    # every PC on the cycle passed the stop check with ≥ 2 steps
+                    # left, so the lane can never stop, halt or fault
+                    rows = snap_row[active]
+                    again = (addr == snap_regs[PC, rows]) & ~dirty[active] & ~decided
+                    if again.any():
+                        idx = np.nonzero(again)[0]
+                        lanes, rows = active[idx], rows[idx]
+                        again[idx] = (regs[:, lanes] == snap_regs[:, rows]).all(axis=0) & (
+                            nzcv(lanes) == snap_nzcv[:, rows]
+                        ).all(axis=0)
+                        decided |= again
+                        verdict[again] = ST_LIMIT
+                if decided.any():
+                    status[active[decided]] = verdict[decided]
+                    early_exits += int(np.count_nonzero(decided))
+                    keep = ~decided
+                    active, addr, slot = active[keep], addr[keep], slot[keep]
+                    if active.size == 0:
+                        break
+                if step_index & (step_index - 1) == 0:
+                    snap_row[active] = np.arange(active.size)
+                    snap_regs = regs[:, active].astype(np.uint32)
+                    snap_nzcv = nzcv(active)
+                    dirty[active] = False
+                lane_steps += active.size
+                hw = flash16[slot]
+                at_target = addr == ta
+                if at_target.any():
+                    hw = np.where(at_target, words[active], hw)
+                # 5. decode via the shared operand table
+                ops = tbl.op[hw]
+                is_invalid = ops == OP_INVALID
+                if is_invalid.any():
+                    status[active[is_invalid]] = ST_INVALID
+                    keep = ~is_invalid
+                    active, addr, hw, ops = active[keep], addr[keep], hw[keep], ops[keep]
+                    if active.size == 0:
+                        break
+                # 6. BL prefixes need the suffix halfword (overlay applies there too)
+                suffix = np.zeros(active.size, dtype=np.int64)
+                is_bl = ops == OP_BL_PREFIX
+                if is_bl.any():
+                    next_addr = addr + 2
+                    next_ok = is_bl & (next_addr + 2 <= fb_end)
+                    idx = np.nonzero(next_ok)[0]
+                    suffix[idx] = flash16[(next_addr[idx] - fb_base) >> 1]
+                    overlay = next_ok & (next_addr == ta)
+                    if overlay.any():
+                        suffix = np.where(overlay, words[active], suffix)
+                    good = next_ok & ((suffix >> 11) == 0b11111)
+                    bad_bl = is_bl & ~good
+                    if bad_bl.any():
+                        status[active[bad_bl]] = ST_INVALID
+                        keep = ~bad_bl
+                        active, addr, hw = active[keep], addr[keep], hw[keep]
+                        ops, suffix = ops[keep], suffix[keep]
+                        if active.size == 0:
+                            break
+                # 7. advance the PC past the halfword (branches overwrite it;
+                #    BL computes its link/target from addr, so +2 vs +4 is moot)
+                regs[15, active] = (addr + 2) & M32
+            # 8. execute, grouped by opcode (one stable sort keeps each
+            #    group's lanes in order)
+            order = np.argsort(ops, kind="stable")
+            counts = np.bincount(ops, minlength=OP_REV + 1)
+            ends = np.cumsum(counts).tolist()
+            for op in np.flatnonzero(counts).tolist():
+                sel = order[ends[op] - counts[op]:ends[op]]
                 l = active[sel]
                 a = addr[sel]
                 h = hw[sel]
@@ -839,7 +973,7 @@ class VectorEngine:
                 elif op == OP_ADDS or op == OP_SUBS:
                     ro = tbl.ro[h]
                     lhs = rread(rs, l, a)
-                    rhs = np.where(ro >= 0, regs[np.maximum(ro, 0), l], imm)
+                    rhs = np.where(ro >= 0, reg_of(np.maximum(ro, 0), l), imm)
                     if op == OP_ADDS:
                         result, carry, overflow = vadd(lhs, rhs, False)
                     else:
@@ -915,9 +1049,9 @@ class VectorEngine:
                     base = tbl.base[h]
                     ro = tbl.ro[h]
                     base_value = np.where(
-                        base == 15, (a + 4) & ~3, regs[np.maximum(base, 0), l]
+                        base == 15, (a + 4) & ~3, reg_of(np.maximum(base, 0), l)
                     )
-                    offset = np.where(ro >= 0, regs[np.maximum(ro, 0), l], imm)
+                    offset = np.where(ro >= 0, reg_of(np.maximum(ro, 0), l), imm)
                     target = (base_value + offset) & M32
                     widths = _LOAD_WIDTH if op == OP_LOAD else _STORE_WIDTH
                     for kind in _present(aux, 8):
@@ -929,13 +1063,15 @@ class VectorEngine:
                             ok, in_flash = slot_readable(target_k, width, width)
                             if not ok.all():
                                 status[lanes_k[~ok]] = ST_BAD_READ
-                            value = gather(lanes_k, target_k, width, in_flash)
-                            if kind == 3:  # ldrsh
-                                value = np.where(value & 0x8000, value - 0x10000, value)
-                            elif kind == 4:  # ldrsb
-                                value = np.where(value & 0x80, value - 0x100, value)
-                            good = np.nonzero(mask)[0][ok]
-                            rwrite(rd[good], l[good], value[ok])
+                                lanes_k, target_k = lanes_k[ok], target_k[ok]
+                                in_flash = in_flash[ok]
+                            if lanes_k.size:
+                                value = gather(lanes_k, target_k, width, in_flash)
+                                if kind == 3:  # ldrsh
+                                    value = np.where(value & 0x8000, value - 0x10000, value)
+                                elif kind == 4:  # ldrsb
+                                    value = np.where(value & 0x80, value - 0x100, value)
+                                rwrite(rd[np.nonzero(mask)[0][ok]], lanes_k, value)
                         else:
                             aligned = target_k % width == 0 if width > 1 else np.ones(
                                 lanes_k.size, dtype=bool
@@ -945,7 +1081,6 @@ class VectorEngine:
                                 status[lanes_k[~ok]] = ST_BAD_READ
                             store_lanes = lanes_k[ok]
                             if store_lanes.size:
-                                privatize(store_lanes)
                                 good = np.nonzero(mask)[0][ok]
                                 scatter(store_lanes, target_k[ok],
                                         rread(rd[good], l[good], a[good]), width)
@@ -965,16 +1100,10 @@ class VectorEngine:
                         status[l[~ok]] = ST_BAD_READ
                     push_lanes = l[ok]
                     if push_lanes.size:
-                        privatize(push_lanes)
                         base_sp = new_sp[ok]
-                        masks = reg_list[ok]
-                        for reg in range(16):
-                            has = (masks >> reg) & 1 == 1
-                            if not has.any():
-                                continue
-                            rank = np.bitwise_count(masks & ((1 << reg) - 1)).astype(np.int64)
-                            scatter(push_lanes[has], (base_sp + 4 * rank)[has],
-                                    regs[reg, push_lanes[has]], 4)
+                        i, reg, slot = list_slots(reg_list[ok], base_sp)
+                        lanes_r = push_lanes[i]
+                        scatter(lanes_r, slot, reg_of(reg, lanes_r), 4)
                         regs[13, push_lanes] = base_sp
                 elif op == OP_POP or op == OP_LDMIA:
                     reg_list = tbl.reg_list[h].astype(np.int64)
@@ -982,7 +1111,7 @@ class VectorEngine:
                     if op == OP_POP:
                         base_addr = regs[13, l]
                     else:
-                        base_addr = regs[np.maximum(tbl.base[h], 0), l]
+                        base_addr = reg_of(np.maximum(tbl.base[h], 0), l)
                     # every slot must be loadable; check them all up front
                     # (the scalar engine faults at the first bad one — same
                     # terminal category, and partial effects are invisible)
@@ -1000,22 +1129,14 @@ class VectorEngine:
                         lanes_g = l[good]
                         base_g = base_addr[good]
                         masks = reg_list[good]
-                        count_g = count[good]
-                        end = (base_g + 4 * count_g) & M32
+                        end = (base_g + 4 * count[good]) & M32
                         if op == OP_POP:
                             regs[13, lanes_g] = end
-                        for reg in range(16):
-                            has = (masks >> reg) & 1 == 1
-                            if not has.any():
-                                continue
-                            rank = np.bitwise_count(masks & ((1 << reg) - 1)).astype(np.int64)
-                            slot = (base_g + 4 * rank)[has]
-                            lanes_r = lanes_g[has]
-                            _, in_flash = slot_readable(slot, 4, 4)
-                            value = gather(lanes_r, slot, 4, in_flash)
-                            if reg == 15:
-                                value = value & ~1
-                            regs[reg, lanes_r] = value & M32
+                        i, reg, slot = list_slots(masks, base_g)
+                        _, in_flash = slot_readable(slot, 4, 4)
+                        lanes_r = lanes_g[i]
+                        value = gather(lanes_r, slot, 4, in_flash)
+                        regs[reg, lanes_r] = np.where(reg == PC, value & ~1, value) & M32
                         if op == OP_LDMIA:
                             base_reg = tbl.base[h][good]
                             writeback = (masks >> base_reg) & 1 == 0
@@ -1025,7 +1146,7 @@ class VectorEngine:
                     reg_list = tbl.reg_list[h].astype(np.int64)
                     count = np.bitwise_count(reg_list).astype(np.int64)
                     base_reg = tbl.base[h]
-                    base_addr = regs[np.maximum(base_reg, 0), l]
+                    base_addr = reg_of(np.maximum(base_reg, 0), l)
                     ok = (base_addr % 4 == 0) & (base_addr >= rb) & (
                         base_addr + 4 * count <= re_
                     )
@@ -1034,16 +1155,9 @@ class VectorEngine:
                     good = np.nonzero(ok)[0]
                     if good.size:
                         lanes_g = l[good]
-                        privatize(lanes_g)
                         base_g = base_addr[good]
-                        masks = reg_list[good]
-                        for reg in range(16):
-                            has = (masks >> reg) & 1 == 1
-                            if not has.any():
-                                continue
-                            rank = np.bitwise_count(masks & ((1 << reg) - 1)).astype(np.int64)
-                            scatter(lanes_g[has], (base_g + 4 * rank)[has],
-                                    regs[reg, lanes_g[has]], 4)
+                        i, reg, slot = list_slots(reg_list[good], base_g)
+                        scatter(lanes_g[i], slot, reg_of(reg, lanes_g[i]), 4)
                         # writeback always happens (base-in-list stored the
                         # original value because stores gathered it first)
                         regs[base_reg[good], lanes_g] = (base_g + 4 * count[good]) & M32
@@ -1114,7 +1228,8 @@ class VectorEngine:
             stop_pc=stop_pc,
             regs=regs,
             lane_row=lane_row,
-            ram=ram,
+            block_map=block_map[:rows_used],
+            pages=pages[:pages_used],
             ram_base=rb,
             lane_steps=lane_steps,
             early_exits=early_exits,

@@ -17,9 +17,10 @@ Many branch snippets share one: the 14 Figure 2 snippets have 5 distinct
 worlds (``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``;
 ``ls``). A campaign therefore makes one work unit per world, not per
 branch, covering every flip model it runs: the unit builds one harness,
-classifies its members' reachable words under all those models in one
-batch and tallies every sweep from that, so each corrupted word of a
-world is emulated once per campaign. Checkpoint records, quarantine and
+computes each (member, model)'s reachable words once, classifies their
+union in one batch and tallies every sweep from those words' codes in
+the harness memo, so each corrupted word of a world is emulated once per
+campaign and enumerated once per sweep. Checkpoint records, quarantine and
 outcome-cache shards are per world too; the sweeps are re-emitted in
 condition order.
 """
@@ -144,24 +145,31 @@ def check_campaign_args(models) -> None:
 
 
 def tally_reachable(
-    harness: WordHarness, target_word: int, model: str, k_values: tuple[int, ...] | None
+    harness: WordHarness,
+    target_word: int,
+    model: str,
+    k_values: tuple[int, ...] | None,
+    words: np.ndarray | None = None,
 ) -> dict[int, Counter]:
     """Per-``k`` outcome Counters for every mask over ``target_word``.
 
     Classifies only the unique reachable corrupted words
-    (:func:`repro.glitchsim.maskalgebra.reachable_words`) in one batched
-    :meth:`WordHarness.run_many_codes` pass and derives each mask tally in
-    closed form — bit-identical to enumerating every mask. Emits the
-    ambient counters ``algebra.words_emulated`` (fresh emulations) and
-    ``algebra.masks_derived`` (masks accounted for arithmetically).
-    ``k_values=None`` means the full ``0..16`` range.
+    (:func:`repro.glitchsim.maskalgebra.reachable_words`, or ``words``
+    when the caller already computed them for the same target, model and
+    ``k_values``) through :meth:`WordHarness.codes_for` — one memo gather
+    when they are all classified, else one batched pass — and derives
+    each mask tally in closed form, bit-identical to enumerating every
+    mask. Emits the ambient counters ``algebra.words_emulated`` (fresh
+    emulations) and ``algebra.masks_derived`` (masks accounted for
+    arithmetically). ``k_values=None`` means the full ``0..16`` range.
     """
     ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
-    words = reachable_words(target_word, model, INSTRUCTION_BITS, ks)
+    if words is None:
+        words = reachable_words(target_word, model, INSTRUCTION_BITS, ks)
     executed_before = harness.words_executed
-    unique, codes = harness.run_many_codes(words)
+    codes = harness.codes_for(words)
     by_k = tally_from_word_codes(
-        target_word, model, unique, codes, CODE_CATEGORIES, ks, INSTRUCTION_BITS,
+        target_word, model, words, codes, CODE_CATEGORIES, ks, INSTRUCTION_BITS,
     )
     obs = current()
     obs.count("algebra.words_emulated", harness.words_executed - executed_before)
@@ -178,6 +186,7 @@ def sweep_instruction(
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
     harness: WordHarness | None = None,
+    words: np.ndarray | None = None,
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
 
@@ -191,7 +200,8 @@ def sweep_instruction(
     one for ``snippet`` (its own cache then applies): any harness
     whose :meth:`WordHarness.world_digest` equals this snippet's, built
     with the same ``zero_is_invalid``, tallies identically, and words it
-    already emulated are free.
+    already emulated are free. ``words`` passes the target's reachable
+    words on to :func:`tally_reachable` when the caller already has them.
     """
     if harness is None:
         harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
@@ -200,7 +210,7 @@ def sweep_instruction(
         model=model,
         target_word=snippet.target_word,
         zero_is_invalid=zero_is_invalid,
-        by_k=tally_reachable(harness, snippet.target_word, model, k_values),
+        by_k=tally_reachable(harness, snippet.target_word, model, k_values, words=words),
     )
 
 
@@ -219,26 +229,40 @@ def _sweep_world(
     spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
 ) -> list[InstructionSweep]:
     """Sweep every member branch of one world under every model of the
-    unit, model by model, from one batch over the union of their words."""
-    union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
-    for snippet in snippets:
-        for model in spec.models:
-            union[reachable_words(
+    unit, model by model, from one batch over the union of their words.
+
+    Each (member, model)'s reachable words are computed once, for the
+    union, and tallied from the memo that batch filled (spans
+    ``campaign.classify`` and ``campaign.tally`` on the ambient observer).
+    """
+    obs = current()
+    with obs.trace("campaign.classify", members=len(snippets)):
+        reachable = {
+            # uint16 keeps the per-sweep arrays small through the batch
+            (model, snippet.mnemonic): reachable_words(
                 snippet.target_word, model, INSTRUCTION_BITS, spec.k_values
-            )] = True
-    words = np.flatnonzero(union)
-    del union  # not held through the batch, the memory peak
-    executed_before = harness.words_executed
-    harness.run_many_codes(words)
-    current().count("algebra.words_emulated", harness.words_executed - executed_before)
-    return [
-        sweep_instruction(
-            snippet, model, zero_is_invalid=spec.zero_is_invalid,
-            k_values=spec.k_values, harness=harness,
-        )
-        for model in spec.models
-        for snippet in snippets
-    ]
+            ).astype(np.uint16)
+            for model in spec.models
+            for snippet in snippets
+        }
+        union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
+        for words in reachable.values():
+            union[words] = True
+        words = np.flatnonzero(union)
+        del union  # not held through the batch, the memory peak
+        executed_before = harness.words_executed
+        harness.run_many_codes(words)
+        obs.count("algebra.words_emulated", harness.words_executed - executed_before)
+    with obs.trace("campaign.tally", sweeps=len(reachable)):
+        return [
+            sweep_instruction(
+                snippet, model, zero_is_invalid=spec.zero_is_invalid,
+                k_values=spec.k_values, harness=harness,
+                words=reachable[model, snippet.mnemonic],
+            )
+            for model in spec.models
+            for snippet in snippets
+        ]
 
 
 def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:

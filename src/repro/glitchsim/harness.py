@@ -324,6 +324,22 @@ class WordHarness:
                     )
         return unique, codes[unique].copy()
 
+    def codes_for(self, words: np.ndarray) -> np.ndarray:
+        """Category codes of ``words``: unique, sorted 16-bit words, such as
+        a :func:`repro.glitchsim.maskalgebra.reachable_words` array.
+
+        When the memo already holds every word (a campaign unit classified
+        them in one batch) this is one gather from the dense code array,
+        accounted as memo hits; otherwise the words go through
+        :meth:`run_many_codes`.
+        """
+        codes = self._codes[words]
+        if codes.all():
+            if self.disk_cache is not None:
+                self.disk_cache.account(memo_hits=int(codes.size))
+            return codes
+        return self.run_many_codes(words)[1]
+
     def run_many(self, words) -> dict[int, Outcome]:
         """Classify a batch of corrupted words with bulk cache traffic.
 
@@ -407,24 +423,27 @@ class WordHarness:
         # corrupted word first, so if its decode faults, the outcome is
         # ``invalid_instruction`` without touching any machine state.  The
         # decode uses exactly the inputs the fetch at the target would see
-        # (the halfword at target+2 for a BL-prefix lookahead).
+        # (the halfword at target+2 for a BL-prefix lookahead).  A target
+        # that is itself a marker stop classifies before that fetch when
+        # the stop may classify (two budget steps left).
         cpu = world.cpu
-        cache = cpu.decode_cache
-        key = (
-            corrupted_word
-            if (corrupted_word >> 11) != 0b11110
-            else (corrupted_word, world.next_after_target)
-        )
-        hit = cache.get(key)
-        if hit is None:
-            nxt = world.next_after_target if (corrupted_word >> 11) == 0b11110 else None
-            try:
-                cache[key] = decode(corrupted_word, nxt, zero_is_invalid=self.zero_is_invalid)
-            except InvalidInstruction as exc:
-                cache[key] = exc
-                return Outcome("invalid_instruction", str(exc))
-        elif isinstance(hit, InvalidInstruction):
-            return Outcome("invalid_instruction", str(hit))
+        if world.target_address not in world.marker_stops or world.budget < 2:
+            cache = cpu.decode_cache
+            key = (
+                corrupted_word
+                if (corrupted_word >> 11) != 0b11110
+                else (corrupted_word, world.next_after_target)
+            )
+            hit = cache.get(key)
+            if hit is None:
+                nxt = world.next_after_target if (corrupted_word >> 11) == 0b11110 else None
+                try:
+                    cache[key] = decode(corrupted_word, nxt, zero_is_invalid=self.zero_is_invalid)
+                except InvalidInstruction as exc:
+                    cache[key] = exc
+                    return Outcome("invalid_instruction", str(exc))
+            elif isinstance(hit, InvalidInstruction):
+                return Outcome("invalid_instruction", str(hit))
         # Inlined Memory.restore/CPU.reset_from (hot path: once per word).
         # Replays never map regions, so restore reduces to undoing the
         # journal — and most replays never store, leaving it empty.

@@ -170,8 +170,28 @@ def _classify_vector(
     resumes every lane from that state with the leftover step budget —
     exactly a continuous ``cpu.run(64)`` of the corrupted program.
     """
+    from repro.emu.vector import ST_HALTED
+
+    batch = _class_engine(halfwords, index, judge_kind).run(words)
+    if judge_kind == "store":
+        job_done = batch.read_ram_u32(0x2000_0800) == 0xCAFE0042
+    elif judge_kind == "compare":
+        job_done = batch.regs[3] == 1
+    else:
+        expected = {"load": 0xCAFE0042, "alu": 42, "move": 0x5A}[judge_kind]
+        job_done = batch.regs[2] == expected
+    halted = batch.status == ST_HALTED
+    return {
+        word: ("effective" if job_done[i] else "silent") if halted[i] else "derailed"
+        for i, word in enumerate(words)
+    }
+
+
+def _class_engine(halfwords: list[int], index: int, judge_kind: str):
+    """The :class:`repro.emu.vector.VectorEngine` paused at the target
+    instruction, after the setup prefix ran on the scalar CPU."""
     from repro.bits import halfwords_to_bytes
-    from repro.emu.vector import ST_HALTED, VectorEngine
+    from repro.emu.vector import VectorEngine
 
     target_address = FLASH_BASE + 2 * index
     memory = Memory()
@@ -187,7 +207,7 @@ def _classify_vector(
             f"instruction class {judge_kind!r}: the setup prefix never "
             f"reaches the target instruction"
         )
-    engine = VectorEngine(
+    return VectorEngine(
         flash_base=FLASH_BASE,
         flash_bytes=bytes(memory.region_at(FLASH_BASE).data),
         target_address=target_address,
@@ -198,19 +218,6 @@ def _classify_vector(
         budget=64 - prefix.steps,
         zero_is_invalid=False,
     )
-    batch = engine.run(words)
-    if judge_kind == "store":
-        job_done = batch.read_ram_u32(0x2000_0800) == 0xCAFE0042
-    elif judge_kind == "compare":
-        job_done = batch.regs[3] == 1
-    else:
-        expected = {"load": 0xCAFE0042, "alu": 42, "move": 0x5A}[judge_kind]
-        job_done = batch.regs[2] == expected
-    halted = batch.status == ST_HALTED
-    return {
-        word: ("effective" if job_done[i] else "silent") if halted[i] else "derailed"
-        for i, word in enumerate(words)
-    }
 
 
 def sweep_all_classes(model: str = "and") -> dict[str, ClassSweepResult]:

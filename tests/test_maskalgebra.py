@@ -357,3 +357,32 @@ class TestRunMany:
         assert {word: outcome.category for word, outcome in outcomes.items()} == {
             word: CODE_CATEGORIES[shard[word]] for word in words
         }
+
+
+class TestTallyFromPrecomputedWords:
+    """A campaign unit hands each sweep the reachable words it computed for
+    its union batch; the tally then reads the filled memo and emulates nothing."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_filled_memo_tallies_without_a_batch(self, model, tmp_path):
+        from repro.glitchsim.campaign import tally_reachable
+        from repro.obs import Observer, activate
+
+        snippet = branch_snippet("eq")
+        target = snippet.target_word
+        recomputed = tally_reachable(SnippetHarness(snippet), target, model, None)
+        cache = OutcomeCache(tmp_path)
+        harness = SnippetHarness(snippet, disk_cache=cache)
+        harness.run_many_codes(range(1 << WIDTH))
+        memo_hits = cache.memo_hits
+        words = reachable_words(target, model)
+        obs = Observer()
+        with activate(obs):
+            by_k = tally_reachable(harness, target, model, None, words=words)
+        assert by_k == recomputed
+        assert obs.counters.get("vector.batches", 0) == 0
+        assert obs.counters.get("algebra.words_emulated", 0) == 0
+        assert obs.counters["algebra.masks_derived"] == 1 << WIDTH
+        # accounted exactly as a memo-hit batch of the same words
+        assert cache.memo_hits - memo_hits == words.size
+        assert (cache.hits, cache.misses) == (0, 1 << WIDTH)

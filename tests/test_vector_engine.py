@@ -24,8 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import discover_sites
+from repro.campaign.harness import SiteHarness
+from repro.emu import CPU, Memory
+from repro.emu import vector as V
+from repro.emu.vector import ST_HALTED, ST_STOPPED
 from repro.exec import OutcomeCache
-from repro.exec.cache import CODE_CATEGORIES
+from repro.exec.cache import CATEGORY_CODES, CODE_CATEGORIES
 from repro.firmware.image import load_image
 from repro.glitchsim.harness import SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
@@ -33,6 +37,7 @@ from repro.obs import Observer, activate
 from tests.oracles import (
     RebuildSiteHarness,
     RebuildSnippetHarness,
+    SnapshotSiteHarness,
     SnapshotSnippetHarness,
     enumerate_class_sweep,
     rebuild_engine,
@@ -416,3 +421,209 @@ class TestVectorObservability:
             assert not any(name.startswith("vector.") for name in obs.counters), (
                 type(harness).__name__
             )
+
+
+#: operand-table opcodes whose lanes store to RAM
+_STORING_OPS = (V.OP_STORE, V.OP_PUSH, V.OP_STMIA)
+
+
+def _storing_words(engine) -> np.ndarray:
+    return np.flatnonzero(np.isin(engine.table.op, _STORING_OPS))
+
+
+def _scalar_lane(engine, word: int) -> tuple:
+    """``(reason, registers, RAM bytes)`` of ``word`` replayed on the scalar
+    CPU from the engine's replay point, with the harnesses' stop rule."""
+    flash = bytearray(engine.flash8.astype(np.uint8).tobytes())
+    slot = engine.target_address - engine.flash_base
+    flash[slot:slot + 2] = word.to_bytes(2, "little")
+    memory = Memory()
+    memory.map("flash", engine.flash_base, len(flash), writable=False, executable=True)
+    memory.map("ram", engine.ram_base, engine.ram_size)
+    memory.load(engine.flash_base, bytes(flash))
+    memory.load(engine.ram_base, engine.base_ram.tobytes())
+    cpu = CPU(memory)
+    cpu.regs = list(engine.init_regs)
+    cpu.flags = engine.init_flags
+    result = cpu.run(engine.budget, stop_addresses=engine.stops)
+    if result.reason == "stop_addr" and engine.budget - result.steps < 2:
+        result = cpu.run(engine.budget - result.steps)
+    return result.reason, list(cpu.regs), bytes(memory.region_at(engine.ram_base).data)
+
+
+def _lane_ram(run, lane: int, size: int) -> bytes:
+    """One lane's whole RAM image, read through the run's block layout."""
+    pages = run.pages[run.block_map[run.lane_row[lane]]]
+    return pages.reshape(-1)[:size].tobytes()
+
+
+def _check_lanes_against_scalar(engine, words) -> tuple:
+    """Replay every halted or stopped lane on the scalar CPU and compare its
+    registers, its whole RAM image and (via ``read_ram_u32``) every word it
+    changed; returns ``(run, lanes checked, checked lanes that stored)``."""
+    words = np.asarray(words)
+    run = engine.run(words)
+    pristine = engine.base_ram.tobytes()
+    ended = np.flatnonzero(np.isin(run.status, (ST_HALTED, ST_STOPPED))).tolist()
+    stored: dict[int, dict[int, int]] = {}
+    for lane in ended:
+        word = int(words[lane])
+        reason, regs, ram = _scalar_lane(engine, word)
+        assert reason == ("halted" if run.status[lane] == ST_HALTED else "stop_addr"), hex(word)
+        assert run.regs[:, lane].tolist() == regs, hex(word)
+        assert _lane_ram(run, lane, engine.ram_size) == ram, hex(word)
+        changed = {
+            off: int.from_bytes(ram[off:off + 4], "little")
+            for off in range(0, engine.ram_size, 4)
+            if ram[off:off + 4] != pristine[off:off + 4]
+        }
+        if changed:
+            stored[lane] = changed
+    for off in sorted({off for changed in stored.values() for off in changed}):
+        seen = run.read_ram_u32(engine.ram_base + off)
+        for lane, changed in stored.items():
+            if off in changed:
+                assert int(seen[lane]) == changed[off], (hex(int(words[lane])), off)
+    return run, len(ended), int(np.count_nonzero(run.lane_row[ended]))
+
+
+def _class_world(instruction_class: str):
+    """The engine of one instruction-class world."""
+    from repro.glitchsim.instr_classes import _CLASS_CASES, FLASH_BASE, _class_engine
+    from repro.isa import assemble
+
+    source, judge_kind = _CLASS_CASES[instruction_class]
+    program = assemble(source, base=FLASH_BASE)
+    index = (program.symbols["target"] - FLASH_BASE) // 2
+    return _class_engine(program.halfwords, index, judge_kind)
+
+
+#: registers point into RAM blocks 1 (r1) and 15 (r2, and the stack top)
+_BLOCKS_WORLD = """
+    ldr r0, =0x11223344
+    ldr r1, =0x20000100
+    ldr r2, =0x20000f00
+    ldr r3, =0x55667788
+target:
+    nop
+    bkpt #0
+"""
+
+
+class TestLaneRam:
+    """Copy-on-write lane RAM against the scalar CPU, lane by lane."""
+
+    @pytest.mark.parametrize("instruction_class",
+                             ["load", "store", "compare", "alu", "move"])
+    def test_instruction_class_storing_lanes_match_scalar(self, instruction_class):
+        engine = _class_world(instruction_class)
+        _, checked, stored = _check_lanes_against_scalar(engine, _storing_words(engine))
+        assert checked and stored
+
+    def test_beq_storing_lanes_match_scalar(self):
+        harness = SnippetHarness(branch_snippet("eq"))
+        engine = harness._vector_engine(harness._snapshot_world())
+        _, checked, stored = _check_lanes_against_scalar(engine, _storing_words(engine))
+        # the 511 push lanes store, then stop at the fall-through marker
+        assert checked >= stored >= 511
+
+    def test_lanes_copy_only_the_blocks_they_write(self):
+        from repro.glitchsim.instr_classes import FLASH_BASE, _class_engine
+        from repro.isa import assemble
+
+        program = assemble(_BLOCKS_WORLD, base=FLASH_BASE)
+        index = (program.symbols["target"] - FLASH_BASE) // 2
+        engine = _class_engine(program.halfwords, index, "blocks")
+        cases = {
+            "str r0, [r1]": {1},  # two lanes storing to different blocks
+            "str r0, [r2]": {15},
+            "stmia r1!, {r0, r3}": {1},  # one lane storing twice into one block
+            "push {r0, r3}": {15},
+        }
+        words = [assemble(line).halfwords[0] for line in cases]
+        run, checked, stored = _check_lanes_against_scalar(
+            engine, np.concatenate([words, _storing_words(engine)])
+        )
+        assert checked >= stored >= len(cases)
+        private_pages = []
+        for lane, blocks in enumerate(cases.values()):
+            row = run.block_map[run.lane_row[lane]].tolist()
+            private = {block: page for block, page in enumerate(row) if page >= engine.blocks}
+            assert set(private) == blocks
+            private_pages.extend(private.values())
+        assert len(set(private_pages)) == len(private_pages)  # no page is shared
+        stmia = list(cases).index("stmia r1!, {r0, r3}")
+        assert run.read_ram_u32(0x2000_0100)[stmia] == 0x11223344
+        assert run.read_ram_u32(0x2000_0104)[stmia] == 0x55667788
+        # the shared image itself is never written
+        shared = run.pages[:engine.blocks].reshape(-1)[:engine.ram_size]
+        assert shared.tobytes() == engine.base_ram.tobytes()
+
+
+def _self_branch_site():
+    from repro.firmware.image import FirmwareImage
+    from repro.isa import assemble
+
+    program = assemble("""
+        movs r0, #0
+    spin:
+        beq spin
+        bkpt #0
+    """, base=0x0800_0000)
+    image = FirmwareImage.from_program(program)
+    (site,) = discover_sites(image)
+    assert site.taken == site.address
+    return image, site
+
+
+class TestFirstStep:
+    """Step 0's scalar checks at their edges, against the snapshot oracle."""
+
+    @staticmethod
+    def _categories(harness_class, *args, budget=None):
+        harness = harness_class(*args)
+        if budget is not None:
+            harness._snapshot_world().budget = budget
+        return harness.run_many_codes(range(1 << 16))[1]
+
+    @pytest.mark.parametrize("budget", [None, 2, 1])
+    def test_target_that_is_a_marker_stop(self, budget):
+        # with two budget steps every lane stops before its fetch; with one
+        # the stop cannot classify and each lane runs its word
+        image, site = _self_branch_site()
+        vector = self._categories(SiteHarness, image, site, budget=budget)
+        snapshot = self._categories(SnapshotSiteHarness, image, site, budget=budget)
+        assert (vector == snapshot).all()
+        all_no_effect = bool((vector == CATEGORY_CODES["no_effect"]).all())
+        assert all_no_effect == (budget != 1)
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True])
+    def test_budget_one_world(self, zero_is_invalid):
+        snippet = branch_snippet("eq")
+        vector = self._categories(SnippetHarness, snippet, zero_is_invalid, budget=1)
+        snapshot = self._categories(SnapshotSnippetHarness, snippet, zero_is_invalid, budget=1)
+        assert (vector == snapshot).all()
+
+    def test_replay_point_must_be_paused_at_the_target(self):
+        harness = SnippetHarness(branch_snippet("eq"))
+        engine = harness._vector_engine(harness._snapshot_world())
+        kwargs = dict(
+            flash_base=engine.flash_base,
+            flash_bytes=engine.flash8.astype(np.uint8).tobytes(),
+            target_address=engine.target_address,
+            ram_base=engine.ram_base,
+            ram_bytes=engine.base_ram.tobytes(),
+            init_regs=engine.init_regs,
+            init_flags=engine.init_flags,
+            budget=engine.budget,
+            zero_is_invalid=False,
+        )
+        V.VectorEngine(**kwargs)
+        regs = list(engine.init_regs)
+        regs[15] += 2
+        with pytest.raises(ValueError, match="PC"):
+            V.VectorEngine(**{**kwargs, "init_regs": regs})
+        outside = engine.flash_base + engine.flash8.size
+        regs[15] = outside
+        with pytest.raises(ValueError, match="flash halfword"):
+            V.VectorEngine(**{**kwargs, "init_regs": regs, "target_address": outside})
