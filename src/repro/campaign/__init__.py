@@ -5,9 +5,10 @@ The binary-level pipeline (ROADMAP item 4, following ARMORY):
 1. load a firmware image (:mod:`repro.firmware.image`);
 2. :func:`discover_sites` — decode every conditional branch and guard
    structure (:mod:`repro.campaign.sites`);
-3. sweep each site in situ under the AND/OR/XOR flip models with
-   :class:`SiteHarness` (:mod:`repro.campaign.harness`), reusing the mask
-   algebra, the vector engine, and shared cache shards;
+3. sweep each site in situ under the AND/OR/XOR flip models as one
+   Figure 2 world unit on a :class:`SiteHarness`
+   (:mod:`repro.campaign.harness`), reusing the mask algebra, the vector
+   engine, and shared cache shards;
 4. rank sites by exploitability — the fraction of reachable masks whose
    outcome is *success* (:mod:`repro.campaign.image_campaign`).
 

@@ -6,13 +6,18 @@ sites by *exploitability* — the fraction of reachable masks whose outcome
 is ``success`` (the guarded branch was suppressed).
 
 The machinery is the Figure 2 campaign's, re-aimed: one work unit is one
-``(site, flip model)`` sweep executed by a
-:class:`repro.campaign.harness.SiteHarness` (mask algebra over unique
-reachable words, :func:`repro.glitchsim.campaign.tally_reachable`),
-fanned out by :class:`repro.exec.ExecOptions`, cached in per-site
+site under every flip model, run as a Figure 2 world unit
+(:func:`repro.glitchsim.campaign._sweep_world`) on one
+:class:`repro.campaign.harness.SiteHarness` — each model's reachable
+words computed once, their union classified in one batch, and every
+model tallied from that batch
+(:func:`repro.glitchsim.campaign.tally_reachable`) — fanned out by
+:class:`repro.exec.ExecOptions`, cached in per-site
 :class:`repro.exec.OutcomeCache` shards shared across models and re-runs,
-and checkpointed per flip model (keyed by site, so an interrupted
-whole-image campaign resumes with only its missing sites).
+and checkpointed once per image (keyed by site, so an interrupted
+whole-image campaign resumes with only its missing sites). A site unit
+that fails is quarantined once, and the site is absent from every
+model's sweeps and from the ranking.
 
 Obs counters: ``sites.discovered`` (from :func:`discover_sites`) and
 ``sites.campaigned`` (one per merged site×model sweep) — identical for
@@ -28,7 +33,13 @@ from typing import Optional
 from repro.exec import ExecOptions, FailedUnit, OutcomeCache, coerce_cache
 from repro.exec.cache import cache_session
 from repro.firmware.image import FirmwareImage
-from repro.glitchsim.campaign import SweepTallies, check_campaign_args, tally_reachable
+from repro.glitchsim.campaign import (
+    SweepTallies,
+    _run_sweep_units,
+    _sweep_world,
+    check_campaign_args,
+    tally_reachable,
+)
 from repro.experiments.render import render_table
 from repro.obs import Observer, activate, coerce_observer, current
 
@@ -97,7 +108,7 @@ class ImageCampaignResult:
         for site in self.sites:
             rates = by_site.get(site.site_id, {})
             if not rates:
-                continue  # every model's sweep for this site was quarantined
+                continue  # the site's unit was quarantined
             overall = sum(rates.values()) / len(rates)
             ranked.append(RankedSite(site=site, rates=rates, overall=overall))
         ranked.sort(key=lambda r: (-r.overall, r.site.address))
@@ -131,6 +142,26 @@ class ImageCampaignResult:
         return table
 
 
+def _sweep_site_models(
+    image: FirmwareImage,
+    site: BranchSite,
+    models: tuple[str, ...],
+    zero_is_invalid: bool,
+    k_values: tuple[int, ...] | None,
+    cache: OutcomeCache | None,
+) -> list[SiteSweep]:
+    """One site's sweeps under every model, in ``models`` order, on one
+    harness and from one batch over the union of the models' words."""
+    harness = SiteHarness(image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache)
+    return _sweep_world(
+        harness, [(site, site.word)], models, k_values,
+        lambda site, model, words: SiteSweep(
+            site=site, model=model, zero_is_invalid=zero_is_invalid,
+            by_k=tally_reachable(harness, site.word, model, k_values, words=words),
+        ),
+    )
+
+
 def sweep_site(
     image: FirmwareImage,
     site: BranchSite,
@@ -146,40 +177,31 @@ def sweep_site(
     same ambient ``algebra.words_emulated``/``algebra.masks_derived``
     counters.
     """
-    harness = SiteHarness(image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache)
-    return SiteSweep(
-        site=site, model=model, zero_is_invalid=zero_is_invalid,
-        by_k=tally_reachable(harness, site.word, model, k_values),
-    )
+    (sweep,) = _sweep_site_models(image, site, (model,), zero_is_invalid, k_values, cache)
+    return sweep
 
 
 @dataclass(frozen=True)
 class _SiteSpec:
-    """Picklable work unit: one site's full sweep under one flip model."""
+    """Picklable work unit: one site's sweeps under every flip model."""
 
     image_base: int
     image_data: bytes
     image_entry: int
     site: BranchSite
-    model: str
+    models: tuple[str, ...]
     zero_is_invalid: bool
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
 
 
-def _site_unit(spec: _SiteSpec) -> SiteSweep:
+def _site_unit(spec: _SiteSpec) -> list[SiteSweep]:
     """Worker entry point: rebuild the image (and cache handle) in-process."""
     image = FirmwareImage(base=spec.image_base, data=spec.image_data,
                           entry=spec.image_entry)
     with cache_session(spec.cache_root, current()) as cache:
-        return sweep_site(
-            image,
-            spec.site,
-            spec.model,
-            zero_is_invalid=spec.zero_is_invalid,
-            k_values=spec.k_values,
-            cache=cache,
-        )
+        return _sweep_site_models(image, spec.site, spec.models, spec.zero_is_invalid,
+                                  spec.k_values, cache)
 
 
 def run_image_campaign(
@@ -199,14 +221,15 @@ def run_image_campaign(
     subset); otherwise :func:`discover_sites` runs with ``strategy``.
 
     Fan-out, caching, checkpoint/resume, retries, timeouts, and
-    observability all follow :func:`repro.glitchsim.campaign.run_branch_campaign`;
-    each model's checkpoint is keyed by site, with the image digest, model,
-    and site list in the fingerprint, so resuming a differently-shaped
-    campaign is a typed :class:`repro.exec.CheckpointMismatch` instead of
-    silent corruption.
+    observability all follow :func:`repro.glitchsim.campaign.run_branch_campaign`:
+    one work unit per site covers every model, and the campaign's one
+    checkpoint is keyed by site, with the image digest, models, and site
+    list in the fingerprint, so resuming a differently-shaped campaign
+    starts afresh instead of replaying stale units. A quarantined site
+    unit leaves the site out of every model's sweeps.
 
-    An unknown flip model raises ``ValueError`` before discovery or any
-    work starts.
+    An unknown, repeated or missing flip model raises ``ValueError``
+    before discovery or any work starts.
     """
     check_campaign_args(models)
     obs = coerce_observer(obs)
@@ -216,57 +239,44 @@ def run_image_campaign(
                                    zero_is_invalid=zero_is_invalid)
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
+    models = tuple(models)
     ks = tuple(k_values) if k_values is not None else None
-    by_id = {site.site_id: site for site in sites}
+    specs = [
+        _SiteSpec(image.base, image.data, image.entry, site, models,
+                  zero_is_invalid, ks, cache_root)
+        for site in sites
+    ]
 
-    def serial(spec: _SiteSpec) -> SiteSweep:
-        # in-process: reuse the shared cache handle
-        return sweep_site(
-            image, by_id[spec.site.site_id], spec.model,
-            zero_is_invalid=spec.zero_is_invalid, k_values=spec.k_values, cache=cache,
-        )
+    def serial(spec: _SiteSpec) -> list[SiteSweep]:
+        # in-process: reuse the image and the shared cache handle
+        return _sweep_site_models(image, spec.site, models, zero_is_invalid, ks, cache)
 
-    sweeps: dict[str, list[SiteSweep]] = {}
-    failed_units: list[FailedUnit] = []
     with cache_session(cache, obs), obs.trace(
         f"campaign.image[{image.digest}]", source=image.source,
         models=list(models), sites=len(sites), zero_is_invalid=zero_is_invalid,
     ):
-        for model in models:
-            specs = [
-                _SiteSpec(image.base, image.data, image.entry, site, model,
-                          zero_is_invalid, ks, cache_root)
-                for site in sites
-            ]
-            model_sweeps, failed = execution.run(
-                _site_unit,
-                specs,
-                prefix=f"image-{image.digest}",
-                meta={
-                    "campaign": "image",
-                    "digest": image.digest,
-                    "model": model,
-                    "zero_is_invalid": zero_is_invalid,
-                    "k_values": list(ks) if ks is not None else None,
-                    "sites": sorted(by_id),
-                },
-                key_of=lambda spec: spec.site.site_id,
-                encode=SiteSweep.to_payload,
-                decode=SiteSweep.from_payload,
-                serial_fn=serial,
-                attempts_of=lambda sweep: sum(sweep.totals.values()),
-                categories_of=lambda sweep: dict(sweep.totals),
-                obs=obs,
-            )
-            merged = [sweep for sweep in model_sweeps if sweep is not None]
-            obs.count("sites.campaigned", len(merged))
-            sweeps[model] = merged
-            failed_units.extend(failed)
+        sweeps, failed_units = _run_sweep_units(
+            execution, _site_unit, specs, SiteSweep,
+            [site.site_id for site in sites], lambda sweep: sweep.site.site_id,
+            models, obs,
+            prefix=f"image-{image.digest}",
+            meta={
+                "campaign": "image",
+                "digest": image.digest,
+                "models": list(models),
+                "zero_is_invalid": zero_is_invalid,
+                "k_values": list(ks) if ks is not None else None,
+                "sites": sorted(site.site_id for site in sites),
+            },
+            key_of=lambda spec: spec.site.site_id,
+            serial_fn=serial,
+        )
+        obs.count("sites.campaigned", sum(len(merged) for merged in sweeps.values()))
     return ImageCampaignResult(
         source=image.source,
         digest=image.digest,
         zero_is_invalid=zero_is_invalid,
-        models=tuple(models),
+        models=models,
         sites=list(sites),
         sweeps=sweeps,
         failed_units=failed_units,

@@ -100,12 +100,14 @@ def cmd_discover(args) -> int:
 
 def cmd_campaign(args) -> int:
     from repro.campaign import DEFAULT_MODELS, run_image_campaign
+    from repro.glitchsim.campaign import check_campaign_args
 
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    unknown = [m for m in models if m not in DEFAULT_MODELS]
-    if unknown or not models:
+    try:
+        check_campaign_args(models)
+    except ValueError as exc:
         print(f"error: --models must be a comma-separated subset of "
-              f"{','.join(DEFAULT_MODELS)}", file=sys.stderr)
+              f"{','.join(DEFAULT_MODELS)} ({exc})", file=sys.stderr)
         return 1
     image = _load_cli_image(args)
     obs = _observer_from_args(args, "campaign-image")
@@ -368,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent outcome-cache directory; per-site "
                              "shards are shared across models and re-runs")
-    _add_execution_flags(p_camp, "worker processes, one site×model sweep per "
-                                 "unit (0 = all cores)")
+    _add_execution_flags(p_camp, "worker processes, one site's sweeps under "
+                                 "every model per unit (0 = all cores)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_exp = sub.add_parser("experiment", help="run one paper artifact")

@@ -51,7 +51,7 @@ vector handler, so every lane ends with a terminal status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -397,32 +397,31 @@ class VectorRun:
 
     def classify_branch(
         self,
-        *,
         success_address: int,
-        success_register: int,
-        success_marker: int,
-        normal_register: int,
-        normal_marker: int,
+        markers: Optional[tuple[tuple[int, int], tuple[int, int]]] = None,
     ) -> np.ndarray:
-        """Per-lane Figure 2 outcome category codes.
+        """Per-lane outcome category codes for a branch's replay world.
 
-        Mirrors :meth:`SnippetHarness._classify_replay`: a marker-stop lane
-        is a success iff it stopped at the fall-through block (or already
-        holds the success marker); a halted lane classifies by markers.
-        Nonzero values are the shard codes from
+        Mirrors :meth:`repro.glitchsim.harness.WordHarness._classify_replay`:
+        a stopped lane is a success iff it stopped at ``success_address``
+        (or already holds the success marker), otherwise ``no_effect``.
+        ``markers`` — ``((success_register, value), (normal_register,
+        value))``, a snippet world's marker blocks — also classifies a
+        halted lane by its registers; without them (a site world) a halted
+        lane is ``failed``.  Nonzero values are the shard codes from
         :data:`repro.exec.cache.CATEGORY_CODES`, so a batch result scatters
         straight into the harness memo and the binary cache shards without
         any per-lane Python.
         """
         status = self.status
-        r_success = self.regs[success_register]
-        r_normal = self.regs[normal_register]
         stopped = status == ST_STOPPED
         halted = status == ST_HALTED
-        success = (stopped & ((self.stop_pc == success_address) | (r_success == success_marker))) | (
-            halted & (r_success == success_marker)
-        )
-        no_effect = (stopped | (halted & (r_normal == normal_marker))) & ~success
+        success = stopped & (self.stop_pc == success_address)
+        no_effect = stopped
+        if markers is not None:
+            (success_register, success_marker), (normal_register, normal_marker) = markers
+            success |= (stopped | halted) & (self.regs[success_register] == success_marker)
+            no_effect = stopped | (halted & (self.regs[normal_register] == normal_marker))
         return np.select(
             [
                 success,

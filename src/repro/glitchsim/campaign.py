@@ -22,7 +22,8 @@ union in one batch and tallies every sweep from those words' codes in
 the harness memo, so each corrupted word of a world is emulated once per
 campaign and enumerated once per sweep. Checkpoint records, quarantine and
 outcome-cache shards are per world too; the sweeps are re-emitted in
-condition order.
+condition order. The whole-image campaign
+(:mod:`repro.campaign.image_campaign`) runs each site as such a unit.
 """
 
 from __future__ import annotations
@@ -92,14 +93,6 @@ class SweepTallies:
         return cls(**{**payload, "by_k": by_k})
 
 
-def _unit_totals(sweeps: list[SweepTallies]) -> Counter:
-    """Outcome totals over every sweep of one work unit."""
-    total: Counter = Counter()
-    for sweep in sweeps:
-        total.update(sweep.totals)
-    return total
-
-
 @dataclass
 class InstructionSweep(SweepTallies):
     """Aggregated outcomes for one instruction under one flip model."""
@@ -133,15 +126,22 @@ class CampaignResult:
 
 
 def check_campaign_args(models) -> None:
-    """Raise ``ValueError`` for an unknown flip model.
+    """Raise ``ValueError`` for an unknown or repeated flip model, or none.
 
     Campaign entry points call this before their executor starts: inside a
     work unit the error would be quarantined as a unit failure and the
-    campaign would return a hollow result instead of raising.
+    campaign would return a hollow result instead of raising. A work unit
+    sweeps every model of its campaign, so a repeated model would sweep
+    twice and collide with itself.
     """
     unknown = [model for model in models if model not in MODELS]
     if unknown:
         raise ValueError(f"unknown flip model(s) {unknown}; expected one of {MODELS}")
+    if not models:
+        raise ValueError(f"no flip model given; expected some of {MODELS}")
+    repeated = sorted(model for model, count in Counter(models).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated flip model(s) {repeated}; name each model once")
 
 
 def tally_reachable(
@@ -225,28 +225,27 @@ class _WorldSpec:
     cache_root: Optional[str]
 
 
-def _sweep_world(
-    spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
-) -> list[InstructionSweep]:
-    """Sweep every member branch of one world under every model of the
-    unit, model by model, from one batch over the union of their words.
+def _sweep_world(harness: WordHarness, targets: list, models, k_values, sweep) -> list:
+    """Sweep every target of one replay world under every model, model by
+    model, from one batch over the union of their words.
 
-    Each (member, model)'s reachable words are computed once, for the
-    union, and tallied from the memo that batch filled (spans
-    ``campaign.classify`` and ``campaign.tally`` on the ambient observer).
+    ``targets`` pairs each member (a snippet, a site) with its target
+    word. Each (member, model)'s reachable words are computed once, for
+    the union, and ``sweep(member, model, words)`` builds its record from
+    the memo that batch filled (spans ``campaign.classify`` and
+    ``campaign.tally`` on the ambient observer).
     """
     obs = current()
-    with obs.trace("campaign.classify", members=len(snippets)):
-        reachable = {
+    with obs.trace("campaign.classify", members=len(targets)):
+        reachable = [
             # uint16 keeps the per-sweep arrays small through the batch
-            (model, snippet.mnemonic): reachable_words(
-                snippet.target_word, model, INSTRUCTION_BITS, spec.k_values
-            ).astype(np.uint16)
-            for model in spec.models
-            for snippet in snippets
-        }
+            (member, model,
+             reachable_words(word, model, INSTRUCTION_BITS, k_values).astype(np.uint16))
+            for model in models
+            for member, word in targets
+        ]
         union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
-        for words in reachable.values():
+        for _, _, words in reachable:
             union[words] = True
         words = np.flatnonzero(union)
         del union  # not held through the batch, the memory peak
@@ -254,15 +253,55 @@ def _sweep_world(
         harness.run_many_codes(words)
         obs.count("algebra.words_emulated", harness.words_executed - executed_before)
     with obs.trace("campaign.tally", sweeps=len(reachable)):
-        return [
-            sweep_instruction(
-                snippet, model, zero_is_invalid=spec.zero_is_invalid,
-                k_values=spec.k_values, harness=harness,
-                words=reachable[model, snippet.mnemonic],
-            )
-            for model in spec.models
-            for snippet in snippets
-        ]
+        return [sweep(member, model, words) for member, model, words in reachable]
+
+
+def _sweep_snippets(
+    spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
+) -> list[InstructionSweep]:
+    """Every model's sweeps of one world's member branches, on ``harness``."""
+    return _sweep_world(
+        harness, [(snippet, snippet.target_word) for snippet in snippets],
+        spec.models, spec.k_values,
+        lambda snippet, model, words: sweep_instruction(
+            snippet, model, zero_is_invalid=spec.zero_is_invalid,
+            k_values=spec.k_values, harness=harness, words=words,
+        ),
+    )
+
+
+def _run_sweep_units(
+    execution: ExecOptions, unit, specs: list, record: type[SweepTallies],
+    members: list, member_of, models, obs: Observer, **map_kwargs,
+) -> tuple[dict[str, list], list[FailedUnit]]:
+    """Run work units that each return a list of sweep records as one
+    executor map, and split the completed sweeps back per model.
+
+    Returns ``({model: sweeps in members order}, failed units)``, where
+    ``member_of(sweep)`` is a sweep's entry in ``members``; a quarantined
+    unit's members are absent from every model. ``map_kwargs``
+    (``prefix``, ``meta``, ``key_of``, ``serial_fn``) go to
+    :meth:`repro.exec.ExecOptions.run`.
+    """
+    results, failed = execution.run(
+        unit,
+        specs,
+        encode=lambda sweeps: [sweep.to_payload() for sweep in sweeps],
+        decode=lambda payload: [record.from_payload(entry) for entry in payload],
+        attempts_of=lambda sweeps: sum(sweep.attempts for sweep in sweeps),
+        categories_of=lambda sweeps: dict(sum((sweep.totals for sweep in sweeps), Counter())),
+        obs=obs,
+        **map_kwargs,
+    )
+    done = {
+        (sweep.model, member_of(sweep)): sweep
+        for sweeps in results if sweeps for sweep in sweeps
+    }
+    by_model = {
+        model: [done[model, member] for member in members if (model, member) in done]
+        for model in models
+    }
+    return by_model, failed
 
 
 def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
@@ -276,7 +315,7 @@ def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
         harness = SnippetHarness(
             snippets[0], zero_is_invalid=spec.zero_is_invalid, disk_cache=cache,
         )
-        return _sweep_world(spec, snippets, harness)
+        return _sweep_snippets(spec, snippets, harness)
 
 
 def run_branch_campaign(
@@ -367,7 +406,7 @@ def _run_campaigns(
     def serial(spec: _WorldSpec) -> list[InstructionSweep]:
         # in-process: reuse the built harnesses and the shared cache handle
         shared, members = units[spec.mnemonics]
-        return _sweep_world(spec, members, shared)
+        return _sweep_snippets(spec, members, shared)
 
     label = "+".join(models)
     # serial units reuse the shared cache handle, so the session counts
@@ -376,9 +415,10 @@ def _run_campaigns(
         f"campaign.branch[{label}]", model=label,
         zero_is_invalid=zero_is_invalid, units=len(specs),
     ):
-        results, failed = execution.run(
-            _world_unit,
-            specs,
+        by_model, failed = _run_sweep_units(
+            execution, _world_unit, specs, InstructionSweep,
+            [snippet.mnemonic for snippet in snippets], lambda sweep: sweep.mnemonic,
+            models, obs,
             prefix=f"branch-{label}",
             meta={
                 "campaign": "branch",
@@ -388,23 +428,12 @@ def _run_campaigns(
                 "conditions": sorted(snippet.mnemonic for snippet in snippets),
             },
             key_of=lambda spec: "+".join(spec.mnemonics),
-            encode=lambda sweeps: [sweep.to_payload() for sweep in sweeps],
-            decode=lambda payload: [InstructionSweep.from_payload(entry) for entry in payload],
             serial_fn=serial,
-            attempts_of=lambda sweeps: sum(sweep.attempts for sweep in sweeps),
-            categories_of=lambda sweeps: dict(_unit_totals(sweeps)),
-            obs=obs,
         )
-    done = {
-        (sweep.model, sweep.mnemonic): sweep
-        for sweeps in results if sweeps for sweep in sweeps
-    }
     return [
         CampaignResult(
-            model=model,
-            zero_is_invalid=zero_is_invalid,
-            sweeps=[done[model, s.mnemonic] for s in snippets if (model, s.mnemonic) in done],
-            failed_units=failed,
+            model=model, zero_is_invalid=zero_is_invalid,
+            sweeps=by_model[model], failed_units=failed,
         )
         for model in models
     ]

@@ -34,13 +34,15 @@ The test suite (``tests/oracles.py``) checks the vector batches against
 that scalar replay run word by word over whole batches, and both against
 a per-word world rebuild.
 
-The cache/memo/execution machinery is shared between two harnesses via the
-:class:`WordHarness` base class: :class:`SnippetHarness` (this module)
-runs the paper's marker-block snippets, and
-:class:`repro.campaign.harness.SiteHarness` runs a branch site *in situ*
-inside a whole firmware image.  A subclass supplies the replay point
-(:meth:`WordHarness._snapshot_world`) and the classification rules; the
-base class owns everything keyed by the corrupted word.
+The cache/memo/execution machinery and both classifiers are shared
+between two harnesses via the :class:`WordHarness` base class:
+:class:`SnippetHarness` (this module) runs the paper's marker-block
+snippets, and :class:`repro.campaign.harness.SiteHarness` runs a branch
+site *in situ* inside a whole firmware image.  A subclass supplies only
+the replay point (:meth:`WordHarness._snapshot_world`); the classifiers
+read their rules from it — the success stop, plus the marker registers
+a snippet world sets (a site world sets none and classifies by position
+alone) — and the base class owns everything keyed by the corrupted word.
 
 A word's outcome depends only on that replay point, so
 :meth:`WordHarness.world_digest` hashes it (the target slot masked out)
@@ -125,6 +127,10 @@ class _SnapshotWorld:
     marker_stops: frozenset
     success_address: Optional[int] = None  # the stop that classifies success
     normal_address: Optional[int] = None  # the taken path (None: no taken label)
+    # ((success register, value), (normal register, value)) that a snippet's
+    # fall-through and taken blocks load; None for a site world, whose
+    # success stop is its only success and whose other stop is no_effect
+    markers: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,7 @@ _OUTCOME_SUCCESS = Outcome("success")
 _OUTCOME_NO_EFFECT = Outcome("no_effect")
 _OUTCOME_LIMIT = Outcome("failed", f"did not halt within {_STEP_LIMIT} steps")
 _OUTCOME_NO_MARKER = Outcome("failed", "halted without reaching either marker")
+_OUTCOME_NO_EDGE = Outcome("failed", "halted before reaching either branch edge")
 
 # Detail-free interned outcomes for vector-engine lanes and disk hits, by
 # shard code (index 0, "not classified", maps to None; the cache's codes
@@ -170,9 +177,9 @@ class WordHarness:
     backend; single-word :meth:`run` calls replay a cached machine
     snapshot.  Both produce identical outcome categories.
 
-    Subclasses implement :meth:`_snapshot_world` (build the replay point),
-    :meth:`_classify_replay` (classify a finished replay), and
-    :meth:`_vector_codes` (per-lane category codes for a vector batch).
+    Subclasses implement :meth:`_snapshot_world` (build the replay point);
+    :meth:`_classify_replay` and the vector batch classify from its
+    success stop and optional marker registers.
     """
 
     def __init__(self, zero_is_invalid: bool = False, disk_cache=None):
@@ -198,13 +205,14 @@ class WordHarness:
         """SHA-256 hex digest of the replay point this harness classifies on.
 
         Covers every :class:`_SnapshotWorld` field except the pristine
-        target word and the live machine objects: every mapped region
+        target word, the marker registers (fixed by the harness class) and
+        the live machine objects: every mapped region
         (layout, permissions and bytes, with the two target-slot bytes
         zeroed, so flash and RAM), the CPU snapshot and the step budget,
         the slot and region addresses, the halfword after the slot, the
         marker stops and success/normal addresses — plus
         ``zero_is_invalid`` and the harness class, which fix the decode
-        mode and the classification rules.  Two harnesses with equal
+        mode and the marker registers.  Two harnesses with equal
         digests classify every corrupted word identically.
         """
         if self._digest is None:
@@ -408,7 +416,7 @@ class WordHarness:
         """
         world = self._snapshot_world()
         batch = self._vector_engine(world).run(pending)
-        self._codes[pending] = self._vector_codes(batch, world)
+        self._codes[pending] = batch.classify_branch(world.success_address, world.markers)
         self.words_executed += int(pending.size)
         from repro.obs import current
 
@@ -463,17 +471,53 @@ class WordHarness:
         world.flash_data[offset + 1] = corrupted_word >> 8
         return self._classify_replay(world, cpu)
 
-    # ------------------------------------------------------------------
-    # subclass hooks
-    # ------------------------------------------------------------------
+    def _classify_replay(self, world: _SnapshotWorld, cpu: CPU) -> Outcome:
+        """Classify a replay, short-circuiting at the world's marker stops.
+
+        A run that reaches the success stop (or, in a snippet world, holds
+        the success marker) there classifies ``success``, one at any other
+        stop ``no_effect``, without executing on — unless fewer than two
+        budget steps remain (a snippet's marker block is ldr-literal +
+        bkpt), where execution resumes to keep step accounting identical
+        to an uninterrupted run.  A halted run classifies by the marker
+        registers; in a site world, which has none, it is ``failed``.
+        When both stops coincide the success stop wins, as in
+        :meth:`repro.emu.vector.VectorRun.classify_branch`.
+        """
+        budget = world.budget
+        markers = world.markers
+        try:
+            result = cpu.run(budget, stop_addresses=world.marker_stops)
+            if result.reason == "stop_addr":
+                if budget - result.steps >= 2:
+                    if result.stop_address == world.success_address or (
+                        markers is not None and cpu.regs[markers[0][0]] == markers[0][1]
+                    ):
+                        return _OUTCOME_SUCCESS
+                    return _OUTCOME_NO_EFFECT
+                result = cpu.run(budget - result.steps)
+        except InvalidInstruction as exc:
+            return Outcome("invalid_instruction", str(exc))
+        except BadFetch as exc:
+            return Outcome("bad_fetch", str(exc))
+        except (BadRead, BadWrite, AlignmentFault) as exc:
+            return Outcome("bad_read", str(exc))
+        except EmulationFault as exc:
+            return Outcome("failed", str(exc))
+
+        if result.reason != "halted":
+            return _OUTCOME_LIMIT
+        if markers is None:
+            return _OUTCOME_NO_EDGE
+        (success_register, success_marker), (normal_register, normal_marker) = markers
+        if cpu.regs[success_register] == success_marker:
+            return _OUTCOME_SUCCESS
+        if cpu.regs[normal_register] == normal_marker:
+            return _OUTCOME_NO_EFFECT
+        return _OUTCOME_NO_MARKER
 
     def _snapshot_world(self) -> _SnapshotWorld:  # pragma: no cover
-        raise NotImplementedError
-
-    def _classify_replay(self, world: _SnapshotWorld, cpu: CPU) -> Outcome:  # pragma: no cover
-        raise NotImplementedError
-
-    def _vector_codes(self, batch, world: _SnapshotWorld) -> np.ndarray:  # pragma: no cover
+        """Build (once) the replay point: the one subclass hook."""
         raise NotImplementedError
 
 
@@ -481,9 +525,10 @@ class SnippetHarness(WordHarness):
     """Executes a snippet with its target halfword replaced by a corrupted word.
 
     The snippet's flag-setup prefix runs once up to (not including) the
-    target instruction; the classification reads the 0xdead/0xaaaa marker
-    registers the snippet's fall-through/taken blocks set.  See
-    :class:`WordHarness` for the caching and execution contract.
+    target instruction; the replay point carries the 0xdead/0xaaaa marker
+    registers the snippet's fall-through/taken blocks set, which the
+    classification reads.  See :class:`WordHarness` for the caching,
+    execution and classification contract.
     """
 
     def __init__(self, snippet: BranchSnippet, zero_is_invalid: bool = False, disk_cache=None):
@@ -539,55 +584,9 @@ class SnippetHarness(WordHarness):
             marker_stops=frozenset(stops),
             success_address=success_address,
             normal_address=normal_address,
+            markers=((SUCCESS_REGISTER, SUCCESS_MARKER), (NORMAL_REGISTER, NORMAL_MARKER)),
         )
         return self._world
-
-    def _vector_codes(self, batch, world: _SnapshotWorld) -> np.ndarray:
-        return batch.classify_branch(
-            success_address=world.success_address,
-            success_register=SUCCESS_REGISTER,
-            success_marker=SUCCESS_MARKER,
-            normal_register=NORMAL_REGISTER,
-            normal_marker=NORMAL_MARKER,
-        )
-
-    def _classify_replay(self, world: _SnapshotWorld, cpu: CPU) -> Outcome:
-        """Classify a replay, short-circuiting at the marker-block heads.
-
-        Entering a marker block is deterministic (ldr-literal + bkpt), so
-        stopping at the block head classifies without executing it —
-        except with fewer than the block's two steps of budget left, where
-        execution resumes to keep step accounting identical to an
-        uninterrupted run of the whole snippet.
-        """
-        budget = world.budget
-        try:
-            result = cpu.run(budget, stop_addresses=world.marker_stops)
-            if result.reason == "stop_addr":
-                if budget - result.steps >= 2:
-                    if (
-                        result.stop_address == world.success_address
-                        or cpu.regs[SUCCESS_REGISTER] == SUCCESS_MARKER
-                    ):
-                        return _OUTCOME_SUCCESS
-                    return _OUTCOME_NO_EFFECT
-                result = cpu.run(budget - result.steps)
-        except InvalidInstruction as exc:
-            return Outcome("invalid_instruction", str(exc))
-        except BadFetch as exc:
-            return Outcome("bad_fetch", str(exc))
-        except (BadRead, BadWrite, AlignmentFault) as exc:
-            return Outcome("bad_read", str(exc))
-        except EmulationFault as exc:
-            return Outcome("failed", str(exc))
-
-        if result.reason != "halted":
-            return _OUTCOME_LIMIT
-        if cpu.regs[SUCCESS_REGISTER] == SUCCESS_MARKER:
-            return _OUTCOME_SUCCESS
-        if cpu.regs[NORMAL_REGISTER] == NORMAL_MARKER:
-            return _OUTCOME_NO_EFFECT
-        return _OUTCOME_NO_MARKER
 
 
 __all__ = [

@@ -160,7 +160,8 @@ class RebuildSiteHarness(SnapshotSiteHarness):
     """A :class:`SiteHarness` that maps a fresh image per word.
 
     The corrupted word is poked into a freshly built world and classified
-    with the full step budget; like :class:`RebuildSnippetHarness` it
+    by the shared :meth:`WordHarness._classify_replay` with the site
+    world's full step budget; like :class:`RebuildSnippetHarness` it
     always executes word by word.
     """
 
@@ -171,7 +172,7 @@ class RebuildSiteHarness(SnapshotSiteHarness):
         offset = self.site.address - self.image.base
         flash[offset] = corrupted_word & 0xFF
         flash[offset + 1] = corrupted_word >> 8
-        return self._classify_site(cpu, _STEP_LIMIT)
+        return self._classify_replay(self._snapshot_world(), cpu)
 
 
 @contextmanager

@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign import (
     DEFAULT_MODELS,
+    SiteHarness,
     discover_sites,
     run_image_campaign,
     sweep_site,
@@ -102,6 +103,17 @@ class TestArgumentErrors:
         with pytest.raises(ValueError, match="unknown"):
             run_image_campaign(demo_image, k_values=(1,), obs=obs, **kwargs)
         assert not obs.counters  # no discovery, no unit ran
+
+    @pytest.mark.parametrize("models, match", [
+        (("and", "and"), "repeated"),  # would sweep AND twice
+        (("and", "xor", "and"), "repeated"),
+        ((), "no flip model"),
+    ])
+    def test_repeated_or_no_model_raises_before_any_unit(self, demo_image, models, match):
+        obs = Observer()
+        with pytest.raises(ValueError, match=match):
+            run_image_campaign(demo_image, models=models, k_values=(1,), obs=obs)
+        assert not obs.counters
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +221,18 @@ class TestCampaignCacheAndObs:
             for a, b in zip(first.sweeps[model], second.sweeps[model]):
                 assert a.by_k == b.by_k
 
+    def test_work_shape_one_unit_and_batch_per_site(self, demo_image, demo_sites):
+        """A cold serial campaign runs one unit per site, covering every
+        model, and classifies each site's union of words in one batch: the
+        union of and/or/xor over every k is all 65,536 words."""
+        obs = Observer()
+        run_image_campaign(demo_image, obs=obs)
+        assert len(demo_sites) == 6
+        assert obs.counters["units.completed"] == 6
+        assert obs.counters["vector.batches"] == 6
+        assert obs.counters["vector.lanes"] == 6 * 65536 == 393216
+        assert obs.counters["sites.campaigned"] == 18
+
     def test_obs_counters(self, demo_image, demo_sites):
         obs = Observer()
         result = run_image_campaign(demo_image, obs=obs, **self.KWARGS)
@@ -230,6 +254,60 @@ class TestCampaignCacheAndObs:
         assert "Exploitability ranking" in table
         assert f"... {len(demo_sites) - 2} more site(s) not shown" in table
         assert result.render().count("0x0800") >= len(demo_sites)
+
+
+class _FailingSite(SiteHarness):
+    """A site harness whose replay point cannot be built at one address."""
+
+    address = None
+
+    def _snapshot_world(self):
+        if self.site.address == self.address:
+            raise RuntimeError("injected site failure")
+        return super()._snapshot_world()
+
+
+class TestQuarantine:
+    """A failing site unit is quarantined once, for every model."""
+
+    @pytest.fixture
+    def failing_site(self, demo_sites, monkeypatch):
+        import repro.campaign.image_campaign as image_campaign
+
+        site = demo_sites[2]
+        monkeypatch.setattr(_FailingSite, "address", site.address)
+        monkeypatch.setattr(image_campaign, "SiteHarness", _FailingSite)
+        return site
+
+    def test_site_absent_from_every_model_and_the_ranking(
+        self, demo_image, demo_sites, failing_site
+    ):
+        obs = Observer()
+        result = run_image_campaign(demo_image, k_values=(0, 1), obs=obs)
+        assert len(result.failed_units) == 1
+        (failed,) = result.failed_units
+        assert failed.spec.site == failing_site
+        assert failed.spec.models == DEFAULT_MODELS
+        assert "injected site failure" in failed.error
+        assert obs.counters["exec.quarantined"] == 1
+        assert obs.counters["units.completed"] == len(demo_sites) - 1
+        assert obs.counters["sites.campaigned"] == (len(demo_sites) - 1) * len(DEFAULT_MODELS)
+        for model in DEFAULT_MODELS:
+            ids = [sweep.site.site_id for sweep in result.sweeps[model]]
+            assert ids == [s.site_id for s in demo_sites if s != failing_site]
+            with pytest.raises(KeyError):
+                result.sweep_for(failing_site.site_id, model)
+        ranked = [entry.site.site_id for entry in result.ranking()]
+        assert failing_site.site_id not in ranked
+        assert len(ranked) == len(demo_sites) - 1
+
+    def test_cli_exits_quarantined(self, failing_site, capsys):
+        from repro.cli import EXIT_QUARANTINED
+
+        assert main(["campaign", "--image", DEMO_HEX]) == EXIT_QUARANTINED == 3
+        captured = capsys.readouterr()
+        assert "1 work unit(s) quarantined" in captured.err
+        assert f"{failing_site.address:#010x}" not in captured.out
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +347,14 @@ class TestImageCli:
     def test_campaign_rejects_unknown_model(self, capsys):
         assert main(["campaign", "--image", DEMO_HEX, "--models", "nand"]) == 1
         assert "--models must be a comma-separated subset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models", ["and,and", "and, or,and", ","])
+    def test_campaign_rejects_repeated_or_no_model(self, models, capsys):
+        assert main(["campaign", "--image", DEMO_HEX, "--models", models]) == 1
+        captured = capsys.readouterr()
+        assert "--models must be a comma-separated subset" in captured.err
+        assert "repeated flip model" in captured.err or "no flip model" in captured.err
+        assert captured.out == ""
 
     def test_campaign_bad_image(self, tmp_path, capsys):
         bad = tmp_path / "odd.bin"
