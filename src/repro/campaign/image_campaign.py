@@ -135,10 +135,13 @@ class ImageCampaignResult:
             row += [f"{entry.overall * 100:.3f}%"]
             rows.append(row)
         title = (f"Exploitability ranking — {self.source} "
-                 f"({len(self.sites)} sites, models: {', '.join(self.models)})")
+                 f"({len(ranked)} sites, models: {', '.join(self.models)})")
         table = render_table(title, headers, rows)
         if top is not None and top < len(ranked):
             table += f"\n... {len(ranked) - top} more site(s) not shown"
+        if len(ranked) < len(self.sites):
+            table += (f"\n... {len(self.sites) - len(ranked)} site(s) quarantined, "
+                      f"not ranked")
         return table
 
 

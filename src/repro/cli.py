@@ -220,7 +220,7 @@ def _report_failed_units(failed_units) -> int:
     print(f"warning: {len(failed_units)} work unit(s) quarantined after "
           f"exhausting retries (tallies exclude them):", file=sys.stderr)
     for unit in failed_units:
-        print(f"  {unit.spec!r}: {unit.error} ({unit.attempts} attempts)",
+        print(f"  unit {unit.key}: {unit.error} ({unit.attempts} attempts)",
               file=sys.stderr)
     return EXIT_QUARANTINED
 

@@ -142,8 +142,8 @@ class Memory:
         self._snapshot: Optional[MemorySnapshot] = None
         self._journal: dict[int, tuple[MemoryRegion, dict[int, bytes]]] = {}
         #: When a list, every write through :meth:`write` appends
-        #: ``(region, offset, bytes before the write)``: the glitcher's
-        #: settled-loop exit rebuilds earlier memory contents from it.
+        #: ``(region, offset, bytes before the write, bytes written)``:
+        #: the glitcher's run records keep it as their write journal.
         self.write_log: Optional[list] = None
 
     def map_region(self, region: MemoryRegion) -> MemoryRegion:
@@ -186,7 +186,9 @@ class Memory:
             raise BadWrite(f"write to read-only region {region.name!r} at {address:#010x}", address)
         if self.write_log is not None:
             offset = address - region.base
-            self.write_log.append((region, offset, bytes(region.data[offset:offset + len(payload)])))
+            self.write_log.append(
+                (region, offset, bytes(region.data[offset:offset + len(payload)]), payload)
+            )
         if self._snapshot is not None:
             self._journal_pages(region, address, len(payload))
         region.write(address, payload)

@@ -69,11 +69,13 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 @dataclass
 class FailedUnit:
-    """One quarantined work unit: the spec, the last error, attempts used."""
+    """One quarantined work unit: the spec, the last error, attempts used,
+    and the unit's ``key_of`` name."""
 
     spec: Any
     error: str
     attempts: int
+    key: str
 
 
 class ParallelExecutor:
@@ -202,11 +204,11 @@ class ParallelExecutor:
                 obs.count("exec.retries")
                 return True
             obs.count("exec.quarantined")
+            key = key_of(specs[index])
             if obs.enabled:
-                obs.event("unit_failed", key=key_of(specs[index]),
-                          attempts=attempts, error=repr(error))
+                obs.event("unit_failed", key=key, attempts=attempts, error=repr(error))
             self.failed_units.append(
-                FailedUnit(spec=specs[index], error=repr(error), attempts=attempts)
+                FailedUnit(spec=specs[index], error=repr(error), attempts=attempts, key=key)
             )
             return False
 

@@ -18,58 +18,29 @@ points in bulk from a memoized plan (``repro.hw.scan``) and calls
 :meth:`ClockGlitcher.run_attempt` only for the rest; a single attempt
 takes the same decision itself.
 
-Simulated attempts additionally use *boot records* (the hw-layer face of
-the snapshot engine, see ``docs/ARCHITECTURE.md``).  The run up to the
-first glitched cycle is unglitched and deterministic given the image and
-the power-on seed flash page, so the first full run from each power-on
-seed page records the machine at the trigger cycle — the writable
-memory, the pipeline latches via :class:`~repro.hw.pipeline.PipelineState`,
-the GPIO pin — and every later attempt that powers on with the same page
-restores that record into the board instead of re-simulating boot from
-reset.  An attempt whose glitch starts ``ext_offset`` cycles after the
-trigger also records the machine just before that cycle (a *prefix
-record*), and later attempts restore the latest record at or before
-their own ``ext_offset``: a scan's units run their shapes in increasing
-``ext_offset``, and each unit's k-th simulated attempt powers on with the
-same page, so each unit steps only the cycles since the previous unit's
-glitch start.  A page keeps its trigger-cycle record and the latest
-prefix record, no more.  Records belong to the glitcher, not to the
-board, so they survive an external ``board.reset()``; firmware that
-persists new seed-page state (the random-delay defense) just looks up a
-different record.  Pass ``replay=False`` to force the from-reset path
-(the differential tests do).
+The run up to the first glitched cycle is unglitched and deterministic
+given the image and the power-on seed flash page, so simulated attempts
+restore it from *boot records* (:class:`_BootRecord`, the hw-layer face
+of the snapshot engine, see ``docs/ARCHITECTURE.md``) instead of
+re-simulating boot from reset.
 
-Most simulated attempts end ``no_effect`` with the firmware spinning in
-a guard loop until the settle budget runs out.  The *settled-loop exit*
-(:meth:`ClockGlitcher._skip_settled_periods`) notices when that loop can
-no longer change and jumps whole loop periods to the deadline; the
-attempt's result is exactly the full settle's.
+Once no glitch can land, two exits end an attempt early.  Both work on
+one record of a run, :class:`_Run`: the machine at every top-of-loop
+with a flushed pipeline (its *check points*), the writes in between, and
+one loop test.
 
-Many of those attempts go further: once their glitch window has closed,
-the machine is back on the unglitched run from the same power-on seed
-page, its *reference* (:class:`_Reference`).  The *rejoin exit*
-(:meth:`ClockGlitcher._rejoin`) looks for that at the settled-loop
-exit's first few check points after each glitch window and ends the
-attempt there with the reference's end.  It is exact when both hold:
+- The *settled-loop exit* (:meth:`ClockGlitcher._skip_settled_periods`):
+  most simulated attempts end ``no_effect`` with the firmware spinning in
+  a guard loop until the settle budget runs out.  The attempt's own run
+  record, found looping, lets it jump whole loop periods to the deadline.
+- The *rejoin exit* (:meth:`ClockGlitcher._rejoin`): many attempts are
+  back on the unglitched run from the same power-on seed page, their
+  *reference*, which is the same record of a run with no glitch.  An
+  attempt found there ends with the reference's end.
 
-- at the same absolute cycle the whole machine state is the reference's:
-  registers, flags and halt bit, fetch address, last retired
-  instruction, bus hint, GPIO pin, milestone and trigger counts, and
-  SRAM plus the live seed page byte for byte;
-- the reference raises no trigger between that cycle and the attempt's
-  deadline (a trigger would open a window the attempt glitches in).
-
-The run from there is then the reference's, so the attempt's category,
-stop symbol, cycles, registers and persisted seed page are the
-reference's at the deadline, or at an earlier stop, halt or fault; it
-keeps its own effects.  A reference depends on the image, the stop and
-milestone addresses, ``zero_is_invalid`` and the page, not on the fault
-model, so a process-wide memo (:class:`_ImageRuns`) shares the
-references of the image last asked about among every scan of that build
-and drops them when another image asks.  Each is stepped only as far as
-asked: to the cycle an attempt looks at, and on to its deadline only
-when the attempt matches there.  Like boot records, the exit is part of
-``replay=True``.
+Either exit leaves the attempt's result exactly that of stepping every
+cycle.  ``replay=False`` turns off boot records and the rejoin exit; the
+differential tests compare against it.
 """
 
 from __future__ import annotations
@@ -96,8 +67,8 @@ SETTLE_CYCLES = 400
 
 #: per-glitcher attempt counters (see :attr:`ClockGlitcher.counters`):
 #: attempts decided by the fault-model fast path, attempts simulated,
-#: simulated attempts cut short by the settled-loop exit, machine states
-#: that exit looked up, pipeline cycles run after the first trigger
+#: simulated attempts cut short by the settled-loop exit, check points
+#: that exit took, pipeline cycles run after the first trigger
 #: (restored prefix cycles included), how each simulated run started —
 #: booted from reset, or restored from a boot record — and the prefix
 #: cycles restored from a record instead of stepped, and, per
@@ -108,7 +79,8 @@ SETTLE_CYCLES = 400
 #: runs do not).  ``hw.rejoins`` counts attempts ended by the rejoin exit
 #: and ``hw.rejoined_cycles`` the cycles from there to their end, which
 #: ``hw.cycles`` leaves out as it leaves out settled-loop skips;
-#: ``hw.reference_cycles`` counts the cycles stepped on reference runs.
+#: ``hw.reference_cycles`` counts the cycles stepped on reference runs,
+#: each up to the check point where its own loop test fires.
 #: The boot split, ``hw.restored_cycles`` and ``hw.reference_cycles``
 #: depend on which records a glitcher holds and which references the
 #: process has stepped, so serial and parallel scans differ there; the
@@ -119,8 +91,9 @@ HW_COUNTERS = (
     "hw.rejoins", "hw.rejoined_cycles", "hw.reference_cycles",
 ) + tuple(f"hw.effects.{kind}" for kind in EFFECT_KINDS)
 
-#: machine states the settled-loop exit remembers per attempt
-_HISTORY_LIMIT = 4096
+#: check points an attempt's run record keeps; a longer run without a
+#: repeat starts a fresh record
+_CHECK_LIMIT = 4096
 #: reference key -> the :class:`_ImageRuns` of that image; only the image
 #: last asked about is kept
 _REFERENCES: dict = {}
@@ -156,15 +129,27 @@ class AttemptResult:
 
 @dataclass(frozen=True)
 class _BootRecord:
-    """The machine at the top-of-loop ``rel`` cycles after the trigger,
-    keyed by the power-on seed page it booted from.
+    """The machine at the top-of-loop ``rel`` cycles after the trigger
+    (writable memory, pipeline latches, GPIO pin), keyed by the power-on
+    seed page it booted from.
 
-    ``rel`` is 0 (the trigger cycle) or the ``ext_offset`` of the attempt
-    that captured it, whose run was still live there with one trigger
-    window open and no glitch landed yet: every attempt from the same page
-    with ``ext_offset >= rel`` passes through exactly this state.  Holds
-    no reference to a board: :meth:`ClockGlitcher._simulate` restores it
-    into whatever board the glitcher drives now.
+    The first full run from each page records the trigger cycle
+    (``rel == 0``).  An attempt whose glitch starts ``ext_offset`` cycles
+    after the trigger also records the cycle just before it (a *prefix
+    record*): its run is still live there with one window open and no
+    glitch landed, so every attempt from the same page with
+    ``ext_offset >= rel`` passes through exactly this state and restores
+    the latest record at or before its own ``ext_offset``.  A scan's units
+    run their shapes in increasing ``ext_offset``, and each unit's k-th
+    simulated attempt powers on with the same page, so each unit steps
+    only the cycles since the previous unit's glitch start.  A page keeps
+    its trigger-cycle record and the latest prefix record, no more.
+
+    Records belong to the glitcher, not to the board, so they survive an
+    external ``board.reset()``; firmware that persists new seed-page state
+    (the random-delay defense) just looks up a different record.  A
+    prefix record sits at any cycle, not only at a check point, so records
+    are not check points of the reference runs.
     """
 
     ram: tuple[bytes, ...]  # Board.ram_image(): SRAM and the seed page
@@ -174,21 +159,10 @@ class _BootRecord:
     rel: int
 
 
-@dataclass(frozen=True)
-class _Scratch:
-    """What the reference runs of one image share: the board they step
-    on, the RAM every board of the image powers on with, and the run
-    configuration."""
-
-    board: Board
-    power_on: tuple[bytes, ...]
-    stops: frozenset
-    milestones: frozenset
-    win_address: int
-
-
 class _ImageRuns:
-    """The reference runs of one image, and their :class:`_Scratch`.
+    """The reference runs of one image, the scratch board they are stepped
+    on, the RAM every board of the image powers on with, and the run
+    configuration.
 
     A reference depends on the image, the stop and milestone addresses,
     which stop is ``win``, ``zero_is_invalid`` (together the glitcher's
@@ -201,181 +175,220 @@ class _ImageRuns:
     """
 
     def __init__(self, glitcher: ClockGlitcher):
-        board = Board(glitcher.firmware, zero_is_invalid=glitcher.board.zero_is_invalid)
-        self.scratch = _Scratch(
-            board, board.ram_image(), glitcher._stops, glitcher._milestones,
-            glitcher.win_address,
-        )
+        self.board = Board(glitcher.firmware, zero_is_invalid=glitcher.board.zero_is_invalid)
+        self.power_on = self.board.ram_image()
+        self.stops = glitcher._stops
+        self.milestones = glitcher._milestones
+        self.win_address = glitcher.win_address
         #: power-on seed page -> its run
-        self.runs: dict[bytes, _Reference] = {}
+        self.runs: dict[bytes, _Run] = {}
+        #: one copy of each seed page a run ends with
+        self.pages: dict[bytes, bytes] = {}
 
-    def reference(self, page: bytes, start: _BootRecord) -> _Reference:
+    def reference(self, page: bytes, start: _BootRecord) -> _Run:
         """The run from ``page``; ``start`` is its trigger-cycle record."""
         run = self.runs.get(page)
         if run is None:
             if len(self.runs) >= _REFERENCE_LIMIT:
                 self.runs.clear()
-            run = self.runs[page] = _Reference(self.scratch, start)
+                self.pages.clear()
+            run = self.runs[page] = _Run(
+                _changes(self.board._ram_regions, self.power_on, start.ram),
+                (start.pipe_state, start.gpio_state, 0),
+            )
         return run
 
+    def memory(self, journal: list, length: int) -> tuple:
+        """Load the scratch board's RAM as it was after the first ``length``
+        writes of a reference's ``journal``; returns its writable regions."""
+        board = self.board
+        board.load_ram_image(self.power_on)
+        for region, offset, _, data in islice(journal, length):
+            if type(region) is MemoryRegion:
+                region.data[offset:offset + len(data)] = data
+        return board._ram_regions
 
-class _Reference:
-    """The unglitched run from one power-on seed page, from its trigger on.
+    def load(self, state: PipelineState, gpio: int, journal: list, length: int):
+        """Put the scratch board at ``state`` with :meth:`memory`; returns
+        its pipeline."""
+        self.memory(journal, length)
+        board = self.board
+        board.pipeline.restore_state(state)
+        board._gpio_state = gpio
+        _configure(board, self.stops, self.milestones)
+        return board.pipeline
 
-    Starts from the page's trigger-cycle :class:`_BootRecord` and is
-    stepped on its image's scratch board, lazily, only as far as the
-    latest cycle asked of it.  Memory is kept as a journal of writes
-    over the image's power-on RAM (first the blocks where the start
-    record differs, then every write since), never as a whole RAM image.
-    At every top-of-loop with a flushed pipeline (the settled-loop exit's
-    check points) the run keeps its :func:`_machine_state` and journal
-    length.  When a check-point state comes back with memory unchanged
-    and no MMIO access in between, the run repeats that stretch forever
-    (the settled-loop exit's argument): it is stepped no further, and a
-    later cycle is answered from its place in the loop.  The run's end at
-    a deadline is stepped again from the latest check point before it,
-    once per deadline.
+
+class _Run:
+    """The check points of one run on one board, and the writes between them.
+
+    A check point is a top-of-loop where the execute stage and both
+    latches are empty (:meth:`ClockGlitcher._skip_settled_periods` says
+    why these points see every loop).  At each the record keeps the run's
+    :func:`_machine_state`, trigger count, journal length and MMIO read
+    count, and the retired counts a settled-loop skip moves on; never a
+    whole RAM image.  The journal is the board's ``Memory.write_log``
+    from the first check point on: ``(region, offset, bytes before,
+    bytes written)`` per write, MMIO ones included, so up to a check
+    point's length it is memory there, over memory where it began.
+    :meth:`check` is the one loop test.
+
+    An attempt keeps one from its first check point once no glitch can
+    land.  A *reference*, the unglitched run from one power-on seed page
+    from its trigger on, is one with a ``frontier``: its journal begins
+    over its image's power-on RAM with the blocks where the page's
+    trigger-cycle :class:`_BootRecord` differs, and it is stepped on the
+    image's scratch board only as far as the latest cycle asked of it,
+    never past its loop (:meth:`extend`).  The reference methods take
+    that :class:`_ImageRuns`; a run holds no reference to it, so
+    dropping an image frees its runs at once.
     """
 
-    def __init__(self, scratch: _Scratch, start: _BootRecord):
-        self.scratch = scratch
-        #: (region index, offset, bytes written)
-        self.journal = [
-            change
-            for index, (base, data) in enumerate(zip(scratch.power_on, start.ram))
-            for change in _changes(index, base, data)
-        ]
+    def __init__(self, journal: Optional[list] = None, frontier: Optional[tuple] = None):
+        #: (region, offset, bytes before, bytes written) per write
+        self.journal: list[tuple] = [] if journal is None else journal
         #: check-point cycle -> (state, trigger count, journal length, MMIO
-        #: accesses so far), in cycle order
+        #: reads, retired and executed instructions), in cycle order
         self.checks: dict[int, tuple] = {}
-        #: (state, trigger count) -> the first check-point cycle with it
-        self._first: dict = {}
-        #: cycles whose step raised the trigger pin
+        #: (state, trigger count) -> its latest check-point cycle
+        self._latest: dict = {}
+        #: (first cycle, period) once the run repeats for good
+        self.loop: Optional[tuple[int, int]] = None
+        #: the run's MMIO reads are ``mmio + board.mmio_reads``
+        self.mmio = 0
+        #: cycles whose step raised the trigger pin (references only)
         self.triggers: list[int] = []
         #: (cycle of the last step, end) once the run stopped, halted or faulted
         self.end: Optional[tuple[int, tuple]] = None
         #: deadline -> the run's end there
         self.ends: dict[int, tuple] = {}
-        #: (first cycle, period) once the run repeats for good
-        self.loop: Optional[tuple[int, int]] = None
-        #: where stepping resumes: (pipeline state, GPIO pin, MMIO accesses)
-        self._frontier = (start.pipe_state, start.gpio_state, 0)
-        #: one copy of each state and seed page (loop states repeat)
-        self._interned: dict = {}
+        #: where a reference's stepping resumes: (pipeline state, GPIO pin,
+        #: MMIO reads)
+        self._frontier = frontier
 
-    def extend(self, until: int) -> int:
-        """Step the run to the top of cycle ``until`` or to its end;
-        returns the cycles stepped."""
-        state, gpio, accesses = self._frontier
+    def check(self, board: Board, triggers: int) -> Optional[int]:
+        """Take a check point of ``board``, which runs this run with
+        ``triggers`` seen; returns the earlier check-point cycle the run
+        repeats from for good, else ``None``.
+
+        The loop test: the latest earlier check point with the same state
+        and trigger count is repeated when no MMIO access came in between
+        (a GPIO write can open a window, a DWT read sees the cycle
+        counter) and every byte written since holds its value there
+        again.  Then nothing read the cycle counter, no trigger can fire
+        and the run from here replays the run from there, forever.
+        """
+        memory = board.cpu.memory
+        if memory.write_log is not self.journal:
+            memory.write_log = self.journal  # only writes from here on matter
+        pipeline = board.pipeline
+        cycle = pipeline.cycles
+        state = _machine_state(board)
+        key = (state, triggers)
+        seen = self._latest.get(key)
+        self._latest[key] = cycle
+        length, mmio = len(self.journal), self.mmio + board.mmio_reads
+        if seen is not None:
+            # one copy of a repeated state
+            state, _, before, reads, _, _ = self.checks[seen]
+        self.checks[cycle] = (
+            state, triggers, length, mmio, pipeline.retired, pipeline.cpu.instruction_count,
+        )
+        if seen is None or reads != mmio or not self._unchanged(before):
+            return None
+        self.loop = (seen, cycle - seen)
+        return seen
+
+    def _unchanged(self, length: int) -> bool:
+        """Whether the writes since journal position ``length`` left memory
+        as it was there, with no MMIO write among them."""
+        there: dict = {}
+        now: dict = {}
+        for region, offset, before, after in self.journal[length:]:
+            if type(region) is not MemoryRegion:
+                return False  # MMIO: the write had a side effect
+            key = id(region)
+            for at, value in enumerate(before, offset):
+                there.setdefault((key, at), value)
+            for at, value in enumerate(after, offset):
+                now[key, at] = value
+        return there == now
+
+    def extend(self, image: _ImageRuns, until: int) -> int:
+        """Step the reference to the top of cycle ``until``, its loop or
+        its end; returns the cycles stepped."""
+        state, gpio, reads = self._frontier
         if self.end is not None or self.loop is not None or state.cycles >= until:
             return 0
-        board = self.scratch.board
-        journal = self.journal
-        pipeline = self._load(state, gpio, len(journal))
+        board = image.board
+        pipeline = image.load(state, gpio, self.journal, len(self.journal))
         cpu = board.cpu
-        memory = cpu.memory
-        log = memory.write_log = []
-        datas = [region.data for region in board._ram_regions]
-        index = {id(region): i for i, region in enumerate(board._ram_regions)}
+        cpu.memory.write_log = self.journal
+        self.mmio = reads - board.mmio_reads
         triggers = self.triggers
         board.trigger_callback = lambda value: triggers.append(pipeline.cycles)
-        intern = self._interned.setdefault
-        first = self._first.setdefault
+        checks = self.checks
         start = pipeline.cycles
-        # the run's MMIO accesses are ``mmio + board.mmio_reads``
-        mmio = accesses - board.mmio_reads
         faulted = False
         try:
             while pipeline.stopped_at is None and not cpu.halted:
                 cycle = pipeline.cycles
                 if (
                     pipeline.fetch_latch is None and pipeline.decode_latch is None
-                    and pipeline.execute_slot is None
+                    and pipeline.execute_slot is None and cycle not in checks
+                    and self.check(board, 1 + len(triggers)) is not None
                 ):
-                    state = _machine_state(board)
-                    key = (intern(state, state), 1 + len(triggers))
-                    check = self.checks[cycle] = key + (len(journal), mmio + board.mmio_reads)
-                    seen = first(key, cycle)
-                    if seen < cycle:
-                        _, _, length, before = self.checks[seen]
-                        if before == check[3] and datas == _patched(
-                            self.scratch.power_on, journal, length
-                        ):
-                            # no MMIO access and the same memory: the run
-                            # repeats its steps from ``seen`` forever
-                            self.loop = (seen, cycle - seen)
-                            return cycle - start
+                    return cycle - start
                 if cycle >= until:
                     self._frontier = (
-                        pipeline.snapshot_state(), board._gpio_state, mmio + board.mmio_reads
+                        pipeline.snapshot_state(), board._gpio_state, self.mmio + board.mmio_reads
                     )
                     return cycle - start
                 pipeline.step_cycle()
-                if log:
-                    for region, offset, before in log:
-                        if type(region) is MemoryRegion:
-                            i = index[id(region)]
-                            journal.append((i, offset, bytes(datas[i][offset:offset + len(before)])))
-                        else:
-                            mmio += 1
-                    log.clear()
         except EmulationFault:
             faulted = True
         finally:
-            memory.write_log = None
+            cpu.memory.write_log = None
             board.trigger_callback = None
         # a stop or a fault ends the step at its cycle, a halt the step
         # that took the count past it
         halted = pipeline.stopped_at is None and not faulted
         last = pipeline.cycles - 1 if halted else pipeline.cycles
-        self.end = (last, self._end_state(_ending(pipeline, self.scratch.win_address, faulted)))
+        self.end = (last, self._end_state(image, faulted))
         return pipeline.cycles - start
 
-    def matches(self, board: Board, triggers: int) -> bool:
-        """Whether ``board``, at a check point with ``triggers`` seen, is in
-        this run's state at the same cycle, memory included (the run must
-        have been stepped that far).  Memory is rebuilt and compared only
-        when :func:`_machine_state` is already equal."""
-        check = self.checks.get(self._period_cycle(board.pipeline.cycles))
-        if check is None or check[1] != triggers or check[0] != _machine_state(board):
-            return False
-        images = _patched(self.scratch.power_on, self.journal, check[2])
-        return all(region.data == image for region, image in zip(board._ram_regions, images))
+    def end_at(self, image: _ImageRuns, deadline: int) -> tuple[tuple, int]:
+        """The reference's end (see :func:`_end`) for an attempt whose
+        loop stops at ``deadline``, and the cycles stepped to find it.
 
-    def triggers_before(self, cycle: int, deadline: int) -> bool:
-        """Whether a step in ``[cycle, deadline)`` raises the trigger pin."""
-        index = bisect_left(self.triggers, cycle)
-        return index < len(self.triggers) and self.triggers[index] < deadline
-
-    def end_at(self, deadline: int) -> tuple[tuple, int]:
-        """The run's end for an attempt whose loop stops at ``deadline``
-        (the run must have been stepped that far) and the cycles stepped
-        to find it: ``(category, stop symbol, cycles, registers, seed
-        page, milestone count)``."""
+        The reference must have been stepped that far.  The end is its own
+        when it stopped, halted or faulted before the deadline; else the
+        machine at the deadline, stepped again from the latest check point
+        before it, once per deadline."""
         if self.end is not None and self.end[0] < deadline:
             return self.end[1], 0
         end = self.ends.get(deadline)
         if end is not None:
             return end, 0
-        at = self._period_cycle(deadline)
+        at = self.period_cycle(deadline)
         cycles = list(self.checks)
         cycle = cycles[bisect_right(cycles, at) - 1]
-        state, _, length, _ = self.checks[cycle]
+        state, _, length, _, _, _ = self.checks[cycle]
         regs, flags, halted, fetch_address, last_retired, bus, gpio, milestones = state
-        pipeline = self._load(PipelineState(
+        pipeline = image.load(PipelineState(
             cpu=CPUSnapshot(regs, flags, halted, 0), cycles=cycle,
             fetch_address=fetch_address, fetch_latch=None, decode_latch=None, slot=None,
             retired=0, stopped_at=None, milestones=(), last_bus_address=bus,
             last_retired_raw=last_retired,
-        ), gpio, length)
+        ), gpio, self.journal, length)
         # no trigger, stop, halt or fault before the deadline
         while pipeline.cycles < at:
             pipeline.step_cycle()
-        end = self._end_state(("no_effect", None), milestones)
+        end = self._end_state(image, False, milestones)
         end = self.ends[deadline] = end[:2] + (deadline,) + end[3:]
         return end, at - cycle
 
-    def _period_cycle(self, cycle: int) -> int:
+    def period_cycle(self, cycle: int) -> int:
         """The stepped cycle whose machine state ``cycle``'s is: ``cycle``
         itself, or its place in the loop the run repeats."""
         if self.loop is None or cycle < self.loop[0]:
@@ -383,31 +396,16 @@ class _Reference:
         first, period = self.loop
         return first + (cycle - first) % period
 
-    def _load(self, state: PipelineState, gpio: int, length: int):
-        """Put the scratch board at ``state`` with the first ``length``
-        journal writes applied; returns its pipeline."""
-        scratch = self.scratch
-        board = scratch.board
-        _restore(board, _patched(scratch.power_on, self.journal, length), state, gpio)
-        _configure(board, scratch.stops, scratch.milestones)
-        return board.pipeline
-
-    def _end_state(self, ending: tuple, milestones: int = 0) -> tuple:
-        board = self.scratch.board
-        page = bytes(board._seed_region.data)
-        return ending + (board.pipeline.cycles, tuple(board.cpu.regs),
-                         self._interned.setdefault(page, page),
-                         milestones + len(board.pipeline.milestones))
+    def _end_state(self, image: _ImageRuns, faulted: bool, milestones: int = 0) -> tuple:
+        end = _end(image.board, image.win_address, faulted, milestones)
+        return end[:4] + (image.pages.setdefault(end[4], end[4]),) + end[5:]
 
 
 class ClockGlitcher:
     """Arms and fires clock glitches against one firmware image.
 
-    ``replay=True`` (the default) enables boot records: a simulated
-    attempt whose power-on seed page was booted before restores the
-    latest recorded state at or before its first glitched cycle instead
-    of re-simulating boot from reset.  It also enables the rejoin exit.
-    Outcomes are bit-identical either way.
+    ``replay=True`` (the default) enables boot records and the rejoin
+    exit.  Outcomes are bit-identical either way.
     """
 
     def __init__(
@@ -545,9 +543,11 @@ class ClockGlitcher:
             limit = windows[0] + glitch_end + 4 * SETTLE_CYCLES + 1
         return min(max_cycles, limit), windows[-1] + glitch_end
 
-    def _skip_settled_periods(self, history: dict, deadline: int) -> int:
-        """Settled-loop exit: jump whole periods of a loop that can no
-        longer change; returns the cycles skipped (0 when none).
+    def _skip_settled_periods(self, run: _Run, triggers: int, deadline: int) -> int:
+        """Settled-loop exit: take a check point of the attempt's own
+        :class:`_Run` and, when that finds the run looping, jump whole
+        periods of the loop towards the deadline; returns the cycles
+        skipped (0 when none).
 
         Called once no glitch can land, at every top-of-loop where the
         execute stage and both latches are empty: just after a taken
@@ -562,44 +562,22 @@ class ClockGlitcher:
         front end stalled for good, a BL prefix whose suffix cannot be
         fetched, just steps to the deadline.)
 
-        ``history`` maps each machine state seen at a check point to the
-        counters and the memory write-log position there.  The state
-        covers the registers, flags and halt bit, the fetch address, the
-        last retired instruction, the bus-residue hint and the GPIO pin,
-        plus the counts of MMIO reads and of milestones, so a repeat
-        implies neither happened in between (the latches are empty at
-        every check point).  The repeat counts only if memory is also
-        unchanged: no write in between hit MMIO (a GPIO write can open a
-        window), and every byte written holds its earlier value again.
-        Then nothing read the cycle counter, no trigger can fire and the
-        run from the repeated state replays the run from its first
-        sighting, so every later period is identical: skipping whole
-        periods up to the deadline leaves the final state, cycle count
-        and outcome exactly those of the full settle.
+        A repeat :meth:`_Run.check` finds replays the run from the
+        earlier check point, so every later period is identical: skipping
+        whole periods up to the deadline leaves the final state, cycle
+        count and outcome exactly those of the full settle.
         """
-        board = self.board
-        pipeline = board.pipeline
-        cpu = pipeline.cpu
-        log = cpu.memory.write_log
-        if log is None:
-            log = cpu.memory.write_log = []
         self.counters["hw.settle_checks"] += 1
-        state = (_machine_state(board), board.mmio_reads)
-        seen = history.get(state)
-        if seen is None or not _memory_unchanged(log, seen[3]):
-            if len(history) >= _HISTORY_LIMIT:
-                # a long non-repeating run: bound the memory
-                history.clear()
-                log.clear()
-            history[state] = (pipeline.cycles, pipeline.retired, cpu.instruction_count, len(log))
+        seen = run.check(self.board, triggers)
+        if seen is None:
             return 0
-        cycles, retired, instructions, _ = seen
-        period = pipeline.cycles - cycles
+        pipeline = self.board.pipeline
+        cpu = pipeline.cpu
+        period = pipeline.cycles - seen
         periods = (deadline - pipeline.cycles) // period
         if periods == 0:
             return 0
-        history.clear()
-        log.clear()
+        retired, instructions = run.checks[seen][4:]
         pipeline.cycles += periods * period
         pipeline.retired += periods * (pipeline.retired - retired)
         cpu.instruction_count += periods * (cpu.instruction_count - instructions)
@@ -619,7 +597,9 @@ class ClockGlitcher:
             # Restore the run this power-on seed page leads to.  A
             # replayed attempt is still a power cycle as far as the
             # firmware and the tallies are concerned.
-            _restore(board, record.ram, record.pipe_state, record.gpio_state)
+            board.load_ram_image(record.ram)
+            board.pipeline.restore_state(record.pipe_state)
+            board._gpio_state = record.gpio_state
             board.boot_count += 1
             self.counters["hw.baseline_replays"] += 1
             self.counters["hw.restored_cycles"] += record.rel
@@ -700,7 +680,7 @@ class ClockGlitcher:
         # the settled-loop and rejoin exits assume nothing outside the
         # board observes individual cycles
         watch = cpu.svc_handler is None
-        history: dict = {}
+        run: Optional[_Run] = None
         skipped = 0
         faulted = False
         end: Optional[tuple] = None
@@ -728,7 +708,11 @@ class ClockGlitcher:
                         end = self._rejoin(len(windows), deadline)
                         if end is not None:
                             break
-                    jumped = self._skip_settled_periods(history, deadline)
+                    if run is None or len(run.checks) >= _CHECK_LIMIT:
+                        # a fresh record also bounds the memory of a long
+                        # run without a repeat
+                        run = _Run()
+                    jumped = self._skip_settled_periods(run, len(windows), deadline)
                     if jumped:
                         skipped += jumped
                         counters["hw.settled_exits"] += 1
@@ -739,7 +723,7 @@ class ClockGlitcher:
         except EmulationFault:
             faulted = True
         finally:
-            cpu.memory.write_log = None  # only the settled-loop exit reads it
+            cpu.memory.write_log = None  # only the run record reads it
             # both hooks close over this glitcher: left installed, they
             # would tie it and its board into a reference cycle
             board.trigger_callback = None
@@ -748,18 +732,15 @@ class ClockGlitcher:
         if windows:
             counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped
         if end is None:
-            category, stop_symbol = _ending(pipeline, self.win_address, faulted)
-            cycles, registers, milestones = (
-                pipeline.cycles, tuple(cpu.regs), len(pipeline.milestones)
-            )
+            end = _end(board, self.win_address, faulted)
         else:
-            # The reference's end, from the rejoin cycle on.  Only the seed
-            # page is brought there; the rest of the board stays at the
-            # rejoin cycle (the next run restores or resets it).
-            category, stop_symbol, cycles, registers, page, milestones = end
-            board._seed_region.data[:] = page
             counters["hw.rejoins"] += 1
-            counters["hw.rejoined_cycles"] += cycles - pipeline.cycles
+            counters["hw.rejoined_cycles"] += end[2] - pipeline.cycles
+        category, stop_symbol, cycles, registers, page, milestones = end
+        # A rejoined attempt takes the reference's end: only the seed page
+        # is brought there, the rest of the board stays at the rejoin
+        # cycle (the next run restores or resets it).
+        board._seed_region.data[:] = page
         board.persist_nonvolatile()
         if self.expected_triggers > 1 and category in ("no_effect", "reset"):
             # "Partial" = the first glitch broke out of loop 1 (observable:
@@ -778,53 +759,54 @@ class ClockGlitcher:
             stop_symbol=stop_symbol,
         )
 
-    def _reference(self) -> _Reference:
-        """The unglitched run from the board's power-on seed page, from the
-        process-wide memo; the page's trigger-cycle record starts it."""
+    def _rejoin(self, triggers: int, deadline: int) -> Optional[tuple]:
+        """Rejoin exit: the end of the attempt, taken from its reference
+        (the unglitched run from the board's power-on seed page), when the
+        board is back on that run for good; else ``None``.
+
+        Called at the first :data:`_REJOIN_LOOKS` check points after each
+        of the attempt's glitch windows, with its trigger count and
+        deadline.  It is exact when both hold:
+
+        - at the same absolute cycle the whole machine state is the
+          reference's: :func:`_machine_state`, the trigger count, and SRAM
+          plus the live seed page byte for byte;
+        - the reference raises no trigger between that cycle and the
+          attempt's deadline (a trigger would open a window the attempt
+          glitches in).
+
+        The run from there is then the reference's, so the attempt's
+        category, stop symbol, cycles, registers and persisted seed page
+        are the reference's at the deadline, or at an earlier stop, halt
+        or fault; it keeps its own effects.  Which attempts rejoin depends
+        only on the attempt, never on how far earlier attempts stepped the
+        reference, so serial and parallel scans agree.
+        """
         image = _REFERENCES.get(self._reference_key)
         if image is None:
             _REFERENCES.clear()
             image = _REFERENCES[self._reference_key] = _ImageRuns(self)
-        page = bytes(self.board._seed_page)
-        return image.reference(page, self._records[page][0])
-
-    def _rejoin(self, triggers: int, deadline: int) -> Optional[tuple]:
-        """Rejoin exit: the end of the attempt, taken from the unglitched
-        run from the board's power-on seed page, when the board is back on
-        that run for good; else ``None``.
-
-        Called at the first :data:`_REJOIN_LOOKS` check points of the
-        settled-loop exit (a flushed pipeline once no glitch can land)
-        after each of the attempt's glitch windows, with its trigger count
-        and deadline.  The board's whole state must equal the reference's
-        at the same cycle, and the reference must raise no trigger before
-        the deadline: from there the attempt runs exactly as the reference
-        does.  The reference is stepped to the check point's cycle, and on
-        to the deadline only when the state matches.  Which attempts
-        rejoin depends only on the attempt, never on how far earlier
-        attempts stepped the reference, so serial and parallel scans agree.
-        """
         board = self.board
+        page = bytes(board._seed_page)
+        reference = image.reference(page, self._records[page][0])
         cycle = board.pipeline.cycles
-        reference = self._reference()
         counters = self.counters
-        counters["hw.reference_cycles"] += reference.extend(cycle)
-        if not reference.matches(board, triggers):
+        counters["hw.reference_cycles"] += reference.extend(image, cycle)
+        check = reference.checks.get(reference.period_cycle(cycle))
+        if check is None or check[1] != triggers or check[0] != _machine_state(board):
             return None
-        counters["hw.reference_cycles"] += reference.extend(deadline)
-        if reference.triggers_before(cycle, deadline):
+        # memory is rebuilt and compared only when the state tuple matches
+        regions = image.memory(reference.journal, check[2])
+        if any(a.data != b.data for a, b in zip(board._ram_regions, regions)):
             return None
-        end, stepped = reference.end_at(deadline)
+        # stepped on to the deadline only when the whole state matches
+        counters["hw.reference_cycles"] += reference.extend(image, deadline)
+        index = bisect_left(reference.triggers, cycle)
+        if index < len(reference.triggers) and reference.triggers[index] < deadline:
+            return None
+        end, stepped = reference.end_at(image, deadline)
         counters["hw.reference_cycles"] += stepped
         return end
-
-
-def _restore(board: Board, ram: tuple, state: PipelineState, gpio: int) -> None:
-    """Put ``board`` in a recorded machine state: writable memory, pipeline
-    and GPIO pin."""
-    board.load_ram_image(ram)
-    board.pipeline.restore_state(state)
-    board._gpio_state = gpio
 
 
 def _configure(board: Board, stops: frozenset, milestones: frozenset) -> None:
@@ -838,26 +820,32 @@ def _configure(board: Board, stops: frozenset, milestones: frozenset) -> None:
     board.trigger_callback = None
 
 
-def _ending(pipeline, win_address: int, faulted: bool) -> tuple[str, Optional[str]]:
-    """``(category, stop symbol)`` of a run that ended on ``pipeline``: a
-    fault, a stop at ``win`` or at the detection symbol, a halt, or else
-    the deadline."""
+def _end(board: Board, win_address: int, faulted: bool, milestones: int = 0) -> tuple:
+    """The end of a run on ``board``: ``(category, stop symbol, cycles,
+    registers, live seed page, milestone count)``, with ``milestones``
+    counted before the board's pipeline was loaded.  A fault, a stop at
+    ``win`` or at the detection symbol, a halt, or else the deadline
+    ended it."""
+    pipeline = board.pipeline
     if faulted:
-        return "reset", None
-    if pipeline.stopped_at is not None:
-        if pipeline.stopped_at == win_address:
-            return "success", "win"
-        return "detected", "detected"
-    if pipeline.cpu.halted:
-        return "no_effect", "halted"
-    return "no_effect", None
+        ending = ("reset", None)
+    elif pipeline.stopped_at == win_address:
+        ending = ("success", "win")
+    elif pipeline.stopped_at is not None:
+        ending = ("detected", "detected")
+    else:
+        ending = ("no_effect", "halted" if pipeline.cpu.halted else None)
+    return ending + (
+        pipeline.cycles, tuple(board.cpu.regs), bytes(board._seed_region.data),
+        milestones + len(pipeline.milestones),
+    )
 
 
 def _machine_state(board: Board) -> tuple:
     """The machine at a check point (empty latches) besides memory and the
     cycle count: registers, flags, halt bit, fetch address, last retired
-    instruction, bus hint, GPIO pin and milestone count.  Both exits
-    compare it; ``Board.mmio_reads`` and ``boot_count`` only count."""
+    instruction, bus-residue hint, GPIO pin and milestone count.  Both
+    exits compare it; ``Board.mmio_reads`` and ``boot_count`` only count."""
     pipeline = board.pipeline
     cpu = board.cpu
     return (
@@ -867,34 +855,15 @@ def _machine_state(board: Board) -> tuple:
     )
 
 
-def _changes(index: int, base: bytes, data: bytes, block: int = 256) -> list[tuple]:
-    """The ``(index, offset, bytes)`` blocks where ``data`` differs from ``base``."""
+def _changes(regions: tuple, bases: tuple, images: tuple, block: int = 256) -> list[tuple]:
+    """The blocks where ``images`` differ from ``bases``, as journal writes
+    to ``regions``: ``(region, offset, bytes in base, bytes in image)``."""
     return [
-        (index, offset, data[offset:offset + block])
+        (region, offset, base[offset:offset + block], data[offset:offset + block])
+        for region, base, data in zip(regions, bases, images)
         for offset in range(0, len(data), block)
         if data[offset:offset + block] != base[offset:offset + block]
     ]
-
-
-def _patched(ram: tuple[bytes, ...], journal: list, length: int) -> list[bytearray]:
-    """``ram`` with the first ``length`` ``(region index, offset, bytes)``
-    writes of ``journal`` applied."""
-    images = [bytearray(data) for data in ram]
-    for index, offset, data in islice(journal, length):
-        images[index][offset:offset + len(data)] = data
-    return images
-
-
-def _memory_unchanged(log: list, position: int) -> bool:
-    """Whether the writes in ``log[position:]`` left memory as it was."""
-    earlier: dict = {}  # (id(data), offset) -> (data, byte at ``position``)
-    for region, offset, before in reversed(log[position:]):
-        if type(region) is not MemoryRegion:
-            return False  # MMIO: the write had a side effect
-        data = region.data
-        for index, value in enumerate(before, offset):
-            earlier[id(data), index] = (data, value)
-    return all(data[index] == value for (_, index), (data, value) in earlier.items())
 
 
 __all__ = ["ClockGlitcher", "AttemptResult", "BOOT_BUDGET", "SETTLE_CYCLES"]

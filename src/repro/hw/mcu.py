@@ -79,7 +79,7 @@ class Board:
         self.cpu: CPU = None  # type: ignore[assignment]
         self.pipeline: PipelinedCPU = None  # type: ignore[assignment]
         self._gpio_state = 0
-        #: MMIO reads served so far; the glitcher's settled-loop exit sees
+        #: MMIO reads served so far; the glitcher's run records see
         #: writes, MMIO ones included, through ``Memory.write_log``
         self.mmio_reads = 0
         self.reset()

@@ -225,7 +225,8 @@ class TestExperimentQuarantineReport:
         captured = capsys.readouterr()
         assert "total 8/175" in captured.out
         assert "3 work unit(s) quarantined" in captured.err
-        assert "ext_offset=0" in captured.err and "board wedged" in captured.err
+        # units are named by their key, ``<ext_offset>x<repeat>``
+        assert "unit 0x1: RuntimeError('board wedged')" in captured.err
 
     def test_fig2_names_the_quarantined_sweep(self, monkeypatch, capsys):
         import repro.glitchsim.campaign as campaign_mod
@@ -249,7 +250,7 @@ class TestExperimentQuarantineReport:
             assert mnemonic.upper() not in captured.out
         assert "BEQ" in captured.out and "BLS" in captured.out
         assert "2 work unit(s) quarantined" in captured.err
-        assert captured.err.count(f"mnemonics={world!r}") == 2
+        assert captured.err.count(f"unit {'+'.join(world)}: ") == 2
         assert "emulator crashed" in captured.err
 
     def test_attack_exits_quarantined(self, monkeypatch, capsys, guard_c):

@@ -304,7 +304,7 @@ def _glitcher_pair(image, replay: bool, **kwargs):
     before the settled exit looks (``tests/test_hw_rejoin.py`` checks it)."""
     fast = ClockGlitcher(image, replay=replay, **kwargs)
     full = ClockGlitcher(image, replay=replay, **kwargs)
-    full._skip_settled_periods = lambda history, deadline: 0
+    full._skip_settled_periods = lambda run, triggers, deadline: 0
     for glitcher in (fast, full):
         glitcher._rejoin = lambda triggers, deadline: None
     return fast, full

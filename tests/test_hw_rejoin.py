@@ -13,8 +13,9 @@ stepping there.  Checked here:
   only seems to repeat;
 - the ``hw.rejoins`` / ``hw.rejoined_cycles`` / ``hw.reference_cycles``
   counters, that reference runs are not attempt starts, that a looping
-  reference stops at its repeat and that references last one image, and
-  the seed page a rejoined attempt leaves on the board.
+  reference stops at its repeat, that references last one image and are
+  freed by refcount when dropped, and the seed page a rejoined attempt
+  leaves on the board.
 """
 
 import hashlib
@@ -269,6 +270,32 @@ class TestRejoinCounters:
             stepped.append(glitcher.counters["hw.reference_cycles"])
         # the first build's runs were dropped: the third scan steps them again
         assert stepped[0] == stepped[2] > 0
+
+    def test_dropped_references_are_freed_at_once(self, monkeypatch):
+        """Reference runs hold no reference back to their image: when a
+        new build replaces the memo, the last build's runs and scratch
+        board go by refcount, with the cycle collector off."""
+        import gc
+        import weakref
+
+        monkeypatch.setattr(glitcher_module, "_REFERENCES", {})
+        attempts = [GlitchParams(0, width, offset) for width, offset in GRID]
+        glitcher = ClockGlitcher(_defended_image("while_not_a", "none"))
+        for params in attempts:
+            glitcher.run_attempt(params, force_simulation=True)
+        (image,) = glitcher_module._REFERENCES.values()
+        assert image.runs
+        dropped = [weakref.ref(obj) for obj in (image, image.board, *image.runs.values())]
+        del image
+        gc.disable()
+        try:
+            glitcher = ClockGlitcher(_defended_image("if_success", "none"))
+            for params in attempts:
+                glitcher.run_attempt(params, force_simulation=True)
+            assert list(glitcher_module._REFERENCES) == [glitcher._reference_key]
+            assert [ref() for ref in dropped] == [None] * len(dropped)
+        finally:
+            gc.enable()
 
     def test_board_holds_the_persisted_page(self):
         """The unglitched run writes the seed page every round, so a

@@ -288,6 +288,7 @@ class TestQuarantine:
         (failed,) = result.failed_units
         assert failed.spec.site == failing_site
         assert failed.spec.models == DEFAULT_MODELS
+        assert failed.key == failing_site.site_id
         assert "injected site failure" in failed.error
         assert obs.counters["exec.quarantined"] == 1
         assert obs.counters["units.completed"] == len(demo_sites) - 1
@@ -300,6 +301,13 @@ class TestQuarantine:
         ranked = [entry.site.site_id for entry in result.ranking()]
         assert failing_site.site_id not in ranked
         assert len(ranked) == len(demo_sites) - 1
+        # the table counts the ranked sites and says one is missing
+        table = result.render()
+        assert f"({len(demo_sites) - 1} sites, models:" in table
+        assert table.endswith("\n... 1 site(s) quarantined, not ranked")
+        top = result.render(top=2)
+        assert f"... {len(demo_sites) - 3} more site(s) not shown\n" in top
+        assert top.endswith("\n... 1 site(s) quarantined, not ranked")
 
     def test_cli_exits_quarantined(self, failing_site, capsys):
         from repro.cli import EXIT_QUARANTINED
@@ -308,6 +316,12 @@ class TestQuarantine:
         captured = capsys.readouterr()
         assert "1 work unit(s) quarantined" in captured.err
         assert f"{failing_site.address:#010x}" not in captured.out
+        assert "... 1 site(s) quarantined, not ranked" in captured.out
+        # the unit is named by its site id, not by its spec (which holds
+        # the image bytes)
+        (line,) = [line for line in captured.err.splitlines() if line.startswith("  unit ")]
+        assert line.startswith(f"  unit {failing_site.site_id}: ")
+        assert len(line) < 120 and "\\x" not in line and "b'" not in line
 
 
 # ----------------------------------------------------------------------
