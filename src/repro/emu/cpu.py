@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.emu import alu
-from repro.emu.memory import Memory
+from repro.emu.memory import Memory, MemoryRegion
 from repro.errors import (
     AlignmentFault,
     BadFetch,
@@ -274,6 +274,14 @@ class CPU:
     def _load(self, address: int, length: int, align: int) -> int:
         if align > 1 and address % align:
             raise AlignmentFault(f"unaligned {length}-byte load at {address:#010x}", address)
+        # the region the last access hit serves plain loads from its bytes
+        region = self.memory._hot_region
+        if (
+            type(region) is MemoryRegion and region.base <= address
+            and address + length <= region.end and region.readable
+        ):
+            offset = address - region.base
+            return int.from_bytes(region.data[offset:offset + length], "little")
         return int.from_bytes(self.memory.read(address, length), "little")
 
     def _store(self, address: int, value: int, length: int, align: int) -> None:
@@ -286,13 +294,22 @@ class CPU:
 # instruction semantics
 # ----------------------------------------------------------------------
 
-def _exec_shift_imm(cpu: CPU, instr: Instruction, address: int) -> None:
-    value = cpu.read_reg(instr.rs, address)
-    shifter = {"lsls": alu.lsl_carry, "lsrs": alu.lsr_carry, "asrs": alu.asr_carry}[instr.mnemonic]
-    amount = instr.imm
-    if instr.mnemonic in ("lsrs", "asrs") and amount == 0:
-        amount = 32  # encoding quirk: #0 means shift-by-32 for LSR/ASR
-    result, carry = shifter(value, amount, cpu.flags.c)
+_SHIFTERS = {
+    "lsls": alu.lsl_carry, "lsrs": alu.lsr_carry,
+    "asrs": alu.asr_carry, "rors": alu.ror_carry,
+}
+
+
+def _exec_shift(cpu: CPU, instr: Instruction, address: int) -> None:
+    if instr.fmt == 1:  # by immediate
+        value = cpu.read_reg(instr.rs, address)
+        amount = instr.imm
+        if amount == 0 and instr.mnemonic != "lsls":
+            amount = 32  # encoding quirk: #0 means shift-by-32 for LSR/ASR
+    else:  # by register
+        value = cpu.read_reg(instr.rd, address)
+        amount = cpu.read_reg(instr.rs, address) & 0xFF
+    result, carry = _SHIFTERS[instr.mnemonic](value, amount, cpu.flags.c)
     cpu.write_reg(instr.rd, result)
     cpu._set_nzc(result, carry)
 
@@ -351,17 +368,6 @@ def _exec_tst(cpu: CPU, instr: Instruction, address: int) -> None:
     cpu._set_nz(cpu.read_reg(instr.rd, address) & cpu.read_reg(instr.rs, address))
 
 
-def _exec_shift_reg(cpu: CPU, instr: Instruction, address: int) -> None:
-    shifter = {
-        "lsls": alu.lsl_carry, "lsrs": alu.lsr_carry,
-        "asrs": alu.asr_carry, "rors": alu.ror_carry,
-    }[instr.mnemonic]
-    amount = cpu.read_reg(instr.rs, address) & 0xFF
-    result, carry = shifter(cpu.read_reg(instr.rd, address), amount, cpu.flags.c)
-    cpu.write_reg(instr.rd, result)
-    cpu._set_nzc(result, carry)
-
-
 def _exec_adc_sbc(cpu: CPU, instr: Instruction, address: int) -> None:
     lhs = cpu.read_reg(instr.rd, address)
     rhs = cpu.read_reg(instr.rs, address)
@@ -417,15 +423,18 @@ def _exec_bx(cpu: CPU, instr: Instruction, address: int) -> None:
 
 
 def _exec_load_store(cpu: CPU, instr: Instruction, address: int) -> None:
-    m = instr.mnemonic
-    if instr.base == PC:
-        base = (address + 4) & ~3
-    else:
-        base = cpu.read_reg(instr.base, address)
-    offset = cpu.read_reg(instr.ro, address) if instr.ro is not None else (instr.imm or 0)
+    # rd and ro are low registers and the base a low register, SP or the
+    # word-aligned PC, so registers are read and ``ldr`` written directly
+    regs = cpu.regs
+    base = instr.base
+    base = (address + 4) & ~3 if base == PC else regs[base]
+    offset = regs[instr.ro] if instr.ro is not None else (instr.imm or 0)
     target = (base + offset) & WORD_MASK
+    m = instr.mnemonic
     if m == "ldr":
-        cpu.write_reg(instr.rd, cpu._load(target, 4, 4))
+        regs[instr.rd] = cpu._load(target, 4, 4)
+    elif m == "str":
+        cpu._store(target, regs[instr.rd], 4, 4)
     elif m == "ldrb":
         cpu.write_reg(instr.rd, cpu._load(target, 1, 1))
     elif m == "ldrh":
@@ -436,12 +445,10 @@ def _exec_load_store(cpu: CPU, instr: Instruction, address: int) -> None:
     elif m == "ldrsh":
         value = cpu._load(target, 2, 2)
         cpu.write_reg(instr.rd, value - 0x10000 if value & 0x8000 else value)
-    elif m == "str":
-        cpu._store(target, cpu.read_reg(instr.rd, address), 4, 4)
     elif m == "strb":
-        cpu._store(target, cpu.read_reg(instr.rd, address), 1, 1)
+        cpu._store(target, regs[instr.rd], 1, 1)
     elif m == "strh":
-        cpu._store(target, cpu.read_reg(instr.rd, address), 2, 2)
+        cpu._store(target, regs[instr.rd], 2, 2)
     else:  # pragma: no cover
         raise AssertionError(m)
 
@@ -571,37 +578,17 @@ def _exec_rev(cpu: CPU, instr: Instruction, address: int) -> None:
     cpu.write_reg(instr.rd, result & WORD_MASK)
 
 
-def _dispatch_addsub(cpu: CPU, instr: Instruction, address: int) -> None:
-    _exec_add_sub(cpu, instr, address)
-
-
 _DISPATCH: dict[str, Callable[[CPU, Instruction, int], None]] = {}
 
 
 def _register_semantics() -> None:
     table = _DISPATCH
-    for m in ("lsls", "lsrs", "asrs"):
-        pass  # populated contextually below
-
-    def shift_dispatch(mnemonic: str) -> Callable[[CPU, Instruction, int], None]:
-        def run(cpu: CPU, instr: Instruction, address: int) -> None:
-            if instr.fmt == 1:
-                _exec_shift_imm(cpu, instr, address)
-            else:
-                _exec_shift_reg(cpu, instr, address)
-        return run
-
-    for m in ("lsls", "lsrs", "asrs"):
-        table[m] = shift_dispatch(m)
-    table["rors"] = _exec_shift_reg
-
-    def cmp_dispatch(cpu: CPU, instr: Instruction, address: int) -> None:
-        _exec_cmp(cpu, instr, address)
-
-    table["adds"] = _dispatch_addsub
-    table["subs"] = _dispatch_addsub
+    for m in _SHIFTERS:
+        table[m] = _exec_shift
+    table["adds"] = _exec_add_sub
+    table["subs"] = _exec_add_sub
     table["movs"] = _exec_movs_imm
-    table["cmp"] = cmp_dispatch
+    table["cmp"] = _exec_cmp
     table["cmn"] = _exec_cmn
     table["ands"] = _exec_logic
     table["eors"] = _exec_logic

@@ -329,11 +329,13 @@ def run_branch_campaign(
 ) -> CampaignResult:
     """Run the Figure 2 campaign for all (or selected) conditional branches.
 
-    The selected branches are grouped by :meth:`WordHarness.world_digest`
-    into one work unit per replay world (5 for all 14 branches); a unit
-    sweeps every member branch on one shared harness. This is the
-    one-model case of the campaigns :func:`repro.experiments.run_figure2`
-    runs with several models per unit. ``execution`` (an
+    The selected branches are grouped by replay world (equal
+    :meth:`WordHarness.world_digest`, read off each snippet's image with
+    its target slot zeroed) into one work unit per world (5 for all 14
+    branches); a unit sweeps every member branch on one shared harness.
+    This is the one-model case of the campaigns
+    :func:`repro.experiments.run_figure2` runs with several models per
+    unit. ``execution`` (an
     :class:`~repro.exec.ExecOptions`) fans the units out over processes
     (each unit owns its world's cache shard, so workers never contend on
     a file). Sweeps are re-emitted in condition order, so one worker and
@@ -375,6 +377,19 @@ def _select_snippets(conditions: list[str] | None) -> list[BranchSnippet]:
     return [s for s in snippets if s.mnemonic in wanted.values()]
 
 
+def _world_key(snippet: BranchSnippet) -> tuple:
+    """What a snippet's replay world depends on besides the decode mode:
+    its image with the target slot zeroed, its base and the slot's
+    address.  Snippets that agree here have equal
+    :meth:`WordHarness.world_digest` values, and the 14 branch snippets
+    that differ here differ there too."""
+    program = snippet.program
+    code = bytearray(program.code)
+    offset = snippet.target_address - program.base
+    code[offset:offset + 2] = b"\0\0"
+    return bytes(code), program.base, snippet.target_address
+
+
 def _run_campaigns(
     models: tuple[str, ...],
     zero_is_invalid: bool,
@@ -389,14 +404,17 @@ def _run_campaigns(
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
-    # group by replay world; the serial path sweeps on each world's first harness
-    worlds: dict[str, tuple[SnippetHarness, list[BranchSnippet]]] = {}
+    # one unit per replay world; the serial path sweeps on one harness per
+    # world, which builds its world on first use
+    worlds: dict[tuple, list[BranchSnippet]] = {}
     for snippet in snippets:
-        harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
-        worlds.setdefault(harness.world_digest(), (harness, []))[1].append(snippet)
+        worlds.setdefault(_world_key(snippet), []).append(snippet)
     units = {
-        tuple(snippet.mnemonic for snippet in members): (shared, members)
-        for shared, members in worlds.values()
+        tuple(snippet.mnemonic for snippet in members): (
+            SnippetHarness(members[0], zero_is_invalid=zero_is_invalid, disk_cache=cache),
+            members,
+        )
+        for members in worlds.values()
     }
     specs = [
         _WorldSpec(mnemonics, models, zero_is_invalid, ks, cache_root)

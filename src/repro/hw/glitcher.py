@@ -39,8 +39,19 @@ one loop test.
   attempt found there ends with the reference's end.
 
 Either exit leaves the attempt's result exactly that of stepping every
-cycle.  ``replay=False`` turns off boot records and the rejoin exit; the
-differential tests compare against it.
+cycle.
+
+Between glitch windows nothing watches individual cycles, so the boot up
+to the trigger, the prefix up to the glitch and the tail after it run
+whole instructions at a time
+(:meth:`~repro.hw.pipeline.PipelinedCPU.step_instructions`), returning at
+every cycle the loop acts at: a window edge, a record to take, a trigger,
+each check point of the tail, the deadline.  Only glitch windows and the
+states the stepper does not model step cycle by cycle.
+
+``replay=False`` turns off boot records, the rejoin exit and
+whole-instruction stepping, so it steps every cycle; the differential
+tests compare against it.
 """
 
 from __future__ import annotations
@@ -80,15 +91,18 @@ SETTLE_CYCLES = 400
 #: and ``hw.rejoined_cycles`` the cycles from there to their end, which
 #: ``hw.cycles`` leaves out as it leaves out settled-loop skips;
 #: ``hw.reference_cycles`` counts the cycles stepped on reference runs,
-#: each up to the check point where its own loop test fires.
-#: The boot split, ``hw.restored_cycles`` and ``hw.reference_cycles``
-#: depend on which records a glitcher holds and which references the
-#: process has stepped, so serial and parallel scans differ there; the
-#: others do not.
+#: each up to the check point where its own loop test fires, and
+#: ``hw.cycle_steps`` the cycles an attempt advanced through
+#: :meth:`~repro.hw.pipeline.PipelinedCPU.step_cycle` rather than whole
+#: instructions (boot included).
+#: The boot split, ``hw.restored_cycles``, ``hw.reference_cycles`` and
+#: ``hw.cycle_steps`` depend on which records a glitcher holds and which
+#: references the process has stepped, so serial and parallel scans
+#: differ there; the others do not.
 HW_COUNTERS = (
     "hw.fastpath", "hw.simulated", "hw.settled_exits", "hw.settle_checks",
     "hw.cycles", "hw.full_boots", "hw.baseline_replays", "hw.restored_cycles",
-    "hw.rejoins", "hw.rejoined_cycles", "hw.reference_cycles",
+    "hw.rejoins", "hw.rejoined_cycles", "hw.reference_cycles", "hw.cycle_steps",
 ) + tuple(f"hw.effects.{kind}" for kind in EFFECT_KINDS)
 
 #: check points an attempt's run record keeps; a longer run without a
@@ -344,7 +358,8 @@ class _Run:
                         pipeline.snapshot_state(), board._gpio_state, self.mmio + board.mmio_reads
                     )
                     return cycle - start
-                pipeline.step_cycle()
+                if not pipeline.step_instructions(until, True):
+                    pipeline.step_cycle()
         except EmulationFault:
             faulted = True
         finally:
@@ -383,7 +398,8 @@ class _Run:
         ), gpio, self.journal, length)
         # no trigger, stop, halt or fault before the deadline
         while pipeline.cycles < at:
-            pipeline.step_cycle()
+            if not pipeline.step_instructions(at):
+                pipeline.step_cycle()
         end = self._end_state(image, False, milestones)
         end = self.ends[deadline] = end[:2] + (deadline,) + end[3:]
         return end, at - cycle
@@ -404,8 +420,9 @@ class _Run:
 class ClockGlitcher:
     """Arms and fires clock glitches against one firmware image.
 
-    ``replay=True`` (the default) enables boot records and the rejoin
-    exit.  Outcomes are bit-identical either way.
+    ``replay=True`` (the default) enables boot records, the rejoin exit
+    and whole-instruction stepping.  Outcomes are bit-identical either
+    way.
     """
 
     def __init__(
@@ -677,11 +694,14 @@ class ClockGlitcher:
 
         cpu = board.cpu
         step = pipeline.step_cycle
+        # unglitched stretches run whole instructions at a time
+        advance = pipeline.step_instructions if self.replay else None
         # the settled-loop and rejoin exits assume nothing outside the
         # board observes individual cycles
         watch = cpu.svc_handler is None
         run: Optional[_Run] = None
         skipped = 0
+        steps = 0
         faulted = False
         end: Optional[tuple] = None
         try:
@@ -717,8 +737,21 @@ class ClockGlitcher:
                         skipped += jumped
                         counters["hw.settled_exits"] += 1
                         continue
-                if pipeline.cycles >= rearm_at:
-                    rearm_at = arm(pipeline.cycles)
+                cycle = pipeline.cycles
+                if cycle >= rearm_at:
+                    rearm_at = arm(cycle)
+                if advance is not None and pipeline.glitch_resolver is None:
+                    # up to the next cycle the loop acts at: a window edge,
+                    # a record to take, the first check point or the deadline
+                    limit = min(deadline, rearm_at)
+                    if pending and windows:
+                        limit = min(limit, windows[0] + pending[0])
+                    quiet = watch and cycle >= quiet_from
+                    if watch and not quiet:
+                        limit = min(limit, quiet_from)
+                    if advance(limit, quiet):
+                        continue
+                steps += 1
                 step()
         except EmulationFault:
             faulted = True
@@ -729,6 +762,7 @@ class ClockGlitcher:
             board.trigger_callback = None
             pipeline.glitch_resolver = None
 
+        counters["hw.cycle_steps"] += steps
         if windows:
             counters["hw.cycles"] += pipeline.cycles - windows[0] - skipped
         if end is None:

@@ -43,6 +43,11 @@ DWT_CYCCNT_OFFSET = 0x4
 
 TRIGGER_ADDRESS = GPIO_BASE + GPIO_ODR_OFFSET
 
+#: (image code, zero_is_invalid) -> the pipeline's per-address decode
+#: entries, shared by every board of the image; cleared when full
+_DECODED: dict = {}
+_DECODED_LIMIT = 16
+
 
 def _weak(method: Callable) -> Callable:
     """``method`` of a board, holding the board only weakly.
@@ -79,6 +84,11 @@ class Board:
         self.cpu: CPU = None  # type: ignore[assignment]
         self.pipeline: PipelinedCPU = None  # type: ignore[assignment]
         self._gpio_state = 0
+        key = (firmware.code, zero_is_invalid)
+        if key not in _DECODED and len(_DECODED) >= _DECODED_LIMIT:
+            _DECODED.clear()
+        #: the pipeline's per-address decode entries (flash never changes)
+        self._decoded: dict = _DECODED.setdefault(key, {})
         #: MMIO reads served so far; the glitcher's run records see
         #: writes, MMIO ones included, through ``Memory.write_log``
         self.mmio_reads = 0
@@ -122,6 +132,7 @@ class Board:
         self.cpu.pc = self._entry_point()
         self.cpu.sp = SRAM_BASE + SRAM_SIZE
         self.pipeline = PipelinedCPU(self.cpu)
+        self.pipeline.decoded = self._decoded
         self._seed_region = memory.region_at(SEED_PAGE_BASE)
         # SRAM and the seed page: everything firmware can change
         self._ram_regions = tuple(
@@ -170,8 +181,11 @@ class Board:
             rising = value & ~self._gpio_state
             self._gpio_state = value
             self.cpu.last_bus_address = TRIGGER_ADDRESS  # bus residue for the fault model
-            if rising and self.trigger_callback is not None:
-                self.trigger_callback(value)
+            if rising:
+                # the edge ends a whole-instruction stretch after this store
+                self.pipeline.yield_requested = True
+                if self.trigger_callback is not None:
+                    self.trigger_callback(value)
 
     def _dwt_read(self, offset: int, length: int) -> int:
         self.mmio_reads += 1

@@ -18,6 +18,15 @@ The mapping from clock cycle to in-flight instructions is exactly what
 Table I's "Cycle → Instruction" column reports, and what bounds a glitch's
 attribution in the paper's post-mortem analysis.
 
+Cycle accuracy matters only where a glitch can land.  Where nothing
+watches the cycles (no glitch resolver, no trace hook),
+:meth:`PipelinedCPU.step_instructions` runs whole instructions with the
+same timing in closed form — issue cost, a 2-cycle refill after a taken
+branch (3 to a BL), a 1-cycle wait for a BL's suffix after a 1-cycle
+instruction — and leaves the pipeline exactly where
+:meth:`PipelinedCPU.step_cycle` would at the cycle it returns at; states
+it does not model go back to :meth:`~PipelinedCPU.step_cycle`.
+
 :meth:`PipelinedCPU.snapshot_state` / :meth:`PipelinedCPU.restore_state`
 capture and rewind the pipeline mid-run (latches, execute slot, counters,
 plus the architectural CPU state).  Paired with the board's writable
@@ -33,12 +42,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from repro.emu.cpu import CPU, CPUSnapshot
+from repro.emu.cpu import _DISPATCH, CPU, CPUSnapshot
 from repro.emu.memory import MemoryRegion
-from repro.errors import BadFetch, HardFault, InvalidInstruction
+from repro.errors import BadFetch, EmulationFault, HardFault, InvalidInstruction
 from repro.hw.faults import FaultEffect, PipelineView
 from repro.isa.decoder import decode
 from repro.isa.instruction import Instruction
+from repro.isa.registers import PC
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -47,6 +57,11 @@ _SLOT_EFFECTS = frozenset({
     "load_data", "store_data", "writeback", "branch_decision",
     "cmp_transient", "skip", "replay",
 })
+
+#: bytes at the end of the code region :meth:`PipelinedCPU.step_instructions`
+#: leaves to :meth:`PipelinedCPU.step_cycle`: issuing at an address reads
+#: flash up to two instructions ahead
+_STEP_MARGIN = 10
 
 #: resolver(cycle, view) -> FaultEffect | None
 GlitchResolver = Callable[[int, PipelineView], Optional[FaultEffect]]
@@ -109,7 +124,8 @@ class PipelineState:
 
 
 class PipelinedCPU:
-    """Drives an architectural :class:`~repro.emu.cpu.CPU` cycle by cycle."""
+    """Drives an architectural :class:`~repro.emu.cpu.CPU` cycle by cycle,
+    or whole instructions at a time where no cycle is watched."""
 
     def __init__(self, cpu: CPU, glitch_resolver: Optional[GlitchResolver] = None):
         self.cpu = cpu
@@ -131,6 +147,10 @@ class PipelinedCPU:
         #: called as trace_hook(cycle, address, raw) when an instruction
         #: occupies the execute stage (each cycle it occupies it)
         self.trace_hook: Optional[Callable[[int, int, tuple[int, ...]], None]] = None
+        #: set by a device from inside an instruction whose effect the
+        #: caller must see before the next one issues (the board's trigger
+        #: edge); :meth:`step_instructions` returns after that instruction
+        self.yield_requested = False
         # The first executable region's bytes (a live reference), fetched
         # from directly; any other fetch goes through Memory.try_fetch_u16.
         code = next((region for region in cpu.memory.regions
@@ -139,6 +159,15 @@ class PipelinedCPU:
         self._code_base = 0 if code is None else code.base
         #: code offsets at or past this one are not a whole halfword
         self._code_limit = len(self._code) - 1
+        #: the last code offset :meth:`step_instructions` issues from: the
+        #: front end two instructions on must still read whole halfwords.
+        #: Writable code could change under its entries, so it runs none.
+        self._stepped_limit = (
+            -1 if code is None or code.writable else len(self._code) - _STEP_MARGIN
+        )
+        #: code address -> :func:`_step_entry` for :meth:`step_instructions`;
+        #: every board of an image shares one (its flash never changes)
+        self.decoded: dict[int, Optional[tuple]] = {}
 
     # ------------------------------------------------------------------
 
@@ -146,10 +175,12 @@ class PipelinedCPU:
         """Advance until a stop address issues, the core halts, or the budget ends.
 
         Returns ``"stop_addr"``, ``"halted"``, or ``"limit"``. Faults
-        (including glitch-induced resets) propagate as exceptions.
+        (including glitch-induced resets) propagate as exceptions.  Runs
+        whole instructions where :meth:`step_instructions` can, else cycles.
         """
         while self.cycles < max_cycles:
-            self.step_cycle()
+            if not self.step_instructions(max_cycles):
+                self.step_cycle()
             if self.stopped_at is not None:
                 return "stop_addr"
             if self.cpu.halted:
@@ -265,6 +296,176 @@ class PipelinedCPU:
                         self._flush(cpu.pc)
                 self.execute_slot = None
         self.cycles += 1
+
+    def step_instructions(self, limit: int, check_points: bool = False) -> bool:
+        """Advance by whole unglitched instructions towards the top of cycle
+        ``limit``, in closed form; returns whether the pipeline moved.
+
+        The twin of repeated :meth:`step_cycle` calls for stretches that no
+        glitch resolver or trace hook watches.  An instruction issues, and
+        completes :func:`_issue_cost` cycles later.  The next one issues in
+        the cycle after, one cycle later when it is a BL that follows a
+        1-cycle instruction (its suffix is still in fetch), and after a
+        taken branch at the refilled pipeline's first issue: 2 cycles after
+        the flush, 3 for a BL.  Each instruction runs through the same
+        handler as in :meth:`step_cycle`, with :attr:`cycles` at its
+        completion cycle, so DWT reads and trigger callbacks see the same
+        count.
+
+        It returns at the first of: the top of ``limit``, or of the issue
+        cycle of an instruction that would complete at or past it; a stop
+        address issuing, at its issue cycle; the cycle after an instruction
+        that halted the core or set :attr:`yield_requested`; and, with
+        ``check_points``, the flushed top after a taken branch.  A fault
+        propagates from its completion cycle.  Latches, execute slot,
+        counters, milestones and ``stopped_at`` are then exactly as
+        :meth:`step_cycle` would leave them.  It does not move from a state
+        it does not model (``False``): a busy execute slot, latches holding
+        other than flash's halfwords at their addresses, code within
+        ``_STEP_MARGIN`` bytes of the end of the code region, or an SVC.
+        """
+        cycles = self.cycles
+        if (
+            cycles >= limit or self.execute_slot is not None or self.stopped_at is not None
+            or self.glitch_resolver is not None or self.trace_hook is not None
+            or self.cpu.halted
+        ):
+            return False
+        # the instruction in the front end and the cycles until it issues
+        latch = self.decode_latch
+        fetch = self.fetch_latch
+        if latch is not None:
+            address = latch[0]
+            wait = 1 if len(latch[1]) == 1 and latch[1][0] >> 11 == 0b11110 else 0
+        elif fetch is not None:
+            address, wait = fetch[0], 1
+        else:
+            address, wait = self.fetch_address, 2
+        decoded = self.decoded
+        entry = decoded.get(address) or self._entry(address)
+        if entry is None:
+            return False
+        if latch is None and entry[2] == 4:
+            wait += 1  # a BL target waits for its suffix
+        if (latch, fetch, self.fetch_address) != self._front(address, wait):
+            return False  # corrupted latches
+
+        cpu = self.cpu
+        regs = cpu.regs
+        stops = self.stop_addresses
+        marks = self.milestone_addresses
+        retired = self.retired
+        last_raw = self._last_retired_raw
+        issue = cycles + wait
+        # the cycle after the latest taken branch
+        flushed = -1
+        self.yield_requested = False
+        while True:
+            if issue >= limit:
+                at = limit
+                break
+            if address in stops:
+                if address in marks:
+                    self.milestones.append((issue, address))
+                self.stopped_at = address
+                at = issue
+                break
+            raw, cost, size, instr, handler, ends = entry
+            done = issue + cost
+            if done > limit:
+                at = issue
+                break
+            if address in marks:
+                self.milestones.append((issue, address))
+            self.cycles = done - 1
+            fallthrough = address + size
+            try:
+                if handler is None:
+                    _decode_halfwords(raw, cpu.zero_is_invalid)  # raises
+                regs[PC] = fallthrough
+                handler(cpu, instr, address)
+            except EmulationFault:
+                # as step_cycle leaves a fault: the slot in its last cycle
+                # and the front end refilled behind it
+                self.retired = retired
+                self._last_retired_raw = last_raw
+                self.execute_slot = _Slot(address, raw, 0, [])
+                self.decode_latch, self.fetch_latch, self.fetch_address = self._front(
+                    fallthrough, cost == 1 and self._bl_at(fallthrough)
+                )
+                raise
+            retired += 1
+            last_raw = raw
+            address = regs[PC]
+            entry = decoded.get(address) or self._entry(address)
+            if address != fallthrough:
+                flushed = done
+                if check_points or entry is None:
+                    at = done
+                    break
+                issue = done + 2 + (entry[2] == 4)
+            elif entry is None:
+                at = done
+                issue = done + (cost == 1 and self._bl_at(address))
+                break
+            else:
+                issue = done + (cost == 1 and entry[2] == 4)
+            if ends and (cpu.halted or self.yield_requested):
+                at = done
+                break
+
+        self.cycles = at
+        self.retired = retired
+        self._last_retired_raw = last_raw
+        if at == flushed:
+            self.decode_latch = self.fetch_latch = None
+            self.fetch_address = address
+        else:
+            latch, self.fetch_latch, self.fetch_address = self._front(address, issue - at)
+            self.decode_latch = None if self.stopped_at is not None else latch
+        return at != cycles or self.stopped_at is not None
+
+    def _entry(self, address: int) -> Optional[tuple]:
+        """The :attr:`decoded` entry of the instruction at ``address``, or
+        ``None`` when :meth:`step_instructions` does not issue it."""
+        offset = address - self._code_base
+        if address & 1 or not 0 <= offset <= self._stepped_limit:
+            return None
+        code = self._code
+        halfword = code[offset] | code[offset + 1] << 8
+        raw = (halfword,)
+        if halfword >> 11 == 0b11110:
+            raw = (halfword, code[offset + 2] | code[offset + 3] << 8)
+        entry = self.decoded[address] = _step_entry(raw, self.cpu.zero_is_invalid)
+        return entry
+
+    def _bl_at(self, address: int) -> bool:
+        return self._code[address - self._code_base + 1] >> 3 == 0b11110
+
+    def _front(self, address: int, wait: int) -> tuple:
+        """``(decode latch, fetch latch, fetch address)`` at the top of the
+        cycle ``wait`` cycles before the instruction at code ``address``
+        issues, with the front end on flash: 0 is its issue cycle, 1 a BL's
+        wait for its suffix or the cycle before, and 2 (a BL's 3) the top
+        right after a flush."""
+        code = self._code
+        offset = address - self._code_base
+        halfword = code[offset] | code[offset + 1] << 8
+        if halfword >> 11 == 0b11110:
+            if not wait:
+                return (
+                    (address, (halfword, code[offset + 2] | code[offset + 3] << 8)),
+                    (address + 4, code[offset + 4] | code[offset + 5] << 8), address + 6,
+                )
+            wait -= 1
+        if not wait:
+            return (
+                (address, (halfword,)), (address + 2, code[offset + 2] | code[offset + 3] << 8),
+                address + 4,
+            )
+        if wait == 1:
+            return None, (address, halfword), address + 2
+        return None, None, address
 
     def _apply_latch_effect(self, effect: FaultEffect) -> None:
         if effect.kind == "fetch" and self.fetch_latch is not None:
@@ -479,6 +680,24 @@ def _decode_halfwords(raw: tuple[int, ...], zero_is_invalid: bool) -> Instructio
     if len(raw) == 2:
         return decode(raw[0], raw[1], zero_is_invalid=zero_is_invalid)
     return decode(raw[0], zero_is_invalid=zero_is_invalid)
+
+
+@lru_cache(maxsize=None)
+def _step_entry(raw: tuple[int, ...], zero_is_invalid: bool) -> Optional[tuple]:
+    """``(raw, issue cost, size, instruction, handler, ends)`` for
+    :meth:`PipelinedCPU.step_instructions`, where ``ends`` marks what may
+    end a stretch (a halt, or a store that raises the trigger), or
+    ``None`` for an SVC, whose handler may do anything."""
+    try:
+        instr = _decode_halfwords(raw, zero_is_invalid)
+    except InvalidInstruction:
+        # faults at its completion; the handler re-raises it
+        return raw, _issue_cost(raw), 2 * len(raw), None, None, False
+    handler = _DISPATCH.get(instr.mnemonic)
+    if handler is None or instr.mnemonic == "svc":
+        return None
+    ends = instr.is_store or instr.mnemonic in ("bkpt", "wfi", "wfe")
+    return raw, _issue_cost(raw), 2 * len(raw), instr, handler, ends
 
 
 @lru_cache(maxsize=None)

@@ -315,6 +315,11 @@ def _decode_tally(payload: dict) -> _Tally:
             Counter({int(value): count for value, count in payload["values"].items()}))
 
 
+#: a scan unit's key, from its shape element; the checkpoint meta records
+#: it, so checkpoints keyed another way start a fresh file
+_UNIT_KEY = "ext_offset={},repeat={}"
+
+
 def _sweep(
     kind: str, label: str, glitcher: ClockGlitcher, shapes: list[tuple[int, int]],
     stride: int, execution: ExecOptions, obs: Optional[Observer], meta: dict,
@@ -342,8 +347,9 @@ def _sweep(
             prefix=f"scan-{kind}-{label}",
             meta={"campaign": f"scan-{kind}", **meta, "shapes": shapes,
                   "stride": stride, "detect": detect,
-                  "fault_model": model_meta(glitcher.fault_model)},
-            key_of=lambda spec: f"{spec.ext_offset}x{spec.repeat}",
+                  "fault_model": model_meta(glitcher.fault_model),
+                  "unit_key": _UNIT_KEY},
+            key_of=lambda spec: _UNIT_KEY.format(spec.ext_offset, spec.repeat),
             encode=_encode_tally,
             decode=_decode_tally,
             serial_fn=lambda spec: _defense_shape_unit(spec, glitcher),

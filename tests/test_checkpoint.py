@@ -274,6 +274,19 @@ class TestScanResume:
         assert repr(scan(execution=ExecOptions(workers=2))) == repr(scan())
 
 
+def test_scan_checkpoints_key_units_by_named_shape_fields(tmp_path):
+    run_single_glitch_scan("a", cycles=range(2), stride=24,
+                           execution=ExecOptions(checkpoint_dir=tmp_path))
+    (path,) = tmp_path.glob("*.jsonl")
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    # the key format is part of the fingerprint: files keyed another way
+    # are never resumed
+    assert header["meta"]["unit_key"] == "ext_offset={},repeat={}"
+    assert [record["key"] for record in records] == [
+        "ext_offset=0,repeat=1", "ext_offset=1,repeat=1",
+    ]
+
+
 class TestCalibrationsNeverShareACheckpoint:
     """``em`` and its ``em-probe-4mm`` calibration differ only in
     calibration fields: neither may resume the other's records."""

@@ -225,8 +225,8 @@ class TestExperimentQuarantineReport:
         captured = capsys.readouterr()
         assert "total 8/175" in captured.out
         assert "3 work unit(s) quarantined" in captured.err
-        # units are named by their key, ``<ext_offset>x<repeat>``
-        assert "unit 0x1: RuntimeError('board wedged')" in captured.err
+        # units are named by their key, ``ext_offset=<n>,repeat=<n>``
+        assert "unit ext_offset=0,repeat=1: RuntimeError('board wedged')" in captured.err
 
     def test_fig2_names_the_quarantined_sweep(self, monkeypatch, capsys):
         import repro.glitchsim.campaign as campaign_mod

@@ -16,7 +16,8 @@ Each fast path is checked against the slow computation it replaces:
   ``AttemptResult`` and on the persisted seed page, with its state
   lookups made once per loop period (after the taken branch);
 - seed-keyed boot records, shared by a scan's units, against
-  ``replay=False`` glitchers booting every attempt from reset, prefix
+  ``replay=False`` glitchers booting every attempt from reset and
+  stepping every cycle, prefix
   records at the glitch start included, and their stepping counters
   against fresh ``replay=True`` glitchers that boot the attempt and take
   the same rejoin exit;
@@ -826,6 +827,33 @@ class TestHwCounters:
             assert counters[0]["hw.settled_exits"] > 0
             assert counters[0]["hw.settle_checks"] >= counters[0]["hw.settled_exits"]
             assert sum(counters[0][name] for name in EFFECT_NAMES) > 0
+
+    def test_cycle_steps_count_the_attempts_step_cycle_calls(self, monkeypatch):
+        # replay=False steps every cycle it runs and has no references, so
+        # the counter is every step_cycle call; replay=True steps whole
+        # instructions between glitch windows, and its references step
+        # cycles the counter leaves out
+        calls = 0
+        step_cycle = pipeline_module.PipelinedCPU.step_cycle
+
+        def counting(pipeline):
+            nonlocal calls
+            calls += 1
+            step_cycle(pipeline)
+
+        monkeypatch.setattr(pipeline_module.PipelinedCPU, "step_cycle", counting)
+        image = build_guard_firmware("not_a", "single")
+        points = [GlitchParams(0, width, offset) for width, offset in ((-5, 10), (12, -30), (40, 3))]
+        steps = {}
+        for replay in (False, True):
+            glitcher = ClockGlitcher(image, replay=replay)
+            calls = 0
+            results = [glitcher.run_attempt(params, force_simulation=True) for params in points]
+            steps[replay] = glitcher.counters["hw.cycle_steps"], calls, results
+        assert steps[False][0] == steps[False][1] > 0
+        assert steps[True][0] <= steps[True][1]
+        assert steps[True][0] * 5 < steps[False][0]
+        assert steps[True][2] == steps[False][2]
 
     def test_effect_counters_count_every_realized_effect(self, monkeypatch):
         results = []

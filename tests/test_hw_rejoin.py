@@ -8,7 +8,8 @@ stepping there.  Checked here:
 - every simulated Table VI attempt at stride 12, in grid order, against
   a digest pinned before the exit existed;
 - random attempts on a random-delay build and on a two-trigger guard
-  against ``replay=False`` glitchers, which step every cycle, and
+  against ``replay=False`` glitchers, which step every cycle (and so
+  also check whole-instruction stepping), and
   programs whose unglitched run stops, halts, faults, re-triggers or
   only seems to repeat;
 - the ``hw.rejoins`` / ``hw.rejoined_cycles`` / ``hw.reference_cycles``

@@ -46,6 +46,15 @@ class TestWorldDigest:
     def test_fig2_snippets_form_five_worlds(self, zero_is_invalid):
         assert list(_group(zero_is_invalid).values()) == WORLDS
 
+    def test_campaign_world_key_groups_as_the_digest(self):
+        # campaigns group snippets without building a harness per snippet
+        from repro.glitchsim.campaign import _world_key
+
+        groups = {}
+        for snippet in all_branch_snippets():
+            groups.setdefault(_world_key(snippet), []).append(snippet.mnemonic)
+        assert list(groups.values()) == WORLDS
+
     def test_decode_modes_are_distinct_worlds(self):
         assert not set(_group(False)) & set(_group(True))
 
