@@ -425,6 +425,8 @@ class WordHarness:
         obs.count("vector.lanes", int(pending.size))
         obs.count("vector.lane_steps", batch.lane_steps)
         obs.count("vector.early_exits", batch.early_exits)
+        if batch.planned:
+            obs.count("vector.planned_batches", 1)
 
     def _execute_replay(self, world: _SnapshotWorld, corrupted_word: int) -> Outcome:
         # First-step pre-classification: the replayed machine fetches the

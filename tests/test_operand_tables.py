@@ -110,3 +110,27 @@ class TestWorkers:
         with snapshot_engine():
             baseline = run_branch_campaign("xor", k_values=SMALL_KS, conditions=["eq", "ne"])
         assert result == baseline
+
+
+class TestStepZeroPlan:
+    def test_plan_is_built_once_per_table(self, fresh_tables):
+        obs = Observer()
+        with activate(obs):
+            table = operand_table(False)
+            plan = table.step_zero_plan()
+            assert table.step_zero_plan() is plan
+        assert obs.counters["vector.step_zero_plans"] == 1
+
+    def test_rebuilt_table_gets_its_own_plan(self, fresh_tables):
+        old = operand_table(False)
+        old_plan = old.step_zero_plan()
+        vector._TABLES.clear()  # as perfbench's set-up does
+        obs = Observer()
+        with activate(obs):
+            new = operand_table(False)
+            assert new is not old
+            assert new.step_zero_plan() is not old_plan
+        assert obs.counters["vector.step_zero_plans"] == 1
+        for group, old_group in zip(new.step_zero_plan().groups, old_plan.groups, strict=True):
+            assert (group.op, group.aux) == (old_group.op, old_group.aux)
+            assert np.array_equal(group.lanes, old_group.lanes)

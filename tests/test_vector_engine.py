@@ -627,3 +627,95 @@ class TestFirstStep:
         regs[15] = outside
         with pytest.raises(ValueError, match="flash halfword"):
             V.VectorEngine(**{**kwargs, "init_regs": regs, "target_address": outside})
+
+
+def _engine_with_suffix(zero_is_invalid: bool, bl_suffix: bool):
+    """The beq world's engine in one decode mode; with ``bl_suffix`` the
+    halfword after the target is made a BL suffix, so a BL prefix at the
+    target completes instead of faulting."""
+    harness = SnippetHarness(branch_snippet("eq"), zero_is_invalid=zero_is_invalid)
+    engine = harness._vector_engine(harness._snapshot_world())
+    if not bl_suffix:
+        return engine
+    flash = bytearray(engine.flash8.astype(np.uint8).tobytes())
+    after = engine.target_address + 2 - engine.flash_base
+    flash[after:after + 2] = (0xF800 | 0x010).to_bytes(2, "little")
+    return V.VectorEngine(
+        flash_base=engine.flash_base,
+        flash_bytes=bytes(flash),
+        target_address=engine.target_address,
+        ram_base=engine.ram_base,
+        ram_bytes=engine.base_ram.tobytes(),
+        init_regs=engine.init_regs,
+        init_flags=engine.init_flags,
+        budget=engine.budget,
+        zero_is_invalid=zero_is_invalid,
+        marker_stops=engine.stops,
+    )
+
+
+class TestStepZeroPlan:
+    """A batch of the whole word space takes step 0 from its operand
+    table's plan; any other batch builds its own with the same routine."""
+
+    @pytest.mark.parametrize("bl_suffix", [False, True], ids=["no-suffix", "bl-suffix"])
+    @pytest.mark.parametrize("zero_is_invalid", [False, True], ids=["base", "hardened"])
+    def test_full_space_batch_equals_partial_batches(self, zero_is_invalid, bl_suffix):
+        engine = _engine_with_suffix(zero_is_invalid, bl_suffix)
+        assert bool(engine.first_suffix) == bl_suffix
+        words = np.arange(1 << 16)
+        full = engine.run(words)
+        assert full.planned
+        # four partial batches, one of them in descending word order
+        chunks = np.split(words, 4)
+        chunks[1] = chunks[1][::-1]
+        parts = [engine.run(chunk) for chunk in chunks]
+        assert not any(part.planned for part in parts)
+        # every word, but not lane i = word i: planned by its own words
+        backwards = engine.run(words[::-1])
+        assert not backwards.planned
+        np.testing.assert_array_equal(full.status[::-1], backwards.status)
+        np.testing.assert_array_equal(full.regs[:, ::-1], backwards.regs)
+        lanes = np.concatenate(chunks)
+        np.testing.assert_array_equal(full.status[lanes], np.concatenate([p.status for p in parts]))
+        np.testing.assert_array_equal(full.stop_pc[lanes],
+                                      np.concatenate([p.stop_pc for p in parts]))
+        np.testing.assert_array_equal(full.regs[:, lanes],
+                                      np.concatenate([p.regs for p in parts], axis=1))
+        assert full.lane_steps == sum(p.lane_steps for p in parts)
+        assert full.early_exits == sum(p.early_exits for p in parts)
+        # every RAM word in a block any lane wrote, as each lane sees it
+        written = {
+            block
+            for run in (full, *parts)
+            for block in np.flatnonzero((run.block_map >= engine.blocks).any(axis=0)).tolist()
+        }
+        assert written  # the push lanes store
+        for block in sorted(written):
+            for off in range(block * V.RAM_BLOCK, (block + 1) * V.RAM_BLOCK, 4):
+                address = engine.ram_base + off
+                np.testing.assert_array_equal(
+                    full.read_ram_u32(address)[lanes],
+                    np.concatenate([p.read_ram_u32(address) for p in parts]),
+                )
+        # with a suffix the BL prefixes at the target run, without one they fault
+        prefixes = np.flatnonzero(engine.table.op == V.OP_BL_PREFIX)
+        assert (full.status[prefixes] == V.ST_INVALID).all() != bl_suffix
+
+    def test_plan_arrays_are_read_only(self):
+        plan = V.operand_table(False).step_zero_plan()
+        arrays = plan.arrays()
+        assert len(arrays) > len(plan.groups)  # the invalid lanes and every group's lanes
+        for array in arrays:
+            assert array.dtype != np.int32  # lane indices stay int64
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_full_space_batch_counts_as_planned(self):
+        obs = Observer()
+        harness = SnippetHarness(branch_snippet("ne"))
+        with activate(obs):
+            harness.run_many(range(1 << 16))
+            SnippetHarness(branch_snippet("eq")).run_many(range(1 << 15))
+        assert obs.counters["vector.batches"] == 2
+        assert obs.counters["vector.planned_batches"] == 1
