@@ -8,10 +8,10 @@ is ``success`` (the guarded branch was suppressed).
 The machinery is the Figure 2 campaign's, re-aimed: one work unit is one
 site under every flip model, run as a Figure 2 world unit
 (:func:`repro.glitchsim.campaign._sweep_world`) on one
-:class:`repro.campaign.harness.SiteHarness` — each model's reachable
-words computed once, their union classified in one batch, and every
-model tallied from that batch
-(:func:`repro.glitchsim.campaign.tally_reachable`) — fanned out by
+:class:`repro.campaign.harness.SiteHarness` — the union of the models'
+reachable words classified in one batch, and every model tallied from
+the harness's one dense code array
+(:func:`repro.glitchsim.campaign.tally_world`) — fanned out by
 :class:`repro.exec.ExecOptions`, cached in per-site
 :class:`repro.exec.OutcomeCache` shards shared across models and re-runs,
 and checkpointed once per image (keyed by site, so an interrupted
@@ -38,7 +38,6 @@ from repro.glitchsim.campaign import (
     _run_sweep_units,
     _sweep_world,
     check_campaign_args,
-    tally_reachable,
 )
 from repro.experiments.render import render_table
 from repro.obs import Observer, activate, coerce_observer, current
@@ -154,13 +153,12 @@ def _sweep_site_models(
     cache: OutcomeCache | None,
 ) -> list[SiteSweep]:
     """One site's sweeps under every model, in ``models`` order, on one
-    harness and from one batch over the union of the models' words."""
+    harness, from one batch and one code array."""
     harness = SiteHarness(image, site, zero_is_invalid=zero_is_invalid, disk_cache=cache)
     return _sweep_world(
         harness, [(site, site.word)], models, k_values,
-        lambda site, model, words: SiteSweep(
-            site=site, model=model, zero_is_invalid=zero_is_invalid,
-            by_k=tally_reachable(harness, site.word, model, k_values, words=words),
+        lambda site, model, by_k: SiteSweep(
+            site=site, model=model, zero_is_invalid=zero_is_invalid, by_k=by_k,
         ),
     )
 

@@ -89,6 +89,14 @@ STATUS_CATEGORIES = {
     ST_FAILED: "failed",
 }
 
+#: category code per status: a stopped lane is ``no_effect`` and a halted
+#: one ``failed`` until :meth:`VectorRun.classify_branch` reads its markers
+_STATUS_CODES = np.zeros(ST_FAILED + 1, dtype=np.uint8)
+_STATUS_CODES[list(STATUS_CATEGORIES)] = [
+    CATEGORY_CODES[category] for category in STATUS_CATEGORIES.values()
+]
+_STATUS_CODES[[ST_HALTED, ST_STOPPED]] = CATEGORY_CODES["failed"], CATEGORY_CODES["no_effect"]
+
 # ----------------------------------------------------------------------
 # operand-table opcodes (one vector handler each)
 # ----------------------------------------------------------------------
@@ -507,32 +515,18 @@ class VectorRun:
         any per-lane Python.
         """
         status = self.status
+        codes = _STATUS_CODES.take(status)
+        # only the stopped and halted lanes depend on more than their status
         stopped = status == ST_STOPPED
-        halted = status == ST_HALTED
         success = stopped & (self.stop_pc == success_address)
-        no_effect = stopped
         if markers is not None:
             (success_register, success_marker), (normal_register, normal_marker) = markers
+            halted = status == ST_HALTED
             success |= (stopped | halted) & (self.regs[success_register] == success_marker)
-            no_effect = stopped | (halted & (self.regs[normal_register] == normal_marker))
-        return np.select(
-            [
-                success,
-                no_effect,
-                status == ST_INVALID,
-                status == ST_BAD_FETCH,
-                status == ST_BAD_READ,
-                halted | (status == ST_LIMIT) | (status == ST_FAILED),
-            ],
-            [
-                CATEGORY_CODES["success"],
-                CATEGORY_CODES["no_effect"],
-                CATEGORY_CODES["invalid_instruction"],
-                CATEGORY_CODES["bad_fetch"],
-                CATEGORY_CODES["bad_read"],
-                CATEGORY_CODES["failed"],
-            ],
-        ).astype(np.uint8)
+            normal = halted & (self.regs[normal_register] == normal_marker)
+            codes[normal] = CATEGORY_CODES["no_effect"]
+        codes[success] = CATEGORY_CODES["success"]
+        return codes
 
 
 # ----------------------------------------------------------------------

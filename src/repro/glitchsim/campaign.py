@@ -17,10 +17,11 @@ Many branch snippets share one: the 14 Figure 2 snippets have 5 distinct
 worlds (``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``;
 ``ls``). A campaign therefore makes one work unit per world, not per
 branch, covering every flip model it runs: the unit builds one harness,
-computes each (member, model)'s reachable words once, classifies their
-union in one batch and tallies every sweep from those words' codes in
-the harness memo, so each corrupted word of a world is emulated once per
-campaign and enumerated once per sweep. Checkpoint records, quarantine and
+classifies the union of its (member, model) sweeps' reachable words in
+one batch and tallies every sweep from the harness's one dense code
+array (a word's group ``j`` is its Hamming distance to the target under
+every model), so each corrupted word of a world is emulated once per
+campaign. Checkpoint records, quarantine and
 outcome-cache shards are per world too; the sweeps are re-emitted in
 condition order. The whole-image campaign
 (:mod:`repro.campaign.image_campaign`) runs each site as such a unit.
@@ -144,39 +145,47 @@ def check_campaign_args(models) -> None:
         raise ValueError(f"repeated flip model(s) {repeated}; name each model once")
 
 
-def tally_reachable(
+def tally_world(
     harness: WordHarness,
-    target_word: int,
-    model: str,
+    sweeps: list[tuple[int, str]],
     k_values: tuple[int, ...] | None,
-    words: np.ndarray | None = None,
-) -> dict[int, Counter]:
-    """Per-``k`` outcome Counters for every mask over ``target_word``.
+) -> list[dict[int, Counter]]:
+    """Per-``k`` outcome Counters for every mask of every ``(target word,
+    model)`` sweep on one replay world, in ``sweeps`` order.
 
-    Classifies only the unique reachable corrupted words
-    (:func:`repro.glitchsim.maskalgebra.reachable_words`, or ``words``
-    when the caller already computed them for the same target, model and
-    ``k_values``) through :meth:`WordHarness.codes_for` — one memo gather
-    when they are all classified, else one batched pass — and derives
-    each mask tally in closed form, bit-identical to enumerating every
-    mask. Emits the ambient counters ``algebra.words_emulated`` (fresh
-    emulations) and ``algebra.masks_derived`` (masks accounted for
-    arithmetically). ``k_values=None`` means the full ``0..16`` range.
+    Classifies the union of the sweeps' unique reachable corrupted words
+    (:func:`repro.glitchsim.maskalgebra.reachable_words`; every word when
+    an unrestricted XOR sweep is among them) in one
+    :meth:`WordHarness.run_many_codes` batch, then derives every sweep's
+    mask tallies in closed form from the harness's one dense code array
+    (:func:`repro.glitchsim.maskalgebra.tally_from_word_codes`),
+    bit-identical to enumerating every mask. Spans ``campaign.classify``
+    and ``campaign.tally`` and emits the counters
+    ``algebra.words_emulated`` (fresh emulations) and
+    ``algebra.masks_derived`` (masks accounted for arithmetically) on the
+    ambient observer. ``k_values=None`` means the full ``0..16`` range.
     """
-    ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
-    if words is None:
-        words = reachable_words(target_word, model, INSTRUCTION_BITS, ks)
-    executed_before = harness.words_executed
-    codes = harness.codes_for(words)
-    by_k = tally_from_word_codes(
-        target_word, model, words, codes, CODE_CATEGORIES, ks, INSTRUCTION_BITS,
-    )
     obs = current()
-    obs.count("algebra.words_emulated", harness.words_executed - executed_before)
-    obs.count(
-        "algebra.masks_derived", sum(sum(counter.values()) for counter in by_k.values())
-    )
-    return by_k
+    with obs.trace("campaign.classify", sweeps=len(sweeps)):
+        if k_values is None and any(model == "xor" for _, model in sweeps):
+            words = np.arange(1 << INSTRUCTION_BITS)  # XOR reaches every word
+        else:
+            union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
+            for word, model in sweeps:
+                union[reachable_words(word, model, INSTRUCTION_BITS, k_values)] = True
+            words = np.flatnonzero(union)
+            del union  # not held through the batch, the memory peak
+        executed_before = harness.words_executed
+        harness.run_many_codes(words)
+        obs.count("algebra.words_emulated", harness.words_executed - executed_before)
+    with obs.trace("campaign.tally", sweeps=len(sweeps)):
+        tallies = tally_from_word_codes(
+            sweeps, harness.codes, CODE_CATEGORIES, k_values, INSTRUCTION_BITS
+        )
+        obs.count("algebra.masks_derived", sum(
+            sum(counter.values()) for by_k in tallies for counter in by_k.values()
+        ))
+    return tallies
 
 
 def sweep_instruction(
@@ -186,31 +195,32 @@ def sweep_instruction(
     k_values: tuple[int, ...] | None = None,
     cache: OutcomeCache | None = None,
     harness: WordHarness | None = None,
-    words: np.ndarray | None = None,
+    by_k: dict[int, Counter] | None = None,
 ) -> InstructionSweep:
     """Sweep every mask of every flip count ``k`` for one instruction.
 
     ``k_values`` restricts the sweep (useful for fast tests); ``None`` means
     the full ``0..16`` range the paper used. ``cache`` adds a persistent
     outcome store shared across models and runs (words the AND sweep already
-    executed are free for XOR). The tallies come from
-    :func:`tally_reachable`.
+    executed are free for XOR). The tallies come from :func:`tally_world`.
 
     ``harness`` classifies on an already-built harness instead of a fresh
     one for ``snippet`` (its own cache then applies): any harness
     whose :meth:`WordHarness.world_digest` equals this snippet's, built
     with the same ``zero_is_invalid``, tallies identically, and words it
-    already emulated are free. ``words`` passes the target's reachable
-    words on to :func:`tally_reachable` when the caller already has them.
+    already emulated are free. ``by_k`` is the sweep's tallies when the
+    caller (a world unit) already derived them.
     """
-    if harness is None:
-        harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
+    if by_k is None:
+        if harness is None:
+            harness = SnippetHarness(snippet, zero_is_invalid=zero_is_invalid, disk_cache=cache)
+        (by_k,) = tally_world(harness, [(snippet.target_word, model)], k_values)
     return InstructionSweep(
         mnemonic=snippet.mnemonic,
         model=model,
         target_word=snippet.target_word,
         zero_is_invalid=zero_is_invalid,
-        by_k=tally_reachable(harness, snippet.target_word, model, k_values, words=words),
+        by_k=by_k,
     )
 
 
@@ -227,33 +237,20 @@ class _WorldSpec:
 
 def _sweep_world(harness: WordHarness, targets: list, models, k_values, sweep) -> list:
     """Sweep every target of one replay world under every model, model by
-    model, from one batch over the union of their words.
+    model, from one batch and one code array (:func:`tally_world`).
 
     ``targets`` pairs each member (a snippet, a site) with its target
-    word. Each (member, model)'s reachable words are computed once, for
-    the union, and ``sweep(member, model, words)`` builds its record from
-    the memo that batch filled (spans ``campaign.classify`` and
-    ``campaign.tally`` on the ambient observer).
+    word; ``sweep(member, model, by_k)`` builds each sweep's record.
     """
-    obs = current()
-    with obs.trace("campaign.classify", members=len(targets)):
-        reachable = [
-            # uint16 keeps the per-sweep arrays small through the batch
-            (member, model,
-             reachable_words(word, model, INSTRUCTION_BITS, k_values).astype(np.uint16))
-            for model in models
-            for member, word in targets
-        ]
-        union = np.zeros(1 << INSTRUCTION_BITS, dtype=bool)
-        for _, _, words in reachable:
-            union[words] = True
-        words = np.flatnonzero(union)
-        del union  # not held through the batch, the memory peak
-        executed_before = harness.words_executed
-        harness.run_many_codes(words)
-        obs.count("algebra.words_emulated", harness.words_executed - executed_before)
-    with obs.trace("campaign.tally", sweeps=len(reachable)):
-        return [sweep(member, model, words) for member, model, words in reachable]
+    sweeps = [(member, word, model) for model in models for member, word in targets]
+    tallies = tally_world(harness, [(word, model) for _, word, model in sweeps], k_values)
+    if harness.disk_cache is not None:
+        # each sweep reads its reachable words back from the memo
+        harness.disk_cache.account(memo_hits=sum(
+            reachable_words(word, model, INSTRUCTION_BITS, k_values).size
+            for _, word, model in sweeps
+        ))
+    return [sweep(member, model, by_k) for (member, _, model), by_k in zip(sweeps, tallies)]
 
 
 def _sweep_snippets(
@@ -263,9 +260,9 @@ def _sweep_snippets(
     return _sweep_world(
         harness, [(snippet, snippet.target_word) for snippet in snippets],
         spec.models, spec.k_values,
-        lambda snippet, model, words: sweep_instruction(
+        lambda snippet, model, by_k: sweep_instruction(
             snippet, model, zero_is_invalid=spec.zero_is_invalid,
-            k_values=spec.k_values, harness=harness, words=words,
+            k_values=spec.k_values, by_k=by_k,
         ),
     )
 
@@ -462,6 +459,6 @@ __all__ = [
     "InstructionSweep",
     "CampaignResult",
     "sweep_instruction",
-    "tally_reachable",
+    "tally_world",
     "run_branch_campaign",
 ]

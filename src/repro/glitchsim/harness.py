@@ -332,21 +332,13 @@ class WordHarness:
                     )
         return unique, codes[unique].copy()
 
-    def codes_for(self, words: np.ndarray) -> np.ndarray:
-        """Category codes of ``words``: unique, sorted 16-bit words, such as
-        a :func:`repro.glitchsim.maskalgebra.reachable_words` array.
-
-        When the memo already holds every word (a campaign unit classified
-        them in one batch) this is one gather from the dense code array,
-        accounted as memo hits; otherwise the words go through
-        :meth:`run_many_codes`.
-        """
-        codes = self._codes[words]
-        if codes.all():
-            if self.disk_cache is not None:
-                self.disk_cache.account(memo_hits=int(codes.size))
-            return codes
-        return self.run_many_codes(words)[1]
+    @property
+    def codes(self) -> np.ndarray:
+        """The dense code memo, read-only: ``codes[word]`` is the category
+        code of every 16-bit word classified so far, 0 for the rest."""
+        view = self._codes.view()
+        view.flags.writeable = False
+        return view
 
     def run_many(self, words) -> dict[int, Outcome]:
         """Classify a batch of corrupted words with bulk cache traffic.

@@ -19,8 +19,11 @@ them on the same inputs:
 - :func:`classify_branch_corruption` — one corrupted word classified in
   a branch snippet on a shared harness;
 - :func:`enumerate_by_k` / :func:`enumerate_class_sweep` — the full mask
-  enumeration that :func:`repro.glitchsim.campaign.tally_reachable` and
+  enumeration that :func:`repro.glitchsim.campaign.tally_world` and
   the instruction-class sweep replace;
+- :func:`per_sweep_tally` — one sweep's closed-form tally from its own
+  reachable words, which :func:`repro.glitchsim.maskalgebra.tally_from_word_codes`
+  replaced with every sweep of a world tallied from one code array;
 - :func:`classify_class_word` — one instruction-class word run from reset
   on the scalar CPU, which the instruction-class sweep replaces with one
   lock-step batch;
@@ -53,6 +56,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -230,6 +234,42 @@ def enumerate_by_k(harness, target_word: int, model: str, k_values=None) -> dict
             corrupted = apply_flip(target_word, mask, INSTRUCTION_BITS, model)
             counter[harness.run(corrupted).category] += 1
         by_k[k] = counter
+    return by_k
+
+
+def per_sweep_tally(target: int, model: str, words, codes, categories, k_values=None) -> dict:
+    """One sweep's per-``k`` Counters from its own reachable ``words`` and
+    their parallel ``codes``, the way campaigns tallied before a world's
+    sweeps shared one dense code array: group the words by ``j`` (the
+    determined bits the model cleared or set, or the Hamming distance
+    under XOR) into ``G[j, code]``, then ``W @ G`` with
+    ``W[i, j] = C(free, k_i - j)``."""
+    ks = k_values if k_values is not None else tuple(range(INSTRUCTION_BITS + 1))
+    width = INSTRUCTION_BITS
+    p = bin(target).count("1")
+    free = {"and": width - p, "or": p, "xor": 0}[model]
+    words = np.asarray(words, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
+    if model == "xor":
+        j = np.bitwise_count(words ^ target)
+    else:
+        if model == "and":
+            valid = (words & ~target & 0xFFFF) == 0
+            j = p - np.bitwise_count(words[valid])
+        else:
+            valid = (words & target) == target
+            j = np.bitwise_count(words[valid]) - p
+        codes = codes[valid]
+    ncat = len(categories)
+    G = np.bincount(j.astype(np.int64) * ncat + codes, minlength=(width + 1) * ncat)
+    G = G.reshape(width + 1, ncat)
+    W = np.array([
+        [comb(free, k - jj) if 0 <= k - jj <= free else 0 for jj in range(width + 1)]
+        for k in ks
+    ], dtype=np.int64).reshape(len(ks), width + 1)
+    by_k = {}
+    for k, row in zip(ks, (W @ G).tolist()):
+        by_k[k] = Counter({categories[code]: count for code, count in enumerate(row) if count})
     return by_k
 
 

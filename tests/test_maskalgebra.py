@@ -95,6 +95,15 @@ class TestAlgebraDifferentialProperty:
             assert total == math.comb(WIDTH, k)
 
 
+def _dense(words, codes):
+    """The dense code array ``tally_from_word_codes`` reads: 0 off ``words``."""
+    import numpy as np
+
+    dense = np.zeros(1 << WIDTH, dtype=np.int64)
+    dense[np.asarray(words, dtype=np.int64)] = codes
+    return dense
+
+
 def _scalar_comb_tally(target, model, words, categories_of, ks):
     """The scalar reference for the ``W @ G`` matmul: one comb() per word.
 
@@ -114,7 +123,7 @@ def _scalar_comb_tally(target, model, words, categories_of, ks):
 
 
 class TestWordCodesMatmulDifferential:
-    """``tally_from_word_codes`` (bincount + W @ G) vs the scalar comb loop."""
+    """``tally_from_word_codes`` (bincount + batched W @ G) vs the scalar comb loop."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -137,7 +146,9 @@ class TestWordCodesMatmulDifferential:
         codes = np.asarray(
             [categories.index(categories_of[w]) for w in words], dtype=np.int64
         )
-        vectorized = tally_from_word_codes(target, model, arr, codes, categories, ks)
+        (vectorized,) = tally_from_word_codes(
+            [(target, model)], _dense(arr, codes), categories, ks
+        )
         assert vectorized == _scalar_comb_tally(target, model, words, categories_of, ks)
 
     @pytest.mark.parametrize("model", MODELS)
@@ -150,7 +161,9 @@ class TestWordCodesMatmulDifferential:
         categories = (None,) + tuple(f"cat{i}" for i in range(40))
         categories_of = {word: categories[1 + word % 40] for word in words}
         codes = np.asarray([1 + word % 40 for word in words], dtype=np.int64)
-        vectorized = tally_from_word_codes(target, model, words, codes, categories, ks)
+        (vectorized,) = tally_from_word_codes(
+            [(target, model)], _dense(words, codes), categories, ks
+        )
         assert vectorized == _scalar_comb_tally(target, model, words, categories_of, ks)
 
     @settings(max_examples=15, deadline=None)
@@ -161,8 +174,8 @@ class TestWordCodesMatmulDifferential:
         words = reachable_words(target, model, WIDTH)
         arr = np.asarray(words, dtype=np.int64)
         codes = np.ones(arr.size, dtype=np.int64)
-        by_k = tally_from_word_codes(
-            target, model, arr, codes, (None, "only"), (-1, WIDTH + 3)
+        (by_k,) = tally_from_word_codes(
+            [(target, model)], _dense(arr, codes), (None, "only"), (-1, WIDTH + 3)
         )
         assert by_k == {-1: Counter(), WIDTH + 3: Counter()}
 
@@ -174,7 +187,7 @@ class TestWordCodesMatmulDifferential:
         arr = np.asarray(words, dtype=np.int64)
         codes = np.ones(arr.size, dtype=np.int64)
         with pytest.raises(ValueError, match="reachable word is missing"):
-            tally_from_word_codes(target, "and", arr, codes, (None, "only"), (2,))
+            tally_from_word_codes([(target, "and")], _dense(arr, codes), (None, "only"), (2,))
 
 
 class TestReachableWords:
@@ -360,17 +373,17 @@ class TestRunMany:
 
 
 class TestTallyFromPrecomputedWords:
-    """A campaign unit hands each sweep the reachable words it computed for
-    its union batch; the tally then reads the filled memo and emulates nothing."""
+    """A world whose memo already holds every reachable word tallies from
+    its code array without a batch and emulates nothing."""
 
     @pytest.mark.parametrize("model", MODELS)
     def test_filled_memo_tallies_without_a_batch(self, model, tmp_path):
-        from repro.glitchsim.campaign import tally_reachable
+        from repro.glitchsim.campaign import tally_world
         from repro.obs import Observer, activate
 
         snippet = branch_snippet("eq")
         target = snippet.target_word
-        recomputed = tally_reachable(SnippetHarness(snippet), target, model, None)
+        recomputed = sweep_instruction(snippet, model).by_k
         cache = OutcomeCache(tmp_path)
         harness = SnippetHarness(snippet, disk_cache=cache)
         harness.run_many_codes(range(1 << WIDTH))
@@ -378,7 +391,7 @@ class TestTallyFromPrecomputedWords:
         words = reachable_words(target, model)
         obs = Observer()
         with activate(obs):
-            by_k = tally_reachable(harness, target, model, None, words=words)
+            (by_k,) = tally_world(harness, [(target, model)], None)
         assert by_k == recomputed
         assert obs.counters.get("vector.batches", 0) == 0
         assert obs.counters.get("algebra.words_emulated", 0) == 0
