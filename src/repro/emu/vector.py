@@ -5,8 +5,8 @@ thousands of variants": every lane of a :meth:`SnippetHarness.run_many`
 batch starts from the *same* post-prefix machine snapshot and differs only
 in the 16-bit word overlaid on the target flash slot.  That is exactly the
 shape that vectorizes — so this module holds the architectural state of
-every lane as struct-of-arrays (registers ``(16, N)``, NZCV flags, a
-halted bit, a terminal status) and steps all live lanes in lock-step:
+every lane as struct-of-arrays (registers, NZCV flags, a halted bit, a
+terminal status) and steps all live lanes in lock-step:
 
 - **fetch** reads the shared flash image with a per-lane overlay at the
   target slot (both for the fetched halfword and for a BL-suffix
@@ -37,6 +37,14 @@ halted bit, a terminal status) and steps all live lanes in lock-step:
   on those words alone: a batch of the whole word space takes them from
   its operand table's :class:`_StepZeroPlan`, built once, and any other
   batch builds its own plan with the same routine;
+- **registers** are never a dense ``(16, N)`` file: step 0 reads the
+  snapshot's 16 registers and records its few writes as ``(register,
+  lanes, values)`` entries (:class:`_Writes`); step 1 runs its retire
+  checks on a PC vector built from them, and only the lanes still
+  running after those checks (a few dozen of 65,536 in Figure 2's
+  worlds) get a compact ``(16, k)`` file with their flags, status and
+  lane-RAM rows, which every later step runs on and the end of the run
+  scatters back;
 - **early decisions** retire a lane as soon as its terminal status is
   certain: a lane sliding down a straight run of pristine fall-through
   halfwords takes the status of what ends the run (or ``ST_LIMIT`` when
@@ -54,6 +62,7 @@ vector handler, so every lane ends with a terminal status.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -457,22 +466,82 @@ preload_operand_tables = warm_tables
 
 
 # ----------------------------------------------------------------------
+# step 0's register writes
+# ----------------------------------------------------------------------
+
+class _Writes(NamedTuple):
+    """The registers of a batch's lanes after step 0: every lane starts
+    from ``start`` (the snapshot's; the PC past the target once step 0
+    ran) and takes its entries, one per (register, lane) written, in the
+    order step 0 wrote them.
+
+    At step 0 every lane runs at most one handler, which writes each
+    register at most once, so no (register, lane) has two entries.
+    """
+
+    start: np.ndarray      # (16,) int64
+    size: int              # lanes in the batch
+    registers: np.ndarray  # int8, per entry
+    lanes: np.ndarray      # int64, per entry
+    values: np.ndarray     # int64, per entry, as write_reg stores them
+
+    @classmethod
+    def of(cls, start: np.ndarray, size: int, log: Sequence[tuple]) -> "_Writes":
+        """Flatten a log of ``(register(s), lanes, value(s))`` records,
+        a scalar register or value standing for every lane of its record."""
+        def column(index: int, dtype) -> np.ndarray:
+            return np.concatenate([np.zeros(0, dtype)] + [
+                np.full(record[1].size, record[index], dtype)
+                if np.ndim(record[index]) == 0 else record[index]
+                for record in log
+            ]).astype(dtype, copy=False)
+
+        return cls(start, size, column(0, np.int8), column(1, np.int64), column(2, np.int64))
+
+    def row(self, register: int) -> np.ndarray:
+        """Register ``register`` of every lane."""
+        row = np.full(self.size, self.start[register], dtype=np.int64)
+        hit = self.registers == register
+        row[self.lanes[hit]] = self.values[hit]
+        return row
+
+    def file(self, lanes: np.ndarray) -> np.ndarray:
+        """The ``(16, lanes.size)`` registers of ``lanes`` (ascending)."""
+        regs = np.repeat(self.start[:, np.newaxis], lanes.size, axis=1)
+        is_lane = np.zeros(self.size, dtype=bool)
+        is_lane[lanes] = True
+        asked = np.flatnonzero(is_lane[self.lanes])
+        regs[self.registers[asked], np.searchsorted(lanes, self.lanes[asked])] = (
+            self.values[asked]
+        )
+        return regs
+
+
+# ----------------------------------------------------------------------
 # per-batch result
 # ----------------------------------------------------------------------
 
 @dataclass
 class VectorRun:
-    """Per-lane state of one :meth:`VectorEngine.run` batch, as each lane retired."""
+    """Per-lane state of one :meth:`VectorEngine.run` batch, as each lane retired.
 
-    words: np.ndarray       # the corrupted words, lane order == input order
+    There is no dense register file: a lane that retired by step 1 holds
+    its registers after step 0 (``writes``: the snapshot's and the few
+    step 0 wrote), and a lane that ran past step 1 (a survivor) holds its
+    column of ``survivor_regs``.
+    :meth:`reg` assembles one register of every lane from the two.
+    """
+
+    words: np.ndarray       # the corrupted words (uint16), lane order == input order
     status: np.ndarray      # terminal ST_* per lane (never ST_RUNNING)
-    stop_pc: np.ndarray     # for ST_STOPPED lanes: the marker address reached
-    # ``regs`` and the lane RAM hold each lane's state when it retired.  A lane
-    # decided early (ST_LIMIT, ST_BAD_FETCH, ST_INVALID or ST_FAILED before
-    # it got there) keeps its state at that decision, so callers classify
-    # those four statuses by status alone; ST_HALTED and ST_STOPPED lanes
-    # are never decided early.
-    regs: np.ndarray        # (16, N) architectural registers at retirement
+    # The registers and the lane RAM hold each lane's state when it retired.
+    # A lane decided early (ST_LIMIT, ST_BAD_FETCH, ST_INVALID or ST_FAILED
+    # before it got there) keeps its state at that decision, so callers
+    # classify those four statuses by status alone; ST_HALTED and
+    # ST_STOPPED lanes are never decided early.
+    writes: _Writes            # every lane's registers after step 0
+    survivors: np.ndarray      # ascending lanes that ran past step 1
+    survivor_regs: np.ndarray  # (16, survivors.size) their registers
     # Lane RAM: byte ``o`` of lane ``i`` is
     # ``pages[block_map[lane_row[i], o // RAM_BLOCK], o % RAM_BLOCK]``.
     # Pages 0..blocks-1 hold the shared RAM image and block-map row 0 maps
@@ -485,6 +554,27 @@ class VectorRun:
     lane_steps: int         # lanes fetched, summed over the executed steps
     early_exits: int        # lanes retired by a straight-line or cycle exit
     planned: bool           # step 0 ran from the operand table's own plan
+
+    def reg(self, register: int) -> np.ndarray:
+        """Register ``register`` of every lane at retirement."""
+        row = self.writes.row(register)
+        row[self.survivors] = self.survivor_regs[register]
+        return row
+
+    @property
+    def stop_pc(self) -> np.ndarray:
+        """For ST_STOPPED lanes the marker address reached (their PC), else 0."""
+        return np.where(self.status == ST_STOPPED, self.reg(PC), 0)
+
+    @cached_property
+    def regs(self) -> np.ndarray:
+        """The dense ``(16, N)`` register file, for tests that compare whole
+        lanes: built on first use at 128 bytes per lane (8 MiB for the
+        whole word space) and kept with the run.  Classification reads
+        rows through :meth:`reg` instead."""
+        regs = self.writes.file(np.arange(self.status.size))
+        regs[:, self.survivors] = self.survivor_regs
+        return regs
 
     def read_ram_u32(self, address: int) -> np.ndarray:
         """Little-endian u32 at ``address`` as seen by each lane."""
@@ -518,12 +608,12 @@ class VectorRun:
         codes = _STATUS_CODES.take(status)
         # only the stopped and halted lanes depend on more than their status
         stopped = status == ST_STOPPED
-        success = stopped & (self.stop_pc == success_address)
+        success = stopped & (self.reg(PC) == success_address)
         if markers is not None:
             (success_register, success_marker), (normal_register, normal_marker) = markers
             halted = status == ST_HALTED
-            success |= (stopped | halted) & (self.regs[success_register] == success_marker)
-            normal = halted & (self.regs[normal_register] == normal_marker)
+            success |= (stopped | halted) & (self.reg(success_register) == success_marker)
+            normal = halted & (self.reg(normal_register) == normal_marker)
             codes[normal] = CATEGORY_CODES["no_effect"]
         codes[success] = CATEGORY_CODES["success"]
         return codes
@@ -633,33 +723,37 @@ class VectorEngine:
         ta = self.target_address
         flash8, flash16 = self.flash8, self.flash16
 
-        words = np.asarray(word_batch, dtype=np.int64) & 0xFFFF
+        words = (np.asarray(word_batch, dtype=np.int64) & 0xFFFF).astype(np.uint16)
+        batch_words = words
         n = words.size
         # lanes 0 .. 0xFFFF holding words 0 .. 0xFFFF: the table's own plan
         word_space = n == 1 << 16 and bool((words[1:] > words[:-1]).all())
-        regs = np.empty((16, n), dtype=np.int64)
-        regs[:] = np.array(self.init_regs, dtype=np.int64)[:, np.newaxis]
+        # Registers: step 0 logs its writes instead of filling a (16, n)
+        # file; after step 1's retire checks the few lanes still running
+        # (the survivors) get a compact (16, k) file, and from then on
+        # every per-lane array and lane index below is the survivors'.
+        regs = None
+        write_log: list[tuple] = []
+        writes = _Writes.of(np.array(self.init_regs, dtype=np.int64), n, ())
+        survivors = np.zeros(0, dtype=np.int64)
         fn = np.full(n, self.init_flags.n, dtype=bool)
         fz = np.full(n, self.init_flags.z, dtype=bool)
         fc = np.full(n, self.init_flags.c, dtype=bool)
         fv = np.full(n, self.init_flags.v, dtype=bool)
         halted = np.zeros(n, dtype=bool)
         status = np.zeros(n, dtype=np.int8)
-        stop_pc = np.zeros(n, dtype=np.int64)
         # copy-on-write RAM (see VectorRun): row 0 of the block map and
         # the first ``blocks`` pages are the shared image; both arrays grow
         # by capacity as lanes store
         blocks = self.blocks
-        lane_row = np.zeros(n, dtype=np.int64)
+        lane_row = np.zeros(n, dtype=np.int32)
         block_map = np.arange(blocks, dtype=np.int32)[np.newaxis, :]
         pages = self.base_pages.copy()
         rows_used, pages_used = 1, blocks
-        # cycle-exit state: a snapshot of the lanes active at the last
-        # power-of-two step (row per lane in ``snap_row``), and which lanes
-        # stored since it was taken
-        dirty = np.zeros(n, dtype=bool)
-        snap_row = np.zeros(n, dtype=np.int32)
-        snap_regs = snap_nzcv = None
+        # cycle-exit state (survivors only): a snapshot of the lanes active
+        # at the last power-of-two step (row per lane in ``snap_row``), and
+        # which lanes stored since it was taken
+        dirty = snap_row = snap_regs = snap_nzcv = None
         straight_run, straight_end = self.straight_run, self.straight_end
         lane_steps = early_exits = 0
 
@@ -690,7 +784,7 @@ class VectorEngine:
             shared = page < blocks  # still the image's own block
             if shared.any():
                 key, first = np.unique(
-                    rows[shared] * blocks + block[shared], return_inverse=True
+                    rows[shared].astype(np.int64) * blocks + block[shared], return_inverse=True
                 )
                 need = pages_used + key.size
                 pages = grown(pages, pages_used, need)
@@ -711,9 +805,11 @@ class VectorEngine:
         first_read[PC] = (ta + 4) & M32
         first = True
 
-        def reg_of(reg: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            """Registers ``reg`` of ``lanes`` as stored."""
-            return first_raw[reg] if first else regs[reg, lanes]
+        def reg_of(reg, lanes: np.ndarray) -> np.ndarray:
+            """Registers ``reg`` (one, or one per lane) of ``lanes`` as stored."""
+            if first:
+                return first_raw[reg] if np.ndim(reg) else np.full(lanes.size, first_raw[reg])
+            return regs[reg, lanes]
 
         def rread(reg: np.ndarray, lanes: np.ndarray, addr: np.ndarray) -> np.ndarray:
             """read_reg: the PC reads as instruction address + 4."""
@@ -728,8 +824,15 @@ class VectorEngine:
         def rwrite(reg: np.ndarray, lanes: np.ndarray, values: np.ndarray) -> None:
             """write_reg: the PC setter clears bit 0."""
             values = values & M32
-            values = np.where(reg == 15, values & ~1, values)
-            regs[reg, lanes] = values
+            put(reg, lanes, np.where(reg == 15, values & ~1, values))
+
+        def put(reg, lanes: np.ndarray, values) -> None:
+            """Set registers ``reg`` (one, or one per lane) of ``lanes``;
+            step 0 logs the write instead."""
+            if first:
+                write_log.append((reg, lanes, values))
+            else:
+                regs[reg, lanes] = values
 
         def nzcv(lanes: np.ndarray) -> np.ndarray:
             return np.stack((fn[lanes], fz[lanes], fc[lanes], fv[lanes]))
@@ -873,7 +976,8 @@ class VectorEngine:
 
         def scatter(lanes, target, value, length) -> None:
             """Aligned store, one per (lane, address); caller pre-validated."""
-            dirty[lanes] = True
+            if not first:  # the cycle exit starts watching at step 1
+                dirty[lanes] = True
             off = target - rb
             page = private_pages(lanes, off)
             within = off & (RAM_BLOCK - 1)
@@ -897,43 +1001,44 @@ class VectorEngine:
                 # marker stop decides anything, and it decides every lane.
                 if ta in self.stops and budget >= 2:
                     status[:] = ST_STOPPED
-                    stop_pc[:] = ta
                     break
                 lane_steps += n
                 # the fetched halfwords are the batch's words: decode and
                 # grouping come from its plan
                 plan = tbl.step_zero_plan() if word_space else _StepZeroPlan(tbl, words)
                 status[plan.invalid] = ST_INVALID
-                regs[15] = (ta + 2) & M32
-                regs[15, plan.invalid] = ta
+                put(PC, plan.invalid, ta)
                 groups = plan.groups
                 first_addr = np.broadcast_to(np.int64(ta), (n,))
             else:
                 if active.size == 0:
                     break
+                if regs is None:  # step 1: each lane's PC from step 0's writes
+                    pc = writes.row(PC)[active]
+                else:
+                    pc = regs[15, active]
                 # 1. halted lanes retire (checked before stepping, like CPU.run)
                 is_halted = halted[active]
                 if is_halted.any():
                     status[active[is_halted]] = ST_HALTED
-                    active = active[~is_halted]
+                    keep = ~is_halted
+                    active, pc = active[keep], pc[keep]
                     if active.size == 0:
                         break
                 # 2. marker stops short-circuit only with ≥2 budget steps left,
                 #    keeping step accounting identical to the scalar engines
                 if check_stops and budget - step_index >= 2:
-                    pc = regs[15, active]
                     at_stop = np.zeros(active.size, dtype=bool)
                     for stop in self.stops:
                         at_stop |= pc == stop
                     if at_stop.any():
-                        idx = active[at_stop]
-                        status[idx] = ST_STOPPED
-                        stop_pc[idx] = regs[15, idx]
-                        active = active[~at_stop]
+                        status[active[at_stop]] = ST_STOPPED
+                        keep = ~at_stop
+                        active, pc = active[keep], pc[keep]
                         if active.size == 0:
                             break
                 # 3. fetch (with the per-lane corrupted-word overlay at target)
-                addr = regs[15, active]
+                addr = pc
                 fetch_ok = ((addr & 1) == 0) & (addr >= fb_base) & (addr + 2 <= fb_end)
                 if not fetch_ok.all():
                     status[active[~fetch_ok]] = ST_BAD_FETCH
@@ -971,6 +1076,20 @@ class VectorEngine:
                     active, addr, slot = active[keep], addr[keep], slot[keep]
                     if active.size == 0:
                         break
+                if regs is None:
+                    # step 1's checks are done: give the survivors their own
+                    # compact state; the full-batch arrays wait for the end
+                    survivors = active
+                    regs = writes.file(survivors)
+                    fn, fz, fc, fv, halted = (
+                        flag[survivors] for flag in (fn, fz, fc, fv, halted)
+                    )
+                    batch_status, status = status, status[survivors]
+                    batch_rows, lane_row = lane_row, lane_row[survivors]
+                    words = words[survivors]
+                    dirty = np.zeros(survivors.size, dtype=bool)
+                    snap_row = np.zeros(survivors.size, dtype=np.int32)
+                    active = np.arange(survivors.size)
                 if step_index & (step_index - 1) == 0:
                     snap_row[active] = np.arange(active.size)
                     snap_regs = regs[:, active].astype(np.uint32)
@@ -1024,7 +1143,7 @@ class VectorEngine:
                         # the one step that depends on the world: a BL
                         # prefix at the target needs a suffix after it
                         status[l] = ST_INVALID
-                        regs[15, l] = ta
+                        put(PC, l, ta)
                         continue
                 else:
                     a = addr[g.sel]
@@ -1111,8 +1230,8 @@ class VectorEngine:
                     ok_l = l[thumb]
                     if ok_l.size:
                         if g.aux == 1:  # blx
-                            regs[14, ok_l] = (a[thumb] + 2) | 1
-                        regs[15, ok_l] = target[thumb] & ~1 & M32
+                            put(LR, ok_l, (a[thumb] + 2) | 1)
+                        put(PC, ok_l, target[thumb] & ~1 & M32)
                 elif op == OP_LOAD or op == OP_STORE:
                     base = g.base
                     ro = g.ro
@@ -1148,13 +1267,13 @@ class VectorEngine:
                 elif op == OP_ADR:
                     rwrite(rd, l, ((a + 4) & ~3) + imm)
                 elif op == OP_ADD_SP_IMM:
-                    rwrite(rd, l, (regs[13, l] + imm) & M32)
+                    rwrite(rd, l, (reg_of(SP, l) + imm) & M32)
                 elif op == OP_ADJ_SP:
-                    regs[13, l] = (regs[13, l] + imm) & M32
+                    put(SP, l, (reg_of(SP, l) + imm) & M32)
                 elif op == OP_PUSH:
                     reg_list = g.reg_list.astype(np.int64)
                     count = np.bitwise_count(reg_list).astype(np.int64)
-                    sp = regs[13, l]
+                    sp = reg_of(SP, l)
                     new_sp = (sp - 4 * count) & M32
                     ok = (new_sp % 4 == 0) & (new_sp >= rb) & (new_sp + 4 * count <= re_)
                     if not ok.all():
@@ -1165,12 +1284,12 @@ class VectorEngine:
                         i, reg, slot = list_slots(reg_list[ok], base_sp)
                         lanes_r = push_lanes[i]
                         scatter(lanes_r, slot, reg_of(reg, lanes_r), 4)
-                        regs[13, push_lanes] = base_sp
+                        put(SP, push_lanes, base_sp)
                 elif op == OP_POP or op == OP_LDMIA:
                     reg_list = g.reg_list.astype(np.int64)
                     count = np.bitwise_count(reg_list).astype(np.int64)
                     if op == OP_POP:
-                        base_addr = regs[13, l]
+                        base_addr = reg_of(SP, l)
                     else:
                         base_addr = reg_of(np.maximum(g.base, 0), l)
                     # every slot must be loadable; check them all up front
@@ -1192,17 +1311,17 @@ class VectorEngine:
                         masks = reg_list[good]
                         end = (base_g + 4 * count[good]) & M32
                         if op == OP_POP:
-                            regs[13, lanes_g] = end
+                            put(SP, lanes_g, end)
                         i, reg, slot = list_slots(masks, base_g)
                         _, in_flash = slot_readable(slot, 4, 4)
                         lanes_r = lanes_g[i]
                         value = gather(lanes_r, slot, 4, in_flash)
-                        regs[reg, lanes_r] = np.where(reg == PC, value & ~1, value) & M32
+                        put(reg, lanes_r, np.where(reg == PC, value & ~1, value) & M32)
                         if op == OP_LDMIA:
                             base_reg = g.base[good]
                             writeback = (masks >> base_reg) & 1 == 0
                             if writeback.any():
-                                regs[base_reg[writeback], lanes_g[writeback]] = end[writeback]
+                                put(base_reg[writeback], lanes_g[writeback], end[writeback])
                 elif op == OP_STMIA:
                     reg_list = g.reg_list.astype(np.int64)
                     count = np.bitwise_count(reg_list).astype(np.int64)
@@ -1221,17 +1340,17 @@ class VectorEngine:
                         scatter(lanes_g[i], slot, reg_of(reg, lanes_g[i]), 4)
                         # writeback always happens (base-in-list stored the
                         # original value because stores gathered it first)
-                        regs[base_reg[good], lanes_g] = (base_g + 4 * count[good]) & M32
+                        put(base_reg[good], lanes_g, (base_g + 4 * count[good]) & M32)
                 elif op == OP_BCOND:
                     taken = vcond(g.cond, l)
                     if taken.any():
-                        regs[15, l[taken]] = (a[taken] + 4 + imm[taken]) & M32 & ~1
+                        put(PC, l[taken], (a[taken] + 4 + imm[taken]) & M32 & ~1)
                 elif op == OP_B:
-                    regs[15, l] = (a + 4 + imm) & M32 & ~1
+                    put(PC, l, (a + 4 + imm) & M32 & ~1)
                 elif op == OP_BL_PREFIX:
                     low = ((first_suffix if first else suffix[g.sel]) & 0x7FF) << 1
-                    regs[14, l] = (a + 4) | 1
-                    regs[15, l] = (a + 4 + imm + low) & M32 & ~1
+                    put(LR, l, (a + 4) | 1)
+                    put(PC, l, (a + 4 + imm + low) & M32 & ~1)
                 elif op == OP_SVC:
                     status[l] = ST_FAILED
                 elif op == OP_HALT:
@@ -1269,6 +1388,7 @@ class VectorEngine:
                     raise ValueError(f"unhandled vector opcode {op}")
             if first:
                 active = np.flatnonzero(status == ST_RUNNING)
+                writes, write_log = _Writes.of(first_raw, n, write_log), None
             else:
                 active = active[status[active] == ST_RUNNING]
 
@@ -1280,12 +1400,18 @@ class VectorEngine:
             ended_halted = halted[remaining]
             status[remaining[ended_halted]] = ST_HALTED
             status[remaining[~ended_halted]] = ST_LIMIT
+        if regs is None:  # no lane ran past step 1
+            regs = np.zeros((16, 0), dtype=np.int64)
+        else:  # scatter the survivors back into the batch
+            batch_status[survivors], status = status, batch_status
+            batch_rows[survivors], lane_row = lane_row, batch_rows
 
         return VectorRun(
-            words=words,
+            words=batch_words,
             status=status,
-            stop_pc=stop_pc,
-            regs=regs,
+            writes=writes,
+            survivors=survivors,
+            survivor_regs=regs,
             lane_row=lane_row,
             block_map=block_map[:rows_used],
             pages=pages[:pages_used],

@@ -417,6 +417,7 @@ class WordHarness:
         obs.count("vector.lanes", int(pending.size))
         obs.count("vector.lane_steps", batch.lane_steps)
         obs.count("vector.early_exits", batch.early_exits)
+        obs.count("vector.survivors", int(batch.survivors.size))
         if batch.planned:
             obs.count("vector.planned_batches", 1)
 

@@ -176,10 +176,10 @@ def _classify_vector(
     if judge_kind == "store":
         job_done = batch.read_ram_u32(0x2000_0800) == 0xCAFE0042
     elif judge_kind == "compare":
-        job_done = batch.regs[3] == 1
+        job_done = batch.reg(3) == 1
     else:
         expected = {"load": 0xCAFE0042, "alu": 42, "move": 0x5A}[judge_kind]
-        job_done = batch.regs[2] == expected
+        job_done = batch.reg(2) == expected
     halted = batch.status == ST_HALTED
     return {
         word: ("effective" if job_done[i] else "silent") if halted[i] else "derailed"

@@ -185,8 +185,10 @@ def tally_from_word_codes(
 
     Every sweep groups its reachable words by ``j``, the Hamming distance
     to its target, into a ``G[j, code]`` count matrix: the AND and OR
-    sweeps' reachable words through one shared ``bincount``, each XOR
-    sweep through one ``bincount`` over all ``2^width`` words. One batched integer matmul ``W @ G`` — ``W[i, j]``
+    sweeps' reachable words through one shared ``bincount``, the XOR
+    sweeps that share a low half through one ``bincount`` over all
+    ``2^width`` words and a shifted row sum per sweep
+    (:func:`_xor_distance_counts`). One batched integer matmul ``W @ G`` — ``W[i, j]``
     the binomial weight ``C(free, k_i - j)``, an identity row-selector
     under XOR — yields every sweep's every requested ``k`` at once. The
     Vandermonde identity ``sum_j C(p, j) C(width-p, k-j) == C(width, k)``
@@ -206,14 +208,13 @@ def tally_from_word_codes(
     G = np.empty((len(sweeps), width + 1, ncat), dtype=np.int64)
     free = np.empty(len(sweeps), dtype=np.intp)
     slots, shared = [], []  # the AND/OR sweeps' (j, code) cells
+    xor_sweeps: dict[int, list[int]] = {}  # low half -> the XOR sweeps sharing it
     for s, (target, model) in enumerate(sweeps):
         _check_model(model)
         target &= mask(width)
         free[s] = _pools(target, model, width)[1]
         if model == "xor":  # every word counts once
-            j = np.bitwise_count(every ^ target)
-            cell = j.astype(np.min_scalar_type(cells), copy=False) * ncat + codes
-            G[s] = np.bincount(cell, minlength=cells).reshape(width + 1, ncat)
+            xor_sweeps.setdefault(target & mask(width // 2), []).append(s)
         else:
             words = np.flatnonzero(_model_mask(every, target, model))
             j = np.bitwise_count(words ^ target).astype(np.intp)
@@ -223,6 +224,9 @@ def tally_from_word_codes(
         G[slots] = np.bincount(
             np.concatenate(shared), minlength=len(slots) * cells
         ).reshape(len(slots), width + 1, ncat)
+    for members in xor_sweeps.values():
+        targets = np.array([sweeps[s][0] & mask(width) for s in members])
+        G[members] = _xor_distance_counts(targets, every, codes, ncat, width)
 
     # W[s, i, j] = C(free_s, k_i - j), the popcount-k_i masks producing a
     # word in group j (zero outside 0 <= k_i - j <= free_s)
@@ -248,6 +252,44 @@ def tally_from_word_codes(
     for s, i, code, count in zip(*(axis.tolist() for axis in hit), M[hit].tolist()):
         tallies[s][ks[i]][categories[code]] = count
     return tallies
+
+
+def _xor_distance_counts(
+    targets: np.ndarray, every: np.ndarray, codes: np.ndarray, ncat: int, width: int
+) -> np.ndarray:
+    """``G[s, j, code]`` of the XOR sweeps of ``targets``, which share their
+    low half: how many of the ``every`` words ``j`` bits from ``targets[s]``
+    have that code.
+
+    A word's distance to a target is its high half's distance to the
+    target's high half plus its low half's distance to the shared low
+    half.  One pass over every word counts it into ``H[high half,
+    low-half distance, code]``; a target then sums ``H``'s rows by
+    high-half distance (as ``h`` runs over the high halves by weight,
+    ``h ^ target_high`` runs over them by distance to the target) and
+    shifts each sum by its distance.
+    """
+    low_bits = width // 2
+    high_bits = width - low_bits
+    row = (low_bits + 1) * ncat  # one high half's (low-half distance, code) cells
+    cell_type = np.min_scalar_type((row << high_bits) - 1)
+    low_distance = np.bitwise_count((every & mask(low_bits)) ^ (int(targets[0]) & mask(low_bits)))
+    cell = (
+        (every >> low_bits).astype(cell_type) * row
+        + low_distance.astype(cell_type) * ncat
+        + codes
+    )
+    H = np.bincount(cell, minlength=row << high_bits).reshape(1 << high_bits, row)
+    weight = np.bitwise_count(np.arange(1 << high_bits))
+    by_weight = np.argsort(weight, kind="stable")
+    # every weight 0..high_bits occurs, so no reduceat group is empty
+    starts = np.searchsorted(weight[by_weight], np.arange(high_bits + 1))
+    G = np.zeros((targets.size, width + 1, ncat), dtype=np.int64)
+    for s, target in enumerate(targets.tolist()):
+        by_distance = np.add.reduceat(H[by_weight ^ (target >> low_bits)], starts)
+        for high_distance, counts in enumerate(by_distance):
+            G[s, high_distance:high_distance + low_bits + 1] += counts.reshape(-1, ncat)
+    return G
 
 
 def tally_from_word_outcomes(

@@ -17,6 +17,7 @@ the vector.* observability counters.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from repro.campaign import discover_sites
 from repro.campaign.harness import SiteHarness
 from repro.emu import CPU, Memory
 from repro.emu import vector as V
-from repro.emu.vector import ST_HALTED, ST_STOPPED
+from repro.emu.vector import ST_HALTED, ST_LIMIT, ST_STOPPED
+from repro.errors import EmulationFault
 from repro.exec import OutcomeCache
 from repro.exec.cache import CATEGORY_CODES, CODE_CATEGORIES
 from repro.firmware.image import load_image
@@ -394,6 +396,7 @@ class TestVectorObservability:
         batch = harness._vector_engine(world).run(np.arange(0xE000, 0xE400))
         assert obs.counters["vector.lane_steps"] == batch.lane_steps
         assert obs.counters["vector.early_exits"] == batch.early_exits
+        assert obs.counters["vector.survivors"] == batch.survivors.size
         assert 0 < batch.early_exits <= 1024
         assert batch.lane_steps >= 1024  # every lane fetches its own word
 
@@ -431,9 +434,9 @@ def _storing_words(engine) -> np.ndarray:
     return np.flatnonzero(np.isin(engine.table.op, _STORING_OPS))
 
 
-def _scalar_lane(engine, word: int) -> tuple:
-    """``(reason, registers, RAM bytes)`` of ``word`` replayed on the scalar
-    CPU from the engine's replay point, with the harnesses' stop rule."""
+def _scalar_cpu(engine, word: int):
+    """A scalar CPU in the engine's decode mode, paused at its replay point
+    with ``word`` at the target slot, and its memory."""
     flash = bytearray(engine.flash8.astype(np.uint8).tobytes())
     slot = engine.target_address - engine.flash_base
     flash[slot:slot + 2] = word.to_bytes(2, "little")
@@ -442,13 +445,41 @@ def _scalar_lane(engine, word: int) -> tuple:
     memory.map("ram", engine.ram_base, engine.ram_size)
     memory.load(engine.flash_base, bytes(flash))
     memory.load(engine.ram_base, engine.base_ram.tobytes())
-    cpu = CPU(memory)
+    cpu = CPU(memory, zero_is_invalid=engine.table is V.operand_table(True))
     cpu.regs = list(engine.init_regs)
     cpu.flags = engine.init_flags
+    return cpu, memory
+
+
+def _scalar_lane(engine, word: int) -> tuple:
+    """``(reason, registers, RAM bytes)`` of ``word`` replayed on the scalar
+    CPU from the engine's replay point, with the harnesses' stop rule."""
+    cpu, memory = _scalar_cpu(engine, word)
     result = cpu.run(engine.budget, stop_addresses=engine.stops)
     if result.reason == "stop_addr" and engine.budget - result.steps < 2:
         result = cpu.run(engine.budget - result.steps)
     return result.reason, list(cpu.regs), bytes(memory.region_at(engine.ram_base).data)
+
+
+def _scalar_states(engine, word: int) -> list[list[int]]:
+    """The registers of ``word``'s scalar replay before its first step and
+    after each step, until it halts, faults or spends the budget (marker
+    stops ignored).  A faulting step commits nothing but its PC, as the
+    vector engine keeps a faulted lane, so its state is the registers
+    before it with the PC the fault left."""
+    cpu, _ = _scalar_cpu(engine, word)
+    states = [list(cpu.regs)]
+    for _ in range(engine.budget):
+        if cpu.halted:
+            break
+        before = list(cpu.regs)
+        try:
+            cpu.step()
+        except EmulationFault:
+            states.append(before[:15] + [cpu.regs[15]])
+            break
+        states.append(list(cpu.regs))
+    return states
 
 
 def _lane_ram(run, lane: int, size: int) -> bytes:
@@ -719,3 +750,62 @@ class TestStepZeroPlan:
             SnippetHarness(branch_snippet("eq")).run_many(range(1 << 15))
         assert obs.counters["vector.batches"] == 2
         assert obs.counters["vector.planned_batches"] == 1
+
+
+class TestLaneRegisters:
+    """A batch holds no dense register file: a lane that retired by step 1
+    holds the snapshot's registers and step 0's writes, and a lane still
+    running after step 1 (a survivor) its column of a compact file."""
+
+    @pytest.mark.parametrize("zero_is_invalid", [False, True], ids=["base", "hardened"])
+    def test_full_space_registers_match_scalar(self, zero_is_invalid):
+        """Every survivor, and one lane per step-0 (opcode, aux) group and
+        status it ends in, against the scalar CPU."""
+        engine = _engine_with_suffix(zero_is_invalid, bl_suffix=False)
+        words = np.arange(1 << 16)
+        run = engine.run(words)
+        survivors = set(run.survivors.tolist())
+        assert survivors and len(survivors) < 100
+        lanes = set(survivors)
+        plan = engine.table.step_zero_plan()
+        for group_lanes in [plan.invalid] + [group.lanes for group in plan.groups]:
+            _, first = np.unique(run.status[group_lanes], return_index=True)
+            lanes.update(group_lanes[first].tolist())
+        for lane in sorted(lanes):
+            word, status = int(words[lane]), int(run.status[lane])
+            registers = run.regs[:, lane].tolist()
+            assert registers == [int(run.reg(r)[lane]) for r in range(16)], hex(word)
+            if status in (ST_HALTED, ST_STOPPED):
+                assert registers == _scalar_lane(engine, word)[1], hex(word)
+                continue
+            states = _scalar_states(engine, word)
+            if lane not in survivors:  # retired by step 1: as after step 0
+                assert registers == states[1], hex(word)
+            elif status == ST_LIMIT:  # decided where its scalar replay passes
+                assert registers in states, hex(word)
+            else:  # a fault after step 1
+                assert registers == states[-1], hex(word)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("zero_is_invalid", [False, True], ids=["base", "hardened"])
+    def test_full_space_stopped_and_halted_lanes_match_scalar(self, zero_is_invalid):
+        engine = _engine_with_suffix(zero_is_invalid, bl_suffix=False)
+        run = engine.run(np.arange(1 << 16))
+        ended = np.flatnonzero(np.isin(run.status, (ST_HALTED, ST_STOPPED)))
+        assert ended.size > 10_000
+        for word in ended.tolist():  # lane i holds word i
+            assert run.regs[:, word].tolist() == _scalar_lane(engine, word)[1], hex(word)
+
+    def test_full_space_batch_peak_memory(self):
+        """One full-space batch stays within 4 MiB of Python allocations
+        (a dense (16, 65536) int64 register file alone is 8 MiB)."""
+        engine = _engine_with_suffix(False, bl_suffix=False)
+        words = np.arange(1 << 16)
+        engine.run(words)  # builds the table's step-0 plan, once per process
+        tracemalloc.start()
+        try:
+            engine.run(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, peak
