@@ -28,9 +28,6 @@ class CType:
     def is_void(self) -> bool:
         return self.name == "void"
 
-    def with_qualifiers(self, volatile: bool = False, const: bool = False) -> "CType":
-        return CType(self.name, self.signed, self.volatile or volatile, self.const or const)
-
 
 INT = CType("int")
 UNSIGNED = CType("int", signed=False)

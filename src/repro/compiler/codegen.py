@@ -169,16 +169,6 @@ class FunctionCodegen:
         else:
             self._emit(f"ldr r{register}, =0x{value:08X}")
 
-    def _far_branch(self, condition: str, target: str) -> None:
-        """``b<cc>`` with unlimited range: short hop over an unconditional b."""
-        skip = self._fresh("far")
-        taken = self._fresh("tk")
-        self._emit(f"b{condition} {taken}")
-        self._emit(f"b {skip}")
-        self._label(taken)
-        self._emit(f"b {target}")
-        self._label(skip)
-
     # ------------------------------------------------------------------
     # function body
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ access sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.compiler import ast_nodes as ast
 from repro.errors import CompileError
@@ -46,9 +45,6 @@ class Program:
     enum_values: dict[str, int] = field(default_factory=dict)
     globals: dict[str, GlobalInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def constant_value(self, name: str) -> Optional[int]:
-        return self.enum_values.get(name)
 
 
 class _Analyzer:

@@ -10,8 +10,8 @@ terminal status) and steps all live lanes in lock-step:
 
 - **fetch** reads the shared flash image with a per-lane overlay at the
   target slot (both for the fetched halfword and for a BL-suffix
-  lookahead at ``target ± 2``, and byte-wise for data loads that read the
-  slot), so the base image is never mutated;
+  lookahead at ``target ± 2``, and for data loads that cover the slot),
+  so the base image is never mutated;
 - **decode** is a lookup in a read-only 65,536-row operand table, built
   once per process in NumPy from the decoder's own format tables (all
   2^16 words at once, a few tens of milliseconds) and shared per
@@ -20,11 +20,15 @@ terminal status) and steps all live lanes in lock-step:
   handler per group, mirroring :mod:`repro.emu.cpu` / :mod:`repro.emu.alu`
   bit-for-bit (including the LSR/ASR ``#0 == 32`` quirk, shift-by-zero
   carry passthrough, and ``AddWithCarry`` flag algebra);
-- **memory** is copy-on-write per :data:`RAM_BLOCK`-byte block: every
-  lane reads the shared post-prefix RAM image until it stores, and a
-  store first copies just the block it lands in into a lane-private
-  page, so a lane copies only what it writes and the page and block-map
-  arrays grow by capacity, never re-copied whole per store;
+- **memory** is copy-on-write per :data:`RAM_BLOCK`-byte block
+  (:class:`_LaneRam`): every lane reads the shared post-prefix RAM image
+  until it stores, and a store first copies just the block it lands in
+  into a lane-private page, so a lane copies only what it writes.  Every
+  access is aligned, so a load or store is one element of a
+  ``<u2``/``<u4`` view of the flash or the pages.  Step 0 only logs its
+  stores: the lanes still running after step 1 get theirs replayed into
+  their RAM, and the rest are applied when a caller first reads lane
+  RAM;
 - **divergence** is handled by retirement: lanes that halt, fault, hit a
   marker stop, or exhaust the shared step budget leave the active set and
   keep their terminal status, so classification happens per lane while
@@ -518,6 +522,83 @@ class _Writes(NamedTuple):
 
 
 # ----------------------------------------------------------------------
+# copy-on-write lane RAM
+# ----------------------------------------------------------------------
+
+def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``array`` with room for ``need`` rows (its first ``used`` kept)."""
+    if need <= array.shape[0]:
+        return array
+    bigger = np.empty((max(need, 2 * array.shape[0]), array.shape[1]), array.dtype)
+    bigger[:used] = array[:used]
+    return bigger
+
+
+class _LaneRam:
+    """Copy-on-write RAM of a set of lanes, in :data:`RAM_BLOCK`-byte pages.
+
+    Byte ``o`` of lane ``i`` is
+    ``pages[block_map[lane_row[i], o // RAM_BLOCK], o % RAM_BLOCK]``.
+    Pages ``0 .. blocks-1`` are the shared RAM image (the engine's own,
+    read-only array until the first private page) and block-map row 0
+    maps onto them.  A lane's first store gives it its own block-map row,
+    a copy of row 0, and its first store into a block copies just that
+    block into a private page; both arrays grow by capacity.  Every
+    access is aligned and at most 4 bytes wide, so none straddles two
+    blocks, and each reads or writes one element of a ``<u2``/``<u4``
+    view of the pages.
+    """
+
+    def __init__(self, base_pages: np.ndarray):
+        self.blocks = base_pages.shape[0]
+        # block-map row per lane, set by the owner before the first store
+        self.lane_row: Optional[np.ndarray] = None
+        self.block_map = np.arange(self.blocks, dtype=np.int32)[np.newaxis, :]
+        self.pages = base_pages
+        self.rows_used, self.pages_used = 1, self.blocks
+
+    def _words(self, width: int) -> np.ndarray:
+        """The pages as ``width``-byte little-endian words, one row per page."""
+        return self.pages if width == 1 else self.pages.view(f"<u{width}")
+
+    def load(self, lanes: Optional[np.ndarray], off, width: int) -> np.ndarray:
+        """The aligned ``width``-byte word at RAM offset ``off`` of each of
+        ``lanes`` (``None``: of the shared image)."""
+        block = off >> _BLOCK_SHIFT
+        page = block if lanes is None else self.block_map[self.lane_row[lanes], block]
+        return self._words(width)[page, (off & (RAM_BLOCK - 1)) // width]
+
+    def store(self, lanes: np.ndarray, off: np.ndarray, value: np.ndarray, width: int) -> None:
+        """Aligned ``width``-byte stores, one per (lane, offset); a lane's
+        first store into a block copies the block into a private page."""
+        fresh = np.unique(lanes[self.lane_row[lanes] == 0])
+        if fresh.size:
+            need = self.rows_used + fresh.size
+            self.block_map = _grown(self.block_map, self.rows_used, need)
+            self.block_map[self.rows_used:need] = self.block_map[0]
+            self.lane_row[fresh] = np.arange(self.rows_used, need)
+            self.rows_used = need
+        rows, block = self.lane_row[lanes], off >> _BLOCK_SHIFT
+        page = self.block_map[rows, block]
+        shared = page < self.blocks  # still the image's own block
+        if shared.any():
+            key, first = np.unique(
+                rows[shared].astype(np.int64) * self.blocks + block[shared],
+                return_inverse=True,
+            )
+            need = self.pages_used + key.size
+            self.pages = _grown(self.pages, self.pages_used, need)
+            fresh_pages = np.arange(self.pages_used, need, dtype=self.block_map.dtype)
+            self.pages[fresh_pages] = self.pages[key % self.blocks]
+            self.block_map[key // self.blocks, key % self.blocks] = fresh_pages
+            page[shared] = fresh_pages[first]
+            self.pages_used = need
+        self._words(width)[page, (off & (RAM_BLOCK - 1)) // width] = (
+            value & ((1 << 8 * width) - 1)
+        )
+
+
+# ----------------------------------------------------------------------
 # per-batch result
 # ----------------------------------------------------------------------
 
@@ -530,6 +611,13 @@ class VectorRun:
     step 0 wrote), and a lane that ran past step 1 (a survivor) holds its
     column of ``survivor_regs``.
     :meth:`reg` assembles one register of every lane from the two.
+
+    Lane RAM is a :class:`_LaneRam` over the batch, built the same way
+    in two parts: ``ram`` holds the stores the survivors made (step 0's
+    included), and ``retired_stores`` the step-0 stores of the lanes
+    that retired by step 1, as ``(lanes, RAM offsets, values, width)``
+    entries.  Those are applied on first access to ``lane_row``,
+    ``block_map``, ``pages`` or :meth:`read_ram_u32`, and kept.
     """
 
     words: np.ndarray       # the corrupted words (uint16), lane order == input order
@@ -542,18 +630,38 @@ class VectorRun:
     writes: _Writes            # every lane's registers after step 0
     survivors: np.ndarray      # ascending lanes that ran past step 1
     survivor_regs: np.ndarray  # (16, survivors.size) their registers
-    # Lane RAM: byte ``o`` of lane ``i`` is
-    # ``pages[block_map[lane_row[i], o // RAM_BLOCK], o % RAM_BLOCK]``.
-    # Pages 0..blocks-1 hold the shared RAM image and block-map row 0 maps
-    # onto them; a lane that stored has its own block-map row, pointing
-    # at a private page for each block it wrote.
-    lane_row: np.ndarray    # block-map row per lane (0 = never stored)
-    block_map: np.ndarray   # (rows, blocks) page per RAM block
-    pages: np.ndarray       # (pages, RAM_BLOCK) shared and private blocks
+    ram: _LaneRam              # the batch's lane RAM, retired_stores not yet applied
+    retired_stores: list       # step-0 stores of the lanes retired by step 1
+    private_pages: int         # pages copied on write while the batch ran
     ram_base: int
     lane_steps: int         # lanes fetched, summed over the executed steps
     early_exits: int        # lanes retired by a straight-line or cycle exit
     planned: bool           # step 0 ran from the operand table's own plan
+
+    @cached_property
+    def _lane_ram(self) -> _LaneRam:
+        """``ram`` with ``retired_stores`` applied."""
+        for store in self.retired_stores:
+            self.ram.store(*store)
+        self.retired_stores = []
+        return self.ram
+
+    @property
+    def lane_row(self) -> np.ndarray:
+        """Block-map row per lane (0 = never stored)."""
+        return self._lane_ram.lane_row
+
+    @property
+    def block_map(self) -> np.ndarray:
+        """``(rows, blocks)`` page per RAM block."""
+        ram = self._lane_ram
+        return ram.block_map[:ram.rows_used]
+
+    @property
+    def pages(self) -> np.ndarray:
+        """``(pages, RAM_BLOCK)`` shared and private blocks."""
+        ram = self._lane_ram
+        return ram.pages[:ram.pages_used]
 
     def reg(self, register: int) -> np.ndarray:
         """Register ``register`` of every lane at retirement."""
@@ -577,14 +685,13 @@ class VectorRun:
         return regs
 
     def read_ram_u32(self, address: int) -> np.ndarray:
-        """Little-endian u32 at ``address`` as seen by each lane."""
-        off = address - self.ram_base
-        value = np.zeros(self.lane_row.size, dtype=np.int64)
-        for i in range(4):
-            byte = off + i
-            page = self.block_map[self.lane_row, byte >> _BLOCK_SHIFT]
-            value |= self.pages[page, byte & (RAM_BLOCK - 1)].astype(np.int64) << (8 * i)
-        return value
+        """Little-endian u32 at the word-aligned RAM ``address`` as seen by
+        each lane."""
+        if address % 4:
+            raise ValueError(f"RAM address {address:#010x} is not word-aligned")
+        ram = self._lane_ram
+        lanes = np.arange(ram.lane_row.size)
+        return ram.load(lanes, address - self.ram_base, 4).astype(np.int64)
 
     def classify_branch(
         self,
@@ -667,11 +774,25 @@ class VectorEngine:
             flash_base <= target_address < flash_base + len(flash_bytes)
         ):
             raise ValueError(f"target slot {target_address:#010x} is not a flash halfword")
+        if ram_base % 4:
+            raise ValueError(f"RAM base {ram_base:#010x} is not word-aligned")
+        if (flash_base <= ram_base + len(ram_bytes)
+                and ram_base <= flash_base + len(flash_bytes)):
+            raise ValueError("flash and RAM must neither overlap nor touch")
         self.table = operand_table(zero_is_invalid)
         self.flash_base = flash_base
         self.flash_end = flash_base + len(flash_bytes)
         self.flash8 = np.frombuffer(flash_bytes, dtype=np.uint8).astype(np.int64)
         self.flash16 = np.frombuffer(flash_bytes, dtype="<u2").astype(np.int64)
+        pad = flash_base % 4
+        flash32 = np.zeros(-(-(pad + len(flash_bytes)) // 4), dtype="<u4")
+        flash32.view(np.uint8)[pad:pad + len(flash_bytes)] = self.flash8
+        #: width -> (the flash as aligned width-byte words, address of word 0)
+        self.flash_words = {
+            1: (self.flash8, flash_base),
+            2: (self.flash16, flash_base),
+            4: (flash32.astype(np.int64), flash_base - pad),
+        }
         self.target_address = target_address
         self.ram_base = ram_base
         self.ram_size = len(ram_bytes)
@@ -680,6 +801,7 @@ class VectorEngine:
         self.blocks = -(-self.ram_size // RAM_BLOCK)
         self.base_pages = np.zeros((self.blocks, RAM_BLOCK), dtype=np.uint8)
         self.base_pages.reshape(-1)[:self.ram_size] = self.base_ram
+        self.base_pages.flags.writeable = False  # every batch's shared pages
         self.init_regs = tuple(int(r) & M32 for r in init_regs)
         self.init_flags = init_flags
         self.budget = budget
@@ -721,7 +843,7 @@ class VectorEngine:
         fb_base, fb_end = self.flash_base, self.flash_end
         rb, re_ = self.ram_base, self.ram_end
         ta = self.target_address
-        flash8, flash16 = self.flash8, self.flash16
+        flash16, flash_words = self.flash16, self.flash_words
 
         words = (np.asarray(word_batch, dtype=np.int64) & 0xFFFF).astype(np.uint16)
         batch_words = words
@@ -742,14 +864,12 @@ class VectorEngine:
         fv = np.full(n, self.init_flags.v, dtype=bool)
         halted = np.zeros(n, dtype=bool)
         status = np.zeros(n, dtype=np.int8)
-        # copy-on-write RAM (see VectorRun): row 0 of the block map and
-        # the first ``blocks`` pages are the shared image; both arrays grow
-        # by capacity as lanes store
-        blocks = self.blocks
-        lane_row = np.zeros(n, dtype=np.int32)
-        block_map = np.arange(blocks, dtype=np.int32)[np.newaxis, :]
-        pages = self.base_pages.copy()
-        rows_used, pages_used = 1, blocks
+        # Lane RAM: step 0 reads the shared image and logs its stores as
+        # ``(lanes, RAM offsets, values, width)`` entries; step 1's
+        # compaction gives the survivors their own copy-on-write RAM and
+        # replays their entries into it, and the rest go to the VectorRun
+        ram = _LaneRam(self.base_pages)
+        store_log: list[tuple] = []
         # cycle-exit state (survivors only): a snapshot of the lanes active
         # at the last power-of-two step (row per lane in ``snap_row``), and
         # which lanes stored since it was taken
@@ -758,42 +878,6 @@ class VectorEngine:
         lane_steps = early_exits = 0
 
         # -- lane-state helpers (close over the arrays above) ------------
-
-        def grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
-            """``array`` with room for ``need`` rows (its first ``used`` kept)."""
-            if need <= array.shape[0]:
-                return array
-            bigger = np.empty((max(need, 2 * array.shape[0]), array.shape[1]), array.dtype)
-            bigger[:used] = array[:used]
-            return bigger
-
-        def private_pages(lanes: np.ndarray, off: np.ndarray) -> np.ndarray:
-            """Each store's private page for the block at RAM offset ``off``
-            (a lane may store several times), copying the shared block into
-            a fresh page on a lane's first store there."""
-            nonlocal block_map, pages, rows_used, pages_used
-            fresh = np.unique(lanes[lane_row[lanes] == 0])
-            if fresh.size:
-                need = rows_used + fresh.size
-                block_map = grown(block_map, rows_used, need)
-                block_map[rows_used:need] = block_map[0]
-                lane_row[fresh] = np.arange(rows_used, need)
-                rows_used = need
-            rows, block = lane_row[lanes], off >> _BLOCK_SHIFT
-            page = block_map[rows, block]
-            shared = page < blocks  # still the image's own block
-            if shared.any():
-                key, first = np.unique(
-                    rows[shared].astype(np.int64) * blocks + block[shared], return_inverse=True
-                )
-                need = pages_used + key.size
-                pages = grown(pages, pages_used, need)
-                fresh_pages = np.arange(pages_used, need, dtype=block_map.dtype)
-                pages[fresh_pages] = pages[key % blocks]
-                block_map[key // blocks, key % blocks] = fresh_pages
-                page[shared] = fresh_pages[first]
-                pages_used = need
-            return page
 
         # At step 0 every lane still holds the snapshot's registers (each
         # lane runs one handler, which reads before it writes), so register
@@ -939,30 +1023,34 @@ class VectorEngine:
                 ok &= target % align == 0
             return ok, in_flash
 
-        def gather(lanes, target, length, in_flash):
-            """Little-endian load with the per-lane corrupted-slot overlay.
+        def gather(lanes, target, width, in_flash):
+            """Aligned little-endian ``width``-byte load with the per-lane
+            corrupted-slot overlay.
 
-            Caller guarantees validity where the value is consumed; indexes
-            are clipped so invalid lanes read garbage instead of faulting.
+            Each lane reads one element of a ``width``-byte word view of
+            flash or of its lane RAM (an aligned load never crosses a RAM
+            block), and one overlay writes the lane's word over the bytes
+            of the target halfword the load covers.  Caller guarantees
+            validity where the value is consumed; indexes are clipped so
+            invalid lanes read garbage instead of faulting.
             """
-            flash_off = np.clip(target - fb_base, 0, flash8.size - length)
-            ram_off = np.clip(target - rb, 0, self.ram_size - length)
-            rows = lane_row[lanes]
-            private = bool(rows.any())
-            lane_words = words[lanes]
-            value = np.zeros(lanes.size, dtype=np.int64)
-            for i in range(length):
-                off = ram_off + i
-                if private:
-                    ram_byte = pages[block_map[rows, off >> _BLOCK_SHIFT],
-                                     off & (RAM_BLOCK - 1)]
-                else:
-                    ram_byte = self.base_ram[off]
-                byte = np.where(in_flash, flash8[flash_off + i], ram_byte.astype(np.int64))
-                byte_addr = target + i
-                byte = np.where(byte_addr == ta, lane_words & 0xFF, byte)
-                byte = np.where(byte_addr == ta + 1, (lane_words >> 8) & 0xFF, byte)
-                value |= byte << (8 * i)
+            flash, flash_lo = flash_words[width]
+            value = np.where(
+                in_flash,
+                flash[np.clip((target - flash_lo) // width, 0, flash.size - 1)],
+                ram.load(None if first else lanes,
+                         np.clip(target - rb, 0, self.ram_size - width), width),
+            )
+            # bytes target .. target+width-1 meet ta or ta+1
+            covered = (target <= ta + 1) & (target > ta - width)
+            if covered.any():
+                hit = np.flatnonzero(covered)
+                # the halfword's bit offset in the load shifted up one byte
+                shift = 8 * (ta + 1 - target[hit])
+                wide = ((value[hit] << 8) & ~(0xFFFF << shift)) | (
+                    words[lanes[hit]].astype(np.int64) << shift
+                )
+                value[hit] = (wide >> 8) & ((1 << 8 * width) - 1)
             return value
 
         def list_slots(masks: np.ndarray, base: np.ndarray) -> tuple:
@@ -974,15 +1062,14 @@ class VectorEngine:
             rank = np.cumsum(bits, axis=1)[i, reg] - 1
             return i, reg, base[i] + 4 * rank
 
-        def scatter(lanes, target, value, length) -> None:
-            """Aligned store, one per (lane, address); caller pre-validated."""
-            if not first:  # the cycle exit starts watching at step 1
+        def scatter(lanes, target, value, width) -> None:
+            """Aligned store, one per (lane, address); caller pre-validated.
+            Step 0 logs it for step 1's compaction instead."""
+            if first:
+                store_log.append((lanes, target - rb, value, width))
+            else:  # the cycle exit starts watching at step 1
                 dirty[lanes] = True
-            off = target - rb
-            page = private_pages(lanes, off)
-            within = off & (RAM_BLOCK - 1)
-            for i in range(length):
-                pages[page, within + i] = (value >> (8 * i)) & 0xFF
+                ram.store(lanes, target - rb, value, width)
 
         # -- the lock-step loop -------------------------------------------
 
@@ -1085,8 +1172,20 @@ class VectorEngine:
                         flag[survivors] for flag in (fn, fz, fc, fv, halted)
                     )
                     batch_status, status = status, status[survivors]
-                    batch_rows, lane_row = lane_row, lane_row[survivors]
                     words = words[survivors]
+                    # the survivors' step-0 stores go to their own RAM
+                    ram.lane_row = np.zeros(survivors.size, dtype=np.int32)
+                    is_survivor = np.zeros(n, dtype=bool)
+                    is_survivor[survivors] = True
+                    retired_log = []
+                    for lanes, off, value, width in store_log:
+                        kept = is_survivor[lanes]
+                        if kept.any():
+                            ram.store(np.searchsorted(survivors, lanes[kept]),
+                                      off[kept], value[kept], width)
+                        if not kept.all():
+                            retired_log.append((lanes[~kept], off[~kept], value[~kept], width))
+                    store_log = retired_log
                     dirty = np.zeros(survivors.size, dtype=bool)
                     snap_row = np.zeros(survivors.size, dtype=np.int32)
                     active = np.arange(survivors.size)
@@ -1294,14 +1393,12 @@ class VectorEngine:
                         base_addr = reg_of(np.maximum(g.base, 0), l)
                     # every slot must be loadable; check them all up front
                     # (the scalar engine faults at the first bad one — same
-                    # terminal category, and partial effects are invisible)
-                    ok = np.ones(l.size, dtype=bool)
-                    max_count = int(count.max()) if count.size else 0
-                    for rank in range(max_count):
-                        in_range = rank < count
-                        slot = base_addr + 4 * rank
-                        slot_ok, _ = slot_readable(slot, 4, 4)
-                        ok &= ~in_range | slot_ok
+                    # terminal category, and partial effects are invisible).
+                    # Lists are never empty and flash and RAM do not touch,
+                    # so that is the aligned span lying in one region.
+                    span_end = base_addr + 4 * count
+                    in_flash = (base_addr >= fb_base) & (span_end <= fb_end)
+                    ok = (base_addr % 4 == 0) & (in_flash | (base_addr >= rb) & (span_end <= re_))
                     if not ok.all():
                         status[l[~ok]] = ST_BAD_READ
                     good = np.nonzero(ok)[0]
@@ -1313,9 +1410,8 @@ class VectorEngine:
                         if op == OP_POP:
                             put(SP, lanes_g, end)
                         i, reg, slot = list_slots(masks, base_g)
-                        _, in_flash = slot_readable(slot, 4, 4)
                         lanes_r = lanes_g[i]
-                        value = gather(lanes_r, slot, 4, in_flash)
+                        value = gather(lanes_r, slot, 4, in_flash[good][i])
                         put(reg, lanes_r, np.where(reg == PC, value & ~1, value) & M32)
                         if op == OP_LDMIA:
                             base_reg = g.base[good]
@@ -1400,11 +1496,13 @@ class VectorEngine:
             ended_halted = halted[remaining]
             status[remaining[ended_halted]] = ST_HALTED
             status[remaining[~ended_halted]] = ST_LIMIT
+        lane_row = np.zeros(n, dtype=np.int32)
         if regs is None:  # no lane ran past step 1
             regs = np.zeros((16, 0), dtype=np.int64)
         else:  # scatter the survivors back into the batch
             batch_status[survivors], status = status, batch_status
-            batch_rows[survivors], lane_row = lane_row, batch_rows
+            lane_row[survivors] = ram.lane_row
+        ram.lane_row = lane_row
 
         return VectorRun(
             words=batch_words,
@@ -1412,9 +1510,9 @@ class VectorEngine:
             writes=writes,
             survivors=survivors,
             survivor_regs=regs,
-            lane_row=lane_row,
-            block_map=block_map[:rows_used],
-            pages=pages[:pages_used],
+            ram=ram,
+            retired_stores=store_log,
+            private_pages=ram.pages_used - self.blocks,
             ram_base=rb,
             lane_steps=lane_steps,
             early_exits=early_exits,

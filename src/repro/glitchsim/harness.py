@@ -418,6 +418,7 @@ class WordHarness:
         obs.count("vector.lane_steps", batch.lane_steps)
         obs.count("vector.early_exits", batch.early_exits)
         obs.count("vector.survivors", int(batch.survivors.size))
+        obs.count("vector.private_pages", batch.private_pages)
         if batch.planned:
             obs.count("vector.planned_batches", 1)
 

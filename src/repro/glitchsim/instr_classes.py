@@ -110,10 +110,6 @@ class ClassSweepResult:
     still_effective: int = 0
 
     @property
-    def silent_rate(self) -> float:
-        return self.silent_neutralizations / self.attempts if self.attempts else 0.0
-
-    @property
     def derail_rate(self) -> float:
         return self.derailments / self.attempts if self.attempts else 0.0
 

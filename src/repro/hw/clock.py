@@ -15,7 +15,7 @@ reports over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import GlitchConfigError
@@ -46,9 +46,6 @@ class GlitchParams:
             raise GlitchConfigError(f"offset {self.offset} outside [-49, 49]")
         if self.repeat < 1:
             raise GlitchConfigError(f"repeat must be at least 1, got {self.repeat}")
-
-    def with_ext_offset(self, ext_offset: int) -> "GlitchParams":
-        return replace(self, ext_offset=ext_offset)
 
     def glitched_cycles(self) -> range:
         """Cycle offsets (relative to the trigger) hit by this glitch."""

@@ -25,7 +25,7 @@ slots: ``ro`` set → register offset; ``base == PC`` → literal; ``base == SP`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.conditions import condition_name
@@ -52,9 +52,6 @@ class Instruction:
     cond: Optional[int] = None
     reg_list: tuple[int, ...] = field(default=())
     raw: Optional[int] = None
-
-    def with_raw(self, raw: int) -> "Instruction":
-        return replace(self, raw=raw)
 
     # ------------------------------------------------------------------
     # classification helpers used by the fault model and experiments
@@ -83,10 +80,6 @@ class Instruction:
     @property
     def is_compare(self) -> bool:
         return self.mnemonic in ("cmp", "cmn", "tst")
-
-    @property
-    def writes_flags(self) -> bool:
-        return self.mnemonic.endswith("s") and self.mnemonic not in ("bls", "bvs", "bcs") or self.is_compare
 
     # ------------------------------------------------------------------
     # rendering

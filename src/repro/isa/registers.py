@@ -31,8 +31,3 @@ def register_number(name: str) -> int:
         return _NAME_TO_NUMBER[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown register name: {name!r}") from None
-
-
-def is_low_register(number: int) -> bool:
-    """True for r0-r7, the registers reachable by most Thumb-16 encodings."""
-    return 0 <= number <= 7

@@ -26,10 +26,6 @@ class EnumRewriteResult:
     rewritten: dict[str, dict[str, int]] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
 
-    @property
-    def total_rewritten(self) -> int:
-        return sum(len(mapping) for mapping in self.rewritten.values())
-
 
 def rewrite_enums(program: Program, min_distance: int = 8) -> EnumRewriteResult:
     """Replace uninitialized enum values with Reed-Solomon-derived constants.

@@ -114,31 +114,4 @@ def _calls_any(function: ir.IRFunction, names: set[str]) -> bool:
     )
 
 
-def _blocks_reaching_critical(function: ir.IRFunction, names: set[str]) -> set[str]:
-    """Labels of blocks from which a call to ``names`` is reachable."""
-    # seed: blocks containing a critical call
-    seeds = {
-        block.label
-        for block in function.blocks.values()
-        if any(isinstance(i, ir.Call) and i.func in names for i in block.instrs)
-    }
-    # reverse edges
-    predecessors: dict[str, set[str]] = {label: set() for label in function.blocks}
-    for label, block in function.blocks.items():
-        if block.terminator is None:
-            continue
-        for successor in block.terminator.successors():
-            if successor in predecessors:
-                predecessors[successor].add(label)
-    reaching = set(seeds)
-    worklist = list(seeds)
-    while worklist:
-        current = worklist.pop()
-        for predecessor in predecessors.get(current, ()):
-            if predecessor not in reaching:
-                reaching.add(predecessor)
-                worklist.append(predecessor)
-    return reaching
-
-
 __all__ = ["SelectiveAnalysis", "analyze_critical_reachability"]

@@ -35,6 +35,8 @@ from repro.exec.cache import CATEGORY_CODES, CODE_CATEGORIES
 from repro.firmware.image import load_image
 from repro.glitchsim.harness import SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
+from repro.isa.conditions import Flags
+from repro.isa.registers import SP
 from repro.obs import Observer, activate
 from tests.oracles import (
     RebuildSiteHarness,
@@ -589,6 +591,171 @@ class TestLaneRam:
         # the shared image itself is never written
         shared = run.pages[:engine.blocks].reshape(-1)[:engine.ram_size]
         assert shared.tobytes() == engine.base_ram.tobytes()
+
+
+#: no marker stop after the target: a lane that lowered SP at step 0 (a
+#: push, a sub sp) runs on and reads the stack back; with SP still at the
+#: top of RAM the reader faults
+_STACK_WORLD = """
+    ldr r0, =0x11223344
+    ldr r1, =0x20000100
+    ldr r3, =0x55667788
+target:
+    nop
+    {reader}
+    bkpt #0
+"""
+
+
+class TestStepZeroStores:
+    """Step 0 logs its stores: the lanes still running after step 1 get
+    theirs replayed into their own RAM, the rest when a caller reads RAM."""
+
+    @pytest.mark.parametrize("reader", ["pop {r4}", "ldr r4, [sp]"])
+    def test_surviving_stores_match_scalar(self, reader):
+        from repro.glitchsim.instr_classes import FLASH_BASE, _class_engine
+        from repro.isa import assemble
+
+        program = assemble(_STACK_WORLD.format(reader=reader), base=FLASH_BASE)
+        index = (program.symbols["target"] - FLASH_BASE) // 2
+        engine = _class_engine(program.halfwords, index, "stack")
+        run, checked, stored = _check_lanes_against_scalar(engine, np.arange(1 << 16))
+        pushes = np.flatnonzero((engine.table.op == V.OP_PUSH)
+                                & (run.status == ST_HALTED))
+        # every push lane reads its own store back, then halts
+        assert pushes.size == 511 and checked >= stored >= 511
+        assert np.isin(pushes, run.survivors).all()
+        assert run.private_pages >= 511  # copied while the batch ran
+        assert (run.reg(4)[pushes] == run.reg(0)[pushes]).any()
+
+    def test_retired_stores_are_applied_on_first_ram_access(self):
+        harness = SnippetHarness(branch_snippet("eq"))
+        engine = harness._vector_engine(harness._snapshot_world())
+        run = engine.run(np.arange(1 << 16))
+        # the push lanes stop at the fall-through marker at step 1
+        assert run.private_pages == 0 and run.retired_stores
+        pushes = np.flatnonzero(engine.table.op == V.OP_PUSH)
+        assert (run.lane_row[pushes] > 0).all()
+        assert not run.retired_stores
+        assert run.pages.shape[0] - engine.blocks >= pushes.size
+
+
+#: the target, then loads of the target halfword by survivors: a word
+#: through r3 (the target's aligned word) and its high byte through r2
+_EDGE_WORLD = """
+    nop
+    nop
+target:
+    nop
+    ldr r5, [r3]
+    ldrb r6, [r2, #1]
+    bkpt #0
+"""
+
+
+def _edge_layouts(flash_base: int, flash_end: int, target: int,
+                  ram_base: int, ram_end: int) -> dict[str, dict[int, int]]:
+    """Snapshot registers r0-r7 and SP per layout: load, pop and ldmia
+    bases at the flash end, at the RAM end and off alignment.  r2 and r3
+    always address the target halfword for the survivors' loads."""
+    word_end = flash_end & ~3  # the last whole flash word ends here
+    covering = {2: target, 3: target & ~3}
+    return {
+        "flash-end": {0: word_end - 4, 1: flash_end - 2, 4: word_end - 8,
+                      5: flash_base - 4, 6: flash_end - 1, 7: target + 1,
+                      SP: word_end - 4, **covering},
+        "ram-end": {0: ram_end - 4, 1: ram_end - 2, 4: ram_end - 8, 5: ram_base,
+                    6: ram_base - 4, 7: ram_end - 1, SP: ram_end - 8, **covering},
+        "unaligned": {0: ram_base + 2, 1: ram_base + 1, 4: word_end - 2,
+                      5: ram_end - 6, 6: flash_base + 1, 7: target - 1,
+                      SP: ram_end - 6, **covering},
+    }
+
+
+def _scalar_status(engine, word: int) -> int:
+    """The ``ST_*`` status ``word``'s scalar replay ends in (no marker stops)."""
+    from repro.errors import AlignmentFault, BadFetch, BadRead, BadWrite, InvalidInstruction
+
+    cpu, _ = _scalar_cpu(engine, word)
+    try:
+        result = cpu.run(engine.budget)
+    except (BadRead, BadWrite, AlignmentFault):
+        return V.ST_BAD_READ
+    except InvalidInstruction:
+        return V.ST_INVALID
+    except BadFetch:
+        return V.ST_BAD_FETCH
+    except EmulationFault:
+        return V.ST_FAILED
+    return ST_HALTED if result.reason == "halted" else ST_LIMIT
+
+
+class TestRegionEdges:
+    """Word-view loads and the closed-form list check at region edges:
+    every load, pop and ldmia word against the scalar CPU."""
+
+    @pytest.mark.parametrize("layout, flash_base", [
+        ("flash-end", 0x0800_0000), ("flash-end", 0x0800_0002),
+        ("ram-end", 0x0800_0000), ("unaligned", 0x0800_0002),
+    ], ids=["flash-end-word", "flash-end-halfword", "ram-end-word", "unaligned-halfword"])
+    def test_loads_match_scalar(self, layout, flash_base):
+        from repro.bits import halfwords_to_bytes
+        from repro.isa import assemble
+
+        program = assemble(_EDGE_WORLD, base=flash_base)
+        target = program.symbols["target"]
+        # a flash image of 2 mod 4 bytes, distinct words past the program
+        halfwords = list(program.halfwords) + [0x1357 * (i + 1) & 0xFFFF for i in range(9)]
+        flash = halfwords_to_bytes(halfwords)
+        ram_base, ram = 0x2000_0000, bytes(range(256)) * 2
+        flash_end, ram_end = flash_base + len(flash), ram_base + len(ram)
+        regs = [0] * 16
+        for register, value in _edge_layouts(flash_base, flash_end, target,
+                                             ram_base, ram_end)[layout].items():
+            regs[register] = value
+        regs[15] = target
+        engine = V.VectorEngine(
+            flash_base=flash_base, flash_bytes=flash, target_address=target,
+            ram_base=ram_base, ram_bytes=ram, init_regs=regs,
+            init_flags=Flags(False, False, False, False), budget=4,
+            zero_is_invalid=False,
+        )
+        words = np.flatnonzero(np.isin(engine.table.op, (V.OP_LOAD, V.OP_POP, V.OP_LDMIA)))
+        run = engine.run(words)
+        for lane, word in enumerate(words.tolist()):
+            status = int(run.status[lane])
+            assert status == _scalar_status(engine, word), hex(word)
+            registers = run.regs[:, lane].tolist()
+            states = _scalar_states(engine, word)
+            if status == ST_LIMIT:  # possibly decided where its replay passes
+                assert registers in states, hex(word)
+            else:
+                assert registers == states[-1], hex(word)
+        assert V.ST_BAD_READ in run.status
+        # survivors read the lane's own word back through r3 and r2 + 1
+        halted = np.flatnonzero(run.status == ST_HALTED)
+        own = words[halted]
+        read_back = ((run.reg(5)[halted] >> 8 * (target & 3)) & 0xFFFF == own) & (
+            run.reg(6)[halted] == own >> 8
+        )
+        assert read_back.sum() >= 100
+
+    def test_touching_regions_and_unaligned_ram_are_rejected(self):
+        harness = SnippetHarness(branch_snippet("eq"))
+        engine = harness._vector_engine(harness._snapshot_world())
+        flash = engine.flash8.astype(np.uint8).tobytes()
+        kwargs = dict(
+            flash_base=engine.flash_base, flash_bytes=flash,
+            target_address=engine.target_address, ram_bytes=engine.base_ram.tobytes(),
+            init_regs=engine.init_regs, init_flags=engine.init_flags,
+            budget=engine.budget, zero_is_invalid=False,
+        )
+        V.VectorEngine(ram_base=engine.ram_base, **kwargs)
+        with pytest.raises(ValueError, match="word-aligned"):
+            V.VectorEngine(ram_base=engine.ram_base + 2, **kwargs)
+        for ram_base in (engine.flash_end, engine.flash_base - engine.ram_size):
+            with pytest.raises(ValueError, match="touch"):
+                V.VectorEngine(ram_base=ram_base, **kwargs)
 
 
 def _self_branch_site():
