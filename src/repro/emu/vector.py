@@ -362,14 +362,17 @@ def _op_groups(table, ops: np.ndarray, hw: np.ndarray, lanes: np.ndarray) -> lis
     keys = (ops.astype(np.uint16) << 3) | table.aux[hw]  # every aux is below 8
     order = np.argsort(keys, kind="stable")
     counts = np.bincount(keys, minlength=(OP_REV + 1) << 3)
-    ends = np.cumsum(counts).tolist()
+    ends = np.cumsum(counts)
+    present = np.flatnonzero(counts)
+    # the lanes and operand columns in group order: each group is a slice
+    lanes, h = lanes[order], hw[order]
+    columns = [column[h] for column in table.operands]
     groups = []
-    for key in np.flatnonzero(counts).tolist():
-        sel = order[ends[key] - counts[key]:ends[key]]
-        h = hw[sel]
+    for key, lo, hi in zip(present.tolist(), (ends - counts)[present].tolist(),
+                           ends[present].tolist()):
         groups.append(_OpGroup(
-            key >> 3, key & 7, sel, lanes[sel],
-            *(getattr(table, name)[h] for name in _OpGroup._fields[4:]),
+            key >> 3, key & 7, order[lo:hi], lanes[lo:hi],
+            *[column[lo:hi] for column in columns],
         ))
     return groups
 
@@ -416,6 +419,8 @@ class _OperandTable:
         for name, column in columns.items():
             column.flags.writeable = False
             setattr(self, name, column)
+        #: the columns an :class:`_OpGroup` carries, in its field order
+        self.operands = tuple(columns[name] for name in _OpGroup._fields[4:])
         self._plan: Optional[_StepZeroPlan] = None
 
     def step_zero_plan(self) -> _StepZeroPlan:
@@ -618,10 +623,19 @@ class VectorRun:
     that retired by step 1, as ``(lanes, RAM offsets, values, width)``
     entries.  Those are applied on first access to ``lane_row``,
     ``block_map``, ``pages`` or :meth:`read_ram_u32`, and kept.
+
+    ``decodes_zero`` marks the lanes that decode halfword 0x0000 while
+    running: word 0 at step 0 (unless a marker stop at the target decides
+    every lane first), a later fetch of 0x0000, or one among the slots a
+    lane retired by a straight run would still decode (one the cycle exit
+    retires decoded its loop since the snapshot).  Both decode modes run
+    alike up to a lane's first 0x0000, so with 0x0000 undefined a marked
+    lane is ``invalid_instruction`` and every other lane ends as here.
     """
 
     words: np.ndarray       # the corrupted words (uint16), lane order == input order
     status: np.ndarray      # terminal ST_* per lane (never ST_RUNNING)
+    decodes_zero: np.ndarray  # per lane: decoded halfword 0x0000 while running
     # The registers and the lane RAM hold each lane's state when it retired.
     # A lane decided early (ST_LIMIT, ST_BAD_FETCH, ST_INVALID or ST_FAILED
     # before it got there) keeps its state at that decision, so callers
@@ -668,11 +682,6 @@ class VectorRun:
         row = self.writes.row(register)
         row[self.survivors] = self.survivor_regs[register]
         return row
-
-    @property
-    def stop_pc(self) -> np.ndarray:
-        """For ST_STOPPED lanes the marker address reached (their PC), else 0."""
-        return np.where(self.status == ST_STOPPED, self.reg(PC), 0)
 
     @cached_property
     def regs(self) -> np.ndarray:
@@ -742,7 +751,9 @@ class VectorEngine:
     halfwords from ``s`` on that always fall through, and the terminal
     status of the address that ends that run (``ST_RUNNING`` when reaching
     it decides nothing).  The target slot and the marker stops never join
-    a run and never end one with a status.
+    a run and never end one with a status.  ``zero_ahead[s]`` counts the
+    slots from ``s`` to the first halfword 0x0000 at or after it (past
+    the last halfword when there is none).
 
     The replay point must be paused at the target slot: ``ValueError``
     unless ``init_regs`` holds ``target_address`` as the PC and the
@@ -806,15 +817,15 @@ class VectorEngine:
         self.init_flags = init_flags
         self.budget = budget
         self.stops = tuple(int(s) for s in marker_stops)
-        self.straight_run, self.straight_end = self._straight_lines()
+        self.straight_run, self.straight_end, self.zero_ahead = self._straight_lines()
         # the halfword after the target if it completes a BL prefix there
         # (0 when it does not: a BL prefix at the target is then invalid)
         after = target_address + 2
         suffix = int(self.flash16[(after - flash_base) >> 1]) if after + 2 <= self.flash_end else 0
         self.first_suffix = suffix if suffix >> 11 == 0b11111 else 0
 
-    def _straight_lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(straight_run, straight_end)`` for every flash slot, in NumPy."""
+    def _straight_lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(straight_run, straight_end, zero_ahead)`` for every flash slot, in NumPy."""
         tbl = self.table
         op = tbl.op[self.flash16]
         falls = np.isin(op, _FALL_THROUGH_OPS) & ~(
@@ -831,9 +842,10 @@ class VectorEngine:
         falls &= ~special
         end[special] = ST_RUNNING
         slot = np.arange(falls.size)
-        # the first slot at or after each slot that does not fall through
-        run_end = np.minimum.accumulate(np.where(falls, falls.size, slot)[::-1])[::-1]
-        return run_end - slot, end[run_end]
+        # the first slot at or after each slot that does not fall through, and that holds 0
+        run_end, zero_at = (np.minimum.accumulate(np.where(mask, slot, falls.size)[::-1])[::-1]
+                            for mask in (~falls, np.append(self.flash16 == 0, False)))
+        return run_end - slot, end[run_end], zero_at - slot
 
     # ------------------------------------------------------------------
 
@@ -864,6 +876,7 @@ class VectorEngine:
         fv = np.full(n, self.init_flags.v, dtype=bool)
         halted = np.zeros(n, dtype=bool)
         status = np.zeros(n, dtype=np.int8)
+        zero = np.zeros(n, dtype=bool)  # VectorRun.decodes_zero
         # Lane RAM: step 0 reads the shared image and logs its stores as
         # ``(lanes, RAM offsets, values, width)`` entries; step 1's
         # compaction gives the survivors their own copy-on-write RAM and
@@ -1090,6 +1103,7 @@ class VectorEngine:
                     status[:] = ST_STOPPED
                     break
                 lane_steps += n
+                zero = words == 0
                 # the fetched halfwords are the batch's words: decode and
                 # grouping come from its plan
                 plan = tbl.step_zero_plan() if word_space else _StepZeroPlan(tbl, words)
@@ -1139,9 +1153,12 @@ class VectorEngine:
                 #    run's end within it.
                 left = budget - step_index
                 slot = (addr - fb_base) >> 1
-                outlasts = straight_run[slot] >= left
-                verdict = np.where(outlasts, ST_LIMIT, straight_end[slot])
+                run = straight_run[slot]
+                verdict = np.where(run >= left, ST_LIMIT, straight_end[slot])
                 decided = verdict != ST_RUNNING
+                # such a lane still decodes its first min(run + 1, left)
+                # slots: the run's fall-throughs, then what ends it
+                zero[active[decided & (self.zero_ahead[slot] < np.minimum(run + 1, left))]] = True
                 if snap_regs is not None:
                     # back in its snapshot state without a store in between:
                     # every PC on the cycle passed the stop check with ≥ 2 steps
@@ -1172,6 +1189,7 @@ class VectorEngine:
                         flag[survivors] for flag in (fn, fz, fc, fv, halted)
                     )
                     batch_status, status = status, status[survivors]
+                    batch_zero, zero = zero, zero[survivors]
                     words = words[survivors]
                     # the survivors' step-0 stores go to their own RAM
                     ram.lane_row = np.zeros(survivors.size, dtype=np.int32)
@@ -1200,6 +1218,7 @@ class VectorEngine:
                 if at_target.any():
                     hw = np.where(at_target, words[active], hw)
                 # 5. decode via the shared operand table
+                zero[active[hw == 0]] = True
                 ops = tbl.op[hw]
                 is_invalid = ops == OP_INVALID
                 if is_invalid.any():
@@ -1501,12 +1520,14 @@ class VectorEngine:
             regs = np.zeros((16, 0), dtype=np.int64)
         else:  # scatter the survivors back into the batch
             batch_status[survivors], status = status, batch_status
+            batch_zero[survivors], zero = zero, batch_zero
             lane_row[survivors] = ram.lane_row
         ram.lane_row = lane_row
 
         return VectorRun(
             words=batch_words,
             status=status,
+            decodes_zero=zero,
             writes=writes,
             survivors=survivors,
             survivor_regs=regs,

@@ -37,8 +37,7 @@ _PANELS = (
 @dataclass
 class Figure2Result:
     panels: dict[str, FigureData] = field(default_factory=dict)
-    #: quarantined world units of both decode modes (their branches are
-    #: absent from every panel of the mode)
+    #: quarantined world units (their branches are absent from every panel)
     failed_units: list[FailedUnit] = field(default_factory=list)
 
     def mean_success(self, panel: str) -> float:
@@ -73,18 +72,20 @@ def run_figure2(
     """Regenerate Figure 2. Full sweep by default; pass ``k_values`` /
     ``conditions`` to subsample for quick runs.
 
-    The panels run as one campaign per decode mode: AND, OR and XOR on
-    the plain decoder, AND again with 0x0000 invalid. A campaign's work
-    unit is one replay world (5 for the 14 branches) under every model
-    of its mode, so each corrupted word is emulated once per world and
-    decode mode, and the panels tally from that one classification.
-    Snippets and harnesses live for this call only.
+    The panels run as one campaign whose work unit is one replay world
+    (5 for the 14 branches) under every panel: AND, OR and XOR on the
+    plain decoder, then AND with 0x0000 invalid on a second harness of
+    the world, which takes its codes from the plain decoder's batch (a
+    word is ``invalid_instruction`` there iff its lane decoded 0x0000;
+    :class:`repro.emu.vector.VectorRun`). So each corrupted word is
+    emulated once per world, and the panels tally from that one
+    classification. Snippets and harnesses live for this call only.
 
     ``execution`` (an :class:`~repro.exec.ExecOptions`) parallelises the
-    world units, makes each campaign resumable (the checkpoint file name
-    embeds its models, e.g. ``branch-and+or+xor``) and quarantines failing
-    units instead of aborting the figure; a quarantined world is absent
-    from every panel of its decode mode. ``cache`` (an ``OutcomeCache``
+    world units, makes the campaign resumable (the checkpoint file name
+    embeds its panels, ``branch-and+or+and-0invalid+xor``) and quarantines
+    failing units instead of aborting the figure; a quarantined world is
+    absent from every panel. ``cache`` (an ``OutcomeCache``
     or a directory path) persists outcomes on disk, so re-runs skip
     emulation entirely.
 
@@ -101,17 +102,13 @@ def run_figure2(
     panels = _PANELS if include_xor else _PANELS[:3]
     snippets = _select_snippets(conditions)
     result = Figure2Result()
-    campaigns = {}
     with obs.trace("fig2"):
-        for zero_is_invalid in (False, True):
-            models = tuple(model for _, _, model, mode in panels if mode == zero_is_invalid)
-            runs = _run_campaigns(models, zero_is_invalid, snippets, k_values, cache,
-                                  execution, obs)
-            # the campaigns of one mode share its quarantined units
-            result.failed_units.extend(runs[0].failed_units)
-            campaigns.update({(run.model, zero_is_invalid): run for run in runs})
-        for name, title, model, zero_is_invalid in panels:
-            result.panels[name] = _figure2_data(campaigns[model, zero_is_invalid], title=title)
+        runs = _run_campaigns(tuple((model, mode) for _, _, model, mode in panels),
+                              snippets, k_values, cache, execution, obs)
+        # the panels share the quarantined world units
+        result.failed_units = runs[0].failed_units
+        for (name, title, _, _), run in zip(panels, runs):
+            result.panels[name] = _figure2_data(run, title=title)
     return result
 
 

@@ -16,13 +16,15 @@ at the target slot in one decode mode (:meth:`WordHarness.world_digest`).
 Many branch snippets share one: the 14 Figure 2 snippets have 5 distinct
 worlds (``eq``; ``ne cs pl vc hi ge gt``; ``cc mi lt le``; ``vs``;
 ``ls``). A campaign therefore makes one work unit per world, not per
-branch, covering every flip model it runs: the unit builds one harness,
-classifies the union of its (member, model) sweeps' reachable words in
-one batch and tallies every sweep from the harness's one dense code
-array (a word's group ``j`` is its Hamming distance to the target under
-every model), so each corrupted word of a world is emulated once per
-campaign. Checkpoint records, quarantine and
-outcome-cache shards are per world too; the sweeps are re-emitted in
+branch, covering every panel (flip model and decode mode) it runs: per
+decode mode the unit builds one harness, classifies the union of its
+(member, model) sweeps' reachable words in one batch and tallies every
+sweep from the harness's one dense code array (a word's group ``j`` is
+its Hamming distance to the target under every model). The
+0x0000-invalid harness takes its codes from the plain decoder's batch,
+so each corrupted word of a world is emulated once per campaign.
+Checkpoint records and quarantine are per world too, outcome-cache
+shards per world and decode mode; the sweeps are re-emitted in
 condition order. The whole-image campaign
 (:mod:`repro.campaign.image_campaign`) runs each site as such a unit.
 """
@@ -226,11 +228,10 @@ def sweep_instruction(
 
 @dataclass(frozen=True)
 class _WorldSpec:
-    """Picklable work unit: every model's sweeps of the branches sharing one world."""
+    """Picklable work unit: every panel's sweeps of the branches sharing one world."""
 
     mnemonics: tuple[str, ...]  # members, in condition order
-    models: tuple[str, ...]
-    zero_is_invalid: bool
+    panels: tuple[tuple[str, bool], ...]  # (model, zero_is_invalid) pairs
     k_values: Optional[tuple[int, ...]]
     cache_root: Optional[str]
 
@@ -254,30 +255,44 @@ def _sweep_world(harness: WordHarness, targets: list, models, k_values, sweep) -
 
 
 def _sweep_snippets(
-    spec: _WorldSpec, snippets: list[BranchSnippet], harness: WordHarness
+    spec: _WorldSpec, snippets: list[BranchSnippet], cache: OutcomeCache | None
 ) -> list[InstructionSweep]:
-    """Every model's sweeps of one world's member branches, on ``harness``."""
-    return _sweep_world(
-        harness, [(snippet, snippet.target_word) for snippet in snippets],
-        spec.models, spec.k_values,
-        lambda snippet, model, by_k: sweep_instruction(
-            snippet, model, zero_is_invalid=spec.zero_is_invalid,
-            k_values=spec.k_values, by_k=by_k,
-        ),
-    )
+    """Every panel's sweeps of one world's member branches: the plain
+    decoder's models on one harness, then the 0x0000-invalid ones on a
+    second, which takes the code of every word the first's batches ran
+    from them (:meth:`WordHarness._execute_vector_batch`)."""
+    sweeps, plain = [], None
+    for zero_is_invalid in (False, True):
+        models = tuple(model for model, mode in spec.panels if mode == zero_is_invalid)
+        if not models:
+            continue
+        harness = SnippetHarness(snippets[0], zero_is_invalid=zero_is_invalid, disk_cache=cache)
+        harness.plain = plain
+        sweeps += _sweep_world(
+            harness, [(snippet, snippet.target_word) for snippet in snippets],
+            models, spec.k_values,
+            lambda snippet, model, by_k: sweep_instruction(
+                snippet, model, zero_is_invalid=harness.zero_is_invalid,
+                k_values=spec.k_values, by_k=by_k,
+            ),
+        )
+        plain = harness
+    return sweeps
 
 
 def _run_sweep_units(
     execution: ExecOptions, unit, specs: list, record: type[SweepTallies],
-    members: list, member_of, models, obs: Observer, **map_kwargs,
-) -> tuple[dict[str, list], list[FailedUnit]]:
+    members: list, member_of, models, obs: Observer,
+    model_of=lambda sweep: sweep.model, **map_kwargs,
+) -> tuple[dict, list[FailedUnit]]:
     """Run work units that each return a list of sweep records as one
     executor map, and split the completed sweeps back per model.
 
     Returns ``({model: sweeps in members order}, failed units)``, where
-    ``member_of(sweep)`` is a sweep's entry in ``members``; a quarantined
-    unit's members are absent from every model. ``map_kwargs``
-    (``prefix``, ``meta``, ``key_of``, ``serial_fn``) go to
+    ``member_of(sweep)`` is a sweep's entry in ``members`` and
+    ``model_of(sweep)`` its entry in ``models``; a quarantined unit's
+    members are absent from every model. ``map_kwargs`` (``prefix``,
+    ``meta``, ``key_of``, ``serial_fn``) go to
     :meth:`repro.exec.ExecOptions.run`.
     """
     results, failed = execution.run(
@@ -291,7 +306,7 @@ def _run_sweep_units(
         **map_kwargs,
     )
     done = {
-        (sweep.model, member_of(sweep)): sweep
+        (model_of(sweep), member_of(sweep)): sweep
         for sweeps in results if sweeps for sweep in sweeps
     }
     by_model = {
@@ -302,17 +317,14 @@ def _run_sweep_units(
 
 
 def _world_unit(spec: _WorldSpec) -> list[InstructionSweep]:
-    """Worker entry point: rebuild the snippets, harness and cache in-process."""
+    """Worker entry point: rebuild the snippets, harnesses and cache in-process."""
     from repro.glitchsim.snippets import branch_snippet
 
     snippets = [branch_snippet(mnemonic[1:]) for mnemonic in spec.mnemonics]
     # the unit's cache traffic goes to the ambient (worker-local) observer,
     # and the envelope carries it back
     with cache_session(spec.cache_root, current()) as cache:
-        harness = SnippetHarness(
-            snippets[0], zero_is_invalid=spec.zero_is_invalid, disk_cache=cache,
-        )
-        return _sweep_snippets(spec, snippets, harness)
+        return _sweep_snippets(spec, snippets, cache)
 
 
 def run_branch_campaign(
@@ -330,8 +342,8 @@ def run_branch_campaign(
     :meth:`WordHarness.world_digest`, read off each snippet's image with
     its target slot zeroed) into one work unit per world (5 for all 14
     branches); a unit sweeps every member branch on one shared harness.
-    This is the one-model case of the campaigns
-    :func:`repro.experiments.run_figure2` runs with several models per
+    This is the one-panel case of the campaign
+    :func:`repro.experiments.run_figure2` runs with four panels per
     unit. ``execution`` (an
     :class:`~repro.exec.ExecOptions`) fans the units out over processes
     (each unit owns its world's cache shard, so workers never contend on
@@ -355,7 +367,7 @@ def run_branch_campaign(
     """
     check_campaign_args((model,))
     (campaign,) = _run_campaigns(
-        (model,), zero_is_invalid, _select_snippets(conditions), k_values,
+        ((model, zero_is_invalid),), _select_snippets(conditions), k_values,
         cache, execution, coerce_observer(obs),
     )
     return campaign
@@ -388,52 +400,42 @@ def _world_key(snippet: BranchSnippet) -> tuple:
 
 
 def _run_campaigns(
-    models: tuple[str, ...],
-    zero_is_invalid: bool,
+    panels: tuple[tuple[str, bool], ...],
     snippets: list[BranchSnippet],
     k_values: tuple[int, ...] | None,
     cache: OutcomeCache | str | None,
     execution: ExecOptions,
     obs: Observer,
 ) -> list[CampaignResult]:
-    """One campaign per model, in ``models`` order, run as one executor map;
-    they share the quarantined world units."""
+    """One campaign per ``(model, zero_is_invalid)`` panel, in ``panels``
+    order, run as one executor map of one unit per replay world; they
+    share the quarantined world units."""
     cache = coerce_cache(cache)
     cache_root = str(cache.root) if cache is not None else None
     ks = tuple(k_values) if k_values is not None else None
-    # one unit per replay world; the serial path sweeps on one harness per
-    # world, which builds its world on first use
     worlds: dict[tuple, list[BranchSnippet]] = {}
     for snippet in snippets:
         worlds.setdefault(_world_key(snippet), []).append(snippet)
-    units = {
-        tuple(snippet.mnemonic for snippet in members): (
-            SnippetHarness(members[0], zero_is_invalid=zero_is_invalid, disk_cache=cache),
-            members,
-        )
-        for members in worlds.values()
-    }
-    specs = [
-        _WorldSpec(mnemonics, models, zero_is_invalid, ks, cache_root)
-        for mnemonics in units
-    ]
+    units = {tuple(snippet.mnemonic for snippet in members): members
+             for members in worlds.values()}
+    specs = [_WorldSpec(mnemonics, panels, ks, cache_root) for mnemonics in units]
 
     def serial(spec: _WorldSpec) -> list[InstructionSweep]:
-        # in-process: reuse the built harnesses and the shared cache handle
-        shared, members = units[spec.mnemonics]
-        return _sweep_snippets(spec, members, shared)
+        # in-process: reuse the snippets and the shared cache handle
+        return _sweep_snippets(spec, units[spec.mnemonics], cache)
 
-    label = "+".join(models)
+    label = "+".join(f"{model}-0invalid" if mode else model for model, mode in panels)
+    zero_is_invalid = any(mode for _, mode in panels)
     # serial units reuse the shared cache handle, so the session counts
     # their traffic here (workers report theirs via their envelopes)
     with cache_session(cache, obs), obs.trace(
         f"campaign.branch[{label}]", model=label,
         zero_is_invalid=zero_is_invalid, units=len(specs),
     ):
-        by_model, failed = _run_sweep_units(
+        by_panel, failed = _run_sweep_units(
             execution, _world_unit, specs, InstructionSweep,
             [snippet.mnemonic for snippet in snippets], lambda sweep: sweep.mnemonic,
-            models, obs,
+            panels, obs, lambda sweep: (sweep.model, sweep.zero_is_invalid),
             prefix=f"branch-{label}",
             meta={
                 "campaign": "branch",
@@ -447,10 +449,10 @@ def _run_campaigns(
         )
     return [
         CampaignResult(
-            model=model, zero_is_invalid=zero_is_invalid,
-            sweeps=by_model[model], failed_units=failed,
+            model=model, zero_is_invalid=mode, sweeps=by_panel[model, mode],
+            failed_units=failed,
         )
-        for model in models
+        for model, mode in panels
     ]
 
 

@@ -200,6 +200,10 @@ class WordHarness:
         self._world: Optional[_SnapshotWorld] = None  # built on first use
         self._digest: Optional[str] = None  # world_digest(), on first use
         self._vector = None  # lazily-built repro.emu.vector.VectorEngine
+        # a 0x0000-invalid harness's plain-decoder twin of the same world,
+        # and each word's code under the 0x0000-invalid decoder (0: not run)
+        self.plain: Optional[WordHarness] = None
+        self.zero_invalid_codes = np.zeros(1 << 16, dtype=np.uint8)
 
     def world_digest(self) -> str:
         """SHA-256 hex digest of the replay point this harness classifies on.
@@ -404,11 +408,24 @@ class WordHarness:
         """Run a cache-miss batch lock-step into the dense code memo.
 
         Every lane ends classified, so the whole batch scatters with one
-        fancy-indexed assignment.
+        fancy-indexed assignment.  A lane that decoded 0x0000
+        (:attr:`repro.emu.vector.VectorRun.decodes_zero`) is
+        ``invalid_instruction`` under the 0x0000-invalid decoder and every
+        other lane keeps its code, so the batch also fills
+        ``zero_invalid_codes``; a harness linked to a ``plain`` one takes
+        the words that harness ran from there, and runs only the rest.
         """
+        if self.plain is not None:
+            derived = self._codes[pending] = self.plain.zero_invalid_codes[pending]
+            pending = pending[derived == 0]
+            if not pending.size:
+                return
         world = self._snapshot_world()
         batch = self._vector_engine(world).run(pending)
-        self._codes[pending] = batch.classify_branch(world.success_address, world.markers)
+        codes = self._codes[pending] = batch.classify_branch(world.success_address, world.markers)
+        self.zero_invalid_codes[pending] = np.where(
+            batch.decodes_zero, CATEGORY_CODES["invalid_instruction"], codes
+        )
         self.words_executed += int(pending.size)
         from repro.obs import current
 

@@ -242,15 +242,15 @@ class TestExperimentQuarantineReport:
         monkeypatch.setattr(campaign_mod, "sweep_instruction", poisoned)
         assert main(["experiment", "fig2"]) == EXIT_QUARANTINED
         captured = capsys.readouterr()
-        # a unit is a replay world under every model of one decode mode:
-        # bne's world-mates go with it from every panel, and the quarantine
-        # report names every member, once per decode mode
+        # a unit is a replay world under every panel: bne's world-mates go
+        # with it from every panel, and the quarantine report names every
+        # member once
         world = ("bne", "bcs", "bpl", "bvc", "bhi", "bge", "bgt")
         for mnemonic in world:
             assert mnemonic.upper() not in captured.out
         assert "BEQ" in captured.out and "BLS" in captured.out
-        assert "2 work unit(s) quarantined" in captured.err
-        assert captured.err.count(f"unit {'+'.join(world)}: ") == 2
+        assert "1 work unit(s) quarantined" in captured.err
+        assert captured.err.count(f"unit {'+'.join(world)}: ") == 1
         assert "emulator crashed" in captured.err
 
     def test_attack_exits_quarantined(self, monkeypatch, capsys, guard_c):

@@ -44,17 +44,17 @@ class TestFigure2Driver:
         result = run_figure2(k_values=(1,), conditions=["eq"], include_xor=False)
         assert "instruction,k,success_rate" in result.to_csv()
 
-    #: the full figure: one batch per (replay world, decode mode), 5 worlds
-    #: x 2 modes; the plain-decoder batches hold all 2^16 words (XOR reaches
-    #: every word) and the 0x0000-invalid ones their worlds' AND submasks;
-    #: the early exits keep lane-steps near one per lane
+    #: the full figure: one unit and one batch per replay world, 5 worlds;
+    #: each batch holds all 2^16 words (XOR reaches every word) on the
+    #: plain decoder, and the 0x0000-invalid panel takes its codes from
+    #: the same batch; the early exits keep lane-steps near one per lane
     FULL_FIGURE_COUNTERS = {
-        "vector.batches": 10,
-        "vector.lanes": 328_192,
-        "vector.lane_steps": 329_173,
+        "vector.batches": 5,
+        "vector.lanes": 327_680,
+        "vector.lane_steps": 328_643,
         "vector.early_exits": 7_026,
-        "algebra.words_emulated": 328_192,
-        "units.completed": 10,
+        "algebra.words_emulated": 327_680,
+        "units.completed": 5,
         "attempts": 4 * 14 * 65_536,
         "algebra.masks_derived": 4 * 14 * 65_536,
     }
@@ -69,13 +69,14 @@ class TestFigure2Driver:
             assert counters == self.FULL_FIGURE_COUNTERS
 
     def test_unit_time_is_classify_plus_tally(self):
-        """Each world unit's wall time is its union batch and its sweeps.
+        """Each world unit's wall time is its two decode modes'
+        classifications and their sweeps.
 
         The smallest units take well under a millisecond, so a unit passes
         on its best of up to three traced figures (host noise, not the
         program, sets a single run's gaps).
         """
-        best = [0.0] * 10
+        best = [0.0] * 5
         for _ in range(3):
             obs = Observer()
             run_figure2(obs=obs)
@@ -115,22 +116,29 @@ class TestFigure2SharedUnits:
         assert result.panels == alone
         assert result.failed_units == []
 
+    def test_plain_words_from_a_disk_shard_leave_zero_invalid_batches(self, alone, tmp_path):
+        # the plain decoder's AND words come from disk, so no plain batch
+        # ran them and each world's 0x0000-invalid harness runs its own
+        run_branch_campaign("and", cache=tmp_path, **self.KWARGS)
+        obs = Observer()
+        assert run_figure2(cache=tmp_path, obs=obs, **self.KWARGS).panels == alone
+        assert obs.counters["vector.batches"] == 2 * 4
+
     def test_resumed_panels_match_single_model_campaigns(self, alone, tmp_path):
-        class KillInSecondMode(ProgressReporter):
-            """Interrupts after six units: the plain decoder's four worlds
-            and two of the 0x0000-invalid mode's."""
+        class KillHalfway(ProgressReporter):
+            """Interrupts after two of the four world units."""
 
             done = 0
 
             def advance(self, units=1, attempts=0, categories=None):
                 super().advance(units, attempts, categories)
                 self.done += units
-                if self.done == 6:
+                if self.done == 2:
                     raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             run_figure2(execution=ExecOptions(checkpoint_dir=tmp_path,
-                                              progress=KillInSecondMode()),
+                                              progress=KillHalfway()),
                         **self.KWARGS)
         obs = Observer()
         resumed = run_figure2(
@@ -138,7 +146,7 @@ class TestFigure2SharedUnits:
             obs=obs, **self.KWARGS,
         )
         assert resumed.panels == alone
-        assert (obs.counters["units.replayed"], obs.counters["units.completed"]) == (6, 2)
+        assert (obs.counters["units.replayed"], obs.counters["units.completed"]) == (2, 2)
 
 
 class TestScanDrivers:

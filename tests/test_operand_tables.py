@@ -85,7 +85,7 @@ class TestWorkers:
         # bne and bcs share one replay world, so one unit sweeps both
         # under both models
         specs = [
-            _WorldSpec(members, ("xor", "and"), False, SMALL_KS, None)
+            _WorldSpec(members, (("xor", False), ("and", False)), SMALL_KS, None)
             for members in (("beq",), ("bne", "bcs"))
         ]
         executor = ParallelExecutor(workers=2)
@@ -97,7 +97,7 @@ class TestWorkers:
                 harness=SnapshotSnippetHarness(branch_snippet(mnemonic[1:])),
             )
             for spec in specs
-            for model in spec.models
+            for model, _ in spec.panels
             for mnemonic in spec.mnemonics
         ]
         assert sweeps == serial

@@ -36,7 +36,7 @@ from repro.firmware.image import load_image
 from repro.glitchsim.harness import SnippetHarness
 from repro.glitchsim.snippets import all_branch_snippets, branch_snippet
 from repro.isa.conditions import Flags
-from repro.isa.registers import SP
+from repro.isa.registers import PC, SP
 from repro.obs import Observer, activate
 from tests.oracles import (
     RebuildSiteHarness,
@@ -876,8 +876,9 @@ class TestStepZeroPlan:
         np.testing.assert_array_equal(full.regs[:, ::-1], backwards.regs)
         lanes = np.concatenate(chunks)
         np.testing.assert_array_equal(full.status[lanes], np.concatenate([p.status for p in parts]))
-        np.testing.assert_array_equal(full.stop_pc[lanes],
-                                      np.concatenate([p.stop_pc for p in parts]))
+        stopped = full.status[lanes] == ST_STOPPED
+        np.testing.assert_array_equal(full.reg(PC)[lanes][stopped],
+                                      np.concatenate([p.reg(PC) for p in parts])[stopped])
         np.testing.assert_array_equal(full.regs[:, lanes],
                                       np.concatenate([p.regs for p in parts], axis=1))
         assert full.lane_steps == sum(p.lane_steps for p in parts)
@@ -976,3 +977,83 @@ class TestLaneRegisters:
         finally:
             tracemalloc.stop()
         assert peak <= 4 << 20, peak
+
+
+def _zero_run_engine(zero_is_invalid: bool, budget: int):
+    """A world whose straight runs hold 0x0000 halfwords.  Flash from the
+    target slot: the target, ``bkpt``, three ``movs r1, #1``, 0x0000,
+    ``movs r1, #1``, ``udf``, 0x0000, ``bkpt``."""
+    halfwords = [0xBF00, 0xBE00, 0x2101, 0x2101, 0x2101, 0x0000, 0x2101, 0xDE00, 0x0000, 0xBE00]
+    return V.VectorEngine(
+        flash_base=0x0800_0000,
+        flash_bytes=np.array(halfwords, dtype="<u2").tobytes(),
+        target_address=0x0800_0000,
+        ram_base=0x2000_0000,
+        ram_bytes=bytes(256),
+        init_regs=[0] * 13 + [0x2000_0100, 0, 0x0800_0000],
+        init_flags=Flags(False, False, False, False),
+        budget=budget,
+        zero_is_invalid=zero_is_invalid,
+    )
+
+
+class TestZeroInvalidFromPlainBatches:
+    """``VectorRun.decodes_zero``: a lane that decodes 0x0000 is
+    ``invalid_instruction`` under the 0x0000-invalid decoder, and every
+    other lane ends as under the plain one."""
+
+    @pytest.mark.parametrize("word, budget, marked, lane_steps", [
+        (0x0000, 8, True, 2),   # word 0, decoded at step 0
+        (0xE006, 8, True, 3),   # b to the 0x0000 before bkpt: fetched at step 1
+        (0xE000, 4, False, 1),  # b into the movs run: three movs, then the budget ends
+        (0xE000, 5, True, 1),   # a step more: the straight run's 0x0000 is decoded
+        (0xE004, 8, False, 1),  # the run ends at udf, before the next 0x0000
+    ], ids=["step-0", "fetch", "run-outlasts-budget", "run-reaches-zero", "zero-past-run"])
+    def test_marking_routes(self, word, budget, marked, lane_steps):
+        runs = [_zero_run_engine(mode, budget).run(np.array([word])) for mode in (False, True)]
+        for mode, run in zip((False, True), runs):
+            assert run.status[0] == _scalar_status(_zero_run_engine(mode, budget), word)
+            assert run.decodes_zero.tolist() == [marked]
+        plain, hardened = runs
+        assert plain.lane_steps == lane_steps
+        derived = V.ST_INVALID if plain.decodes_zero[0] else plain.status[0]
+        assert derived == hardened.status[0]
+
+    @staticmethod
+    def _differential(make) -> None:
+        """The plain full-space batch's derived codes against a direct
+        0x0000-invalid batch, on the engines and through a linked harness."""
+        words = np.arange(1 << 16)
+        plain, direct = make(False), make(True)
+        runs = []
+        for harness in (plain, direct):
+            world = harness._snapshot_world()
+            run = harness._vector_engine(world).run(words)
+            runs.append((run, run.classify_branch(world.success_address, world.markers)))
+        (plain_run, plain_codes), (direct_run, direct_codes) = runs
+        derived = np.where(plain_run.decodes_zero, CATEGORY_CODES["invalid_instruction"],
+                           plain_codes)
+        mismatches = np.flatnonzero(derived != direct_codes)
+        assert mismatches.size == 0, [hex(word) for word in mismatches[:10]]
+        # both decoders run alike up to a lane's first 0x0000
+        np.testing.assert_array_equal(plain_run.decodes_zero, direct_run.decodes_zero)
+        assert (direct_run.status[direct_run.decodes_zero] == V.ST_INVALID).all()
+        # a linked 0x0000-invalid harness builds no world and runs no batch
+        linked = make(True)
+        linked.plain = plain
+        plain.run_many_codes(words)
+        linked.run_many_codes(words)
+        np.testing.assert_array_equal(linked.codes, direct_codes)
+        assert linked._world is None and linked.words_executed == 0
+
+    @pytest.mark.parametrize("condition", ["eq", "ne", "cc", "vs", "ls"])
+    def test_figure2_worlds(self, condition):
+        snippet = branch_snippet(condition)
+        self._differential(lambda mode: SnippetHarness(snippet, zero_is_invalid=mode))
+
+    def test_demo_image_sites(self):
+        image = load_image(DEMO_HEX)
+        sites = discover_sites(image)
+        assert len(sites) == 6
+        for site in sites:
+            self._differential(lambda mode: SiteHarness(image, site, zero_is_invalid=mode))
